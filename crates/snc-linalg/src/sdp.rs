@@ -69,6 +69,10 @@ pub struct SdpSolution {
     pub iterations: usize,
     /// Final Riemannian gradient norm (Frobenius).
     pub grad_norm: f64,
+    /// Whether the returned restart stopped at `max_iters` rather than
+    /// at the gradient tolerance or a stalled line search — its energy
+    /// is then the value of an unconverged iterate.
+    pub capped: bool,
 }
 
 impl SdpSolution {
@@ -216,6 +220,7 @@ fn descend(
     let mut step = 0.5;
     let mut grad_norm = f64::INFINITY;
     let mut iters = 0usize;
+    let mut capped = true;
 
     for _ in 0..cfg.max_iters {
         iters += 1;
@@ -223,20 +228,21 @@ fn descend(
         // each sphere.
         let mut gn2 = 0.0;
         for i in 0..n {
-            // Euclidean gradient for row i.
-            let mut g = vec![0.0; r];
+            // Euclidean gradient for row i, accumulated in place.
+            let g = grad.row_mut(i);
+            g.fill(0.0);
             for &(j, w) in &neighbors[offsets[i]..offsets[i + 1]] {
-                vector::axpy(w, v.row(j as usize), &mut g);
+                vector::axpy(w, v.row(j as usize), g);
             }
             let vi = v.row(i);
-            let c = vector::dot(&g, vi);
-            vector::axpy(-c, vi, &mut g);
-            gn2 += vector::norm_sq(&g);
-            grad.row_mut(i).copy_from_slice(&g);
+            let c = vector::dot(g, vi);
+            vector::axpy(-c, vi, g);
+            gn2 += vector::norm_sq(g);
         }
         grad_norm = gn2.sqrt();
         let scale = 1.0 + energy.abs();
         if grad_norm <= cfg.grad_tol * scale {
+            capped = false;
             break;
         }
 
@@ -264,6 +270,7 @@ fn descend(
         }
         if !accepted {
             // Stalled below line-search resolution.
+            capped = false;
             break;
         }
     }
@@ -274,6 +281,7 @@ fn descend(
             energy,
             iterations: iters,
             grad_norm,
+            capped,
         },
         iters,
     )
@@ -386,6 +394,19 @@ mod tests {
         let (extracted, extracted_bound) = sol.into_factor_and_bound(3.0);
         assert_eq!(extracted, factors);
         assert_eq!(extracted_bound, bound);
+    }
+
+    #[test]
+    fn capped_flags_only_solves_that_ran_out_of_iterations() {
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)];
+        let converged = solve_maxcut_sdp(5, &edges, &cfg(4)).unwrap();
+        assert!(!converged.capped, "converged in {} iterations", converged.iterations);
+        let mut short = cfg(4);
+        short.max_iters = 2;
+        short.restarts = 1;
+        let capped = solve_maxcut_sdp(5, &edges, &short).unwrap();
+        assert!(capped.capped);
+        assert_eq!(capped.iterations, 2);
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Deterministic caching for the offline SDP stage.
 //!
-//! The Burer–Monteiro factor the LIF-GW circuit programs into its
-//! synapses is a pure function of `(graph, sdp seed, rank)` — it costs
-//! ~13 of the ~20 ms a road-chesapeake solve spends end to end, and it
-//! is bit-for-bit reproducible given those three inputs. [`SdpCache`]
-//! memoizes exactly that function, so repeated solves of the same graph
-//! (anneal restarts, repeated service requests, figure sweeps) pay the
-//! SDP once and re-run only the stochastic circuit stage the paper
-//! actually studies.
+//! The Burer–Monteiro factor the LIF-GW and LIF-annealed circuits
+//! program into their synapses is a pure function of `(graph, sdp seed,
+//! rank)` — it costs ~13 of the ~20 ms a road-chesapeake solve spends
+//! end to end, and it is bit-for-bit reproducible given those three
+//! inputs. [`SdpCache`] memoizes exactly that function, so repeated
+//! solves of the same graph (LIF-GW then LIF-annealed, anneal restarts,
+//! repeated service requests, figure sweeps) pay the SDP once and re-run
+//! only the stochastic circuit stage the paper actually studies. Its
+//! hit/miss counters are therefore a census of every unweighted SDP the
+//! circuit families need; weighted graphs and the MAX2SAT/MAXDICUT
+//! extensions solve their SDPs inline.
 //!
 //! ## Determinism contract
 //!

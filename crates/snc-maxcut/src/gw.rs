@@ -35,6 +35,11 @@ pub struct GwSolution {
     /// The SDP objective `Σ (1 − v_i·v_j)/2` — an upper bound on OPT at
     /// the true optimum.
     pub sdp_bound: f64,
+    /// Gradient iterations the solve took, across restarts.
+    pub iterations: usize,
+    /// Whether the solve stopped at its iteration cap (see
+    /// [`snc_linalg::SdpSolution::capped`]).
+    pub capped: bool,
 }
 
 /// Solves the GW SDP for a graph.
@@ -45,8 +50,14 @@ pub struct GwSolution {
 pub fn solve_gw(graph: &Graph, cfg: &GwConfig) -> Result<GwSolution, LinalgError> {
     let edges: Vec<(u32, u32)> = graph.edges().collect();
     let sol = sdp::solve_maxcut_sdp(graph.n(), &edges, &cfg.sdp)?;
+    let (iterations, capped) = (sol.iterations, sol.capped);
     let (factors, sdp_bound) = sol.into_factor_and_bound(graph.m() as f64);
-    Ok(GwSolution { factors, sdp_bound })
+    Ok(GwSolution {
+        factors,
+        sdp_bound,
+        iterations,
+        capped,
+    })
 }
 
 /// The Bertsimas–Ye sampling stage: cuts from sign-thresholded correlated

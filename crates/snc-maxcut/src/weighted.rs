@@ -86,6 +86,10 @@ pub struct WeightedGwSolution {
     pub factors: snc_linalg::DMatrix,
     /// SDP upper bound on the weighted maximum cut.
     pub sdp_bound: f64,
+    /// Gradient iterations the solve took, across restarts.
+    pub iterations: usize,
+    /// Whether the solve stopped at its iteration cap.
+    pub capped: bool,
 }
 
 /// Solves the weighted GW SDP.
@@ -106,6 +110,8 @@ pub fn solve_gw_weighted(
     Ok(WeightedGwSolution {
         factors: sol.factors,
         sdp_bound,
+        iterations: sol.iterations,
+        capped: sol.capped,
     })
 }
 

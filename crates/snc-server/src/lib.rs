@@ -56,8 +56,8 @@
 //! disabled by passing `0`):
 //!
 //! * the per-graph [`snc_maxcut::SdpCache`] (`--sdp-cache-entries`)
-//!   memoizes the LIF-GW offline SDP factor/bound by
-//!   `(graph fingerprint, sdp seed, rank)`;
+//!   memoizes the offline SDP factor/bound LIF-GW and LIF-annealed
+//!   share, by `(graph fingerprint, sdp seed, rank)`;
 //! * the [`cache::ResponseCache`] (`--response-cache-bytes`) stores
 //!   byte-exact response bodies keyed by the full canonical request and
 //!   short-circuits `/solve` and `/jobs`.

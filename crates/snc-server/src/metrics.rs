@@ -119,11 +119,30 @@ impl ServerMetrics {
     /// Records one solve's stage breakdown into the per-family stage
     /// histograms: `total` always, `sdp` only when a real SDP ran this
     /// call (cache hits report none, keeping the series a census of
-    /// actual solves), `sampling` when the workload separates it.
+    /// actual solves), `sampling` when the workload separates it. A real
+    /// SDP also records its iteration count and, when it stopped at its
+    /// iteration cap, one capped solve.
     pub fn record_solve_stages(&self, family: &'static str, stages: &StageTimings, total_us: u64) {
         self.stage_histogram("total", family).record(total_us);
         if let Some(sdp_us) = stages.sdp_us {
             self.stage_histogram("sdp", family).record(sdp_us);
+        }
+        if let Some(iterations) = stages.sdp_iterations {
+            let labels = [("family", family)];
+            self.registry
+                .histogram(
+                    "snc_solver_sdp_iterations",
+                    "Gradient iterations per real SDP solve",
+                    &labels,
+                )
+                .record(iterations);
+            self.registry
+                .counter(
+                    "snc_solver_sdp_capped_total",
+                    "Real SDP solves that stopped at the iteration cap (unconverged bound)",
+                    &labels,
+                )
+                .add(u64::from(stages.sdp_capped));
         }
         if stages.sampling_us > 0 {
             self.stage_histogram("sampling", family)
@@ -179,8 +198,8 @@ mod tests {
     fn stage_recording_skips_sdp_on_cache_hits() {
         let m = ServerMetrics::new();
         let hit = StageTimings {
-            sdp_us: None,
             sampling_us: 40,
+            ..StageTimings::default()
         };
         m.record_solve_stages("lif-gw", &hit, 55);
         let text = m.registry.render();
@@ -190,10 +209,46 @@ mod tests {
         let miss = StageTimings {
             sdp_us: Some(1000),
             sampling_us: 40,
+            ..StageTimings::default()
         };
         m.record_solve_stages("lif-gw", &miss, 1100);
         let text = m.registry.render();
         assert!(text.contains("snc_solver_stage_duration_us_count{stage=\"sdp\",family=\"lif-gw\"} 1"));
+    }
+
+    #[test]
+    fn capped_counter_counts_only_solves_that_hit_the_iteration_cap() {
+        // The same graph solved twice: once with a cap far below
+        // convergence, once at the defaults, which converge on C6.
+        let m = ServerMetrics::new();
+        let g = snc_graph::generators::structured::cycle(6);
+        let record = |max_iters| {
+            let sdp = snc_linalg::SdpConfig {
+                max_iters,
+                ..snc_linalg::SdpConfig::default()
+            };
+            let gw = snc_maxcut::solve_gw(&g, &snc_maxcut::GwConfig { sdp }).unwrap();
+            let stages = StageTimings {
+                sdp_us: Some(10),
+                sdp_iterations: Some(gw.iterations as u64),
+                sdp_capped: gw.capped,
+                sampling_us: 1,
+            };
+            m.record_solve_stages("lif-gw", &stages, 20);
+            gw
+        };
+        let capped = "snc_solver_sdp_capped_total{family=\"lif-gw\"}";
+        let forced = record(3);
+        assert!(forced.capped && forced.iterations == 3);
+        assert!(m.registry.render().contains(&format!("{capped} 1")));
+        let converged = record(snc_linalg::SdpConfig::default().max_iters);
+        assert!(!converged.capped, "C6 converges in {} iterations", converged.iterations);
+        let text = m.registry.render();
+        assert!(text.contains(&format!("{capped} 1")), "a converged solve must not count");
+        assert!(text.contains("snc_solver_sdp_iterations_count{family=\"lif-gw\"} 2"));
+        // Cache hits and non-SDP families record no convergence at all.
+        m.record_solve_stages("hopfield", &StageTimings::default(), 5);
+        assert!(!m.registry.render().contains("sdp_iterations_count{family=\"hopfield\"}"));
     }
 
     #[test]

@@ -655,8 +655,9 @@ fn extension_sdp_config(defaults: &RequestDefaults, seed: u64) -> SdpConfig {
 /// breakdown the solver observed (all-zero for the extension
 /// workloads, whose solvers don't expose stages — their time lands in
 /// the `total` stage the caller times). Only the unweighted graph
-/// workload consults the [`SdpCache`] — the weighted and extension SDPs
-/// are solved inline, keeping the cache a census of LIF-GW offline work.
+/// workload consults the [`SdpCache`], for both SDP families (LIF-GW and
+/// LIF-annealed share an entry) — the weighted and extension SDPs are
+/// solved inline, so the cache counts every unweighted SDP solve.
 fn run_workload(
     workload: &Workload,
     defaults: &RequestDefaults,

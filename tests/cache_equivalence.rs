@@ -159,43 +159,82 @@ fn tcp_replays_and_disabled_caches_are_byte_identical() {
     uncached.shutdown();
 }
 
-/// The companion families ride the response cache but never touch the
-/// SDP cache: LIF-annealed solves its Gram factors inline (the cooling
-/// schedule perturbs sampling, so factor reuse is pointless across
-/// schedules), and Hopfield needs no SDP at all. `/healthz` arithmetic
-/// must show response-cache activity with the SDP counters frozen.
+/// `(hits, misses, entries)` of the SDP cache, from `/healthz`.
+fn sdp_counters(addr: std::net::SocketAddr) -> (u64, u64, u64) {
+    let (_, health) = roundtrip(addr, "GET", "/healthz", "");
+    let doc = snc_experiments::json::parse(&health).expect("healthz is JSON");
+    let sdp = doc.get("sdp_cache").expect("sdp_cache gauge");
+    let count = |k: &str| sdp.get(k).unwrap().as_u64().unwrap();
+    (count("hits"), count("misses"), count("entries"))
+}
+
+/// Sum of one `/metrics` series over every label set whose labels
+/// contain `labels`.
+fn metric_sum(addr: std::net::SocketAddr, name: &str, labels: &str) -> u64 {
+    let (_, text) = roundtrip(addr, "GET", "/metrics", "");
+    text.lines()
+        .filter(|l| l.starts_with(&format!("{name}{{")) && l.contains(labels))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum()
+}
+
+/// LIF-GW and LIF-annealed program the same slot-1 SDP factor (the
+/// cooling schedule acts on the readout only), so on one graph and seed
+/// they share a single SdpCache entry: one real solve, one hit, one
+/// `stage="sdp"` observation — and bodies byte-equal to a server with the
+/// SDP cache disabled. Hopfield and LIF-Trevisan have no offline stage
+/// and leave the SDP counters untouched; every family still rides the
+/// response cache.
 #[test]
-fn companion_families_use_the_response_cache_but_never_the_sdp_cache() {
+fn sdp_families_share_one_sdp_cache_entry_and_companions_never_touch_it() {
     let handle = start(64, 1 << 20);
+    let no_sdp_cache = start(0, 1 << 20);
     let addr = handle.addr();
-    let corpus = [
+    let sdp_pair = [
+        r#"{"graph": "road-chesapeake", "circuit": "lif-gw", "budget": 24, "seed": 3}"#,
         r#"{"graph": "road-chesapeake", "circuit": "lif-annealed", "budget": 24, "seed": 3, "schedule": {"kind": "geometric", "start": 1.5, "end": 0.1}}"#,
+    ];
+    let companions = [
         r#"{"graph": "road-chesapeake", "circuit": "hopfield", "budget": 24, "seed": 3, "steps": 6}"#,
-        r#"{"graph": {"edges": [[0,1],[1,2],[2,3],[3,0]]}, "circuit": "lif-annealed", "budget": 12, "seed": 9}"#,
+        r#"{"graph": "road-chesapeake", "circuit": "lif-trevisan", "budget": 24, "seed": 3}"#,
         r#"{"graph": {"edges": [[0,1],[1,2],[2,0]]}, "circuit": "hopfield", "budget": 12, "seed": 9}"#,
     ];
 
-    for request in corpus {
-        let (s0, cold) = roundtrip(addr, "POST", "/solve", request);
-        let (s1, warm) = roundtrip(addr, "POST", "/solve", request);
-        assert_eq!((s0, s1), (200, 200), "{request}");
-        assert_eq!(cold, warm, "cache hit diverged for {request}");
-    }
+    let replay = |corpus: &[&str]| {
+        for &request in corpus {
+            let (s0, reference) = roundtrip(no_sdp_cache.addr(), "POST", "/solve", request);
+            let (s1, cold) = roundtrip(addr, "POST", "/solve", request);
+            let (s2, warm) = roundtrip(addr, "POST", "/solve", request);
+            assert_eq!((s0, s1, s2), (200, 200, 200), "{request}");
+            assert_eq!(cold, reference, "SDP-cached body diverged for {request}");
+            assert_eq!(warm, reference, "response-cache hit diverged for {request}");
+        }
+    };
+
+    replay(&sdp_pair);
+    assert_eq!(sdp_counters(addr), (1, 1, 1), "LIF-annealed hits LIF-GW's entry");
+    let sdp_stage = "stage=\"sdp\"";
+    assert_eq!(metric_sum(addr, "snc_solver_stage_duration_us_count", sdp_stage), 1);
+    assert_eq!(metric_sum(addr, "snc_solver_sdp_iterations_count", ""), 1);
+    // With the SDP cache disabled both requests solve.
+    assert_eq!(
+        metric_sum(no_sdp_cache.addr(), "snc_solver_stage_duration_us_count", sdp_stage),
+        2
+    );
+
+    replay(&companions);
+    assert_eq!(sdp_counters(addr), (1, 1, 1), "companions never consult the SDP cache");
+    assert_eq!(metric_sum(addr, "snc_solver_stage_duration_us_count", sdp_stage), 1);
 
     let (_, health) = roundtrip(addr, "GET", "/healthz", "");
     let doc = snc_experiments::json::parse(&health).expect("healthz is JSON");
     let rc = doc.get("response_cache").expect("response_cache gauge");
-    let n = corpus.len() as u64;
+    let n = (sdp_pair.len() + companions.len()) as u64;
     assert_eq!(rc.get("hits").unwrap().as_u64(), Some(n));
     assert_eq!(rc.get("misses").unwrap().as_u64(), Some(n));
     assert_eq!(rc.get("entries").unwrap().as_u64(), Some(n));
-    // Neither companion family consulted the SDP cache at all.
-    let sdp = doc.get("sdp_cache").expect("sdp_cache gauge");
-    assert_eq!(sdp.get("enabled").unwrap().as_bool(), Some(true));
-    assert_eq!(sdp.get("hits").unwrap().as_u64(), Some(0));
-    assert_eq!(sdp.get("misses").unwrap().as_u64(), Some(0));
-    assert_eq!(sdp.get("entries").unwrap().as_u64(), Some(0));
     handle.shutdown();
+    no_sdp_cache.shutdown();
 }
 
 /// Schedule and step knobs are part of cache identity: requests that
