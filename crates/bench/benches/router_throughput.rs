@@ -22,11 +22,10 @@
 //! must never change bytes, only latency.
 //!
 //! The timed groups drive **persistent** client connections admitted
-//! before timing starts (see [`Client`]); the PR 7 shape reconnected
-//! every iteration, which phase-locks to the router's 50 ms
-//! accept-poll tick and quantizes every sub-50 ms iteration to one
-//! tick. PR 10 numbers are therefore not comparable to the PR 7 rows
-//! — the cross-PR claim is recomputed in `results/BENCH_PR10.json`.
+//! before timing starts (see [`Client`]), so they time the steady-state
+//! hop and not connection admission. PR 10 numbers are not comparable
+//! to the PR 7 rows, which reconnected every iteration — the cross-PR
+//! claim is recomputed in `results/BENCH_PR10.json`.
 //!
 //! Caveat for the ledger: on a single-core container the backend
 //! processes share one CPU, so adding backends cannot add parallel
@@ -98,12 +97,8 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> String {
 }
 
 /// A persistent keep-alive client connection. The timed groups reuse
-/// these across iterations: the router admits *new* client connections
-/// on a 50 ms accept-poll cadence, so a bench shape that reconnects
-/// per iteration phase-locks to that tick (every iteration under 50 ms
-/// of real work measures as exactly one poll period, masking the
-/// per-request hop entirely). Holding the clients open keeps the timed
-/// region to the steady-state path: request → ring → forward → relay.
+/// these across iterations, which keeps the timed region to the
+/// steady-state path: request → ring → forward → relay.
 struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,

@@ -4,7 +4,7 @@
 //! ## Data flow
 //!
 //! ```text
-//! client ──▶ TcpListener ──accept──▶ connection thread (keep-alive loop)
+//! client ──▶ TcpListener ──ready───▶ connection thread (keep-alive loop)
 //!                 │                        │ parse (snc_server::http + wire)
 //!                 │                        ▼
 //!                 │            ResponseKey::payload_fold (the shard key)
@@ -21,6 +21,11 @@
 //!                 │                 ▼
 //!                 └──◀── relay backend body byte-for-byte ◀──┘
 //! ```
+//!
+//! The acceptor sleeps in [`Poller::wait`] until the listener is ready
+//! or `shutdown()` rings a [`Wakeup`](sys::Wakeup). At shutdown it
+//! half-closes each connection (`SHUT_RD`): a parked keep-alive read
+//! sees EOF, while an in-flight request still writes its response.
 //!
 //! Backend responses are framed **strictly**: the status line must be
 //! `HTTP/1.1 <100–599>`, duplicate or conflicting `Content-Length`
@@ -51,17 +56,16 @@ use crate::ring::HashRing;
 use snc_experiments::json::{self, Json};
 use snc_metrics::{AccessLog, RequestIds};
 use snc_server::http::{self, HttpError, Request};
+use snc_server::sys::{self, Interest, Poller};
 use snc_server::wire::{self, Workload};
 use snc_server::ServerConfig;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How often blocked reads and the acceptor wake to check the shutdown
-/// flag (mirrors `snc-server`).
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Shared state every router connection thread sees.
 struct Shared {
@@ -81,8 +85,9 @@ struct Shared {
 pub struct RouterHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    prober: Option<std::thread::JoinHandle<()>>,
+    wakeup: Arc<sys::Wakeup>,
+    acceptor: Option<JoinHandle<()>>,
+    prober: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for RouterHandle {
@@ -95,11 +100,16 @@ impl std::fmt::Debug for RouterHandle {
 ///
 /// # Errors
 ///
-/// Propagates socket bind failures.
+/// Propagates socket bind and poller set-up failures.
 pub fn serve_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
+    let wakeup = Arc::new(sys::Wakeup::new()?);
+    let mut poller = Poller::new(sys::Backend::Auto)?;
+    // Tokens go unread: any readiness re-checks the flag, then accepts.
+    poller.add(listener.as_raw_fd(), 0, Interest::READ)?;
+    poller.add(wakeup.read_fd(), 1, Interest::READ)?;
     let access_log = match &cfg.access_log {
         Some(path) => Some(AccessLog::open_rotating(path, cfg.access_log_max_bytes)?),
         None => None,
@@ -150,10 +160,11 @@ pub fn serve_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
         access_log,
         cfg,
     });
-    let acceptor = std::thread::spawn(move || accept_loop(&listener, &shared));
+    let acceptor = std::thread::spawn(move || accept_loop(&listener, poller, &shared));
     Ok(RouterHandle {
         addr,
         shutdown,
+        wakeup,
         acceptor: Some(acceptor),
         prober: Some(prober),
     })
@@ -183,6 +194,7 @@ impl RouterHandle {
 
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.wakeup.notify();
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -199,24 +211,33 @@ impl Drop for RouterHandle {
 }
 
 /// Accepts client connections until shutdown, then joins every
-/// connection thread (mirrors the backend's acceptor).
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                connections.retain(|handle| !handle.is_finished());
-                let shared = Arc::clone(shared);
-                connections.push(std::thread::spawn(move || serve_connection(stream, &shared)));
+/// connection thread (mirrors the backend's acceptor). Each readiness
+/// accepts a burst until `WouldBlock`; the sockets `accept` returns are
+/// blocking, since they do not inherit `O_NONBLOCK`.
+fn accept_loop(listener: &TcpListener, mut poller: Poller, shared: &Arc<Shared>) {
+    let mut connections: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+    let mut events = Vec::new();
+    while poller.wait(&mut events, None).is_ok() && !shared.shutdown.load(Ordering::SeqCst) {
+        connections.retain(|(handle, _)| !handle.is_finished());
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    let Ok(clone) = stream.try_clone() else {
+                        continue;
+                    };
+                    let shared = Arc::clone(shared);
+                    let handle = std::thread::spawn(move || serve_connection(stream, &shared));
+                    connections.push((handle, clone));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break,
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-                connections.retain(|handle| !handle.is_finished());
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
-    for handle in connections {
+    // A parked keep-alive read returns EOF at once; a request in flight
+    // still writes its response, because the write half stays open.
+    for (handle, stream) in connections {
+        let _ = stream.shutdown(Shutdown::Read);
         let _ = handle.join();
     }
 }
@@ -224,23 +245,14 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// The per-connection HTTP/1.1 keep-alive loop (same shape as the
 /// backend's; the work inside `route` is proxying instead of solving).
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
     };
     let mut reader = BufReader::new(stream);
-    let should_abort = || shared.shutdown.load(Ordering::SeqCst);
     loop {
-        match http::read_request(
-            &mut reader,
-            &mut writer,
-            shared.cfg.max_body_bytes,
-            &should_abort,
-        ) {
+        match http::read_request(&mut reader, &mut writer, shared.cfg.max_body_bytes) {
             Ok(Some(request)) => {
-                let keep_alive = request.keep_alive && !should_abort();
                 let started = Instant::now();
                 // The edge is where ids are minted: honor a well-formed
                 // client-supplied id, otherwise coin one. The same id
@@ -258,6 +270,9 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                         error_meta(&request.path),
                     ),
                 };
+                // Read after routing: a response finished during shutdown
+                // tells the client the connection closes.
+                let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
                 let elapsed = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
                 shared
                     .metrics
@@ -286,17 +301,20 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                     .is_err()
                     || !keep_alive
                 {
-                    return;
+                    break;
                 }
             }
-            Ok(None) => return,
+            Ok(None) => break,
             Err(e) => {
                 let body = wire::error_body(&e.message);
                 let _ = http::write_response(&mut writer, e.status, &[], body.as_bytes(), false);
-                return;
+                break;
             }
         }
     }
+    // The acceptor holds a clone of this socket until it reaps the
+    // thread; shut it down now so the client sees EOF at once.
+    let _ = writer.shutdown(Shutdown::Both);
 }
 
 /// Observability labels for one routed request, decided at route time
@@ -900,6 +918,7 @@ fn poll_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// Serves `raw` bytes to one accepted connection, then closes —
     /// exactly what a hostile or buggy backend on the wire looks like.

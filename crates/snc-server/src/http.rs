@@ -16,8 +16,8 @@
 //!   [`RequestParser::next_request`] in order.
 //! * [`read_request`] — the original blocking form over
 //!   `BufReader<TcpStream>`, still used by the router's
-//!   thread-per-connection edge (connections poll with a short read
-//!   timeout; the caller supplies the `should_abort` probe).
+//!   thread-per-connection edge (reads block; the router ends a parked
+//!   read at shutdown by half-closing the socket).
 //!
 //! Both produce identical [`Request`] values and identical
 //! [`HttpError`]s for malformed input — pinned by tests that drive the
@@ -175,20 +175,11 @@ fn assemble(head: Head, body: Vec<u8>) -> Request {
     }
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Reads one `\n`-terminated line, tolerating read timeouts (polling
-/// `should_abort` on each). `Ok(None)` means the peer closed before any
-/// byte of the line, or shutdown was requested.
+/// Reads one `\n`-terminated line. `Ok(None)` means the peer closed
+/// before any byte of the line, or the read failed.
 fn read_line(
     reader: &mut BufReader<TcpStream>,
     budget: &mut usize,
-    should_abort: &impl Fn() -> bool,
 ) -> Result<Option<Vec<u8>>, HttpError> {
     let mut line = Vec::new();
     loop {
@@ -223,33 +214,19 @@ fn read_line(
             // rejects with 413) or EOF landed mid-line (next iteration
             // reads Ok(0) and rejects as truncated).
             Ok(_) => {}
-            Err(e) if is_timeout(&e) => {
-                if should_abort() {
-                    return Ok(None);
-                }
-            }
             Err(_) => return Ok(None),
         }
     }
 }
 
-/// Reads exactly `len` body bytes, tolerating read timeouts.
-fn read_body(
-    reader: &mut BufReader<TcpStream>,
-    len: usize,
-    should_abort: &impl Fn() -> bool,
-) -> Result<Vec<u8>, HttpError> {
+/// Reads exactly `len` body bytes.
+fn read_body(reader: &mut BufReader<TcpStream>, len: usize) -> Result<Vec<u8>, HttpError> {
     let mut buf = vec![0u8; len];
     let mut filled = 0;
     while filled < len {
         match reader.read(&mut buf[filled..]) {
             Ok(0) => return Err(HttpError::new(400, "unexpected end of body")),
             Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => {
-                if should_abort() {
-                    return Err(HttpError::new(408, "shutdown during body read"));
-                }
-            }
             Err(_) => return Err(HttpError::new(400, "connection error during body read")),
         }
     }
@@ -270,10 +247,9 @@ pub fn read_request(
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
     max_body: usize,
-    should_abort: &impl Fn() -> bool,
 ) -> Result<Option<Request>, HttpError> {
     let mut head_budget = MAX_HEAD_BYTES;
-    let request_line = match read_line(reader, &mut head_budget, should_abort)? {
+    let request_line = match read_line(reader, &mut head_budget)? {
         Some(line) => line,
         None => return Ok(None),
     };
@@ -281,7 +257,7 @@ pub fn read_request(
         .map_err(|_| HttpError::new(400, "request line is not UTF-8"))?;
     let mut head = parse_request_line(&request_line)?;
     loop {
-        let line = match read_line(reader, &mut head_budget, should_abort)? {
+        let line = match read_line(reader, &mut head_budget)? {
             Some(line) => line,
             None => return Ok(None),
         };
@@ -306,7 +282,7 @@ pub fn read_request(
             let _ = writer.write_all(CONTINUE_INTERIM);
             let _ = writer.flush();
         }
-        read_body(reader, head.content_length, should_abort)?
+        read_body(reader, head.content_length)?
     } else {
         Vec::new()
     };
@@ -554,7 +530,7 @@ mod tests {
         client.shutdown(std::net::Shutdown::Write).unwrap();
         let mut writer = server.try_clone().unwrap();
         let mut reader = BufReader::new(server);
-        read_request(&mut reader, &mut writer, 1024, &|| false)
+        read_request(&mut reader, &mut writer, 1024)
     }
 
     #[test]
@@ -637,7 +613,7 @@ mod tests {
         });
         let mut writer = server.try_clone().unwrap();
         let mut reader = BufReader::new(server);
-        let err = read_request(&mut reader, &mut writer, 1024, &|| false).unwrap_err();
+        let err = read_request(&mut reader, &mut writer, 1024).unwrap_err();
         assert_eq!(err.status, 413);
         // An oversized header *line* (with newlines elsewhere) is also
         // capped.
@@ -658,7 +634,7 @@ mod tests {
         client.shutdown(std::net::Shutdown::Write).unwrap();
         let mut writer = server.try_clone().unwrap();
         let mut reader = BufReader::new(server);
-        let req = read_request(&mut reader, &mut writer, 1024, &|| false)
+        let req = read_request(&mut reader, &mut writer, 1024)
             .unwrap()
             .unwrap();
         assert_eq!(req.body, b"hi");
