@@ -1019,24 +1019,44 @@ mod tests {
     }
 
     #[test]
-    fn unit_weighted_hopfield_matches_unweighted() {
-        // Hopfield consumes only the coupling list, so unit weights via
-        // the weighted path reproduce the unweighted solve exactly.
-        let base = gnp(12, 0.5, 4).unwrap();
-        let g = WeightedGraph::from_graph(&base);
-        let s = spec(CircuitFamily::Hopfield);
-        let unweighted = solve(&base, &s).unwrap();
-        let weighted = solve_weighted(&g, &s).unwrap();
-        assert_eq!(weighted.best_cut, unweighted.best_cut);
-        assert_eq!(weighted.best_value, unweighted.best_value as f64);
-        assert_eq!(
-            weighted.trace.best,
-            unweighted
-                .trace
-                .best
-                .iter()
-                .map(|&v| v as f64)
-                .collect::<Vec<_>>()
-        );
+    fn unit_weighted_solves_match_unweighted() {
+        // An unweighted graph is the unit-weight case of the weighted
+        // problem: every family, at R = 1 and R = 8, computes the same
+        // numbers through either cut-value type.
+        let graphs = [
+            gnp(30, 0.2, 1).unwrap(),
+            gnp(45, 0.3, 2).unwrap(),
+            snc_graph::EmpiricalDataset::RoadChesapeake.load().unwrap(),
+        ];
+        for base in &graphs {
+            let g = WeightedGraph::from_graph(base);
+            for family in CircuitFamily::all() {
+                for replicas in [1, 8] {
+                    let s = SolveSpec {
+                        replicas,
+                        ..SolveSpec::new(family, 64, 0x5EED)
+                    };
+                    let unweighted = solve(base, &s).unwrap();
+                    let weighted = solve_weighted(&g, &s).unwrap();
+                    let ctx = format!("{family:?} R={replicas} n={}", base.n());
+                    assert_eq!(weighted.best_cut, unweighted.best_cut, "{ctx}");
+                    assert_eq!(
+                        weighted.best_value.to_bits(),
+                        (unweighted.best_value as f64).to_bits(),
+                        "{ctx}"
+                    );
+                    assert_eq!(weighted.trace.checkpoints, unweighted.trace.checkpoints);
+                    let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let unit: Vec<f64> = unweighted.trace.best.iter().map(|&v| v as f64).collect();
+                    assert_eq!(bits(&weighted.trace.best), bits(&unit), "{ctx}");
+                    assert_eq!(
+                        weighted.sdp_bound.map(f64::to_bits),
+                        unweighted.sdp_bound.map(f64::to_bits),
+                        "{ctx}"
+                    );
+                    assert_eq!(weighted.samples, unweighted.samples, "{ctx}");
+                }
+            }
+        }
     }
 }

@@ -1,0 +1,185 @@
+//! Golden response bodies of `POST /solve`.
+//!
+//! Every seeded solve request must always get the same response bytes.
+//! This suite pins those bytes for the MAXCUT surface: all four circuit
+//! families, every graph form the wire accepts (a Figure-4 dataset,
+//! inline `edges`, a seeded `gnp` generator, positive `weighted_edges`)
+//! at replica widths 1 and 8, signed `weighted_edges` for the families
+//! that accept them, and the LIF-Trevisan rejection of signed weights.
+//! Each body is pinned by its length and an FNV-1a digest of its bytes
+//! (the digest `crates/snc-linalg/tests/sdp_golden.rs` uses for solver
+//! outputs).
+//!
+//! The requests travel over real TCP through the public endpoint, so
+//! the suite calls no solver or render function directly and survives
+//! any refactor that keeps the wire contract. A change that is *meant*
+//! to alter response bytes must regenerate the affected rows in the same
+//! commit and say why; on a mismatch the failure message prints every
+//! moved row in table syntax.
+
+mod common;
+use common::{roundtrip, start_server};
+
+/// FNV-1a over the body bytes.
+fn digest(body: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in body.as_bytes() {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The graph forms, small enough for a debug-mode test run.
+const GRAPHS: [(&str, &str); 4] = [
+    ("dataset", r#""road-chesapeake""#),
+    (
+        "edges",
+        r#"{"edges": [[0,1],[1,2],[2,3],[3,4],[4,5],[5,0],[0,3],[1,4],[2,5],[6,0],[6,2],[6,4],[7,1],[7,3],[7,5],[7,6]]}"#,
+    ),
+    ("gnp", r#"{"gnp": {"n": 24, "p": 0.3, "seed": 7}}"#),
+    (
+        "weighted",
+        r#"{"weighted_edges": [[0,1,1.5],[1,2,0.25],[2,3,2.0],[3,4,1.0],[4,5,3.5],[5,0,0.75],[0,3,1.25],[1,4,2.5],[2,5,0.5],[6,0,1.0],[6,3,2.25],[7,1,0.125],[7,6,1.75]]}"#,
+    ),
+];
+
+/// Signed weights: accepted by every family but LIF-Trevisan.
+const SIGNED: &str = r#"{"weighted_edges": [[0,1,1.5],[1,2,-0.5],[2,3,2.0],[3,4,-1.25],[4,5,3.0],[5,0,0.75],[0,3,-2.0],[1,4,2.5],[2,5,1.0],[6,0,-0.25],[6,3,1.5]]}"#;
+
+const BUDGET: u64 = 64;
+const SEED: u64 = 42;
+
+/// `(case, status, body length, FNV-1a digest)`.
+type Golden = (&'static str, u16, usize, u64);
+
+const GOLDEN: &[Golden] = &[
+    ("lif-gw/dataset/r1", 200, 335, 0xf8061b2fd44b4bee),
+    ("lif-gw/dataset/r8", 200, 317, 0x9350438aeeef8058),
+    ("lif-gw/edges/r1", 200, 229, 0x459634664077505c),
+    ("lif-gw/edges/r8", 200, 214, 0xe0b5fe17143b362d),
+    ("lif-gw/gnp/r1", 200, 294, 0xb0df087514a64660),
+    ("lif-gw/gnp/r8", 200, 279, 0x8265f845b843f0d2),
+    ("lif-gw/weighted/r1", 200, 294, 0x3b44d01877e42aae),
+    ("lif-gw/weighted/r8", 200, 270, 0xbbadd3594106d783),
+    ("lif-trevisan/dataset/r1", 200, 319, 0x10b8d0e765de6c9f),
+    ("lif-trevisan/dataset/r8", 200, 304, 0x80a0aef69ba80112),
+    ("lif-trevisan/edges/r1", 200, 229, 0x96100d5744628395),
+    ("lif-trevisan/edges/r8", 200, 222, 0x6f57cb7172dc67d9),
+    ("lif-trevisan/gnp/r1", 200, 287, 0xc912f70c58cbd979),
+    ("lif-trevisan/gnp/r8", 200, 272, 0xcbf28b5c8081f61a),
+    ("lif-trevisan/weighted/r1", 200, 254, 0x6b11868048333505),
+    ("lif-trevisan/weighted/r8", 200, 262, 0xb3d4740914abb1a4),
+    ("lif-annealed/dataset/r1", 200, 341, 0x6fc797c4d7a6ff56),
+    ("lif-annealed/dataset/r8", 200, 323, 0x7ca4c105b26323e0),
+    ("lif-annealed/edges/r1", 200, 235, 0x350d24a16eee7984),
+    ("lif-annealed/edges/r8", 200, 220, 0xdb41b1bc68b84cf5),
+    ("lif-annealed/gnp/r1", 200, 300, 0xf917069085baa2a3),
+    ("lif-annealed/gnp/r8", 200, 285, 0x59ddf58ada01812a),
+    ("lif-annealed/weighted/r1", 200, 301, 0xba46b10d5c402b22),
+    ("lif-annealed/weighted/r8", 200, 276, 0xf7a490720c00c42b),
+    ("hopfield/dataset/r1", 200, 323, 0x63116980eb87768c),
+    ("hopfield/dataset/r8", 200, 305, 0x1e7e7b8a37ff88a4),
+    ("hopfield/edges/r1", 200, 233, 0x7f037c6d01b8a915),
+    ("hopfield/edges/r8", 200, 218, 0x5022f013309a7596),
+    ("hopfield/gnp/r1", 200, 283, 0xa1185e08b87c0d97),
+    ("hopfield/gnp/r8", 200, 268, 0x83c5786b5a5dab3e),
+    ("hopfield/weighted/r1", 200, 283, 0x0e57277767b038e7),
+    ("hopfield/weighted/r8", 200, 258, 0xb81d4cb54a319960),
+    ("lif-gw/signed/r1", 200, 268, 0xd7e598909f1119c0),
+    ("lif-gw/signed/r8", 200, 253, 0x7758abfa33eb794e),
+    ("lif-annealed/signed/r1", 200, 274, 0xd2f70906aaa6aae8),
+    ("lif-annealed/signed/r8", 200, 259, 0xc18f965f84de35f6),
+    ("hopfield/signed/r1", 200, 256, 0x07d8bfd936e4e7e7),
+    ("hopfield/signed/r8", 200, 241, 0x832c72279423037e),
+    ("lif-trevisan/signed/r1", 400, 59, 0xbb1ab2a0d8900c8e),
+];
+
+fn request(family: &str, graph: &str, replicas: usize) -> String {
+    format!(
+        r#"{{"graph": {graph}, "circuit": "{family}", "budget": {BUDGET}, "replicas": {replicas}, "seed": {SEED}}}"#
+    )
+}
+
+/// Sends every `(case, body)` request to one fresh server and compares
+/// each response with its golden row.
+fn check(cases: &[(String, String)]) {
+    let handle = start_server(|cfg| cfg.threads = 2);
+    let addr = handle.addr();
+    let mut moved = Vec::new();
+    for (name, body) in cases {
+        let (status, response) = roundtrip(addr, "POST", "/solve", body);
+        let got = (status, response.len(), digest(&response));
+        let want = GOLDEN
+            .iter()
+            .find(|g| g.0 == name)
+            .map(|&(_, s, l, d)| (s, l, d));
+        if want != Some(got) {
+            moved.push(format!(
+                "    (\"{name}\", {}, {}, {:#018x}),",
+                got.0, got.1, got.2
+            ));
+        }
+    }
+    handle.shutdown();
+    assert!(
+        moved.is_empty(),
+        "{} response bodies moved; their current rows:\n{}",
+        moved.len(),
+        moved.join("\n")
+    );
+}
+
+/// All four graph forms at R ∈ {1, 8} for one family.
+fn family_cases(family: &str) -> Vec<(String, String)> {
+    let mut cases = Vec::new();
+    for (form, graph) in GRAPHS {
+        for replicas in [1, 8] {
+            cases.push((
+                format!("{family}/{form}/r{replicas}"),
+                request(family, graph, replicas),
+            ));
+        }
+    }
+    cases
+}
+
+#[test]
+fn lif_gw_bodies() {
+    check(&family_cases("lif-gw"));
+}
+
+#[test]
+fn lif_trevisan_bodies() {
+    check(&family_cases("lif-trevisan"));
+}
+
+#[test]
+fn lif_annealed_bodies() {
+    check(&family_cases("lif-annealed"));
+}
+
+#[test]
+fn hopfield_bodies() {
+    check(&family_cases("hopfield"));
+}
+
+#[test]
+fn signed_weight_bodies() {
+    let mut cases: Vec<(String, String)> = ["lif-gw", "lif-annealed", "hopfield"]
+        .into_iter()
+        .flat_map(|family| {
+            [1, 8].map(|replicas| {
+                (
+                    format!("{family}/signed/r{replicas}"),
+                    request(family, SIGNED, replicas),
+                )
+            })
+        })
+        .collect();
+    cases.push((
+        "lif-trevisan/signed/r1".to_string(),
+        request("lif-trevisan", SIGNED, 1),
+    ));
+    check(&cases);
+}
