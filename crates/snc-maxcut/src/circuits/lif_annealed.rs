@@ -32,9 +32,10 @@
 
 use crate::anneal::CoolingSchedule;
 use crate::circuits::lif_gw::LifGwConfig;
+use crate::graph::MaxCutGraph;
 use crate::sampling::CutSampler;
 use snc_devices::{DevicePool, PoolSpec};
-use snc_graph::{CutAssignment, Graph, WeightedGraph};
+use snc_graph::CutAssignment;
 use snc_linalg::DMatrix;
 use snc_neuro::{DenseWeights, DeviceDrivenNetwork, ReplicaBatch};
 
@@ -72,8 +73,9 @@ struct FeedbackField {
 }
 
 impl FeedbackField {
-    fn from_pairs(n: usize, pairs: impl Iterator<Item = (u32, u32, f64)>) -> Self {
-        let pairs: Vec<(u32, u32, f64)> = pairs.collect();
+    fn new(graph: &impl MaxCutGraph) -> Self {
+        let n = graph.n();
+        let pairs: Vec<(u32, u32, f64)> = graph.couplings().collect();
         let mut degree = vec![0usize; n];
         for &(u, v, _) in &pairs {
             degree[u as usize] += 1;
@@ -115,14 +117,6 @@ impl FeedbackField {
             weights,
             inv_norm,
         }
-    }
-
-    fn from_graph(graph: &Graph) -> Self {
-        Self::from_pairs(graph.n(), graph.edges().map(|(u, v)| (u, v, 1.0)))
-    }
-
-    fn from_weighted(graph: &WeightedGraph) -> Self {
-        Self::from_pairs(graph.n(), graph.edges())
     }
 
     fn n(&self) -> usize {
@@ -216,39 +210,11 @@ pub struct LifAnnealedCircuit {
 
 impl LifAnnealedCircuit {
     /// Builds the circuit from SDP factors and the graph the feedback
-    /// field reads, with `horizon` samples of schedule (the per-replica
-    /// budget).
+    /// field reads (weighted graphs take their factors from the weighted
+    /// SDP), with `horizon` samples of schedule (the per-replica budget).
     pub fn new(
         factors: &DMatrix,
-        graph: &Graph,
-        seed: u64,
-        cfg: &LifAnnealedConfig,
-        horizon: u64,
-    ) -> Self {
-        Self::with_field(factors, FeedbackField::from_graph(graph), seed, cfg, horizon)
-    }
-
-    /// Builds the circuit on a weighted graph (weighted feedback field;
-    /// the factors come from the weighted SDP).
-    pub fn new_weighted(
-        factors: &DMatrix,
-        graph: &WeightedGraph,
-        seed: u64,
-        cfg: &LifAnnealedConfig,
-        horizon: u64,
-    ) -> Self {
-        Self::with_field(
-            factors,
-            FeedbackField::from_weighted(graph),
-            seed,
-            cfg,
-            horizon,
-        )
-    }
-
-    fn with_field(
-        factors: &DMatrix,
-        field: FeedbackField,
+        graph: &impl MaxCutGraph,
         seed: u64,
         cfg: &LifAnnealedConfig,
         horizon: u64,
@@ -267,11 +233,11 @@ impl LifAnnealedCircuit {
             .decorrelate_steps
             .unwrap_or_else(|| base.lif.decorrelation_steps())
             .max(1);
-        let n = field.n();
+        let n = graph.n();
         Self {
             net,
             decorrelate,
-            field,
+            field: FeedbackField::new(graph),
             sigma: SigmaTape::new(&cfg.schedule, horizon),
             feedback_gain: cfg.feedback_gain,
             prev: None,
@@ -334,45 +300,14 @@ pub struct BatchedLifAnnealedCircuit {
 }
 
 impl BatchedLifAnnealedCircuit {
-    /// Builds one replica per seed (unweighted feedback field).
+    /// Builds one replica per seed, mirroring [`LifAnnealedCircuit::new`].
     ///
     /// # Panics
     ///
     /// Panics if `seeds` is empty.
     pub fn new(
         factors: &DMatrix,
-        graph: &Graph,
-        seeds: &[u64],
-        cfg: &LifAnnealedConfig,
-        horizon: u64,
-    ) -> Self {
-        Self::with_field(factors, FeedbackField::from_graph(graph), seeds, cfg, horizon)
-    }
-
-    /// Builds one replica per seed on a weighted graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn new_weighted(
-        factors: &DMatrix,
-        graph: &WeightedGraph,
-        seeds: &[u64],
-        cfg: &LifAnnealedConfig,
-        horizon: u64,
-    ) -> Self {
-        Self::with_field(
-            factors,
-            FeedbackField::from_weighted(graph),
-            seeds,
-            cfg,
-            horizon,
-        )
-    }
-
-    fn with_field(
-        factors: &DMatrix,
-        field: FeedbackField,
+        graph: &impl MaxCutGraph,
         seeds: &[u64],
         cfg: &LifAnnealedConfig,
         horizon: u64,
@@ -390,12 +325,12 @@ impl BatchedLifAnnealedCircuit {
             .decorrelate_steps
             .unwrap_or_else(|| base.lif.decorrelation_steps())
             .max(1);
-        let n = field.n();
+        let n = graph.n();
         let replicas = seeds.len();
         Self {
             batch,
             decorrelate,
-            field,
+            field: FeedbackField::new(graph),
             sigma: SigmaTape::new(&cfg.schedule, horizon),
             feedback_gain: cfg.feedback_gain,
             prev: vec![None; replicas],
@@ -456,6 +391,7 @@ mod tests {
     use crate::gw::{solve_gw, GwConfig};
     use snc_graph::generators::erdos_renyi::gnp;
     use snc_graph::generators::structured::complete_bipartite;
+    use snc_graph::{Graph, WeightedGraph};
 
     fn factors_for(g: &Graph) -> DMatrix {
         solve_gw(g, &GwConfig::default()).unwrap().factors
@@ -558,7 +494,7 @@ mod tests {
     #[test]
     fn weighted_field_uses_weight_magnitudes() {
         let wg = WeightedGraph::from_weighted_edges(3, &[(0, 1, 2.0), (1, 2, -1.0)]).unwrap();
-        let field = FeedbackField::from_weighted(&wg);
+        let field = FeedbackField::new(&wg);
         let prev = CutAssignment::from_sides(vec![1, 1, -1]);
         let mut h = vec![0.0; 3];
         field.compute(&prev, &mut h);

@@ -207,7 +207,7 @@ impl BatchedLifTrevisanCircuit {
             self.net.run_updates(self.updates_per_sample);
             for (r, (tracker, value)) in trackers.iter_mut().zip(values.iter_mut()).enumerate() {
                 let cut = CutAssignment::from_signs(self.net.readout_weights(r));
-                *value = crate::sampling::tracked_value(tracker, graph, cut);
+                *value = crate::sampling::tracked_value(tracker, graph, &cut);
             }
         })
     }

@@ -14,6 +14,7 @@
 //! against (the paper's green ▲ curves); the LIF-GW circuit implements the
 //! same sampling stage in "hardware".
 
+use crate::graph::MaxCutGraph;
 use crate::sampling::CutSampler;
 use snc_graph::{CutAssignment, Graph};
 use snc_linalg::{sdp, DMatrix, GaussianSampler, LinalgError, SdpConfig};
@@ -32,8 +33,8 @@ pub struct GwConfig {
 pub struct GwSolution {
     /// The `n × r` factor matrix; row `i` is vertex `i`'s unit vector.
     pub factors: DMatrix,
-    /// The SDP objective `Σ (1 − v_i·v_j)/2` — an upper bound on OPT at
-    /// the true optimum.
+    /// The SDP objective `Σ w_ij (1 − v_i·v_j)/2` — an upper bound on OPT
+    /// at the true optimum.
     pub sdp_bound: f64,
     /// Gradient iterations the solve took, across restarts.
     pub iterations: usize,
@@ -42,16 +43,21 @@ pub struct GwSolution {
     pub capped: bool,
 }
 
-/// Solves the GW SDP for a graph.
+/// Solves the GW SDP for a graph, unweighted (unit couplings) or
+/// weighted. The factor matrix feeds [`GwSampler`] and the LIF-GW
+/// circuit unchanged: rounding only looks at the factors.
 ///
 /// # Errors
 ///
 /// Propagates [`LinalgError`] from the SDP solver.
-pub fn solve_gw(graph: &Graph, cfg: &GwConfig) -> Result<GwSolution, LinalgError> {
-    let edges: Vec<(u32, u32)> = graph.edges().collect();
-    let sol = sdp::solve_maxcut_sdp(graph.n(), &edges, &cfg.sdp)?;
+pub fn solve_gw(graph: &impl MaxCutGraph, cfg: &GwConfig) -> Result<GwSolution, LinalgError> {
+    let couplings: Vec<sdp::Coupling> = graph
+        .couplings()
+        .map(|(i, j, w)| sdp::Coupling { i, j, w })
+        .collect();
+    let sol = sdp::solve_weighted_sdp(graph.n(), &couplings, &cfg.sdp)?;
     let (iterations, capped) = (sol.iterations, sol.capped);
-    let (factors, sdp_bound) = sol.into_factor_and_bound(graph.m() as f64);
+    let (factors, sdp_bound) = sol.into_factor_and_bound(graph.total_weight());
     Ok(GwSolution {
         factors,
         sdp_bound,

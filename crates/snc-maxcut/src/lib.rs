@@ -17,8 +17,13 @@
 //!   truth on small instances.
 //! * [`anneal`] — simulated annealing, the software version of the
 //!   hardware Ising-machine baseline class the paper positions against.
-//! * [`weighted`] — the full stack on weighted graphs (two Table-I
-//!   networks are weighted).
+//! * [`graph`] — [`MaxCutGraph`], what the solve path reads of a graph:
+//!   the sampling driver, traces, GW SDP, and the Hopfield and
+//!   LIF-annealed circuits run on unweighted (`u64` cuts) and weighted
+//!   (`f64` cuts) graphs through one implementation.
+//! * [`weighted`] — the solvers specific to weighted graphs (two Table-I
+//!   networks are weighted): the weighted Trevisan operator, its LIF-TR
+//!   circuit, and weighted brute force.
 //! * [`greedy`] — 1-opt local search, an additional classical baseline.
 //! * [`sampling`] — the [`CutSampler`] trait, best-so-far traces at
 //!   logarithmic checkpoints (the x-axis of Figs. 3–4), and a deterministic
@@ -41,6 +46,7 @@ pub mod cache;
 pub mod circuits;
 pub mod exact;
 pub mod extensions;
+pub mod graph;
 pub mod greedy;
 pub mod gw;
 pub mod random;
@@ -58,14 +64,13 @@ pub use circuits::lif_annealed::{
 };
 pub use circuits::lif_gw::{BatchedLifGwCircuit, LifGwCircuit, LifGwConfig};
 pub use circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanCircuit, LifTrevisanConfig};
+pub use graph::{CutValue, IncrementalCut, MaxCutGraph};
 pub use gw::{solve_gw, GwConfig, GwSampler, GwSolution};
 pub use random::RandomCutSampler;
 pub use sampling::{
     log2_checkpoints, merge_traces, parallel_best_traces, sample_best_trace, BestTrace, CutSampler,
 };
 pub use solve::{
-    solve, solve_weighted, solve_with_cache, CircuitFamily, SolveError, SolveOutcome, SolveSpec,
-    StageTimings, WeightedSolveOutcome,
+    solve, solve_with_cache, CircuitFamily, SolveError, SolveOutcome, SolveSpec, StageTimings,
 };
 pub use trevisan::{solve_trevisan, SpectralRounding, TrevisanConfig, TrevisanSolution};
-pub use weighted::WeightedBestTrace;

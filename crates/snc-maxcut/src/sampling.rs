@@ -7,6 +7,7 @@
 //! independent replicas across threads with deterministic per-replica
 //! seeds.
 
+use crate::graph::{CutValue, IncrementalCut, MaxCutGraph};
 use snc_graph::{CutAssignment, CutTracker, Graph};
 use snc_neuro::parallel::run_replicas;
 
@@ -16,21 +17,24 @@ pub trait CutSampler {
     fn next_cut(&mut self) -> CutAssignment;
 }
 
-/// Best-so-far cut values recorded at increasing sample-count checkpoints.
+/// Best-so-far cut values recorded at increasing sample-count checkpoints:
+/// exact counts by default, `f64` weights on weighted graphs.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BestTrace {
+pub struct BestTrace<V = u64> {
     /// Sample counts at which the best value was recorded (ascending).
     pub checkpoints: Vec<u64>,
     /// Best cut value seen within the first `checkpoints[k]` samples.
-    pub best: Vec<u64>,
+    pub best: Vec<V>,
+}
+
+impl<V: CutValue> BestTrace<V> {
+    /// The final (overall best) cut value; zero for an empty trace.
+    pub fn final_best(&self) -> V {
+        self.best.last().copied().unwrap_or(V::ZERO)
+    }
 }
 
 impl BestTrace {
-    /// The final (overall best) cut value.
-    pub fn final_best(&self) -> u64 {
-        self.best.last().copied().unwrap_or(0)
-    }
-
     /// Best values as `f64` relative to a reference value (the paper
     /// normalizes by the software solver's best cut).
     pub fn relative_to(&self, reference: f64) -> Vec<f64> {
@@ -47,35 +51,18 @@ impl BestTrace {
     }
 }
 
-/// Folds one drawn cut into a lazily-initialized [`CutTracker`],
-/// returning the cut's value. The first call seeds the tracker (one
-/// scratch evaluation); later calls diff incrementally.
-pub(crate) fn tracked_value<'g>(
-    tracker: &mut Option<CutTracker<'g>>,
-    graph: &'g Graph,
-    cut: CutAssignment,
-) -> u64 {
+/// Folds one drawn cut into a lazily-initialized tracker, returning the
+/// cut's value. The first call seeds the tracker (one scratch
+/// evaluation); later calls diff incrementally.
+pub(crate) fn tracked_value<'g, G: MaxCutGraph>(
+    tracker: &mut Option<G::Tracker<'g>>,
+    graph: &'g G,
+    cut: &CutAssignment,
+) -> G::Value {
     match tracker.as_mut() {
-        Some(t) => t.set_to(&cut),
+        Some(t) => t.set_to(cut),
         None => {
-            let t = CutTracker::new(graph, cut);
-            let v = t.value();
-            *tracker = Some(t);
-            v
-        }
-    }
-}
-
-/// Weighted-graph variant of [`tracked_value`].
-pub(crate) fn tracked_value_weighted<'g>(
-    tracker: &mut Option<snc_graph::WeightedCutTracker<'g>>,
-    graph: &'g snc_graph::WeightedGraph,
-    cut: CutAssignment,
-) -> f64 {
-    match tracker.as_mut() {
-        Some(t) => t.set_to(&cut),
-        None => {
-            let t = snc_graph::WeightedCutTracker::new(graph, cut);
+            let t = graph.tracker(cut.clone());
             let v = t.value();
             *tracker = Some(t);
             v
@@ -169,39 +156,46 @@ pub fn log2_checkpoints(budget: u64) -> Vec<u64> {
 /// Draws samples up to the last checkpoint, recording the best-so-far cut
 /// value at every checkpoint.
 ///
-/// Cut values are maintained incrementally with a [`CutTracker`]: each
+/// Cut values are maintained incrementally with the graph's tracker: each
 /// sample is diffed against the previous one and updated flip-by-flip, so
 /// samplers whose consecutive cuts differ in few vertices (LIF-Trevisan's
 /// slowly-learning readout, annealing) pay O(changed · degree) per sample
-/// instead of O(m). The tracker's integer arithmetic is exact, so the
-/// recorded trace is identical to evaluating every sample from scratch.
+/// instead of O(m). On an unweighted graph the tracker's integer
+/// arithmetic is exact, so the recorded trace is identical to evaluating
+/// every sample from scratch; a weighted tracker's `f64` can differ from
+/// a scratch evaluation by rounding of order `ε·Σ|w|` between its
+/// periodic resyncs (see [`snc_graph::WeightedCutTracker::RESYNC_INTERVAL`]).
 ///
 /// # Panics
 ///
 /// Panics if `checkpoints` is not strictly ascending.
-pub fn sample_best_trace(
+pub fn sample_best_trace<G: MaxCutGraph>(
     sampler: &mut impl CutSampler,
-    graph: &Graph,
+    graph: &G,
     checkpoints: &[u64],
-) -> BestTrace {
+) -> BestTrace<G::Value> {
     assert!(
         checkpoints.windows(2).all(|w| w[0] < w[1]),
         "checkpoints must be strictly ascending"
     );
-    let mut best = 0u64;
+    let mut best = G::Value::FLOOR;
     let mut out = Vec::with_capacity(checkpoints.len());
     let mut drawn = 0u64;
-    let mut tracker: Option<CutTracker<'_>> = None;
+    let mut tracker = None;
     for &cp in checkpoints {
         while drawn < cp {
             let cut = sampler.next_cut();
             // A cut and its complement are equivalent; both are covered by
             // the single evaluation.
-            let value = tracked_value(&mut tracker, graph, cut);
-            best = best.max(value);
+            let value = tracked_value(&mut tracker, graph, &cut);
+            best = best.larger(value);
             drawn += 1;
         }
-        out.push(best);
+        out.push(if best.is_finite() {
+            best
+        } else {
+            G::Value::ZERO
+        });
     }
     BestTrace {
         checkpoints: checkpoints.to_vec(),
@@ -256,7 +250,7 @@ pub fn sample_stats(
     let mut tracker: Option<CutTracker<'_>> = None;
     for _ in 0..budget {
         let cut = sampler.next_cut();
-        let value = tracked_value(&mut tracker, graph, cut);
+        let value = tracked_value(&mut tracker, graph, &cut);
         best = best.max(value);
         total += value as f64;
     }

@@ -25,12 +25,12 @@ use crate::cache::SdpCache;
 use crate::circuits::hopfield::{BatchedHopfieldCircuit, HopfieldConfig};
 use crate::circuits::lif_annealed::{BatchedLifAnnealedCircuit, LifAnnealedConfig};
 use crate::circuits::lif_gw::{BatchedLifGwCircuit, LifGwConfig};
-use crate::circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanConfig};
+use crate::circuits::lif_trevisan::LifTrevisanConfig;
+use crate::graph::{CutValue, MaxCutGraph};
 use crate::gw::{solve_gw, GwConfig, GwSolution};
-use crate::sampling::{log2_checkpoints, BestTrace, CutSampler};
-use crate::weighted::{solve_gw_weighted, WeightedBestTrace, WeightedLifTrevisanCircuit};
+use crate::sampling::{log2_checkpoints, tracked_value, BestTrace};
 use snc_devices::SplitMix64;
-use snc_graph::{CutAssignment, CutTracker, Graph, WeightedCutTracker, WeightedGraph};
+use snc_graph::{CutAssignment, Graph};
 use snc_linalg::{LinalgError, SdpConfig};
 use snc_neuro::{LifParams, TwoStageConfig};
 use std::sync::Arc;
@@ -179,15 +179,16 @@ fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// The answer to a solve request.
+/// The answer to a solve request, with exact `u64` cut values on an
+/// unweighted graph and `f64` ones on a weighted graph.
 #[derive(Clone, Debug)]
-pub struct SolveOutcome {
+pub struct SolveOutcome<V = u64> {
     /// Merged best-so-far trace on the total-samples checkpoint grid
     /// (per-replica log2 checkpoints × effective width).
-    pub trace: BestTrace,
+    pub trace: BestTrace<V>,
     /// The best cut value over every sample of every replica (equal to
     /// `trace.final_best()`).
-    pub best_value: u64,
+    pub best_value: V,
     /// A partition achieving `best_value` — the earliest such sample,
     /// ties broken by lowest replica index, so the argmax is as
     /// deterministic as the value.
@@ -272,27 +273,37 @@ pub fn replica_checkpoints(budget: u64, replicas: usize) -> Vec<u64> {
     log2_checkpoints(budget / effective_replicas(budget, replicas) as u64)
 }
 
-/// Runs the requested circuit on `graph` and returns the best cut found
-/// within the budget, its partition, and the merged best-so-far trace.
+/// Runs the requested circuit on `graph` — unweighted or weighted — and
+/// returns the best cut found within the budget, its partition, and the
+/// merged best-so-far trace.
 ///
 /// Seed ladder (shared with `snc_experiments::suite::run_suite`, so a
 /// request with the harness's per-graph seed reproduces the harness's
 /// circuit trace): slot 1 seeds the SDP (LIF-GW *and* LIF-annealed —
 /// both program the same factors), slot 3 roots the LIF-GW replica
 /// ladder, slot 4 LIF-Trevisan's, slot 6 LIF-annealed's, and slot 7
-/// Hopfield's.
+/// Hopfield's. On a weighted graph the SDP is the weighted one, the
+/// Hopfield relaxation and the annealed feedback field read the
+/// weighted couplings, and LIF-Trevisan runs the weighted Trevisan
+/// operator; a unit-weight graph computes exactly the unweighted
+/// numbers.
 ///
 /// # Errors
 ///
 /// Returns [`SolveError::EmptyBudget`] for a zero budget,
-/// [`SolveError::EmptyGraph`] for a vertexless graph, and propagates SDP
-/// failures for LIF-GW.
-pub fn solve(graph: &Graph, spec: &SolveSpec) -> Result<SolveOutcome, SolveError> {
-    solve_with_cache(graph, spec, None)
+/// [`SolveError::EmptyGraph`] for a vertexless graph,
+/// [`SolveError::NegativeWeights`] for LIF-Trevisan on a graph with
+/// negative weights (the other three families accept signed weights),
+/// and propagates SDP failures.
+pub fn solve<G: MaxCutGraph>(
+    graph: &G,
+    spec: &SolveSpec,
+) -> Result<SolveOutcome<G::Value>, SolveError> {
+    solve_from(graph, spec, |seed| fresh_sdp(graph, spec.sdp_rank, seed))
 }
 
-/// [`solve`] with an optional [`SdpCache`] consulted for the offline
-/// stage of LIF-GW and LIF-annealed.
+/// [`solve`] on an unweighted graph with an optional [`SdpCache`]
+/// consulted for the offline stage of LIF-GW and LIF-annealed.
 ///
 /// Both SDP families look up `(graph fingerprint, derived sdp seed,
 /// rank)` in the cache and reuse the stored factor/bound on a hit,
@@ -313,6 +324,35 @@ pub fn solve_with_cache(
     spec: &SolveSpec,
     cache: Option<&SdpCache>,
 ) -> Result<SolveOutcome, SolveError> {
+    solve_from(graph, spec, |seed| match cache {
+        Some(cache) => Ok(cache.get_or_solve_traced(graph, seed, spec.sdp_rank)?),
+        None => fresh_sdp(graph, spec.sdp_rank, seed),
+    })
+}
+
+/// The slot-1 SDP factor solved afresh (`true`: a real solve).
+fn fresh_sdp(
+    graph: &impl MaxCutGraph,
+    rank: usize,
+    seed: u64,
+) -> Result<(Arc<GwSolution>, bool), SolveError> {
+    let sdp = SdpConfig {
+        rank,
+        seed,
+        ..SdpConfig::default()
+    };
+    Ok((Arc::new(solve_gw(graph, &GwConfig { sdp })?), true))
+}
+
+/// The solve body behind [`solve`] and [`solve_with_cache`].
+/// `sdp_source` maps the derived slot-1 seed to the factor LIF-GW and
+/// LIF-annealed share, and says whether it solved one (as opposed to
+/// finding it cached), so the SDP time is reported only for real solves.
+fn solve_from<G: MaxCutGraph>(
+    graph: &G,
+    spec: &SolveSpec,
+    sdp_source: impl FnOnce(u64) -> Result<(Arc<GwSolution>, bool), SolveError>,
+) -> Result<SolveOutcome<G::Value>, SolveError> {
     if spec.budget == 0 {
         return Err(SolveError::EmptyBudget);
     }
@@ -321,9 +361,14 @@ pub fn solve_with_cache(
     }
     let replicas = effective_replicas(spec.budget, spec.replicas);
     let checkpoints = replica_checkpoints(spec.budget, spec.replicas);
+    let sdp_factor = || {
+        let started = Instant::now();
+        let (gw, solved) = sdp_source(SplitMix64::derive(spec.seed, 1))?;
+        Ok::<_, SolveError>((gw, solved.then(|| elapsed_us(started))))
+    };
     match spec.family {
         CircuitFamily::LifGw => {
-            let (gw, sdp_us) = sdp_factor(graph, spec, cache)?;
+            let (gw, sdp_us) = sdp_factor()?;
             let cfg = LifGwConfig {
                 lif: spec.lif,
                 ..LifGwConfig::default()
@@ -344,16 +389,16 @@ pub fn solve_with_cache(
                 ..LifTrevisanConfig::default()
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 4), replicas);
-            let mut batch = BatchedLifTrevisanCircuit::new(graph, &seeds, &cfg);
+            let next_cuts = graph.lif_trevisan(&seeds, &cfg)?;
             let sampling_started = Instant::now();
-            let driven = drive(graph, &checkpoints, replicas, || batch.next_cuts());
+            let driven = drive(graph, &checkpoints, replicas, next_cuts);
             let stages = StageTimings::sampling_only(sampling_started);
             Ok(driven.into_outcome(replicas, None, stages))
         }
         CircuitFamily::LifAnnealed => {
             // The cooling schedule acts on the readout only: the factor is
             // LIF-GW's, cache entry included.
-            let (gw, sdp_us) = sdp_factor(graph, spec, cache)?;
+            let (gw, sdp_us) = sdp_factor()?;
             let cfg = LifAnnealedConfig {
                 base: LifGwConfig {
                     lif: spec.lif,
@@ -386,174 +431,20 @@ pub fn solve_with_cache(
     }
 }
 
-/// The offline stage LIF-GW and LIF-annealed share: the slot-1 factor,
-/// looked up in `cache` when there is one. The time is `Some` only for
-/// a real solve, so a histogram of it counts solves, not lookups.
-fn sdp_factor(
-    graph: &Graph,
-    spec: &SolveSpec,
-    cache: Option<&SdpCache>,
-) -> Result<(Arc<GwSolution>, Option<u64>), SolveError> {
-    let seed = SplitMix64::derive(spec.seed, 1);
-    let started = Instant::now();
-    let (gw, solved) = match cache {
-        Some(cache) => cache.get_or_solve_traced(graph, seed, spec.sdp_rank)?,
-        None => {
-            let sdp = SdpConfig {
-                rank: spec.sdp_rank,
-                seed,
-                ..SdpConfig::default()
-            };
-            (Arc::new(solve_gw(graph, &GwConfig { sdp })?), true)
-        }
-    };
-    Ok((gw, solved.then(|| elapsed_us(started))))
-}
-
-/// The answer to a weighted solve request — [`SolveOutcome`]'s shape
-/// with `f64` cut values.
-#[derive(Clone, Debug)]
-pub struct WeightedSolveOutcome {
-    /// Merged best-so-far trace on the total-samples checkpoint grid.
-    pub trace: WeightedBestTrace,
-    /// The best weighted cut value over every sample of every replica
-    /// (equal to `trace.final_best()`).
-    pub best_value: f64,
-    /// A partition achieving `best_value` (earliest sample, ties by
-    /// lowest replica index).
-    pub best_cut: CutAssignment,
-    /// The weighted SDP upper bound (SDP-backed families only).
-    pub sdp_bound: Option<f64>,
-    /// Effective replica width after capping at the budget.
-    pub replicas: usize,
-    /// Total samples actually drawn: `⌊budget/R⌋·R ≤ budget`.
-    pub samples: u64,
-    /// Wall-clock stage breakdown for this call (observational only —
-    /// not part of the deterministic answer).
-    pub stages: StageTimings,
-}
-
-/// [`solve`] on a weighted graph: every family runs, with the weighted
-/// SDP backing LIF-GW and LIF-annealed, weighted couplings in the
-/// Hopfield relaxation, and the weighted Trevisan operator in LIF-TR.
-///
-/// The seed ladder is slot-for-slot [`solve`]'s, so the weighted and
-/// unweighted paths of one master seed never share RNG streams by
-/// accident. Like [`solve`], the outcome is a pure function of
-/// `(graph, spec)`.
-///
-/// # Errors
-///
-/// Same as [`solve`], plus [`SolveError::NegativeWeights`] when the
-/// LIF-Trevisan family is requested on a graph with negative weights
-/// (its operator is undefined there; the other three families accept
-/// signed weights).
-pub fn solve_weighted(
-    graph: &WeightedGraph,
-    spec: &SolveSpec,
-) -> Result<WeightedSolveOutcome, SolveError> {
-    if spec.budget == 0 {
-        return Err(SolveError::EmptyBudget);
-    }
-    if graph.n() == 0 {
-        return Err(SolveError::EmptyGraph);
-    }
-    let replicas = effective_replicas(spec.budget, spec.replicas);
-    let checkpoints = replica_checkpoints(spec.budget, spec.replicas);
-    let sdp_cfg = |spec: &SolveSpec| SdpConfig {
-        rank: spec.sdp_rank,
-        seed: SplitMix64::derive(spec.seed, 1),
-        ..SdpConfig::default()
-    };
-    match spec.family {
-        CircuitFamily::LifGw => {
-            let sdp_started = Instant::now();
-            let gw = solve_gw_weighted(graph, &sdp_cfg(spec))?;
-            let sdp_us = Some(elapsed_us(sdp_started));
-            let cfg = LifGwConfig {
-                lif: spec.lif,
-                ..LifGwConfig::default()
-            };
-            let seeds = replica_seeds(SplitMix64::derive(spec.seed, 3), replicas);
-            let mut batch = BatchedLifGwCircuit::new(&gw.factors, &seeds, &cfg);
-            let sampling_started = Instant::now();
-            let driven = drive_weighted(graph, &checkpoints, replicas, || batch.next_cuts());
-            let stages = StageTimings::sdp(sdp_us, gw.iterations, gw.capped, sampling_started);
-            Ok(driven.into_outcome(replicas, Some(gw.sdp_bound), stages))
-        }
-        CircuitFamily::LifTrevisan => {
-            if !graph.is_nonnegative() {
-                return Err(SolveError::NegativeWeights);
-            }
-            let cfg = LifTrevisanConfig {
-                network: TwoStageConfig {
-                    lif: spec.lif,
-                    ..TwoStageConfig::default()
-                },
-                ..LifTrevisanConfig::default()
-            };
-            let seeds = replica_seeds(SplitMix64::derive(spec.seed, 4), replicas);
-            let mut circuits: Vec<WeightedLifTrevisanCircuit> = seeds
-                .iter()
-                .map(|&s| WeightedLifTrevisanCircuit::new(graph, s, &cfg))
-                .collect();
-            let sampling_started = Instant::now();
-            let driven = drive_weighted(graph, &checkpoints, replicas, || {
-                circuits.iter_mut().map(CutSampler::next_cut).collect()
-            });
-            let stages = StageTimings::sampling_only(sampling_started);
-            Ok(driven.into_outcome(replicas, None, stages))
-        }
-        CircuitFamily::LifAnnealed => {
-            let sdp_started = Instant::now();
-            let gw = solve_gw_weighted(graph, &sdp_cfg(spec))?;
-            let sdp_us = Some(elapsed_us(sdp_started));
-            let cfg = LifAnnealedConfig {
-                base: LifGwConfig {
-                    lif: spec.lif,
-                    ..LifGwConfig::default()
-                },
-                schedule: spec.schedule,
-                ..LifAnnealedConfig::default()
-            };
-            let horizon = spec.budget / replicas as u64;
-            let seeds = replica_seeds(SplitMix64::derive(spec.seed, 6), replicas);
-            let mut batch =
-                BatchedLifAnnealedCircuit::new_weighted(&gw.factors, graph, &seeds, &cfg, horizon);
-            let sampling_started = Instant::now();
-            let driven = drive_weighted(graph, &checkpoints, replicas, || batch.next_cuts());
-            let stages = StageTimings::sdp(sdp_us, gw.iterations, gw.capped, sampling_started);
-            Ok(driven.into_outcome(replicas, Some(gw.sdp_bound), stages))
-        }
-        CircuitFamily::Hopfield => {
-            let cfg = HopfieldConfig {
-                steps_per_sample: spec.hopfield_steps,
-                ..HopfieldConfig::default()
-            };
-            let seeds = replica_seeds(SplitMix64::derive(spec.seed, 7), replicas);
-            let mut batch = BatchedHopfieldCircuit::new_weighted(graph, &seeds, &cfg);
-            let sampling_started = Instant::now();
-            let driven = drive_weighted(graph, &checkpoints, replicas, || batch.next_cuts());
-            let stages = StageTimings::sampling_only(sampling_started);
-            Ok(driven.into_outcome(replicas, None, stages))
-        }
-    }
-}
-
 /// Intermediate result of [`drive`].
-struct Driven {
-    trace: BestTrace,
-    best_value: u64,
+struct Driven<V> {
+    trace: BestTrace<V>,
+    best_value: V,
     best_cut: CutAssignment,
 }
 
-impl Driven {
+impl<V> Driven<V> {
     fn into_outcome(
         self,
         replicas: usize,
         sdp_bound: Option<f64>,
         stages: StageTimings,
-    ) -> SolveOutcome {
+    ) -> SolveOutcome<V> {
         let samples = self.trace.checkpoints.last().copied().unwrap_or(0);
         SolveOutcome {
             best_value: self.best_value,
@@ -569,50 +460,46 @@ impl Driven {
 
 /// The argmax-tracking variant of the batched checkpoint loop: advances
 /// the batch one sample at a time, maintains per-replica best values
-/// with incremental [`CutTracker`]s (values identical to the circuits'
-/// `best_traces`), merges at each checkpoint (max over replicas, sample
-/// counts summed — the `merge_traces` semantics), and keeps the earliest
-/// partition achieving the global best.
-fn drive(
-    graph: &Graph,
+/// with the graph's incremental trackers (values identical to the
+/// circuits' `best_traces` on unweighted graphs), merges at each
+/// checkpoint (max over replicas, sample counts summed — the
+/// `merge_traces` semantics), and keeps the earliest partition achieving
+/// the global best.
+fn drive<G: MaxCutGraph>(
+    graph: &G,
     checkpoints: &[u64],
     replicas: usize,
     mut next_cuts: impl FnMut() -> Vec<CutAssignment>,
-) -> Driven {
+) -> Driven<G::Value> {
     assert!(
         checkpoints.windows(2).all(|w| w[0] < w[1]),
         "checkpoints must be strictly ascending"
     );
     assert!(!checkpoints.is_empty(), "budget ≥ 1 yields ≥ 1 checkpoint");
-    let mut trackers: Vec<Option<CutTracker<'_>>> = (0..replicas).map(|_| None).collect();
-    let mut per_replica_best = vec![0u64; replicas];
+    let mut trackers: Vec<Option<G::Tracker<'_>>> = (0..replicas).map(|_| None).collect();
+    let mut per_replica_best = vec![G::Value::FLOOR; replicas];
     let mut merged_best = Vec::with_capacity(checkpoints.len());
     // Champion: strictly-greater updates ⇒ earliest sample wins, ties
     // within a sample broken by replica index.
-    let mut champion: Option<(u64, CutAssignment)> = None;
+    let mut champion: Option<(G::Value, CutAssignment)> = None;
     let mut drawn = 0u64;
     for &cp in checkpoints {
         while drawn < cp {
             let cuts = next_cuts();
             debug_assert_eq!(cuts.len(), replicas);
             for (r, cut) in cuts.into_iter().enumerate() {
-                let value = match trackers[r].as_mut() {
-                    Some(t) => t.set_to(&cut),
-                    None => {
-                        let t = CutTracker::new(graph, cut.clone());
-                        let v = t.value();
-                        trackers[r] = Some(t);
-                        v
-                    }
-                };
-                per_replica_best[r] = per_replica_best[r].max(value);
+                let value = tracked_value(&mut trackers[r], graph, &cut);
+                per_replica_best[r] = per_replica_best[r].larger(value);
                 if champion.as_ref().is_none_or(|(best, _)| value > *best) {
                     champion = Some((value, cut));
                 }
             }
             drawn += 1;
         }
-        merged_best.push(per_replica_best.iter().copied().max().unwrap_or(0));
+        let merged = per_replica_best
+            .iter()
+            .fold(G::Value::FLOOR, |a, &b| a.larger(b));
+        merged_best.push(merged);
     }
     let (best_value, best_cut) = champion.expect("≥ 1 sample was drawn");
     Driven {
@@ -625,96 +512,13 @@ fn drive(
     }
 }
 
-/// Intermediate result of [`drive_weighted`].
-struct DrivenWeighted {
-    trace: WeightedBestTrace,
-    best_value: f64,
-    best_cut: CutAssignment,
-}
-
-impl DrivenWeighted {
-    fn into_outcome(
-        self,
-        replicas: usize,
-        sdp_bound: Option<f64>,
-        stages: StageTimings,
-    ) -> WeightedSolveOutcome {
-        let samples = self.trace.checkpoints.last().copied().unwrap_or(0);
-        WeightedSolveOutcome {
-            best_value: self.best_value,
-            best_cut: self.best_cut,
-            trace: self.trace,
-            sdp_bound,
-            replicas,
-            samples,
-            stages,
-        }
-    }
-}
-
-/// [`drive`] with weighted cut values: per-replica incremental
-/// [`WeightedCutTracker`]s, `f64` best-so-far merging, and the same
-/// earliest-sample/lowest-replica champion semantics (strictly-greater
-/// updates).
-fn drive_weighted(
-    graph: &WeightedGraph,
-    checkpoints: &[u64],
-    replicas: usize,
-    mut next_cuts: impl FnMut() -> Vec<CutAssignment>,
-) -> DrivenWeighted {
-    assert!(
-        checkpoints.windows(2).all(|w| w[0] < w[1]),
-        "checkpoints must be strictly ascending"
-    );
-    assert!(!checkpoints.is_empty(), "budget ≥ 1 yields ≥ 1 checkpoint");
-    let mut trackers: Vec<Option<WeightedCutTracker<'_>>> = (0..replicas).map(|_| None).collect();
-    let mut per_replica_best = vec![f64::NEG_INFINITY; replicas];
-    let mut merged_best = Vec::with_capacity(checkpoints.len());
-    let mut champion: Option<(f64, CutAssignment)> = None;
-    let mut drawn = 0u64;
-    for &cp in checkpoints {
-        while drawn < cp {
-            let cuts = next_cuts();
-            debug_assert_eq!(cuts.len(), replicas);
-            for (r, cut) in cuts.into_iter().enumerate() {
-                let value = match trackers[r].as_mut() {
-                    Some(t) => t.set_to(&cut),
-                    None => {
-                        let t = WeightedCutTracker::new(graph, cut.clone());
-                        let v = t.value();
-                        trackers[r] = Some(t);
-                        v
-                    }
-                };
-                per_replica_best[r] = per_replica_best[r].max(value);
-                if champion.as_ref().is_none_or(|(best, _)| value > *best) {
-                    champion = Some((value, cut));
-                }
-            }
-            drawn += 1;
-        }
-        let best = per_replica_best
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        merged_best.push(best);
-    }
-    let (best_value, best_cut) = champion.expect("≥ 1 sample was drawn");
-    DrivenWeighted {
-        trace: WeightedBestTrace {
-            checkpoints: checkpoints.iter().map(|&c| c * replicas as u64).collect(),
-            best: merged_best,
-        },
-        best_value,
-        best_cut,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuits::lif_trevisan::BatchedLifTrevisanCircuit;
     use crate::sampling::merge_traces;
     use snc_graph::generators::erdos_renyi::gnp;
+    use snc_graph::WeightedGraph;
 
     fn spec(family: CircuitFamily) -> SolveSpec {
         SolveSpec {
@@ -940,7 +744,7 @@ mod tests {
         )
         .unwrap();
         for family in CircuitFamily::all() {
-            let out = solve_weighted(&g, &spec(family)).unwrap();
+            let out = solve(&g, &spec(family)).unwrap();
             // The incremental tracker resyncs periodically, so the
             // reported value matches a scratch evaluation to rounding.
             let scratch = g.cut_value(&out.best_cut);
@@ -972,8 +776,8 @@ mod tests {
         )
         .unwrap();
         for family in CircuitFamily::all() {
-            let a = solve_weighted(&g, &spec(family)).unwrap();
-            let b = solve_weighted(&g, &spec(family)).unwrap();
+            let a = solve(&g, &spec(family)).unwrap();
+            let b = solve(&g, &spec(family)).unwrap();
             assert_eq!(a.trace, b.trace, "{family:?}");
             assert_eq!(a.best_cut, b.best_cut, "{family:?}");
             assert_eq!(
@@ -992,7 +796,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            solve_weighted(&g, &spec(CircuitFamily::LifTrevisan)).unwrap_err(),
+            solve(&g, &spec(CircuitFamily::LifTrevisan)).unwrap_err(),
             SolveError::NegativeWeights
         );
         for family in [
@@ -1000,7 +804,7 @@ mod tests {
             CircuitFamily::LifAnnealed,
             CircuitFamily::Hopfield,
         ] {
-            let out = solve_weighted(&g, &spec(family)).unwrap();
+            let out = solve(&g, &spec(family)).unwrap();
             assert!(out.best_value.is_finite(), "{family:?}");
         }
     }
@@ -1010,10 +814,10 @@ mod tests {
         let g = WeightedGraph::from_weighted_edges(3, &[(0, 1, 1.0)]).unwrap();
         let mut s = spec(CircuitFamily::Hopfield);
         s.budget = 0;
-        assert_eq!(solve_weighted(&g, &s).unwrap_err(), SolveError::EmptyBudget);
+        assert_eq!(solve(&g, &s).unwrap_err(), SolveError::EmptyBudget);
         let empty = WeightedGraph::from_weighted_edges(0, &[]).unwrap();
         assert_eq!(
-            solve_weighted(&empty, &spec(CircuitFamily::Hopfield)).unwrap_err(),
+            solve(&empty, &spec(CircuitFamily::Hopfield)).unwrap_err(),
             SolveError::EmptyGraph
         );
     }
@@ -1037,7 +841,7 @@ mod tests {
                         ..SolveSpec::new(family, 64, 0x5EED)
                     };
                     let unweighted = solve(base, &s).unwrap();
-                    let weighted = solve_weighted(&g, &s).unwrap();
+                    let weighted = solve(&g, &s).unwrap();
                     let ctx = format!("{family:?} R={replicas} n={}", base.n());
                     assert_eq!(weighted.best_cut, unweighted.best_cut, "{ctx}");
                     assert_eq!(

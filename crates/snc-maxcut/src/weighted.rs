@@ -1,119 +1,24 @@
-//! Weighted MAXCUT: the full solver stack on weighted graphs.
+//! Weighted MAXCUT: the solvers that are specific to weighted graphs.
 //!
 //! The paper's formulation (§II.A) is already weighted (`A_ij` is any
-//! adjacency matrix), and two of its Table-I networks are weighted. This
-//! module runs every solver on [`WeightedGraph`]s:
+//! adjacency matrix), and two of its Table-I networks are weighted. The
+//! shared solve path — [`solve`](crate::solve()), [`solve_gw`](crate::solve_gw),
+//! [`sample_best_trace`](crate::sample_best_trace), and the Hopfield and
+//! LIF-annealed circuits — takes any [`MaxCutGraph`](crate::graph::MaxCutGraph),
+//! weighted graphs included. This module holds the rest:
 //!
-//! * [`solve_gw_weighted`] — the GW SDP with weighted couplings; the
-//!   factor matrix feeds the same [`GwSampler`](crate::GwSampler)/[`LifGwCircuit`](crate::LifGwCircuit)
-//!   machinery unchanged (rounding only looks at the factors).
 //! * [`solve_trevisan_weighted`] — minimum eigenvector of the *weighted*
 //!   Trevisan matrix `I + D_w^{-1/2} A_w D_w^{-1/2}`.
 //! * [`WeightedLifTrevisanCircuit`] — the LIF-TR circuit programmed with
 //!   the weighted Trevisan matrix.
 //! * [`brute_force_weighted`] — exact ground truth for small instances.
-//! * [`sample_best_trace_weighted`] — best-so-far traces with `f64` cut
-//!   values.
 
 use crate::circuits::lif_trevisan::LifTrevisanConfig;
 use crate::sampling::CutSampler;
 use snc_graph::weighted::WeightedTrevisanOperator;
-use snc_graph::{CutAssignment, WeightedCutTracker, WeightedGraph};
+use snc_graph::{CutAssignment, WeightedGraph};
 use snc_linalg::eigen::{extreme_eigenpair, Which};
-use snc_linalg::{sdp, LinalgError, SdpConfig};
 use snc_neuro::TwoStageNetwork;
-
-/// Best-so-far weighted cut values at sample-count checkpoints.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WeightedBestTrace {
-    /// Sample counts (ascending).
-    pub checkpoints: Vec<u64>,
-    /// Best weighted cut within the first `checkpoints[k]` samples.
-    pub best: Vec<f64>,
-}
-
-impl WeightedBestTrace {
-    /// The final best value.
-    pub fn final_best(&self) -> f64 {
-        self.best.last().copied().unwrap_or(0.0)
-    }
-}
-
-/// Draws samples and records the best weighted cut at each checkpoint.
-///
-/// Cut values are maintained incrementally with a [`WeightedCutTracker`]
-/// (the weighted LIF-Trevisan circuit's consecutive samples differ in few
-/// vertices, so diffs beat O(m) re-evaluation). The maintained `f64` can
-/// differ from a scratch evaluation by accumulated rounding of order
-/// `ε·Σ|w|` between the tracker's periodic resyncs; see
-/// [`WeightedCutTracker::RESYNC_INTERVAL`].
-///
-/// # Panics
-///
-/// Panics if `checkpoints` is not strictly ascending.
-pub fn sample_best_trace_weighted(
-    sampler: &mut impl CutSampler,
-    graph: &WeightedGraph,
-    checkpoints: &[u64],
-) -> WeightedBestTrace {
-    assert!(
-        checkpoints.windows(2).all(|w| w[0] < w[1]),
-        "checkpoints must be strictly ascending"
-    );
-    let mut best = f64::NEG_INFINITY;
-    let mut out = Vec::with_capacity(checkpoints.len());
-    let mut drawn = 0u64;
-    let mut tracker: Option<WeightedCutTracker<'_>> = None;
-    for &cp in checkpoints {
-        while drawn < cp {
-            let cut = sampler.next_cut();
-            let value = crate::sampling::tracked_value_weighted(&mut tracker, graph, cut);
-            best = best.max(value);
-            drawn += 1;
-        }
-        out.push(if best.is_finite() { best } else { 0.0 });
-    }
-    WeightedBestTrace {
-        checkpoints: checkpoints.to_vec(),
-        best: out,
-    }
-}
-
-/// Result of the weighted GW SDP.
-#[derive(Clone, Debug)]
-pub struct WeightedGwSolution {
-    /// The `n × r` factor matrix.
-    pub factors: snc_linalg::DMatrix,
-    /// SDP upper bound on the weighted maximum cut.
-    pub sdp_bound: f64,
-    /// Gradient iterations the solve took, across restarts.
-    pub iterations: usize,
-    /// Whether the solve stopped at its iteration cap.
-    pub capped: bool,
-}
-
-/// Solves the weighted GW SDP.
-///
-/// # Errors
-///
-/// Propagates SDP solver errors.
-pub fn solve_gw_weighted(
-    graph: &WeightedGraph,
-    cfg: &SdpConfig,
-) -> Result<WeightedGwSolution, LinalgError> {
-    let couplings: Vec<sdp::Coupling> = graph
-        .edges()
-        .map(|(i, j, w)| sdp::Coupling { i, j, w })
-        .collect();
-    let sol = sdp::solve_weighted_sdp(graph.n(), &couplings, cfg)?;
-    let sdp_bound = sol.cut_upper_bound(graph.total_weight());
-    Ok(WeightedGwSolution {
-        factors: sol.factors,
-        sdp_bound,
-        iterations: sol.iterations,
-        capped: sol.capped,
-    })
-}
 
 /// Result of the weighted Trevisan spectral solver.
 #[derive(Clone, Debug)]
@@ -220,8 +125,8 @@ pub fn brute_force_weighted(graph: &WeightedGraph) -> (CutAssignment, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gw::GwSampler;
-    use crate::sampling::log2_checkpoints;
+    use crate::gw::{solve_gw, GwConfig, GwSampler};
+    use crate::sampling::{log2_checkpoints, sample_best_trace};
     use snc_graph::generators::structured::{complete_bipartite, cycle};
     use snc_graph::weighted::{randomize_weights, WeightDistribution};
 
@@ -257,10 +162,10 @@ mod tests {
         for seed in 0..3u64 {
             let g = weighted_fixture(seed);
             let (_, opt) = brute_force_weighted(&g);
-            let sol = solve_gw_weighted(&g, &SdpConfig::default()).unwrap();
+            let sol = solve_gw(&g, &GwConfig::default()).unwrap();
             assert!(sol.sdp_bound + 1e-6 >= opt, "bound {} < {opt}", sol.sdp_bound);
             let mut sampler = GwSampler::new(sol.factors, seed);
-            let trace = sample_best_trace_weighted(&mut sampler, &g, &log2_checkpoints(64));
+            let trace = sample_best_trace(&mut sampler, &g, &log2_checkpoints(64));
             assert!(
                 trace.final_best() >= 0.878 * opt,
                 "seed {seed}: {} < 0.878·{opt}",
@@ -299,7 +204,7 @@ mod tests {
         let g = randomize_weights(&base, WeightDistribution::Uniform { lo: 0.5, hi: 1.5 }, 5)
             .unwrap();
         let mut circuit = WeightedLifTrevisanCircuit::new(&g, 3, &LifTrevisanConfig::default());
-        let trace = sample_best_trace_weighted(&mut circuit, &g, &log2_checkpoints(20_000));
+        let trace = sample_best_trace(&mut circuit, &g, &log2_checkpoints(20_000));
         assert!(
             (trace.final_best() - g.total_weight()).abs() < 1e-9,
             "reached {} of {}",
@@ -311,9 +216,9 @@ mod tests {
     #[test]
     fn trace_is_monotone() {
         let g = weighted_fixture(9);
-        let sol = solve_gw_weighted(&g, &SdpConfig::default()).unwrap();
+        let sol = solve_gw(&g, &GwConfig::default()).unwrap();
         let mut sampler = GwSampler::new(sol.factors, 1);
-        let trace = sample_best_trace_weighted(&mut sampler, &g, &log2_checkpoints(32));
+        let trace = sample_best_trace(&mut sampler, &g, &log2_checkpoints(32));
         assert!(trace.best.windows(2).all(|w| w[0] <= w[1]));
     }
 }

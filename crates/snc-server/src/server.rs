@@ -22,7 +22,7 @@
 //!      │                  graph      → snc_maxcut::solve_with_cache  │
 //!      │                        │      (SdpCache: per-graph factor/bound
 //!      │                        │       memo for LIF-GW's offline stage)
-//!      │                  weighted   → snc_maxcut::solve_weighted    │
+//!      │                  weighted   → snc_maxcut::solve             │
 //!      │                  max2sat    → extensions::solve_gw_max2sat  │
 //!      │                  maxdicut   → extensions::solve_gw_maxdicut │
 //!      │                        │                                    │
@@ -654,10 +654,12 @@ fn extension_sdp_config(defaults: &RequestDefaults, seed: u64) -> SdpConfig {
 /// unit of work scheduled on the pool), plus the wall-clock stage
 /// breakdown the solver observed (all-zero for the extension
 /// workloads, whose solvers don't expose stages — their time lands in
-/// the `total` stage the caller times). Only the unweighted graph
-/// workload consults the [`SdpCache`], for both SDP families (LIF-GW and
-/// LIF-annealed share an entry) — the weighted and extension SDPs are
-/// solved inline, so the cache counts every unweighted SDP solve.
+/// the `total` stage the caller times). Both graph workloads run the one
+/// generic `snc_maxcut` solve body and the one `wire::solve_response`
+/// render. Only the unweighted graph workload consults the
+/// [`SdpCache`], for both SDP families (LIF-GW and LIF-annealed share an
+/// entry) — the weighted and extension SDPs are solved inline, so the
+/// cache counts every unweighted SDP solve.
 fn run_workload(
     workload: &Workload,
     defaults: &RequestDefaults,
@@ -670,8 +672,8 @@ fn run_workload(
                 .map_err(|e| e.to_string())
         }),
         Workload::WeightedMaxCut(job) => guarded(|| {
-            snc_maxcut::solve_weighted(&job.graph, &job.spec)
-                .map(|outcome| (wire::weighted_solve_response(job, &outcome), outcome.stages))
+            snc_maxcut::solve(&job.graph, &job.spec)
+                .map(|outcome| (wire::solve_response(job, &outcome), outcome.stages))
                 .map_err(|e| e.to_string())
         }),
         Workload::Max2Sat(job) => guarded(|| {

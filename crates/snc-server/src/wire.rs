@@ -65,7 +65,7 @@ use snc_graph::{EmpiricalDataset, Graph, WeightedGraph};
 use snc_maxcut::extensions::max2sat::{Clause, Literal, Max2Sat, Max2SatSolution};
 use snc_maxcut::extensions::maxdicut::{DiGraph, MaxDicutSolution};
 use snc_maxcut::{
-    CircuitFamily, CoolingSchedule, ScheduleKind, SolveOutcome, SolveSpec, WeightedSolveOutcome,
+    CircuitFamily, CoolingSchedule, CutValue, MaxCutGraph, ScheduleKind, SolveOutcome, SolveSpec,
 };
 use snc_neuro::LifParams;
 
@@ -101,29 +101,20 @@ pub struct RequestDefaults {
     pub max_hopfield_steps: u64,
 }
 
-/// A parsed, validated unweighted solve request: the graph to cut and
-/// the fully resolved spec to dispatch.
+/// A parsed, validated solve request: the graph to cut (unweighted by
+/// default) and the fully resolved spec to dispatch.
 #[derive(Clone, Debug)]
-pub struct SolveJob {
+pub struct SolveJob<G = Graph> {
     /// The graph built from the request body.
-    pub graph: Graph,
+    pub graph: G,
     /// The resolved solve spec ([`snc_maxcut::solve()`]'s input).
     pub spec: SolveSpec,
     /// A deterministic label of the graph source, echoed in responses.
     pub graph_label: String,
 }
 
-/// A parsed weighted solve request ([`snc_maxcut::solve_weighted()`]'s
-/// input).
-#[derive(Clone, Debug)]
-pub struct WeightedSolveJob {
-    /// The weighted graph built from the request body.
-    pub graph: WeightedGraph,
-    /// The resolved solve spec.
-    pub spec: SolveSpec,
-    /// A deterministic label of the graph source, echoed in responses.
-    pub graph_label: String,
-}
+/// A parsed weighted solve request.
+pub type WeightedSolveJob = SolveJob<WeightedGraph>;
 
 impl WeightedSolveJob {
     /// A canonical string rendering of the weighted graph for cache
@@ -951,28 +942,59 @@ fn parse_weighted_triples(value: &Json) -> Result<Vec<(u64, u64, f64)>, WireErro
         .collect()
 }
 
-/// Renders an unweighted solve outcome as the deterministic response
-/// body.
+/// How a cut value goes on the wire: exact counts as integers; weighted
+/// cuts as numbers, with a `"weighted": true` marker on the body.
+pub trait WireCutValue: CutValue {
+    /// Whether bodies carrying this value type are marked weighted.
+    const WEIGHTED: bool;
+    /// The value as a JSON number.
+    fn json(self) -> Json;
+}
+
+impl WireCutValue for u64 {
+    const WEIGHTED: bool = false;
+    fn json(self) -> Json {
+        Json::UInt(self)
+    }
+}
+
+impl WireCutValue for f64 {
+    const WEIGHTED: bool = true;
+    fn json(self) -> Json {
+        Json::Num(self)
+    }
+}
+
+/// Renders a solve outcome as the deterministic response body. Weighted
+/// jobs render float-valued cuts and a `"weighted": true` marker.
 ///
 /// Pure function of `(job, outcome)`: no timestamps, ids, or timing —
 /// identical seeded requests render byte-identical bodies.
-pub fn solve_response(job: &SolveJob, outcome: &SolveOutcome) -> Json {
+pub fn solve_response<G: MaxCutGraph>(job: &SolveJob<G>, outcome: &SolveOutcome<G::Value>) -> Json
+where
+    G::Value: WireCutValue,
+{
     let partition: Vec<Json> = outcome
         .best_cut
         .sides()
         .iter()
         .map(|&s| Json::UInt(u64::from(s == 1)))
         .collect();
-    Json::Obj(vec![
+    let mut fields = vec![
         ("circuit".into(), Json::str(job.spec.family.name())),
         ("graph".into(), Json::str(job.graph_label.clone())),
         ("n".into(), Json::UInt(job.graph.n() as u64)),
         ("m".into(), Json::UInt(job.graph.m() as u64)),
+    ];
+    if G::Value::WEIGHTED {
+        fields.push(("weighted".into(), Json::Bool(true)));
+    }
+    fields.extend([
         ("budget".into(), Json::UInt(job.spec.budget)),
         ("replicas".into(), Json::UInt(outcome.replicas as u64)),
         ("samples".into(), Json::UInt(outcome.samples)),
         ("seed".into(), Json::UInt(job.spec.seed)),
-        ("best_cut".into(), Json::UInt(outcome.best_value)),
+        ("best_cut".into(), outcome.best_value.json()),
         ("partition".into(), Json::Arr(partition)),
         (
             "sdp_bound".into(),
@@ -994,60 +1016,12 @@ pub fn solve_response(job: &SolveJob, outcome: &SolveOutcome) -> Json {
                 ),
                 (
                     "best".into(),
-                    Json::Arr(outcome.trace.best.iter().map(|&b| Json::UInt(b)).collect()),
+                    Json::Arr(outcome.trace.best.iter().map(|&b| b.json()).collect()),
                 ),
             ]),
         ),
-    ])
-}
-
-/// Renders a weighted solve outcome as the deterministic response body
-/// (same shape as [`solve_response`] with float-valued cuts and a
-/// `"weighted": true` marker).
-pub fn weighted_solve_response(job: &WeightedSolveJob, outcome: &WeightedSolveOutcome) -> Json {
-    let partition: Vec<Json> = outcome
-        .best_cut
-        .sides()
-        .iter()
-        .map(|&s| Json::UInt(u64::from(s == 1)))
-        .collect();
-    Json::Obj(vec![
-        ("circuit".into(), Json::str(job.spec.family.name())),
-        ("graph".into(), Json::str(job.graph_label.clone())),
-        ("n".into(), Json::UInt(job.graph.n() as u64)),
-        ("m".into(), Json::UInt(job.graph.m() as u64)),
-        ("weighted".into(), Json::Bool(true)),
-        ("budget".into(), Json::UInt(job.spec.budget)),
-        ("replicas".into(), Json::UInt(outcome.replicas as u64)),
-        ("samples".into(), Json::UInt(outcome.samples)),
-        ("seed".into(), Json::UInt(job.spec.seed)),
-        ("best_cut".into(), Json::Num(outcome.best_value)),
-        ("partition".into(), Json::Arr(partition)),
-        (
-            "sdp_bound".into(),
-            outcome.sdp_bound.map_or(Json::Null, Json::Num),
-        ),
-        (
-            "trace".into(),
-            Json::Obj(vec![
-                (
-                    "checkpoints".into(),
-                    Json::Arr(
-                        outcome
-                            .trace
-                            .checkpoints
-                            .iter()
-                            .map(|&c| Json::UInt(c))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "best".into(),
-                    Json::Arr(outcome.trace.best.iter().map(|&b| Json::Num(b)).collect()),
-                ),
-            ]),
-        ),
-    ])
+    ]);
+    Json::Obj(fields)
 }
 
 /// Renders a MAX2SAT solution as the deterministic response body.
@@ -1494,13 +1468,9 @@ mod tests {
             Workload::WeightedMaxCut(job) => job,
             other => panic!("expected weighted, got {other:?}"),
         };
-        let outcome = snc_maxcut::solve_weighted(&job.graph, &job.spec).unwrap();
-        let a = weighted_solve_response(&job, &outcome).render();
-        let b = weighted_solve_response(
-            &job,
-            &snc_maxcut::solve_weighted(&job.graph, &job.spec).unwrap(),
-        )
-        .render();
+        let outcome = snc_maxcut::solve(&job.graph, &job.spec).unwrap();
+        let a = solve_response(&job, &outcome).render();
+        let b = solve_response(&job, &snc_maxcut::solve(&job.graph, &job.spec).unwrap()).render();
         assert_eq!(a, b, "identical request ⇒ identical body");
         let parsed = snc_experiments::json::parse(&a).unwrap();
         assert_eq!(parsed.get("weighted").and_then(Json::as_bool), Some(true));

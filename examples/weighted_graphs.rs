@@ -2,23 +2,22 @@
 //!
 //! `inf-USAir97` and `eco-stmarks` are weighted graphs in the Network
 //! Repository — visible in the paper's own Table I, where `eco-stmarks`
-//! has a "cut of 1765" on a 54-vertex web. This example runs the weighted
-//! solver stack (weighted GW SDP + the same circuits, weighted Trevisan)
-//! on calibrated weighted stand-ins, bringing the measured magnitudes into
-//! the paper's range.
+//! has a "cut of 1765" on a 54-vertex web. This example runs the solver
+//! stack on calibrated weighted stand-ins — the same `solve_gw` and
+//! `sample_best_trace` as on unweighted graphs, plus the weighted
+//! Trevisan operator — bringing the measured magnitudes into the paper's
+//! range.
 //!
 //! ```text
 //! cargo run --release --example weighted_graphs
 //! ```
 
 use snc::snc_graph::EmpiricalDataset;
-use snc::snc_linalg::SdpConfig;
-use snc::snc_maxcut::weighted::{
-    sample_best_trace_weighted, solve_gw_weighted, solve_trevisan_weighted,
-    WeightedLifTrevisanCircuit,
+use snc::snc_maxcut::weighted::{solve_trevisan_weighted, WeightedLifTrevisanCircuit};
+use snc::snc_maxcut::{
+    log2_checkpoints, sample_best_trace, solve_gw, GwConfig, GwSampler, LifGwCircuit, LifGwConfig,
+    LifTrevisanConfig, RandomCutSampler,
 };
-use snc::snc_maxcut::{log2_checkpoints, GwSampler, LifGwCircuit, LifGwConfig, LifTrevisanConfig,
-    RandomCutSampler};
 
 fn main() {
     let budget = 2048;
@@ -33,22 +32,18 @@ fn main() {
 
         // Weighted GW SDP; the sampler and the LIF-GW circuit consume the
         // factor matrix exactly as in the unweighted case.
-        let sol = solve_gw_weighted(&g, &SdpConfig::default()).expect("SDP converges");
+        let sol = solve_gw(&g, &GwConfig::default()).expect("SDP converges");
         let mut software = GwSampler::new(sol.factors.clone(), 1);
-        let solver_best =
-            sample_best_trace_weighted(&mut software, &g, &checkpoints).final_best();
+        let solver_best = sample_best_trace(&mut software, &g, &checkpoints).final_best();
         let mut lif_gw = LifGwCircuit::new(&sol.factors, 2, &LifGwConfig::default());
-        let lif_gw_best =
-            sample_best_trace_weighted(&mut lif_gw, &g, &checkpoints).final_best();
+        let lif_gw_best = sample_best_trace(&mut lif_gw, &g, &checkpoints).final_best();
 
         // Weighted LIF-Trevisan: entirely online, weighted Trevisan matrix.
         let mut lif_tr = WeightedLifTrevisanCircuit::new(&g, 3, &LifTrevisanConfig::default());
-        let lif_tr_best =
-            sample_best_trace_weighted(&mut lif_tr, &g, &checkpoints).final_best();
+        let lif_tr_best = sample_best_trace(&mut lif_tr, &g, &checkpoints).final_best();
 
         let mut random = RandomCutSampler::new(g.n(), 4);
-        let random_best =
-            sample_best_trace_weighted(&mut random, &g, &checkpoints).final_best();
+        let random_best = sample_best_trace(&mut random, &g, &checkpoints).final_best();
 
         println!(
             "{:<14} {:>8} {:>12.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>12}",

@@ -12,10 +12,10 @@ use snc::snc_graph::weighted::{randomize_weights, WeightDistribution};
 use snc::snc_graph::Graph;
 use snc::snc_maxcut::sampling::CutSampler;
 use snc::snc_maxcut::{
-    solve, solve_gw, solve_weighted, BatchedHopfieldCircuit, BatchedLifAnnealedCircuit,
-    BatchedLifGwCircuit, BatchedLifTrevisanCircuit, CircuitFamily, GwConfig, HopfieldCircuit,
-    HopfieldConfig, LifAnnealedCircuit, LifAnnealedConfig, LifGwCircuit, LifGwConfig,
-    LifTrevisanCircuit, LifTrevisanConfig, SolveSpec,
+    solve, solve_gw, BatchedHopfieldCircuit, BatchedLifAnnealedCircuit, BatchedLifGwCircuit,
+    BatchedLifTrevisanCircuit, CircuitFamily, GwConfig, HopfieldCircuit, HopfieldConfig,
+    LifAnnealedCircuit, LifAnnealedConfig, LifGwCircuit, LifGwConfig, LifTrevisanCircuit,
+    LifTrevisanConfig, SolveSpec,
 };
 
 /// Strategy: a connected-ish random graph on 4–12 vertices with at
@@ -68,7 +68,7 @@ proptest! {
         }
     }
 
-    /// The same contracts on weighted graphs through `solve_weighted`
+    /// The same contracts on weighted graphs through the same `solve`
     /// (non-negative weights so all four families dispatch).
     #[test]
     fn every_family_solves_weighted_graphs_consistently(
@@ -79,7 +79,7 @@ proptest! {
             .expect("weighting");
         for family in CircuitFamily::all() {
             let s = spec(family, seed);
-            let outcome = solve_weighted(&wg, &s).expect("solve_weighted");
+            let outcome = solve(&wg, &s).expect("weighted solve");
             prop_assert_eq!(outcome.best_cut.sides().len(), wg.n());
             let recomputed = wg.cut_value(&outcome.best_cut);
             prop_assert!(
@@ -87,7 +87,7 @@ proptest! {
                 "family {:?}: reported {} vs recomputed {}",
                 family, outcome.best_value, recomputed
             );
-            let again = solve_weighted(&wg, &s).expect("solve_weighted");
+            let again = solve(&wg, &s).expect("weighted solve");
             prop_assert_eq!(outcome.best_value.to_bits(), again.best_value.to_bits());
             prop_assert_eq!(outcome.best_cut.sides(), again.best_cut.sides());
         }
