@@ -375,10 +375,10 @@ fn solve_from<G: MaxCutGraph>(
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 3), replicas);
             let mut batch = BatchedLifGwCircuit::new(&gw.factors, &seeds, &cfg);
-            let sampling_started = Instant::now();
-            let driven = drive(graph, &checkpoints, replicas, || batch.next_cuts());
-            let stages = StageTimings::sdp(sdp_us, gw.iterations, gw.capped, sampling_started);
-            Ok(driven.into_outcome(replicas, Some(gw.sdp_bound), stages))
+            let sdp = Some((&*gw, sdp_us));
+            Ok(drive(graph, &checkpoints, replicas, sdp, || {
+                batch.next_cuts()
+            }))
         }
         CircuitFamily::LifTrevisan => {
             let cfg = LifTrevisanConfig {
@@ -390,10 +390,7 @@ fn solve_from<G: MaxCutGraph>(
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 4), replicas);
             let next_cuts = graph.lif_trevisan(&seeds, &cfg)?;
-            let sampling_started = Instant::now();
-            let driven = drive(graph, &checkpoints, replicas, next_cuts);
-            let stages = StageTimings::sampling_only(sampling_started);
-            Ok(driven.into_outcome(replicas, None, stages))
+            Ok(drive(graph, &checkpoints, replicas, None, next_cuts))
         }
         CircuitFamily::LifAnnealed => {
             // The cooling schedule acts on the readout only: the factor is
@@ -411,10 +408,10 @@ fn solve_from<G: MaxCutGraph>(
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 6), replicas);
             let mut batch =
                 BatchedLifAnnealedCircuit::new(&gw.factors, graph, &seeds, &cfg, horizon);
-            let sampling_started = Instant::now();
-            let driven = drive(graph, &checkpoints, replicas, || batch.next_cuts());
-            let stages = StageTimings::sdp(sdp_us, gw.iterations, gw.capped, sampling_started);
-            Ok(driven.into_outcome(replicas, Some(gw.sdp_bound), stages))
+            let sdp = Some((&*gw, sdp_us));
+            Ok(drive(graph, &checkpoints, replicas, sdp, || {
+                batch.next_cuts()
+            }))
         }
         CircuitFamily::Hopfield => {
             let cfg = HopfieldConfig {
@@ -423,37 +420,9 @@ fn solve_from<G: MaxCutGraph>(
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 7), replicas);
             let mut batch = BatchedHopfieldCircuit::new(graph, &seeds, &cfg);
-            let sampling_started = Instant::now();
-            let driven = drive(graph, &checkpoints, replicas, || batch.next_cuts());
-            let stages = StageTimings::sampling_only(sampling_started);
-            Ok(driven.into_outcome(replicas, None, stages))
-        }
-    }
-}
-
-/// Intermediate result of [`drive`].
-struct Driven<V> {
-    trace: BestTrace<V>,
-    best_value: V,
-    best_cut: CutAssignment,
-}
-
-impl<V> Driven<V> {
-    fn into_outcome(
-        self,
-        replicas: usize,
-        sdp_bound: Option<f64>,
-        stages: StageTimings,
-    ) -> SolveOutcome<V> {
-        let samples = self.trace.checkpoints.last().copied().unwrap_or(0);
-        SolveOutcome {
-            best_value: self.best_value,
-            best_cut: self.best_cut,
-            trace: self.trace,
-            sdp_bound,
-            replicas,
-            samples,
-            stages,
+            Ok(drive(graph, &checkpoints, replicas, None, || {
+                batch.next_cuts()
+            }))
         }
     }
 }
@@ -464,13 +433,17 @@ impl<V> Driven<V> {
 /// circuits' `best_traces` on unweighted graphs), merges at each
 /// checkpoint (max over replicas, sample counts summed — the
 /// `merge_traces` semantics), and keeps the earliest partition achieving
-/// the global best.
+/// the global best. `sdp` is the offline stage the circuit was built
+/// from and its solve time (`None` when served from the cache); the
+/// sampling stage is timed from entry.
 fn drive<G: MaxCutGraph>(
     graph: &G,
     checkpoints: &[u64],
     replicas: usize,
+    sdp: Option<(&GwSolution, Option<u64>)>,
     mut next_cuts: impl FnMut() -> Vec<CutAssignment>,
-) -> Driven<G::Value> {
+) -> SolveOutcome<G::Value> {
+    let sampling_started = Instant::now();
     assert!(
         checkpoints.windows(2).all(|w| w[0] < w[1]),
         "checkpoints must be strictly ascending"
@@ -502,13 +475,22 @@ fn drive<G: MaxCutGraph>(
         merged_best.push(merged);
     }
     let (best_value, best_cut) = champion.expect("≥ 1 sample was drawn");
-    Driven {
+    let stages = match sdp {
+        Some((gw, us)) => StageTimings::sdp(us, gw.iterations, gw.capped, sampling_started),
+        None => StageTimings::sampling_only(sampling_started),
+    };
+    let checkpoints: Vec<u64> = checkpoints.iter().map(|&c| c * replicas as u64).collect();
+    SolveOutcome {
+        samples: checkpoints.last().copied().unwrap_or(0),
         trace: BestTrace {
-            checkpoints: checkpoints.iter().map(|&c| c * replicas as u64).collect(),
+            checkpoints,
             best: merged_best,
         },
         best_value,
         best_cut,
+        sdp_bound: sdp.map(|(gw, _)| gw.sdp_bound),
+        replicas,
+        stages,
     }
 }
 
