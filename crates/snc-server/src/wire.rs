@@ -65,7 +65,7 @@ use snc_graph::{EmpiricalDataset, Graph, WeightedGraph};
 use snc_maxcut::extensions::max2sat::{Clause, Literal, Max2Sat, Max2SatSolution};
 use snc_maxcut::extensions::maxdicut::{DiGraph, MaxDicutSolution};
 use snc_maxcut::{
-    CircuitFamily, CoolingSchedule, CutValue, MaxCutGraph, ScheduleKind, SolveOutcome, SolveSpec,
+    CircuitFamily, CoolingSchedule, MaxCutGraph, ScheduleKind, SolveOutcome, SolveSpec,
 };
 use snc_neuro::LifParams;
 
@@ -944,7 +944,7 @@ fn parse_weighted_triples(value: &Json) -> Result<Vec<(u64, u64, f64)>, WireErro
 
 /// How a cut value goes on the wire: exact counts as integers; weighted
 /// cuts as numbers, with a `"weighted": true` marker on the body.
-pub trait WireCutValue: CutValue {
+pub trait WireCutValue {
     /// Whether bodies carrying this value type are marked weighted.
     const WEIGHTED: bool;
     /// The value as a JSON number.
