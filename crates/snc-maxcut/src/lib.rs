@@ -64,7 +64,7 @@ pub use circuits::lif_annealed::{
 };
 pub use circuits::lif_gw::{BatchedLifGwCircuit, LifGwCircuit, LifGwConfig};
 pub use circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanCircuit, LifTrevisanConfig};
-pub use graph::{CutValue, IncrementalCut, MaxCutGraph};
+pub use graph::MaxCutGraph;
 pub use gw::{solve_gw, GwConfig, GwSampler, GwSolution};
 pub use random::RandomCutSampler;
 pub use sampling::{
