@@ -14,16 +14,25 @@
 //! correctness regression in the hot path fails the CI smoke run loudly
 //! rather than producing fast wrong numbers.
 //!
+//! A width sweep (`width_sweep_*` groups) then times both served
+//! per-replica families, LIF-Trevisan and Hopfield, batched vs sequential
+//! at R ∈ {1, 2, 8} on G(200, 0.05) and G(350, 0.1) — the sparse and
+//! dense slices of the `cold-sampling` workload — after asserting that
+//! every batched replica's cuts and final state are bit-identical to the
+//! sequential circuit's.
+//!
 //! Record results per `docs/BENCHMARKS.md` (methodology, shim caveats,
 //! and the `results/BENCH_*.json` ledger); set `CRITERION_SHIM_JSON` to
 //! capture the raw numbers without hand-copying.
 
-use bench::{fig4_smallest, paper_scale_er, sdp_factors};
+use bench::{er_graph, fig4_smallest, paper_scale_er, sdp_factors};
 use criterion::{criterion_group, criterion_main, Criterion};
 use snc_devices::{ActivityWords, DeviceModel, DevicePool, PoolSpec};
+use snc_graph::{CutAssignment, Graph};
 use snc_maxcut::{
-    log2_checkpoints, parallel_best_traces, BatchedLifGwCircuit, BatchedLifTrevisanCircuit,
-    LifGwCircuit, LifGwConfig, LifTrevisanCircuit, LifTrevisanConfig,
+    log2_checkpoints, parallel_best_traces, BatchedHopfieldCircuit, BatchedLifGwCircuit,
+    BatchedLifTrevisanCircuit, CutSampler, HopfieldCircuit, HopfieldConfig, LifGwCircuit,
+    LifGwConfig, LifTrevisanCircuit, LifTrevisanConfig,
 };
 use snc_neuro::{BatchWeights, CscWeights, DenseWeights, InputWeights};
 use std::hint::black_box;
@@ -185,6 +194,113 @@ fn csc_accumulate_paper_scale(c: &mut Criterion) {
     group.finish();
 }
 
+/// Samples drawn per replica in one width-sweep iteration.
+const SWEEP_SAMPLES: usize = 16;
+
+/// Replica widths of the sweep: the server default, the narrowest
+/// batched width, and the `cold-sampling` batched width.
+const SWEEP_WIDTHS: [usize; 3] = [1, 2, 8];
+
+/// The sweep's graphs: `cold-sampling`'s sparse and dense slices.
+fn sweep_graphs() -> [(&'static str, Graph); 2] {
+    [("g200_p005", er_graph(200, 0.05)), ("g350_p01", er_graph(350, 0.1))]
+}
+
+/// Draws `SWEEP_SAMPLES` cuts from each of `R` sequential circuits.
+fn sequential_cuts<S: CutSampler>(circuits: &mut [S]) -> Vec<Vec<CutAssignment>> {
+    circuits
+        .iter_mut()
+        .map(|c| (0..SWEEP_SAMPLES).map(|_| c.next_cut()).collect())
+        .collect()
+}
+
+/// Draws `SWEEP_SAMPLES` rounds of cuts from a batched circuit, regrouped
+/// per replica.
+fn batched_cuts(replicas: usize, mut next: impl FnMut() -> Vec<CutAssignment>) -> Vec<Vec<CutAssignment>> {
+    let mut per_replica = vec![Vec::with_capacity(SWEEP_SAMPLES); replicas];
+    for _ in 0..SWEEP_SAMPLES {
+        for (r, cut) in next().into_iter().enumerate() {
+            per_replica[r].push(cut);
+        }
+    }
+    per_replica
+}
+
+/// LIF-Trevisan and Hopfield, batched vs sequential, per graph and width.
+fn width_sweep(c: &mut Criterion) {
+    let tr_cfg = LifTrevisanConfig::default();
+    let hf_cfg = HopfieldConfig::default();
+    for (name, graph) in sweep_graphs() {
+        let graph = &graph;
+        // Loud correctness gate before any timing: same cuts, same final
+        // readout weights / potentials, bit for bit.
+        for r in SWEEP_WIDTHS {
+            let seeds = replica_seeds(r);
+            let mut seq: Vec<LifTrevisanCircuit> =
+                seeds.iter().map(|&s| LifTrevisanCircuit::new(graph, s, &tr_cfg)).collect();
+            let mut batch = BatchedLifTrevisanCircuit::new(graph, &seeds, &tr_cfg);
+            let batched = batched_cuts(r, || batch.next_cuts());
+            assert_eq!(batched, sequential_cuts(&mut seq), "LIF-TR {name} R={r}: cuts diverged");
+            for (i, circuit) in seq.iter().enumerate() {
+                let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(batch.readout_weights(i)),
+                    bits(circuit.readout_weights()),
+                    "LIF-TR {name} R={r} replica {i}: readout weights diverged"
+                );
+            }
+
+            let mut seq: Vec<HopfieldCircuit> =
+                seeds.iter().map(|&s| HopfieldCircuit::new(graph, s, &hf_cfg)).collect();
+            let mut batch = BatchedHopfieldCircuit::new(graph, &seeds, &hf_cfg);
+            let batched = batched_cuts(r, || batch.next_cuts());
+            assert_eq!(batched, sequential_cuts(&mut seq), "Hopfield {name} R={r}: cuts diverged");
+        }
+
+        let mut group = c.benchmark_group(&format!("width_sweep_lif_tr_{name}"));
+        for r in SWEEP_WIDTHS {
+            let seeds = replica_seeds(r);
+            group.bench_function(format!("sequential_R{r}"), |b| {
+                b.iter(|| {
+                    let mut seq: Vec<LifTrevisanCircuit> = seeds
+                        .iter()
+                        .map(|&s| LifTrevisanCircuit::new(graph, s, &tr_cfg))
+                        .collect();
+                    sequential_cuts(&mut seq)
+                })
+            });
+            group.bench_function(format!("batched_R{r}"), |b| {
+                b.iter(|| {
+                    let mut batch = BatchedLifTrevisanCircuit::new(graph, &seeds, &tr_cfg);
+                    batched_cuts(r, || batch.next_cuts())
+                })
+            });
+        }
+        group.finish();
+
+        let mut group = c.benchmark_group(&format!("width_sweep_hopfield_{name}"));
+        for r in SWEEP_WIDTHS {
+            let seeds = replica_seeds(r);
+            group.bench_function(format!("sequential_R{r}"), |b| {
+                b.iter(|| {
+                    let mut seq: Vec<HopfieldCircuit> = seeds
+                        .iter()
+                        .map(|&s| HopfieldCircuit::new(graph, s, &hf_cfg))
+                        .collect();
+                    sequential_cuts(&mut seq)
+                })
+            });
+            group.bench_function(format!("batched_R{r}"), |b| {
+                b.iter(|| {
+                    let mut batch = BatchedHopfieldCircuit::new(graph, &seeds, &hf_cfg);
+                    batched_cuts(r, || batch.next_cuts())
+                })
+            });
+        }
+        group.finish();
+    }
+}
+
 /// The pre-packing dense kernel, verbatim: branch per device on a bool
 /// slice, accumulate active columns. Kept here as the honest baseline for
 /// the packed-kernel claim (`accumulate_active` on the trait is now a
@@ -246,6 +362,6 @@ criterion_group! {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(3));
     targets = sequential_vs_batched, lif_tr_sequential_vs_batched,
-        csc_accumulate_paper_scale, packed_kernels
+        csc_accumulate_paper_scale, packed_kernels, width_sweep
 }
 criterion_main!(benches);

@@ -153,6 +153,9 @@ pub struct DevicePool {
     rngs: Vec<Xoshiro256pp>,
     latent_rng: Xoshiro256pp,
     common_cause: Option<CommonCause>,
+    /// Every device is [`DeviceModel::Fair`] and there is no common
+    /// cause, so [`DevicePool::step`] can take the fair-coin path.
+    all_fair: bool,
     states: ActivityWords,
     steps: u64,
 }
@@ -184,11 +187,14 @@ impl DevicePool {
             rngs.push(rng);
         }
         let latent_rng = Xoshiro256pp::new(SplitMix64::derive(seed, u64::MAX));
+        let all_fair = spec.common_cause.is_none()
+            && devices.iter().all(|d| d.model == DeviceModel::Fair);
         Ok(Self {
             devices,
             rngs,
             latent_rng,
             common_cause: spec.common_cause,
+            all_fair,
             states: ActivityWords::zeros(n),
             steps: 0,
         })
@@ -235,8 +241,24 @@ impl DevicePool {
     /// `&[bool]` implementation, so seeded trajectories are unchanged —
     /// only the container is packed. Each 64-device chunk is assembled in
     /// a register and stored with a single word write.
+    ///
+    /// A pool of only fair devices without a common cause (decided at
+    /// construction) skips the per-device model dispatch: each device's
+    /// bit is the complemented top bit of its next draw, which is exactly
+    /// `next_f64() < 0.5` and consumes the same draw.
     #[inline]
     pub fn step(&mut self) -> &ActivityWords {
+        if self.all_fair {
+            for (word_idx, rngs) in self.rngs.chunks_mut(64).enumerate() {
+                let mut word = 0u64;
+                for (bit, rng) in rngs.iter_mut().enumerate() {
+                    word |= (!rng.next_u64() >> 63) << bit;
+                }
+                self.states.set_word(word_idx, word);
+            }
+            self.steps += 1;
+            return &self.states;
+        }
         let latent = match self.common_cause {
             Some(_) => self.latent_rng.next_bool(0.5),
             None => false,
@@ -330,6 +352,25 @@ mod tests {
             let sb = b.step().to_bools();
             assert_eq!(sa[..], sb[..5]);
         }
+    }
+
+    #[test]
+    fn fair_fast_path_matches_the_general_path() {
+        // `Biased { p: 0.5 }` draws `next_f64() < 0.5` through the general
+        // loop; the fair path must produce the same words from the same
+        // draws, including across the 64-device word boundary.
+        for n in [1usize, 63, 64, 65, 200] {
+            let mut fair = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), n), 17);
+            let biased_spec = PoolSpec::uniform(DeviceModel::biased(0.5).unwrap(), n);
+            let mut biased = DevicePool::new(biased_spec, 17);
+            assert!(fair.all_fair && !biased.all_fair);
+            for step in 0..500 {
+                assert_eq!(fair.step(), biased.step(), "n={n} step {step}");
+            }
+        }
+        let cc = CommonCause::new(0.3).unwrap();
+        let coupled = PoolSpec::uniform(DeviceModel::fair(), 8).with_common_cause(cc);
+        assert!(!DevicePool::new(coupled, 1).all_fair, "a common cause needs the general path");
     }
 
     #[test]

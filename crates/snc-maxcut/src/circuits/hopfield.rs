@@ -14,7 +14,15 @@
 use crate::graph::MaxCutGraph;
 use crate::sampling::CutSampler;
 use snc_graph::CutAssignment;
-use snc_neuro::hopfield::{HopfieldNetwork, HopfieldParams};
+use snc_neuro::hopfield::{HopfieldCouplings, HopfieldNetwork, HopfieldParams};
+use std::sync::Arc;
+
+/// The graph's couplings (unit couplings on an unweighted graph) in the
+/// Hopfield slice layout.
+fn layout(graph: &impl MaxCutGraph) -> HopfieldCouplings {
+    let couplings: Vec<(u32, u32, f64)> = graph.couplings().collect();
+    HopfieldCouplings::new(graph.n(), &couplings)
+}
 
 /// Configuration of the Hopfield circuit family.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -47,9 +55,12 @@ impl HopfieldCircuit {
     /// couplings (the endpoints prefer the same side), matching the
     /// weighted cut objective.
     pub fn new(graph: &impl MaxCutGraph, seed: u64, cfg: &HopfieldConfig) -> Self {
-        let couplings: Vec<(u32, u32, f64)> = graph.couplings().collect();
+        Self::with_couplings(Arc::new(layout(graph)), seed, cfg)
+    }
+
+    fn with_couplings(couplings: Arc<HopfieldCouplings>, seed: u64, cfg: &HopfieldConfig) -> Self {
         Self {
-            net: HopfieldNetwork::new(graph.n(), &couplings, cfg.params, seed),
+            net: HopfieldNetwork::with_couplings(couplings, cfg.params, seed),
             steps_per_sample: cfg.steps_per_sample.max(1),
         }
     }
@@ -78,28 +89,29 @@ impl CutSampler for HopfieldCircuit {
 }
 
 /// `R` Hopfield relaxations advanced in lock-step — independent seeded
-/// restarts of the same deterministic descent. Replica `r`'s sample
-/// stream is *definitionally* the sequential circuit's with seed
-/// `seeds[r]` (the dynamics are deterministic and unshared), which the
-/// equivalence test below pins anyway so the family keeps the same
-/// batched-vs-sequential contract as the stochastic circuits.
+/// restarts of the same deterministic descent. The replicas share one
+/// coupling layout (built once per graph) and own only their state, so
+/// replica `r`'s sample stream is the sequential circuit's with seed
+/// `seeds[r]`; the equivalence test below pins that, so the family keeps
+/// the same batched-vs-sequential contract as the stochastic circuits.
 #[derive(Clone, Debug)]
 pub struct BatchedHopfieldCircuit {
     circuits: Vec<HopfieldCircuit>,
 }
 
 impl BatchedHopfieldCircuit {
-    /// Builds one relaxation per seed.
+    /// Builds one relaxation per seed over a shared coupling layout.
     ///
     /// # Panics
     ///
     /// Panics if `seeds` is empty.
     pub fn new(graph: &impl MaxCutGraph, seeds: &[u64], cfg: &HopfieldConfig) -> Self {
         assert!(!seeds.is_empty(), "at least one replica seed");
+        let couplings = Arc::new(layout(graph));
         Self {
             circuits: seeds
                 .iter()
-                .map(|&s| HopfieldCircuit::new(graph, s, cfg))
+                .map(|&s| HopfieldCircuit::with_couplings(Arc::clone(&couplings), s, cfg))
                 .collect(),
         }
     }
@@ -148,23 +160,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_replicas_match_sequential_circuits() {
-        let g = gnp(12, 0.5, 7).unwrap();
+    fn assert_batched_matches_sequential(g: &impl MaxCutGraph) {
         let cfg = HopfieldConfig::default();
         let seeds = [10u64, 20, 30];
-        let mut batch = BatchedHopfieldCircuit::new(&g, &seeds, &cfg);
-        assert_eq!((batch.replicas(), batch.n()), (3, 12));
+        let mut batch = BatchedHopfieldCircuit::new(g, &seeds, &cfg);
+        assert_eq!((batch.replicas(), batch.n()), (3, g.n()));
         let mut sequential: Vec<HopfieldCircuit> = seeds
             .iter()
-            .map(|&s| HopfieldCircuit::new(&g, s, &cfg))
+            .map(|&s| HopfieldCircuit::new(g, s, &cfg))
             .collect();
         for sample in 0..10 {
             let cuts = batch.next_cuts();
             for (r, circuit) in sequential.iter_mut().enumerate() {
-                assert_eq!(cuts[r], circuit.next_cut(), "sample {sample} replica {r}");
+                assert_eq!(cuts[r], circuit.next_cut(), "n={} sample {sample} replica {r}", g.n());
             }
         }
+        for (r, circuit) in batch.circuits.iter().enumerate() {
+            let (a, b) = (circuit.network(), sequential[r].network());
+            assert_eq!(a.potentials(), b.potentials(), "n={} replica {r}", g.n());
+            assert_eq!(a.energy().to_bits(), b.energy().to_bits(), "n={} replica {r}", g.n());
+        }
+    }
+
+    #[test]
+    fn batched_replicas_match_sequential_circuits() {
+        // n % 4 ∈ {0, 1, 2, 3}: full slices and each partial last slice.
+        for n in 12..16 {
+            assert_batched_matches_sequential(&gnp(n, 0.5, 7).unwrap());
+        }
+        // Signed couplings with exact zeros of both signs.
+        let g = gnp(23, 0.4, 5).unwrap();
+        let edges: Vec<(u32, u32, f64)> = g
+            .edges()
+            .enumerate()
+            .map(|(k, (u, v))| {
+                let w = match k % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => -1.5,
+                    _ => 0.25 + k as f64 * 0.125,
+                };
+                (u, v, w)
+            })
+            .collect();
+        let weighted = WeightedGraph::from_weighted_edges(g.n(), &edges).unwrap();
+        assert_batched_matches_sequential(&weighted);
     }
 
     #[test]

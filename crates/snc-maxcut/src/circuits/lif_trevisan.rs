@@ -292,41 +292,44 @@ mod tests {
     }
 
     /// Acceptance pin: batched traces are bit-for-bit the sequential
-    /// `TwoStageNetwork`-driven circuit's for seeded R ∈ {1, 8, 16}.
+    /// `TwoStageNetwork`-driven circuit's for seeded R ∈ {1, 8, 16} on
+    /// G(18, 0.3), and for R ∈ {1, 2, 3, 8, 16} on G(150, 0.05), whose
+    /// 150 devices span two full 64-device words and a partial one.
     #[test]
     fn batched_replicas_match_sequential_circuits() {
-        let g = gnp(18, 0.3, 21).unwrap();
         let cfg = LifTrevisanConfig {
             updates_per_sample: 3,
             ..LifTrevisanConfig::default()
         };
-        for r in [1usize, 8, 16] {
-            let seeds: Vec<u64> = (0..r as u64).map(|i| 0x7E71 + i * 131).collect();
-            let mut batch = BatchedLifTrevisanCircuit::new(&g, &seeds, &cfg);
-            assert_eq!(batch.replicas(), r);
-            let mut sequential: Vec<LifTrevisanCircuit> = seeds
-                .iter()
-                .map(|&s| LifTrevisanCircuit::new(&g, s, &cfg))
-                .collect();
-            for sample in 0..10 {
-                let cuts = batch.next_cuts();
-                for (i, circuit) in sequential.iter_mut().enumerate() {
-                    assert_eq!(
-                        cuts[i],
-                        circuit.next_cut(),
-                        "R={r} sample {sample} replica {i}"
-                    );
-                    for (a, b) in batch
-                        .readout_weights(i)
-                        .iter()
-                        .zip(circuit.readout_weights())
-                    {
-                        assert_eq!(a.to_bits(), b.to_bits(), "R={r} replica {i}");
-                    }
+        let small = gnp(18, 0.3, 21).unwrap();
+        let sparse = gnp(150, 0.05, 0x150).unwrap();
+        let cases = [(&small, &[1usize, 8, 16][..]), (&sparse, &[1, 2, 3, 8, 16][..])];
+        for (g, widths) in cases {
+            for &r in widths {
+                assert_batched_matches_sequential(g, r, &cfg);
+            }
+        }
+    }
+
+    fn assert_batched_matches_sequential(g: &Graph, r: usize, cfg: &LifTrevisanConfig) {
+        let seeds: Vec<u64> = (0..r as u64).map(|i| 0x7E71 + i * 131).collect();
+        let mut batch = BatchedLifTrevisanCircuit::new(g, &seeds, cfg);
+        assert_eq!(batch.replicas(), r);
+        let mut sequential: Vec<LifTrevisanCircuit> = seeds
+            .iter()
+            .map(|&s| LifTrevisanCircuit::new(g, s, cfg))
+            .collect();
+        for sample in 0..10 {
+            let cuts = batch.next_cuts();
+            for (i, circuit) in sequential.iter_mut().enumerate() {
+                let n = g.n();
+                assert_eq!(cuts[i], circuit.next_cut(), "n={n} R={r} sample {sample} replica {i}");
+                for (a, b) in batch.readout_weights(i).iter().zip(circuit.readout_weights()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} R={r} replica {i}");
                 }
             }
-            assert_eq!(batch.updates(), 30);
         }
+        assert_eq!(batch.updates(), 30);
     }
 
     #[test]

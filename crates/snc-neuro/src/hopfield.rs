@@ -19,6 +19,7 @@
 //! a trajectory is a pure function of `(couplings, params, seed)`.
 
 use snc_devices::{Rng64, Xoshiro256pp};
+use std::sync::Arc;
 
 /// Parameters of the continuous Hopfield–Tank dynamics.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -44,7 +45,122 @@ impl Default for HopfieldParams {
     }
 }
 
+/// Rows per slice of the [`HopfieldCouplings`] layout.
+const SLICE: usize = 4;
+
+/// A symmetric coupling list laid out for the Hopfield gather.
+///
+/// Rows are grouped in slices of four. A slice stores its rows' neighbor
+/// lists side by side, entry `k` of lane `l` at `4k + l` from the slice
+/// start, padded to the slice's longest row with zero couplings that point
+/// at the padded row's own unit (phantom rows past `n` point at unit 0).
+/// The gather then runs the four rows as independent accumulation chains
+/// over one contiguous run of weights and targets.
+///
+/// Each row still sums its real couplings in the order they were listed,
+/// and the padding only appends `0 · x = ±0.0` after them. That cannot
+/// change the sum: it starts at +0.0, so it never holds −0.0, and adding
+/// ±0.0 to any other value leaves it unchanged. The drives are therefore
+/// bit-identical to a plain row-by-row (CSR) walk.
+///
+/// The layout depends only on the couplings, so replicas that differ only
+/// in their seeds share one behind an [`Arc`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct HopfieldCouplings {
+    n: usize,
+    /// Slice `s` occupies `offsets[s]..offsets[s + 1]` of `targets` and
+    /// `weights`: `SLICE` lanes times the slice's padded width.
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+    weights: Vec<f64>,
+    /// Stored couplings before padding (each pair counted in both
+    /// directions).
+    nnz: usize,
+}
+
+impl HopfieldCouplings {
+    /// Lays out an undirected coupling list over `n` units; each pair is
+    /// applied in both directions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coupling endpoint is out of range. Self-couplings are
+    /// dropped (a unit does not drive itself).
+    pub fn new(n: usize, couplings: &[(u32, u32, f64)]) -> Self {
+        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+        for &(i, j, w) in couplings {
+            assert!(
+                (i as usize) < n && (j as usize) < n,
+                "coupling ({i},{j}) out of range for n={n}"
+            );
+            if i != j {
+                rows[i as usize].push((j, w));
+                rows[j as usize].push((i, w));
+            }
+        }
+        let slices = n.div_ceil(SLICE);
+        let mut offsets = Vec::with_capacity(slices + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
+        let mut weights = Vec::new();
+        for s in 0..slices {
+            let lanes = s * SLICE..((s + 1) * SLICE).min(n);
+            let width = rows[lanes.clone()].iter().map(Vec::len).max().unwrap_or(0);
+            for k in 0..width {
+                for l in 0..SLICE {
+                    let i = s * SLICE + l;
+                    let (t, w) = match rows.get(i).and_then(|row| row.get(k)) {
+                        Some(&entry) => entry,
+                        None if i < n => (i as u32, 0.0),
+                        None => (0, 0.0),
+                    };
+                    targets.push(t);
+                    weights.push(w);
+                }
+            }
+            offsets.push(targets.len());
+        }
+        Self {
+            n,
+            offsets,
+            targets,
+            weights,
+            nnz: rows.iter().map(Vec::len).sum(),
+        }
+    }
+
+    /// Number of units.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Stored couplings, each pair counted in both directions, without
+    /// the zero padding.
+    pub fn nnz(&self) -> usize {
+        self.nnz
+    }
+
+    /// The drive `Σ_j w_ij x_j` of the (up to) four rows of slice `s`.
+    #[inline]
+    fn slice_drive(&self, s: usize, x: &[f64]) -> [f64; SLICE] {
+        let range = self.offsets[s]..self.offsets[s + 1];
+        let mut acc = [0.0f64; SLICE];
+        for (t, w) in self.targets[range.clone()]
+            .chunks_exact(SLICE)
+            .zip(self.weights[range].chunks_exact(SLICE))
+        {
+            for l in 0..SLICE {
+                acc[l] += w[l] * x[t[l] as usize];
+            }
+        }
+        acc
+    }
+}
+
 /// A continuous Hopfield network over a symmetric coupling list.
+///
+/// The couplings live in a shared [`HopfieldCouplings`] slice layout; the
+/// network owns only its state (potentials and activations).
 ///
 /// # Examples
 ///
@@ -59,21 +175,16 @@ impl Default for HopfieldParams {
 /// ```
 #[derive(Clone, Debug)]
 pub struct HopfieldNetwork {
-    /// CSR offsets into `targets` / `weights`, one slice per unit.
-    offsets: Vec<usize>,
-    targets: Vec<u32>,
-    weights: Vec<f64>,
+    couplings: Arc<HopfieldCouplings>,
     params: HopfieldParams,
     u: Vec<f64>,
     x: Vec<f64>,
-    /// Scratch for the synchronous update.
-    du: Vec<f64>,
     steps: u64,
 }
 
 impl HopfieldNetwork {
-    /// Builds the network from an undirected coupling list (each pair is
-    /// applied in both directions) and seeds the initial potentials
+    /// Builds the network from an undirected coupling list (see
+    /// [`HopfieldCouplings::new`]) and seeds the initial potentials
     /// uniformly in `[−init_scale, init_scale]`.
     ///
     /// # Panics
@@ -81,50 +192,22 @@ impl HopfieldNetwork {
     /// Panics if a coupling endpoint is out of range. Self-couplings are
     /// dropped (a unit does not drive itself).
     pub fn new(n: usize, couplings: &[(u32, u32, f64)], params: HopfieldParams, seed: u64) -> Self {
-        let mut degree = vec![0usize; n];
-        for &(i, j, _) in couplings {
-            assert!(
-                (i as usize) < n && (j as usize) < n,
-                "coupling ({i},{j}) out of range for n={n}"
-            );
-            if i != j {
-                degree[i as usize] += 1;
-                degree[j as usize] += 1;
-            }
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
-        let mut targets = vec![0u32; acc];
-        let mut weights = vec![0.0f64; acc];
-        for &(i, j, w) in couplings {
-            if i == j {
-                continue;
-            }
-            for (a, b) in [(i as usize, j), (j as usize, i)] {
-                targets[cursor[a]] = b;
-                weights[cursor[a]] = w;
-                cursor[a] += 1;
-            }
-        }
+        Self::with_couplings(Arc::new(HopfieldCouplings::new(n, couplings)), params, seed)
+    }
+
+    /// Builds the network on a shared coupling layout and seeds the
+    /// initial potentials uniformly in `[−init_scale, init_scale]`.
+    pub fn with_couplings(couplings: Arc<HopfieldCouplings>, params: HopfieldParams, seed: u64) -> Self {
         let mut rng = Xoshiro256pp::new(seed);
-        let u: Vec<f64> = (0..n)
+        let u: Vec<f64> = (0..couplings.n())
             .map(|_| (2.0 * rng.next_f64() - 1.0) * params.init_scale)
             .collect();
         let x: Vec<f64> = u.iter().map(|&ui| (params.gain * ui).tanh()).collect();
         Self {
-            offsets,
-            targets,
-            weights,
+            couplings,
             params,
             u,
             x,
-            du: vec![0.0; n],
             steps: 0,
         }
     }
@@ -132,6 +215,11 @@ impl HopfieldNetwork {
     /// Number of units.
     pub fn n(&self) -> usize {
         self.u.len()
+    }
+
+    /// The coupling layout.
+    pub fn couplings(&self) -> &Arc<HopfieldCouplings> {
+        &self.couplings
     }
 
     /// Euler steps taken so far.
@@ -149,20 +237,24 @@ impl HopfieldNetwork {
         &self.u
     }
 
-    /// One synchronous forward-Euler step: every `du_i` is computed from
-    /// the *current* outputs before any potential moves.
+    /// One synchronous forward-Euler step: every drive is computed from
+    /// the *current* outputs before any output moves. Each slice's
+    /// potentials take their Euler update as soon as its drives are known;
+    /// the outputs follow in a second pass. (Computing the outputs inside
+    /// the gather pass as well measured slower: the `tanh` calls there
+    /// break up the gather loop.)
     pub fn step(&mut self) {
         let p = self.params;
-        for i in 0..self.u.len() {
-            let mut drive = 0.0;
-            for k in self.offsets[i]..self.offsets[i + 1] {
-                drive += self.weights[k] * self.x[self.targets[k] as usize];
+        let n = self.u.len();
+        for s in 0..n.div_ceil(SLICE) {
+            let drive = self.couplings.slice_drive(s, &self.x);
+            let rows = s * SLICE..((s + 1) * SLICE).min(n);
+            for (u, &d) in self.u[rows].iter_mut().zip(&drive) {
+                *u += p.dt * (-p.leak * *u - d);
             }
-            self.du[i] = p.dt * (-p.leak * self.u[i] - drive);
         }
-        for i in 0..self.u.len() {
-            self.u[i] += self.du[i];
-            self.x[i] = (p.gain * self.u[i]).tanh();
+        for (x, &u) in self.x.iter_mut().zip(&self.u) {
+            *x = (p.gain * u).tanh();
         }
         self.steps += 1;
     }
@@ -177,12 +269,15 @@ impl HopfieldNetwork {
     /// The Hopfield energy
     /// `½ Σ_ij w_ij x_i x_j + (leak/gain) Σ_i ∫₀^{x_i} atanh(s) ds`,
     /// the Lyapunov function the continuous dynamics descend (for
-    /// sufficiently small `dt`).
+    /// sufficiently small `dt`). The coupling sum walks the slice layout
+    /// row by row, so it too equals the plain row-order sum bit for bit.
     pub fn energy(&self) -> f64 {
+        let c = &*self.couplings;
         let mut coupling = 0.0;
-        for i in 0..self.u.len() {
-            for k in self.offsets[i]..self.offsets[i + 1] {
-                coupling += self.weights[k] * self.x[i] * self.x[self.targets[k] as usize];
+        for (i, &xi) in self.x.iter().enumerate() {
+            let (s, l) = (i / SLICE, i % SLICE);
+            for k in (c.offsets[s] + l..c.offsets[s + 1]).step_by(SLICE) {
+                coupling += c.weights[k] * xi * self.x[c.targets[k] as usize];
             }
         }
         let mut barrier = 0.0;
@@ -279,8 +374,8 @@ mod tests {
     fn self_couplings_are_dropped_and_bad_endpoints_panic() {
         let net = HopfieldNetwork::new(2, &[(0, 0, 5.0), (0, 1, 1.0)], HopfieldParams::default(), 1);
         assert_eq!(net.n(), 2);
-        // Only the (0,1) pair survives: two CSR entries.
-        assert_eq!(net.targets.len(), 2);
+        // Only the (0,1) pair survives: one entry in each direction.
+        assert_eq!(net.couplings().nnz(), 2);
         let bad = std::panic::catch_unwind(|| {
             HopfieldNetwork::new(2, &[(0, 7, 1.0)], HopfieldParams::default(), 1)
         });

@@ -557,6 +557,11 @@ impl BatchWeights for CscWeights {
         CscPlan::default()
     }
 
+    /// One replica delegates to [`InputWeights::accumulate_words`]. Two or
+    /// more share one traversal of the sparse structure: each column's
+    /// replica activity is staged as a 0/1 selector per lane, and every
+    /// stored entry updates its row's `R`-lane group in `[f64; 8]`
+    /// chunks plus a scalar remainder.
     fn accumulate_replicas(
         &self,
         plan: &mut CscPlan,
@@ -564,6 +569,13 @@ impl BatchWeights for CscWeights {
         out: &mut [f64],
     ) {
         let replicas = states.len();
+        if let [state] = states {
+            // One replica: the interleaved and replica-major layouts
+            // coincide and the ascending-column walk is the batched
+            // order, so the single-replica kernel is the batched kernel
+            // without the block staging and the per-column lane loop.
+            return self.accumulate_words(state, out);
+        }
         assert_eq!(out.len(), self.rows * replicas);
         for s in states {
             assert_eq!(s.len(), self.cols);
@@ -608,12 +620,34 @@ impl BatchWeights for CscWeights {
                     continue;
                 }
                 let alpha = base + bit;
-                for k in self.col_ptr[alpha]..self.col_ptr[alpha + 1] {
-                    let row = self.row_idx[k] as usize;
-                    let v = self.values[k];
-                    let lane = &mut out[row * replicas..(row + 1) * replicas];
-                    for (o, &sel) in lane.iter_mut().zip(plan.sel.iter()) {
-                        *o += v * sel;
+                let range = self.col_ptr[alpha]..self.col_ptr[alpha + 1];
+                let entries = || self.row_idx[range.clone()].iter().zip(&self.values[range.clone()]);
+                // Fixed-width lanes: each full chunk of 8 replicas holds its
+                // selectors in registers and walks the column with
+                // straight-line vector updates; the remaining replicas
+                // follow in one scalar pass. Every (row, replica) lane still
+                // adds its columns in ascending order.
+                let (sel8, sel_rest) = plan.sel.as_chunks::<8>();
+                for (chunk, &sel) in sel8.iter().enumerate() {
+                    let first = 8 * chunk;
+                    for (&row, &v) in entries() {
+                        let start = row as usize * replicas + first;
+                        let lane: &mut [f64; 8] = (&mut out[start..start + 8])
+                            .try_into()
+                            .expect("an 8-lane chunk");
+                        for (o, &s) in lane.iter_mut().zip(&sel) {
+                            *o += v * s;
+                        }
+                    }
+                }
+                if !sel_rest.is_empty() {
+                    let first = 8 * sel8.len();
+                    for (&row, &v) in entries() {
+                        let start = row as usize * replicas + first;
+                        let lane = &mut out[start..start + sel_rest.len()];
+                        for (o, &s) in lane.iter_mut().zip(sel_rest) {
+                            *o += v * s;
+                        }
                     }
                 }
             }
@@ -801,8 +835,12 @@ mod tests {
     fn csc_batch_is_bit_exact() {
         for g in [cycle(12), complete(6)] {
             let w = CscWeights::trevisan(&g, 0.9);
-            for salt in 0..4 {
-                batch_matches_sequential(&w, &replica_states(g.n(), 8, salt));
+            // R = 1 takes the single-replica kernel; 3 is all remainder
+            // lanes, 8 one full chunk, 11 a chunk plus a remainder.
+            for replicas in [1, 3, 8, 11] {
+                for salt in 0..4 {
+                    batch_matches_sequential(&w, &replica_states(g.n(), replicas, salt));
+                }
             }
         }
     }
