@@ -203,7 +203,10 @@ const SWEEP_WIDTHS: [usize; 3] = [1, 2, 8];
 
 /// The sweep's graphs: `cold-sampling`'s sparse and dense slices.
 fn sweep_graphs() -> [(&'static str, Graph); 2] {
-    [("g200_p005", er_graph(200, 0.05)), ("g350_p01", er_graph(350, 0.1))]
+    [
+        ("g200_p005", er_graph(200, 0.05)),
+        ("g350_p01", er_graph(350, 0.1)),
+    ]
 }
 
 /// Draws `SWEEP_SAMPLES` cuts from each of `R` sequential circuits.
@@ -216,7 +219,10 @@ fn sequential_cuts<S: CutSampler>(circuits: &mut [S]) -> Vec<Vec<CutAssignment>>
 
 /// Draws `SWEEP_SAMPLES` rounds of cuts from a batched circuit, regrouped
 /// per replica.
-fn batched_cuts(replicas: usize, mut next: impl FnMut() -> Vec<CutAssignment>) -> Vec<Vec<CutAssignment>> {
+fn batched_cuts(
+    replicas: usize,
+    mut next: impl FnMut() -> Vec<CutAssignment>,
+) -> Vec<Vec<CutAssignment>> {
     let mut per_replica = vec![Vec::with_capacity(SWEEP_SAMPLES); replicas];
     for _ in 0..SWEEP_SAMPLES {
         for (r, cut) in next().into_iter().enumerate() {
@@ -236,11 +242,17 @@ fn width_sweep(c: &mut Criterion) {
         // readout weights / potentials, bit for bit.
         for r in SWEEP_WIDTHS {
             let seeds = replica_seeds(r);
-            let mut seq: Vec<LifTrevisanCircuit> =
-                seeds.iter().map(|&s| LifTrevisanCircuit::new(graph, s, &tr_cfg)).collect();
+            let mut seq: Vec<LifTrevisanCircuit> = seeds
+                .iter()
+                .map(|&s| LifTrevisanCircuit::new(graph, s, &tr_cfg))
+                .collect();
             let mut batch = BatchedLifTrevisanCircuit::new(graph, &seeds, &tr_cfg);
             let batched = batched_cuts(r, || batch.next_cuts());
-            assert_eq!(batched, sequential_cuts(&mut seq), "LIF-TR {name} R={r}: cuts diverged");
+            assert_eq!(
+                batched,
+                sequential_cuts(&mut seq),
+                "LIF-TR {name} R={r}: cuts diverged"
+            );
             for (i, circuit) in seq.iter().enumerate() {
                 let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
@@ -250,11 +262,17 @@ fn width_sweep(c: &mut Criterion) {
                 );
             }
 
-            let mut seq: Vec<HopfieldCircuit> =
-                seeds.iter().map(|&s| HopfieldCircuit::new(graph, s, &hf_cfg)).collect();
+            let mut seq: Vec<HopfieldCircuit> = seeds
+                .iter()
+                .map(|&s| HopfieldCircuit::new(graph, s, &hf_cfg))
+                .collect();
             let mut batch = BatchedHopfieldCircuit::new(graph, &seeds, &hf_cfg);
             let batched = batched_cuts(r, || batch.next_cuts());
-            assert_eq!(batched, sequential_cuts(&mut seq), "Hopfield {name} R={r}: cuts diverged");
+            assert_eq!(
+                batched,
+                sequential_cuts(&mut seq),
+                "Hopfield {name} R={r}: cuts diverged"
+            );
         }
 
         let mut group = c.benchmark_group(&format!("width_sweep_lif_tr_{name}"));

@@ -187,8 +187,8 @@ impl DevicePool {
             rngs.push(rng);
         }
         let latent_rng = Xoshiro256pp::new(SplitMix64::derive(seed, u64::MAX));
-        let all_fair = spec.common_cause.is_none()
-            && devices.iter().all(|d| d.model == DeviceModel::Fair);
+        let all_fair =
+            spec.common_cause.is_none() && devices.iter().all(|d| d.model == DeviceModel::Fair);
         Ok(Self {
             devices,
             rngs,
@@ -370,7 +370,10 @@ mod tests {
         }
         let cc = CommonCause::new(0.3).unwrap();
         let coupled = PoolSpec::uniform(DeviceModel::fair(), 8).with_common_cause(cc);
-        assert!(!DevicePool::new(coupled, 1).all_fair, "a common cause needs the general path");
+        assert!(
+            !DevicePool::new(coupled, 1).all_fair,
+            "a common cause needs the general path"
+        );
     }
 
     #[test]

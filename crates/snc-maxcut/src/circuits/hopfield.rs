@@ -172,13 +172,23 @@ mod tests {
         for sample in 0..10 {
             let cuts = batch.next_cuts();
             for (r, circuit) in sequential.iter_mut().enumerate() {
-                assert_eq!(cuts[r], circuit.next_cut(), "n={} sample {sample} replica {r}", g.n());
+                assert_eq!(
+                    cuts[r],
+                    circuit.next_cut(),
+                    "n={} sample {sample} replica {r}",
+                    g.n()
+                );
             }
         }
         for (r, circuit) in batch.circuits.iter().enumerate() {
             let (a, b) = (circuit.network(), sequential[r].network());
             assert_eq!(a.potentials(), b.potentials(), "n={} replica {r}", g.n());
-            assert_eq!(a.energy().to_bits(), b.energy().to_bits(), "n={} replica {r}", g.n());
+            assert_eq!(
+                a.energy().to_bits(),
+                b.energy().to_bits(),
+                "n={} replica {r}",
+                g.n()
+            );
         }
     }
 

@@ -303,7 +303,10 @@ mod tests {
         };
         let small = gnp(18, 0.3, 21).unwrap();
         let sparse = gnp(150, 0.05, 0x150).unwrap();
-        let cases = [(&small, &[1usize, 8, 16][..]), (&sparse, &[1, 2, 3, 8, 16][..])];
+        let cases = [
+            (&small, &[1usize, 8, 16][..]),
+            (&sparse, &[1, 2, 3, 8, 16][..]),
+        ];
         for (g, widths) in cases {
             for &r in widths {
                 assert_batched_matches_sequential(g, r, &cfg);
@@ -312,6 +315,7 @@ mod tests {
     }
 
     fn assert_batched_matches_sequential(g: &Graph, r: usize, cfg: &LifTrevisanConfig) {
+        let n = g.n();
         let seeds: Vec<u64> = (0..r as u64).map(|i| 0x7E71 + i * 131).collect();
         let mut batch = BatchedLifTrevisanCircuit::new(g, &seeds, cfg);
         assert_eq!(batch.replicas(), r);
@@ -322,9 +326,16 @@ mod tests {
         for sample in 0..10 {
             let cuts = batch.next_cuts();
             for (i, circuit) in sequential.iter_mut().enumerate() {
-                let n = g.n();
-                assert_eq!(cuts[i], circuit.next_cut(), "n={n} R={r} sample {sample} replica {i}");
-                for (a, b) in batch.readout_weights(i).iter().zip(circuit.readout_weights()) {
+                assert_eq!(
+                    cuts[i],
+                    circuit.next_cut(),
+                    "n={n} R={r} sample {sample} replica {i}"
+                );
+                for (a, b) in batch
+                    .readout_weights(i)
+                    .iter()
+                    .zip(circuit.readout_weights())
+                {
                     assert_eq!(a.to_bits(), b.to_bits(), "n={n} R={r} replica {i}");
                 }
             }

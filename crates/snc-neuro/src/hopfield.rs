@@ -73,9 +73,6 @@ pub struct HopfieldCouplings {
     offsets: Vec<usize>,
     targets: Vec<u32>,
     weights: Vec<f64>,
-    /// Stored couplings before padding (each pair counted in both
-    /// directions).
-    nnz: usize,
 }
 
 impl HopfieldCouplings {
@@ -105,7 +102,7 @@ impl HopfieldCouplings {
         let mut weights = Vec::new();
         for s in 0..slices {
             let lanes = s * SLICE..((s + 1) * SLICE).min(n);
-            let width = rows[lanes.clone()].iter().map(Vec::len).max().unwrap_or(0);
+            let width = rows[lanes].iter().map(Vec::len).max().unwrap_or(0);
             for k in 0..width {
                 for l in 0..SLICE {
                     let i = s * SLICE + l;
@@ -125,19 +122,7 @@ impl HopfieldCouplings {
             offsets,
             targets,
             weights,
-            nnz: rows.iter().map(Vec::len).sum(),
         }
-    }
-
-    /// Number of units.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Stored couplings, each pair counted in both directions, without
-    /// the zero padding.
-    pub fn nnz(&self) -> usize {
-        self.nnz
     }
 
     /// The drive `Σ_j w_ij x_j` of the (up to) four rows of slice `s`.
@@ -197,9 +182,13 @@ impl HopfieldNetwork {
 
     /// Builds the network on a shared coupling layout and seeds the
     /// initial potentials uniformly in `[−init_scale, init_scale]`.
-    pub fn with_couplings(couplings: Arc<HopfieldCouplings>, params: HopfieldParams, seed: u64) -> Self {
+    pub fn with_couplings(
+        couplings: Arc<HopfieldCouplings>,
+        params: HopfieldParams,
+        seed: u64,
+    ) -> Self {
         let mut rng = Xoshiro256pp::new(seed);
-        let u: Vec<f64> = (0..couplings.n())
+        let u: Vec<f64> = (0..couplings.n)
             .map(|_| (2.0 * rng.next_f64() - 1.0) * params.init_scale)
             .collect();
         let x: Vec<f64> = u.iter().map(|&ui| (params.gain * ui).tanh()).collect();
@@ -215,11 +204,6 @@ impl HopfieldNetwork {
     /// Number of units.
     pub fn n(&self) -> usize {
         self.u.len()
-    }
-
-    /// The coupling layout.
-    pub fn couplings(&self) -> &Arc<HopfieldCouplings> {
-        &self.couplings
     }
 
     /// Euler steps taken so far.
@@ -374,8 +358,8 @@ mod tests {
     fn self_couplings_are_dropped_and_bad_endpoints_panic() {
         let net = HopfieldNetwork::new(2, &[(0, 0, 5.0), (0, 1, 1.0)], HopfieldParams::default(), 1);
         assert_eq!(net.n(), 2);
-        // Only the (0,1) pair survives: one entry in each direction.
-        assert_eq!(net.couplings().nnz(), 2);
+        // Only the (0,1) pair survives.
+        assert_eq!(*net.couplings, HopfieldCouplings::new(2, &[(0, 1, 1.0)]));
         let bad = std::panic::catch_unwind(|| {
             HopfieldNetwork::new(2, &[(0, 7, 1.0)], HopfieldParams::default(), 1)
         });

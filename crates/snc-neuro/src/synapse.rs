@@ -66,8 +66,8 @@ pub trait InputWeights {
 ///
 /// Computes the synaptic currents of `R` replicas of the same circuit in
 /// one traversal of the weight matrix, so the matrix structure — column
-/// masks, sparse indices, values — is read once per step instead of once
-/// per replica.
+/// masks, sparse indices, values — is read once per step (the CSC kernel:
+/// once per 8-replica chunk) instead of once per replica.
 ///
 /// The output layout is chosen by the weight type via
 /// [`BatchWeights::INTERLEAVED`]:
@@ -583,12 +583,12 @@ impl BatchWeights for CscWeights {
         plan.sel.resize(replicas, 0.0);
         plan.words.clear();
         out.fill(0.0);
-        // One pass over the sparse structure: each (row index, value) pair
-        // is loaded once per step and applied to every replica, instead of
-        // being re-read once per replica. The output is neuron-major
-        // interleaved, so the `R` per-row updates are one contiguous,
-        // vectorizable lane group; replica activity enters as a 0/1
-        // multiplier rather than a branch or an index list.
+        // Shared passes over the sparse structure: each (row index, value)
+        // pair is loaded once per 8-replica chunk per step and applied to
+        // the whole chunk, instead of being re-read once per replica. The
+        // output is neuron-major interleaved, so a chunk's per-row updates
+        // are one contiguous, vectorizable lane group; replica activity
+        // enters as a 0/1 multiplier rather than a branch or an index list.
         //
         // Bit-exactness of the masked add: `v * 1.0 == v` exactly, and
         // `o += v * 0.0` adds ±0.0, which cannot change `o` — the
@@ -621,7 +621,11 @@ impl BatchWeights for CscWeights {
                 }
                 let alpha = base + bit;
                 let range = self.col_ptr[alpha]..self.col_ptr[alpha + 1];
-                let entries = || self.row_idx[range.clone()].iter().zip(&self.values[range.clone()]);
+                let entries = || {
+                    self.row_idx[range.clone()]
+                        .iter()
+                        .zip(&self.values[range.clone()])
+                };
                 // Fixed-width lanes: each full chunk of 8 replicas holds its
                 // selectors in registers and walks the column with
                 // straight-line vector updates; the remaining replicas
