@@ -18,8 +18,8 @@
 //! per-replica families, LIF-Trevisan and Hopfield, batched vs sequential
 //! at R ∈ {1, 2, 8} on G(200, 0.05) and G(350, 0.1) — the sparse and
 //! dense slices of the `cold-sampling` workload — after asserting that
-//! every batched replica's cuts and final state are bit-identical to the
-//! sequential circuit's.
+//! every batched replica's cuts (and LIF-Trevisan readout weights) are
+//! bit-identical to the sequential circuit's.
 //!
 //! Record results per `docs/BENCHMARKS.md` (methodology, shim caveats,
 //! and the `results/BENCH_*.json` ledger); set `CRITERION_SHIM_JSON` to
@@ -238,8 +238,8 @@ fn width_sweep(c: &mut Criterion) {
     let hf_cfg = HopfieldConfig::default();
     for (name, graph) in sweep_graphs() {
         let graph = &graph;
-        // Loud correctness gate before any timing: same cuts, same final
-        // readout weights / potentials, bit for bit.
+        // Loud correctness gate before any timing: same cuts and, for
+        // LIF-Trevisan, same final readout weights, bit for bit.
         for r in SWEEP_WIDTHS {
             let seeds = replica_seeds(r);
             let mut seq: Vec<LifTrevisanCircuit> = seeds

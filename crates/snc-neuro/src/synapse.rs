@@ -558,10 +558,9 @@ impl BatchWeights for CscWeights {
     }
 
     /// One replica delegates to [`InputWeights::accumulate_words`]. Two or
-    /// more share one traversal of the sparse structure: each column's
-    /// replica activity is staged as a 0/1 selector per lane, and every
-    /// stored entry updates its row's `R`-lane group in `[f64; 8]`
-    /// chunks plus a scalar remainder.
+    /// more stage each column's replica activity as 0/1 selectors, then
+    /// walk the column once per 8-replica chunk (selectors held in an
+    /// `[f64; 8]`) and once more for the remaining replicas.
     fn accumulate_replicas(
         &self,
         plan: &mut CscPlan,
@@ -626,11 +625,9 @@ impl BatchWeights for CscWeights {
                         .iter()
                         .zip(&self.values[range.clone()])
                 };
-                // Fixed-width lanes: each full chunk of 8 replicas holds its
-                // selectors in registers and walks the column with
-                // straight-line vector updates; the remaining replicas
-                // follow in one scalar pass. Every (row, replica) lane still
-                // adds its columns in ascending order.
+                // Fixed-width lanes compile to straight-line vector
+                // updates. Every (row, replica) lane still adds its columns
+                // in ascending order.
                 let (sel8, sel_rest) = plan.sel.as_chunks::<8>();
                 for (chunk, &sel) in sel8.iter().enumerate() {
                     let first = 8 * chunk;
