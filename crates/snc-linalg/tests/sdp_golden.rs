@@ -145,3 +145,38 @@ fn stops_at_the_iteration_cap() {
     assert_eq!(sol.iterations, 40, "a 40-iteration cap is far below convergence");
     check("G(200, 0.05) r=4 max_iters=40", sol, 0x8921_edb5_7d6d_e6aa);
 }
+
+#[test]
+fn ranks_1_8_and_16() {
+    // The smallest rank, the ablation's 8, and the largest rank the
+    // solver accepts. At rank 1 every tangent space is {0}, so the solve
+    // stops after one gradient pass: its digest pins the initialization
+    // and the energy sum.
+    let g = gnp(150, 0.05, 0x150).unwrap();
+    let edges = edges_of(&g);
+    let r1 = solve_maxcut_sdp(g.n(), &edges, &cfg(1, 61)).unwrap();
+    check("G(150, 0.05) r=1", r1, 0x812c_66e1_e06e_2c44);
+    let r8 = solve_maxcut_sdp(g.n(), &edges, &cfg(8, 68)).unwrap();
+    check("G(150, 0.05) r=8", r8, 0x635d_58bd_ec43_b57b);
+    let r16 = solve_maxcut_sdp(g.n(), &edges, &cfg(16, 76)).unwrap();
+    check("G(150, 0.05) r=16", r16, 0x017d_da29_22ce_5316);
+}
+
+#[test]
+fn signed_couplings_rank_4() {
+    // The paper's rank on a signed G(120, 0.05) support, weights drawn
+    // from [-1, 2) as above.
+    let g = gnp(120, 0.05, 0x120).unwrap();
+    let mut rng = SplitMix64::new(0x5194);
+    let couplings: Vec<Coupling> = g
+        .edges()
+        .map(|(i, j)| Coupling {
+            i,
+            j,
+            w: 3.0 * rng.next_f64() - 1.0,
+        })
+        .collect();
+    assert!(couplings.iter().any(|c| c.w < 0.0) && couplings.iter().any(|c| c.w > 0.0));
+    let sol = solve_weighted_sdp(g.n(), &couplings, &cfg(4, 84)).unwrap();
+    check("signed G(120, 0.05) r=4", sol, 0x622f_15d4_4d64_a879);
+}
