@@ -10,7 +10,9 @@
 //!
 //! The paper fixes `r = 4` for all graphs (§IV.A); for rank-deficient optima
 //! that is enough to get within a fraction of a percent of the true SDP
-//! value on the instance sizes evaluated (n ≤ 700).
+//! value on the instance sizes evaluated (n ≤ 700). The solver takes any
+//! rank in `1..=MAX_RANK` and runs a descent compiled for that rank, so a
+//! factor row is a fixed-size array rather than a runtime-length slice.
 //!
 //! The solver accepts arbitrary signed pairwise couplings so the MAX2SAT and
 //! MAXDICUT extensions (§VI) reuse it unchanged.
@@ -31,10 +33,15 @@ pub struct Coupling {
     pub w: f64,
 }
 
+/// Largest factorization rank the solver accepts. The descent is compiled
+/// once for every rank in `1..=MAX_RANK`; the rank ablation sweeps up to
+/// 16.
+pub const MAX_RANK: usize = 16;
+
 /// Configuration for the Burer–Monteiro solver.
 #[derive(Clone, Copy, Debug)]
 pub struct SdpConfig {
-    /// Factorization rank `r` (the paper uses 4).
+    /// Factorization rank `r`, in `1..=MAX_RANK` (the paper uses 4).
     pub rank: usize,
     /// Maximum gradient iterations per restart.
     pub max_iters: usize,
@@ -107,8 +114,8 @@ impl SdpSolution {
 ///
 /// # Errors
 ///
-/// * [`LinalgError::InvalidArgument`] for `n == 0`, zero rank, or a coupling
-///   referencing an out-of-range vertex.
+/// * [`LinalgError::InvalidArgument`] for `n == 0`, a rank outside
+///   `1..=MAX_RANK`, or a coupling referencing an out-of-range vertex.
 pub fn solve_weighted_sdp(
     n: usize,
     couplings: &[Coupling],
@@ -117,42 +124,38 @@ pub fn solve_weighted_sdp(
     if n == 0 {
         return Err(LinalgError::InvalidArgument("sdp: n must be positive"));
     }
-    if cfg.rank == 0 {
-        return Err(LinalgError::InvalidArgument("sdp: rank must be positive"));
-    }
+    let descend: fn(&Adjacency, &SdpConfig, u64) -> SdpSolution = match cfg.rank {
+        1 => descend::<1>,
+        2 => descend::<2>,
+        3 => descend::<3>,
+        4 => descend::<4>,
+        5 => descend::<5>,
+        6 => descend::<6>,
+        7 => descend::<7>,
+        8 => descend::<8>,
+        9 => descend::<9>,
+        10 => descend::<10>,
+        11 => descend::<11>,
+        12 => descend::<12>,
+        13 => descend::<13>,
+        14 => descend::<14>,
+        15 => descend::<15>,
+        16 => descend::<16>,
+        _ => return Err(LinalgError::InvalidArgument("sdp: rank must be in 1..=16")),
+    };
     for c in couplings {
         if c.i as usize >= n || c.j as usize >= n {
             return Err(LinalgError::InvalidArgument("sdp: coupling vertex out of range"));
         }
     }
 
-    // Symmetric adjacency list: each undirected coupling appears from both
-    // endpoints so the gradient is a single pass.
-    let mut degree = vec![0usize; n];
-    for c in couplings {
-        degree[c.i as usize] += 1;
-        degree[c.j as usize] += 1;
-    }
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0usize);
-    for d in &degree {
-        offsets.push(offsets.last().unwrap() + d);
-    }
-    let mut neighbors: Vec<(u32, f64)> = vec![(0, 0.0); offsets[n]];
-    let mut cursor = offsets.clone();
-    for c in couplings {
-        neighbors[cursor[c.i as usize]] = (c.j, c.w);
-        cursor[c.i as usize] += 1;
-        neighbors[cursor[c.j as usize]] = (c.i, c.w);
-        cursor[c.j as usize] += 1;
-    }
-
+    let adj = Adjacency::new(n, couplings);
     let mut best: Option<SdpSolution> = None;
     let mut total_iters = 0usize;
     for restart in 0..cfg.restarts.max(1) {
         let seed = SplitMix64::derive(cfg.seed, restart as u64);
-        let (sol, iters) = descend(n, &offsets, &neighbors, cfg, seed);
-        total_iters += iters;
+        let sol = descend(&adj, cfg, seed);
+        total_iters += sol.iterations;
         match &best {
             Some(b) if b.energy <= sol.energy => {}
             _ => best = Some(sol),
@@ -180,42 +183,89 @@ pub fn solve_maxcut_sdp(
     solve_weighted_sdp(n, &couplings, cfg)
 }
 
-/// Riemannian gradient descent with Armijo backtracking from one random
-/// initialization. Returns the solution and iteration count.
-fn descend(
-    n: usize,
-    offsets: &[usize],
-    neighbors: &[(u32, f64)],
-    cfg: &SdpConfig,
-    seed: u64,
-) -> (SdpSolution, usize) {
-    let r = cfg.rank;
-    let mut rng = Xoshiro256pp::new(seed);
-    let mut v = DMatrix::zeros(n, r);
-    for i in 0..n {
-        let row = v.row_mut(i);
-        for x in row.iter_mut() {
-            *x = rng.next_f64() - 0.5;
+/// Symmetric adjacency in compressed-row form: each undirected coupling
+/// appears from both endpoints, so the gradient is a single pass.
+struct Adjacency {
+    offsets: Vec<usize>,
+    cols: Vec<u32>,
+    wts: Vec<f64>,
+}
+
+impl Adjacency {
+    /// Lists every row's neighbors in coupling order.
+    fn new(n: usize, couplings: &[Coupling]) -> Self {
+        let mut offsets = vec![0usize; n + 1];
+        for c in couplings {
+            offsets[c.i as usize + 1] += 1;
+            offsets[c.j as usize + 1] += 1;
         }
-        if vector::normalize(row) == 0.0 {
-            row[0] = 1.0;
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
         }
+        let mut cols = vec![0u32; offsets[n]];
+        let mut wts = vec![0.0; offsets[n]];
+        let mut cursor = offsets[..n].to_vec();
+        for c in couplings {
+            for (from, to) in [(c.i, c.j), (c.j, c.i)] {
+                let slot = &mut cursor[from as usize];
+                cols[*slot] = to;
+                wts[*slot] = c.w;
+                *slot += 1;
+            }
+        }
+        Self { offsets, cols, wts }
     }
 
-    let energy_of = |v: &DMatrix| -> f64 {
+    fn n(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Row `i`'s neighbors and coupling weights.
+    fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let span = self.offsets[i]..self.offsets[i + 1];
+        self.cols[span.clone()]
+            .iter()
+            .zip(&self.wts[span])
+            .map(|(&j, &w)| (j as usize, w))
+    }
+}
+
+/// Riemannian gradient descent with Armijo backtracking from one random
+/// initialization, at rank `R`.
+///
+/// The rank is a compile-time constant so every row is an `[f64; R]` the
+/// compiler unrolls and keeps in registers. The arithmetic is the same
+/// `vector` helpers in the same order at every rank, with no fused
+/// multiply-add, so the output bits do not depend on how `R` is compiled.
+fn descend<const R: usize>(adj: &Adjacency, cfg: &SdpConfig, seed: u64) -> SdpSolution {
+    let n = adj.n();
+    let mut rng = Xoshiro256pp::new(seed);
+    let mut v: Vec<[f64; R]> = (0..n)
+        .map(|_| {
+            let mut row = [0.0; R];
+            for x in &mut row {
+                *x = rng.next_f64() - 0.5;
+            }
+            if vector::normalize(&mut row) == 0.0 {
+                row[0] = 1.0;
+            }
+            row
+        })
+        .collect();
+
+    let energy_of = |v: &[[f64; R]]| -> f64 {
         // f = 1/2 Σ_i Σ_{j∈adj(i)} w_ij ⟨v_i, v_j⟩ (each edge twice).
         let mut e = 0.0;
-        for i in 0..n {
-            let vi = v.row(i);
-            for &(j, w) in &neighbors[offsets[i]..offsets[i + 1]] {
-                e += w * vector::dot(vi, v.row(j as usize));
+        for (i, vi) in v.iter().enumerate() {
+            for (j, w) in adj.row(i) {
+                e += w * vector::dot(vi, &v[j]);
             }
         }
         0.5 * e
     };
 
-    let mut grad = DMatrix::zeros(n, r);
-    let mut trial = DMatrix::zeros(n, r);
+    let mut grad = vec![[0.0; R]; n];
+    let mut trial = vec![[0.0; R]; n];
     let mut energy = energy_of(&v);
     let mut step = 0.5;
     let mut grad_norm = f64::INFINITY;
@@ -227,17 +277,16 @@ fn descend(
         // Riemannian gradient: project Σ w v_j onto the tangent space of
         // each sphere.
         let mut gn2 = 0.0;
-        for i in 0..n {
-            // Euclidean gradient for row i, accumulated in place.
-            let g = grad.row_mut(i);
-            g.fill(0.0);
-            for &(j, w) in &neighbors[offsets[i]..offsets[i + 1]] {
-                vector::axpy(w, v.row(j as usize), g);
+        for (i, (vi, gi)) in v.iter().zip(&mut grad).enumerate() {
+            // Euclidean gradient for row i, accumulated in a local row.
+            let mut g = [0.0; R];
+            for (j, w) in adj.row(i) {
+                vector::axpy(w, &v[j], &mut g);
             }
-            let vi = v.row(i);
-            let c = vector::dot(g, vi);
-            vector::axpy(-c, vi, g);
-            gn2 += vector::norm_sq(g);
+            let c = vector::dot(&g, vi);
+            vector::axpy(-c, vi, &mut g);
+            gn2 += vector::norm_sq(&g);
+            *gi = g;
         }
         grad_norm = gn2.sqrt();
         let scale = 1.0 + energy.abs();
@@ -250,13 +299,10 @@ fn descend(
         let mut eta = step;
         let mut accepted = false;
         for _ in 0..40 {
-            for i in 0..n {
-                let t = trial.row_mut(i);
-                t.copy_from_slice(v.row(i));
-                vector::axpy(-eta, grad.row(i), t);
-                if vector::normalize(t) == 0.0 {
-                    t.copy_from_slice(v.row(i));
-                }
+            for ((t, vi), gi) in trial.iter_mut().zip(&v).zip(&grad) {
+                let mut row = *vi;
+                vector::axpy(-eta, gi, &mut row);
+                *t = if vector::normalize(&mut row) == 0.0 { *vi } else { row };
             }
             let e_new = energy_of(&trial);
             if e_new <= energy - 1e-4 * eta * gn2 {
@@ -275,16 +321,13 @@ fn descend(
         }
     }
 
-    (
-        SdpSolution {
-            factors: v,
-            energy,
-            iterations: iters,
-            grad_norm,
-            capped,
-        },
-        iters,
-    )
+    SdpSolution {
+        factors: DMatrix::from_vec(n, R, v.as_flattened().to_vec()),
+        energy,
+        iterations: iters,
+        grad_norm,
+        capped,
+    }
 }
 
 #[cfg(test)]
@@ -383,6 +426,13 @@ mod tests {
         let mut c = cfg(2);
         c.rank = 0;
         assert!(solve_maxcut_sdp(2, &[(0, 1)], &c).is_err());
+        c.rank = MAX_RANK + 1;
+        assert!(matches!(
+            solve_maxcut_sdp(2, &[(0, 1)], &c),
+            Err(LinalgError::InvalidArgument(_))
+        ));
+        c.rank = MAX_RANK;
+        assert!(solve_maxcut_sdp(2, &[(0, 1)], &c).is_ok());
     }
 
     #[test]
