@@ -302,7 +302,10 @@ fn descend<const R: usize>(adj: &Adjacency, cfg: &SdpConfig, seed: u64) -> SdpSo
             for ((t, vi), gi) in trial.iter_mut().zip(&v).zip(&grad) {
                 let mut row = *vi;
                 vector::axpy(-eta, gi, &mut row);
-                *t = if vector::normalize(&mut row) == 0.0 { *vi } else { row };
+                if vector::normalize(&mut row) == 0.0 {
+                    row = *vi;
+                }
+                *t = row;
             }
             let e_new = energy_of(&trial);
             if e_new <= energy - 1e-4 * eta * gn2 {
