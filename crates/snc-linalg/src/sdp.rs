@@ -6,7 +6,16 @@
 //! Burer–Monteiro replaces the PSD matrix variable with its rank-`r` factor
 //! `V` (one row per vertex) and optimizes over the product of spheres — the
 //! same "oblique manifold" formulation the paper hands to PyManOpt. We solve
-//! it with Riemannian projected gradient descent plus Armijo backtracking.
+//! it with Riemannian gradient descent: each step moves against the
+//! tangent-space gradient and retracts by normalizing every row. Step
+//! lengths are Barzilai–Borwein estimates of the inverse curvature, and a
+//! nonmonotone Armijo line search (Grippo–Lampariello–Lucidi) accepts a
+//! step that is sufficiently below the largest of the last few energies
+//! rather than below the current one — the standard feasible method for
+//! orthogonality-constrained problems (Wen & Yin 2013, Math. Prog. 142).
+//! A solve stops when the Riemannian gradient norm falls below
+//! `grad_tol · (1 + |energy|)`, when the line search stalls, or at
+//! `max_iters`, which [`SdpSolution::capped`] reports.
 //!
 //! The paper fixes `r = 4` for all graphs (§IV.A); for rank-deficient optima
 //! that is enough to get within a fraction of a percent of the true SDP
@@ -76,9 +85,10 @@ pub struct SdpSolution {
     pub iterations: usize,
     /// Final Riemannian gradient norm (Frobenius).
     pub grad_norm: f64,
-    /// Whether the returned restart stopped at `max_iters` rather than
-    /// at the gradient tolerance or a stalled line search — its energy
-    /// is then the value of an unconverged iterate.
+    /// Whether the returned restart stopped at `max_iters` with its
+    /// gradient still above tolerance (rather than at the gradient
+    /// tolerance or a stalled line search) — its energy is then the value
+    /// of an unconverged iterate.
     pub capped: bool,
 }
 
@@ -230,13 +240,43 @@ impl Adjacency {
     }
 }
 
-/// Riemannian gradient descent with Armijo backtracking from one random
-/// initialization, at rank `R`.
+/// The first step length, and the fallback when a Barzilai–Borwein length
+/// is not finite and positive.
+const FIRST_STEP: f64 = 0.5;
+/// Bounds on every step length the line search starts from.
+const BB_MIN: f64 = 1e-8;
+const BB_MAX: f64 = 1e4;
+/// How many accepted energies the nonmonotone Armijo test looks back over.
+const NONMONOTONE_WINDOW: usize = 8;
+
+/// Turns a Euclidean gradient row into the Riemannian one at the unit row
+/// `v` by removing its radial part.
+fn project_to_tangent<const R: usize>(g: &mut [f64; R], v: &[f64; R]) {
+    let c = vector::dot(g, v);
+    vector::axpy(-c, v, g);
+}
+
+/// Riemannian Barzilai–Borwein descent with a nonmonotone line search from
+/// one random initialization, at rank `R`.
+///
+/// Each iterate `V` is a point on the product of spheres; the step moves
+/// every row against its Riemannian gradient (the Euclidean gradient
+/// `Σ_j w_ij v_j` projected onto the row's tangent space) and retracts by
+/// normalizing the row. The first step tries `η = 0.5`; later steps try a
+/// Barzilai–Borwein length from the last accepted move `s = V − V_prev`
+/// and gradient change `y = G − G_prev` in ambient coordinates,
+/// alternating `⟨s,s⟩/|⟨s,y⟩|` and `|⟨s,y⟩|/⟨y,y⟩`. A non-finite or
+/// non-positive length falls back to 0.5, and every length is clamped to
+/// `[BB_MIN, BB_MAX]`. The step is halved until the trial energy passes
+/// the Armijo test against the largest of the last `NONMONOTONE_WINDOW`
+/// accepted energies (Grippo–Lampariello–Lucidi), so single iterations
+/// may climb while the descent as a whole keeps going down; after 40
+/// halvings the solve counts as stalled. Each trial walks the adjacency
+/// once for both its energy and its Euclidean gradient, so an accepted
+/// step needs no separate gradient pass.
 ///
 /// The rank is a compile-time constant so every row is an `[f64; R]` the
-/// compiler unrolls and keeps in registers. The arithmetic is the same
-/// `vector` helpers in the same order at every rank, with no fused
-/// multiply-add, so the output bits do not depend on how `R` is compiled.
+/// compiler unrolls and keeps in registers.
 fn descend<const R: usize>(adj: &Adjacency, cfg: &SdpConfig, seed: u64) -> SdpSolution {
     let n = adj.n();
     let mut rng = Xoshiro256pp::new(seed);
@@ -253,65 +293,88 @@ fn descend<const R: usize>(adj: &Adjacency, cfg: &SdpConfig, seed: u64) -> SdpSo
         })
         .collect();
 
-    let energy_of = |v: &[[f64; R]]| -> f64 {
-        // f = 1/2 Σ_i Σ_{j∈adj(i)} w_ij ⟨v_i, v_j⟩ (each edge twice).
+    // One adjacency walk: the Euclidean gradient rows `Σ_j w_ij v_j` go
+    // to `egrad`, and the energy `½ Σ_i ⟨v_i, Σ_j w_ij v_j⟩` (each edge
+    // counted from both ends) is returned.
+    let energy_and_gradient = |v: &[[f64; R]], egrad: &mut [[f64; R]]| -> f64 {
         let mut e = 0.0;
-        for (i, vi) in v.iter().enumerate() {
+        for (i, (vi, gi)) in v.iter().zip(egrad.iter_mut()).enumerate() {
+            let mut g = [0.0; R];
             for (j, w) in adj.row(i) {
-                e += w * vector::dot(vi, &v[j]);
+                vector::axpy(w, &v[j], &mut g);
             }
+            e += vector::dot(vi, &g);
+            *gi = g;
         }
         0.5 * e
     };
 
     let mut grad = vec![[0.0; R]; n];
+    let mut energy = energy_and_gradient(&v, &mut grad);
+    let mut gn2 = 0.0;
+    for (gi, vi) in grad.iter_mut().zip(&v) {
+        project_to_tangent(gi, vi);
+        gn2 += vector::norm_sq(gi);
+    }
     let mut trial = vec![[0.0; R]; n];
-    let mut energy = energy_of(&v);
-    let mut step = 0.5;
-    let mut grad_norm = f64::INFINITY;
+    let mut egrad = vec![[0.0; R]; n];
+
+    let mut recent = [energy; NONMONOTONE_WINDOW];
+    // ⟨s,s⟩, ⟨s,y⟩ and ⟨y,y⟩ of the last accepted step; NaN before the
+    // first one, so the first step length falls back to `FIRST_STEP`.
+    let (mut ss, mut sy, mut yy) = (f64::NAN, f64::NAN, f64::NAN);
     let mut iters = 0usize;
-    let mut capped = true;
+    let mut stalled = false;
+    let converged = |gn2: f64, energy: f64| gn2.sqrt() <= cfg.grad_tol * (1.0 + energy.abs());
 
     for _ in 0..cfg.max_iters {
         iters += 1;
-        // Riemannian gradient: project Σ w v_j onto the tangent space of
-        // each sphere.
-        let mut gn2 = 0.0;
-        for (i, (vi, gi)) in v.iter().zip(&mut grad).enumerate() {
-            // Euclidean gradient for row i, accumulated in a local row.
-            let mut g = [0.0; R];
-            for (j, w) in adj.row(i) {
-                vector::axpy(w, &v[j], &mut g);
-            }
-            let c = vector::dot(&g, vi);
-            vector::axpy(-c, vi, &mut g);
-            gn2 += vector::norm_sq(&g);
-            *gi = g;
-        }
-        grad_norm = gn2.sqrt();
-        let scale = 1.0 + energy.abs();
-        if grad_norm <= cfg.grad_tol * scale {
-            capped = false;
+        if converged(gn2, energy) {
             break;
         }
 
-        // Armijo backtracking on the retracted step.
-        let mut eta = step;
+        // Iteration k follows k − 1 accepted steps. Even iterations try
+        // the long length ⟨s,s⟩/|⟨s,y⟩|, odd ones the short |⟨s,y⟩|/⟨y,y⟩.
+        let bb = if iters.is_multiple_of(2) {
+            ss / sy.abs()
+        } else {
+            sy.abs() / yy
+        };
+        let mut eta = if bb.is_finite() && bb > 0.0 {
+            bb.clamp(BB_MIN, BB_MAX)
+        } else {
+            FIRST_STEP
+        };
+        let reference = recent.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+
         let mut accepted = false;
         for _ in 0..40 {
             for ((t, vi), gi) in trial.iter_mut().zip(&v).zip(&grad) {
                 let mut row = *vi;
                 vector::axpy(-eta, gi, &mut row);
-                if vector::normalize(&mut row) == 0.0 {
-                    row = *vi;
-                }
+                // The step is tangent, so the row's norm is at least 1.
+                vector::normalize(&mut row);
                 *t = row;
             }
-            let e_new = energy_of(&trial);
-            if e_new <= energy - 1e-4 * eta * gn2 {
+            let e_new = energy_and_gradient(&trial, &mut egrad);
+            if e_new <= reference - 1e-4 * eta * gn2 {
+                (ss, sy, yy, gn2) = (0.0, 0.0, 0.0, 0.0);
+                for (((gi, ei), ti), vi) in grad.iter_mut().zip(&egrad).zip(&trial).zip(&v) {
+                    let mut g = *ei;
+                    project_to_tangent(&mut g, ti);
+                    for k in 0..R {
+                        let s = ti[k] - vi[k];
+                        let y = g[k] - gi[k];
+                        ss += s * s;
+                        sy += s * y;
+                        yy += y * y;
+                    }
+                    gn2 += vector::norm_sq(&g);
+                    *gi = g;
+                }
                 std::mem::swap(&mut v, &mut trial);
                 energy = e_new;
-                step = (eta * 1.3).min(10.0);
+                recent[iters % NONMONOTONE_WINDOW] = energy;
                 accepted = true;
                 break;
             }
@@ -319,7 +382,7 @@ fn descend<const R: usize>(adj: &Adjacency, cfg: &SdpConfig, seed: u64) -> SdpSo
         }
         if !accepted {
             // Stalled below line-search resolution.
-            capped = false;
+            stalled = true;
             break;
         }
     }
@@ -328,8 +391,8 @@ fn descend<const R: usize>(adj: &Adjacency, cfg: &SdpConfig, seed: u64) -> SdpSo
         factors: DMatrix::from_vec(n, R, v.as_flattened().to_vec()),
         energy,
         iterations: iters,
-        grad_norm,
-        capped,
+        grad_norm: gn2.sqrt(),
+        capped: !stalled && !converged(gn2, energy),
     }
 }
 

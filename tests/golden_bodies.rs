@@ -54,14 +54,14 @@ const SEED: u64 = 42;
 type Golden = (&'static str, u16, usize, u64);
 
 const GOLDEN: &[Golden] = &[
-    ("lif-gw/dataset/r1", 200, 335, 0xf8061b2fd44b4bee),
-    ("lif-gw/dataset/r8", 200, 317, 0x9350438aeeef8058),
+    ("lif-gw/dataset/r1", 200, 335, 0xcd8222ba7f06cac6),
+    ("lif-gw/dataset/r8", 200, 317, 0xd48c5ae18063a96c),
     ("lif-gw/edges/r1", 200, 229, 0x459634664077505c),
     ("lif-gw/edges/r8", 200, 214, 0xe0b5fe17143b362d),
-    ("lif-gw/gnp/r1", 200, 294, 0xb0df087514a64660),
-    ("lif-gw/gnp/r8", 200, 279, 0x8265f845b843f0d2),
-    ("lif-gw/weighted/r1", 200, 294, 0x3b44d01877e42aae),
-    ("lif-gw/weighted/r8", 200, 270, 0xbbadd3594106d783),
+    ("lif-gw/gnp/r1", 200, 294, 0x9a846b701614f5d2),
+    ("lif-gw/gnp/r8", 200, 279, 0xe7054b9250d0363b),
+    ("lif-gw/weighted/r1", 200, 294, 0x296b6a1ccd807f74),
+    ("lif-gw/weighted/r8", 200, 270, 0x227dbc3c9c78d2f5),
     ("lif-trevisan/dataset/r1", 200, 319, 0x10b8d0e765de6c9f),
     ("lif-trevisan/dataset/r8", 200, 304, 0x80a0aef69ba80112),
     ("lif-trevisan/edges/r1", 200, 229, 0x96100d5744628395),
@@ -70,14 +70,14 @@ const GOLDEN: &[Golden] = &[
     ("lif-trevisan/gnp/r8", 200, 272, 0xcbf28b5c8081f61a),
     ("lif-trevisan/weighted/r1", 200, 254, 0x6b11868048333505),
     ("lif-trevisan/weighted/r8", 200, 262, 0xb3d4740914abb1a4),
-    ("lif-annealed/dataset/r1", 200, 341, 0x6fc797c4d7a6ff56),
-    ("lif-annealed/dataset/r8", 200, 323, 0x7ca4c105b26323e0),
+    ("lif-annealed/dataset/r1", 200, 341, 0xa94c4257d17a34fe),
+    ("lif-annealed/dataset/r8", 200, 323, 0x8fd623e6257131d4),
     ("lif-annealed/edges/r1", 200, 235, 0x350d24a16eee7984),
     ("lif-annealed/edges/r8", 200, 220, 0xdb41b1bc68b84cf5),
-    ("lif-annealed/gnp/r1", 200, 300, 0xf917069085baa2a3),
-    ("lif-annealed/gnp/r8", 200, 285, 0x59ddf58ada01812a),
-    ("lif-annealed/weighted/r1", 200, 301, 0xba46b10d5c402b22),
-    ("lif-annealed/weighted/r8", 200, 276, 0xf7a490720c00c42b),
+    ("lif-annealed/gnp/r1", 200, 300, 0xe38ce39764f4ccb3),
+    ("lif-annealed/gnp/r8", 200, 285, 0x4c95c9588f6cae04),
+    ("lif-annealed/weighted/r1", 200, 301, 0x98e7f1212cc2b3fc),
+    ("lif-annealed/weighted/r8", 200, 276, 0xc1569de9b8dc491d),
     ("hopfield/dataset/r1", 200, 323, 0x63116980eb87768c),
     ("hopfield/dataset/r8", 200, 305, 0x1e7e7b8a37ff88a4),
     ("hopfield/edges/r1", 200, 233, 0x7f037c6d01b8a915),
@@ -86,10 +86,10 @@ const GOLDEN: &[Golden] = &[
     ("hopfield/gnp/r8", 200, 268, 0x83c5786b5a5dab3e),
     ("hopfield/weighted/r1", 200, 283, 0x0e57277767b038e7),
     ("hopfield/weighted/r8", 200, 258, 0xb81d4cb54a319960),
-    ("lif-gw/signed/r1", 200, 268, 0xd7e598909f1119c0),
-    ("lif-gw/signed/r8", 200, 253, 0x7758abfa33eb794e),
-    ("lif-annealed/signed/r1", 200, 274, 0xd2f70906aaa6aae8),
-    ("lif-annealed/signed/r8", 200, 259, 0xc18f965f84de35f6),
+    ("lif-gw/signed/r1", 200, 268, 0x3d9cc4f4341eca71),
+    ("lif-gw/signed/r8", 200, 253, 0x785bc66730e9a961),
+    ("lif-annealed/signed/r1", 200, 274, 0x9268fd818d3db699),
+    ("lif-annealed/signed/r8", 200, 259, 0xefffeb35eea0d709),
     ("hopfield/signed/r1", 200, 256, 0x07d8bfd936e4e7e7),
     ("hopfield/signed/r8", 200, 241, 0x832c72279423037e),
     ("lif-trevisan/signed/r1", 400, 59, 0xbb1ab2a0d8900c8e),
