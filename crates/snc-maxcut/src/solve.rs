@@ -152,7 +152,9 @@ pub struct StageTimings {
     /// Whether the SDP solved this call stopped at its iteration cap
     /// (`false` on cache hits and for families with no offline stage).
     pub sdp_capped: bool,
-    /// Time driving the stochastic circuit (sampling + trace merging).
+    /// Time from the end of the offline stage to the answer: building
+    /// the circuit and its warm-up free-run, then sampling, scoring and
+    /// trace merging.
     pub sampling_us: u64,
 }
 
@@ -369,6 +371,7 @@ fn solve_from<G: MaxCutGraph>(
     match spec.family {
         CircuitFamily::LifGw => {
             let (gw, sdp_us) = sdp_factor()?;
+            let started = Instant::now();
             let cfg = LifGwConfig {
                 lif: spec.lif,
                 ..LifGwConfig::default()
@@ -376,11 +379,12 @@ fn solve_from<G: MaxCutGraph>(
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 3), replicas);
             let mut batch = BatchedLifGwCircuit::new(&gw.factors, &seeds, &cfg);
             let sdp = Some((&*gw, sdp_us));
-            Ok(drive(graph, &checkpoints, replicas, sdp, || {
+            Ok(drive(graph, &checkpoints, replicas, started, sdp, || {
                 batch.next_cuts()
             }))
         }
         CircuitFamily::LifTrevisan => {
+            let started = Instant::now();
             let cfg = LifTrevisanConfig {
                 network: TwoStageConfig {
                     lif: spec.lif,
@@ -390,12 +394,13 @@ fn solve_from<G: MaxCutGraph>(
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 4), replicas);
             let next_cuts = graph.lif_trevisan(&seeds, &cfg)?;
-            Ok(drive(graph, &checkpoints, replicas, None, next_cuts))
+            Ok(drive(graph, &checkpoints, replicas, started, None, next_cuts))
         }
         CircuitFamily::LifAnnealed => {
             // The cooling schedule acts on the readout only: the factor is
             // LIF-GW's, cache entry included.
             let (gw, sdp_us) = sdp_factor()?;
+            let started = Instant::now();
             let cfg = LifAnnealedConfig {
                 base: LifGwConfig {
                     lif: spec.lif,
@@ -409,18 +414,19 @@ fn solve_from<G: MaxCutGraph>(
             let mut batch =
                 BatchedLifAnnealedCircuit::new(&gw.factors, graph, &seeds, &cfg, horizon);
             let sdp = Some((&*gw, sdp_us));
-            Ok(drive(graph, &checkpoints, replicas, sdp, || {
+            Ok(drive(graph, &checkpoints, replicas, started, sdp, || {
                 batch.next_cuts()
             }))
         }
         CircuitFamily::Hopfield => {
+            let started = Instant::now();
             let cfg = HopfieldConfig {
                 steps_per_sample: spec.hopfield_steps,
                 ..HopfieldConfig::default()
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 7), replicas);
             let mut batch = BatchedHopfieldCircuit::new(graph, &seeds, &cfg);
-            Ok(drive(graph, &checkpoints, replicas, None, || {
+            Ok(drive(graph, &checkpoints, replicas, started, None, || {
                 batch.next_cuts()
             }))
         }
@@ -435,15 +441,16 @@ fn solve_from<G: MaxCutGraph>(
 /// `merge_traces` semantics), and keeps the earliest partition achieving
 /// the global best. `sdp` is the offline stage the circuit was built
 /// from and its solve time (`None` when served from the cache); the
-/// sampling stage is timed from entry.
+/// sampling stage is timed from `sampling_started`, taken before the
+/// circuit was built, so construction and warm-up count as sampling.
 fn drive<G: MaxCutGraph>(
     graph: &G,
     checkpoints: &[u64],
     replicas: usize,
+    sampling_started: Instant,
     sdp: Option<(&GwSolution, Option<u64>)>,
     mut next_cuts: impl FnMut() -> Vec<CutAssignment>,
 ) -> SolveOutcome<G::Value> {
-    let sampling_started = Instant::now();
     assert!(
         checkpoints.windows(2).all(|w| w[0] < w[1]),
         "checkpoints must be strictly ascending"
