@@ -14,12 +14,22 @@
 //! bit-identical outcomes, so a determinism regression fails the CI
 //! smoke run loudly rather than producing fast wrong numbers.
 //!
+//! A second group, `solve_served_shape`, times the sampling stage at the
+//! shape a cold `/solve` request has on the server: LIF-GW and
+//! LIF-annealed on G(250, 0.05), budget 256, R = 1, with the server's LIF
+//! parameters (Δt 0.5, 10 steps per sample, where the first group's
+//! defaults take 50). The SDP is primed once through an [`SdpCache`], so
+//! each iteration builds the circuit, warms it up, samples and scores,
+//! and nothing else. Its gate asserts that the cached solve is
+//! bit-identical to a cold one.
+//!
 //! Record results per `docs/BENCHMARKS.md`; set `CRITERION_SHIM_JSON` to
 //! capture raw numbers.
 
-use bench::{fig4_smallest, BENCH_SAMPLES};
+use bench::{er_graph, fig4_smallest, BENCH_SAMPLES};
 use criterion::{criterion_group, criterion_main, Criterion};
-use snc_maxcut::{solve, CircuitFamily, SolveSpec};
+use snc_experiments::config::{ExperimentScale, SuiteConfig};
+use snc_maxcut::{solve, solve_with_cache, CircuitFamily, SdpCache, SolveSpec};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -52,12 +62,49 @@ fn solve_per_family(c: &mut Criterion) {
     group.finish();
 }
 
+/// A cold `/solve` request's spec on the server: its LIF parameters
+/// (the experiment harness's standard scale), budget 256, one replica.
+fn served_spec(family: CircuitFamily) -> SolveSpec {
+    SolveSpec {
+        lif: SuiteConfig::for_scale(ExperimentScale::Standard).lif,
+        ..SolveSpec::new(family, 256, 0x5E7E)
+    }
+}
+
+fn solve_served_shape(c: &mut Criterion) {
+    let graph = er_graph(250, 0.05);
+    let cache = SdpCache::new(4);
+    let families = [CircuitFamily::LifGw, CircuitFamily::LifAnnealed];
+
+    // Loud correctness gate, which also primes the cache: a cached solve
+    // is bit-for-bit the cold one.
+    for family in families {
+        let spec = served_spec(family);
+        let cold = solve(&graph, &spec).expect("solve");
+        let warm = solve_with_cache(&graph, &spec, Some(&cache)).expect("solve");
+        assert_eq!(cold.best_value, warm.best_value, "{family:?} best diverged");
+        assert_eq!(cold.best_cut, warm.best_cut, "{family:?} partition diverged");
+        assert_eq!(cold.trace, warm.trace, "{family:?} trace diverged");
+    }
+
+    let mut group = c.benchmark_group("solve_served_shape_n250_R1");
+    for family in families {
+        let spec = served_spec(family);
+        group.bench_function(family.name(), |b| {
+            b.iter(|| {
+                solve_with_cache(black_box(&graph), black_box(&spec), Some(&cache)).expect("solve")
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(12)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(3));
-    targets = solve_per_family
+    targets = solve_per_family, solve_served_shape
 }
 criterion_main!(benches);

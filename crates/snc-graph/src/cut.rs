@@ -54,6 +54,22 @@ impl CutAssignment {
         }
     }
 
+    /// Lane `lane` of a bit-sliced block (see [`crate::bitslice`]): bit
+    /// `lane` of `words[i]` set ⇒ `+1` side, clear ⇒ `−1` side.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= 64`.
+    pub fn from_lane(words: &[u64], lane: usize) -> Self {
+        assert!(lane < crate::bitslice::LANES, "lane out of range");
+        Self {
+            sides: words
+                .iter()
+                .map(|&w| if (w >> lane) & 1 == 1 { 1 } else { -1 })
+                .collect(),
+        }
+    }
+
     /// A uniformly random assignment — the paper's "Random" baseline.
     pub fn random(n: usize, rng: &mut impl Rng64) -> Self {
         Self {

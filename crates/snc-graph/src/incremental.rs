@@ -101,10 +101,9 @@ impl<'g> CutTracker<'g> {
 
     /// The tracked assignment.
     ///
-    /// After [`CutTracker::set_to`] / [`CutTracker::set_from_spikes`] this
-    /// equals the requested target *up to global complementation* (the
-    /// tracker flips the smaller side of the diff; cut values are invariant
-    /// under complementation).
+    /// After [`CutTracker::set_to`] this equals the requested target *up
+    /// to global complementation* (the tracker flips the smaller side of
+    /// the diff; cut values are invariant under complementation).
     pub fn assignment(&self) -> &CutAssignment {
         &self.assignment
     }
@@ -136,18 +135,6 @@ impl<'g> CutTracker<'g> {
     pub fn set_to(&mut self, target: &CutAssignment) -> u64 {
         assert_eq!(target.len(), self.graph.n(), "assignment/graph size mismatch");
         self.advance(|i| target.side(i))
-    }
-
-    /// Like [`CutTracker::set_to`], but the target is given as a spike
-    /// pattern (`true` ⇒ `+1` side), avoiding an intermediate
-    /// [`CutAssignment`] allocation in sampling hot loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spiked.len() != graph.n()`.
-    pub fn set_from_spikes(&mut self, spiked: &[bool]) -> u64 {
-        assert_eq!(spiked.len(), self.graph.n(), "assignment/graph size mismatch");
-        self.advance(|i| if spiked[i] { 1 } else { -1 })
     }
 
     fn advance(&mut self, target_side: impl Fn(usize) -> i8) -> u64 {
@@ -320,19 +307,6 @@ mod tests {
         let before = tracker.value();
         let complement = tracker.assignment().complemented();
         assert_eq!(tracker.set_to(&complement), before);
-    }
-
-    #[test]
-    fn set_from_spikes_matches_set_to() {
-        let g = complete(6);
-        let mut rng = Xoshiro256pp::new(17);
-        let mut a = CutTracker::new(&g, CutAssignment::all_ones(6));
-        let mut b = CutTracker::new(&g, CutAssignment::all_ones(6));
-        for _ in 0..50 {
-            let spikes: Vec<bool> = (0..6).map(|_| rng.next_bool(0.5)).collect();
-            let target = CutAssignment::from_spikes(&spikes);
-            assert_eq!(a.set_from_spikes(&spikes), b.set_to(&target));
-        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //!   `snc_linalg::LinOp`.
 //! * [`cut`] — cut assignments (`±1` vertex labels), cut values, and
 //!   incremental flip deltas.
+//! * [`bitslice`] — exact cut values of 64 cuts at once, from one pass
+//!   over the edges.
 //! * [`fingerprint`] — canonical order-independent 128-bit graph hashes,
 //!   the cache keys of the solve/serving layers (always paired with a
 //!   full-key comparison by consumers).
@@ -28,6 +30,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod bitslice;
 pub mod csr;
 pub mod cut;
 pub mod datasets;

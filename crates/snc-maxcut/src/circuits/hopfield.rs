@@ -12,7 +12,7 @@
 //! noise).
 
 use crate::graph::MaxCutGraph;
-use crate::sampling::CutSampler;
+use crate::sampling::{cuts_from_lane, set_lane_from_signs, CutSampler};
 use snc_graph::CutAssignment;
 use snc_neuro::hopfield::{HopfieldCouplings, HopfieldNetwork, HopfieldParams};
 use std::sync::Arc;
@@ -79,12 +79,18 @@ impl HopfieldCircuit {
     pub fn network(&self) -> &HopfieldNetwork {
         &self.net
     }
+
+    /// Integrates one sample's steps and returns the activations whose
+    /// signs are its cut.
+    fn advance(&mut self) -> &[f64] {
+        self.net.step_many(self.steps_per_sample);
+        self.net.activations()
+    }
 }
 
 impl CutSampler for HopfieldCircuit {
     fn next_cut(&mut self) -> CutAssignment {
-        self.net.step_many(self.steps_per_sample);
-        CutAssignment::from_signs(self.net.activations())
+        CutAssignment::from_signs(self.advance())
     }
 }
 
@@ -129,7 +135,24 @@ impl BatchedHopfieldCircuit {
     /// Advances all replicas to the next sample and returns one cut per
     /// replica (index `r` corresponds to `seeds[r]`).
     pub fn next_cuts(&mut self) -> Vec<CutAssignment> {
-        self.circuits.iter_mut().map(CutSampler::next_cut).collect()
+        let (n, replicas) = (self.n(), self.replicas());
+        cuts_from_lane(n, replicas, |lane, words| self.next_lane(lane, words))
+    }
+
+    /// Advances all replicas to the next sample and sets replica `r`'s
+    /// cut (positive activation ⇒ `+1`) into bit `lane` of
+    /// `words[r * n..(r + 1) * n]`, a bit-sliced block (see
+    /// [`snc_graph::bitslice`]) whose lane is clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != n · replicas`.
+    pub fn next_lane(&mut self, lane: usize, words: &mut [u64]) {
+        let n = self.n();
+        assert_eq!(words.len(), n * self.replicas(), "block length");
+        for (r, circuit) in self.circuits.iter_mut().enumerate() {
+            set_lane_from_signs(&mut words[r * n..(r + 1) * n], lane, circuit.advance());
+        }
     }
 }
 

@@ -33,7 +33,7 @@
 use crate::anneal::CoolingSchedule;
 use crate::circuits::lif_gw::LifGwConfig;
 use crate::graph::MaxCutGraph;
-use crate::sampling::CutSampler;
+use crate::sampling::{cuts_from_lane, CutSampler};
 use snc_devices::{DevicePool, PoolSpec};
 use snc_graph::CutAssignment;
 use snc_linalg::DMatrix;
@@ -123,12 +123,18 @@ impl FeedbackField {
         self.inv_norm.len()
     }
 
-    /// Writes `h` for the previous partition into `out`.
-    fn compute(&self, prev: &CutAssignment, out: &mut [f64]) {
+    /// Writes `h` for the previous partition (`true` ⇒ `+1` side) into
+    /// `out`.
+    fn compute(&self, prev: &[bool], out: &mut [f64]) {
         for i in 0..self.n() {
             let mut drive = 0.0;
             for k in self.offsets[i]..self.offsets[i + 1] {
-                drive += self.weights[k] * f64::from(prev.side(self.targets[k] as usize));
+                let side = if prev[self.targets[k] as usize] {
+                    1.0
+                } else {
+                    -1.0
+                };
+                drive += self.weights[k] * side;
             }
             out[i] = -drive * self.inv_norm[i];
         }
@@ -136,36 +142,42 @@ impl FeedbackField {
 }
 
 /// The annealed readout shared by the sequential and batched circuits:
-/// threshold `σ·z + coeff·gain·h`, with the `coeff == 0` case reduced to
-/// the exact LIF-GW spike readout `z > 0`.
-fn annealed_cut(
-    z: &[f64],
-    sigma: f64,
-    coeff: f64,
+/// the feedback field, the σ tape and the feedback gain.
+#[derive(Clone, Debug)]
+struct AnnealedReadout {
+    field: FeedbackField,
+    sigma: SigmaTape,
     gain: f64,
-    field: &FeedbackField,
-    prev: Option<&CutAssignment>,
-    h: &mut [f64],
-) -> CutAssignment {
-    if coeff == 0.0 {
-        return CutAssignment::from_signs(z);
+}
+
+impl AnnealedReadout {
+    fn new(graph: &impl MaxCutGraph, cfg: &LifAnnealedConfig, horizon: u64) -> Self {
+        Self {
+            field: FeedbackField::new(graph),
+            sigma: SigmaTape::new(&cfg.schedule, horizon),
+            gain: cfg.feedback_gain,
+        }
     }
-    match prev {
-        None => CutAssignment::from_signs(z),
-        Some(prev) => {
-            field.compute(prev, h);
-            let sides: Vec<i8> = z
-                .iter()
-                .zip(h.iter())
-                .map(|(&zi, &hi)| {
-                    if sigma * zi + coeff * gain * hi > 0.0 {
-                        1
-                    } else {
-                        -1
-                    }
-                })
-                .collect();
-            CutAssignment::from_sides(sides)
+
+    /// Reads sample `t` of one replica from its centered membranes `z`.
+    /// `sides` holds the replica's previous sample on entry (unread when
+    /// `t == 0`) and the new one on exit (`true` ⇒ `+1` side): the
+    /// threshold of `σ·z + coeff·gain·h` with `coeff = σ(0) − σ(t)`,
+    /// reduced to the exact LIF-GW spike readout `z > 0` when `coeff == 0`
+    /// and for the first sample.
+    fn read(&self, t: u64, z: &[f64], sides: &mut [bool], h: &mut [f64]) {
+        let sigma = self.sigma.at(t);
+        let coeff = self.sigma.start() - sigma;
+        if coeff == 0.0 || t == 0 {
+            for (s, &zi) in sides.iter_mut().zip(z) {
+                *s = zi > 0.0;
+            }
+        } else {
+            self.field.compute(sides, h);
+            let gain = self.gain;
+            for ((s, &zi), &hi) in sides.iter_mut().zip(z).zip(h.iter()) {
+                *s = sigma * zi + coeff * gain * hi > 0.0;
+            }
         }
     }
 }
@@ -199,10 +211,8 @@ impl SigmaTape {
 pub struct LifAnnealedCircuit {
     net: DeviceDrivenNetwork<DenseWeights>,
     decorrelate: u64,
-    field: FeedbackField,
-    sigma: SigmaTape,
-    feedback_gain: f64,
-    prev: Option<CutAssignment>,
+    readout: AnnealedReadout,
+    sides: Vec<bool>,
     t: u64,
     z: Vec<f64>,
     h: Vec<f64>,
@@ -237,10 +247,8 @@ impl LifAnnealedCircuit {
         Self {
             net,
             decorrelate,
-            field: FeedbackField::new(graph),
-            sigma: SigmaTape::new(&cfg.schedule, horizon),
-            feedback_gain: cfg.feedback_gain,
-            prev: None,
+            readout: AnnealedReadout::new(graph, cfg, horizon),
+            sides: vec![false; n],
             t: 0,
             z: vec![0.0; n],
             h: vec![0.0; n],
@@ -249,7 +257,7 @@ impl LifAnnealedCircuit {
 
     /// Number of vertices / neurons.
     pub fn n(&self) -> usize {
-        self.field.n()
+        self.readout.field.n()
     }
 
     /// Steps simulated between samples.
@@ -262,20 +270,9 @@ impl CutSampler for LifAnnealedCircuit {
     fn next_cut(&mut self) -> CutAssignment {
         self.net.step_many(self.decorrelate);
         self.net.centered_into(&mut self.z);
-        let sigma = self.sigma.at(self.t);
-        let coeff = self.sigma.start() - sigma;
-        let cut = annealed_cut(
-            &self.z,
-            sigma,
-            coeff,
-            self.feedback_gain,
-            &self.field,
-            self.prev.as_ref(),
-            &mut self.h,
-        );
-        self.prev = Some(cut.clone());
+        self.readout.read(self.t, &self.z, &mut self.sides, &mut self.h);
         self.t += 1;
-        cut
+        CutAssignment::from_spikes(&self.sides)
     }
 }
 
@@ -290,10 +287,8 @@ impl CutSampler for LifAnnealedCircuit {
 pub struct BatchedLifAnnealedCircuit {
     batch: ReplicaBatch<DenseWeights>,
     decorrelate: u64,
-    field: FeedbackField,
-    sigma: SigmaTape,
-    feedback_gain: f64,
-    prev: Vec<Option<CutAssignment>>,
+    readout: AnnealedReadout,
+    sides: Vec<bool>,
     t: u64,
     centered: Vec<f64>,
     h: Vec<f64>,
@@ -330,10 +325,8 @@ impl BatchedLifAnnealedCircuit {
         Self {
             batch,
             decorrelate,
-            field: FeedbackField::new(graph),
-            sigma: SigmaTape::new(&cfg.schedule, horizon),
-            feedback_gain: cfg.feedback_gain,
-            prev: vec![None; replicas],
+            readout: AnnealedReadout::new(graph, cfg, horizon),
+            sides: vec![false; n * replicas],
             t: 0,
             centered: vec![0.0; n * replicas],
             h: vec![0.0; n],
@@ -358,29 +351,31 @@ impl BatchedLifAnnealedCircuit {
     /// Advances all replicas to the next sample and returns one cut per
     /// replica (index `r` corresponds to `seeds[r]`).
     pub fn next_cuts(&mut self) -> Vec<CutAssignment> {
+        let (n, replicas) = (self.n(), self.replicas());
+        cuts_from_lane(n, replicas, |lane, words| self.next_lane(lane, words))
+    }
+
+    /// Advances all replicas to the next sample and sets replica `r`'s
+    /// cut into bit `lane` of `words[r * n..(r + 1) * n]`, a bit-sliced
+    /// block (see [`snc_graph::bitslice`]) whose lane is clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != n · replicas`.
+    pub fn next_lane(&mut self, lane: usize, words: &mut [u64]) {
+        let n = self.n();
+        assert_eq!(words.len(), n * self.replicas(), "block length");
         self.batch.step_many(self.decorrelate);
         self.batch.centered_into(&mut self.centered);
-        let n = self.n();
-        let sigma = self.sigma.at(self.t);
-        let coeff = self.sigma.start() - sigma;
-        let cuts: Vec<CutAssignment> = (0..self.replicas())
-            .map(|r| {
-                let z = &self.centered[r * n..(r + 1) * n];
-                let cut = annealed_cut(
-                    z,
-                    sigma,
-                    coeff,
-                    self.feedback_gain,
-                    &self.field,
-                    self.prev[r].as_ref(),
-                    &mut self.h,
-                );
-                self.prev[r] = Some(cut.clone());
-                cut
-            })
-            .collect();
+        for r in 0..self.replicas() {
+            let sides = &mut self.sides[r * n..(r + 1) * n];
+            let z = &self.centered[r * n..(r + 1) * n];
+            self.readout.read(self.t, z, sides, &mut self.h);
+            for (w, &s) in words[r * n..(r + 1) * n].iter_mut().zip(sides.iter()) {
+                *w |= u64::from(s) << lane;
+            }
+        }
         self.t += 1;
-        cuts
     }
 }
 
@@ -495,9 +490,8 @@ mod tests {
     fn weighted_field_uses_weight_magnitudes() {
         let wg = WeightedGraph::from_weighted_edges(3, &[(0, 1, 2.0), (1, 2, -1.0)]).unwrap();
         let field = FeedbackField::new(&wg);
-        let prev = CutAssignment::from_sides(vec![1, 1, -1]);
         let mut h = vec![0.0; 3];
-        field.compute(&prev, &mut h);
+        field.compute(&[true, true, false], &mut h);
         // h_0 = −(2·(+1))/2 = −1; h_1 = −(2·1 + (−1)·(−1))/3 = −1;
         // h_2 = −((−1)·1)/1 = 1.
         assert!((h[0] + 1.0).abs() < 1e-15, "{h:?}");

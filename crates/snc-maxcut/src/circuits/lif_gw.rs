@@ -13,7 +13,7 @@
 //! approximately independent — the hardware analogue of drawing fresh
 //! Gaussians.
 
-use crate::sampling::{BestTrace, CutSampler};
+use crate::sampling::{batched_best_traces, cuts_from_lane, BestTrace, CutSampler};
 use snc_devices::{CommonCause, DeviceModel, DevicePool, PoolSpec};
 use snc_graph::{CutAssignment, Graph};
 use snc_linalg::DMatrix;
@@ -192,15 +192,21 @@ impl BatchedLifGwCircuit {
     /// Advances all replicas to the next sample and returns one cut per
     /// replica (index `r` corresponds to `seeds[r]`).
     pub fn next_cuts(&mut self) -> Vec<CutAssignment> {
+        let (n, replicas) = (self.n(), self.replicas());
+        cuts_from_lane(n, replicas, |lane, words| self.next_lane(lane, words))
+    }
+
+    /// Advances all replicas to the next sample and sets replica `r`'s
+    /// cut (spiked ⇒ `+1`) into bit `lane` of `words[r * n..(r + 1) * n]`,
+    /// a bit-sliced block (see [`snc_graph::bitslice`]) whose lane is
+    /// clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != n · replicas` or `lane >= 64`.
+    pub fn next_lane(&mut self, lane: usize, words: &mut [u64]) {
         self.batch.step_many(self.decorrelate);
-        let n = self.n();
-        let mut spikes = vec![false; n];
-        (0..self.replicas())
-            .map(|r| {
-                self.batch.spiked_into(r, &mut spikes);
-                CutAssignment::from_spikes(&spikes)
-            })
-            .collect()
+        self.batch.spike_lane_into(lane, words);
     }
 
     /// Runs every replica against the shared checkpoint grid and returns
@@ -209,8 +215,8 @@ impl BatchedLifGwCircuit {
     /// [`LifGwCircuit`] factories with the same seeds, with identical
     /// output.
     ///
-    /// Cut values are maintained per replica with an incremental
-    /// [`snc_graph::CutTracker`], like the sequential sampling loop.
+    /// Samples are drawn 64 at a time and scored by one bit-sliced pass
+    /// over the edges per block ([`snc_graph::bitslice`]).
     ///
     /// # Examples
     ///
@@ -236,13 +242,8 @@ impl BatchedLifGwCircuit {
     pub fn best_traces(&mut self, graph: &Graph, checkpoints: &[u64]) -> Vec<BestTrace> {
         assert_eq!(graph.n(), self.n(), "graph/circuit size mismatch");
         let replicas = self.replicas();
-        let mut spikes = vec![false; graph.n()];
-        crate::sampling::batched_best_traces(checkpoints, replicas, |trackers, values| {
-            self.batch.step_many(self.decorrelate);
-            for (r, (tracker, value)) in trackers.iter_mut().zip(values.iter_mut()).enumerate() {
-                self.batch.spiked_into(r, &mut spikes);
-                *value = crate::sampling::tracked_value_from_spikes(tracker, graph, &spikes);
-            }
+        batched_best_traces(graph, checkpoints, replicas, |lane, words| {
+            self.next_lane(lane, words)
         })
     }
 }

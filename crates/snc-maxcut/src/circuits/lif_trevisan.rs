@@ -14,7 +14,9 @@
 //! the best-so-far curves *improve over time as learning proceeds*, the
 //! characteristic shape of the orange curves in Figs. 3–4.
 
-use crate::sampling::{BestTrace, CutSampler};
+use crate::sampling::{
+    batched_best_traces, cuts_from_lane, set_lane_from_signs, BestTrace, CutSampler,
+};
 use snc_devices::{CommonCause, DeviceModel};
 use snc_graph::{CutAssignment, Graph};
 use snc_neuro::{BatchedTwoStageNetwork, TwoStageConfig, TwoStageNetwork};
@@ -181,8 +183,26 @@ impl BatchedLifTrevisanCircuit {
     /// Advances all replicas to the next sample and returns one cut per
     /// replica (index `r` corresponds to `seeds[r]`).
     pub fn next_cuts(&mut self) -> Vec<CutAssignment> {
+        let (n, replicas) = (self.n(), self.replicas());
+        cuts_from_lane(n, replicas, |lane, words| self.next_lane(lane, words))
+    }
+
+    /// Advances all replicas to the next sample and sets replica `r`'s
+    /// cut (positive readout weight ⇒ `+1`) into bit `lane` of
+    /// `words[r * n..(r + 1) * n]`, a bit-sliced block (see
+    /// [`snc_graph::bitslice`]) whose lane is clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != n · replicas`.
+    pub fn next_lane(&mut self, lane: usize, words: &mut [u64]) {
+        let n = self.n();
+        assert_eq!(words.len(), n * self.replicas(), "block length");
         self.net.run_updates(self.updates_per_sample);
-        (0..self.replicas()).map(|r| self.current_cut(r)).collect()
+        for r in 0..self.replicas() {
+            let replica = &mut words[r * n..(r + 1) * n];
+            set_lane_from_signs(replica, lane, self.net.readout_weights(r));
+        }
     }
 
     /// Runs every replica against the shared checkpoint grid and returns
@@ -191,10 +211,8 @@ impl BatchedLifTrevisanCircuit {
     /// [`LifTrevisanCircuit`] factories with the same seeds, with
     /// identical output.
     ///
-    /// Cut values are maintained per replica with an incremental
-    /// [`snc_graph::CutTracker`], like the sequential sampling loop — a
-    /// natural fit here because consecutive LIF-TR samples differ only
-    /// where the slowly-learning readout vector changed sign.
+    /// Samples are drawn 64 at a time and scored by one bit-sliced pass
+    /// over the edges per block ([`snc_graph::bitslice`]).
     ///
     /// # Panics
     ///
@@ -203,12 +221,8 @@ impl BatchedLifTrevisanCircuit {
     pub fn best_traces(&mut self, graph: &Graph, checkpoints: &[u64]) -> Vec<BestTrace> {
         assert_eq!(graph.n(), self.n(), "graph/circuit size mismatch");
         let replicas = self.replicas();
-        crate::sampling::batched_best_traces(checkpoints, replicas, |trackers, values| {
-            self.net.run_updates(self.updates_per_sample);
-            for (r, (tracker, value)) in trackers.iter_mut().zip(values.iter_mut()).enumerate() {
-                let cut = CutAssignment::from_signs(self.net.readout_weights(r));
-                *value = crate::sampling::tracked_value(tracker, graph, &cut);
-            }
+        batched_best_traces(graph, checkpoints, replicas, |lane, words| {
+            self.next_lane(lane, words)
         })
     }
 }

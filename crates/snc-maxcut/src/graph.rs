@@ -4,16 +4,17 @@
 //! The paper states MAXCUT for any adjacency matrix `A_ij` (§II.A), so
 //! an unweighted graph is the unit-weight case of one problem.
 //! [`MaxCutGraph`] is that problem as the solvers see it: a vertex
-//! count, a coupling list, a total weight, and an incremental cut
-//! evaluator. The sampling driver, the best-so-far traces, the GW SDP
+//! count, a coupling list, a total weight, an incremental cut evaluator
+//! and a block scorer. The sampling driver, the best-so-far traces, the GW SDP
 //! and the Hopfield and LIF-annealed circuits are written once against
 //! it and instantiated twice: exact `u64` cut counts on [`Graph`] and
 //! `f64` cut weights on [`WeightedGraph`].
 
 use crate::circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanConfig};
-use crate::sampling::CutSampler;
+use crate::sampling::set_lane_from_signs;
 use crate::solve::SolveError;
 use crate::weighted::WeightedLifTrevisanCircuit;
+use snc_graph::bitslice::block_cut_values;
 use snc_graph::{CutAssignment, CutTracker, Graph, WeightedCutTracker, WeightedGraph};
 
 /// A cut value: an exact edge count (`u64`) or a cut weight (`f64`).
@@ -83,6 +84,57 @@ impl IncrementalCut for WeightedCutTracker<'_> {
     }
 }
 
+/// Scores blocks of up to 64 cuts held bit-sliced: bit `k` of
+/// `words[i]` is vertex `i`'s side in cut `k` (`1` ⇒ `+1` side), the
+/// layout of [`snc_graph::bitslice`]. A scorer serves one replica's
+/// sample stream in order, so a stateful one may diff each cut against
+/// the previous.
+pub trait BlockScorer {
+    /// The cut-value type it reports.
+    type Value;
+    /// Writes the values of the cuts in lanes `0..len` into `out[..len]`.
+    fn score(&mut self, words: &[u64], len: usize, out: &mut [Self::Value]);
+}
+
+/// The unweighted block scorer: one bit-sliced pass over the edges per
+/// block ([`block_cut_values`]), exact whatever the cuts.
+#[derive(Clone, Copy, Debug)]
+pub struct BitSlicedScorer<'g>(&'g Graph);
+
+impl BlockScorer for BitSlicedScorer<'_> {
+    type Value = u64;
+    fn score(&mut self, words: &[u64], len: usize, out: &mut [u64]) {
+        block_cut_values(self.0, words, len, out);
+    }
+}
+
+/// The weighted block scorer: each cut in turn through one lazily seeded
+/// [`WeightedCutTracker`], the same `f64` operations in the same order as
+/// scoring the stream one sample at a time.
+#[derive(Clone, Debug)]
+pub struct TrackedScorer<'g> {
+    graph: &'g WeightedGraph,
+    tracker: Option<WeightedCutTracker<'g>>,
+}
+
+impl BlockScorer for TrackedScorer<'_> {
+    type Value = f64;
+    fn score(&mut self, words: &[u64], len: usize, out: &mut [f64]) {
+        for (k, o) in out[..len].iter_mut().enumerate() {
+            let cut = CutAssignment::from_lane(words, k);
+            *o = match self.tracker.as_mut() {
+                Some(t) => t.set_to(&cut),
+                None => {
+                    let t = WeightedCutTracker::new(self.graph, cut);
+                    let v = t.value();
+                    self.tracker = Some(t);
+                    v
+                }
+            };
+        }
+    }
+}
+
 /// A MAXCUT instance: [`Graph`] (unit weights, exact `u64` cuts) or
 /// [`WeightedGraph`] (`f64` cuts).
 pub trait MaxCutGraph {
@@ -90,6 +142,10 @@ pub trait MaxCutGraph {
     type Value: CutValue;
     /// The incremental evaluator of cuts on this graph.
     type Tracker<'g>: IncrementalCut<Value = Self::Value>
+    where
+        Self: 'g;
+    /// The block scorer the solve driver uses, one per replica.
+    type Scorer<'g>: BlockScorer<Value = Self::Value>
     where
         Self: 'g;
 
@@ -104,8 +160,11 @@ pub trait MaxCutGraph {
     fn total_weight(&self) -> f64;
     /// A tracker seeded with `cut` (one scratch evaluation).
     fn tracker(&self, cut: CutAssignment) -> Self::Tracker<'_>;
-    /// The LIF-Trevisan replicas for `seeds`, as a closure drawing one
-    /// cut per replica per call.
+    /// A fresh block scorer for one replica's sample stream.
+    fn scorer(&self) -> Self::Scorer<'_>;
+    /// The LIF-Trevisan replicas for `seeds`, as a closure that draws one
+    /// cut per replica per call into lane `lane` of the replica-major
+    /// block `words` (`n` words per replica).
     ///
     /// # Errors
     ///
@@ -115,12 +174,13 @@ pub trait MaxCutGraph {
         &self,
         seeds: &[u64],
         cfg: &LifTrevisanConfig,
-    ) -> Result<impl FnMut() -> Vec<CutAssignment>, SolveError>;
+    ) -> Result<impl FnMut(usize, &mut [u64]), SolveError>;
 }
 
 impl MaxCutGraph for Graph {
     type Value = u64;
     type Tracker<'g> = CutTracker<'g>;
+    type Scorer<'g> = BitSlicedScorer<'g>;
 
     fn n(&self) -> usize {
         Graph::n(self)
@@ -137,20 +197,24 @@ impl MaxCutGraph for Graph {
     fn tracker(&self, cut: CutAssignment) -> CutTracker<'_> {
         CutTracker::new(self, cut)
     }
+    fn scorer(&self) -> BitSlicedScorer<'_> {
+        BitSlicedScorer(self)
+    }
     /// All replicas on one [`BatchedLifTrevisanCircuit`].
     fn lif_trevisan(
         &self,
         seeds: &[u64],
         cfg: &LifTrevisanConfig,
-    ) -> Result<impl FnMut() -> Vec<CutAssignment>, SolveError> {
+    ) -> Result<impl FnMut(usize, &mut [u64]), SolveError> {
         let mut batch = BatchedLifTrevisanCircuit::new(self, seeds, cfg);
-        Ok(move || batch.next_cuts())
+        Ok(move |lane: usize, words: &mut [u64]| batch.next_lane(lane, words))
     }
 }
 
 impl MaxCutGraph for WeightedGraph {
     type Value = f64;
     type Tracker<'g> = WeightedCutTracker<'g>;
+    type Scorer<'g> = TrackedScorer<'g>;
 
     fn n(&self) -> usize {
         WeightedGraph::n(self)
@@ -167,13 +231,19 @@ impl MaxCutGraph for WeightedGraph {
     fn tracker(&self, cut: CutAssignment) -> WeightedCutTracker<'_> {
         WeightedCutTracker::new(self, cut)
     }
+    fn scorer(&self) -> TrackedScorer<'_> {
+        TrackedScorer {
+            graph: self,
+            tracker: None,
+        }
+    }
     /// One sequential circuit per replica, after the non-negativity
     /// check: the batched network is built from unweighted graphs only.
     fn lif_trevisan(
         &self,
         seeds: &[u64],
         cfg: &LifTrevisanConfig,
-    ) -> Result<impl FnMut() -> Vec<CutAssignment>, SolveError> {
+    ) -> Result<impl FnMut(usize, &mut [u64]), SolveError> {
         if !self.is_nonnegative() {
             return Err(SolveError::NegativeWeights);
         }
@@ -181,6 +251,11 @@ impl MaxCutGraph for WeightedGraph {
             .iter()
             .map(|&s| WeightedLifTrevisanCircuit::new(self, s, cfg))
             .collect();
-        Ok(move || circuits.iter_mut().map(CutSampler::next_cut).collect())
+        let n = self.n();
+        Ok(move |lane: usize, words: &mut [u64]| {
+            for (r, circuit) in circuits.iter_mut().enumerate() {
+                set_lane_from_signs(&mut words[r * n..(r + 1) * n], lane, circuit.advance());
+            }
+        })
     }
 }

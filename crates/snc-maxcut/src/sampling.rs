@@ -7,7 +7,8 @@
 //! independent replicas across threads with deterministic per-replica
 //! seeds.
 
-use crate::graph::{CutValue, IncrementalCut, MaxCutGraph};
+use crate::graph::{BlockScorer, CutValue, IncrementalCut, MaxCutGraph};
+use snc_graph::bitslice::LANES;
 use snc_graph::{CutAssignment, CutTracker, Graph};
 use snc_neuro::parallel::run_replicas;
 
@@ -70,69 +71,109 @@ pub(crate) fn tracked_value<'g, G: MaxCutGraph>(
     }
 }
 
-/// Spike-pattern variant of [`tracked_value`] (avoids materializing a
-/// [`CutAssignment`] per sample after the first).
-pub(crate) fn tracked_value_from_spikes<'g>(
-    tracker: &mut Option<CutTracker<'g>>,
-    graph: &'g Graph,
-    spiked: &[bool],
-) -> u64 {
-    match tracker.as_mut() {
-        Some(t) => t.set_from_spikes(spiked),
-        None => {
-            let t = CutTracker::new(graph, CutAssignment::from_spikes(spiked));
-            let v = t.value();
-            *tracker = Some(t);
-            v
-        }
+/// Sets bit `lane` of `words[i]` where `values[i] > 0`: the sign readout
+/// of [`CutAssignment::from_signs`], written into a bit-sliced block
+/// whose lane is clear.
+pub(crate) fn set_lane_from_signs(words: &mut [u64], lane: usize, values: &[f64]) {
+    for (w, &v) in words.iter_mut().zip(values) {
+        *w |= u64::from(v > 0.0) << lane;
     }
 }
 
-/// The shared checkpoint loop of the batched multi-replica samplers
-/// (`BatchedLifGwCircuit::best_traces`,
-/// `BatchedLifTrevisanCircuit::best_traces`): draws samples up to the
-/// last checkpoint, tracking a best-so-far value per replica, and
-/// records the bests at every checkpoint.
+/// One cut per replica from a single-lane block that `next_lane` fills
+/// (`n` words per replica): the `next_cuts` of the batched circuits, on
+/// their bit-sliced readout.
+pub(crate) fn cuts_from_lane(
+    n: usize,
+    replicas: usize,
+    next_lane: impl FnOnce(usize, &mut [u64]),
+) -> Vec<CutAssignment> {
+    let mut words = vec![0u64; n * replicas];
+    next_lane(0, &mut words);
+    (0..replicas)
+        .map(|r| CutAssignment::from_lane(&words[r * n..(r + 1) * n], 0))
+        .collect()
+}
+
+/// The blocked checkpoint loop of the solve driver and the batched
+/// circuits' `best_traces`: draws samples up to the last checkpoint in
+/// blocks of up to [`LANES`] that end at checkpoints, scores each block
+/// with one [`MaxCutGraph::scorer`] per replica, and returns every
+/// replica's best-so-far value at every checkpoint.
 ///
-/// `draw_values` advances the batch by one sample and writes each
-/// replica's cut value into its slot (using the replica's lazily-seeded
-/// [`CutTracker`] to evaluate incrementally). Keeping the loop here means
-/// the circuits only supply the advance-and-read step, so the checkpoint
-/// semantics cannot drift between circuit families.
+/// `draw(lane, words)` advances every replica by one sample and sets
+/// replica `r`'s cut into lane `lane` of `words[r * n..(r + 1) * n]`;
+/// the block is zeroed before its first lane. After a block of `len`
+/// samples is scored, `visit(words, len, values)` sees it in full, with
+/// replica `r`'s value of the block's sample `k` at `values[r * LANES +
+/// k]`, before the next block overwrites it.
 ///
 /// # Panics
 ///
 /// Panics if `checkpoints` is not strictly ascending.
-pub(crate) fn batched_best_traces<'g>(
+pub(crate) fn blocked_bests<G: MaxCutGraph>(
+    graph: &G,
     checkpoints: &[u64],
     replicas: usize,
-    mut draw_values: impl FnMut(&mut [Option<CutTracker<'g>>], &mut [u64]),
-) -> Vec<BestTrace> {
+    mut draw: impl FnMut(usize, &mut [u64]),
+    mut visit: impl FnMut(&[u64], usize, &[G::Value]),
+) -> Vec<Vec<G::Value>> {
     assert!(
         checkpoints.windows(2).all(|w| w[0] < w[1]),
         "checkpoints must be strictly ascending"
     );
-    let mut trackers: Vec<Option<CutTracker<'g>>> = (0..replicas).map(|_| None).collect();
-    let mut values = vec![0u64; replicas];
-    let mut best = vec![0u64; replicas];
-    let mut out: Vec<Vec<u64>> = vec![Vec::with_capacity(checkpoints.len()); replicas];
+    let n = graph.n();
+    let mut scorers: Vec<G::Scorer<'_>> = (0..replicas).map(|_| graph.scorer()).collect();
+    let mut words = vec![0u64; replicas * n];
+    let mut values = vec![G::Value::FLOOR; replicas * LANES];
+    let mut best = vec![G::Value::FLOOR; replicas];
+    let mut out = vec![Vec::with_capacity(checkpoints.len()); replicas];
     let mut drawn = 0u64;
     for &cp in checkpoints {
         while drawn < cp {
-            draw_values(&mut trackers, &mut values);
-            for (b, &v) in best.iter_mut().zip(&values) {
-                *b = (*b).max(v);
+            let len = (cp - drawn).min(LANES as u64) as usize;
+            words.fill(0);
+            for lane in 0..len {
+                draw(lane, &mut words);
             }
-            drawn += 1;
+            for (r, scorer) in scorers.iter_mut().enumerate() {
+                let lanes = &mut values[r * LANES..(r + 1) * LANES];
+                scorer.score(&words[r * n..(r + 1) * n], len, lanes);
+                for &v in &lanes[..len] {
+                    best[r] = best[r].larger(v);
+                }
+            }
+            visit(&words, len, &values);
+            drawn += len as u64;
         }
         for (trace, &b) in out.iter_mut().zip(&best) {
             trace.push(b);
         }
     }
-    out.into_iter()
-        .map(|b| BestTrace {
+    out
+}
+
+/// One best-so-far trace per replica on an unweighted graph, from the
+/// blocked loop ([`blocked_bests`]): the shared engine of
+/// `BatchedLifGwCircuit::best_traces` and
+/// `BatchedLifTrevisanCircuit::best_traces`, so the circuits supply only
+/// the advance-and-read step and the checkpoint semantics cannot drift
+/// between circuit families.
+///
+/// # Panics
+///
+/// Panics if `checkpoints` is not strictly ascending.
+pub(crate) fn batched_best_traces(
+    graph: &Graph,
+    checkpoints: &[u64],
+    replicas: usize,
+    draw: impl FnMut(usize, &mut [u64]),
+) -> Vec<BestTrace> {
+    blocked_bests(graph, checkpoints, replicas, draw, |_, _, _| {})
+        .into_iter()
+        .map(|best| BestTrace {
             checkpoints: checkpoints.to_vec(),
-            best: b,
+            best,
         })
         .collect()
 }

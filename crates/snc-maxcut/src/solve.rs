@@ -28,8 +28,9 @@ use crate::circuits::lif_gw::{BatchedLifGwCircuit, LifGwConfig};
 use crate::circuits::lif_trevisan::LifTrevisanConfig;
 use crate::graph::{CutValue, MaxCutGraph};
 use crate::gw::{solve_gw, GwConfig, GwSolution};
-use crate::sampling::{log2_checkpoints, tracked_value, BestTrace};
+use crate::sampling::{blocked_bests, log2_checkpoints, BestTrace};
 use snc_devices::SplitMix64;
+use snc_graph::bitslice::LANES;
 use snc_graph::{CutAssignment, Graph};
 use snc_linalg::{LinalgError, SdpConfig};
 use snc_neuro::{LifParams, TwoStageConfig};
@@ -379,8 +380,8 @@ fn solve_from<G: MaxCutGraph>(
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 3), replicas);
             let mut batch = BatchedLifGwCircuit::new(&gw.factors, &seeds, &cfg);
             let sdp = Some((&*gw, sdp_us));
-            Ok(drive(graph, &checkpoints, replicas, started, sdp, || {
-                batch.next_cuts()
+            Ok(drive(graph, &checkpoints, replicas, started, sdp, |lane, words| {
+                batch.next_lane(lane, words)
             }))
         }
         CircuitFamily::LifTrevisan => {
@@ -393,8 +394,8 @@ fn solve_from<G: MaxCutGraph>(
                 ..LifTrevisanConfig::default()
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 4), replicas);
-            let next_cuts = graph.lif_trevisan(&seeds, &cfg)?;
-            Ok(drive(graph, &checkpoints, replicas, started, None, next_cuts))
+            let next_lane = graph.lif_trevisan(&seeds, &cfg)?;
+            Ok(drive(graph, &checkpoints, replicas, started, None, next_lane))
         }
         CircuitFamily::LifAnnealed => {
             // The cooling schedule acts on the readout only: the factor is
@@ -414,8 +415,8 @@ fn solve_from<G: MaxCutGraph>(
             let mut batch =
                 BatchedLifAnnealedCircuit::new(&gw.factors, graph, &seeds, &cfg, horizon);
             let sdp = Some((&*gw, sdp_us));
-            Ok(drive(graph, &checkpoints, replicas, started, sdp, || {
-                batch.next_cuts()
+            Ok(drive(graph, &checkpoints, replicas, started, sdp, |lane, words| {
+                batch.next_lane(lane, words)
             }))
         }
         CircuitFamily::Hopfield => {
@@ -426,61 +427,56 @@ fn solve_from<G: MaxCutGraph>(
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 7), replicas);
             let mut batch = BatchedHopfieldCircuit::new(graph, &seeds, &cfg);
-            Ok(drive(graph, &checkpoints, replicas, started, None, || {
-                batch.next_cuts()
+            Ok(drive(graph, &checkpoints, replicas, started, None, |lane, words| {
+                batch.next_lane(lane, words)
             }))
         }
     }
 }
 
-/// The argmax-tracking variant of the batched checkpoint loop: advances
-/// the batch one sample at a time, maintains per-replica best values
-/// with the graph's incremental trackers (values identical to the
-/// circuits' `best_traces` on unweighted graphs), merges at each
+/// The argmax-tracking variant of the blocked checkpoint loop
+/// ([`blocked_bests`]): draws up to 64 samples per replica at a time into
+/// a bit-sliced block, scores the block with the graph's
+/// [`MaxCutGraph::scorer`] (values identical to the circuits'
+/// `best_traces` on unweighted graphs), merges per-replica bests at each
 /// checkpoint (max over replicas, sample counts summed — the
 /// `merge_traces` semantics), and keeps the earliest partition achieving
-/// the global best. `sdp` is the offline stage the circuit was built
-/// from and its solve time (`None` when served from the cache); the
-/// sampling stage is timed from `sampling_started`, taken before the
-/// circuit was built, so construction and warm-up count as sampling.
+/// the global best, building it only when the champion changes. `sdp` is
+/// the offline stage the circuit was built from and its solve time
+/// (`None` when served from the cache); the sampling stage is timed from
+/// `sampling_started`, taken before the circuit was built, so
+/// construction and warm-up count as sampling.
 fn drive<G: MaxCutGraph>(
     graph: &G,
     checkpoints: &[u64],
     replicas: usize,
     sampling_started: Instant,
     sdp: Option<(&GwSolution, Option<u64>)>,
-    mut next_cuts: impl FnMut() -> Vec<CutAssignment>,
+    next_lane: impl FnMut(usize, &mut [u64]),
 ) -> SolveOutcome<G::Value> {
-    assert!(
-        checkpoints.windows(2).all(|w| w[0] < w[1]),
-        "checkpoints must be strictly ascending"
-    );
     assert!(!checkpoints.is_empty(), "budget ≥ 1 yields ≥ 1 checkpoint");
-    let mut trackers: Vec<Option<G::Tracker<'_>>> = (0..replicas).map(|_| None).collect();
-    let mut per_replica_best = vec![G::Value::FLOOR; replicas];
-    let mut merged_best = Vec::with_capacity(checkpoints.len());
+    let n = graph.n();
     // Champion: strictly-greater updates ⇒ earliest sample wins, ties
     // within a sample broken by replica index.
     let mut champion: Option<(G::Value, CutAssignment)> = None;
-    let mut drawn = 0u64;
-    for &cp in checkpoints {
-        while drawn < cp {
-            let cuts = next_cuts();
-            debug_assert_eq!(cuts.len(), replicas);
-            for (r, cut) in cuts.into_iter().enumerate() {
-                let value = tracked_value(&mut trackers[r], graph, &cut);
-                per_replica_best[r] = per_replica_best[r].larger(value);
+    let per_replica = blocked_bests(graph, checkpoints, replicas, next_lane, |words, len, values| {
+        for k in 0..len {
+            for r in 0..replicas {
+                let value = values[r * LANES + k];
                 if champion.as_ref().is_none_or(|(best, _)| value > *best) {
+                    let cut = CutAssignment::from_lane(&words[r * n..(r + 1) * n], k);
                     champion = Some((value, cut));
                 }
             }
-            drawn += 1;
         }
-        let merged = per_replica_best
-            .iter()
-            .fold(G::Value::FLOOR, |a, &b| a.larger(b));
-        merged_best.push(merged);
-    }
+    });
+    let merged_best: Vec<G::Value> = (0..checkpoints.len())
+        .map(|c| {
+            per_replica
+                .iter()
+                .fold(G::Value::FLOOR, |a, bests| a.larger(bests[c]))
+        })
+        .collect();
     let (best_value, best_cut) = champion.expect("≥ 1 sample was drawn");
     let stages = match sdp {
         Some((gw, us)) => StageTimings::sdp(us, gw.iterations, gw.capped, sampling_started),

@@ -82,10 +82,18 @@ impl WeightedLifTrevisanCircuit {
     }
 }
 
+impl WeightedLifTrevisanCircuit {
+    /// Advances to the next sample and returns the readout weights whose
+    /// signs are its cut.
+    pub(crate) fn advance(&mut self) -> &[f64] {
+        self.net.run_updates(self.updates_per_sample);
+        self.net.readout_weights()
+    }
+}
+
 impl CutSampler for WeightedLifTrevisanCircuit {
     fn next_cut(&mut self) -> CutAssignment {
-        self.net.run_updates(self.updates_per_sample);
-        CutAssignment::from_signs(self.net.readout_weights())
+        CutAssignment::from_signs(self.advance())
     }
 }
 

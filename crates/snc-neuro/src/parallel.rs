@@ -330,6 +330,37 @@ impl<W: BatchWeights> ReplicaBatch<W> {
         }
     }
 
+    /// Sets every replica's spike flags from the most recent step into
+    /// bit `lane` of `words`, **replica-major** (`words[r * neurons() +
+    /// i]`, bit set ⇒ spiked): the same flags as
+    /// [`ReplicaBatch::spiked_into`], written into a bit-sliced sample
+    /// block whose lane is clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != neurons() * replicas()` or `lane >= 64`.
+    pub fn spike_lane_into(&self, lane: usize, words: &mut [u64]) {
+        let n = self.neurons();
+        let replicas = self.replicas();
+        assert_eq!(words.len(), n * replicas, "spike word buffer length");
+        assert!(lane < 64, "lane out of range");
+        for r in 0..replicas {
+            let lane_words = &mut words[r * n..(r + 1) * n];
+            match self.reset {
+                Reset::None => {
+                    for (i, (w, &thr)) in lane_words.iter_mut().zip(&self.means).enumerate() {
+                        *w |= u64::from(self.v[self.index(i, r)] > thr) << lane;
+                    }
+                }
+                Reset::ToValue(_) => {
+                    for (i, w) in lane_words.iter_mut().enumerate() {
+                        *w |= u64::from(self.spiked[self.index(i, r)]) << lane;
+                    }
+                }
+            }
+        }
+    }
+
     /// Advances every replica one time step.
     #[inline]
     pub fn step(&mut self) {
@@ -461,8 +492,13 @@ mod tests {
             .collect();
         let n = batch.neurons();
         let mut spikes = vec![false; n];
+        let mut words = vec![0u64; n * seeds.len()];
         for t in 0..steps {
             batch.step();
+            // The bit-sliced readout carries the same flags in its lane.
+            let lane = (t % 64) as usize;
+            words.fill(0);
+            batch.spike_lane_into(lane, &mut words);
             for (r, net) in nets.iter_mut().enumerate() {
                 let seq_spikes = net.step().to_vec();
                 for i in 0..n {
@@ -474,6 +510,14 @@ mod tests {
                 }
                 batch.spiked_into(r, &mut spikes);
                 assert_eq!(seq_spikes, spikes, "t={t} replica={r}");
+                let lane_spikes: Vec<bool> = words[r * n..(r + 1) * n]
+                    .iter()
+                    .map(|&w| {
+                        assert_eq!(w & !(1 << lane), 0, "t={t}: only lane {lane} is set");
+                        w != 0
+                    })
+                    .collect();
+                assert_eq!(lane_spikes, spikes, "t={t} replica={r} lane {lane}");
             }
         }
         assert_eq!(batch.steps(), steps);
