@@ -68,7 +68,9 @@ impl Default for LifAnnealedConfig {
 struct FeedbackField {
     offsets: Vec<usize>,
     targets: Vec<u32>,
-    weights: Vec<f64>,
+    /// The coupling weights, or `None` when every weight is 1: then the
+    /// drive `Σ_j s_j` is a count of neighbours per side.
+    weights: Option<Vec<f64>>,
     inv_norm: Vec<f64>,
 }
 
@@ -111,10 +113,11 @@ impl FeedbackField {
                 }
             })
             .collect();
+        let unit = weights.iter().all(|&w| w == 1.0);
         Self {
             offsets,
             targets,
-            weights,
+            weights: (!unit).then_some(weights),
             inv_norm,
         }
     }
@@ -125,17 +128,36 @@ impl FeedbackField {
 
     /// Writes `h` for the previous partition (`true` ⇒ `+1` side) into
     /// `out`.
+    ///
+    /// With unit weights the drive is `(#plus − #minus)` neighbours,
+    /// counted in integers and converted once. That is the `f64` sum of
+    /// `1.0 × (±1.0)` terms bit for bit: every partial sum is a small
+    /// integer, so no term rounds, and a balanced neighbourhood gives
+    /// `+0.0` either way (so `h_i = −0.0` in both).
     fn compute(&self, prev: &[bool], out: &mut [f64]) {
         for i in 0..self.n() {
-            let mut drive = 0.0;
-            for k in self.offsets[i]..self.offsets[i + 1] {
-                let side = if prev[self.targets[k] as usize] {
-                    1.0
-                } else {
-                    -1.0
-                };
-                drive += self.weights[k] * side;
-            }
+            let range = self.offsets[i]..self.offsets[i + 1];
+            let drive = match &self.weights {
+                None => {
+                    let plus: usize = self.targets[range.clone()]
+                        .iter()
+                        .map(|&j| usize::from(prev[j as usize]))
+                        .sum();
+                    (2 * plus as i64 - range.len() as i64) as f64
+                }
+                Some(weights) => {
+                    let mut drive = 0.0;
+                    for k in range {
+                        let side = if prev[self.targets[k] as usize] {
+                            1.0
+                        } else {
+                            -1.0
+                        };
+                        drive += weights[k] * side;
+                    }
+                    drive
+                }
+            };
             out[i] = -drive * self.inv_norm[i];
         }
     }
@@ -382,6 +404,7 @@ impl BatchedLifAnnealedCircuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snc_devices::Rng64;
     use crate::circuits::lif_gw::BatchedLifGwCircuit;
     use crate::gw::{solve_gw, GwConfig};
     use snc_graph::generators::erdos_renyi::gnp;
@@ -484,6 +507,34 @@ mod tests {
         };
         let mut lin = LifAnnealedCircuit::new(&factors, &g, 11, &linear_cfg, 32);
         assert_eq!(geo.next_cut(), lin.next_cut(), "t=0 readouts agree");
+    }
+
+    #[test]
+    fn integer_field_matches_the_unit_weight_f64_sum_bit_for_bit() {
+        // The integer neighbour count must give exactly the bits the f64
+        // loop gives on unit weights, −0.0 of balanced neighbourhoods and
+        // of isolated vertices included.
+        // Vertices 60 and 61 are isolated.
+        let base = gnp(60, 0.08, 4).unwrap();
+        let g = Graph::from_edges(62, &base.edges().collect::<Vec<_>>()).unwrap();
+        let counted = FeedbackField::new(&g);
+        assert!(counted.weights.is_none(), "unit weights take the integer path");
+        let summed = FeedbackField {
+            weights: Some(vec![1.0; counted.targets.len()]),
+            ..counted.clone()
+        };
+        let mut rng = snc_devices::Xoshiro256pp::new(8);
+        let (mut a, mut b) = (vec![0.0; 62], vec![0.0; 62]);
+        let mut negative_zeros = 0;
+        for _ in 0..200 {
+            let prev: Vec<bool> = (0..62).map(|_| rng.next_bool(0.5)).collect();
+            counted.compute(&prev, &mut a);
+            summed.compute(&prev, &mut b);
+            let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b));
+            negative_zeros += a.iter().filter(|x| x.to_bits() == (-0.0f64).to_bits()).count();
+        }
+        assert!(negative_zeros > 400, "balanced and isolated vertices occur");
     }
 
     #[test]
