@@ -69,9 +69,27 @@ struct FeedbackField {
     offsets: Vec<usize>,
     targets: Vec<u32>,
     /// The coupling weights, or `None` when every weight is 1: then the
-    /// drive `Σ_j s_j` is a count of neighbours per side.
+    /// drive `Σ_j s_j` is an integer kept per vertex ([`Previous`]).
     weights: Option<Vec<f64>>,
     inv_norm: Vec<f64>,
+}
+
+/// One replica's previous sample (`true` ⇒ `+1` side) and, on unit
+/// weights while the next sample reads the field, each vertex's integer
+/// drive `Σ_j s_j` over it.
+#[derive(Clone, Debug)]
+struct Previous {
+    sides: Vec<bool>,
+    drive: Option<Vec<i64>>,
+}
+
+impl Previous {
+    fn new(n: usize) -> Self {
+        Self {
+            sides: vec![false; n],
+            drive: None,
+        }
+    }
 }
 
 impl FeedbackField {
@@ -126,40 +144,74 @@ impl FeedbackField {
         self.inv_norm.len()
     }
 
-    /// Writes `h` for the previous partition (`true` ⇒ `+1` side) into
-    /// `out`.
+    fn neighbors(&self, i: usize) -> &[u32] {
+        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Writes `h` for the previous partition into `out`.
     ///
-    /// With unit weights the drive is `(#plus − #minus)` neighbours,
-    /// counted in integers and converted once. That is the `f64` sum of
-    /// `1.0 × (±1.0)` terms bit for bit: every partial sum is a small
-    /// integer, so no term rounds, and a balanced neighbourhood gives
-    /// `+0.0` either way (so `h_i = −0.0` in both).
-    fn compute(&self, prev: &[bool], out: &mut [f64]) {
+    /// With unit weights the drive is the integer `Σ_j s_j`, converted
+    /// once. That is the `f64` sum of `1.0 × (±1.0)` terms bit for bit:
+    /// every partial sum is a small integer, so no term rounds, and a
+    /// balanced neighbourhood gives `+0.0` either way (so `h_i = −0.0` in
+    /// both).
+    fn compute(&self, prev: &Previous, out: &mut [f64]) {
+        let Some(weights) = &self.weights else {
+            let drive = prev.drive.as_ref().expect("the drive is kept for a field read");
+            for ((o, &d), &inv) in out.iter_mut().zip(drive).zip(&self.inv_norm) {
+                *o = -(d as f64) * inv;
+            }
+            return;
+        };
         for i in 0..self.n() {
-            let range = self.offsets[i]..self.offsets[i + 1];
-            let drive = match &self.weights {
-                None => {
-                    let plus: usize = self.targets[range.clone()]
-                        .iter()
-                        .map(|&j| usize::from(prev[j as usize]))
-                        .sum();
-                    (2 * plus as i64 - range.len() as i64) as f64
-                }
-                Some(weights) => {
-                    let mut drive = 0.0;
-                    for k in range {
-                        let side = if prev[self.targets[k] as usize] {
-                            1.0
-                        } else {
-                            -1.0
-                        };
-                        drive += weights[k] * side;
-                    }
-                    drive
-                }
-            };
+            let mut drive = 0.0;
+            for k in self.offsets[i]..self.offsets[i + 1] {
+                let side = if prev.sides[self.targets[k] as usize] {
+                    1.0
+                } else {
+                    -1.0
+                };
+                drive += weights[k] * side;
+            }
             out[i] = -drive * self.inv_norm[i];
         }
+    }
+
+    /// Makes `next` the previous sample. On unit weights, when `keep`
+    /// (the next sample reads the field), the drives follow: from scratch
+    /// if they were not kept, else by the vertices that changed side —
+    /// or, when more than half did, by negating every drive (a cut's
+    /// complement has the opposite drives) and applying the vertices that
+    /// kept their side. Either way each drive is the exact integer sum.
+    fn advance(&self, prev: &mut Previous, next: &[bool], keep: bool) {
+        prev.drive = match prev.drive.take() {
+            _ if self.weights.is_some() || !keep => None,
+            None => Some(
+                (0..self.n())
+                    .map(|i| {
+                        let plus = self.neighbors(i).iter().filter(|&&j| next[j as usize]).count();
+                        2 * plus as i64 - self.neighbors(i).len() as i64
+                    })
+                    .collect(),
+            ),
+            Some(mut drive) => {
+                let changed = prev.sides.iter().zip(next).filter(|(a, b)| a != b).count();
+                let complement = 2 * changed > self.n();
+                if complement {
+                    drive.iter_mut().for_each(|d| *d = -*d);
+                }
+                for (j, (&old, &new)) in prev.sides.iter().zip(next).enumerate() {
+                    if (old != new) != complement {
+                        let delta = if new { 2 } else { -2 };
+                        for &i in self.neighbors(j) {
+                            drive[i as usize] += delta;
+                        }
+                    }
+                }
+                Some(drive)
+            }
+        };
+        prev.sides.copy_from_slice(next);
     }
 }
 
@@ -181,26 +233,31 @@ impl AnnealedReadout {
         }
     }
 
-    /// Reads sample `t` of one replica from its centered membranes `z`.
-    /// `sides` holds the replica's previous sample on entry (unread when
-    /// `t == 0`) and the new one on exit (`true` ⇒ `+1` side): the
-    /// threshold of `σ·z + coeff·gain·h` with `coeff = σ(0) − σ(t)`,
-    /// reduced to the exact LIF-GW spike readout `z > 0` when `coeff == 0`
-    /// and for the first sample.
-    fn read(&self, t: u64, z: &[f64], sides: &mut [bool], h: &mut [f64]) {
+    /// The feedback coefficient `σ(0) − σ(t)` of sample `t` and its σ.
+    fn coeff(&self, t: u64) -> (f64, f64) {
         let sigma = self.sigma.at(t);
-        let coeff = self.sigma.start() - sigma;
+        (self.sigma.start() - sigma, sigma)
+    }
+
+    /// Reads sample `t` of one replica from its centered membranes `z`
+    /// into `next` and makes it the replica's previous sample: the
+    /// threshold of `σ·z + coeff·gain·h` (`true` ⇒ `+1` side), reduced to
+    /// the exact LIF-GW spike readout `z > 0` when `coeff == 0` and for
+    /// the first sample. `h` and `next` are scratch.
+    fn read(&self, t: u64, z: &[f64], prev: &mut Previous, next: &mut [bool], h: &mut [f64]) {
+        let (coeff, sigma) = self.coeff(t);
         if coeff == 0.0 || t == 0 {
-            for (s, &zi) in sides.iter_mut().zip(z) {
+            for (s, &zi) in next.iter_mut().zip(z) {
                 *s = zi > 0.0;
             }
         } else {
-            self.field.compute(sides, h);
+            self.field.compute(prev, h);
             let gain = self.gain;
-            for ((s, &zi), &hi) in sides.iter_mut().zip(z).zip(h.iter()) {
+            for ((s, &zi), &hi) in next.iter_mut().zip(z).zip(h.iter()) {
                 *s = sigma * zi + coeff * gain * hi > 0.0;
             }
         }
+        self.field.advance(prev, next, self.coeff(t + 1).0 != 0.0);
     }
 }
 
@@ -234,7 +291,8 @@ pub struct LifAnnealedCircuit {
     net: DeviceDrivenNetwork<DenseWeights>,
     decorrelate: u64,
     readout: AnnealedReadout,
-    sides: Vec<bool>,
+    prev: Previous,
+    next: Vec<bool>,
     t: u64,
     z: Vec<f64>,
     h: Vec<f64>,
@@ -270,7 +328,8 @@ impl LifAnnealedCircuit {
             net,
             decorrelate,
             readout: AnnealedReadout::new(graph, cfg, horizon),
-            sides: vec![false; n],
+            prev: Previous::new(n),
+            next: vec![false; n],
             t: 0,
             z: vec![0.0; n],
             h: vec![0.0; n],
@@ -292,9 +351,10 @@ impl CutSampler for LifAnnealedCircuit {
     fn next_cut(&mut self) -> CutAssignment {
         self.net.step_many(self.decorrelate);
         self.net.centered_into(&mut self.z);
-        self.readout.read(self.t, &self.z, &mut self.sides, &mut self.h);
+        let (prev, next) = (&mut self.prev, &mut self.next);
+        self.readout.read(self.t, &self.z, prev, next, &mut self.h);
         self.t += 1;
-        CutAssignment::from_spikes(&self.sides)
+        CutAssignment::from_spikes(&self.prev.sides)
     }
 }
 
@@ -310,7 +370,8 @@ pub struct BatchedLifAnnealedCircuit {
     batch: ReplicaBatch<DenseWeights>,
     decorrelate: u64,
     readout: AnnealedReadout,
-    sides: Vec<bool>,
+    prev: Vec<Previous>,
+    next: Vec<bool>,
     t: u64,
     centered: Vec<f64>,
     h: Vec<f64>,
@@ -348,7 +409,8 @@ impl BatchedLifAnnealedCircuit {
             batch,
             decorrelate,
             readout: AnnealedReadout::new(graph, cfg, horizon),
-            sides: vec![false; n * replicas],
+            prev: vec![Previous::new(n); replicas],
+            next: vec![false; n],
             t: 0,
             centered: vec![0.0; n * replicas],
             h: vec![0.0; n],
@@ -389,11 +451,10 @@ impl BatchedLifAnnealedCircuit {
         assert_eq!(words.len(), n * self.replicas(), "block length");
         self.batch.step_many(self.decorrelate);
         self.batch.centered_into(&mut self.centered);
-        for r in 0..self.replicas() {
-            let sides = &mut self.sides[r * n..(r + 1) * n];
+        for (r, prev) in self.prev.iter_mut().enumerate() {
             let z = &self.centered[r * n..(r + 1) * n];
-            self.readout.read(self.t, z, sides, &mut self.h);
-            for (w, &s) in words[r * n..(r + 1) * n].iter_mut().zip(sides.iter()) {
+            self.readout.read(self.t, z, prev, &mut self.next, &mut self.h);
+            for (w, &s) in words[r * n..(r + 1) * n].iter_mut().zip(&prev.sides) {
                 *w |= u64::from(s) << lane;
             }
         }
@@ -510,31 +571,51 @@ mod tests {
     }
 
     #[test]
-    fn integer_field_matches_the_unit_weight_f64_sum_bit_for_bit() {
-        // The integer neighbour count must give exactly the bits the f64
-        // loop gives on unit weights, −0.0 of balanced neighbourhoods and
-        // of isolated vertices included.
+    fn kept_drives_match_the_unit_weight_f64_sum_bit_for_bit() {
+        // The integer drives, kept across samples that are fresh
+        // partitions, single flips, complements and complements with a
+        // flip (and rebuilt after a sample that did not keep them), must
+        // give exactly the bits the f64 loop gives on unit weights, −0.0
+        // of balanced neighbourhoods and of isolated vertices included.
         // Vertices 60 and 61 are isolated.
         let base = gnp(60, 0.08, 4).unwrap();
         let g = Graph::from_edges(62, &base.edges().collect::<Vec<_>>()).unwrap();
         let counted = FeedbackField::new(&g);
-        assert!(counted.weights.is_none(), "unit weights take the integer path");
+        assert!(counted.weights.is_none(), "unit weights keep integer drives");
         let summed = FeedbackField {
             weights: Some(vec![1.0; counted.targets.len()]),
             ..counted.clone()
         };
         let mut rng = snc_devices::Xoshiro256pp::new(8);
+        let (mut kept, mut plain) = (Previous::new(62), Previous::new(62));
+        let mut next = vec![false; 62];
         let (mut a, mut b) = (vec![0.0; 62], vec![0.0; 62]);
         let mut negative_zeros = 0;
-        for _ in 0..200 {
-            let prev: Vec<bool> = (0..62).map(|_| rng.next_bool(0.5)).collect();
-            counted.compute(&prev, &mut a);
-            summed.compute(&prev, &mut b);
+        for step in 0..400 {
+            match step % 4 {
+                0 => next.iter_mut().for_each(|s| *s = rng.next_bool(0.5)),
+                1 => next[rng.next_u64() as usize % 62] ^= true,
+                2 => next.iter_mut().for_each(|s| *s = !*s),
+                _ => {
+                    next.iter_mut().for_each(|s| *s = !*s);
+                    next[rng.next_u64() as usize % 62] ^= true;
+                }
+            }
+            let keep = step % 7 != 6;
+            counted.advance(&mut kept, &next, keep);
+            summed.advance(&mut plain, &next, keep);
+            assert_eq!(kept.sides, next);
+            if !keep {
+                assert!(kept.drive.is_none());
+                continue;
+            }
+            counted.compute(&kept, &mut a);
+            summed.compute(&plain, &mut b);
             let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a), bits(&b));
+            assert_eq!(bits(&a), bits(&b), "step {step}");
             negative_zeros += a.iter().filter(|x| x.to_bits() == (-0.0f64).to_bits()).count();
         }
-        assert!(negative_zeros > 400, "balanced and isolated vertices occur");
+        assert!(negative_zeros > 600, "balanced and isolated vertices occur");
     }
 
     #[test]
@@ -542,7 +623,11 @@ mod tests {
         let wg = WeightedGraph::from_weighted_edges(3, &[(0, 1, 2.0), (1, 2, -1.0)]).unwrap();
         let field = FeedbackField::new(&wg);
         let mut h = vec![0.0; 3];
-        field.compute(&[true, true, false], &mut h);
+        let prev = Previous {
+            sides: vec![true, true, false],
+            drive: None,
+        };
+        field.compute(&prev, &mut h);
         // h_0 = −(2·(+1))/2 = −1; h_1 = −(2·1 + (−1)·(−1))/3 = −1;
         // h_2 = −((−1)·1)/1 = 1.
         assert!((h[0] + 1.0).abs() < 1e-15, "{h:?}");
