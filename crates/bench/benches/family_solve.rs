@@ -83,7 +83,10 @@ fn solve_served_shape(c: &mut Criterion) {
         let cold = solve(&graph, &spec).expect("solve");
         let warm = solve_with_cache(&graph, &spec, Some(&cache)).expect("solve");
         assert_eq!(cold.best_value, warm.best_value, "{family:?} best diverged");
-        assert_eq!(cold.best_cut, warm.best_cut, "{family:?} partition diverged");
+        assert_eq!(
+            cold.best_cut, warm.best_cut,
+            "{family:?} partition diverged"
+        );
         assert_eq!(cold.trace, warm.trace, "{family:?} trace diverged");
     }
 

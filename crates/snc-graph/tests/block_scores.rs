@@ -37,7 +37,10 @@ fn block_scores_match_cut_value_on_sparse_graphs() {
         // p = 0.02 leaves isolated vertices at every n here.
         let g = gnp(n, 0.02, n as u64).unwrap();
         if n > 1 {
-            assert!((0..n).any(|i| g.degree(i) == 0), "n={n} has an isolated vertex");
+            assert!(
+                (0..n).any(|i| g.degree(i) == 0),
+                "n={n} has an isolated vertex"
+            );
         }
         for seed in 0..3 {
             assert_block_matches_scratch(&g, &random_words(n, seed), &format!("gnp n={n}"));
@@ -70,6 +73,9 @@ fn block_scores_carry_into_the_top_planes_of_dense_graphs() {
             *w &= !bit;
         }
     }
-    assert_eq!(CutAssignment::from_lane(&words, 7).cut_value(&g), g.m() as u64);
+    assert_eq!(
+        CutAssignment::from_lane(&words, 7).cut_value(&g),
+        g.m() as u64
+    );
     assert_block_matches_scratch(&g, &words, "K_{100,100}");
 }

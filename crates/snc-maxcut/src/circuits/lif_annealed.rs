@@ -157,7 +157,10 @@ impl FeedbackField {
     /// both).
     fn compute(&self, prev: &Previous, out: &mut [f64]) {
         let Some(weights) = &self.weights else {
-            let drive = prev.drive.as_ref().expect("the drive is kept for a field read");
+            let drive = prev
+                .drive
+                .as_ref()
+                .expect("the drive is kept for a field read");
             for ((o, &d), &inv) in out.iter_mut().zip(drive).zip(&self.inv_norm) {
                 *o = -(d as f64) * inv;
             }
@@ -189,7 +192,11 @@ impl FeedbackField {
             None => Some(
                 (0..self.n())
                     .map(|i| {
-                        let plus = self.neighbors(i).iter().filter(|&&j| next[j as usize]).count();
+                        let plus = self
+                            .neighbors(i)
+                            .iter()
+                            .filter(|&&j| next[j as usize])
+                            .count();
                         2 * plus as i64 - self.neighbors(i).len() as i64
                     })
                     .collect(),
@@ -453,7 +460,8 @@ impl BatchedLifAnnealedCircuit {
         self.batch.centered_into(&mut self.centered);
         for (r, prev) in self.prev.iter_mut().enumerate() {
             let z = &self.centered[r * n..(r + 1) * n];
-            self.readout.read(self.t, z, prev, &mut self.next, &mut self.h);
+            self.readout
+                .read(self.t, z, prev, &mut self.next, &mut self.h);
             for (w, &s) in words[r * n..(r + 1) * n].iter_mut().zip(&prev.sides) {
                 *w |= u64::from(s) << lane;
             }
@@ -465,9 +473,9 @@ impl BatchedLifAnnealedCircuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snc_devices::Rng64;
     use crate::circuits::lif_gw::BatchedLifGwCircuit;
     use crate::gw::{solve_gw, GwConfig};
+    use snc_devices::Rng64;
     use snc_graph::generators::erdos_renyi::gnp;
     use snc_graph::generators::structured::complete_bipartite;
     use snc_graph::{Graph, WeightedGraph};
@@ -581,7 +589,10 @@ mod tests {
         let base = gnp(60, 0.08, 4).unwrap();
         let g = Graph::from_edges(62, &base.edges().collect::<Vec<_>>()).unwrap();
         let counted = FeedbackField::new(&g);
-        assert!(counted.weights.is_none(), "unit weights keep integer drives");
+        assert!(
+            counted.weights.is_none(),
+            "unit weights keep integer drives"
+        );
         let summed = FeedbackField {
             weights: Some(vec![1.0; counted.targets.len()]),
             ..counted.clone()
@@ -613,7 +624,10 @@ mod tests {
             summed.compute(&plain, &mut b);
             let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&a), bits(&b), "step {step}");
-            negative_zeros += a.iter().filter(|x| x.to_bits() == (-0.0f64).to_bits()).count();
+            negative_zeros += a
+                .iter()
+                .filter(|x| x.to_bits() == (-0.0f64).to_bits())
+                .count();
         }
         assert!(negative_zeros > 600, "balanced and isolated vertices occur");
     }

@@ -98,13 +98,10 @@ pub trait BlockScorer {
 
 /// The unweighted block scorer: one bit-sliced pass over the edges per
 /// block ([`block_cut_values`]), exact whatever the cuts.
-#[derive(Clone, Copy, Debug)]
-pub struct BitSlicedScorer<'g>(&'g Graph);
-
-impl BlockScorer for BitSlicedScorer<'_> {
+impl BlockScorer for &Graph {
     type Value = u64;
     fn score(&mut self, words: &[u64], len: usize, out: &mut [u64]) {
-        block_cut_values(self.0, words, len, out);
+        block_cut_values(self, words, len, out);
     }
 }
 
@@ -180,7 +177,7 @@ pub trait MaxCutGraph {
 impl MaxCutGraph for Graph {
     type Value = u64;
     type Tracker<'g> = CutTracker<'g>;
-    type Scorer<'g> = BitSlicedScorer<'g>;
+    type Scorer<'g> = &'g Graph;
 
     fn n(&self) -> usize {
         Graph::n(self)
@@ -197,8 +194,8 @@ impl MaxCutGraph for Graph {
     fn tracker(&self, cut: CutAssignment) -> CutTracker<'_> {
         CutTracker::new(self, cut)
     }
-    fn scorer(&self) -> BitSlicedScorer<'_> {
-        BitSlicedScorer(self)
+    fn scorer(&self) -> &Graph {
+        self
     }
     /// All replicas on one [`BatchedLifTrevisanCircuit`].
     fn lif_trevisan(

@@ -380,9 +380,15 @@ fn solve_from<G: MaxCutGraph>(
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 3), replicas);
             let mut batch = BatchedLifGwCircuit::new(&gw.factors, &seeds, &cfg);
             let sdp = Some((&*gw, sdp_us));
-            Ok(drive(graph, &checkpoints, replicas, started, sdp, |lane, words| {
-                batch.next_lane(lane, words)
-            }))
+            let next_lane = |lane, words: &mut [u64]| batch.next_lane(lane, words);
+            Ok(drive(
+                graph,
+                &checkpoints,
+                replicas,
+                started,
+                sdp,
+                next_lane,
+            ))
         }
         CircuitFamily::LifTrevisan => {
             let started = Instant::now();
@@ -395,7 +401,14 @@ fn solve_from<G: MaxCutGraph>(
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 4), replicas);
             let next_lane = graph.lif_trevisan(&seeds, &cfg)?;
-            Ok(drive(graph, &checkpoints, replicas, started, None, next_lane))
+            Ok(drive(
+                graph,
+                &checkpoints,
+                replicas,
+                started,
+                None,
+                next_lane,
+            ))
         }
         CircuitFamily::LifAnnealed => {
             // The cooling schedule acts on the readout only: the factor is
@@ -415,9 +428,15 @@ fn solve_from<G: MaxCutGraph>(
             let mut batch =
                 BatchedLifAnnealedCircuit::new(&gw.factors, graph, &seeds, &cfg, horizon);
             let sdp = Some((&*gw, sdp_us));
-            Ok(drive(graph, &checkpoints, replicas, started, sdp, |lane, words| {
-                batch.next_lane(lane, words)
-            }))
+            let next_lane = |lane, words: &mut [u64]| batch.next_lane(lane, words);
+            Ok(drive(
+                graph,
+                &checkpoints,
+                replicas,
+                started,
+                sdp,
+                next_lane,
+            ))
         }
         CircuitFamily::Hopfield => {
             let started = Instant::now();
@@ -427,9 +446,15 @@ fn solve_from<G: MaxCutGraph>(
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 7), replicas);
             let mut batch = BatchedHopfieldCircuit::new(graph, &seeds, &cfg);
-            Ok(drive(graph, &checkpoints, replicas, started, None, |lane, words| {
-                batch.next_lane(lane, words)
-            }))
+            let next_lane = |lane, words: &mut [u64]| batch.next_lane(lane, words);
+            Ok(drive(
+                graph,
+                &checkpoints,
+                replicas,
+                started,
+                None,
+                next_lane,
+            ))
         }
     }
 }
@@ -459,7 +484,7 @@ fn drive<G: MaxCutGraph>(
     // Champion: strictly-greater updates ⇒ earliest sample wins, ties
     // within a sample broken by replica index.
     let mut champion: Option<(G::Value, CutAssignment)> = None;
-    let per_replica = blocked_bests(graph, checkpoints, replicas, next_lane, |words, len, values| {
+    let track_champion = |words: &[u64], len: usize, values: &[G::Value]| {
         for k in 0..len {
             for r in 0..replicas {
                 let value = values[r * LANES + k];
@@ -469,7 +494,8 @@ fn drive<G: MaxCutGraph>(
                 }
             }
         }
-    });
+    };
+    let per_replica = blocked_bests(graph, checkpoints, replicas, next_lane, track_champion);
     let merged_best: Vec<G::Value> = (0..checkpoints.len())
         .map(|c| {
             per_replica
