@@ -1,6 +1,6 @@
 //! The bit-sliced block scorer against the scalar cut value.
 //!
-//! `block_cut_values` must return, for every lane of every block length
+//! `BlockCutScorer::cut_values` must return, for every lane of every block length
 //! `1..=64`, exactly `CutAssignment::cut_value` of that lane's cut, and
 //! must ignore whatever the lanes past the block length hold. The shapes
 //! cover single-vertex graphs, the 63/64/65 boundaries, graphs with
@@ -8,7 +8,7 @@
 //! counter planes.
 
 use snc_devices::{Rng64, Xoshiro256pp};
-use snc_graph::bitslice::{block_cut_values, LANES};
+use snc_graph::bitslice::{BlockCutScorer, LANES};
 use snc_graph::generators::erdos_renyi::gnp;
 use snc_graph::generators::structured::{complete, complete_bipartite};
 use snc_graph::{CutAssignment, Graph};
@@ -19,9 +19,10 @@ fn assert_block_matches_scratch(graph: &Graph, words: &[u64], label: &str) {
     let reference: Vec<u64> = (0..LANES)
         .map(|k| CutAssignment::from_lane(words, k).cut_value(graph))
         .collect();
+    let scorer = BlockCutScorer::new(graph);
     let mut out = [u64::MAX; LANES];
     for len in 1..=LANES {
-        block_cut_values(graph, words, len, &mut out);
+        scorer.cut_values(words, len, &mut out);
         assert_eq!(out[..len], reference[..len], "{label}: len {len}");
     }
 }

@@ -14,7 +14,7 @@ use crate::circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanConfig
 use crate::sampling::set_lane_from_signs;
 use crate::solve::SolveError;
 use crate::weighted::WeightedLifTrevisanCircuit;
-use snc_graph::bitslice::block_cut_values;
+use snc_graph::bitslice::{BlockCutScorer, LANES};
 use snc_graph::{CutAssignment, CutTracker, Graph, WeightedCutTracker, WeightedGraph};
 
 /// A cut value: an exact edge count (`u64`) or a cut weight (`f64`).
@@ -84,50 +84,58 @@ impl IncrementalCut for WeightedCutTracker<'_> {
     }
 }
 
-/// Scores blocks of up to 64 cuts held bit-sliced: bit `k` of
-/// `words[i]` is vertex `i`'s side in cut `k` (`1` ⇒ `+1` side), the
-/// layout of [`snc_graph::bitslice`]. A scorer serves one replica's
-/// sample stream in order, so a stateful one may diff each cut against
-/// the previous.
+/// Scores one block per replica of up to 64 cuts each, held bit-sliced:
+/// bit `k` of `words[r * n + i]` is vertex `i`'s side in replica `r`'s
+/// cut `k` (`1` ⇒ `+1` side), the layout of [`snc_graph::bitslice`]. A
+/// scorer serves the replicas' sample streams in order, so a stateful one
+/// may diff each cut against the replica's previous one.
 pub trait BlockScorer {
     /// The cut-value type it reports.
     type Value;
-    /// Writes the values of the cuts in lanes `0..len` into `out[..len]`.
+    /// Writes the value of replica `r`'s cut `k < len` into
+    /// `out[r * LANES + k]` (`LANES` = 64).
     fn score(&mut self, words: &[u64], len: usize, out: &mut [Self::Value]);
 }
 
 /// The unweighted block scorer: one bit-sliced pass over the edges per
-/// block ([`block_cut_values`]), exact whatever the cuts.
-impl BlockScorer for &Graph {
+/// replica block, exact whatever the cuts.
+impl BlockScorer for BlockCutScorer {
     type Value = u64;
     fn score(&mut self, words: &[u64], len: usize, out: &mut [u64]) {
-        block_cut_values(self, words, len, out);
+        let n = self.n();
+        for (r, lanes) in out.chunks_mut(LANES).enumerate() {
+            self.cut_values(&words[r * n..(r + 1) * n], len, lanes);
+        }
     }
 }
 
-/// The weighted block scorer: each cut in turn through one lazily seeded
-/// [`WeightedCutTracker`], the same `f64` operations in the same order as
-/// scoring the stream one sample at a time.
+/// The weighted block scorer: each replica's cuts in turn through its own
+/// lazily seeded [`WeightedCutTracker`], the same `f64` operations in the
+/// same order as scoring the stream one sample at a time.
 #[derive(Clone, Debug)]
 pub struct TrackedScorer<'g> {
     graph: &'g WeightedGraph,
-    tracker: Option<WeightedCutTracker<'g>>,
+    trackers: Vec<Option<WeightedCutTracker<'g>>>,
 }
 
 impl BlockScorer for TrackedScorer<'_> {
     type Value = f64;
     fn score(&mut self, words: &[u64], len: usize, out: &mut [f64]) {
-        for (k, o) in out[..len].iter_mut().enumerate() {
-            let cut = CutAssignment::from_lane(words, k);
-            *o = match self.tracker.as_mut() {
-                Some(t) => t.set_to(&cut),
-                None => {
-                    let t = WeightedCutTracker::new(self.graph, cut);
-                    let v = t.value();
-                    self.tracker = Some(t);
-                    v
-                }
-            };
+        let n = self.graph.n();
+        for (r, tracker) in self.trackers.iter_mut().enumerate() {
+            let block = &words[r * n..(r + 1) * n];
+            for (k, o) in out[r * LANES..r * LANES + len].iter_mut().enumerate() {
+                let cut = CutAssignment::from_lane(block, k);
+                *o = match tracker.as_mut() {
+                    Some(t) => t.set_to(&cut),
+                    None => {
+                        let t = WeightedCutTracker::new(self.graph, cut);
+                        let v = t.value();
+                        *tracker = Some(t);
+                        v
+                    }
+                };
+            }
         }
     }
 }
@@ -141,7 +149,7 @@ pub trait MaxCutGraph {
     type Tracker<'g>: IncrementalCut<Value = Self::Value>
     where
         Self: 'g;
-    /// The block scorer the solve driver uses, one per replica.
+    /// The block scorer the solve driver uses.
     type Scorer<'g>: BlockScorer<Value = Self::Value>
     where
         Self: 'g;
@@ -157,8 +165,8 @@ pub trait MaxCutGraph {
     fn total_weight(&self) -> f64;
     /// A tracker seeded with `cut` (one scratch evaluation).
     fn tracker(&self, cut: CutAssignment) -> Self::Tracker<'_>;
-    /// A fresh block scorer for one replica's sample stream.
-    fn scorer(&self) -> Self::Scorer<'_>;
+    /// A fresh block scorer for `replicas` sample streams.
+    fn scorer(&self, replicas: usize) -> Self::Scorer<'_>;
     /// The LIF-Trevisan replicas for `seeds`, as a closure that draws one
     /// cut per replica per call into lane `lane` of the replica-major
     /// block `words` (`n` words per replica).
@@ -177,7 +185,7 @@ pub trait MaxCutGraph {
 impl MaxCutGraph for Graph {
     type Value = u64;
     type Tracker<'g> = CutTracker<'g>;
-    type Scorer<'g> = &'g Graph;
+    type Scorer<'g> = BlockCutScorer;
 
     fn n(&self) -> usize {
         Graph::n(self)
@@ -194,8 +202,8 @@ impl MaxCutGraph for Graph {
     fn tracker(&self, cut: CutAssignment) -> CutTracker<'_> {
         CutTracker::new(self, cut)
     }
-    fn scorer(&self) -> &Graph {
-        self
+    fn scorer(&self, _replicas: usize) -> BlockCutScorer {
+        BlockCutScorer::new(self)
     }
     /// All replicas on one [`BatchedLifTrevisanCircuit`].
     fn lif_trevisan(
@@ -228,10 +236,10 @@ impl MaxCutGraph for WeightedGraph {
     fn tracker(&self, cut: CutAssignment) -> WeightedCutTracker<'_> {
         WeightedCutTracker::new(self, cut)
     }
-    fn scorer(&self) -> TrackedScorer<'_> {
+    fn scorer(&self, replicas: usize) -> TrackedScorer<'_> {
         TrackedScorer {
             graph: self,
-            tracker: None,
+            trackers: (0..replicas).map(|_| None).collect(),
         }
     }
     /// One sequential circuit per replica, after the non-negativity

@@ -97,9 +97,10 @@ pub(crate) fn cuts_from_lane(
 
 /// The blocked checkpoint loop of the solve driver and the batched
 /// circuits' `best_traces`: draws samples up to the last checkpoint in
-/// blocks of up to [`LANES`] that end at checkpoints, scores each block
-/// with one [`MaxCutGraph::scorer`] per replica, and returns every
-/// replica's best-so-far value at every checkpoint.
+/// blocks of up to [`LANES`] per replica, scores each block with the
+/// graph's [`MaxCutGraph::scorer`], and returns every replica's
+/// best-so-far value at every checkpoint. A block may span checkpoints:
+/// the bests are recorded in sample order within it.
 ///
 /// `draw(lane, words)` advances every replica by one sample and sets
 /// replica `r`'s cut into lane `lane` of `words[r * n..(r + 1) * n]`;
@@ -122,33 +123,33 @@ pub(crate) fn blocked_bests<G: MaxCutGraph>(
         checkpoints.windows(2).all(|w| w[0] < w[1]),
         "checkpoints must be strictly ascending"
     );
-    let n = graph.n();
-    let mut scorers: Vec<G::Scorer<'_>> = (0..replicas).map(|_| graph.scorer()).collect();
-    let mut words = vec![0u64; replicas * n];
+    let mut scorer = graph.scorer(replicas);
+    let mut words = vec![0u64; replicas * graph.n()];
     let mut values = vec![G::Value::FLOOR; replicas * LANES];
     let mut best = vec![G::Value::FLOOR; replicas];
     let mut out = vec![Vec::with_capacity(checkpoints.len()); replicas];
+    let mut pending = checkpoints.iter().copied().peekable();
+    let last = checkpoints.last().copied().unwrap_or(0);
     let mut drawn = 0u64;
-    for &cp in checkpoints {
-        while drawn < cp {
-            let len = (cp - drawn).min(LANES as u64) as usize;
-            words.fill(0);
-            for lane in 0..len {
-                draw(lane, &mut words);
+    while drawn < last {
+        let len = (last - drawn).min(LANES as u64) as usize;
+        words.fill(0);
+        for lane in 0..len {
+            draw(lane, &mut words);
+        }
+        scorer.score(&words, len, &mut values);
+        for k in 0..len {
+            for (r, b) in best.iter_mut().enumerate() {
+                *b = b.larger(values[r * LANES + k]);
             }
-            for (r, scorer) in scorers.iter_mut().enumerate() {
-                let lanes = &mut values[r * LANES..(r + 1) * LANES];
-                scorer.score(&words[r * n..(r + 1) * n], len, lanes);
-                for &v in &lanes[..len] {
-                    best[r] = best[r].larger(v);
+            drawn += 1;
+            if pending.next_if_eq(&drawn).is_some() {
+                for (trace, &b) in out.iter_mut().zip(&best) {
+                    trace.push(b);
                 }
             }
-            visit(&words, len, &values);
-            drawn += len as u64;
         }
-        for (trace, &b) in out.iter_mut().zip(&best) {
-            trace.push(b);
-        }
+        visit(&words, len, &values);
     }
     out
 }
