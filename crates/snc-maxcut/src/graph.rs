@@ -5,10 +5,10 @@
 //! an unweighted graph is the unit-weight case of one problem.
 //! [`MaxCutGraph`] is that problem as the solvers see it: a vertex
 //! count, a coupling list, a total weight, an incremental cut evaluator
-//! and a block scorer. The sampling driver, the best-so-far traces, the GW SDP
-//! and the Hopfield and LIF-annealed circuits are written once against
-//! it and instantiated twice: exact `u64` cut counts on [`Graph`] and
-//! `f64` cut weights on [`WeightedGraph`].
+//! and a block scorer. The sampling driver, the best-so-far traces, the
+//! GW SDP and the Hopfield and LIF-annealed circuits are written once
+//! against it and instantiated twice: exact `u64` cut counts on [`Graph`]
+//! and `f64` cut weights on [`WeightedGraph`].
 
 use crate::circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanConfig};
 use crate::sampling::set_lane_from_signs;
