@@ -11,7 +11,7 @@
 //! and `f64` cut weights on [`WeightedGraph`].
 
 use crate::circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanConfig};
-use crate::sampling::set_lane_from_signs;
+use crate::sampling::{set_lane_from_signs, tracked_value};
 use crate::solve::SolveError;
 use crate::weighted::WeightedLifTrevisanCircuit;
 use snc_graph::bitslice::{BlockCutScorer, LANES};
@@ -125,16 +125,7 @@ impl BlockScorer for TrackedScorer<'_> {
         for (r, tracker) in self.trackers.iter_mut().enumerate() {
             let block = &words[r * n..(r + 1) * n];
             for (k, o) in out[r * LANES..r * LANES + len].iter_mut().enumerate() {
-                let cut = CutAssignment::from_lane(block, k);
-                *o = match tracker.as_mut() {
-                    Some(t) => t.set_to(&cut),
-                    None => {
-                        let t = WeightedCutTracker::new(self.graph, cut);
-                        let v = t.value();
-                        *tracker = Some(t);
-                        v
-                    }
-                };
+                *o = tracked_value(tracker, self.graph, &CutAssignment::from_lane(block, k));
             }
         }
     }
