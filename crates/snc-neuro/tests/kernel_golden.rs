@@ -9,6 +9,9 @@
 //!
 //! * `HopfieldNetwork` potentials, activations and energy after 1, 8 and
 //!   64 steps, for n ∈ {37, 150} with unit, signed and zero couplings;
+//! * the same digests far past the point where a trajectory stops
+//!   moving: sparse unit and signed couplings that reach a bitwise fixed
+//!   point, and a dense graph locked in a period-2 oscillation;
 //! * `TwoStageNetwork` and `BatchedTwoStageNetwork` readout weights on
 //!   G(150, 0.05) (more than one 64-device word, the last one partial)
 //!   at R ∈ {1, 2, 3, 8} — both types must hit the same digest;
@@ -146,6 +149,129 @@ fn hopfield_zero_couplings() {
             [0x2254_2c59_1559_fa44, 0x9d04_dac2_12bc_a77f, 0x83ea_f01d_16ae_6467],
         ],
     );
+}
+
+/// Checkpoints of the long-run Hopfield pin. The odd one tells the two
+/// phases of a period-2 oscillation apart.
+const LONG_RUN: [u64; 4] = [512, 2048, 4095, 4096];
+
+/// Digests of (u, x, energy) at each of [`LONG_RUN`], and the first step
+/// that left every potential's bits where they were (`None` if none did).
+/// A second copy of the network reaches each checkpoint by `step_many`
+/// and must hold the same state.
+fn long_run_digests(n: usize, p: f64, kind: Couplings) -> ([u64; 4], Option<u64>) {
+    let graph = gnp(n, p, 0x40f + n as u64).unwrap();
+    let mut net = HopfieldNetwork::new(n, &couplings(&graph, kind), PARAMS, 0x5eed + n as u64);
+    let mut jump = net.clone();
+    let mut prev = net.potentials().to_vec();
+    let mut fixed_at = None;
+    let mut out = [0u64; 4];
+    for (slot, target) in LONG_RUN.into_iter().enumerate() {
+        for _ in net.steps()..target {
+            net.step();
+            let moved = prev
+                .iter()
+                .zip(net.potentials())
+                .any(|(a, b)| a.to_bits() != b.to_bits());
+            if !moved && fixed_at.is_none() {
+                fixed_at = Some(net.steps());
+            }
+            prev.copy_from_slice(net.potentials());
+        }
+        jump.step_many(target - jump.steps());
+        assert_eq!(jump.steps(), target);
+        assert_eq!(jump.potentials(), net.potentials(), "step_many to {target}");
+        assert_eq!(jump.activations(), net.activations(), "step_many to {target}");
+        let mut h = Fnv::new();
+        h.feed_f64s(net.potentials());
+        h.feed_f64s(net.activations());
+        h.feed(net.energy().to_bits());
+        out[slot] = h.0;
+    }
+    (out, fixed_at)
+}
+
+/// A long-run row: G(n, p), its couplings, the digests at each of
+/// [`LONG_RUN`] and the step that first moved no potential.
+type LongRun = (usize, f64, Couplings, [u64; 4], Option<u64>);
+
+/// Long trajectories, most of whose steps come after a fixed point: a
+/// kernel that stops integrating a settled network must leave every
+/// digest here as it is, and must keep integrating one that never
+/// settles.
+#[test]
+fn hopfield_past_the_fixed_point() {
+    let rows: [LongRun; 4] = [
+        (
+            150,
+            0.05,
+            Couplings::Unit,
+            [
+                0x17d7_4579_4dd4_b9da,
+                0x739d_e166_8200_617d,
+                0x739d_e166_8200_617d,
+                0x739d_e166_8200_617d,
+            ],
+            Some(1088),
+        ),
+        (
+            300,
+            0.05,
+            Couplings::Unit,
+            [
+                0xb618_37bd_d41e_67ef,
+                0x414a_5739_4466_5a6f,
+                0x414a_5739_4466_5a6f,
+                0x414a_5739_4466_5a6f,
+            ],
+            Some(1221),
+        ),
+        (
+            150,
+            0.05,
+            Couplings::Signed,
+            [
+                0x1a7f_ef87_a967_7a2a,
+                0x64dd_15a0_176c_6029,
+                0x64dd_15a0_176c_6029,
+                0x64dd_15a0_176c_6029,
+            ],
+            Some(752),
+        ),
+        (
+            200,
+            0.2,
+            Couplings::Unit,
+            [
+                0x66f4_d4fe_f1c3_cdd0,
+                0x66f4_d4fe_f1c3_cdd0,
+                0x3a01_e1b4_e220_bcc6,
+                0x66f4_d4fe_f1c3_cdd0,
+            ],
+            None,
+        ),
+    ];
+    let (mut settled, mut unsettled) = (0, 0);
+    for (n, p, kind, want, want_fixed_at) in rows {
+        let (got, fixed_at) = long_run_digests(n, p, kind);
+        for (slot, steps) in LONG_RUN.into_iter().enumerate() {
+            assert_eq!(
+                got[slot], want[slot],
+                "Hopfield {kind:?} G({n}, {p}) after {steps} steps: digest {:#018x}",
+                got[slot]
+            );
+        }
+        assert_eq!(
+            fixed_at, want_fixed_at,
+            "Hopfield {kind:?} G({n}, {p}) fixed point"
+        );
+        match fixed_at {
+            Some(step) if step < LONG_RUN[LONG_RUN.len() - 1] => settled += 1,
+            _ => unsettled += 1,
+        }
+    }
+    assert!(settled >= 1, "no pinned trajectory reaches its fixed point");
+    assert!(unsettled >= 1, "every pinned trajectory settles");
 }
 
 /// Plasticity updates run before the readout weights are digested.
