@@ -145,7 +145,8 @@ impl HopfieldCouplings {
 /// A continuous Hopfield network over a symmetric coupling list.
 ///
 /// The couplings live in a shared [`HopfieldCouplings`] slice layout; the
-/// network owns only its state (potentials and activations).
+/// network owns only its state (potentials and activations) and a buffer
+/// for the next step's potentials.
 ///
 /// # Examples
 ///
@@ -165,6 +166,12 @@ pub struct HopfieldNetwork {
     u: Vec<f64>,
     x: Vec<f64>,
     steps: u64,
+    /// The potentials the step in progress computes, kept apart from `u`
+    /// so the output pass can see which of them moved.
+    next: Vec<f64>,
+    /// Set by the first step that moved no potential; every later step is
+    /// then the identity (see [`step`](Self::step)).
+    settled: bool,
 }
 
 impl HopfieldNetwork {
@@ -195,9 +202,11 @@ impl HopfieldNetwork {
         Self {
             couplings,
             params,
+            next: vec![0.0; u.len()],
             u,
             x,
             steps: 0,
+            settled: false,
         }
     }
 
@@ -222,25 +231,48 @@ impl HopfieldNetwork {
     }
 
     /// One synchronous forward-Euler step: every drive is computed from
-    /// the *current* outputs before any output moves. Each slice's
-    /// potentials take their Euler update as soon as its drives are known;
-    /// the outputs follow in a second pass. (Computing the outputs inside
-    /// the gather pass as well measured slower: the `tanh` calls there
-    /// break up the gather loop.)
+    /// the *current* outputs before any output moves. Each slice's next
+    /// potentials are computed as soon as its drives are known; the
+    /// outputs follow in a second pass, which also installs them.
+    ///
+    /// The step skips work that cannot change any bit. `x_i` is a pure
+    /// function of `u_i`, so the second pass recomputes `tanh` only for
+    /// the potentials whose bits this step moved. The Euler map is a pure
+    /// function of `u`, so once a step moves no potential at all,
+    /// `u_{t+1} == u_t` bit for bit and every later step is the identity:
+    /// from then on a step only advances the step counter. A network that
+    /// keeps moving, such as one caught in a period-2 oscillation, is
+    /// integrated in full at every step.
     pub fn step(&mut self) {
+        self.steps += 1;
+        if self.settled {
+            return;
+        }
         let p = self.params;
         let n = self.u.len();
         for s in 0..n.div_ceil(SLICE) {
             let drive = self.couplings.slice_drive(s, &self.x);
             let rows = s * SLICE..((s + 1) * SLICE).min(n);
-            for (u, &d) in self.u[rows].iter_mut().zip(&drive) {
-                *u += p.dt * (-p.leak * *u - d);
+            for ((next, &u), &d) in self.next[rows.clone()]
+                .iter_mut()
+                .zip(&self.u[rows])
+                .zip(&drive)
+            {
+                *next = u + p.dt * (-p.leak * u - d);
             }
         }
-        for (x, &u) in self.x.iter_mut().zip(&self.u) {
-            *x = (p.gain * u).tanh();
+        // Indexing slices cut to `n` measured faster here than zipping
+        // three iterators.
+        let (x, next, u) = (&mut self.x[..n], &self.next[..n], &self.u[..n]);
+        let mut moved = false;
+        for i in 0..n {
+            if next[i].to_bits() != u[i].to_bits() {
+                x[i] = (p.gain * next[i]).tanh();
+                moved = true;
+            }
         }
-        self.steps += 1;
+        std::mem::swap(&mut self.u, &mut self.next);
+        self.settled = !moved;
     }
 
     /// Advances `k` steps.
@@ -352,6 +384,118 @@ mod tests {
             assert!(e <= prev + 1e-9, "step {step}: energy rose {prev} → {e}");
             prev = e;
         }
+    }
+
+    /// The step before it skipped anything: the full gather, then `tanh`
+    /// for every unit.
+    fn reference_step(net: &mut HopfieldNetwork) {
+        let p = net.params;
+        let n = net.u.len();
+        for s in 0..n.div_ceil(SLICE) {
+            let drive = net.couplings.slice_drive(s, &net.x);
+            let rows = s * SLICE..((s + 1) * SLICE).min(n);
+            for (u, &d) in net.u[rows].iter_mut().zip(&drive) {
+                *u += p.dt * (-p.leak * *u - d);
+            }
+        }
+        for (x, &u) in net.x.iter_mut().zip(&net.u) {
+            *x = (p.gain * u).tanh();
+        }
+        net.steps += 1;
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// What a lock-step run of the kernel against [`reference_step`] saw.
+    struct Lockstep {
+        /// The kernel after the run.
+        net: HopfieldNetwork,
+        /// The reference's potentials at the last three steps, oldest first.
+        tail: [Vec<u64>; 3],
+        /// The first step that left the reference's potentials unchanged.
+        fixed_at: Option<u64>,
+        /// The step after which the kernel first reported itself settled.
+        settled_at: Option<u64>,
+        /// Steps that moved some potentials but not all of them.
+        partial: u64,
+    }
+
+    /// Runs `net` for `steps` steps beside a clone stepped by
+    /// [`reference_step`], comparing `u`, `x` and energy bit for bit after
+    /// every step.
+    fn lockstep(mut net: HopfieldNetwork, steps: u64) -> Lockstep {
+        let mut reference = net.clone();
+        let n = net.n();
+        let mut tail = [Vec::new(), Vec::new(), bits(reference.potentials())];
+        let (mut fixed_at, mut settled_at, mut partial) = (None, None, 0);
+        for t in 1..=steps {
+            let before = bits(reference.potentials());
+            net.step();
+            reference_step(&mut reference);
+            assert_eq!(net.steps(), reference.steps());
+            assert_eq!(bits(net.potentials()), bits(reference.potentials()), "u at {t}");
+            assert_eq!(bits(net.activations()), bits(reference.activations()), "x at {t}");
+            assert_eq!(net.energy().to_bits(), reference.energy().to_bits(), "energy at {t}");
+            let after = bits(reference.potentials());
+            if fixed_at.is_none() && after == before {
+                fixed_at = Some(t);
+            }
+            if settled_at.is_none() && net.settled {
+                settled_at = Some(t);
+            }
+            let moved = before.iter().zip(&after).filter(|(a, b)| a != b).count();
+            if 0 < moved && moved < n {
+                partial += 1;
+            }
+            tail.rotate_left(1);
+            tail[2] = after;
+        }
+        Lockstep {
+            net,
+            tail,
+            fixed_at,
+            settled_at,
+            partial,
+        }
+    }
+
+    #[test]
+    fn settles_bit_for_bit_and_keeps_counting() {
+        let graph = snc_graph::generators::erdos_renyi::gnp(40, 0.1, 3).unwrap();
+        let couplings: Vec<_> = graph.edges().map(|(i, j)| (i, j, 1.0)).collect();
+        let net = HopfieldNetwork::new(40, &couplings, HopfieldParams::default(), 3);
+        let run = lockstep(net, 600);
+        assert!(run.partial > 0, "units stop one by one before the network does");
+        let fixed_at = run.fixed_at.expect("the trajectory reaches a fixed point");
+        assert!(fixed_at < 500, "fixed point at step {fixed_at}");
+        assert_eq!(run.settled_at, Some(fixed_at), "settles at its fixed point");
+
+        let mut net = run.net;
+        let (u, x) = (bits(net.potentials()), bits(net.activations()));
+        net.step_many(1000);
+        net.step();
+        assert_eq!(net.steps(), 1601);
+        assert_eq!(bits(net.potentials()), u);
+        assert_eq!(bits(net.activations()), x);
+    }
+
+    #[test]
+    fn period_two_oscillation_is_integrated_in_full() {
+        // On K16 (λ_max = 15) the step is unstable along the all-ones mode:
+        // every unit flips sign at every step.
+        let couplings: Vec<_> = (0..16u32)
+            .flat_map(|i| (i + 1..16).map(move |j| (i, j, 1.0)))
+            .collect();
+        let net = HopfieldNetwork::new(16, &couplings, HopfieldParams::default(), 3);
+        let run = lockstep(net, 600);
+        assert_eq!(run.fixed_at, None);
+        assert_eq!(run.settled_at, None);
+        let [two_back, one_back, last] = &run.tail;
+        assert_eq!(two_back, last, "period 2");
+        assert_ne!(one_back, last, "not a fixed point");
+        assert_eq!(run.net.steps(), 600);
     }
 
     #[test]
