@@ -23,13 +23,21 @@
 //! and nothing else. Its gate asserts that the cached solve is
 //! bit-identical to a cold one.
 //!
+//! A third group, `solve_hopfield_sparse`, times Hopfield on G(250, 0.05)
+//! at budget 512 and R ∈ {1, 8}, the sparse slice of `cold-sampling`. At
+//! R = 1 one relaxation runs 4,096 Euler steps, most of them past the
+//! bitwise fixed point where `HopfieldNetwork::step` stops integrating;
+//! at R = 8 each replica runs 512 steps and has not settled yet. Its gate
+//! asserts that two solves agree and that each outcome hits a pinned
+//! digest, so a faster kernel cannot change a bit of the answer.
+//!
 //! Record results per `docs/BENCHMARKS.md`; set `CRITERION_SHIM_JSON` to
 //! capture raw numbers.
 
 use bench::{er_graph, fig4_smallest, BENCH_SAMPLES};
 use criterion::{criterion_group, criterion_main, Criterion};
 use snc_experiments::config::{ExperimentScale, SuiteConfig};
-use snc_maxcut::{solve, solve_with_cache, CircuitFamily, SdpCache, SolveSpec};
+use snc_maxcut::{solve, solve_with_cache, CircuitFamily, SdpCache, SolveOutcome, SolveSpec};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -102,12 +110,64 @@ fn solve_served_shape(c: &mut Criterion) {
     group.finish();
 }
 
+/// Hopfield at `cold-sampling`'s sparse budget, `replicas` wide.
+fn hopfield_spec(replicas: usize) -> SolveSpec {
+    SolveSpec {
+        replicas,
+        ..SolveSpec::new(CircuitFamily::Hopfield, 512, 0x40F1)
+    }
+}
+
+/// FNV-1a over the outcome's best value, best cut and merged trace.
+fn outcome_digest(out: &SolveOutcome) -> u64 {
+    let words = [out.best_value, out.samples]
+        .into_iter()
+        .chain(out.best_cut.sides().iter().map(|&s| s as u64))
+        .chain(out.trace.checkpoints.iter().copied())
+        .chain(out.trace.best.iter().copied());
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn solve_hopfield_sparse(c: &mut Criterion) {
+    let graph = er_graph(250, 0.05);
+    let widths = [
+        (1usize, 0xe6f6_fa1a_d5d7_1510u64),
+        (8, 0x4605_0f35_e4e6_8301),
+    ];
+
+    // Loud correctness gate: solves are deterministic and bit-identical to
+    // the pinned outcomes.
+    for (replicas, want) in widths {
+        let spec = hopfield_spec(replicas);
+        let a = solve(&graph, &spec).expect("solve");
+        let b = solve(&graph, &spec).expect("solve");
+        let got = outcome_digest(&a);
+        assert_eq!(got, outcome_digest(&b), "R={replicas} nondeterministic");
+        assert_eq!(got, want, "R={replicas} outcome moved: digest {got:#018x}");
+    }
+
+    let mut group = c.benchmark_group("solve_hopfield_sparse_n250");
+    for (replicas, _) in widths {
+        let spec = hopfield_spec(replicas);
+        group.bench_function(format!("R{replicas}"), |b| {
+            b.iter(|| solve(black_box(&graph), black_box(&spec)).expect("solve"))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(12)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(3));
-    targets = solve_per_family, solve_served_shape
+    targets = solve_per_family, solve_served_shape, solve_hopfield_sparse
 }
 criterion_main!(benches);
