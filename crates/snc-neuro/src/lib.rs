@@ -42,7 +42,6 @@ pub mod network;
 pub mod parallel;
 pub mod plasticity;
 pub mod population;
-pub mod spike;
 pub mod synapse;
 pub mod theory;
 
