@@ -431,15 +431,14 @@ mod tests {
         let mut tail = [Vec::new(), Vec::new(), bits(reference.potentials())];
         let (mut fixed_at, mut settled_at, mut partial) = (None, None, 0);
         for t in 1..=steps {
-            let before = bits(reference.potentials());
             net.step();
             reference_step(&mut reference);
             assert_eq!(net.steps(), reference.steps());
             assert_eq!(bits(net.potentials()), bits(reference.potentials()), "u at {t}");
             assert_eq!(bits(net.activations()), bits(reference.activations()), "x at {t}");
             assert_eq!(net.energy().to_bits(), reference.energy().to_bits(), "energy at {t}");
-            let after = bits(reference.potentials());
-            if fixed_at.is_none() && after == before {
+            let (before, after) = (&tail[2], bits(reference.potentials()));
+            if fixed_at.is_none() && after == *before {
                 fixed_at = Some(t);
             }
             if settled_at.is_none() && net.settled {
