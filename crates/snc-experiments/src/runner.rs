@@ -2,7 +2,7 @@
 //! harness's index-ordered job runner built on top of it.
 //!
 //! [`WorkerPool`] is the scheduling substrate: a fixed set of worker
-//! threads pulling boxed jobs off a (optionally bounded) channel.
+//! threads pulling boxed jobs off a bounded channel.
 //! Submission returns a [`JobTicket`] that the caller awaits; a panic
 //! inside a job is caught on the worker (which survives and keeps
 //! serving) and re-raised at the await site. This is the pool the
@@ -19,11 +19,10 @@
 //! are returned in index order regardless of thread count or completion
 //! order.
 
-use crossbeam::channel::{self, TrySendError};
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// A boxed unit of work. The lifetime lets scoped pools run jobs that
@@ -49,7 +48,7 @@ impl std::error::Error for QueueFull {}
 /// discarded).
 #[derive(Debug)]
 pub struct JobTicket<T> {
-    rx: channel::Receiver<std::thread::Result<T>>,
+    rx: Receiver<std::thread::Result<T>>,
 }
 
 impl<T> JobTicket<T> {
@@ -78,8 +77,8 @@ impl<T> JobTicket<T> {
         match self.rx.try_recv() {
             Ok(Ok(value)) => Ok(value),
             Ok(Err(payload)) => resume_unwind(payload),
-            Err(channel::TryRecvError::Empty) => Err(self),
-            Err(channel::TryRecvError::Disconnected) => {
+            Err(TryRecvError::Empty) => Err(self),
+            Err(TryRecvError::Disconnected) => {
                 panic!("worker pool dropped the job before completion")
             }
         }
@@ -90,9 +89,8 @@ impl<T> JobTicket<T> {
 ///
 /// Two constructions:
 ///
-/// * [`WorkerPool::new`] / [`WorkerPool::bounded`] — long-lived
-///   (`'static`) pools whose threads are owned and joined on drop or
-///   [`WorkerPool::shutdown`]. The bounded form adds backpressure:
+/// * [`WorkerPool::bounded`] — a long-lived (`'static`) pool whose
+///   threads are owned and joined on drop or [`WorkerPool::shutdown`].
 ///   [`WorkerPool::try_submit`] refuses jobs once `queue_depth` are
 ///   waiting, which is how the server sheds load instead of buffering
 ///   unboundedly.
@@ -101,10 +99,13 @@ impl<T> JobTicket<T> {
 ///   environment. The scope joins the workers; dropping the pool closes
 ///   the queue.
 ///
+/// Either way the injection queue is bounded, so a blocking
+/// [`WorkerPool::submit`] waits while it is full.
+///
 /// A panicking job never kills its worker: the panic is caught, carried
 /// through the ticket, and re-raised at [`JobTicket::wait`].
 pub struct WorkerPool<'env> {
-    tx: Option<channel::Sender<Job<'env>>>,
+    tx: Option<SyncSender<Job<'env>>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     threads: usize,
     in_flight: Arc<AtomicUsize>,
@@ -121,11 +122,11 @@ impl std::fmt::Debug for WorkerPool<'_> {
 
 /// The worker main loop: pull jobs until the queue closes and drains.
 ///
-/// The receiver sits behind a mutex because the shimmed channel is
+/// The receiver sits behind a mutex because `std::sync::mpsc` is
 /// single-consumer; pickup is serialized, execution is not.
-fn worker_loop(rx: &Mutex<channel::Receiver<Job<'_>>>) {
+fn worker_loop(rx: &Mutex<Receiver<Job<'_>>>) {
     loop {
-        let job = match rx.lock().recv() {
+        let job = match rx.lock().unwrap_or_else(PoisonError::into_inner).recv() {
             Ok(job) => job,
             Err(_) => break,
         };
@@ -134,28 +135,13 @@ fn worker_loop(rx: &Mutex<channel::Receiver<Job<'_>>>) {
 }
 
 impl WorkerPool<'static> {
-    /// Spawns a long-lived pool with an unbounded injection queue.
-    /// `threads` is clamped to ≥ 1.
-    pub fn new(threads: usize) -> Self {
-        let (tx, rx) = channel::unbounded();
-        Self::spawn_static(threads, tx, rx)
-    }
-
     /// Spawns a long-lived pool whose injection queue holds at most
     /// `queue_depth` not-yet-started jobs; [`WorkerPool::try_submit`]
     /// returns [`QueueFull`] beyond that. `threads` and `queue_depth`
     /// are clamped to ≥ 1.
     pub fn bounded(threads: usize, queue_depth: usize) -> Self {
-        let (tx, rx) = channel::bounded(queue_depth.max(1));
-        Self::spawn_static(threads, tx, rx)
-    }
-
-    fn spawn_static(
-        threads: usize,
-        tx: channel::Sender<Job<'static>>,
-        rx: channel::Receiver<Job<'static>>,
-    ) -> Self {
         let threads = threads.max(1);
+        let (tx, rx) = mpsc::sync_channel(queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
         let handles = (0..threads)
             .map(|_| {
@@ -176,13 +162,13 @@ impl<'env> WorkerPool<'env> {
     /// Spawns a pool whose workers live inside `scope`, so submitted
     /// jobs may borrow from the scope's environment. The scope joins
     /// the workers after the pool is dropped. `threads` is clamped
-    /// to ≥ 1.
+    /// to ≥ 1, and the queue holds `threads` not-yet-started jobs.
     pub fn scoped<'scope>(
         scope: &'scope std::thread::Scope<'scope, 'env>,
         threads: usize,
     ) -> WorkerPool<'env> {
         let threads = threads.max(1);
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::sync_channel(threads);
         let rx = Arc::new(Mutex::new(rx));
         for _ in 0..threads {
             let rx = Arc::clone(&rx);
@@ -211,7 +197,7 @@ impl<'env> WorkerPool<'env> {
         T: Send + 'env,
         F: FnOnce() -> T + Send + 'env,
     {
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         let counter = Arc::clone(&self.in_flight);
         counter.fetch_add(1, Ordering::SeqCst);
         let job: Job<'env> = Box::new(move || {
@@ -222,8 +208,8 @@ impl<'env> WorkerPool<'env> {
         (job, JobTicket { rx })
     }
 
-    /// Submits a job, blocking while a bounded queue is at capacity,
-    /// and returns the ticket to await it on.
+    /// Submits a job, blocking while the queue is at capacity, and
+    /// returns the ticket to await it on.
     ///
     /// # Panics
     ///
@@ -241,8 +227,8 @@ impl<'env> WorkerPool<'env> {
         ticket
     }
 
-    /// Submits a job without blocking; returns [`QueueFull`] when a
-    /// bounded injection queue is at capacity.
+    /// Submits a job without blocking; returns [`QueueFull`] when the
+    /// injection queue is at capacity.
     ///
     /// # Panics
     ///
@@ -444,7 +430,7 @@ mod tests {
 
     #[test]
     fn pool_submit_await_roundtrip() {
-        let pool = WorkerPool::new(4);
+        let pool = WorkerPool::bounded(4, 32);
         let tickets: Vec<JobTicket<usize>> =
             (0..32).map(|i| pool.submit(move || i * i)).collect();
         let results: Vec<usize> = tickets.into_iter().map(JobTicket::wait).collect();
@@ -455,7 +441,7 @@ mod tests {
 
     #[test]
     fn pool_worker_survives_a_panicking_job() {
-        let pool = WorkerPool::new(1);
+        let pool = WorkerPool::bounded(1, 2);
         let bad: JobTicket<()> = pool.submit(|| panic!("job panic"));
         // The single worker must still be alive to run this:
         let good = pool.submit(|| 7u32);
@@ -494,7 +480,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs() {
-        let pool = WorkerPool::new(1);
+        let pool = WorkerPool::bounded(1, 8);
         let tickets: Vec<JobTicket<usize>> = (0..8)
             .map(|i| {
                 pool.submit(move || {
@@ -515,25 +501,25 @@ mod tests {
         // torn down on a worker thread; close_and_join must detach that
         // thread instead of self-joining (which panics in Drop with
         // "Resource deadlock avoided").
-        let pool = Arc::new(Mutex::new(Some(WorkerPool::new(2))));
+        let pool = Arc::new(Mutex::new(Some(WorkerPool::bounded(2, 1))));
         let ticket = {
-            let guard = pool.lock();
+            let guard = pool.lock().unwrap();
             let pool_ref = Arc::clone(&pool);
             guard.as_ref().unwrap().submit(move || {
                 // Take the pool out of the shared slot and drop it here,
                 // on the worker.
-                let taken = pool_ref.lock().take();
+                let taken = pool_ref.lock().unwrap().take();
                 drop(taken);
                 11u8
             })
         };
         assert_eq!(ticket.wait(), 11);
-        assert!(pool.lock().is_none(), "worker consumed the pool");
+        assert!(pool.lock().unwrap().is_none(), "worker consumed the pool");
     }
 
     #[test]
     fn try_wait_reports_pending_then_done() {
-        let pool = WorkerPool::new(1);
+        let pool = WorkerPool::bounded(1, 1);
         let gate = Arc::new(AtomicUsize::new(0));
         let g = Arc::clone(&gate);
         let ticket = pool.submit(move || {

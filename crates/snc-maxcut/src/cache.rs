@@ -1,16 +1,16 @@
-//! Deterministic caching for the offline SDP stage.
+//! Deterministic caching for the offline SDP stage, and the sharded LRU
+//! behind both of the workspace's caches.
 //!
 //! The Burer–Monteiro factor the LIF-GW and LIF-annealed circuits
 //! program into their synapses is a pure function of `(graph, sdp seed,
-//! rank)` — it costs ~13 of the ~20 ms a road-chesapeake solve spends
-//! end to end, and it is bit-for-bit reproducible given those three
-//! inputs. [`SdpCache`] memoizes exactly that function, so repeated
-//! solves of the same graph (LIF-GW then LIF-annealed, anneal restarts,
-//! repeated service requests, figure sweeps) pay the SDP once and re-run
-//! only the stochastic circuit stage the paper actually studies. Its
-//! hit/miss counters are therefore a census of every unweighted SDP the
-//! circuit families need; weighted graphs and the MAX2SAT/MAXDICUT
-//! extensions solve their SDPs inline.
+//! rank)`: it is bit-for-bit reproducible given those three inputs.
+//! [`SdpCache`] memoizes exactly that function, so repeated solves of
+//! the same graph (LIF-GW then LIF-annealed, anneal restarts, repeated
+//! service requests, figure sweeps) pay the SDP once and re-run only the
+//! stochastic circuit stage the paper actually studies. Its hit/miss
+//! counters are therefore a census of every unweighted SDP the circuit
+//! families need; weighted graphs and the MAX2SAT/MAXDICUT extensions
+//! solve their SDPs inline.
 //!
 //! ## Determinism contract
 //!
@@ -23,30 +23,201 @@
 //!
 //! ## Structure
 //!
-//! The cache is sharded: the graph fingerprint's folded digest picks a
-//! shard, each shard is an independent LRU list behind its own
-//! `parking_lot` mutex, and **no lock is ever held across an SDP
-//! solve** — on a miss the shard lock is released, the factor is
-//! computed, and the lock is retaken to insert. Two threads missing the
-//! same key concurrently both compute (identical) factors; the second
-//! insert is dropped. Entries store the full key — including the graph
-//! itself — and a hit requires full-key equality, so a fingerprint
-//! collision degrades to a miss, never to a wrong factor.
+//! [`ShardedLru`] is a bounded, cost-weighted LRU. A caller-supplied
+//! 64-bit digest picks one of up to eight shards, each an independent
+//! recency list behind its own `std::sync::Mutex`, and pre-filters
+//! lookups; a hit also needs the caller's full-key comparison, so a
+//! digest collision degrades to a miss, never to a wrong value.
+//! [`SdpCache`] is that LRU at cost 1 per entry, routed by the graph
+//! fingerprint's fold, with the graph itself in the key; `snc-server`'s
+//! response cache is the same LRU with byte costs. **No lock is ever
+//! held across an SDP solve** — on a miss the shard lock is released,
+//! the factor is computed, and the lock is retaken to insert. Two
+//! threads missing the same key concurrently both compute (identical)
+//! factors; the second insert is dropped.
 
 use crate::gw::{solve_gw, GwConfig, GwSolution};
-use parking_lot::Mutex;
-use snc_graph::{Graph, GraphFingerprint};
+use snc_graph::Graph;
 use snc_linalg::{LinalgError, SdpConfig};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Most shards a cache will spread its entries over.
+/// Most shards a [`ShardedLru`] spreads its budget over.
 const MAX_SHARDS: usize = 8;
 /// Entries per shard below which adding another shard stops paying:
 /// small caches use fewer (down to one) shards so that the configured
 /// capacity stays exact and tests can reason about eviction order.
 const MIN_ENTRIES_PER_SHARD: usize = 8;
+
+/// A traffic snapshot of a [`ShardedLru`]. Counters are monotonic since
+/// construction; `entries` and `used` describe the current contents.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LruStats {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups that found nothing.
+    pub misses: u64,
+    /// Entries evicted to make room.
+    pub evictions: u64,
+    /// Entries currently resident.
+    pub entries: u64,
+    /// Cost currently charged against the budget.
+    pub used: u64,
+}
+
+struct Slot<K, V> {
+    digest: u64,
+    key: K,
+    value: V,
+    cost: usize,
+}
+
+/// One shard: an LRU list (front = least recently used) plus its cost
+/// ledger.
+struct Shard<K, V> {
+    slots: VecDeque<Slot<K, V>>,
+    used: usize,
+}
+
+/// A bounded, sharded, thread-safe LRU whose entries each charge a cost
+/// against the budget. See the module docs.
+pub struct ShardedLru<K, V> {
+    shards: Vec<Mutex<Shard<K, V>>>,
+    per_shard_budget: usize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+}
+
+impl<K, V> std::fmt::Debug for ShardedLru<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardedLru")
+            .field("shards", &self.shards.len())
+            .field("per_shard_budget", &self.per_shard_budget)
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+impl<K, V> ShardedLru<K, V> {
+    /// Creates a cache with a total budget of `capacity` cost units over
+    /// `capacity / min_per_shard` shards, clamped to `1..=8`. Each shard
+    /// owns the floored share `capacity / shards`, so the shards together
+    /// never retain more than `capacity`. `capacity == 0` disables the
+    /// cache: every lookup misses, inserts are dropped, and nothing
+    /// panics.
+    pub fn new(capacity: usize, min_per_shard: usize) -> Self {
+        let shards = if capacity == 0 {
+            0
+        } else {
+            (capacity / min_per_shard).clamp(1, MAX_SHARDS)
+        };
+        Self {
+            shards: (0..shards.max(1))
+                .map(|_| {
+                    Mutex::new(Shard {
+                        slots: VecDeque::new(),
+                        used: 0,
+                    })
+                })
+                .collect(),
+            per_shard_budget: capacity.checked_div(shards).unwrap_or(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    /// Whether the cache can retain anything at all.
+    pub fn is_enabled(&self) -> bool {
+        self.per_shard_budget > 0
+    }
+
+    /// Total cost the cache may retain.
+    pub fn capacity(&self) -> usize {
+        self.per_shard_budget * self.shards.len()
+    }
+
+    /// A traffic snapshot (each counter is read atomically, the snapshot
+    /// as a whole is not — it is exact once traffic quiesces).
+    pub fn stats(&self) -> LruStats {
+        let (mut entries, mut used) = (0u64, 0u64);
+        for shard in &self.shards {
+            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            entries += shard.slots.len() as u64;
+            used += shard.used as u64;
+        }
+        LruStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            entries,
+            used,
+        }
+    }
+
+    fn shard(&self, digest: u64) -> MutexGuard<'_, Shard<K, V>> {
+        self.shards[(digest % self.shards.len() as u64) as usize]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<K: PartialEq, V: Clone> ShardedLru<K, V> {
+    /// Returns the value stored under `digest` whose key satisfies
+    /// `matches`, and makes it the most recently used entry of its
+    /// shard. Every call counts exactly one hit or one miss.
+    pub fn get(&self, digest: u64, matches: impl Fn(&K) -> bool) -> Option<V> {
+        if self.is_enabled() {
+            let mut shard = self.shard(digest);
+            if let Some(idx) = shard
+                .slots
+                .iter()
+                .position(|s| s.digest == digest && matches(&s.key))
+            {
+                let slot = shard.slots.remove(idx).expect("index from position");
+                let value = slot.value.clone();
+                shard.slots.push_back(slot);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(value);
+            }
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// Stores `value` under `key`, charging `cost` and evicting least
+    /// recently used entries of the shard until it fits. An entry that
+    /// costs more than a shard's budget is dropped, and inserting a
+    /// resident key is a no-op: callers cache only values that are pure
+    /// functions of their key.
+    pub fn insert(&self, digest: u64, key: K, value: V, cost: usize) {
+        if !self.is_enabled() || cost > self.per_shard_budget {
+            return;
+        }
+        let mut shard = self.shard(digest);
+        if shard
+            .slots
+            .iter()
+            .any(|s| s.digest == digest && s.key == key)
+        {
+            return;
+        }
+        while shard.used + cost > self.per_shard_budget {
+            let evicted = shard.slots.pop_front().expect("used > 0 implies entries");
+            shard.used -= evicted.cost;
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        shard.used += cost;
+        shard.slots.push_back(Slot {
+            digest,
+            key,
+            value,
+            cost,
+        });
+    }
+}
 
 /// Counters describing cache traffic (monotonic since construction).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -61,49 +232,21 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-/// The full cache key: fingerprint for routing, plus every input the
-/// SDP depends on — including the graph itself for collision checking.
-struct Entry {
-    fingerprint: GraphFingerprint,
+/// Every input the SDP depends on, the graph included so that a
+/// fingerprint collision reads as a miss, not a wrong factor.
+#[derive(PartialEq)]
+struct SdpKey {
     seed: u64,
     rank: usize,
     graph: Graph,
-    solution: Arc<GwSolution>,
-}
-
-impl Entry {
-    fn matches(&self, fingerprint: GraphFingerprint, seed: u64, rank: usize, graph: &Graph) -> bool {
-        // Fingerprint first (cheap reject), then the full key: a
-        // fingerprint collision must read as a miss, not a wrong factor.
-        self.fingerprint == fingerprint && self.seed == seed && self.rank == rank && self.graph == *graph
-    }
-}
-
-/// One shard: an LRU list (front = least recently used).
-#[derive(Default)]
-struct Shard {
-    entries: VecDeque<Entry>,
 }
 
 /// A bounded, sharded, thread-safe memo of SDP factor/bound pairs keyed
-/// by `(graph fingerprint, sdp seed, rank)` with full-key collision
-/// checking. See the module docs for the determinism contract.
+/// by `(graph, sdp seed, rank)` and routed by the graph fingerprint. See
+/// the module docs for the determinism contract.
+#[derive(Debug)]
 pub struct SdpCache {
-    shards: Vec<Mutex<Shard>>,
-    per_shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl std::fmt::Debug for SdpCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SdpCache")
-            .field("shards", &self.shards.len())
-            .field("per_shard_capacity", &self.per_shard_capacity)
-            .field("stats", &self.stats())
-            .finish()
-    }
+    lru: ShardedLru<SdpKey, Arc<GwSolution>>,
 }
 
 impl SdpCache {
@@ -111,47 +254,32 @@ impl SdpCache {
     /// total. `capacity == 0` means *disabled*: every lookup misses,
     /// inserts are dropped, and nothing panics.
     pub fn new(capacity: usize) -> Self {
-        let shards = shard_count(capacity, MIN_ENTRIES_PER_SHARD);
-        // Floor division keeps the global bound exact: the shards
-        // together never retain more than `capacity` entries.
-        let per_shard_capacity = capacity.checked_div(shards).unwrap_or(0);
         Self {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            lru: ShardedLru::new(capacity, MIN_ENTRIES_PER_SHARD),
         }
     }
 
     /// Whether the cache can retain anything at all.
     pub fn is_enabled(&self) -> bool {
-        self.per_shard_capacity > 0
+        self.lru.is_enabled()
     }
 
     /// Total entries the cache may retain.
     pub fn capacity(&self) -> usize {
-        self.per_shard_capacity * self.shards.len()
+        self.lru.capacity()
     }
 
     /// A traffic snapshot. Counters are monotonic; `entries` is the
     /// current resident count (each counter is read atomically, the
     /// snapshot as a whole is not — consistent once traffic quiesces).
     pub fn stats(&self) -> CacheStats {
+        let s = self.lru.stats();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().entries.len() as u64)
-                .sum(),
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            entries: s.entries,
         }
-    }
-
-    fn shard_for(&self, fingerprint: GraphFingerprint) -> &Mutex<Shard> {
-        &self.shards[(fingerprint.fold() % self.shards.len() as u64) as usize]
     }
 
     /// Returns the memoized SDP solution for `(graph, seed, rank)`,
@@ -191,24 +319,12 @@ impl SdpCache {
         seed: u64,
         rank: usize,
     ) -> Result<(Arc<GwSolution>, bool), LinalgError> {
-        let fingerprint = graph.fingerprint();
-        if self.is_enabled() {
-            let mut shard = self.shard_for(fingerprint).lock();
-            if let Some(idx) = shard
-                .entries
-                .iter()
-                .position(|e| e.matches(fingerprint, seed, rank, graph))
-            {
-                // LRU touch: move the hit to the back (most recent).
-                let entry = shard.entries.remove(idx).expect("index from position");
-                let solution = Arc::clone(&entry.solution);
-                shard.entries.push_back(entry);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((solution, false));
-            }
+        let digest = graph.fingerprint().fold();
+        if let Some(solution) = self.lru.get(digest, |k| {
+            k.seed == seed && k.rank == rank && k.graph == *graph
+        }) {
+            return Ok((solution, false));
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-
         // Lock released: compute outside any shard lock.
         let cfg = GwConfig {
             sdp: SdpConfig {
@@ -218,41 +334,13 @@ impl SdpCache {
             },
         };
         let solution = Arc::new(solve_gw(graph, &cfg)?);
-
-        if self.is_enabled() {
-            let mut shard = self.shard_for(fingerprint).lock();
-            // Another thread may have inserted while we solved; keep the
-            // resident entry (the values are identical by determinism).
-            let already = shard
-                .entries
-                .iter()
-                .any(|e| e.matches(fingerprint, seed, rank, graph));
-            if !already {
-                while shard.entries.len() >= self.per_shard_capacity {
-                    shard.entries.pop_front();
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                shard.entries.push_back(Entry {
-                    fingerprint,
-                    seed,
-                    rank,
-                    graph: graph.clone(),
-                    solution: Arc::clone(&solution),
-                });
-            }
-        }
+        let key = SdpKey {
+            seed,
+            rank,
+            graph: graph.clone(),
+        };
+        self.lru.insert(digest, key, Arc::clone(&solution), 1);
         Ok((solution, true))
-    }
-}
-
-/// Shard count for a capacity: enough shards to cut contention, never so
-/// many that a shard's share of the capacity drops below
-/// `min_per_shard` (and zero for a disabled cache).
-fn shard_count(capacity: usize, min_per_shard: usize) -> usize {
-    if capacity == 0 {
-        0
-    } else {
-        (capacity / min_per_shard).clamp(1, MAX_SHARDS)
     }
 }
 
@@ -357,6 +445,15 @@ mod tests {
         assert_eq!(stats.evictions, 1);
     }
 
+    fn shard_count(capacity: usize, min_per_shard: usize) -> usize {
+        let lru = ShardedLru::<u8, u8>::new(capacity, min_per_shard);
+        if lru.is_enabled() {
+            lru.shards.len()
+        } else {
+            0
+        }
+    }
+
     #[test]
     fn shard_count_scales_with_capacity() {
         assert_eq!(shard_count(0, 8), 0);
@@ -369,6 +466,27 @@ mod tests {
         let cache = SdpCache::new(65);
         assert!(cache.capacity() <= 65);
         assert!(cache.capacity() >= 64);
+    }
+
+    #[test]
+    fn shard_count_scales_with_budget() {
+        // Tiny byte budgets collapse to one shard; big budgets spread to 8.
+        assert_eq!(shard_count(4 * 1024, 64 * 1024), 1);
+        assert_eq!(shard_count(128 * 1024, 64 * 1024), 2);
+        assert_eq!(shard_count(8 << 20, 64 * 1024), 8);
+        let lru = ShardedLru::<u8, u8>::new(8 << 20, 64 * 1024);
+        assert_eq!(lru.capacity(), 8 << 20);
+    }
+
+    #[test]
+    fn digest_collisions_fall_back_to_the_full_key() {
+        let lru = ShardedLru::<&str, u32>::new(8, 8);
+        lru.insert(7, "a", 1, 1);
+        lru.insert(7, "b", 2, 1);
+        assert_eq!(lru.stats().entries, 2, "both colliding keys stay resident");
+        assert_eq!(lru.get(7, |k| *k == "a"), Some(1));
+        assert_eq!(lru.get(7, |k| *k == "b"), Some(2));
+        assert_eq!(lru.get(7, |k| *k == "c"), None, "third key: miss");
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //!   machinery, the generalization sketched in the Discussion (§VI).
 //! * [`cache`] — the deterministic [`SdpCache`]: memoized SDP
 //!   factor/bound pairs keyed by `(graph fingerprint, sdp seed, rank)`,
-//!   so repeated LIF-GW solves of one graph pay the offline stage once.
+//!   so repeated LIF-GW solves of one graph pay the offline stage once,
+//!   and the generic cost-weighted [`ShardedLru`] behind it and
+//!   `snc-server`'s response cache.
 //! * [`mod@solve`] — request→circuit dispatch: one deterministic entry point
 //!   turning (graph, family, budget, replicas, seed) into the best cut,
 //!   its partition, and a merged trace — the unit of work the
@@ -57,7 +59,7 @@ pub mod trevisan;
 pub mod weighted;
 
 pub use anneal::{CoolingSchedule, ScheduleError, ScheduleKind};
-pub use cache::{CacheStats, SdpCache};
+pub use cache::{CacheStats, LruStats, SdpCache, ShardedLru};
 pub use circuits::hopfield::{BatchedHopfieldCircuit, HopfieldCircuit, HopfieldConfig};
 pub use circuits::lif_annealed::{
     BatchedLifAnnealedCircuit, LifAnnealedCircuit, LifAnnealedConfig,

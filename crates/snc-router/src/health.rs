@@ -17,11 +17,10 @@
 //! arrives before the first sweep, and a genuinely dead backend is
 //! demoted after `down_after` observations from either source.
 
-use parking_lot::Mutex;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Hysteresis counters for one backend (behind the table's mutex).
@@ -121,7 +120,9 @@ impl HealthTable {
         if probe {
             self.counters[i].probes_ok.fetch_add(1, Ordering::Relaxed);
         }
-        let mut m = self.machines[i].lock();
+        let mut m = self.machines[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         m.consecutive_fail = 0;
         m.consecutive_ok = m.consecutive_ok.saturating_add(1);
         if !self.up[i].load(Ordering::Relaxed) && m.consecutive_ok >= self.up_after {
@@ -142,7 +143,9 @@ impl HealthTable {
         } else {
             self.counters[i].errors.fetch_add(1, Ordering::Relaxed);
         }
-        let mut m = self.machines[i].lock();
+        let mut m = self.machines[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         m.consecutive_ok = 0;
         m.consecutive_fail = m.consecutive_fail.saturating_add(1);
         if self.up[i].load(Ordering::Relaxed) && m.consecutive_fail >= self.down_after {

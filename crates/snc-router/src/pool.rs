@@ -36,11 +36,10 @@
 //! configured exactly as PR 7 did (NODELAY + read timeout), the forward
 //! path sends `Connection: close`, and nothing is ever parked.
 
-use parking_lot::Mutex;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Monotonic pool counters (shared with every live [`BackendConn`] so
@@ -136,6 +135,12 @@ impl ConnectionPool {
         self.capacity > 0
     }
 
+    fn stack(&self, backend: usize) -> MutexGuard<'_, Vec<Idle>> {
+        self.stacks[backend]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Opens a fresh connection to `addr`: connect timeout, NODELAY,
     /// and the backend read timeout set once — exactly the socket
     /// configuration PR 7 applied per request.
@@ -164,7 +169,7 @@ impl ConnectionPool {
         addr: SocketAddr,
     ) -> std::io::Result<BackendConn> {
         if self.enabled() {
-            let mut stack = self.stacks[backend].lock();
+            let mut stack = self.stack(backend);
             let now = Instant::now();
             stack.retain_mut(|idle| {
                 let keep = now.duration_since(idle.parked_at) <= self.idle_timeout;
@@ -192,7 +197,7 @@ impl ConnectionPool {
         if !self.enabled() {
             return;
         }
-        let mut stack = self.stacks[backend].lock();
+        let mut stack = self.stack(backend);
         if stack.len() >= self.capacity {
             return;
         }
@@ -213,7 +218,7 @@ impl ConnectionPool {
     /// sockets never linger to serve a first stale request after
     /// re-admission.
     pub fn drain(&self, backend: usize) {
-        for mut idle in std::mem::take(&mut *self.stacks[backend].lock()) {
+        for mut idle in std::mem::take(&mut *self.stack(backend)) {
             idle.conn.parked = false; // drop below counts it retired
             drop(idle);
         }
@@ -221,13 +226,15 @@ impl ConnectionPool {
 
     /// Idle connections currently parked for backend `backend`.
     pub fn idle_count(&self, backend: usize) -> usize {
-        self.stacks[backend].lock().len()
+        self.stack(backend).len()
     }
 
     /// Fleet-wide snapshot for `/healthz` and the `/metrics` mirror.
     pub fn snapshot(&self) -> PoolSnapshot {
         PoolSnapshot {
-            idle: self.stacks.iter().map(|s| s.lock().len() as u64).sum(),
+            idle: (0..self.stacks.len())
+                .map(|b| self.stack(b).len() as u64)
+                .sum(),
             created: self.counters.created.load(Ordering::Relaxed),
             reused: self.counters.reused.load(Ordering::Relaxed),
             retired: self.counters.retired.load(Ordering::Relaxed),

@@ -7,30 +7,24 @@
 //! *indistinguishable by construction* from a recomputed one, so the
 //! cache can change `/solve` latency but never its answers.
 //!
-//! [`ResponseCache`] is a bounded, sharded LRU keyed by the **full
-//! canonical request** ([`ResponseKey`]): circuit family, budget,
-//! replica width, seed, the graph label (it is echoed in the body), and
-//! the graph itself. The graph's [`GraphFingerprint`] routes a key to a
-//! shard and pre-filters lookups; a hit additionally requires full-key
-//! equality — a fingerprint collision degrades to a miss, never to a
-//! wrong body.
+//! [`ResponseCache`] is a [`ShardedLru`] keyed by the **full canonical
+//! request** ([`ResponseKey`]): circuit family, budget, replica width,
+//! seed, the graph label (it is echoed in the body), and the graph
+//! itself. The key's digest (the graph's [`GraphFingerprint`] fold mixed
+//! with the scalars) routes it to a shard and pre-filters lookups; a hit
+//! additionally requires full-key equality — a digest collision
+//! degrades to a miss, never to a wrong body.
 //!
 //! The bound is in **bytes** (body + an estimate of the key's heap
-//! footprint), because response size varies with graph order and trace
-//! length. Each shard owns `total / shards` bytes behind its own
-//! `parking_lot` mutex; locks are held only for lookup/insert, never
-//! across a solve. A budget of `0` disables the cache: lookups miss,
-//! inserts are dropped, nothing panics.
+//! footprint, [`ResponseKey::cost`]), because response size varies with
+//! graph order and trace length. Locks are held only for lookup/insert,
+//! never across a solve. A budget of `0` disables the cache: lookups
+//! miss, inserts are dropped, nothing panics.
 
-use parking_lot::Mutex;
 use snc_graph::{Graph, GraphFingerprint};
-use snc_maxcut::CircuitFamily;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use snc_maxcut::{CircuitFamily, ShardedLru};
 use std::sync::Arc;
 
-/// Most shards a cache will spread its budget over.
-const MAX_SHARDS: usize = 8;
 /// Bytes per shard below which another shard stops paying; small test
 /// budgets collapse to a single shard so eviction order is exact.
 const MIN_BYTES_PER_SHARD: usize = 64 * 1024;
@@ -204,39 +198,11 @@ pub struct ResponseCacheStats {
     pub capacity_bytes: u64,
 }
 
-struct Entry {
-    digest: u64,
-    key: ResponseKey,
-    body: Arc<String>,
-    cost: usize,
-}
-
-/// One shard: LRU list (front = least recently used) plus its byte
-/// ledger.
-#[derive(Default)]
-struct Shard {
-    entries: VecDeque<Entry>,
-    used: usize,
-}
-
 /// A bounded, sharded, thread-safe LRU of byte-exact response bodies
 /// keyed by the full canonical request. See the module docs.
+#[derive(Debug)]
 pub struct ResponseCache {
-    shards: Vec<Mutex<Shard>>,
-    per_shard_budget: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl std::fmt::Debug for ResponseCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResponseCache")
-            .field("shards", &self.shards.len())
-            .field("per_shard_budget", &self.per_shard_budget)
-            .field("stats", &self.stats())
-            .finish()
-    }
+    lru: ShardedLru<ResponseKey, Arc<String>>,
 }
 
 impl ResponseCache {
@@ -244,70 +210,35 @@ impl ResponseCache {
     /// disables the cache: every lookup misses, inserts are dropped, and
     /// nothing panics.
     pub fn new(bytes: usize) -> Self {
-        let shards = if bytes == 0 {
-            0
-        } else {
-            (bytes / MIN_BYTES_PER_SHARD).clamp(1, MAX_SHARDS)
-        };
-        let per_shard_budget = bytes.checked_div(shards).unwrap_or(0);
         Self {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_budget,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            lru: ShardedLru::new(bytes, MIN_BYTES_PER_SHARD),
         }
     }
 
     /// Whether the cache can retain anything at all.
     pub fn is_enabled(&self) -> bool {
-        self.per_shard_budget > 0
+        self.lru.is_enabled()
     }
 
     /// A traffic snapshot (each counter read atomically; the snapshot is
     /// exact once traffic quiesces).
     pub fn stats(&self) -> ResponseCacheStats {
-        let (mut entries, mut bytes) = (0u64, 0u64);
-        for shard in &self.shards {
-            let shard = shard.lock();
-            entries += shard.entries.len() as u64;
-            bytes += shard.used as u64;
-        }
+        let s = self.lru.stats();
         ResponseCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
-            bytes,
-            capacity_bytes: (self.per_shard_budget * self.shards.len()) as u64,
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            entries: s.entries,
+            bytes: s.used,
+            capacity_bytes: self.lru.capacity() as u64,
         }
-    }
-
-    fn shard_for(&self, digest: u64) -> &Mutex<Shard> {
-        &self.shards[(digest % self.shards.len() as u64) as usize]
     }
 
     /// Looks up the stored body for a request. Every call counts exactly
     /// one hit or one miss, so `hits + misses` equals the number of
     /// requests that consulted the cache.
     pub fn get(&self, key: &ResponseKey) -> Option<Arc<String>> {
-        if self.is_enabled() {
-            let digest = key.digest();
-            let mut shard = self.shard_for(digest).lock();
-            if let Some(idx) = shard
-                .entries
-                .iter()
-                .position(|e| e.digest == digest && e.key == *key)
-            {
-                let entry = shard.entries.remove(idx).expect("index from position");
-                let body = Arc::clone(&entry.body);
-                shard.entries.push_back(entry);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(body);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        self.lru.get(key.digest(), |k| k == key)
     }
 
     /// Stores a computed body. Entries too large for a shard's budget
@@ -316,26 +247,7 @@ impl ResponseCache {
     /// keys are byte-identical by the wire contract).
     pub fn insert(&self, key: ResponseKey, body: String) {
         let cost = key.cost(body.len());
-        if !self.is_enabled() || cost > self.per_shard_budget {
-            return;
-        }
-        let digest = key.digest();
-        let mut shard = self.shard_for(digest).lock();
-        if shard.entries.iter().any(|e| e.digest == digest && e.key == key) {
-            return;
-        }
-        while shard.used + cost > self.per_shard_budget {
-            let evicted = shard.entries.pop_front().expect("used > 0 implies entries");
-            shard.used -= evicted.cost;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.used += cost;
-        shard.entries.push_back(Entry {
-            digest,
-            key,
-            body: Arc::new(body),
-            cost,
-        });
+        self.lru.insert(key.digest(), key, Arc::new(body), cost);
     }
 }
 
@@ -400,15 +312,7 @@ mod tests {
 
     #[test]
     fn digest_collisions_fall_back_to_full_comparison() {
-        // Force a collision by construction: two different keys, same
-        // digest (we route both to the same shard by making the cache
-        // single-shard, and fake a collision via a wrapper that checks
-        // the public behavior: a lookup with a different key never
-        // returns another key's body even when digests collide — here we
-        // simply verify the full-equality arm with equal-digest... the
-        // digest is private, so assert the observable contract instead:
-        // equal graphs with different labels share a fingerprint (the
-        // digest's dominant term) yet never cross-hit.
+        // Same graph, different label: one payload fold, never a cross-hit.
         let cache = ResponseCache::new(1 << 20);
         let g = gnp(10, 0.5, 9).unwrap();
         let a = ResponseKey::new(CircuitFamily::LifGw, 8, 1, 0, "edges".into(), g.clone());
@@ -592,15 +496,5 @@ mod tests {
             canon("wgraph:n=3;").payload_fold(),
             canon("wgraph:n=4;").payload_fold()
         );
-    }
-
-    #[test]
-    fn shard_count_scales_with_budget() {
-        // Tiny budgets collapse to one shard; big budgets spread to 8.
-        assert_eq!(ResponseCache::new(4 * 1024).shards.len(), 1);
-        assert_eq!(ResponseCache::new(128 * 1024).shards.len(), 2);
-        assert_eq!(ResponseCache::new(8 << 20).shards.len(), 8);
-        let cache = ResponseCache::new(8 << 20);
-        assert_eq!(cache.stats().capacity_bytes, 8 << 20);
     }
 }

@@ -8,9 +8,9 @@
 //! accumulate results without bound. A worker finishing an evicted job
 //! is a harmless no-op.
 
-use parking_lot::Mutex;
 use snc_experiments::json::Json;
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Lifecycle state of an async job.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,10 +66,14 @@ impl JobStore {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Inserts a fresh `Queued` record, evicting if at capacity, and
     /// returns its id (ids are sequential from 1).
     pub fn insert(&self) -> u64 {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if inner.map.len() >= self.capacity {
             // Oldest finished record first; otherwise the oldest record.
             let victim = inner
@@ -92,7 +96,7 @@ impl JobStore {
 
     /// Marks `id` as running (no-op if evicted).
     pub fn set_running(&self, id: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if let Some(status) = inner.map.get_mut(&id) {
             *status = JobStatus::Running;
         }
@@ -100,7 +104,7 @@ impl JobStore {
 
     /// Finishes `id` with a result body or an error (no-op if evicted).
     pub fn finish(&self, id: u64, result: Result<Json, String>) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if let Some(status) = inner.map.get_mut(&id) {
             *status = match result {
                 Ok(body) => JobStatus::Done(body),
@@ -112,19 +116,19 @@ impl JobStore {
     /// Drops `id` entirely (used when queue submission fails after the
     /// record was created).
     pub fn remove(&self, id: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.map.remove(&id);
         inner.order.retain(|&other| other != id);
     }
 
     /// Snapshots the status of `id`.
     pub fn get(&self, id: u64) -> Option<JobStatus> {
-        self.inner.lock().map.get(&id).cloned()
+        self.lock().map.get(&id).cloned()
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.lock().map.len()
     }
 
     /// Whether the store holds no records.
