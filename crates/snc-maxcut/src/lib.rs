@@ -59,7 +59,7 @@ pub mod trevisan;
 pub mod weighted;
 
 pub use anneal::{CoolingSchedule, ScheduleError, ScheduleKind};
-pub use cache::{CacheStats, LruStats, SdpCache, ShardedLru};
+pub use cache::{CacheStats, SdpCache, ShardedLru};
 pub use circuits::hopfield::{BatchedHopfieldCircuit, HopfieldCircuit, HopfieldConfig};
 pub use circuits::lif_annealed::{
     BatchedLifAnnealedCircuit, LifAnnealedCircuit, LifAnnealedConfig,

@@ -10,7 +10,7 @@
 //! [`ResponseCache`] is a [`ShardedLru`] keyed by the **full canonical
 //! request** ([`ResponseKey`]): circuit family, budget, replica width,
 //! seed, the graph label (it is echoed in the body), and the graph
-//! itself. The key's digest (the graph's [`GraphFingerprint`] fold mixed
+//! itself. The key's digest (its [`ResponseKey::payload_fold`] mixed
 //! with the scalars) routes it to a shard and pre-filters lookups; a hit
 //! additionally requires full-key equality — a digest collision
 //! degrades to a miss, never to a wrong body.
