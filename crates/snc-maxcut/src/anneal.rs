@@ -424,7 +424,10 @@ mod tests {
         for seed in 0..4u64 {
             let g = gnp(16, 0.4, seed).unwrap();
             let (_, opt) = brute_force(&g);
-            let cfg = AnnealConfig { seed, ..AnnealConfig::default() };
+            let cfg = AnnealConfig {
+                seed,
+                ..AnnealConfig::default()
+            };
             let (_, v) = multistart_annealing(&g, &cfg, 4);
             assert!(v >= opt.saturating_sub(1), "seed={seed}: {v} vs opt {opt}");
         }
@@ -488,7 +491,10 @@ mod tests {
         for seed in 0..3u64 {
             let g = gnp(18, 0.35, seed).unwrap();
             let (_, opt) = brute_force(&g);
-            let cfg = TemperingConfig { seed, ..TemperingConfig::default() };
+            let cfg = TemperingConfig {
+                seed,
+                ..TemperingConfig::default()
+            };
             let (_, v) = parallel_tempering(&g, &cfg);
             assert!(v >= opt.saturating_sub(1), "seed={seed}: {v} vs {opt}");
         }
@@ -499,9 +505,16 @@ mod tests {
         // With a matched total sweep budget, tempering should not lose to
         // a single annealing run (statistically; fixed seeds here).
         let g = gnp(40, 0.25, 4).unwrap();
-        let t_cfg = TemperingConfig { replicas: 8, rounds: 25, ..TemperingConfig::default() };
+        let t_cfg = TemperingConfig {
+            replicas: 8,
+            rounds: 25,
+            ..TemperingConfig::default()
+        };
         let (_, pt) = parallel_tempering(&g, &t_cfg);
-        let a_cfg = AnnealConfig { sweeps: 200, ..AnnealConfig::default() };
+        let a_cfg = AnnealConfig {
+            sweeps: 200,
+            ..AnnealConfig::default()
+        };
         let (_, sa) = simulated_annealing(&g, &a_cfg);
         assert!(pt + 2 >= sa, "tempering {pt} far below annealing {sa}");
     }
@@ -602,7 +615,10 @@ mod tests {
         assert!(CoolingSchedule::geometric(0.0, 0.0).is_err());
         assert!(CoolingSchedule::linear(1.0, -0.5).is_err(), "negative σ");
         assert!(CoolingSchedule::constant(-1.0).is_err());
-        assert!(CoolingSchedule::linear(1.0, 0.0).is_ok(), "linear to zero is fine");
+        assert!(
+            CoolingSchedule::linear(1.0, 0.0).is_ok(),
+            "linear to zero is fine"
+        );
         let e = CoolingSchedule::geometric(0.5, 1.5).unwrap_err();
         assert!(e.to_string().contains("must cool"), "{e}");
     }

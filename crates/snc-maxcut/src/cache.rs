@@ -427,7 +427,10 @@ mod tests {
         let b = cache.get_or_solve(&g, 1, 2).unwrap();
         assert_eq!(a.factors, b.factors, "still deterministic, just uncached");
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries, stats.evictions), (0, 2, 0, 0));
+        assert_eq!(
+            (stats.hits, stats.misses, stats.entries, stats.evictions),
+            (0, 2, 0, 0)
+        );
     }
 
     #[test]

@@ -267,11 +267,8 @@ mod tests {
     #[test]
     fn weighted_construction_respects_signs() {
         // A strongly negative edge glues its endpoints to one side.
-        let g = WeightedGraph::from_weighted_edges(
-            3,
-            &[(0, 1, -4.0), (1, 2, 1.0), (0, 2, 1.0)],
-        )
-        .unwrap();
+        let g = WeightedGraph::from_weighted_edges(3, &[(0, 1, -4.0), (1, 2, 1.0), (0, 2, 1.0)])
+            .unwrap();
         let mut circuit = HopfieldCircuit::new(&g, 1, &HopfieldConfig::default());
         let mut last = None;
         for _ in 0..40 {

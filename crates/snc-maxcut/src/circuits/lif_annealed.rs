@@ -563,13 +563,7 @@ mod tests {
         // bit-identical, so the first sample (σ == σ(0) in both) agrees.
         let g = gnp(12, 0.5, 8).unwrap();
         let factors = factors_for(&g);
-        let mut geo = LifAnnealedCircuit::new(
-            &factors,
-            &g,
-            11,
-            &LifAnnealedConfig::default(),
-            32,
-        );
+        let mut geo = LifAnnealedCircuit::new(&factors, &g, 11, &LifAnnealedConfig::default(), 32);
         let linear_cfg = LifAnnealedConfig {
             schedule: CoolingSchedule::linear(1.0, 0.0).unwrap(),
             ..LifAnnealedConfig::default()

@@ -28,7 +28,10 @@ pub struct Literal {
 impl Literal {
     /// A positive literal.
     pub fn pos(var: u32) -> Self {
-        Self { var, negated: false }
+        Self {
+            var,
+            negated: false,
+        }
     }
 
     /// A negative literal.
@@ -121,8 +124,14 @@ impl Max2Sat {
                     j = rng.next_index(n_vars) as u32;
                 }
                 Clause {
-                    a: Literal { var: i, negated: rng.next_bool(0.5) },
-                    b: Some(Literal { var: j, negated: rng.next_bool(0.5) }),
+                    a: Literal {
+                        var: i,
+                        negated: rng.next_bool(0.5),
+                    },
+                    b: Some(Literal {
+                        var: j,
+                        negated: rng.next_bool(0.5),
+                    }),
                     weight: 1.0,
                 }
             })
@@ -169,10 +178,22 @@ pub fn solve_gw_max2sat(
                 // (3 + a·x_i + b·x_j − ab·x_i x_j)/4, maximize ⇒ minimize
                 // −(w a/4)⟨v0,vi⟩ − (w b/4)⟨v0,vj⟩ + (w ab/4)⟨vi,vj⟩.
                 constant += 3.0 * w / 4.0;
-                couplings.push(sdp::Coupling { i: v0, j: c.a.var, w: -w * a / 4.0 });
-                couplings.push(sdp::Coupling { i: v0, j: b.var, w: -w * bs / 4.0 });
+                couplings.push(sdp::Coupling {
+                    i: v0,
+                    j: c.a.var,
+                    w: -w * a / 4.0,
+                });
+                couplings.push(sdp::Coupling {
+                    i: v0,
+                    j: b.var,
+                    w: -w * bs / 4.0,
+                });
                 if c.a.var != b.var {
-                    couplings.push(sdp::Coupling { i: c.a.var, j: b.var, w: w * a * bs / 4.0 });
+                    couplings.push(sdp::Coupling {
+                        i: c.a.var,
+                        j: b.var,
+                        w: w * a * bs / 4.0,
+                    });
                 } else {
                     // Same variable twice: x_i x_i = 1 folds into the constant.
                     constant -= w * a * bs / 4.0;
@@ -181,7 +202,11 @@ pub fn solve_gw_max2sat(
             None => {
                 // (1 + a·x_i)/2 ⇒ minimize −(w a/2)⟨v0,vi⟩.
                 constant += w / 2.0;
-                couplings.push(sdp::Coupling { i: v0, j: c.a.var, w: -w * a / 2.0 });
+                couplings.push(sdp::Coupling {
+                    i: v0,
+                    j: c.a.var,
+                    w: -w * a / 2.0,
+                });
             }
         }
     }
@@ -230,8 +255,16 @@ mod tests {
         let inst = Max2Sat {
             n_vars: 2,
             clauses: vec![
-                Clause { a: Literal::pos(0), b: Some(Literal::neg(1)), weight: 1.0 },
-                Clause { a: Literal::neg(0), b: None, weight: 2.0 },
+                Clause {
+                    a: Literal::pos(0),
+                    b: Some(Literal::neg(1)),
+                    weight: 1.0,
+                },
+                Clause {
+                    a: Literal::neg(0),
+                    b: None,
+                    weight: 2.0,
+                },
             ],
         };
         assert_eq!(inst.value(&[true, true]), 1.0); // clause 1 only
@@ -245,9 +278,21 @@ mod tests {
         let inst = Max2Sat {
             n_vars: 2,
             clauses: vec![
-                Clause { a: Literal::pos(0), b: Some(Literal::pos(1)), weight: 1.0 },
-                Clause { a: Literal::neg(0), b: Some(Literal::pos(1)), weight: 1.0 },
-                Clause { a: Literal::pos(0), b: Some(Literal::neg(1)), weight: 1.0 },
+                Clause {
+                    a: Literal::pos(0),
+                    b: Some(Literal::pos(1)),
+                    weight: 1.0,
+                },
+                Clause {
+                    a: Literal::neg(0),
+                    b: Some(Literal::pos(1)),
+                    weight: 1.0,
+                },
+                Clause {
+                    a: Literal::pos(0),
+                    b: Some(Literal::neg(1)),
+                    weight: 1.0,
+                },
             ],
         };
         let (assignment, v) = inst.brute_force();
@@ -260,9 +305,21 @@ mod tests {
         let inst = Max2Sat {
             n_vars: 3,
             clauses: vec![
-                Clause { a: Literal::pos(0), b: Some(Literal::neg(1)), weight: 1.0 },
-                Clause { a: Literal::pos(1), b: Some(Literal::pos(2)), weight: 1.0 },
-                Clause { a: Literal::neg(2), b: None, weight: 1.0 },
+                Clause {
+                    a: Literal::pos(0),
+                    b: Some(Literal::neg(1)),
+                    weight: 1.0,
+                },
+                Clause {
+                    a: Literal::pos(1),
+                    b: Some(Literal::pos(2)),
+                    weight: 1.0,
+                },
+                Clause {
+                    a: Literal::neg(2),
+                    b: None,
+                    weight: 1.0,
+                },
             ],
         };
         let sol = solve_gw_max2sat(&inst, &cfg(), 32, 1).unwrap();
@@ -279,7 +336,11 @@ mod tests {
             let sol = solve_gw_max2sat(&inst, &cfg(), 64, seed).unwrap();
             let ratio = sol.value / opt;
             assert!(ratio >= 0.878, "seed={seed}: ratio {ratio}");
-            assert!(sol.sdp_bound + 1e-6 >= opt, "bound {} < {opt}", sol.sdp_bound);
+            assert!(
+                sol.sdp_bound + 1e-6 >= opt,
+                "bound {} < {opt}",
+                sol.sdp_bound
+            );
         }
     }
 
@@ -288,8 +349,16 @@ mod tests {
         let inst = Max2Sat {
             n_vars: 2,
             clauses: vec![
-                Clause { a: Literal::pos(0), b: None, weight: 5.0 },
-                Clause { a: Literal::neg(1), b: None, weight: 5.0 },
+                Clause {
+                    a: Literal::pos(0),
+                    b: None,
+                    weight: 5.0,
+                },
+                Clause {
+                    a: Literal::neg(1),
+                    b: None,
+                    weight: 5.0,
+                },
             ],
         };
         let sol = solve_gw_max2sat(&inst, &cfg(), 16, 3).unwrap();

@@ -118,7 +118,11 @@ pub fn solve_gw_maxdicut(
         // (1 + x_i − x_j − x_i x_j)/4: maximize ⇒ minimize
         // −(1/4)⟨v0,vi⟩ + (1/4)⟨v0,vj⟩ + (1/4)⟨vi,vj⟩.
         constant += 0.25;
-        couplings.push(sdp::Coupling { i: v0, j: i, w: -0.25 });
+        couplings.push(sdp::Coupling {
+            i: v0,
+            j: i,
+            w: -0.25,
+        });
         couplings.push(sdp::Coupling { i: v0, j, w: 0.25 });
         couplings.push(sdp::Coupling { i, j, w: 0.25 });
     }

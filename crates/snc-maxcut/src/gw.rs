@@ -20,13 +20,11 @@ use snc_graph::{CutAssignment, Graph};
 use snc_linalg::{sdp, DMatrix, GaussianSampler, LinalgError, SdpConfig};
 
 /// Configuration for the software GW solver.
-#[derive(Clone, Copy, Debug)]
-#[derive(Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct GwConfig {
     /// Underlying SDP solver configuration (rank 4 by default, per §IV.A).
     pub sdp: SdpConfig,
 }
-
 
 /// The SDP stage's output.
 #[derive(Clone, Debug)]

@@ -65,7 +65,9 @@ pub use circuits::lif_annealed::{
     BatchedLifAnnealedCircuit, LifAnnealedCircuit, LifAnnealedConfig,
 };
 pub use circuits::lif_gw::{BatchedLifGwCircuit, LifGwCircuit, LifGwConfig};
-pub use circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanCircuit, LifTrevisanConfig};
+pub use circuits::lif_trevisan::{
+    BatchedLifTrevisanCircuit, LifTrevisanCircuit, LifTrevisanConfig,
+};
 pub use graph::MaxCutGraph;
 pub use gw::{solve_gw, GwConfig, GwSampler, GwSolution};
 pub use random::RandomCutSampler;

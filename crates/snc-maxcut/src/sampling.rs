@@ -282,11 +282,7 @@ pub struct SampleStats {
 /// The *mean* is the sensitive statistic for distribution quality: a
 /// sampler with a distorted covariance can still luck into good best-of-N
 /// cuts while its average sample degrades.
-pub fn sample_stats(
-    sampler: &mut impl CutSampler,
-    graph: &Graph,
-    budget: u64,
-) -> SampleStats {
+pub fn sample_stats(sampler: &mut impl CutSampler, graph: &Graph, budget: u64) -> SampleStats {
     let mut best = 0u64;
     let mut total = 0.0f64;
     let mut tracker: Option<CutTracker<'_>> = None;
@@ -298,7 +294,11 @@ pub fn sample_stats(
     }
     SampleStats {
         best,
-        mean: if budget > 0 { total / budget as f64 } else { 0.0 },
+        mean: if budget > 0 {
+            total / budget as f64
+        } else {
+            0.0
+        },
         count: budget,
     }
 }

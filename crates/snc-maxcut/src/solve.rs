@@ -545,8 +545,14 @@ mod tests {
             assert_eq!(CircuitFamily::from_name(f.name()), Some(f));
         }
         assert_eq!(CircuitFamily::all().len(), 4);
-        assert_eq!(CircuitFamily::from_name("lif-annealed"), Some(CircuitFamily::LifAnnealed));
-        assert_eq!(CircuitFamily::from_name("hopfield"), Some(CircuitFamily::Hopfield));
+        assert_eq!(
+            CircuitFamily::from_name("lif-annealed"),
+            Some(CircuitFamily::LifAnnealed)
+        );
+        assert_eq!(
+            CircuitFamily::from_name("hopfield"),
+            Some(CircuitFamily::Hopfield)
+        );
         assert_eq!(CircuitFamily::from_name("gw"), None);
         assert!(CircuitFamily::LifAnnealed.uses_sdp());
         assert!(!CircuitFamily::Hopfield.uses_sdp());
@@ -791,21 +797,14 @@ mod tests {
             let b = solve(&g, &spec(family)).unwrap();
             assert_eq!(a.trace, b.trace, "{family:?}");
             assert_eq!(a.best_cut, b.best_cut, "{family:?}");
-            assert_eq!(
-                a.best_value.to_bits(),
-                b.best_value.to_bits(),
-                "{family:?}"
-            );
+            assert_eq!(a.best_value.to_bits(), b.best_value.to_bits(), "{family:?}");
         }
     }
 
     #[test]
     fn negative_weights_reject_trevisan_only() {
-        let g = WeightedGraph::from_weighted_edges(
-            4,
-            &[(0, 1, 1.0), (1, 2, -0.5), (2, 3, 2.0)],
-        )
-        .unwrap();
+        let g = WeightedGraph::from_weighted_edges(4, &[(0, 1, 1.0), (1, 2, -0.5), (2, 3, 2.0)])
+            .unwrap();
         assert_eq!(
             solve(&g, &spec(CircuitFamily::LifTrevisan)).unwrap_err(),
             SolveError::NegativeWeights

@@ -60,7 +60,10 @@ pub struct TrevisanSolution {
 /// # Errors
 ///
 /// Propagates eigensolver non-convergence.
-pub fn solve_trevisan(graph: &Graph, cfg: &TrevisanConfig) -> Result<TrevisanSolution, LinalgError> {
+pub fn solve_trevisan(
+    graph: &Graph,
+    cfg: &TrevisanConfig,
+) -> Result<TrevisanSolution, LinalgError> {
     if graph.n() == 0 {
         return Ok(TrevisanSolution {
             eigenvector: Vec::new(),
@@ -139,7 +142,11 @@ mod tests {
     fn eigenvalue_in_spectral_range() {
         let g = gnp(40, 0.2, 1).unwrap();
         let sol = solve_trevisan(&g, &TrevisanConfig::default()).unwrap();
-        assert!((-1e-9..=2.0).contains(&sol.eigenvalue), "λ={}", sol.eigenvalue);
+        assert!(
+            (-1e-9..=2.0).contains(&sol.eigenvalue),
+            "λ={}",
+            sol.eigenvalue
+        );
         assert_eq!(sol.cut.cut_value(&g), sol.value);
     }
 

@@ -140,16 +140,20 @@ mod tests {
 
     fn weighted_fixture(seed: u64) -> WeightedGraph {
         let base = snc_graph::generators::erdos_renyi::gnp(12, 0.5, seed).unwrap();
-        randomize_weights(&base, WeightDistribution::Uniform { lo: 0.5, hi: 3.0 }, seed).unwrap()
+        randomize_weights(
+            &base,
+            WeightDistribution::Uniform { lo: 0.5, hi: 3.0 },
+            seed,
+        )
+        .unwrap()
     }
 
     #[test]
     fn brute_force_known_values() {
         // Triangle with weights 2, 3, 0.5: best cut separates vertex 1
         // (cuts 2 + 3 = 5).
-        let g =
-            WeightedGraph::from_weighted_edges(3, &[(0, 1, 2.0), (1, 2, 3.0), (0, 2, 0.5)])
-                .unwrap();
+        let g = WeightedGraph::from_weighted_edges(3, &[(0, 1, 2.0), (1, 2, 3.0), (0, 2, 0.5)])
+            .unwrap();
         let (cut, v) = brute_force_weighted(&g);
         assert!((v - 5.0).abs() < 1e-12);
         assert!((g.cut_value(&cut) - v).abs() < 1e-12);
@@ -171,7 +175,11 @@ mod tests {
             let g = weighted_fixture(seed);
             let (_, opt) = brute_force_weighted(&g);
             let sol = solve_gw(&g, &GwConfig::default()).unwrap();
-            assert!(sol.sdp_bound + 1e-6 >= opt, "bound {} < {opt}", sol.sdp_bound);
+            assert!(
+                sol.sdp_bound + 1e-6 >= opt,
+                "bound {} < {opt}",
+                sol.sdp_bound
+            );
             let mut sampler = GwSampler::new(sol.factors, seed);
             let trace = sample_best_trace(&mut sampler, &g, &log2_checkpoints(64));
             assert!(
@@ -185,10 +193,9 @@ mod tests {
     #[test]
     fn weighted_trevisan_solves_bipartite() {
         let base = complete_bipartite(4, 4);
-        let g = randomize_weights(&base, WeightDistribution::Uniform { lo: 1.0, hi: 2.0 }, 7)
-            .unwrap();
-        let sol =
-            solve_trevisan_weighted(&g, &snc_linalg::eigen::EigenConfig::default()).unwrap();
+        let g =
+            randomize_weights(&base, WeightDistribution::Uniform { lo: 1.0, hi: 2.0 }, 7).unwrap();
+        let sol = solve_trevisan_weighted(&g, &snc_linalg::eigen::EigenConfig::default()).unwrap();
         assert!(sol.eigenvalue.abs() < 1e-6);
         assert!((sol.value - g.total_weight()).abs() < 1e-9);
     }
@@ -197,8 +204,8 @@ mod tests {
     fn weighted_matches_unweighted_on_unit_weights() {
         let base = cycle(9);
         let g = WeightedGraph::from_graph(&base);
-        let sol_w = solve_trevisan_weighted(&g, &snc_linalg::eigen::EigenConfig::default())
-            .unwrap();
+        let sol_w =
+            solve_trevisan_weighted(&g, &snc_linalg::eigen::EigenConfig::default()).unwrap();
         let sol_u =
             crate::trevisan::solve_trevisan(&base, &crate::trevisan::TrevisanConfig::default())
                 .unwrap();
@@ -209,8 +216,8 @@ mod tests {
     #[test]
     fn weighted_lif_tr_learns_bipartite() {
         let base = complete_bipartite(3, 3);
-        let g = randomize_weights(&base, WeightDistribution::Uniform { lo: 0.5, hi: 1.5 }, 5)
-            .unwrap();
+        let g =
+            randomize_weights(&base, WeightDistribution::Uniform { lo: 0.5, hi: 1.5 }, 5).unwrap();
         let mut circuit = WeightedLifTrevisanCircuit::new(&g, 3, &LifTrevisanConfig::default());
         let trace = sample_best_trace(&mut circuit, &g, &log2_checkpoints(20_000));
         assert!(

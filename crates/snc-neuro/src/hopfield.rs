@@ -434,9 +434,21 @@ mod tests {
             net.step();
             reference_step(&mut reference);
             assert_eq!(net.steps(), reference.steps());
-            assert_eq!(bits(net.potentials()), bits(reference.potentials()), "u at {t}");
-            assert_eq!(bits(net.activations()), bits(reference.activations()), "x at {t}");
-            assert_eq!(net.energy().to_bits(), reference.energy().to_bits(), "energy at {t}");
+            assert_eq!(
+                bits(net.potentials()),
+                bits(reference.potentials()),
+                "u at {t}"
+            );
+            assert_eq!(
+                bits(net.activations()),
+                bits(reference.activations()),
+                "x at {t}"
+            );
+            assert_eq!(
+                net.energy().to_bits(),
+                reference.energy().to_bits(),
+                "energy at {t}"
+            );
             let (before, after) = (&tail[2], bits(reference.potentials()));
             if fixed_at.is_none() && after == *before {
                 fixed_at = Some(t);
@@ -466,7 +478,10 @@ mod tests {
         let couplings: Vec<_> = graph.edges().map(|(i, j)| (i, j, 1.0)).collect();
         let net = HopfieldNetwork::new(40, &couplings, HopfieldParams::default(), 3);
         let run = lockstep(net, 600);
-        assert!(run.partial > 0, "units stop one by one before the network does");
+        assert!(
+            run.partial > 0,
+            "units stop one by one before the network does"
+        );
         let fixed_at = run.fixed_at.expect("the trajectory reaches a fixed point");
         assert!(fixed_at < 500, "fixed point at step {fixed_at}");
         assert_eq!(run.settled_at, Some(fixed_at), "settles at its fixed point");
@@ -499,7 +514,8 @@ mod tests {
 
     #[test]
     fn self_couplings_are_dropped_and_bad_endpoints_panic() {
-        let net = HopfieldNetwork::new(2, &[(0, 0, 5.0), (0, 1, 1.0)], HopfieldParams::default(), 1);
+        let net =
+            HopfieldNetwork::new(2, &[(0, 0, 5.0), (0, 1, 1.0)], HopfieldParams::default(), 1);
         assert_eq!(net.n(), 2);
         // Only the (0,1) pair survives.
         assert_eq!(*net.couplings, HopfieldCouplings::new(2, &[(0, 1, 1.0)]));

@@ -165,7 +165,10 @@ impl Default for TwoStageConfig {
         Self {
             lif: LifParams::default(),
             reset: Reset::None,
-            learning_rate: LearningRate::Decay { eta0: 0.05, t0: 20_000.0 },
+            learning_rate: LearningRate::Decay {
+                eta0: 0.05,
+                t0: 20_000.0,
+            },
             plasticity_interval: 10,
             signal_gain: None,
             weight_scale: 1.0,
@@ -186,17 +189,19 @@ impl Default for TwoStageConfig {
 /// spectrum estimation, exactly the kind of fixed analog
 /// attenuation a hardware implementation would bake in.
 fn plasticity_gain(config: &TwoStageConfig) -> f64 {
-    config.signal_gain.unwrap_or_else(|| match config.plasticity_signal {
-        PlasticitySignal::CenteredPotential => {
-            let kappa = theory::kappa(&config.lif, 0.5).max(1e-300);
-            0.9f64.sqrt() / (2.0 * config.weight_scale.abs().max(1e-300) * kappa.sqrt())
-        }
-        // Sign variables have unit variance; their correlation matrix
-        // is the arcsine compression of the Gaussian one, whose
-        // spectral norm stays below ‖M‖²/min diag(M²) ≤ 4, so the same
-        // factor-2 attenuation keeps Oja's rule stable.
-        PlasticitySignal::SpikeSign => 0.9f64.sqrt() / 2.0,
-    })
+    config
+        .signal_gain
+        .unwrap_or_else(|| match config.plasticity_signal {
+            PlasticitySignal::CenteredPotential => {
+                let kappa = theory::kappa(&config.lif, 0.5).max(1e-300);
+                0.9f64.sqrt() / (2.0 * config.weight_scale.abs().max(1e-300) * kappa.sqrt())
+            }
+            // Sign variables have unit variance; their correlation matrix
+            // is the arcsine compression of the Gaussian one, whose
+            // spectral norm stays below ‖M‖²/min diag(M²) ≤ 4, so the same
+            // factor-2 attenuation keeps Oja's rule stable.
+            PlasticitySignal::SpikeSign => 0.9f64.sqrt() / 2.0,
+        })
 }
 
 /// Deterministic random unit start for the plastic vector; a pure function
@@ -368,7 +373,9 @@ impl TwoStageNetwork {
             vector::scale(&mut self.centered, self.gain);
         }
         let eta = self.learning_rate.at(self.updates);
-        let y = self.rule.update(&mut self.readout_weights, &self.centered, eta);
+        let y = self
+            .rule
+            .update(&mut self.readout_weights, &self.centered, eta);
         self.updates += 1;
         saturation_guard(&mut self.readout_weights);
         // Stage-2 neuron: receives the readout current; its spikes are
@@ -619,10 +626,8 @@ mod tests {
 
     #[test]
     fn network_dimensions_and_means() {
-        let w = DenseWeights::from_matrix_scaled(
-            &DMatrix::from_rows(&[&[1.0, 0.0], &[0.5, 0.5]]),
-            1.0,
-        );
+        let w =
+            DenseWeights::from_matrix_scaled(&DMatrix::from_rows(&[&[1.0, 0.0], &[0.5, 0.5]]), 1.0);
         let net = DeviceDrivenNetwork::new(fair_pool(2, 1), w, LifParams::default(), Reset::None);
         assert_eq!(net.neurons(), 2);
         assert_eq!(net.devices(), 2);
@@ -679,7 +684,11 @@ mod tests {
         assert_eq!(side0[3], side0[5]);
         assert_ne!(side0[0], side0[3], "w = {w:?}");
         // Norm stabilized near 1.
-        assert!((vector::norm(w) - 1.0).abs() < 0.2, "norm={}", vector::norm(w));
+        assert!(
+            (vector::norm(w) - 1.0).abs() < 0.2,
+            "norm={}",
+            vector::norm(w)
+        );
     }
 
     #[test]

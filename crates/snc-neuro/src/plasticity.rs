@@ -168,17 +168,16 @@ mod tests {
 
     fn test_cov() -> DMatrix {
         // Eigenvalues 3, 1, 0.2 with known eigenvectors.
-        DMatrix::from_rows(&[
-            &[2.0, 1.0, 0.0],
-            &[1.0, 2.0, 0.0],
-            &[0.0, 0.0, 0.2],
-        ])
+        DMatrix::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, 2.0, 0.0], &[0.0, 0.0, 0.2]])
     }
 
     #[test]
     fn learning_rate_schedules() {
         assert_eq!(LearningRate::Constant(0.1).at(1000), 0.1);
-        let d = LearningRate::Decay { eta0: 0.1, t0: 100.0 };
+        let d = LearningRate::Decay {
+            eta0: 0.1,
+            t0: 100.0,
+        };
         assert_eq!(d.at(0), 0.1);
         assert!((d.at(100) - 0.05).abs() < 1e-12);
         assert!(d.at(10_000) < 0.002);
@@ -194,7 +193,10 @@ mod tests {
             &OjaPrincipal,
             &c,
             60_000,
-            LearningRate::Decay { eta0: 0.02, t0: 5_000.0 },
+            LearningRate::Decay {
+                eta0: 0.02,
+                t0: 5_000.0,
+            },
             7,
         );
         let align = vector::alignment(&w, &top);
@@ -212,7 +214,10 @@ mod tests {
             &OjaMinor,
             &c,
             60_000,
-            LearningRate::Decay { eta0: 0.02, t0: 5_000.0 },
+            LearningRate::Decay {
+                eta0: 0.02,
+                t0: 5_000.0,
+            },
             8,
         );
         let align = vector::alignment(&w, &bottom);
@@ -269,7 +274,8 @@ mod tests {
                 let eta = 0.05 / (1.0 + t as f64);
                 rule.update_replicas(&mut w_batch, &x, eta, &mut ys);
                 for r in 0..replicas {
-                    let y = rule.update(&mut w_seq[r * n..(r + 1) * n], &x[r * n..(r + 1) * n], eta);
+                    let y =
+                        rule.update(&mut w_seq[r * n..(r + 1) * n], &x[r * n..(r + 1) * n], eta);
                     assert_eq!(y.to_bits(), ys[r].to_bits(), "y at t={t} r={r}");
                 }
                 for (k, (a, b)) in w_batch.iter().zip(&w_seq).enumerate() {

@@ -104,12 +104,7 @@ pub trait BatchWeights: InputWeights {
     ///
     /// Panics if any `states[r].len() != devices()` or
     /// `out.len() != neurons() * states.len()`.
-    fn accumulate_replicas(
-        &self,
-        plan: &mut Self::Plan,
-        states: &[ActivityWords],
-        out: &mut [f64],
-    );
+    fn accumulate_replicas(&self, plan: &mut Self::Plan, states: &[ActivityWords], out: &mut [f64]);
     /// The memoized current vector `W · s` for one packed state, if the
     /// plan precomputes per-pattern rows — lets steppers read currents in
     /// place instead of materializing them. Availability must not depend
@@ -276,12 +271,7 @@ impl BatchWeights for DenseWeights {
         }
     }
 
-    fn accumulate_replicas(
-        &self,
-        plan: &mut DensePlan,
-        states: &[ActivityWords],
-        out: &mut [f64],
-    ) {
+    fn accumulate_replicas(&self, plan: &mut DensePlan, states: &[ActivityWords], out: &mut [f64]) {
         let replicas = states.len();
         assert_eq!(out.len(), self.rows * replicas);
         for s in states {
@@ -353,7 +343,10 @@ impl CscWeights {
     /// ≤ `|scale|`, so a finite scale makes the whole matrix finite —
     /// the `CscWeights` invariant the batched kernel relies on).
     pub fn trevisan(graph: &Graph, scale: f64) -> Self {
-        assert!(scale.is_finite(), "weight scale must be finite, got {scale}");
+        assert!(
+            scale.is_finite(),
+            "weight scale must be finite, got {scale}"
+        );
         let n = graph.n();
         let inv_sqrt: Vec<f64> = (0..n)
             .map(|i| {
@@ -446,7 +439,10 @@ impl CscWeights {
         let mut sorted: Vec<(u32, u32, f64)> = triplets
             .iter()
             .map(|&(i, j, v)| {
-                assert!((i as usize) < rows && (j as usize) < cols, "triplet out of range");
+                assert!(
+                    (i as usize) < rows && (j as usize) < cols,
+                    "triplet out of range"
+                );
                 assert!(v.is_finite(), "synaptic weights must be finite, got {v}");
                 (j, i, v)
             })
@@ -561,12 +557,7 @@ impl BatchWeights for CscWeights {
     /// more stage each column's replica activity as 0/1 selectors, then
     /// walk the column once per 8-replica chunk (selectors held in an
     /// `[f64; 8]`) and once more for the remaining replicas.
-    fn accumulate_replicas(
-        &self,
-        plan: &mut CscPlan,
-        states: &[ActivityWords],
-        out: &mut [f64],
-    ) {
+    fn accumulate_replicas(&self, plan: &mut CscPlan, states: &[ActivityWords], out: &mut [f64]) {
         let replicas = states.len();
         if let [state] = states {
             // One replica: the interleaved and replica-major layouts
@@ -790,7 +781,11 @@ mod tests {
         for (r, s) in states.iter().enumerate() {
             w.accumulate_words(s, &mut single);
             for i in 0..n {
-                let k = if W::INTERLEAVED { i * replicas + r } else { r * n + i };
+                let k = if W::INTERLEAVED {
+                    i * replicas + r
+                } else {
+                    r * n + i
+                };
                 assert_eq!(
                     single[i].to_bits(),
                     batched[k].to_bits(),

@@ -55,11 +55,7 @@ pub fn stationary_means(params: &LifParams, weights: &impl InputWeights, p: f64)
 ///
 /// Densifies the Gram matrix; intended for analysis and tests, not hot
 /// paths.
-pub fn stationary_covariance(
-    params: &LifParams,
-    weights: &impl InputWeights,
-    p: f64,
-) -> DMatrix {
+pub fn stationary_covariance(params: &LifParams, weights: &impl InputWeights, p: f64) -> DMatrix {
     let mut g = weights.gram();
     g.scale(kappa(params, p));
     g

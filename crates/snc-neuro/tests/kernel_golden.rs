@@ -123,8 +123,16 @@ fn hopfield_unit_couplings() {
     check_hopfield(
         Couplings::Unit,
         [
-            [0x0bf7_0b47_d2b2_8466, 0x2b4f_a012_380a_a0d8, 0x04a9_8f79_9c13_24fc],
-            [0x0d01_2137_218c_ea33, 0x1418_ef7e_edcd_0043, 0x443d_a3d5_1f7c_1718],
+            [
+                0x0bf7_0b47_d2b2_8466,
+                0x2b4f_a012_380a_a0d8,
+                0x04a9_8f79_9c13_24fc,
+            ],
+            [
+                0x0d01_2137_218c_ea33,
+                0x1418_ef7e_edcd_0043,
+                0x443d_a3d5_1f7c_1718,
+            ],
         ],
     );
 }
@@ -134,8 +142,16 @@ fn hopfield_signed_couplings() {
     check_hopfield(
         Couplings::Signed,
         [
-            [0xeb93_fb17_223e_5c34, 0x0d5b_c064_42bd_39ae, 0xff05_cfee_116a_7d4b],
-            [0xcb1c_8035_46a7_9f39, 0x507b_37d5_101c_1f06, 0x31b8_d6c9_d04b_e5d5],
+            [
+                0xeb93_fb17_223e_5c34,
+                0x0d5b_c064_42bd_39ae,
+                0xff05_cfee_116a_7d4b,
+            ],
+            [
+                0xcb1c_8035_46a7_9f39,
+                0x507b_37d5_101c_1f06,
+                0x31b8_d6c9_d04b_e5d5,
+            ],
         ],
     );
 }
@@ -145,8 +161,16 @@ fn hopfield_zero_couplings() {
     check_hopfield(
         Couplings::Zero,
         [
-            [0x871d_5691_eeb2_b1d1, 0xc618_1abc_7657_4b6f, 0x9868_9d7e_2d8b_3a69],
-            [0x2254_2c59_1559_fa44, 0x9d04_dac2_12bc_a77f, 0x83ea_f01d_16ae_6467],
+            [
+                0x871d_5691_eeb2_b1d1,
+                0xc618_1abc_7657_4b6f,
+                0x9868_9d7e_2d8b_3a69,
+            ],
+            [
+                0x2254_2c59_1559_fa44,
+                0x9d04_dac2_12bc_a77f,
+                0x83ea_f01d_16ae_6467,
+            ],
         ],
     );
 }
@@ -181,7 +205,11 @@ fn long_run_digests(n: usize, p: f64, kind: Couplings) -> ([u64; 4], Option<u64>
         jump.step_many(target - jump.steps());
         assert_eq!(jump.steps(), target);
         assert_eq!(jump.potentials(), net.potentials(), "step_many to {target}");
-        assert_eq!(jump.activations(), net.activations(), "step_many to {target}");
+        assert_eq!(
+            jump.activations(),
+            net.activations(),
+            "step_many to {target}"
+        );
         let mut h = Fnv::new();
         h.feed_f64s(net.potentials());
         h.feed_f64s(net.activations());
@@ -278,7 +306,9 @@ fn hopfield_past_the_fixed_point() {
 const UPDATES: u64 = 25;
 
 fn replica_seeds(replicas: usize) -> Vec<u64> {
-    (0..replicas as u64).map(|r| SplitMix64::derive(0x7e5, r)).collect()
+    (0..replicas as u64)
+        .map(|r| SplitMix64::derive(0x7e5, r))
+        .collect()
 }
 
 #[test]
