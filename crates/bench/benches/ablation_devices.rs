@@ -5,7 +5,7 @@
 use bench::{er_graph, sdp_factors, BENCH_SAMPLES};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snc_devices::{CommonCause, DeviceModel};
-use snc_maxcut::{log2_checkpoints, sample_best_trace, CutSampler, LifGwCircuit, LifGwConfig};
+use snc_maxcut::{log2_checkpoints, BatchedLifGwCircuit, LifGwConfig};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -46,15 +46,15 @@ fn device_models(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("lif_gw_device_model");
     for (name, cfg) in &cases {
-        // Quality readout (once, untimed).
-        let mut circuit = LifGwCircuit::new(&factors, 9, cfg);
-        let best =
-            sample_best_trace(&mut circuit, &graph, &log2_checkpoints(BENCH_SAMPLES)).final_best();
+        // Quality readout (once, untimed), from one circuit: a one-seed
+        // batch.
+        let mut circuit = BatchedLifGwCircuit::new(&factors, &[9], cfg);
+        let best = circuit.best_traces(&graph, &log2_checkpoints(BENCH_SAMPLES))[0].final_best();
         println!("{name}: best_of_{BENCH_SAMPLES}={best} (m={})", graph.m());
         // Per-sample cost.
-        let mut circuit = LifGwCircuit::new(&factors, 9, cfg);
+        let mut circuit = BatchedLifGwCircuit::new(&factors, &[9], cfg);
         group.bench_with_input(BenchmarkId::from_parameter(*name), name, |b, _| {
-            b.iter(|| black_box(circuit.next_cut().side(0)))
+            b.iter(|| black_box(circuit.next_cuts()[0].side(0)))
         });
     }
     group.finish();

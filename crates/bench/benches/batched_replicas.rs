@@ -1,25 +1,27 @@
-//! Hot-path bench: sequential vs batched multi-replica circuit sampling.
+//! Hot-path bench: one R-wide batch vs R one-seed batches.
 //!
-//! The packed-state/batched-stepping rework claims ≥2× single-core
-//! throughput on `parallel_best_traces`-style workloads at R ≥ 8 replicas
-//! on a paper-scale Figure-4 graph. This bench measures that claim for
-//! **both** circuit families on the smallest Fig.-4 instance
+//! Every circuit has one implementation, batched over replicas; a
+//! one-seed batch is one circuit. The batched-stepping rework claims ≥2×
+//! single-core throughput for R independent replicas sampled as one
+//! R-wide batch instead of as R one-seed batches, at R ≥ 8 on a
+//! paper-scale Figure-4 graph. This bench measures that claim for
+//! **both** paper circuits on the smallest Fig.-4 instance
 //! (road-chesapeake, n = 39): LIF-GW (`BatchedLifGwCircuit`) and
 //! LIF-Trevisan with its batched SoA Oja plasticity pass
 //! (`BatchedLifTrevisanCircuit`). It also times the packed synaptic
 //! kernels in isolation and the CSC shared-traversal
 //! `accumulate_replicas` kernel at paper scale (G(500, 0.1), the largest
-//! Fig.-3 corner). Before any timing it asserts that every batched
-//! replica trace is bit-for-bit identical to the sequential one, so a
-//! correctness regression in the hot path fails the CI smoke run loudly
-//! rather than producing fast wrong numbers.
+//! Fig.-3 corner). Before any timing it asserts that every lane's trace
+//! is bit-for-bit the one-seed batch's, so a correctness regression in
+//! the hot path fails the CI smoke run loudly rather than producing fast
+//! wrong numbers.
 //!
-//! A width sweep (`width_sweep_*` groups) then times both served
-//! per-replica families, LIF-Trevisan and Hopfield, batched vs sequential
-//! at R ∈ {1, 2, 8} on G(200, 0.05) and G(350, 0.1) — the sparse and
-//! dense slices of the `cold-sampling` workload — after asserting that
-//! every batched replica's cuts (and LIF-Trevisan readout weights) are
-//! bit-identical to the sequential circuit's.
+//! A width sweep (`width_sweep_*` groups) then times both per-replica
+//! families, LIF-Trevisan and Hopfield, as one R-wide batch vs R one-seed
+//! batches at R ∈ {1, 2, 8} on G(200, 0.05) and G(350, 0.1) — the sparse
+//! and dense slices of the `cold-sampling` workload — after asserting
+//! that every lane's cuts (and LIF-Trevisan readout weights) are
+//! bit-identical to the one-seed batch's.
 //!
 //! Record results per `docs/BENCHMARKS.md` (methodology, shim caveats,
 //! and the `results/BENCH_*.json` ledger); set `CRITERION_SHIM_JSON` to
@@ -30,9 +32,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use snc_devices::{ActivityWords, DeviceModel, DevicePool, PoolSpec};
 use snc_graph::{CutAssignment, Graph};
 use snc_maxcut::{
-    log2_checkpoints, parallel_best_traces, BatchedHopfieldCircuit, BatchedLifGwCircuit,
-    BatchedLifTrevisanCircuit, CutSampler, HopfieldCircuit, HopfieldConfig, LifGwCircuit,
-    LifGwConfig, LifTrevisanCircuit, LifTrevisanConfig,
+    log2_checkpoints, BatchedHopfieldCircuit, BatchedLifGwCircuit, BatchedLifTrevisanCircuit,
+    BestTrace, HopfieldConfig, LifGwConfig, LifTrevisanConfig,
 };
 use snc_neuro::{BatchWeights, CscWeights, DenseWeights, InputWeights};
 use std::hint::black_box;
@@ -46,99 +47,71 @@ fn replica_seeds(r: usize) -> Vec<u64> {
     (0..r as u64).map(|i| 0xF164 + i * 31).collect()
 }
 
+/// One trace per seed, each from its own one-seed batch, run one after
+/// the other: the reference an R-wide batch's traces must equal.
+fn one_seed_traces(seeds: &[u64], trace: impl Fn(&[u64]) -> Vec<BestTrace>) -> Vec<BestTrace> {
+    seeds.iter().map(|&s| trace(&[s]).remove(0)).collect()
+}
+
 fn sequential_vs_batched(c: &mut Criterion) {
     let graph = fig4_smallest();
     let factors = sdp_factors(&graph);
     let cfg = LifGwConfig::default();
     let cp = log2_checkpoints(SAMPLES);
+    let traces = |seeds: &[u64]| {
+        BatchedLifGwCircuit::new(&factors, seeds, &cfg).best_traces(&graph, &cp)
+    };
 
-    // Loud correctness gate: batched == sequential, bit for bit.
+    // Loud correctness gate: every lane == its one-seed batch, bit for bit.
     for r in [8usize, 16] {
         let seeds = replica_seeds(r);
-        let reference = parallel_best_traces(
-            |i| LifGwCircuit::new(&factors, seeds[i], &cfg),
-            &graph,
-            &cp,
-            r,
-            1,
-        );
-        let batched =
-            BatchedLifGwCircuit::new(&factors, &seeds, &cfg).best_traces(&graph, &cp);
         assert_eq!(
-            batched, reference,
-            "batched traces diverged from sequential at R={r}"
+            traces(&seeds),
+            one_seed_traces(&seeds, traces),
+            "batched traces diverged from one-seed batches at R={r}"
         );
     }
 
     let mut group = c.benchmark_group("lif_gw_best_traces_n39");
     for r in [8usize, 16] {
         let seeds = replica_seeds(r);
-        group.bench_function(format!("sequential_R{r}"), |b| {
-            b.iter(|| {
-                parallel_best_traces(
-                    |i| LifGwCircuit::new(&factors, seeds[i], &cfg),
-                    &graph,
-                    &cp,
-                    seeds.len(),
-                    1,
-                )
-            })
+        group.bench_function(format!("one_seed_R{r}"), |b| {
+            b.iter(|| one_seed_traces(&seeds, traces))
         });
-        group.bench_function(format!("batched_R{r}"), |b| {
-            b.iter(|| {
-                BatchedLifGwCircuit::new(&factors, &seeds, &cfg).best_traces(&graph, &cp)
-            })
-        });
+        group.bench_function(format!("batched_R{r}"), |b| b.iter(|| traces(&seeds)));
     }
     group.finish();
 }
 
-/// LIF-Trevisan: sequential replicas vs the batched two-stage network
-/// (shared CSC traversal + SoA plasticity). Sample budget SAMPLES per
-/// replica; each LIF-TR sample is one plasticity update = 10 time steps
-/// at the default `plasticity_interval`.
+/// LIF-Trevisan: R one-seed batches vs one R-wide batched two-stage
+/// network (shared CSC traversal + SoA plasticity). Sample budget SAMPLES
+/// per replica; each LIF-TR sample is one plasticity update = 10 time
+/// steps at the default `plasticity_interval`.
 fn lif_tr_sequential_vs_batched(c: &mut Criterion) {
     let graph = fig4_smallest();
     let cfg = LifTrevisanConfig::default();
     let cp = log2_checkpoints(SAMPLES);
+    let traces = |seeds: &[u64]| {
+        BatchedLifTrevisanCircuit::new(&graph, seeds, &cfg).best_traces(&graph, &cp)
+    };
 
-    // Loud correctness gate: batched == sequential, bit for bit.
+    // Loud correctness gate: every lane == its one-seed batch, bit for bit.
     for r in [8usize, 16] {
         let seeds = replica_seeds(r);
-        let reference = parallel_best_traces(
-            |i| LifTrevisanCircuit::new(&graph, seeds[i], &cfg),
-            &graph,
-            &cp,
-            r,
-            1,
-        );
-        let batched =
-            BatchedLifTrevisanCircuit::new(&graph, &seeds, &cfg).best_traces(&graph, &cp);
         assert_eq!(
-            batched, reference,
-            "batched LIF-TR traces diverged from sequential at R={r}"
+            traces(&seeds),
+            one_seed_traces(&seeds, traces),
+            "batched LIF-TR traces diverged from one-seed batches at R={r}"
         );
     }
 
     let mut group = c.benchmark_group("lif_tr_best_traces_n39");
     for r in [8usize, 16] {
         let seeds = replica_seeds(r);
-        group.bench_function(format!("sequential_R{r}"), |b| {
-            b.iter(|| {
-                parallel_best_traces(
-                    |i| LifTrevisanCircuit::new(&graph, seeds[i], &cfg),
-                    &graph,
-                    &cp,
-                    seeds.len(),
-                    1,
-                )
-            })
+        group.bench_function(format!("one_seed_R{r}"), |b| {
+            b.iter(|| one_seed_traces(&seeds, traces))
         });
-        group.bench_function(format!("batched_R{r}"), |b| {
-            b.iter(|| {
-                BatchedLifTrevisanCircuit::new(&graph, &seeds, &cfg).best_traces(&graph, &cp)
-            })
-        });
+        group.bench_function(format!("batched_R{r}"), |b| b.iter(|| traces(&seeds)));
     }
     group.finish();
 }
@@ -146,7 +119,7 @@ fn lif_tr_sequential_vs_batched(c: &mut Criterion) {
 /// The CSC shared-traversal kernel at paper scale: one
 /// `accumulate_replicas` pass over G(500, 0.1)'s Trevisan matrix for R
 /// replicas vs R independent `accumulate_words` traversals — the
-/// per-step stage-1 cost of the batched vs sequential LIF-TR circuit on
+/// per-step stage-1 cost of an R-wide vs R one-seed LIF-TR batches on
 /// the largest Fig.-3 corner.
 fn csc_accumulate_paper_scale(c: &mut Criterion) {
     let graph = paper_scale_er();
@@ -209,11 +182,18 @@ fn sweep_graphs() -> [(&'static str, Graph); 2] {
     ]
 }
 
-/// Draws `SWEEP_SAMPLES` cuts from each of `R` sequential circuits.
-fn sequential_cuts<S: CutSampler>(circuits: &mut [S]) -> Vec<Vec<CutAssignment>> {
-    circuits
-        .iter_mut()
-        .map(|c| (0..SWEEP_SAMPLES).map(|_| c.next_cut()).collect())
+/// One one-seed batch per seed.
+fn ones<C>(seeds: &[u64], build: impl Fn(&[u64]) -> C) -> Vec<C> {
+    seeds.iter().map(|&s| build(&[s])).collect()
+}
+
+/// Draws `SWEEP_SAMPLES` cuts from each one-seed batch in turn.
+fn one_seed_cuts<C>(
+    ones: &mut [C],
+    mut next: impl FnMut(&mut C) -> Vec<CutAssignment>,
+) -> Vec<Vec<CutAssignment>> {
+    ones.iter_mut()
+        .map(|c| (0..SWEEP_SAMPLES).map(|_| next(c).remove(0)).collect())
         .collect()
 }
 
@@ -232,45 +212,40 @@ fn batched_cuts(
     per_replica
 }
 
-/// LIF-Trevisan and Hopfield, batched vs sequential, per graph and width.
+/// LIF-Trevisan and Hopfield, one R-wide batch vs R one-seed batches, per
+/// graph and width.
 fn width_sweep(c: &mut Criterion) {
     let tr_cfg = LifTrevisanConfig::default();
     let hf_cfg = HopfieldConfig::default();
     for (name, graph) in sweep_graphs() {
         let graph = &graph;
+        let tr = |seeds: &[u64]| BatchedLifTrevisanCircuit::new(graph, seeds, &tr_cfg);
+        let hf = |seeds: &[u64]| BatchedHopfieldCircuit::new(graph, seeds, &hf_cfg);
         // Loud correctness gate before any timing: same cuts and, for
         // LIF-Trevisan, same final readout weights, bit for bit.
         for r in SWEEP_WIDTHS {
             let seeds = replica_seeds(r);
-            let mut seq: Vec<LifTrevisanCircuit> = seeds
-                .iter()
-                .map(|&s| LifTrevisanCircuit::new(graph, s, &tr_cfg))
-                .collect();
-            let mut batch = BatchedLifTrevisanCircuit::new(graph, &seeds, &tr_cfg);
-            let batched = batched_cuts(r, || batch.next_cuts());
+            let mut one_tr: Vec<BatchedLifTrevisanCircuit> = ones(&seeds, tr);
+            let mut batch = tr(&seeds);
             assert_eq!(
-                batched,
-                sequential_cuts(&mut seq),
+                batched_cuts(r, || batch.next_cuts()),
+                one_seed_cuts(&mut one_tr, BatchedLifTrevisanCircuit::next_cuts),
                 "LIF-TR {name} R={r}: cuts diverged"
             );
-            for (i, circuit) in seq.iter().enumerate() {
+            for (i, one) in one_tr.iter().enumerate() {
                 let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(batch.readout_weights(i)),
-                    bits(circuit.readout_weights()),
+                    bits(one.readout_weights(0)),
                     "LIF-TR {name} R={r} replica {i}: readout weights diverged"
                 );
             }
 
-            let mut seq: Vec<HopfieldCircuit> = seeds
-                .iter()
-                .map(|&s| HopfieldCircuit::new(graph, s, &hf_cfg))
-                .collect();
-            let mut batch = BatchedHopfieldCircuit::new(graph, &seeds, &hf_cfg);
-            let batched = batched_cuts(r, || batch.next_cuts());
+            let mut one_hf: Vec<BatchedHopfieldCircuit> = ones(&seeds, hf);
+            let mut batch = hf(&seeds);
             assert_eq!(
-                batched,
-                sequential_cuts(&mut seq),
+                batched_cuts(r, || batch.next_cuts()),
+                one_seed_cuts(&mut one_hf, BatchedHopfieldCircuit::next_cuts),
                 "Hopfield {name} R={r}: cuts diverged"
             );
         }
@@ -278,18 +253,15 @@ fn width_sweep(c: &mut Criterion) {
         let mut group = c.benchmark_group(&format!("width_sweep_lif_tr_{name}"));
         for r in SWEEP_WIDTHS {
             let seeds = replica_seeds(r);
-            group.bench_function(format!("sequential_R{r}"), |b| {
+            group.bench_function(format!("one_seed_R{r}"), |b| {
                 b.iter(|| {
-                    let mut seq: Vec<LifTrevisanCircuit> = seeds
-                        .iter()
-                        .map(|&s| LifTrevisanCircuit::new(graph, s, &tr_cfg))
-                        .collect();
-                    sequential_cuts(&mut seq)
+                    let mut one_tr = ones(&seeds, tr);
+                    one_seed_cuts(&mut one_tr, BatchedLifTrevisanCircuit::next_cuts)
                 })
             });
             group.bench_function(format!("batched_R{r}"), |b| {
                 b.iter(|| {
-                    let mut batch = BatchedLifTrevisanCircuit::new(graph, &seeds, &tr_cfg);
+                    let mut batch = tr(&seeds);
                     batched_cuts(r, || batch.next_cuts())
                 })
             });
@@ -299,18 +271,15 @@ fn width_sweep(c: &mut Criterion) {
         let mut group = c.benchmark_group(&format!("width_sweep_hopfield_{name}"));
         for r in SWEEP_WIDTHS {
             let seeds = replica_seeds(r);
-            group.bench_function(format!("sequential_R{r}"), |b| {
+            group.bench_function(format!("one_seed_R{r}"), |b| {
                 b.iter(|| {
-                    let mut seq: Vec<HopfieldCircuit> = seeds
-                        .iter()
-                        .map(|&s| HopfieldCircuit::new(graph, s, &hf_cfg))
-                        .collect();
-                    sequential_cuts(&mut seq)
+                    let mut one_hf = ones(&seeds, hf);
+                    one_seed_cuts(&mut one_hf, BatchedHopfieldCircuit::next_cuts)
                 })
             });
             group.bench_function(format!("batched_R{r}"), |b| {
                 b.iter(|| {
-                    let mut batch = BatchedHopfieldCircuit::new(graph, &seeds, &hf_cfg);
+                    let mut batch = hf(&seeds);
                     batched_cuts(r, || batch.next_cuts())
                 })
             });

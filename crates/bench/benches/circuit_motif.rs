@@ -5,9 +5,7 @@
 use bench::{er_graph, sdp_factors};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snc_devices::{ActivityWords, DeviceModel, DevicePool, PoolSpec};
-use snc_neuro::{
-    CscWeights, DenseWeights, DeviceDrivenNetwork, InputWeights, LifParams, Reset,
-};
+use snc_neuro::{CscWeights, DenseWeights, InputWeights, LifParams, ReplicaBatch, Reset};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -52,10 +50,14 @@ fn network_step(c: &mut Criterion) {
     for &n in &[50usize, 200, 500] {
         let factors = sdp_factors(&er_graph(n, 0.25));
         let weights = DenseWeights::from_matrix_scaled(&factors, 1.0);
-        let pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), 4), 5);
-        let mut net = DeviceDrivenNetwork::new(pool, weights, LifParams::default(), Reset::None);
+        // One circuit: a one-seed batch.
+        let spec = PoolSpec::uniform(DeviceModel::fair(), 4);
+        let mut net = ReplicaBatch::new(spec, &[5], weights, LifParams::default(), Reset::None);
         group.bench_with_input(BenchmarkId::new("lif_gw", n), &n, |b, _| {
-            b.iter(|| black_box(net.step()[0]))
+            b.iter(|| {
+                net.step();
+                black_box(net.potential(0, 0))
+            })
         });
     }
     group.finish();

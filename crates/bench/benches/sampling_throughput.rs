@@ -12,8 +12,8 @@
 use bench::{er_graph, sdp_factors};
 use criterion::{criterion_group, criterion_main, Criterion};
 use snc_maxcut::{
-    gw, trevisan, CutSampler, GwConfig, GwSampler, LifGwCircuit, LifGwConfig, LifTrevisanCircuit,
-    LifTrevisanConfig, RandomCutSampler, TrevisanConfig,
+    gw, trevisan, BatchedLifGwCircuit, BatchedLifTrevisanCircuit, CutSampler, GwConfig, GwSampler,
+    LifGwConfig, LifTrevisanConfig, RandomCutSampler, TrevisanConfig,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -44,14 +44,15 @@ fn per_sample_costs(c: &mut Criterion) {
         b.iter(|| black_box(software.next_cut().side(0)))
     });
 
-    let mut circuit = LifGwCircuit::new(&factors, 2, &LifGwConfig::default());
+    // One simulated circuit: a one-seed batch.
+    let mut circuit = BatchedLifGwCircuit::new(&factors, &[2], &LifGwConfig::default());
     group.bench_function("lif_gw_circuit_sim", |b| {
-        b.iter(|| black_box(circuit.next_cut().side(0)))
+        b.iter(|| black_box(circuit.next_cuts()[0].side(0)))
     });
 
-    let mut tr = LifTrevisanCircuit::new(&graph, 3, &LifTrevisanConfig::default());
+    let mut tr = BatchedLifTrevisanCircuit::new(&graph, &[3], &LifTrevisanConfig::default());
     group.bench_function("lif_tr_circuit_sim", |b| {
-        b.iter(|| black_box(tr.next_cut().side(0)))
+        b.iter(|| black_box(tr.next_cuts()[0].side(0)))
     });
 
     let mut random = RandomCutSampler::new(graph.n(), 4);

@@ -12,13 +12,12 @@
 //!
 //! ## Batched replicas
 //!
-//! Both neuromorphic circuits run on the batched multi-replica steppers
+//! Both neuromorphic circuits run batched over replicas
 //! ([`BatchedLifGwCircuit`], [`BatchedLifTrevisanCircuit`]): each
 //! `JobRunner` worker thread advances one `ReplicaBatch` unit of
 //! [`SuiteConfig::replicas`] lock-stepped circuit replicas, so the full
 //! experiment layout is *threads × batch width*. With `replicas == 1` the
-//! trace is bit-for-bit the sequential circuit's (the batched steppers'
-//! equivalence contract); with `replicas = R > 1` the budget is split
+//! trace is one circuit's; with `replicas = R > 1` the budget is split
 //! across R replicas — the hardware reading: R physical circuits sampling
 //! concurrently — and the per-replica traces are merged into one
 //! total-samples trace with [`merge_traces`]. For the memoryless samplers
@@ -136,7 +135,6 @@ mod tests {
     use super::*;
     use crate::config::{ExperimentScale, SuiteConfig};
     use snc_graph::generators::erdos_renyi::gnp;
-    use snc_maxcut::{LifGwCircuit, LifTrevisanCircuit};
 
     #[test]
     fn suite_produces_consistent_traces() {
@@ -172,10 +170,9 @@ mod tests {
         assert_eq!(a.random, b.random);
     }
 
-    /// The batched harness at `replicas == 1` must reproduce the
-    /// sequential circuits' traces bit-for-bit (same seed ladder, same
-    /// checkpoint grid) — the batched steppers change the schedule, never
-    /// the numbers.
+    /// The harness at `replicas == 1` must reproduce one circuit's traces
+    /// bit-for-bit (same seed ladder, same checkpoint grid): a one-seed
+    /// batch per family, its stream scored one sample at a time.
     #[test]
     fn single_replica_suite_matches_sequential_circuits() {
         let g = gnp(18, 0.4, 11).unwrap();
@@ -192,8 +189,10 @@ mod tests {
         };
         let gw = snc_maxcut::gw::solve_gw(&g, &GwConfig { sdp: sdp_cfg }).unwrap();
         let lif_gw_cfg = LifGwConfig { lif: cfg.lif, ..LifGwConfig::default() };
-        let mut seq_gw = LifGwCircuit::new(&gw.factors, SplitMix64::derive(33, 3), &lif_gw_cfg);
-        assert_eq!(traces.lif_gw, sample_best_trace(&mut seq_gw, &g, &checkpoints));
+        let gw_seed = [SplitMix64::derive(33, 3)];
+        let mut one_gw = BatchedLifGwCircuit::new(&gw.factors, &gw_seed, &lif_gw_cfg);
+        let mut stream = || one_gw.next_cuts().remove(0);
+        assert_eq!(traces.lif_gw, sample_best_trace(&mut stream, &g, &checkpoints));
 
         let lif_tr_cfg = LifTrevisanConfig {
             network: snc_neuro::TwoStageConfig {
@@ -202,8 +201,10 @@ mod tests {
             },
             ..LifTrevisanConfig::default()
         };
-        let mut seq_tr = LifTrevisanCircuit::new(&g, SplitMix64::derive(33, 4), &lif_tr_cfg);
-        assert_eq!(traces.lif_tr, sample_best_trace(&mut seq_tr, &g, &checkpoints));
+        let tr_seed = [SplitMix64::derive(33, 4)];
+        let mut one_tr = BatchedLifTrevisanCircuit::new(&g, &tr_seed, &lif_tr_cfg);
+        let mut stream = || one_tr.next_cuts().remove(0);
+        assert_eq!(traces.lif_tr, sample_best_trace(&mut stream, &g, &checkpoints));
     }
 
     #[test]

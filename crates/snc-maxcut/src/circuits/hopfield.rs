@@ -10,9 +10,12 @@
 //! read out successive stretches of one deterministic trajectory, and
 //! replicas differ only in their seeded starting points (restarts, not
 //! noise).
+//!
+//! [`BatchedHopfieldCircuit`] is the one implementation: `R` independent
+//! seeded relaxations, of which a one-seed batch is the single circuit.
 
 use crate::graph::MaxCutGraph;
-use crate::sampling::{cuts_from_lane, set_lane_from_signs, CutSampler};
+use crate::sampling::{cuts_from_lane, set_lane_from_signs};
 use snc_graph::CutAssignment;
 use snc_neuro::hopfield::{HopfieldCouplings, HopfieldNetwork, HopfieldParams};
 use std::sync::Arc;
@@ -42,71 +45,23 @@ impl Default for HopfieldConfig {
     }
 }
 
-/// One Hopfield–Tank relaxation with sign-threshold readout.
-#[derive(Clone, Debug)]
-pub struct HopfieldCircuit {
-    net: HopfieldNetwork,
-    steps_per_sample: u64,
-}
-
-impl HopfieldCircuit {
-    /// Builds the circuit on the graph's couplings (unit couplings on
-    /// an unweighted graph). Negative edge weights become ferromagnetic
-    /// couplings (the endpoints prefer the same side), matching the
-    /// weighted cut objective.
-    pub fn new(graph: &impl MaxCutGraph, seed: u64, cfg: &HopfieldConfig) -> Self {
-        Self::with_couplings(Arc::new(layout(graph)), seed, cfg)
-    }
-
-    fn with_couplings(couplings: Arc<HopfieldCouplings>, seed: u64, cfg: &HopfieldConfig) -> Self {
-        Self {
-            net: HopfieldNetwork::with_couplings(couplings, cfg.params, seed),
-            steps_per_sample: cfg.steps_per_sample.max(1),
-        }
-    }
-
-    /// Number of vertices / units.
-    pub fn n(&self) -> usize {
-        self.net.n()
-    }
-
-    /// Euler steps integrated per sample.
-    pub fn steps_per_sample(&self) -> u64 {
-        self.steps_per_sample
-    }
-
-    /// The underlying relaxation network (for energy inspection).
-    pub fn network(&self) -> &HopfieldNetwork {
-        &self.net
-    }
-
-    /// Integrates one sample's steps and returns the activations whose
-    /// signs are its cut.
-    fn advance(&mut self) -> &[f64] {
-        self.net.step_many(self.steps_per_sample);
-        self.net.activations()
-    }
-}
-
-impl CutSampler for HopfieldCircuit {
-    fn next_cut(&mut self) -> CutAssignment {
-        CutAssignment::from_signs(self.advance())
-    }
-}
-
 /// `R` Hopfield relaxations advanced in lock-step — independent seeded
 /// restarts of the same deterministic descent. The replicas share one
 /// coupling layout (built once per graph) and own only their state, so
-/// replica `r`'s sample stream is the sequential circuit's with seed
-/// `seeds[r]`; the equivalence test below pins that, so the family keeps
-/// the same batched-vs-sequential contract as the stochastic circuits.
+/// replica `r`'s sample stream is the one-seed batch's with seed
+/// `seeds[r]`; the lane test below pins that, so the family keeps the
+/// same replica-independence contract as the stochastic circuits.
 #[derive(Clone, Debug)]
 pub struct BatchedHopfieldCircuit {
-    circuits: Vec<HopfieldCircuit>,
+    nets: Vec<HopfieldNetwork>,
+    steps_per_sample: u64,
 }
 
 impl BatchedHopfieldCircuit {
-    /// Builds one relaxation per seed over a shared coupling layout.
+    /// Builds one relaxation per seed over a shared layout of the graph's
+    /// couplings (unit couplings on an unweighted graph). Negative edge
+    /// weights become ferromagnetic couplings (the endpoints prefer the
+    /// same side), matching the weighted cut objective.
     ///
     /// # Panics
     ///
@@ -115,21 +70,22 @@ impl BatchedHopfieldCircuit {
         assert!(!seeds.is_empty(), "at least one replica seed");
         let couplings = Arc::new(layout(graph));
         Self {
-            circuits: seeds
+            nets: seeds
                 .iter()
-                .map(|&s| HopfieldCircuit::with_couplings(Arc::clone(&couplings), s, cfg))
+                .map(|&s| HopfieldNetwork::with_couplings(Arc::clone(&couplings), cfg.params, s))
                 .collect(),
+            steps_per_sample: cfg.steps_per_sample.max(1),
         }
     }
 
     /// Number of replicas.
     pub fn replicas(&self) -> usize {
-        self.circuits.len()
+        self.nets.len()
     }
 
     /// Number of vertices / units per replica.
     pub fn n(&self) -> usize {
-        self.circuits[0].n()
+        self.nets[0].n()
     }
 
     /// Advances all replicas to the next sample and returns one cut per
@@ -150,8 +106,9 @@ impl BatchedHopfieldCircuit {
     pub fn next_lane(&mut self, lane: usize, words: &mut [u64]) {
         let n = self.n();
         assert_eq!(words.len(), n * self.replicas(), "block length");
-        for (r, circuit) in self.circuits.iter_mut().enumerate() {
-            set_lane_from_signs(&mut words[r * n..(r + 1) * n], lane, circuit.advance());
+        for (r, net) in self.nets.iter_mut().enumerate() {
+            net.step_many(self.steps_per_sample);
+            set_lane_from_signs(&mut words[r * n..(r + 1) * n], lane, net.activations());
         }
     }
 }
@@ -168,47 +125,55 @@ mod tests {
     #[test]
     fn finds_the_bipartite_cut() {
         let g = complete_bipartite(4, 4);
-        let mut circuit = HopfieldCircuit::new(&g, 3, &HopfieldConfig::default());
-        let trace = sample_best_trace(&mut circuit, &g, &log2_checkpoints(64));
+        let mut circuit = BatchedHopfieldCircuit::new(&g, &[3], &HopfieldConfig::default());
+        let mut stream = || circuit.next_cuts().remove(0);
+        let trace = sample_best_trace(&mut stream, &g, &log2_checkpoints(64));
         assert_eq!(trace.final_best(), 16, "K(4,4) relaxes to the exact cut");
     }
 
     #[test]
     fn deterministic_given_seed() {
         let g = gnp(14, 0.4, 2).unwrap();
-        let mut a = HopfieldCircuit::new(&g, 9, &HopfieldConfig::default());
-        let mut b = HopfieldCircuit::new(&g, 9, &HopfieldConfig::default());
+        let mut a = BatchedHopfieldCircuit::new(&g, &[9], &HopfieldConfig::default());
+        let mut b = BatchedHopfieldCircuit::new(&g, &[9], &HopfieldConfig::default());
         for _ in 0..8 {
-            assert_eq!(a.next_cut(), b.next_cut());
+            assert_eq!(a.next_cuts(), b.next_cuts());
         }
     }
 
+    /// Lane independence: every replica's cuts, potentials and energy
+    /// are the one-seed batch's with the same seed.
     fn assert_batched_matches_sequential(g: &impl MaxCutGraph) {
         let cfg = HopfieldConfig::default();
         let seeds = [10u64, 20, 30];
         let mut batch = BatchedHopfieldCircuit::new(g, &seeds, &cfg);
         assert_eq!((batch.replicas(), batch.n()), (3, g.n()));
-        let mut sequential: Vec<HopfieldCircuit> = seeds
+        let mut ones: Vec<BatchedHopfieldCircuit> = seeds
             .iter()
-            .map(|&s| HopfieldCircuit::new(g, s, &cfg))
+            .map(|&s| BatchedHopfieldCircuit::new(g, &[s], &cfg))
             .collect();
         for sample in 0..10 {
             let cuts = batch.next_cuts();
-            for (r, circuit) in sequential.iter_mut().enumerate() {
+            for (r, one) in ones.iter_mut().enumerate() {
                 assert_eq!(
                     cuts[r],
-                    circuit.next_cut(),
+                    one.next_cuts()[0],
                     "n={} sample {sample} replica {r}",
                     g.n()
                 );
             }
         }
-        for (r, circuit) in batch.circuits.iter().enumerate() {
-            let (a, b) = (circuit.network(), sequential[r].network());
-            assert_eq!(a.potentials(), b.potentials(), "n={} replica {r}", g.n());
+        for (r, net) in batch.nets.iter().enumerate() {
+            let one = &ones[r].nets[0];
             assert_eq!(
-                a.energy().to_bits(),
-                b.energy().to_bits(),
+                net.potentials(),
+                one.potentials(),
+                "n={} replica {r}",
+                g.n()
+            );
+            assert_eq!(
+                net.energy().to_bits(),
+                one.energy().to_bits(),
                 "n={} replica {r}",
                 g.n()
             );
@@ -269,10 +234,10 @@ mod tests {
         // A strongly negative edge glues its endpoints to one side.
         let g = WeightedGraph::from_weighted_edges(3, &[(0, 1, -4.0), (1, 2, 1.0), (0, 2, 1.0)])
             .unwrap();
-        let mut circuit = HopfieldCircuit::new(&g, 1, &HopfieldConfig::default());
+        let mut circuit = BatchedHopfieldCircuit::new(&g, &[1], &HopfieldConfig::default());
         let mut last = None;
         for _ in 0..40 {
-            last = Some(circuit.next_cut());
+            last = circuit.next_cuts().pop();
         }
         let cut = last.unwrap();
         assert_eq!(cut.side(0), cut.side(1), "negative edge keeps 0,1 together");

@@ -29,15 +29,18 @@
 //! * **The σ-schedule consumes no RNG draws** — it only re-weighs the
 //!   readout — so the device/membrane trajectories are bit-identical to
 //!   LIF-GW's under any schedule.
+//!
+//! [`BatchedLifAnnealedCircuit`] is the one implementation: `R`
+//! independent seeded replicas, of which a one-seed batch is the single
+//! circuit.
 
 use crate::anneal::CoolingSchedule;
-use crate::circuits::lif_gw::LifGwConfig;
+use crate::circuits::lif_gw::{BatchedLifGwCircuit, LifGwConfig};
 use crate::graph::MaxCutGraph;
-use crate::sampling::{cuts_from_lane, CutSampler};
-use snc_devices::{DevicePool, PoolSpec};
+use crate::sampling::cuts_from_lane;
 use snc_graph::CutAssignment;
 use snc_linalg::DMatrix;
-use snc_neuro::{DenseWeights, DeviceDrivenNetwork, ReplicaBatch};
+use snc_neuro::{DenseWeights, ReplicaBatch};
 
 /// Configuration of the annealed LIF-GW circuit.
 #[derive(Clone, Debug)]
@@ -222,8 +225,8 @@ impl FeedbackField {
     }
 }
 
-/// The annealed readout shared by the sequential and batched circuits:
-/// the feedback field, the σ tape and the feedback gain.
+/// The annealed readout every replica applies: the feedback field, the σ
+/// tape and the feedback gain.
 #[derive(Clone, Debug)]
 struct AnnealedReadout {
     field: FeedbackField,
@@ -292,86 +295,13 @@ impl SigmaTape {
     }
 }
 
-/// The sequential annealed LIF-GW circuit (one replica).
-#[derive(Clone, Debug)]
-pub struct LifAnnealedCircuit {
-    net: DeviceDrivenNetwork<DenseWeights>,
-    decorrelate: u64,
-    readout: AnnealedReadout,
-    prev: Previous,
-    next: Vec<bool>,
-    t: u64,
-    z: Vec<f64>,
-    h: Vec<f64>,
-}
-
-impl LifAnnealedCircuit {
-    /// Builds the circuit from SDP factors and the graph the feedback
-    /// field reads (weighted graphs take their factors from the weighted
-    /// SDP), with `horizon` samples of schedule (the per-replica budget).
-    pub fn new(
-        factors: &DMatrix,
-        graph: &impl MaxCutGraph,
-        seed: u64,
-        cfg: &LifAnnealedConfig,
-        horizon: u64,
-    ) -> Self {
-        let base = &cfg.base;
-        let r = factors.cols();
-        let weights = DenseWeights::from_matrix_scaled(factors, base.weight_scale);
-        let mut spec = PoolSpec::uniform(base.device.clone(), r);
-        if let Some(cc) = base.common_cause {
-            spec = spec.with_common_cause(cc);
-        }
-        let pool = DevicePool::new(spec, seed);
-        let mut net = DeviceDrivenNetwork::new(pool, weights, base.lif, base.reset);
-        net.step_many(base.warmup_steps);
-        let decorrelate = base
-            .decorrelate_steps
-            .unwrap_or_else(|| base.lif.decorrelation_steps())
-            .max(1);
-        let n = graph.n();
-        Self {
-            net,
-            decorrelate,
-            readout: AnnealedReadout::new(graph, cfg, horizon),
-            prev: Previous::new(n),
-            next: vec![false; n],
-            t: 0,
-            z: vec![0.0; n],
-            h: vec![0.0; n],
-        }
-    }
-
-    /// Number of vertices / neurons.
-    pub fn n(&self) -> usize {
-        self.readout.field.n()
-    }
-
-    /// Steps simulated between samples.
-    pub fn decorrelate_steps(&self) -> u64 {
-        self.decorrelate
-    }
-}
-
-impl CutSampler for LifAnnealedCircuit {
-    fn next_cut(&mut self) -> CutAssignment {
-        self.net.step_many(self.decorrelate);
-        self.net.centered_into(&mut self.z);
-        let (prev, next) = (&mut self.prev, &mut self.next);
-        self.readout.read(self.t, &self.z, prev, next, &mut self.h);
-        self.t += 1;
-        CutAssignment::from_spikes(&self.prev.sides)
-    }
-}
-
 /// `R` annealed replicas advanced in lock-step on one [`ReplicaBatch`].
 ///
-/// The membrane machinery is exactly [`super::lif_gw::BatchedLifGwCircuit`]'s
-/// (same constructor pipeline, same warmup, same per-step RNG streams);
-/// only the readout differs, so replica `r`'s sample stream is
-/// bit-for-bit [`LifAnnealedCircuit`]'s with seed `seeds[r]` — and, under
-/// a constant schedule, bit-for-bit LIF-GW's.
+/// The membrane machinery is a [`BatchedLifGwCircuit`]'s, built by its
+/// constructor (same warmup, same per-step RNG streams);
+/// only the readout differs. Replica `r`'s sample stream is bit-for-bit
+/// the one-seed batch's with seed `seeds[r]` — and, under a constant
+/// schedule, bit-for-bit LIF-GW's.
 #[derive(Clone, Debug)]
 pub struct BatchedLifAnnealedCircuit {
     batch: ReplicaBatch<DenseWeights>,
@@ -385,7 +315,10 @@ pub struct BatchedLifAnnealedCircuit {
 }
 
 impl BatchedLifAnnealedCircuit {
-    /// Builds one replica per seed, mirroring [`LifAnnealedCircuit::new`].
+    /// Builds one replica per seed from SDP factors and the graph the
+    /// feedback field reads (weighted graphs take their factors from the
+    /// weighted SDP), with `horizon` samples of schedule (the per-replica
+    /// budget).
     ///
     /// # Panics
     ///
@@ -397,19 +330,8 @@ impl BatchedLifAnnealedCircuit {
         cfg: &LifAnnealedConfig,
         horizon: u64,
     ) -> Self {
-        let base = &cfg.base;
-        let r = factors.cols();
-        let weights = DenseWeights::from_matrix_scaled(factors, base.weight_scale);
-        let mut spec = PoolSpec::uniform(base.device.clone(), r);
-        if let Some(cc) = base.common_cause {
-            spec = spec.with_common_cause(cc);
-        }
-        let mut batch = ReplicaBatch::new(spec, seeds, weights, base.lif, base.reset);
-        batch.step_many(base.warmup_steps);
-        let decorrelate = base
-            .decorrelate_steps
-            .unwrap_or_else(|| base.lif.decorrelation_steps())
-            .max(1);
+        let BatchedLifGwCircuit { batch, decorrelate } =
+            BatchedLifGwCircuit::new(factors, seeds, &cfg.base);
         let n = graph.n();
         let replicas = seeds.len();
         Self {
@@ -473,7 +395,6 @@ impl BatchedLifAnnealedCircuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuits::lif_gw::BatchedLifGwCircuit;
     use crate::gw::{solve_gw, GwConfig};
     use snc_devices::Rng64;
     use snc_graph::generators::erdos_renyi::gnp;
@@ -506,6 +427,8 @@ mod tests {
 
     #[test]
     fn batched_replicas_match_sequential_circuits() {
+        // Lane independence: every replica's sample stream is the
+        // one-seed batch's with the same seed.
         let g = gnp(14, 0.4, 9).unwrap();
         let factors = factors_for(&g);
         let cfg = LifAnnealedConfig::default();
@@ -513,14 +436,14 @@ mod tests {
         let horizon = 12;
         let mut batch = BatchedLifAnnealedCircuit::new(&factors, &g, &seeds, &cfg, horizon);
         assert_eq!((batch.replicas(), batch.n(), batch.devices()), (3, 14, 4));
-        let mut sequential: Vec<LifAnnealedCircuit> = seeds
+        let mut ones: Vec<BatchedLifAnnealedCircuit> = seeds
             .iter()
-            .map(|&s| LifAnnealedCircuit::new(&factors, &g, s, &cfg, horizon))
+            .map(|&s| BatchedLifAnnealedCircuit::new(&factors, &g, &[s], &cfg, horizon))
             .collect();
         for sample in 0..12 {
             let cuts = batch.next_cuts();
-            for (r, circuit) in sequential.iter_mut().enumerate() {
-                assert_eq!(cuts[r], circuit.next_cut(), "sample {sample} replica {r}");
+            for (r, one) in ones.iter_mut().enumerate() {
+                assert_eq!(cuts[r], one.next_cuts()[0], "sample {sample} replica {r}");
             }
         }
     }
@@ -530,10 +453,10 @@ mod tests {
         let g = gnp(12, 0.5, 1).unwrap();
         let factors = factors_for(&g);
         let cfg = LifAnnealedConfig::default();
-        let mut a = LifAnnealedCircuit::new(&factors, &g, 42, &cfg, 10);
-        let mut b = LifAnnealedCircuit::new(&factors, &g, 42, &cfg, 10);
+        let mut a = BatchedLifAnnealedCircuit::new(&factors, &g, &[42], &cfg, 10);
+        let mut b = BatchedLifAnnealedCircuit::new(&factors, &g, &[42], &cfg, 10);
         for _ in 0..10 {
-            assert_eq!(a.next_cut(), b.next_cut());
+            assert_eq!(a.next_cuts(), b.next_cuts());
         }
     }
 
@@ -546,11 +469,11 @@ mod tests {
         let g = complete_bipartite(4, 4);
         let factors = factors_for(&g);
         let cfg = LifAnnealedConfig::default();
-        let mut circuit = LifAnnealedCircuit::new(&factors, &g, 2, &cfg, 64);
+        let mut circuit = BatchedLifAnnealedCircuit::new(&factors, &g, &[2], &cfg, 64);
         let mut best = 0;
         let mut last = 0;
         for _ in 0..64 {
-            last = circuit.next_cut().cut_value(&g);
+            last = circuit.next_cuts()[0].cut_value(&g);
             best = best.max(last);
         }
         assert_eq!(best, 16);
@@ -563,13 +486,14 @@ mod tests {
         // bit-identical, so the first sample (σ == σ(0) in both) agrees.
         let g = gnp(12, 0.5, 8).unwrap();
         let factors = factors_for(&g);
-        let mut geo = LifAnnealedCircuit::new(&factors, &g, 11, &LifAnnealedConfig::default(), 32);
+        let geo_cfg = LifAnnealedConfig::default();
+        let mut geo = BatchedLifAnnealedCircuit::new(&factors, &g, &[11], &geo_cfg, 32);
         let linear_cfg = LifAnnealedConfig {
             schedule: CoolingSchedule::linear(1.0, 0.0).unwrap(),
             ..LifAnnealedConfig::default()
         };
-        let mut lin = LifAnnealedCircuit::new(&factors, &g, 11, &linear_cfg, 32);
-        assert_eq!(geo.next_cut(), lin.next_cut(), "t=0 readouts agree");
+        let mut lin = BatchedLifAnnealedCircuit::new(&factors, &g, &[11], &linear_cfg, 32);
+        assert_eq!(geo.next_cuts(), lin.next_cuts(), "t=0 readouts agree");
     }
 
     #[test]

@@ -12,12 +12,16 @@
 //! (several membrane time constants) so consecutive readouts are
 //! approximately independent — the hardware analogue of drawing fresh
 //! Gaussians.
+//!
+//! [`BatchedLifGwCircuit`] is the one implementation: `R` independent
+//! seeded replicas of the circuit, of which a one-seed batch is the
+//! single circuit.
 
-use crate::sampling::{batched_best_traces, cuts_from_lane, BestTrace, CutSampler};
-use snc_devices::{CommonCause, DeviceModel, DevicePool, PoolSpec};
+use crate::sampling::{batched_best_traces, cuts_from_lane, BestTrace};
+use snc_devices::{CommonCause, DeviceModel, PoolSpec};
 use snc_graph::{CutAssignment, Graph};
 use snc_linalg::DMatrix;
-use snc_neuro::{DenseWeights, DeviceDrivenNetwork, LifParams, ReplicaBatch, Reset};
+use snc_neuro::{DenseWeights, LifParams, ReplicaBatch, Reset};
 
 /// Configuration of the LIF-GW circuit.
 #[derive(Clone, Debug)]
@@ -55,73 +59,14 @@ impl Default for LifGwConfig {
     }
 }
 
-/// The LIF-GW sampling circuit.
-#[derive(Clone, Debug)]
-pub struct LifGwCircuit {
-    net: DeviceDrivenNetwork<DenseWeights>,
-    decorrelate: u64,
-}
-
-impl LifGwCircuit {
-    /// Builds the circuit from an SDP factor matrix (`n × r`, one row per
-    /// vertex — the output of [`crate::gw::solve_gw`]).
-    pub fn new(factors: &DMatrix, seed: u64, cfg: &LifGwConfig) -> Self {
-        let r = factors.cols();
-        let weights = DenseWeights::from_matrix_scaled(factors, cfg.weight_scale);
-        let mut spec = PoolSpec::uniform(cfg.device.clone(), r);
-        if let Some(cc) = cfg.common_cause {
-            spec = spec.with_common_cause(cc);
-        }
-        let pool = DevicePool::new(spec, seed);
-        let mut net = DeviceDrivenNetwork::new(pool, weights, cfg.lif, cfg.reset);
-        net.step_many(cfg.warmup_steps);
-        let decorrelate = cfg
-            .decorrelate_steps
-            .unwrap_or_else(|| cfg.lif.decorrelation_steps());
-        Self { net, decorrelate }
-    }
-
-    /// Number of vertices / neurons.
-    pub fn n(&self) -> usize {
-        self.net.neurons()
-    }
-
-    /// Number of devices (the SDP rank).
-    pub fn devices(&self) -> usize {
-        self.net.devices()
-    }
-
-    /// Steps simulated between samples.
-    pub fn decorrelate_steps(&self) -> u64 {
-        self.decorrelate
-    }
-
-    /// The underlying network (for inspection / covariance checks).
-    pub fn network(&self) -> &DeviceDrivenNetwork<DenseWeights> {
-        &self.net
-    }
-}
-
-impl CutSampler for LifGwCircuit {
-    fn next_cut(&mut self) -> CutAssignment {
-        // Free-run to decorrelate from the previous sample, then read the
-        // spike pattern of the final step.
-        if self.decorrelate > 1 {
-            self.net.step_many(self.decorrelate - 1);
-        }
-        let spiked = self.net.step();
-        CutAssignment::from_spikes(spiked)
-    }
-}
-
 /// `R` LIF-GW replicas advanced in lock-step, structure-of-arrays.
 ///
-/// Each replica is an independent [`LifGwCircuit`] (own device seed, same
-/// SDP factors and configuration), but all replicas share one traversal of
+/// Each replica is an independent circuit (own device seed, same SDP
+/// factors and configuration), but all replicas share one traversal of
 /// the weight matrix per time step via [`ReplicaBatch`]. Replica `r`'s
-/// sample stream is bit-for-bit identical to
-/// `LifGwCircuit::new(factors, seeds[r], cfg)` — batching changes the
-/// schedule, never the samples — which the equivalence tests pin.
+/// sample stream is bit-for-bit that of the one-seed batch
+/// `BatchedLifGwCircuit::new(factors, &[seeds[r]], cfg)` — batching
+/// changes the schedule, never the samples — which the lane tests pin.
 ///
 /// # Examples
 ///
@@ -141,14 +86,15 @@ impl CutSampler for LifGwCircuit {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BatchedLifGwCircuit {
-    batch: ReplicaBatch<DenseWeights>,
-    decorrelate: u64,
+    // LIF-annealed runs on this substrate, hence the sibling visibility.
+    pub(super) batch: ReplicaBatch<DenseWeights>,
+    pub(super) decorrelate: u64,
 }
 
 impl BatchedLifGwCircuit {
     /// Builds one replica per seed from an SDP factor matrix (`n × r`, one
-    /// row per vertex), mirroring [`LifGwCircuit::new`] including the
-    /// warmup free-run.
+    /// row per vertex — the output of [`crate::gw::solve_gw`]), and
+    /// free-runs every replica for the warmup.
     ///
     /// # Panics
     ///
@@ -210,10 +156,9 @@ impl BatchedLifGwCircuit {
     }
 
     /// Runs every replica against the shared checkpoint grid and returns
-    /// one best-so-far trace per replica — the batched, single-core
-    /// equivalent of [`crate::sampling::parallel_best_traces`] over
-    /// [`LifGwCircuit`] factories with the same seeds, with identical
-    /// output.
+    /// one best-so-far trace per replica: trace `r` is
+    /// [`crate::sample_best_trace`] over the one-seed batch for
+    /// `seeds[r]`.
     ///
     /// Samples are drawn 64 at a time and scored by one bit-sliced pass
     /// over the edges per block ([`snc_graph::bitslice`]).
@@ -261,7 +206,7 @@ mod tests {
     fn circuit_dimensions_follow_sdp_rank() {
         let g = complete_bipartite(3, 3);
         let sol = solve_gw(&g, &GwConfig::default()).unwrap();
-        let circuit = LifGwCircuit::new(&sol.factors, 1, &LifGwConfig::default());
+        let circuit = BatchedLifGwCircuit::new(&sol.factors, &[1], &LifGwConfig::default());
         assert_eq!(circuit.n(), 6);
         assert_eq!(circuit.devices(), 4); // fixed rank 4 per the paper
         assert_eq!(circuit.decorrelate_steps(), 50); // 5τ at τ/Δt = 10
@@ -273,8 +218,8 @@ mod tests {
         // parts, so nearly every sample is the exact cut.
         let g = complete_bipartite(4, 4);
         let sol = solve_gw(&g, &GwConfig::default()).unwrap();
-        let mut circuit = LifGwCircuit::new(&sol.factors, 3, &LifGwConfig::default());
-        let trace = sample_best_trace(&mut circuit, &g, &log2_checkpoints(8));
+        let mut circuit = BatchedLifGwCircuit::new(&sol.factors, &[3], &LifGwConfig::default());
+        let trace = circuit.best_traces(&g, &log2_checkpoints(8)).remove(0);
         assert_eq!(trace.final_best(), 16);
     }
 
@@ -290,8 +235,9 @@ mod tests {
             }
             let sol = solve_gw(&g, &GwConfig::default()).unwrap();
             let cp = log2_checkpoints(128);
-            let mut circuit = LifGwCircuit::new(&sol.factors, seed, &LifGwConfig::default());
-            let circuit_trace = sample_best_trace(&mut circuit, &g, &cp);
+            let mut circuit =
+                BatchedLifGwCircuit::new(&sol.factors, &[seed], &LifGwConfig::default());
+            let circuit_trace = circuit.best_traces(&g, &cp).remove(0);
             let mut software = GwSampler::new(sol.factors.clone(), seed ^ 0xFF);
             let software_trace = sample_best_trace(&mut software, &g, &cp);
             let c = circuit_trace.final_best() as f64 / opt as f64;
@@ -306,8 +252,9 @@ mod tests {
 
     #[test]
     fn batched_replicas_match_sequential_circuits() {
-        // The tentpole equivalence: every batched replica's sample stream
-        // is bit-for-bit the sequential circuit's with the same seed.
+        // Lane independence: every replica's sample stream is bit-for-bit
+        // the one-seed batch's with the same seed (the one-seed batches,
+        // stepped one after the other, are the sequential reference).
         let g = gnp(16, 0.4, 9).unwrap();
         let sol = solve_gw(&g, &GwConfig::default()).unwrap();
         let cfg = LifGwConfig::default();
@@ -315,21 +262,22 @@ mod tests {
         let mut batch = BatchedLifGwCircuit::new(&sol.factors, &seeds, &cfg);
         assert_eq!(batch.replicas(), 6);
         assert_eq!(batch.devices(), 4);
-        let mut sequential: Vec<LifGwCircuit> = seeds
+        let mut ones: Vec<BatchedLifGwCircuit> = seeds
             .iter()
-            .map(|&s| LifGwCircuit::new(&sol.factors, s, &cfg))
+            .map(|&s| BatchedLifGwCircuit::new(&sol.factors, &[s], &cfg))
             .collect();
         for sample in 0..12 {
             let cuts = batch.next_cuts();
-            for (r, circuit) in sequential.iter_mut().enumerate() {
-                assert_eq!(cuts[r], circuit.next_cut(), "sample {sample} replica {r}");
+            for (r, one) in ones.iter_mut().enumerate() {
+                assert_eq!(cuts[r], one.next_cuts()[0], "sample {sample} replica {r}");
             }
         }
     }
 
     #[test]
     fn batched_best_traces_match_parallel_best_traces() {
-        use crate::sampling::parallel_best_traces;
+        // The blocked, bit-sliced traces equal each replica's stream
+        // scored one sample at a time by the incremental tracker.
         let g = gnp(14, 0.5, 4).unwrap();
         let sol = solve_gw(&g, &GwConfig::default()).unwrap();
         let cfg = LifGwConfig::default();
@@ -337,13 +285,13 @@ mod tests {
         let cp = log2_checkpoints(32);
         let mut batch = BatchedLifGwCircuit::new(&sol.factors, &seeds, &cfg);
         let batched = batch.best_traces(&g, &cp);
-        let reference = parallel_best_traces(
-            |i| LifGwCircuit::new(&sol.factors, seeds[i], &cfg),
-            &g,
-            &cp,
-            seeds.len(),
-            2,
-        );
+        let reference: Vec<BestTrace> = seeds
+            .iter()
+            .map(|&s| {
+                let mut one = BatchedLifGwCircuit::new(&sol.factors, &[s], &cfg);
+                sample_best_trace(&mut || one.next_cuts().remove(0), &g, &cp)
+            })
+            .collect();
         assert_eq!(batched, reference);
     }
 
@@ -351,10 +299,10 @@ mod tests {
     fn deterministic_given_seed() {
         let g = gnp(10, 0.4, 5).unwrap();
         let sol = solve_gw(&g, &GwConfig::default()).unwrap();
-        let mut a = LifGwCircuit::new(&sol.factors, 7, &LifGwConfig::default());
-        let mut b = LifGwCircuit::new(&sol.factors, 7, &LifGwConfig::default());
+        let mut a = BatchedLifGwCircuit::new(&sol.factors, &[7], &LifGwConfig::default());
+        let mut b = BatchedLifGwCircuit::new(&sol.factors, &[7], &LifGwConfig::default());
         for _ in 0..5 {
-            assert_eq!(a.next_cut(), b.next_cut());
+            assert_eq!(a.next_cuts(), b.next_cuts());
         }
     }
 
@@ -362,11 +310,11 @@ mod tests {
     fn spike_rate_balanced_at_mean_threshold() {
         let g = gnp(12, 0.5, 2).unwrap();
         let sol = solve_gw(&g, &GwConfig::default()).unwrap();
-        let mut circuit = LifGwCircuit::new(&sol.factors, 11, &LifGwConfig::default());
+        let mut circuit = BatchedLifGwCircuit::new(&sol.factors, &[11], &LifGwConfig::default());
         let samples = 400;
         let mut per_neuron = [0u32; 12];
         for _ in 0..samples {
-            let cut = circuit.next_cut();
+            let cut = circuit.next_cuts().remove(0);
             for i in 0..12 {
                 if cut.side(i) == 1 {
                     per_neuron[i] += 1;

@@ -9,17 +9,20 @@
 //! cut. *"This circuit solves the MAXCUT problem entirely within the
 //! circuit, without requiring any external preprocessing."*
 //!
-//! Each call to [`CutSampler::next_cut`] advances the circuit by a fixed
-//! number of plasticity updates and reads the current weight vector — so
-//! the best-so-far curves *improve over time as learning proceeds*, the
-//! characteristic shape of the orange curves in Figs. 3–4.
+//! Each sample advances the circuit by a fixed number of plasticity
+//! updates and reads the current weight vector — so the best-so-far
+//! curves *improve over time as learning proceeds*, the characteristic
+//! shape of the orange curves in Figs. 3–4.
+//!
+//! [`BatchedLifTrevisanCircuit`] is the one implementation: `R`
+//! independent seeded replicas of the circuit, of which a one-seed batch
+//! is the single circuit. On a weighted graph the synaptic program is the
+//! weighted Trevisan matrix ([`BatchedLifTrevisanCircuit::from_weights`]).
 
-use crate::sampling::{
-    batched_best_traces, cuts_from_lane, set_lane_from_signs, BestTrace, CutSampler,
-};
+use crate::sampling::{batched_best_traces, cuts_from_lane, set_lane_from_signs, BestTrace};
 use snc_devices::{CommonCause, DeviceModel};
 use snc_graph::{CutAssignment, Graph};
-use snc_neuro::{BatchedTwoStageNetwork, TwoStageConfig, TwoStageNetwork};
+use snc_neuro::{BatchedTwoStageNetwork, CscWeights, TwoStageConfig};
 
 /// Configuration of the LIF-Trevisan circuit sampler.
 #[derive(Clone, Debug)]
@@ -45,67 +48,16 @@ impl Default for LifTrevisanConfig {
     }
 }
 
-/// The LIF-Trevisan circuit.
-#[derive(Clone, Debug)]
-pub struct LifTrevisanCircuit {
-    net: TwoStageNetwork,
-    updates_per_sample: u64,
-}
-
-impl LifTrevisanCircuit {
-    /// Builds the circuit for a graph.
-    pub fn new(graph: &Graph, seed: u64, cfg: &LifTrevisanConfig) -> Self {
-        let net = TwoStageNetwork::with_devices(
-            graph,
-            cfg.device.clone(),
-            cfg.common_cause,
-            seed,
-            cfg.network,
-        );
-        Self {
-            net,
-            updates_per_sample: cfg.updates_per_sample.max(1),
-        }
-    }
-
-    /// Number of vertices (= neurons = devices).
-    pub fn n(&self) -> usize {
-        self.net.n()
-    }
-
-    /// The current plastic weight vector.
-    pub fn readout_weights(&self) -> &[f64] {
-        self.net.readout_weights()
-    }
-
-    /// Total plasticity updates applied.
-    pub fn updates(&self) -> u64 {
-        self.net.updates()
-    }
-
-    /// The circuit's current cut hypothesis without advancing time.
-    pub fn current_cut(&self) -> CutAssignment {
-        CutAssignment::from_signs(self.net.readout_weights())
-    }
-}
-
-impl CutSampler for LifTrevisanCircuit {
-    fn next_cut(&mut self) -> CutAssignment {
-        self.net.run_updates(self.updates_per_sample);
-        self.current_cut()
-    }
-}
-
 /// `R` LIF-Trevisan replicas advanced in lock-step, structure-of-arrays.
 ///
-/// Each replica is an independent [`LifTrevisanCircuit`] (own device seed
-/// and plastic readout vector, same graph and configuration), but all
-/// replicas share one traversal of the sparse Trevisan weight matrix per
-/// time step and one SoA Oja plasticity pass per update, via
-/// [`BatchedTwoStageNetwork`]. Replica `r`'s sample stream is bit-for-bit
-/// identical to `LifTrevisanCircuit::new(graph, seeds[r], cfg)` — batching
-/// changes the schedule, never the samples — which the equivalence tests
-/// pin for R ∈ {1, 8, 16}.
+/// Each replica is an independent circuit (own device seed and plastic
+/// readout vector, same graph and configuration), but all replicas share
+/// one traversal of the sparse Trevisan weight matrix per time step and
+/// one SoA Oja plasticity pass per update, via [`BatchedTwoStageNetwork`].
+/// Replica `r`'s sample stream is bit-for-bit that of the one-seed batch
+/// `BatchedLifTrevisanCircuit::new(graph, &[seeds[r]], cfg)` — batching
+/// changes the schedule, never the samples — which the lane tests pin for
+/// R ∈ {2, 3, 8, 16}.
 ///
 /// # Examples
 ///
@@ -128,14 +80,27 @@ pub struct BatchedLifTrevisanCircuit {
 }
 
 impl BatchedLifTrevisanCircuit {
-    /// Builds one replica per seed, mirroring [`LifTrevisanCircuit::new`].
+    /// Builds one replica per seed for a graph.
     ///
     /// # Panics
     ///
     /// Panics if `seeds` is empty.
     pub fn new(graph: &Graph, seeds: &[u64], cfg: &LifTrevisanConfig) -> Self {
-        let net = BatchedTwoStageNetwork::with_devices(
-            graph,
+        let weights = CscWeights::trevisan(graph, cfg.network.weight_scale);
+        Self::from_weights(weights, seeds, cfg)
+    }
+
+    /// Builds one replica per seed on an explicit square synaptic program
+    /// — a graph's Trevisan matrix at scale `cfg.network.weight_scale`,
+    /// such as [`CscWeights::trevisan_weighted`] for a weighted graph with
+    /// non-negative weights (see [`crate::MaxCutGraph::trevisan_weights`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weight matrix is not square or `seeds` is empty.
+    pub fn from_weights(weights: CscWeights, seeds: &[u64], cfg: &LifTrevisanConfig) -> Self {
+        let net = BatchedTwoStageNetwork::from_weights(
+            weights,
             cfg.device.clone(),
             cfg.common_cause,
             seeds,
@@ -206,10 +171,9 @@ impl BatchedLifTrevisanCircuit {
     }
 
     /// Runs every replica against the shared checkpoint grid and returns
-    /// one best-so-far trace per replica — the batched, single-core
-    /// equivalent of [`crate::sampling::parallel_best_traces`] over
-    /// [`LifTrevisanCircuit`] factories with the same seeds, with
-    /// identical output.
+    /// one best-so-far trace per replica: trace `r` is
+    /// [`crate::sample_best_trace`] over the one-seed batch for
+    /// `seeds[r]`.
     ///
     /// Samples are drawn 64 at a time and scored by one bit-sliced pass
     /// over the edges per block ([`snc_graph::bitslice`]).
@@ -236,11 +200,16 @@ mod tests {
     use snc_graph::generators::structured::{complete_bipartite, cycle};
     use snc_linalg::vector;
 
+    /// One circuit: a one-seed batch.
+    fn one_seed(g: &Graph, seed: u64, cfg: &LifTrevisanConfig) -> BatchedLifTrevisanCircuit {
+        BatchedLifTrevisanCircuit::new(g, &[seed], cfg)
+    }
+
     #[test]
     fn solves_bipartite_within_budget() {
         let g = complete_bipartite(3, 3);
-        let mut circuit = LifTrevisanCircuit::new(&g, 5, &LifTrevisanConfig::default());
-        let trace = sample_best_trace(&mut circuit, &g, &log2_checkpoints(20_000));
+        let mut circuit = one_seed(&g, 5, &LifTrevisanConfig::default());
+        let trace = circuit.best_traces(&g, &log2_checkpoints(20_000)).remove(0);
         assert_eq!(trace.final_best(), 9, "trace={:?}", trace.best);
         assert_eq!(circuit.n(), 6);
     }
@@ -250,9 +219,9 @@ mod tests {
         // The characteristic LIF-TR shape: early samples are near-random,
         // late samples approach the spectral solution.
         let g = gnp(24, 0.3, 3).unwrap();
-        let mut circuit = LifTrevisanCircuit::new(&g, 7, &LifTrevisanConfig::default());
+        let mut circuit = one_seed(&g, 7, &LifTrevisanConfig::default());
         let cp = log2_checkpoints(30_000);
-        let trace = sample_best_trace(&mut circuit, &g, &cp);
+        let trace = circuit.best_traces(&g, &cp).remove(0);
         let early = trace.best[2] as f64; // after 4 samples
         let late = trace.final_best() as f64;
         assert!(
@@ -268,8 +237,8 @@ mod tests {
     fn converges_toward_software_spectral_cut() {
         let g = cycle(12); // bipartite ring: spectral cut = 12
         let software = solve_trevisan(&g, &TrevisanConfig::default()).unwrap();
-        let mut circuit = LifTrevisanCircuit::new(&g, 9, &LifTrevisanConfig::default());
-        let trace = sample_best_trace(&mut circuit, &g, &log2_checkpoints(30_000));
+        let mut circuit = one_seed(&g, 9, &LifTrevisanConfig::default());
+        let trace = circuit.best_traces(&g, &log2_checkpoints(30_000)).remove(0);
         assert!(
             trace.final_best() >= software.value.saturating_sub(1),
             "circuit {} vs software {}",
@@ -277,17 +246,17 @@ mod tests {
             software.value
         );
         // The learned weight vector aligns with the software eigenvector.
-        let align = vector::alignment(circuit.readout_weights(), &software.eigenvector);
+        let align = vector::alignment(circuit.readout_weights(0), &software.eigenvector);
         assert!(align > 0.9, "alignment={align}");
     }
 
     #[test]
     fn deterministic_given_seed() {
         let g = cycle(8);
-        let mut a = LifTrevisanCircuit::new(&g, 11, &LifTrevisanConfig::default());
-        let mut b = LifTrevisanCircuit::new(&g, 11, &LifTrevisanConfig::default());
+        let mut a = one_seed(&g, 11, &LifTrevisanConfig::default());
+        let mut b = one_seed(&g, 11, &LifTrevisanConfig::default());
         for _ in 0..50 {
-            assert_eq!(a.next_cut(), b.next_cut());
+            assert_eq!(a.next_cuts(), b.next_cuts());
         }
         assert_eq!(a.updates(), 50);
     }
@@ -299,16 +268,18 @@ mod tests {
             updates_per_sample: 5,
             ..LifTrevisanConfig::default()
         };
-        let mut circuit = LifTrevisanCircuit::new(&g, 1, &cfg);
-        let _ = circuit.next_cut();
-        let _ = circuit.next_cut();
+        let mut circuit = one_seed(&g, 1, &cfg);
+        let _ = circuit.next_cuts();
+        let _ = circuit.next_cuts();
         assert_eq!(circuit.updates(), 10);
     }
 
-    /// Acceptance pin: batched traces are bit-for-bit the sequential
-    /// `TwoStageNetwork`-driven circuit's for seeded R ∈ {1, 8, 16} on
-    /// G(18, 0.3), and for R ∈ {1, 2, 3, 8, 16} on G(150, 0.05), whose
-    /// 150 devices span two full 64-device words and a partial one.
+    /// Acceptance pin: every lane of an R-wide batch is bit-for-bit the
+    /// one-seed batch's with the same seed — cuts and readout weights —
+    /// for R ∈ {8, 16} on G(18, 0.3), and for R ∈ {2, 3, 8, 16} on
+    /// G(150, 0.05), whose 150 devices span two full 64-device words and
+    /// a partial one. The one-seed batches run the scalar synapse kernel,
+    /// the sequential reference for the masked multi-replica kernel.
     #[test]
     fn batched_replicas_match_sequential_circuits() {
         let cfg = LifTrevisanConfig {
@@ -317,39 +288,30 @@ mod tests {
         };
         let small = gnp(18, 0.3, 21).unwrap();
         let sparse = gnp(150, 0.05, 0x150).unwrap();
-        let cases = [
-            (&small, &[1usize, 8, 16][..]),
-            (&sparse, &[1, 2, 3, 8, 16][..]),
-        ];
+        let cases = [(&small, &[8usize, 16][..]), (&sparse, &[2, 3, 8, 16][..])];
         for (g, widths) in cases {
             for &r in widths {
-                assert_batched_matches_sequential(g, r, &cfg);
+                assert_lanes_match_one_seed_batches(g, r, &cfg);
             }
         }
     }
 
-    fn assert_batched_matches_sequential(g: &Graph, r: usize, cfg: &LifTrevisanConfig) {
+    fn assert_lanes_match_one_seed_batches(g: &Graph, r: usize, cfg: &LifTrevisanConfig) {
         let n = g.n();
         let seeds: Vec<u64> = (0..r as u64).map(|i| 0x7E71 + i * 131).collect();
         let mut batch = BatchedLifTrevisanCircuit::new(g, &seeds, cfg);
         assert_eq!(batch.replicas(), r);
-        let mut sequential: Vec<LifTrevisanCircuit> = seeds
-            .iter()
-            .map(|&s| LifTrevisanCircuit::new(g, s, cfg))
-            .collect();
+        let mut ones: Vec<BatchedLifTrevisanCircuit> =
+            seeds.iter().map(|&s| one_seed(g, s, cfg)).collect();
         for sample in 0..10 {
             let cuts = batch.next_cuts();
-            for (i, circuit) in sequential.iter_mut().enumerate() {
+            for (i, one) in ones.iter_mut().enumerate() {
                 assert_eq!(
                     cuts[i],
-                    circuit.next_cut(),
+                    one.next_cuts()[0],
                     "n={n} R={r} sample {sample} replica {i}"
                 );
-                for (a, b) in batch
-                    .readout_weights(i)
-                    .iter()
-                    .zip(circuit.readout_weights())
-                {
+                for (a, b) in batch.readout_weights(i).iter().zip(one.readout_weights(0)) {
                     assert_eq!(a.to_bits(), b.to_bits(), "n={n} R={r} replica {i}");
                 }
             }
@@ -359,16 +321,17 @@ mod tests {
 
     #[test]
     fn batched_best_traces_match_parallel_best_traces() {
-        use crate::sampling::parallel_best_traces;
+        // The blocked, bit-sliced traces equal each replica's stream
+        // scored one sample at a time by the incremental tracker.
         use snc_neuro::Reset;
         let g = gnp(14, 0.4, 8).unwrap();
         // Both reset modes: with Reset::ToValue the spike flags feed back
         // into the stage-1 dynamics, exercising the other batched path.
         for reset in [Reset::None, Reset::ToValue(0.0)] {
             let cfg = LifTrevisanConfig {
-                network: snc_neuro::TwoStageConfig {
+                network: TwoStageConfig {
                     reset,
-                    ..snc_neuro::TwoStageConfig::default()
+                    ..TwoStageConfig::default()
                 },
                 ..LifTrevisanConfig::default()
             };
@@ -376,13 +339,13 @@ mod tests {
             let cp = log2_checkpoints(24);
             let mut batch = BatchedLifTrevisanCircuit::new(&g, &seeds, &cfg);
             let batched = batch.best_traces(&g, &cp);
-            let reference = parallel_best_traces(
-                |i| LifTrevisanCircuit::new(&g, seeds[i], &cfg),
-                &g,
-                &cp,
-                seeds.len(),
-                2,
-            );
+            let reference: Vec<BestTrace> = seeds
+                .iter()
+                .map(|&s| {
+                    let mut one = one_seed(&g, s, &cfg);
+                    sample_best_trace(&mut || one.next_cuts().remove(0), &g, &cp)
+                })
+                .collect();
             assert_eq!(batched, reference, "reset={reset:?}");
         }
     }

@@ -4,18 +4,18 @@
 //! The paper states MAXCUT for any adjacency matrix `A_ij` (§II.A), so
 //! an unweighted graph is the unit-weight case of one problem.
 //! [`MaxCutGraph`] is that problem as the solvers see it: a vertex
-//! count, a coupling list, a total weight, an incremental cut evaluator
-//! and a block scorer. The sampling driver, the best-so-far traces, the
-//! GW SDP and the Hopfield and LIF-annealed circuits are written once
-//! against it and instantiated twice: exact `u64` cut counts on [`Graph`]
-//! and `f64` cut weights on [`WeightedGraph`].
+//! count, a coupling list, a total weight, an incremental cut evaluator,
+//! a block scorer and the LIF-Trevisan synaptic program. The sampling
+//! driver, the best-so-far traces, the GW SDP and all four circuit
+//! families are written once against it and instantiated twice: exact
+//! `u64` cut counts on [`Graph`] and `f64` cut weights on
+//! [`WeightedGraph`].
 
-use crate::circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanConfig};
-use crate::sampling::{set_lane_from_signs, tracked_value};
+use crate::sampling::tracked_value;
 use crate::solve::SolveError;
-use crate::weighted::WeightedLifTrevisanCircuit;
 use snc_graph::bitslice::{BlockCutScorer, LANES};
 use snc_graph::{CutAssignment, CutTracker, Graph, WeightedCutTracker, WeightedGraph};
+use snc_neuro::CscWeights;
 
 /// A cut value: an exact edge count (`u64`) or a cut weight (`f64`).
 pub trait CutValue: Copy + PartialOrd + std::fmt::Debug {
@@ -158,19 +158,14 @@ pub trait MaxCutGraph {
     fn tracker(&self, cut: CutAssignment) -> Self::Tracker<'_>;
     /// A fresh block scorer for `replicas` sample streams.
     fn scorer(&self, replicas: usize) -> Self::Scorer<'_>;
-    /// The LIF-Trevisan replicas for `seeds`, as a closure that draws one
-    /// cut per replica per call into lane `lane` of the replica-major
-    /// block `words` (`n` words per replica).
+    /// The LIF-Trevisan circuit's synaptic program on this graph: its
+    /// Trevisan matrix `I + D^{-1/2} A D^{-1/2}` scaled by `scale`.
     ///
     /// # Errors
     ///
     /// [`SolveError::NegativeWeights`] when the Trevisan operator is
     /// undefined on the graph.
-    fn lif_trevisan(
-        &self,
-        seeds: &[u64],
-        cfg: &LifTrevisanConfig,
-    ) -> Result<impl FnMut(usize, &mut [u64]), SolveError>;
+    fn trevisan_weights(&self, scale: f64) -> Result<CscWeights, SolveError>;
 }
 
 impl MaxCutGraph for Graph {
@@ -196,14 +191,8 @@ impl MaxCutGraph for Graph {
     fn scorer(&self, _replicas: usize) -> BlockCutScorer {
         BlockCutScorer::new(self)
     }
-    /// All replicas on one [`BatchedLifTrevisanCircuit`].
-    fn lif_trevisan(
-        &self,
-        seeds: &[u64],
-        cfg: &LifTrevisanConfig,
-    ) -> Result<impl FnMut(usize, &mut [u64]), SolveError> {
-        let mut batch = BatchedLifTrevisanCircuit::new(self, seeds, cfg);
-        Ok(move |lane: usize, words: &mut [u64]| batch.next_lane(lane, words))
+    fn trevisan_weights(&self, scale: f64) -> Result<CscWeights, SolveError> {
+        Ok(CscWeights::trevisan(self, scale))
     }
 }
 
@@ -233,25 +222,10 @@ impl MaxCutGraph for WeightedGraph {
             trackers: (0..replicas).map(|_| None).collect(),
         }
     }
-    /// One sequential circuit per replica, after the non-negativity
-    /// check: the batched network is built from unweighted graphs only.
-    fn lif_trevisan(
-        &self,
-        seeds: &[u64],
-        cfg: &LifTrevisanConfig,
-    ) -> Result<impl FnMut(usize, &mut [u64]), SolveError> {
+    fn trevisan_weights(&self, scale: f64) -> Result<CscWeights, SolveError> {
         if !self.is_nonnegative() {
             return Err(SolveError::NegativeWeights);
         }
-        let mut circuits: Vec<WeightedLifTrevisanCircuit> = seeds
-            .iter()
-            .map(|&s| WeightedLifTrevisanCircuit::new(self, s, cfg))
-            .collect();
-        let n = self.n();
-        Ok(move |lane: usize, words: &mut [u64]| {
-            for (r, circuit) in circuits.iter_mut().enumerate() {
-                set_lane_from_signs(&mut words[r * n..(r + 1) * n], lane, circuit.advance());
-            }
-        })
+        Ok(CscWeights::trevisan_weighted(self, scale))
     }
 }

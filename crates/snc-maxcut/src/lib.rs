@@ -12,22 +12,23 @@
 //!   neuromorphic circuits (blue ● and orange ■ curves), plus two
 //!   companion families: **LIF-annealed** (the LIF-GW substrate under a σ
 //!   cooling schedule) and **Hopfield** (deterministic continuous
-//!   relaxation, the classical analog baseline).
+//!   relaxation, the classical analog baseline). Each family has one
+//!   implementation, batched over independent seeded replicas; a
+//!   one-seed batch is the single circuit.
 //! * [`exact`] — Gray-code brute force and branch-and-bound, for ground
 //!   truth on small instances.
 //! * [`anneal`] — simulated annealing, the software version of the
 //!   hardware Ising-machine baseline class the paper positions against.
 //! * [`graph`] — [`MaxCutGraph`], what the solve path reads of a graph:
-//!   the sampling driver, traces, GW SDP, and the Hopfield and
-//!   LIF-annealed circuits run on unweighted (`u64` cuts) and weighted
-//!   (`f64` cuts) graphs through one implementation.
+//!   the sampling driver, traces, GW SDP, and all four circuit families
+//!   run on unweighted (`u64` cuts) and weighted (`f64` cuts) graphs
+//!   through one implementation.
 //! * [`weighted`] — the solvers specific to weighted graphs (two Table-I
-//!   networks are weighted): the weighted Trevisan operator, its LIF-TR
-//!   circuit, and weighted brute force.
+//!   networks are weighted): the weighted Trevisan spectral solver and
+//!   weighted brute force.
 //! * [`greedy`] — 1-opt local search, an additional classical baseline.
-//! * [`sampling`] — the [`CutSampler`] trait, best-so-far traces at
-//!   logarithmic checkpoints (the x-axis of Figs. 3–4), and a deterministic
-//!   parallel sampling runner.
+//! * [`sampling`] — the [`CutSampler`] trait and best-so-far traces at
+//!   logarithmic checkpoints (the x-axis of Figs. 3–4).
 //! * [`extensions`] — MAX2SAT and MAXDICUT via the same SDP + rounding
 //!   machinery, the generalization sketched in the Discussion (§VI).
 //! * [`cache`] — the deterministic [`SdpCache`]: memoized SDP
@@ -60,20 +61,14 @@ pub mod weighted;
 
 pub use anneal::{CoolingSchedule, ScheduleError, ScheduleKind};
 pub use cache::{CacheStats, SdpCache, ShardedLru};
-pub use circuits::hopfield::{BatchedHopfieldCircuit, HopfieldCircuit, HopfieldConfig};
-pub use circuits::lif_annealed::{
-    BatchedLifAnnealedCircuit, LifAnnealedCircuit, LifAnnealedConfig,
-};
-pub use circuits::lif_gw::{BatchedLifGwCircuit, LifGwCircuit, LifGwConfig};
-pub use circuits::lif_trevisan::{
-    BatchedLifTrevisanCircuit, LifTrevisanCircuit, LifTrevisanConfig,
-};
+pub use circuits::hopfield::{BatchedHopfieldCircuit, HopfieldConfig};
+pub use circuits::lif_annealed::{BatchedLifAnnealedCircuit, LifAnnealedConfig};
+pub use circuits::lif_gw::{BatchedLifGwCircuit, LifGwConfig};
+pub use circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanConfig};
 pub use graph::MaxCutGraph;
 pub use gw::{solve_gw, GwConfig, GwSampler, GwSolution};
 pub use random::RandomCutSampler;
-pub use sampling::{
-    log2_checkpoints, merge_traces, parallel_best_traces, sample_best_trace, BestTrace, CutSampler,
-};
+pub use sampling::{log2_checkpoints, merge_traces, sample_best_trace, BestTrace, CutSampler};
 pub use solve::{
     solve, solve_with_cache, CircuitFamily, SolveError, SolveOutcome, SolveSpec, StageTimings,
 };

@@ -3,19 +3,37 @@
 //! The paper's figures plot "maximum cut weight relative to solver as a
 //! function of the number of samples" — i.e. best-so-far curves recorded at
 //! (log-spaced) sample counts up to 2^20. [`sample_best_trace`] produces
-//! exactly that curve for any [`CutSampler`]; [`parallel_best_traces`] runs
-//! independent replicas across threads with deterministic per-replica
-//! seeds.
+//! exactly that curve for any [`CutSampler`]; the batched circuits'
+//! `best_traces` produce one per replica from bit-sliced sample blocks.
 
 use crate::graph::{BlockScorer, CutValue, IncrementalCut, MaxCutGraph};
 use snc_graph::bitslice::LANES;
 use snc_graph::{CutAssignment, CutTracker, Graph};
-use snc_neuro::parallel::run_replicas;
 
 /// A stochastic source of cut assignments for a fixed graph.
 pub trait CutSampler {
     /// Draws the next cut sample.
     fn next_cut(&mut self) -> CutAssignment;
+}
+
+/// Any closure returning cuts is a sampler. This is how one sample
+/// stream of a batched circuit is read: build a one-seed batch and take
+/// its only cut per call.
+///
+/// ```
+/// use snc_graph::generators::structured::cycle;
+/// use snc_maxcut::{log2_checkpoints, sample_best_trace, BatchedHopfieldCircuit, HopfieldConfig};
+///
+/// let g = cycle(10);
+/// let mut batch = BatchedHopfieldCircuit::new(&g, &[7], &HopfieldConfig::default());
+/// let mut stream = || batch.next_cuts().remove(0);
+/// let trace = sample_best_trace(&mut stream, &g, &log2_checkpoints(16));
+/// assert_eq!(trace.final_best(), 10, "an even ring relaxes to its exact cut");
+/// ```
+impl<F: FnMut() -> CutAssignment> CutSampler for F {
+    fn next_cut(&mut self) -> CutAssignment {
+        self()
+    }
 }
 
 /// Best-so-far cut values recorded at increasing sample-count checkpoints:
@@ -245,27 +263,6 @@ pub fn sample_best_trace<G: MaxCutGraph>(
     }
 }
 
-/// Runs `replicas` independent samplers (built by `factory`, which receives
-/// the replica index for seeding) across `threads` threads; each replica
-/// records the same checkpoint grid. Results are deterministic and
-/// independent of `threads`.
-pub fn parallel_best_traces<S, F>(
-    factory: F,
-    graph: &Graph,
-    checkpoints: &[u64],
-    replicas: usize,
-    threads: usize,
-) -> Vec<BestTrace>
-where
-    S: CutSampler,
-    F: Fn(usize) -> S + Sync,
-{
-    run_replicas(replicas, threads, |i| {
-        let mut sampler = factory(i);
-        sample_best_trace(&mut sampler, graph, checkpoints)
-    })
-}
-
 /// Summary statistics of a fixed-budget sampling run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SampleStats {
@@ -375,20 +372,6 @@ mod tests {
         };
         assert_eq!(t.relative_to(10.0), vec![0.5, 1.0]);
         assert_eq!(t.relative_to(0.0), vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn parallel_traces_deterministic_across_thread_counts() {
-        let g = cycle(11);
-        let cp = log2_checkpoints(32);
-        let factory = |i: usize| CountingSampler {
-            rng: Xoshiro256pp::new(1000 + i as u64),
-            n: 11,
-            calls: 0,
-        };
-        let a = parallel_best_traces(factory, &g, &cp, 4, 1);
-        let b = parallel_best_traces(factory, &g, &cp, 4, 4);
-        assert_eq!(a, b);
     }
 
     #[test]

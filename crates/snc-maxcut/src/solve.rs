@@ -15,8 +15,8 @@
 //! [`solve`] is a pure function of `(graph, spec)`. The per-replica seed
 //! ladder is rooted at `spec.seed` via `SplitMix64::derive` — the same
 //! deterministic sub-stream derivation pinned throughout the workspace —
-//! and the batched steppers guarantee replica `r`'s sample stream is
-//! bit-for-bit the sequential circuit's with seed `seeds[r]`. Two calls
+//! and the batched circuits guarantee replica `r`'s sample stream is
+//! bit-for-bit the one-seed batch's with seed `seeds[r]`. Two calls
 //! with identical inputs return identical outcomes, on any thread, at
 //! any concurrency.
 
@@ -25,7 +25,7 @@ use crate::cache::SdpCache;
 use crate::circuits::hopfield::{BatchedHopfieldCircuit, HopfieldConfig};
 use crate::circuits::lif_annealed::{BatchedLifAnnealedCircuit, LifAnnealedConfig};
 use crate::circuits::lif_gw::{BatchedLifGwCircuit, LifGwConfig};
-use crate::circuits::lif_trevisan::LifTrevisanConfig;
+use crate::circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanConfig};
 use crate::graph::{CutValue, MaxCutGraph};
 use crate::gw::{solve_gw, GwConfig, GwSolution};
 use crate::sampling::{blocked_bests, log2_checkpoints, BestTrace};
@@ -249,7 +249,7 @@ impl From<LinalgError> for SolveError {
 /// Deterministic replica seed ladder rooted at `base`.
 ///
 /// A single replica uses `base` itself, so `replicas == 1` consumes
-/// exactly the seed stream a sequential single-circuit run does and
+/// exactly the seed stream a single-circuit run with seed `base` does and
 /// reproduces its traces bit-for-bit.
 pub fn replica_seeds(base: u64, replicas: usize) -> Vec<u64> {
     if replicas <= 1 {
@@ -400,7 +400,9 @@ fn solve_from<G: MaxCutGraph>(
                 ..LifTrevisanConfig::default()
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 4), replicas);
-            let next_lane = graph.lif_trevisan(&seeds, &cfg)?;
+            let weights = graph.trevisan_weights(cfg.network.weight_scale)?;
+            let mut batch = BatchedLifTrevisanCircuit::from_weights(weights, &seeds, &cfg);
+            let next_lane = |lane, words: &mut [u64]| batch.next_lane(lane, words);
             Ok(drive(
                 graph,
                 &checkpoints,
@@ -526,7 +528,6 @@ fn drive<G: MaxCutGraph>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuits::lif_trevisan::BatchedLifTrevisanCircuit;
     use crate::sampling::merge_traces;
     use snc_graph::generators::erdos_renyi::gnp;
     use snc_graph::WeightedGraph;

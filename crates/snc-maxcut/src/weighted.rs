@@ -9,16 +9,16 @@
 //!
 //! * [`solve_trevisan_weighted`] — minimum eigenvector of the *weighted*
 //!   Trevisan matrix `I + D_w^{-1/2} A_w D_w^{-1/2}`.
-//! * [`WeightedLifTrevisanCircuit`] — the LIF-TR circuit programmed with
-//!   the weighted Trevisan matrix.
 //! * [`brute_force_weighted`] — exact ground truth for small instances.
+//!
+//! The LIF-TR circuit on a weighted graph is
+//! [`BatchedLifTrevisanCircuit`](crate::BatchedLifTrevisanCircuit)
+//! programmed with the weighted Trevisan matrix
+//! ([`MaxCutGraph::trevisan_weights`](crate::MaxCutGraph::trevisan_weights)).
 
-use crate::circuits::lif_trevisan::LifTrevisanConfig;
-use crate::sampling::CutSampler;
 use snc_graph::weighted::WeightedTrevisanOperator;
 use snc_graph::{CutAssignment, WeightedGraph};
 use snc_linalg::eigen::{extreme_eigenpair, Which};
-use snc_neuro::TwoStageNetwork;
 
 /// Result of the weighted Trevisan spectral solver.
 #[derive(Clone, Debug)]
@@ -52,49 +52,6 @@ pub fn solve_trevisan_weighted(
         cut,
         value,
     })
-}
-
-/// The LIF-Trevisan circuit on a weighted graph: identical dynamics, with
-/// the weighted Trevisan matrix as the synaptic program.
-#[derive(Clone, Debug)]
-pub struct WeightedLifTrevisanCircuit {
-    net: TwoStageNetwork,
-    updates_per_sample: u64,
-}
-
-impl WeightedLifTrevisanCircuit {
-    /// Builds the circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has negative weights.
-    pub fn new(graph: &WeightedGraph, seed: u64, cfg: &LifTrevisanConfig) -> Self {
-        let net = TwoStageNetwork::new_weighted(graph, seed, cfg.network);
-        Self {
-            net,
-            updates_per_sample: cfg.updates_per_sample.max(1),
-        }
-    }
-
-    /// The current plastic weight vector.
-    pub fn readout_weights(&self) -> &[f64] {
-        self.net.readout_weights()
-    }
-}
-
-impl WeightedLifTrevisanCircuit {
-    /// Advances to the next sample and returns the readout weights whose
-    /// signs are its cut.
-    pub(crate) fn advance(&mut self) -> &[f64] {
-        self.net.run_updates(self.updates_per_sample);
-        self.net.readout_weights()
-    }
-}
-
-impl CutSampler for WeightedLifTrevisanCircuit {
-    fn next_cut(&mut self) -> CutAssignment {
-        CutAssignment::from_signs(self.advance())
-    }
 }
 
 /// Exact weighted maximum cut by enumeration (`n ≤ 26`).
@@ -215,11 +172,16 @@ mod tests {
 
     #[test]
     fn weighted_lif_tr_learns_bipartite() {
+        use crate::graph::MaxCutGraph;
+        use crate::{BatchedLifTrevisanCircuit, LifTrevisanConfig};
         let base = complete_bipartite(3, 3);
         let g =
             randomize_weights(&base, WeightDistribution::Uniform { lo: 0.5, hi: 1.5 }, 5).unwrap();
-        let mut circuit = WeightedLifTrevisanCircuit::new(&g, 3, &LifTrevisanConfig::default());
-        let trace = sample_best_trace(&mut circuit, &g, &log2_checkpoints(20_000));
+        let cfg = LifTrevisanConfig::default();
+        let weights = g.trevisan_weights(cfg.network.weight_scale).unwrap();
+        let mut circuit = BatchedLifTrevisanCircuit::from_weights(weights, &[3], &cfg);
+        let mut stream = || circuit.next_cuts().remove(0);
+        let trace = sample_best_trace(&mut stream, &g, &log2_checkpoints(20_000));
         assert!(
             (trace.final_best() - g.total_weight()).abs() < 1e-9,
             "reached {} of {}",

@@ -16,22 +16,23 @@
 //!   covariances are a linear transformation of the covariances of the
 //!   random device pool"), used for threshold placement and verified
 //!   empirically in tests.
-//! * [`plasticity`] — Hebbian, Oja (principal component), and Oja
-//!   anti-Hebbian (minor component) rules; the last one drives the
-//!   LIF-Trevisan circuit (§III.D). Every rule also has a structure-of-
-//!   arrays multi-replica pass (`update_replicas`) that updates R plastic
+//! * [`plasticity`] — Oja's anti-Hebbian (minor component) rule, which
+//!   drives the LIF-Trevisan circuit (§III.D), with a structure-of-arrays
+//!   multi-replica pass (`update_replicas`) that updates R plastic
 //!   vectors per traversal, bit-for-bit equal to the scalar updates.
-//! * [`network`] — [`DeviceDrivenNetwork`] (pool → weights → LIF
-//!   population, the shared circuit motif of Figs. 1–2),
-//!   [`TwoStageNetwork`] (the LIF-TR topology with a plastic readout
-//!   neuron), and [`BatchedTwoStageNetwork`] (R lock-stepped LIF-TR
-//!   replicas sharing each weight-matrix traversal).
+//! * [`network`] — [`BatchedTwoStageNetwork`], the LIF-TR topology (a
+//!   device-driven LIF population plus a plastic readout neuron) as R
+//!   lock-stepped replicas sharing each weight-matrix traversal.
 //! * [`hopfield`] — deterministic continuous Hopfield–Tank relaxation
 //!   (`du = −leak·u − W·tanh(gain·u)`), the classical analog-descent
 //!   counterpart the annealed/Hopfield circuit families build on.
-//! * [`parallel`] — replica execution across threads with deterministic
-//!   per-replica seeds, and the [`ReplicaBatch`] structure-of-arrays
-//!   stepper the batched circuits build on.
+//! * [`parallel`] — the [`ReplicaBatch`] structure-of-arrays stepper
+//!   (pool → weights → LIF population, the shared circuit motif of
+//!   Figs. 1–2, as R lock-stepped replicas) every circuit builds on.
+//!
+//! Every circuit has one implementation, batched over replicas.
+//! Replicas are independent seeded copies: lane `r` of an `R`-wide batch
+//! is bit for bit the one-seed batch with seed `seeds[r]`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -47,10 +48,8 @@ pub mod theory;
 
 pub use hopfield::{HopfieldNetwork, HopfieldParams};
 pub use lif::{Integrator, LifParams, Reset};
-pub use network::{
-    BatchedTwoStageNetwork, DeviceDrivenNetwork, PlasticitySignal, TwoStageConfig, TwoStageNetwork,
-};
+pub use network::{BatchedTwoStageNetwork, PlasticitySignal, TwoStageConfig};
 pub use parallel::ReplicaBatch;
-pub use plasticity::{Hebbian, LearningRate, OjaMinor, OjaPrincipal, PlasticityRule};
+pub use plasticity::{LearningRate, OjaMinor, PlasticityRule};
 pub use population::LifPopulation;
 pub use synapse::{BatchWeights, CscWeights, DenseWeights, InputWeights};

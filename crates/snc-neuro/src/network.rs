@@ -1,15 +1,16 @@
-//! Device-driven network assemblies: the circuit motifs of Figs. 1 and 2.
+//! The LIF-Trevisan two-stage network (Fig. 2).
 //!
-//! [`DeviceDrivenNetwork`] is the shared motif — a pool of stochastic
-//! devices feeding a LIF population through a weight matrix. Thresholds are
-//! placed at the analytic stationary means, so the spike/silent readout of
-//! a neuron is the sign of its centered (Gaussian) membrane potential.
+//! Stage 1 is the shared circuit motif — a pool of stochastic devices
+//! feeding a LIF population through the Trevisan weight matrix, run on a
+//! [`ReplicaBatch`] with thresholds at the analytic stationary means.
+//! [`BatchedTwoStageNetwork`] adds the second stage: one readout neuron
+//! per replica whose incoming weight vector is trained online with Oja's
+//! anti-Hebbian rule. "The output of this Stage-2 neuron is discarded;
+//! what matters is the weight vector w" (§IV.B) — the neuron is still
+//! simulated, faithfully, and its output is indeed ignored.
 //!
-//! [`TwoStageNetwork`] adds the LIF-Trevisan second stage: a single readout
-//! neuron whose incoming weight vector is trained online with Oja's
-//! anti-Hebbian rule. "The output of this Stage-2 neuron is discarded; what
-//! matters is the weight vector w" (§IV.B) — the neuron is still simulated,
-//! faithfully, and its output is indeed ignored.
+//! Replicas are independent seeded copies of one circuit; a one-seed
+//! batch is the single circuit.
 
 use crate::lif::{LifParams, Reset};
 use crate::parallel::ReplicaBatch;
@@ -17,107 +18,9 @@ use crate::plasticity::{LearningRate, OjaMinor, PlasticityRule};
 use crate::population::LifPopulation;
 use crate::synapse::{CscWeights, InputWeights};
 use crate::theory;
-use snc_devices::{CommonCause, DeviceModel, DevicePool, PoolSpec};
+use snc_devices::{CommonCause, DeviceModel, PoolSpec};
 use snc_graph::Graph;
 use snc_linalg::vector;
-
-/// A pool of stochastic devices driving a LIF population through a weight
-/// matrix — the core circuit motif.
-#[derive(Clone, Debug)]
-pub struct DeviceDrivenNetwork<W: InputWeights> {
-    pool: DevicePool,
-    weights: W,
-    population: LifPopulation,
-    current: Vec<f64>,
-    means: Vec<f64>,
-}
-
-impl<W: InputWeights> DeviceDrivenNetwork<W> {
-    /// Assembles the motif: thresholds are set to the analytic stationary
-    /// means and membranes start at those means (the circuit begins at
-    /// statistical equilibrium).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool size differs from the weight matrix's device
-    /// count.
-    pub fn new(pool: DevicePool, weights: W, params: LifParams, reset: Reset) -> Self {
-        assert_eq!(
-            pool.len(),
-            weights.devices(),
-            "pool size must match weight columns"
-        );
-        let n = weights.neurons();
-        let mut population = LifPopulation::new(n, params, reset);
-        // Heterogeneous-device-aware means: ⟨V⟩ = mean_factor · W p.
-        let ps = pool.stationary_ps();
-        let mut means = vec![0.0; n];
-        weights.apply(&ps, &mut means);
-        let mf = theory::mean_factor(&params);
-        for m in &mut means {
-            *m *= mf;
-        }
-        population.set_thresholds(&means);
-        population.set_potentials(&means);
-        Self {
-            pool,
-            weights,
-            population,
-            current: vec![0.0; n],
-            means,
-        }
-    }
-
-    /// Number of neurons.
-    pub fn neurons(&self) -> usize {
-        self.weights.neurons()
-    }
-
-    /// Number of devices.
-    pub fn devices(&self) -> usize {
-        self.weights.devices()
-    }
-
-    /// The analytic stationary means (also the spike thresholds).
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
-
-    /// The weight matrix.
-    pub fn weights(&self) -> &W {
-        &self.weights
-    }
-
-    /// Membrane potentials after the most recent step.
-    pub fn potentials(&self) -> &[f64] {
-        self.population.potentials()
-    }
-
-    /// Spike flags after the most recent step (V above its mean).
-    pub fn spiked(&self) -> &[bool] {
-        self.population.spiked()
-    }
-
-    /// Advances devices and membranes one time step; returns spike flags.
-    #[inline]
-    pub fn step(&mut self) -> &[bool] {
-        let states = self.pool.step();
-        self.weights.accumulate_words(states, &mut self.current);
-        self.population.step(&self.current)
-    }
-
-    /// Advances `k` steps (e.g. a decorrelation interval between samples).
-    pub fn step_many(&mut self, k: u64) {
-        for _ in 0..k {
-            self.step();
-        }
-    }
-
-    /// Writes the mean-centered membrane potentials into `out`.
-    pub fn centered_into(&self, out: &mut [f64]) {
-        self.population.centered_into(&self.means, out);
-    }
-}
 
 /// What stage-1 activity drives the plasticity rule.
 ///
@@ -204,8 +107,9 @@ fn plasticity_gain(config: &TwoStageConfig) -> f64 {
         })
 }
 
-/// Deterministic random unit start for the plastic vector; a pure function
-/// of `(n, seed)` shared by the sequential and batched networks.
+/// Deterministic random unit start for one replica's plastic vector; a
+/// pure function of `(n, seed)`, so a replica's start does not depend on
+/// the batch it is in.
 fn initial_readout_weights(n: usize, seed: u64) -> Vec<f64> {
     use snc_devices::{Rng64, Xoshiro256pp};
     let mut rng = Xoshiro256pp::new(seed ^ 0x0DA2);
@@ -230,169 +134,6 @@ fn saturation_guard(w: &mut [f64]) {
     }
 }
 
-/// The LIF-Trevisan circuit (Fig. 2): n devices → n LIF neurons (weights ∝
-/// the Trevisan matrix) → one plastic readout neuron trained with Oja's
-/// anti-Hebbian rule. The solution is read from the *weight vector*, not
-/// the output neuron.
-#[derive(Clone, Debug)]
-pub struct TwoStageNetwork {
-    stage1: DeviceDrivenNetwork<CscWeights>,
-    readout_weights: Vec<f64>,
-    rule: OjaMinor,
-    learning_rate: LearningRate,
-    plasticity_interval: u64,
-    stage2: LifPopulation,
-    centered: Vec<f64>,
-    gain: f64,
-    signal: PlasticitySignal,
-    steps: u64,
-    updates: u64,
-}
-
-impl TwoStageNetwork {
-    /// Builds the circuit for a graph with fair-coin devices.
-    pub fn new(graph: &Graph, seed: u64, config: TwoStageConfig) -> Self {
-        Self::with_devices(graph, DeviceModel::fair(), None, seed, config)
-    }
-
-    /// Builds the circuit for a *weighted* graph (weighted Trevisan matrix
-    /// as the synaptic program, fair-coin devices).
-    pub fn new_weighted(
-        graph: &snc_graph::WeightedGraph,
-        seed: u64,
-        config: TwoStageConfig,
-    ) -> Self {
-        let weights = CscWeights::trevisan_weighted(graph, config.weight_scale);
-        Self::from_weights(weights, DeviceModel::fair(), None, seed, config)
-    }
-
-    /// Builds the circuit with a custom device model and optional
-    /// common-cause correlation (for the robustness experiments).
-    pub fn with_devices(
-        graph: &Graph,
-        model: DeviceModel,
-        common_cause: Option<CommonCause>,
-        seed: u64,
-        config: TwoStageConfig,
-    ) -> Self {
-        let weights = CscWeights::trevisan(graph, config.weight_scale);
-        Self::from_weights(weights, model, common_cause, seed, config)
-    }
-
-    /// Builds the circuit from an explicit (square) synaptic weight matrix
-    /// whose spectral norm is at most `2·weight_scale` — the contract the
-    /// plasticity auto-gain relies on. Both Trevisan constructors satisfy
-    /// it by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weight matrix is not square.
-    pub fn from_weights(
-        weights: CscWeights,
-        model: DeviceModel,
-        common_cause: Option<CommonCause>,
-        seed: u64,
-        config: TwoStageConfig,
-    ) -> Self {
-        assert_eq!(
-            weights.neurons(),
-            weights.devices(),
-            "two-stage circuit needs one device per neuron"
-        );
-        let n = weights.neurons();
-        let mut spec = PoolSpec::uniform(model, n);
-        if let Some(cc) = common_cause {
-            spec = spec.with_common_cause(cc);
-        }
-        let pool = DevicePool::new(spec, seed);
-        let stage1 = DeviceDrivenNetwork::new(pool, weights, config.lif, config.reset);
-
-        let gain = plasticity_gain(&config);
-        let readout_weights = initial_readout_weights(n, seed);
-
-        Self {
-            stage1,
-            readout_weights,
-            rule: OjaMinor,
-            learning_rate: config.learning_rate,
-            plasticity_interval: config.plasticity_interval.max(1),
-            stage2: LifPopulation::new(1, config.lif, Reset::None),
-            centered: vec![0.0; n],
-            gain,
-            signal: config.plasticity_signal,
-            steps: 0,
-            updates: 0,
-        }
-    }
-
-    /// Number of graph vertices / stage-1 neurons.
-    pub fn n(&self) -> usize {
-        self.stage1.neurons()
-    }
-
-    /// Total time steps simulated.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Plasticity updates applied so far.
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
-    /// The plastic readout weight vector `w` — sign-thresholding it gives
-    /// the circuit's current cut hypothesis.
-    pub fn readout_weights(&self) -> &[f64] {
-        &self.readout_weights
-    }
-
-    /// The stage-1 network (for inspection).
-    pub fn stage1(&self) -> &DeviceDrivenNetwork<CscWeights> {
-        &self.stage1
-    }
-
-    /// Advances one time step; applies plasticity on schedule. Returns the
-    /// stage-2 activation `y` when an update happened.
-    pub fn step(&mut self) -> Option<f64> {
-        self.stage1.step();
-        self.steps += 1;
-        if !self.steps.is_multiple_of(self.plasticity_interval) {
-            return None;
-        }
-        match self.signal {
-            PlasticitySignal::CenteredPotential => {
-                self.stage1.centered_into(&mut self.centered);
-            }
-            PlasticitySignal::SpikeSign => {
-                for (c, &spiked) in self.centered.iter_mut().zip(self.stage1.spiked()) {
-                    *c = if spiked { 1.0 } else { -1.0 };
-                }
-            }
-        }
-        if self.gain != 1.0 {
-            vector::scale(&mut self.centered, self.gain);
-        }
-        let eta = self.learning_rate.at(self.updates);
-        let y = self
-            .rule
-            .update(&mut self.readout_weights, &self.centered, eta);
-        self.updates += 1;
-        saturation_guard(&mut self.readout_weights);
-        // Stage-2 neuron: receives the readout current; its spikes are
-        // deliberately ignored (§IV.B).
-        self.stage2.step(&[y]);
-        Some(y)
-    }
-
-    /// Runs until `updates` plasticity updates have been applied.
-    pub fn run_updates(&mut self, updates: u64) {
-        let target = self.updates + updates;
-        while self.updates < target {
-            self.step();
-        }
-    }
-}
-
 /// `R` replicas of the LIF-Trevisan two-stage circuit advanced in
 /// lock-step, structure-of-arrays.
 ///
@@ -404,12 +145,14 @@ impl TwoStageNetwork {
 /// ([`PlasticityRule::update_replicas`]); the `R` output neurons are one
 /// shared [`LifPopulation`].
 ///
-/// Replica `r`'s trajectory — membranes, plasticity signal, readout weight
-/// vector, stage-2 activations — is bit-for-bit identical to
-/// `TwoStageNetwork` built from the same spec with seed `seeds[r]`:
-/// batching changes the schedule, never the numbers. The equivalence tests
-/// in this module pin that for both reset modes and both plasticity
-/// signals.
+/// Replicas are independent: replica `r`'s trajectory — membranes,
+/// plasticity signal, readout weight vector, stage-2 activations — is bit
+/// for bit that of a one-seed batch built from the same spec with seed
+/// `seeds[r]`, so batching changes the schedule, never the numbers. A
+/// one-seed batch steps stage 1 through the scalar
+/// [`InputWeights::accumulate_words`] kernel, so it is an independent
+/// reference for the multi-replica kernels; the lane tests in this module
+/// pin the equivalence for both reset modes and both plasticity signals.
 ///
 /// # Examples
 ///
@@ -433,7 +176,7 @@ pub struct BatchedTwoStageNetwork {
     learning_rate: LearningRate,
     plasticity_interval: u64,
     /// The `R` stage-2 output neurons as one population (their spikes are
-    /// simulated faithfully and ignored, as in the sequential circuit).
+    /// simulated faithfully and ignored, §IV.B).
     stage2: LifPopulation,
     /// Plasticity-signal scratch, same layout as `readout_weights`.
     centered: Vec<f64>,
@@ -448,37 +191,22 @@ pub struct BatchedTwoStageNetwork {
 }
 
 impl BatchedTwoStageNetwork {
-    /// Builds one replica per seed for a graph with fair-coin devices —
-    /// the batched [`TwoStageNetwork::new`].
+    /// Builds one replica per seed for a graph with fair-coin devices.
     ///
     /// # Panics
     ///
     /// Panics if `seeds` is empty.
     pub fn new(graph: &Graph, seeds: &[u64], config: TwoStageConfig) -> Self {
-        Self::with_devices(graph, DeviceModel::fair(), None, seeds, config)
-    }
-
-    /// Builds the replicas with a custom device model and optional
-    /// common-cause correlation — the batched
-    /// [`TwoStageNetwork::with_devices`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn with_devices(
-        graph: &Graph,
-        model: DeviceModel,
-        common_cause: Option<CommonCause>,
-        seeds: &[u64],
-        config: TwoStageConfig,
-    ) -> Self {
         let weights = CscWeights::trevisan(graph, config.weight_scale);
-        Self::from_weights(weights, model, common_cause, seeds, config)
+        Self::from_weights(weights, DeviceModel::fair(), None, seeds, config)
     }
 
-    /// Builds the replicas from an explicit square synaptic weight matrix —
-    /// the batched [`TwoStageNetwork::from_weights`], with the same
-    /// spectral-norm contract on `weights`.
+    /// Builds the replicas from an explicit square synaptic weight matrix
+    /// whose spectral norm is at most `2·weight_scale` — the contract the
+    /// plasticity auto-gain relies on — with a custom device model and
+    /// optional common-cause correlation. Both Trevisan constructors
+    /// ([`CscWeights::trevisan`], [`CscWeights::trevisan_weighted`])
+    /// satisfy it by construction.
     ///
     /// # Panics
     ///
@@ -620,15 +348,17 @@ mod tests {
     use snc_graph::generators::structured::{complete_bipartite, cycle};
     use snc_linalg::DMatrix;
 
-    fn fair_pool(r: usize, seed: u64) -> DevicePool {
-        DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), r), seed)
+    /// One replica of the stage-1 motif on fair devices.
+    fn motif(devices: usize, seed: u64, w: DenseWeights) -> ReplicaBatch<DenseWeights> {
+        let spec = PoolSpec::uniform(DeviceModel::fair(), devices);
+        ReplicaBatch::new(spec, &[seed], w, LifParams::default(), Reset::None)
     }
 
     #[test]
     fn network_dimensions_and_means() {
         let w =
             DenseWeights::from_matrix_scaled(&DMatrix::from_rows(&[&[1.0, 0.0], &[0.5, 0.5]]), 1.0);
-        let net = DeviceDrivenNetwork::new(fair_pool(2, 1), w, LifParams::default(), Reset::None);
+        let net = motif(2, 1, w);
         assert_eq!(net.neurons(), 2);
         assert_eq!(net.devices(), 2);
         // mean = R · p · row_sum = 1 · 0.5 · rowsum.
@@ -643,15 +373,15 @@ mod tests {
             &DMatrix::from_rows(&[&[1.0, 0.3, -0.4], &[-0.2, 0.8, 0.1]]),
             1.0,
         );
-        let mut net =
-            DeviceDrivenNetwork::new(fair_pool(3, 2), w, LifParams::default(), Reset::None);
+        let mut net = motif(3, 2, w);
         net.step_many(500); // warmup
         let mut counts = [0u32; 2];
+        let mut s = [false; 2];
         let steps = 20_000;
         for _ in 0..steps {
             // Space samples a decorrelation interval apart.
-            net.step_many(10);
-            let s = net.step();
+            net.step_many(11);
+            net.spiked_into(0, &mut s);
             counts[0] += s[0] as u32;
             counts[1] += s[1] as u32;
         }
@@ -665,7 +395,7 @@ mod tests {
     #[should_panic(expected = "pool size")]
     fn mismatched_pool_panics() {
         let w = DenseWeights::from_matrix_scaled(&DMatrix::from_rows(&[&[1.0, 0.0]]), 1.0);
-        let _ = DeviceDrivenNetwork::new(fair_pool(3, 1), w, LifParams::default(), Reset::None);
+        let _ = motif(3, 1, w);
     }
 
     #[test]
@@ -673,9 +403,9 @@ mod tests {
         // On K_{3,3} the Trevisan minimum eigenvector separates the parts;
         // the learned weight vector's signs must match the bipartition.
         let g = complete_bipartite(3, 3);
-        let mut net = TwoStageNetwork::new(&g, 7, TwoStageConfig::default());
+        let mut net = BatchedTwoStageNetwork::new(&g, &[7], TwoStageConfig::default());
         net.run_updates(30_000);
-        let w = net.readout_weights();
+        let w = net.readout_weights(0);
         let side0: Vec<bool> = w.iter().map(|&x| x > 0.0).collect();
         // All of part A on one side, part B on the other.
         assert_eq!(side0[0], side0[1]);
@@ -694,7 +424,7 @@ mod tests {
     #[test]
     fn two_stage_bookkeeping() {
         let g = cycle(6);
-        let mut net = TwoStageNetwork::new(&g, 3, TwoStageConfig::default());
+        let mut net = BatchedTwoStageNetwork::new(&g, &[3], TwoStageConfig::default());
         assert_eq!(net.n(), 6);
         net.run_updates(5);
         assert_eq!(net.updates(), 5);
@@ -712,9 +442,9 @@ mod tests {
             plasticity_signal: PlasticitySignal::SpikeSign,
             ..TwoStageConfig::default()
         };
-        let mut net = TwoStageNetwork::new(&g, 17, cfg);
+        let mut net = BatchedTwoStageNetwork::new(&g, &[17], cfg);
         net.run_updates(30_000);
-        let w = net.readout_weights();
+        let w = net.readout_weights(0);
         let side0: Vec<bool> = w.iter().map(|&x| x > 0.0).collect();
         assert_eq!(side0[0], side0[1]);
         assert_eq!(side0[0], side0[2]);
@@ -726,28 +456,29 @@ mod tests {
     #[test]
     fn two_stage_deterministic() {
         let g = cycle(8);
-        let mut a = TwoStageNetwork::new(&g, 11, TwoStageConfig::default());
-        let mut b = TwoStageNetwork::new(&g, 11, TwoStageConfig::default());
+        let mut a = BatchedTwoStageNetwork::new(&g, &[11], TwoStageConfig::default());
+        let mut b = BatchedTwoStageNetwork::new(&g, &[11], TwoStageConfig::default());
         a.run_updates(100);
         b.run_updates(100);
-        assert_eq!(a.readout_weights(), b.readout_weights());
+        assert_eq!(a.readout_weights(0), b.readout_weights(0));
     }
 
-    /// The tentpole contract: every batched replica's full trajectory —
-    /// stage-2 activations and readout weight vectors at every plasticity
-    /// update — is bit-for-bit the sequential `TwoStageNetwork`'s with the
-    /// same seed.
+    /// Lane independence: every replica's full trajectory in an R-wide
+    /// batch — stage-2 activations and readout weight vectors at every
+    /// plasticity update — is bit for bit the one-seed batch's with the
+    /// same seed. The one-seed batches step one after the other through
+    /// the scalar kernel, the sequential reference.
     fn assert_batched_two_stage_equals_sequential(cfg: TwoStageConfig, seeds: &[u64], steps: u64) {
         let g = gnp_like_graph();
         let mut batch = BatchedTwoStageNetwork::new(&g, seeds, cfg);
-        let mut nets: Vec<TwoStageNetwork> = seeds
+        let mut nets: Vec<BatchedTwoStageNetwork> = seeds
             .iter()
-            .map(|&s| TwoStageNetwork::new(&g, s, cfg))
+            .map(|&s| BatchedTwoStageNetwork::new(&g, &[s], cfg))
             .collect();
         for t in 0..steps {
             let ys = batch.step().map(<[f64]>::to_vec);
             for (r, net) in nets.iter_mut().enumerate() {
-                let y = net.step();
+                let y = net.step().map(|y| y[0]);
                 match (&ys, y) {
                     (Some(ys), Some(y)) => {
                         assert_eq!(y.to_bits(), ys[r].to_bits(), "y at t={t} r={r}")
@@ -758,7 +489,7 @@ mod tests {
                 for (i, (a, b)) in batch
                     .readout_weights(r)
                     .iter()
-                    .zip(net.readout_weights())
+                    .zip(net.readout_weights(0))
                     .enumerate()
                 {
                     assert_eq!(a.to_bits(), b.to_bits(), "w at t={t} r={r} i={i}");
@@ -806,8 +537,9 @@ mod tests {
 
     #[test]
     fn batched_two_stage_single_replica_degenerates() {
-        // R = 1 must be exactly the sequential network.
-        assert_batched_two_stage_equals_sequential(TwoStageConfig::default(), &[42], 80);
+        // R = 2 is the narrowest width on the masked multi-replica kernel;
+        // each of its lanes must be exactly the one-replica scalar path.
+        assert_batched_two_stage_equals_sequential(TwoStageConfig::default(), &[42, 43], 80);
     }
 
     #[test]

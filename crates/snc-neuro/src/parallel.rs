@@ -1,74 +1,21 @@
-//! Parallel and batched replica execution.
+//! Batched replica execution.
 //!
 //! Sampling from a stochastic circuit is embarrassingly parallel: replicas
 //! of the same network with different device seeds explore independent
-//! sample streams (the hardware analogy is simply more circuits). This
-//! module provides two complementary ways to exploit that:
+//! sample streams (the hardware analogy is simply more circuits).
+//! [`ReplicaBatch`] advances `R` replicas of the *same* circuit in
+//! lock-step on one core, structure-of-arrays, so each traversal of the
+//! weight matrix serves every replica at once. Replicas are independent:
+//! lane `r` of an `R`-wide batch is bit for bit the one-seed batch built
+//! with `seeds[r]` — batching changes the schedule, never the numbers.
 //!
-//! * [`run_replicas`] — run `count` independent jobs across `threads` OS
-//!   threads with deterministic results: replica `i` always computes
-//!   `f(i)`, so the output is invariant to the thread count.
-//! * [`ReplicaBatch`] — advance `R` replicas of the *same* circuit in
-//!   lock-step on one core, structure-of-arrays, so each traversal of the
-//!   weight matrix serves every replica at once. Replica trajectories are
-//!   bit-for-bit identical to stepping `R` independent
-//!   [`DeviceDrivenNetwork`](crate::DeviceDrivenNetwork)s with the same
-//!   seeds — batching changes the schedule, never the numbers.
-//!
-//! The two compose: a thread pool of `ReplicaBatch`es is the full
-//! replicas = threads × batch-width layout.
+//! A thread pool of `ReplicaBatch`es is the full replicas = threads ×
+//! batch-width layout ([`default_threads`] sizes the pool).
 
 use crate::lif::{LifParams, Reset};
 use crate::synapse::BatchWeights;
 use crate::theory;
 use snc_devices::{ActivityWords, DevicePool, PoolSpec};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Runs `f(0), …, f(count−1)` across at most `threads` worker threads and
-/// returns the results in index order.
-///
-/// Work is distributed dynamically (an atomic cursor), so uneven replica
-/// costs balance automatically. `threads == 1` degenerates to a plain loop.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn run_replicas<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if count == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(count);
-    if threads == 1 {
-        return (0..count).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let result = f(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker completed every claimed index")
-        })
-        .collect()
-}
 
 /// A sensible default worker count: the machine's available parallelism.
 pub fn default_threads() -> usize {
@@ -87,11 +34,13 @@ pub fn default_threads() -> usize {
 /// ([`BatchWeights::accumulate_replicas`]) and the fused decay–accumulate
 /// membrane update runs over one contiguous buffer.
 ///
-/// Trajectories are bit-for-bit identical to `R` independent
-/// [`DeviceDrivenNetwork`](crate::DeviceDrivenNetwork)s constructed from
-/// the same pool spec and seeds: the per-replica RNG streams, the
-/// ascending-column accumulation order, and the membrane update expression
-/// are all preserved exactly.
+/// Replicas are independent: lane `r`'s trajectory is bit for bit that
+/// of a one-seed batch with seed `seeds[r]` — the per-replica RNG
+/// streams, the ascending-column accumulation order, and the membrane
+/// update expression are all preserved exactly. A one-seed batch steps
+/// through the scalar [`InputWeights::accumulate_words`](crate::InputWeights::accumulate_words)
+/// kernel (or a pattern row it computed), so it is an independent
+/// reference for the multi-replica kernels.
 ///
 /// # Examples
 ///
@@ -140,9 +89,8 @@ pub struct ReplicaBatch<W: BatchWeights> {
 impl<W: BatchWeights> ReplicaBatch<W> {
     /// Builds `seeds.len()` replicas of the circuit motif: pools from the
     /// shared `spec` (one per seed), thresholds at the analytic stationary
-    /// means, membranes starting at those means — exactly the
-    /// [`DeviceDrivenNetwork`](crate::DeviceDrivenNetwork) initial state,
-    /// replicated.
+    /// means, membranes starting at those means (the circuit begins at
+    /// statistical equilibrium).
     ///
     /// # Panics
     ///
@@ -289,11 +237,11 @@ impl<W: BatchWeights> ReplicaBatch<W> {
     ///
     /// With [`Reset::None`] spikes are a pure readout (`V > threshold`)
     /// of the membranes, so they are computed on demand here instead of
-    /// on every step — one of the batched stepper's savings over the
-    /// sequential network, with identical readouts at every step. With
-    /// [`Reset::ToValue`] the pre-reset membrane is gone after the step,
-    /// so the flags recorded during the step are returned — again exactly
-    /// the sequential `LifPopulation::step` readout.
+    /// on every step, with the same readout at every step as
+    /// `LifPopulation::step`. With [`Reset::ToValue`] the pre-reset
+    /// membrane is gone after the step, so the flags recorded during the
+    /// step are returned — again exactly the `LifPopulation::step`
+    /// readout.
     ///
     /// # Panics
     ///
@@ -440,7 +388,7 @@ impl<W: BatchWeights> ReplicaBatch<W> {
                     {
                         let mut vv = decay * *v + gain * i_in;
                         // Record the pre-reset threshold crossing: this is
-                        // the spike flag the sequential population reports.
+                        // the spike flag `LifPopulation::step` reports.
                         *spk = vv > thr;
                         if *spk {
                             vv = rv;
@@ -464,14 +412,16 @@ impl<W: BatchWeights> ReplicaBatch<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::DeviceDrivenNetwork;
     use crate::synapse::{CscWeights, DenseWeights, InputWeights};
     use snc_devices::DeviceModel;
     use snc_graph::generators::structured::cycle;
     use snc_linalg::DMatrix;
 
-    /// Batched trajectories must be bit-for-bit equal to independent
-    /// sequential networks with the same seeds: membranes and spikes.
+    /// Lane independence: every lane of a 7-wide batch — membranes and
+    /// spikes, also through the bit-sliced readout — is bit for bit the
+    /// one-seed batch's with the same seed. The one-seed batches step one
+    /// after the other through the scalar kernel, the sequential
+    /// reference.
     fn assert_batch_equals_sequential<W>(spec: PoolSpec, weights: W, reset: Reset, steps: u64)
     where
         W: BatchWeights + Clone,
@@ -479,19 +429,13 @@ mod tests {
         let seeds: Vec<u64> = (0..7u64).map(|i| 0xA5A5 + i * 31).collect();
         let params = LifParams::default();
         let mut batch = ReplicaBatch::new(spec.clone(), &seeds, weights.clone(), params, reset);
-        let mut nets: Vec<DeviceDrivenNetwork<W>> = seeds
+        let mut ones: Vec<ReplicaBatch<W>> = seeds
             .iter()
-            .map(|&s| {
-                DeviceDrivenNetwork::new(
-                    DevicePool::new(spec.clone(), s),
-                    weights.clone(),
-                    params,
-                    reset,
-                )
-            })
+            .map(|&s| ReplicaBatch::new(spec.clone(), &[s], weights.clone(), params, reset))
             .collect();
         let n = batch.neurons();
         let mut spikes = vec![false; n];
+        let mut one_spikes = vec![false; n];
         let mut words = vec![0u64; n * seeds.len()];
         for t in 0..steps {
             batch.step();
@@ -499,17 +443,18 @@ mod tests {
             let lane = (t % 64) as usize;
             words.fill(0);
             batch.spike_lane_into(lane, &mut words);
-            for (r, net) in nets.iter_mut().enumerate() {
-                let seq_spikes = net.step().to_vec();
+            for (r, one) in ones.iter_mut().enumerate() {
+                one.step();
                 for i in 0..n {
                     assert_eq!(
-                        net.potentials()[i].to_bits(),
+                        one.potential(i, 0).to_bits(),
                         batch.potential(i, r).to_bits(),
                         "t={t} replica={r} neuron={i}"
                     );
                 }
+                one.spiked_into(0, &mut one_spikes);
                 batch.spiked_into(r, &mut spikes);
-                assert_eq!(seq_spikes, spikes, "t={t} replica={r}");
+                assert_eq!(one_spikes, spikes, "t={t} replica={r}");
                 let lane_spikes: Vec<bool> = words[r * n..(r + 1) * n]
                     .iter()
                     .map(|&w| {
@@ -552,7 +497,7 @@ mod tests {
     #[test]
     fn reset_to_value_batch_matches_sequential_networks() {
         // With reset, spikes feed back into the dynamics; the batched
-        // stepper must threshold every step, like the sequential one.
+        // stepper must threshold every step, like the one-seed one.
         let m = DMatrix::from_fn(6, 3, |i, a| 0.4 + (i + a) as f64 * 0.05);
         let w = DenseWeights::from_matrix_scaled(&m, 1.0);
         let spec = PoolSpec::uniform(DeviceModel::fair(), 3);
@@ -581,41 +526,6 @@ mod tests {
         let w = DenseWeights::from_matrix_scaled(&m, 1.0);
         let spec = PoolSpec::uniform(DeviceModel::fair(), 1);
         let _ = ReplicaBatch::new(spec, &[], w, LifParams::default(), Reset::None);
-    }
-
-    #[test]
-    fn results_in_index_order() {
-        let out = run_replicas(16, 4, |i| i * i);
-        assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn thread_count_does_not_change_results() {
-        let a = run_replicas(9, 1, |i| i as u64 + 100);
-        let b = run_replicas(9, 3, |i| i as u64 + 100);
-        let c = run_replicas(9, 32, |i| i as u64 + 100);
-        assert_eq!(a, b);
-        assert_eq!(b, c);
-    }
-
-    #[test]
-    fn empty_and_single() {
-        assert!(run_replicas(0, 4, |i| i).is_empty());
-        assert_eq!(run_replicas(1, 8, |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn uneven_work_balances() {
-        // Replica 0 is heavy; others light. All must complete.
-        let out = run_replicas(8, 4, |i| {
-            if i == 0 {
-                (0..200_000u64).sum::<u64>()
-            } else {
-                i as u64
-            }
-        });
-        assert_eq!(out.len(), 8);
-        assert_eq!(out[3], 3);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! gives `Δw = y·x`, which is unstable. Oja's modification
 //! `Δw = y·(x − y·w)` self-normalizes and converges to the *principal*
 //! eigenvector of `Cov(x)`. The anti-Hebbian variant used by the
-//! LIF-Trevisan circuit,
+//! LIF-Trevisan circuit, the one rule implemented here ([`OjaMinor`]),
 //!
 //! ```text
 //! Δw = −y·x + (y² + 1 − wᵀw)·w
@@ -88,35 +88,6 @@ pub trait PlasticityRule {
     }
 }
 
-/// Pure Hebbian rule `Δw = y·x` (unstable; kept as the textbook baseline).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Hebbian;
-
-impl PlasticityRule for Hebbian {
-    fn update(&self, w: &mut [f64], x: &[f64], eta: f64) -> f64 {
-        let y = vector::dot(w, x);
-        vector::axpy(eta * y, x, w);
-        y
-    }
-}
-
-/// Oja's rule `Δw = y·(x − y·w)`: converges to the principal eigenvector
-/// of `Cov(x)` with `‖w‖ → 1` (Oja 1982).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OjaPrincipal;
-
-impl PlasticityRule for OjaPrincipal {
-    fn update(&self, w: &mut [f64], x: &[f64], eta: f64) -> f64 {
-        let y = vector::dot(w, x);
-        // w += η (y x − y² w)
-        let y2 = y * y;
-        for (wi, &xi) in w.iter_mut().zip(x) {
-            *wi += eta * (y * xi - y2 * *wi);
-        }
-        y
-    }
-}
-
 /// Oja's anti-Hebbian minor-component rule
 /// `Δw = −y·x + (y² + 1 − wᵀw)·w` (Oja 1992): converges to the minimum
 /// eigenvector of `Cov(x)` with `‖w‖ → 1`. This is the learning rule of the
@@ -184,27 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn oja_principal_finds_top_eigenvector() {
-        let c = test_cov();
-        let (vals, vecs) = symmetric_eigen(&c).unwrap();
-        let top: Vec<f64> = (0..3).map(|i| vecs[(i, 2)]).collect();
-        assert!((vals[2] - 3.0).abs() < 1e-9);
-        let w = train(
-            &OjaPrincipal,
-            &c,
-            60_000,
-            LearningRate::Decay {
-                eta0: 0.02,
-                t0: 5_000.0,
-            },
-            7,
-        );
-        let align = vector::alignment(&w, &top);
-        assert!(align > 0.99, "alignment={align}, w={w:?}");
-        assert!((vector::norm(&w) - 1.0).abs() < 0.05);
-    }
-
-    #[test]
     fn oja_minor_finds_bottom_eigenvector() {
         let c = test_cov();
         let (vals, vecs) = symmetric_eigen(&c).unwrap();
@@ -240,22 +190,15 @@ mod tests {
     }
 
     #[test]
-    fn hebbian_grows_without_bound() {
-        let c = DMatrix::identity(2);
-        let w = train(&Hebbian, &c, 5_000, LearningRate::Constant(0.05), 9);
-        assert!(vector::norm(&w) > 10.0, "norm={}", vector::norm(&w));
-    }
-
-    #[test]
     fn update_returns_projection() {
         let mut w = vec![1.0, 0.0];
-        let y = OjaPrincipal.update(&mut w, &[2.0, 5.0], 0.0);
+        let y = OjaMinor.update(&mut w, &[2.0, 5.0], 0.0);
         assert_eq!(y, 2.0);
         assert_eq!(w, vec![1.0, 0.0]); // η = 0 leaves w unchanged
     }
 
-    /// The SoA pass must equal per-replica scalar updates bit-for-bit,
-    /// for every rule, across several chained updates.
+    /// The SoA pass must equal per-replica scalar updates bit-for-bit
+    /// across several chained updates.
     #[test]
     fn batched_update_is_bit_exact() {
         fn check(rule: &impl PlasticityRule) {
@@ -283,8 +226,6 @@ mod tests {
                 }
             }
         }
-        check(&Hebbian);
-        check(&OjaPrincipal);
         check(&OjaMinor);
     }
 

@@ -235,7 +235,8 @@ pub const DENSE_PATTERN_COLS: usize = 6;
 /// pattern once (each entry computed with the exact ascending-column
 /// addition order of the live kernel) and the per-step kernel degenerates
 /// to a table row copy per replica. Above the cap the kernel falls back to
-/// a column scan with the weight load amortized across replicas.
+/// a column scan with the weight load amortized across replicas; one
+/// replica runs [`InputWeights::accumulate_words`] itself.
 #[derive(Clone, Debug)]
 pub struct DensePlan {
     /// `table[p * rows + i]` = current of neuron `i` under pattern `p`;
@@ -285,6 +286,10 @@ impl BatchWeights for DenseWeights {
                 let row = &plan.table[p * self.rows..(p + 1) * self.rows];
                 out[r * self.rows..(r + 1) * self.rows].copy_from_slice(row);
             }
+        } else if let [state] = states {
+            // One replica: the scan below is the scalar kernel's
+            // ascending-column walk, so run the scalar kernel itself.
+            self.accumulate_words(state, out);
         } else {
             // Scan mode: walk each column once; for every replica with the
             // column active, add it as one contiguous vectorizable pass.

@@ -12,9 +12,8 @@
 //! * the same digests far past the point where a trajectory stops
 //!   moving: sparse unit and signed couplings that reach a bitwise fixed
 //!   point, and a dense graph locked in a period-2 oscillation;
-//! * `TwoStageNetwork` and `BatchedTwoStageNetwork` readout weights on
-//!   G(150, 0.05) (more than one 64-device word, the last one partial)
-//!   at R ∈ {1, 2, 3, 8} — both types must hit the same digest;
+//! * `BatchedTwoStageNetwork` readout weights on G(150, 0.05) (more than
+//!   one 64-device word, the last one partial) at R ∈ {1, 2, 3, 8};
 //! * `DevicePool` packed words for fair pools across word boundaries.
 //!
 //! A change that is *meant* to alter kernel output must regenerate these
@@ -23,9 +22,7 @@
 use snc_devices::{DeviceModel, DevicePool, PoolSpec, Rng64, SplitMix64};
 use snc_graph::generators::erdos_renyi::gnp;
 use snc_graph::Graph;
-use snc_neuro::{
-    BatchedTwoStageNetwork, HopfieldNetwork, HopfieldParams, TwoStageConfig, TwoStageNetwork,
-};
+use snc_neuro::{BatchedTwoStageNetwork, HopfieldNetwork, HopfieldParams, TwoStageConfig};
 
 /// FNV-1a over little-endian 64-bit words.
 #[derive(Clone, Copy)]
@@ -323,23 +320,12 @@ fn two_stage_readout_weights() {
         (8, 0xc6a7_9fa3_0fc8_e13a),
     ] {
         let seeds = replica_seeds(replicas);
-        let mut sequential = Fnv::new();
-        for &seed in &seeds {
-            let mut net = TwoStageNetwork::new(&graph, seed, cfg);
-            net.run_updates(UPDATES);
-            sequential.feed_f64s(net.readout_weights());
-        }
         let mut batch = BatchedTwoStageNetwork::new(&graph, &seeds, cfg);
         batch.run_updates(UPDATES);
         let mut batched = Fnv::new();
         for r in 0..replicas {
             batched.feed_f64s(batch.readout_weights(r));
         }
-        assert_eq!(
-            sequential.0, want,
-            "TwoStageNetwork R={replicas}: digest {:#018x}",
-            sequential.0
-        );
         assert_eq!(
             batched.0, want,
             "BatchedTwoStageNetwork R={replicas}: digest {:#018x}",

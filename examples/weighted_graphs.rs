@@ -13,10 +13,10 @@
 //! ```
 
 use snc::snc_graph::EmpiricalDataset;
-use snc::snc_maxcut::weighted::{solve_trevisan_weighted, WeightedLifTrevisanCircuit};
+use snc::snc_maxcut::weighted::solve_trevisan_weighted;
 use snc::snc_maxcut::{
-    log2_checkpoints, sample_best_trace, solve_gw, GwConfig, GwSampler, LifGwCircuit, LifGwConfig,
-    LifTrevisanConfig, RandomCutSampler,
+    log2_checkpoints, sample_best_trace, solve_gw, BatchedLifGwCircuit, BatchedLifTrevisanCircuit,
+    GwConfig, GwSampler, LifGwConfig, LifTrevisanConfig, MaxCutGraph, RandomCutSampler,
 };
 
 fn main() {
@@ -35,12 +35,19 @@ fn main() {
         let sol = solve_gw(&g, &GwConfig::default()).expect("SDP converges");
         let mut software = GwSampler::new(sol.factors.clone(), 1);
         let solver_best = sample_best_trace(&mut software, &g, &checkpoints).final_best();
-        let mut lif_gw = LifGwCircuit::new(&sol.factors, 2, &LifGwConfig::default());
-        let lif_gw_best = sample_best_trace(&mut lif_gw, &g, &checkpoints).final_best();
+        // One circuit is a one-seed batch; its stream is a sampler.
+        let mut lif_gw = BatchedLifGwCircuit::new(&sol.factors, &[2], &LifGwConfig::default());
+        let mut stream = || lif_gw.next_cuts().remove(0);
+        let lif_gw_best = sample_best_trace(&mut stream, &g, &checkpoints).final_best();
 
         // Weighted LIF-Trevisan: entirely online, weighted Trevisan matrix.
-        let mut lif_tr = WeightedLifTrevisanCircuit::new(&g, 3, &LifTrevisanConfig::default());
-        let lif_tr_best = sample_best_trace(&mut lif_tr, &g, &checkpoints).final_best();
+        let tr_cfg = LifTrevisanConfig::default();
+        let weights = g
+            .trevisan_weights(tr_cfg.network.weight_scale)
+            .expect("non-negative weights");
+        let mut lif_tr = BatchedLifTrevisanCircuit::from_weights(weights, &[3], &tr_cfg);
+        let mut stream = || lif_tr.next_cuts().remove(0);
+        let lif_tr_best = sample_best_trace(&mut stream, &g, &checkpoints).final_best();
 
         let mut random = RandomCutSampler::new(g.n(), 4);
         let random_best = sample_best_trace(&mut random, &g, &checkpoints).final_best();

@@ -2,35 +2,42 @@
 //! population realizes membrane covariances proportional to the Gram
 //! matrix of its weight vectors, for both circuits' weight structures.
 
-use snc::snc_devices::{DeviceModel, DevicePool, PoolSpec};
+use snc::snc_devices::{DeviceModel, PoolSpec};
 use snc::snc_graph::generators::structured::{complete_bipartite, cycle};
 use snc::snc_linalg::DMatrix;
 use snc::snc_maxcut::{gw, GwConfig};
 use snc::snc_neuro::theory;
-use snc::snc_neuro::{
-    CscWeights, DenseWeights, DeviceDrivenNetwork, InputWeights, LifParams, Reset,
-};
+use snc::snc_neuro::{BatchWeights, CscWeights, DenseWeights, LifParams, ReplicaBatch, Reset};
+
+/// One device-driven LIF population (a one-seed batch) on `devices`
+/// devices of `model`.
+fn network<W: BatchWeights>(
+    model: DeviceModel,
+    devices: usize,
+    seed: u64,
+    weights: W,
+    params: LifParams,
+) -> ReplicaBatch<W> {
+    let spec = PoolSpec::uniform(model, devices);
+    ReplicaBatch::new(spec, &[seed], weights, params, Reset::None)
+}
 
 /// Measures the empirical covariance of a network's membranes.
-fn empirical_covariance<W: InputWeights>(
-    net: &mut DeviceDrivenNetwork<W>,
+fn empirical_covariance<W: BatchWeights>(
+    net: &mut ReplicaBatch<W>,
     steps: usize,
     warmup: usize,
 ) -> DMatrix {
     let n = net.neurons();
-    for _ in 0..warmup {
-        net.step();
-    }
-    let means = net.means().to_vec();
+    net.step_many(warmup as u64);
+    let mut d = vec![0.0; n];
     let mut acc = DMatrix::zeros(n, n);
     for _ in 0..steps {
         net.step();
-        let v = net.potentials();
+        net.centered_into(&mut d);
         for i in 0..n {
-            let di = v[i] - means[i];
             for j in i..n {
-                let val = di * (v[j] - means[j]);
-                acc[(i, j)] += val;
+                acc[(i, j)] += d[i] * d[j];
             }
         }
     }
@@ -58,9 +65,8 @@ fn lif_gw_covariance_matches_sdp_gram() {
     let sol = gw::solve_gw(&graph, &GwConfig::default()).unwrap();
     let params = LifParams::default();
     let weights = DenseWeights::from_matrix_scaled(&sol.factors, 0.8);
-    let pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), 4), 77);
     let theory_cov = theory::stationary_covariance(&params, &weights, 0.5);
-    let mut net = DeviceDrivenNetwork::new(pool, weights, params, Reset::None);
+    let mut net = network(DeviceModel::fair(), 4, 77, weights, params);
     let emp = empirical_covariance(&mut net, 300_000, 2_000);
     let err = max_relative_error(&emp, &theory_cov);
     assert!(err < 0.08, "relative covariance error {err}");
@@ -82,8 +88,7 @@ fn lif_trevisan_covariance_is_m_squared() {
     let theory_cov = theory::stationary_covariance(&params, &weights, 0.5);
     assert!(theory_cov.max_abs_diff(&m2) < 1e-10);
 
-    let pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), 6), 13);
-    let mut net = DeviceDrivenNetwork::new(pool, weights, params, Reset::None);
+    let mut net = network(DeviceModel::fair(), 6, 13, weights, params);
     let emp = empirical_covariance(&mut net, 300_000, 2_000);
     let err = max_relative_error(&emp, &theory_cov);
     assert!(err < 0.08, "relative covariance error {err}");
@@ -96,21 +101,16 @@ fn biased_devices_shift_means_as_predicted() {
     // spike rate stays ≈ 1/2.
     let graph = cycle(5);
     let weights = CscWeights::trevisan(&graph, 1.0);
-    let pool = DevicePool::new(
-        PoolSpec::uniform(DeviceModel::biased(0.8).unwrap(), 5),
-        21,
-    );
-    let params = LifParams::default();
-    let mut net = DeviceDrivenNetwork::new(pool, weights, params, Reset::None);
-    for _ in 0..2_000 {
-        net.step();
-    }
+    let biased = DeviceModel::biased(0.8).unwrap();
+    let mut net = network(biased, 5, 21, weights, LifParams::default());
+    net.step_many(2_000);
     let mut spike_counts = [0u32; 5];
+    let mut s = [false; 5];
     let samples = 20_000;
     for _ in 0..samples {
-        net.step_many(9);
-        let s = net.step();
-        for (c, &b) in spike_counts.iter_mut().zip(s) {
+        net.step_many(10);
+        net.spiked_into(0, &mut s);
+        for (c, &b) in spike_counts.iter_mut().zip(&s) {
             *c += b as u32;
         }
     }

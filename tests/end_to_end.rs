@@ -4,8 +4,9 @@
 use snc::snc_graph::generators::erdos_renyi::gnp;
 use snc::snc_graph::generators::structured::{complete, complete_bipartite, petersen};
 use snc::snc_maxcut::{
-    exact, gw, log2_checkpoints, sample_best_trace, trevisan, GwConfig, GwSampler, LifGwCircuit,
-    LifGwConfig, LifTrevisanCircuit, LifTrevisanConfig, RandomCutSampler, TrevisanConfig,
+    exact, gw, log2_checkpoints, sample_best_trace, trevisan, BatchedLifGwCircuit,
+    BatchedLifTrevisanCircuit, GwConfig, GwSampler, LifGwConfig, LifTrevisanConfig,
+    RandomCutSampler, TrevisanConfig,
 };
 
 /// "The LIF-GW circuit matches the performance of the generic solver":
@@ -28,8 +29,9 @@ fn lif_gw_matches_software_solver() {
         }
         let cp = log2_checkpoints(256);
         let sol = gw::solve_gw(&graph, &GwConfig::default()).unwrap();
-        let mut circuit = LifGwCircuit::new(&sol.factors, 42 + idx as u64, &LifGwConfig::default());
-        let circuit_best = sample_best_trace(&mut circuit, &graph, &cp).final_best();
+        let seed = [42 + idx as u64];
+        let mut circuit = BatchedLifGwCircuit::new(&sol.factors, &seed, &LifGwConfig::default());
+        let circuit_best = circuit.best_traces(&graph, &cp)[0].final_best();
         let mut software = GwSampler::new(sol.factors.clone(), 99 + idx as u64);
         let software_best = sample_best_trace(&mut software, &graph, &cp).final_best();
 
@@ -69,8 +71,8 @@ fn lif_tr_learns_and_beats_random() {
     let budget = 8192;
     let cp = log2_checkpoints(budget);
 
-    let mut tr = LifTrevisanCircuit::new(&graph, 5, &LifTrevisanConfig::default());
-    let tr_trace = sample_best_trace(&mut tr, &graph, &cp);
+    let mut tr = BatchedLifTrevisanCircuit::new(&graph, &[5], &LifTrevisanConfig::default());
+    let tr_trace = tr.best_traces(&graph, &cp).remove(0);
 
     let mut random = RandomCutSampler::new(graph.n(), 6);
     let random_trace = sample_best_trace(&mut random, &graph, &cp);
@@ -93,8 +95,8 @@ fn lif_tr_approaches_software_trevisan() {
     let graph = complete_bipartite(5, 5);
     let spectral = trevisan::solve_trevisan(&graph, &TrevisanConfig::default()).unwrap();
     assert_eq!(spectral.value, 25); // bipartite: spectral is exact
-    let mut tr = LifTrevisanCircuit::new(&graph, 3, &LifTrevisanConfig::default());
-    let trace = sample_best_trace(&mut tr, &graph, &log2_checkpoints(16_384));
+    let mut tr = BatchedLifTrevisanCircuit::new(&graph, &[3], &LifTrevisanConfig::default());
+    let trace = tr.best_traces(&graph, &log2_checkpoints(16_384)).remove(0);
     assert!(
         trace.final_best() >= 24,
         "LIF-TR reached only {} of 25",
@@ -110,12 +112,12 @@ fn bounds_are_never_violated() {
     let cp = log2_checkpoints(128);
     let m = graph.m() as u64;
 
-    let mut circuit = LifGwCircuit::new(&sol.factors, 1, &LifGwConfig::default());
-    let mut tr = LifTrevisanCircuit::new(&graph, 2, &LifTrevisanConfig::default());
+    let mut circuit = BatchedLifGwCircuit::new(&sol.factors, &[1], &LifGwConfig::default());
+    let mut tr = BatchedLifTrevisanCircuit::new(&graph, &[2], &LifTrevisanConfig::default());
     let mut random = RandomCutSampler::new(graph.n(), 3);
     for trace in [
-        sample_best_trace(&mut circuit, &graph, &cp),
-        sample_best_trace(&mut tr, &graph, &cp),
+        circuit.best_traces(&graph, &cp).remove(0),
+        tr.best_traces(&graph, &cp).remove(0),
         sample_best_trace(&mut random, &graph, &cp),
     ] {
         assert!(trace.final_best() <= m);

@@ -1,21 +1,20 @@
 //! Cross-family invariant suite: every [`CircuitFamily`] — the paper's
 //! two circuits plus the annealed and Hopfield companions — must
 //! deliver valid partitions, self-consistent cut values, bit-exact
-//! determinism, and batched/sequential agreement, on both unweighted
-//! and weighted graphs. One suite, four families: a new family cannot
-//! land without inheriting every contract.
+//! determinism, and independent replicas (each lane of a batch is the
+//! one-seed batch of its seed), on both unweighted and weighted graphs.
+//! One suite, four families: a new family cannot land without
+//! inheriting every contract.
 
 use proptest::prelude::*;
 use snc::snc_devices::SplitMix64;
 use snc::snc_graph::generators::erdos_renyi::gnp;
 use snc::snc_graph::weighted::{randomize_weights, WeightDistribution};
-use snc::snc_graph::Graph;
-use snc::snc_maxcut::sampling::CutSampler;
+use snc::snc_graph::{CutAssignment, Graph};
 use snc::snc_maxcut::{
     solve, solve_gw, BatchedHopfieldCircuit, BatchedLifAnnealedCircuit, BatchedLifGwCircuit,
-    BatchedLifTrevisanCircuit, CircuitFamily, GwConfig, HopfieldCircuit, HopfieldConfig,
-    LifAnnealedCircuit, LifAnnealedConfig, LifGwCircuit, LifGwConfig, LifTrevisanCircuit,
-    LifTrevisanConfig, SolveSpec,
+    BatchedLifTrevisanCircuit, CircuitFamily, GwConfig, HopfieldConfig, LifAnnealedConfig,
+    LifGwConfig, LifTrevisanConfig, MaxCutGraph, SolveSpec,
 };
 
 /// Strategy: a connected-ish random graph on 4–12 vertices with at
@@ -94,45 +93,70 @@ proptest! {
     }
 }
 
-/// A single-replica batched circuit must reproduce the sequential
-/// circuit of the same seed sample for sample, for every family with a
-/// batched path.
-#[test]
-fn single_replica_batches_match_sequential_circuits() {
-    let g = gnp(14, 0.4, 11).unwrap();
-    let seed = SplitMix64::derive(77, 3);
-    const SAMPLES: usize = 6;
+const LANE_SAMPLES: usize = 6;
 
-    let gw = solve_gw(&g, &GwConfig::default()).unwrap();
+/// Lane `r` of an R = 8 batch built by `build` equals the one-seed batch
+/// built for `seeds[r]`, sample by sample.
+fn assert_lanes_match<C>(
+    label: &str,
+    build: impl Fn(&[u64]) -> C,
+    next_cuts: impl Fn(&mut C) -> Vec<CutAssignment>,
+) {
+    let seeds: Vec<u64> = (0..8).map(|r| SplitMix64::derive(77, r)).collect();
+    let mut wide = build(&seeds);
+    let mut ones: Vec<C> = seeds.iter().map(|&s| build(&[s])).collect();
+    for sample in 0..LANE_SAMPLES {
+        let cuts = next_cuts(&mut wide);
+        assert_eq!(cuts.len(), seeds.len(), "{label}");
+        for (r, one) in ones.iter_mut().enumerate() {
+            assert_eq!(cuts[r], next_cuts(one)[0], "{label}: sample {sample} lane {r}");
+        }
+    }
+}
 
+/// Every family's lanes on `g`, each built the way `solve` builds it.
+fn assert_every_family_has_independent_lanes(label: &str, g: &impl MaxCutGraph) {
+    let gw = solve_gw(g, &GwConfig::default()).unwrap();
     let gw_cfg = LifGwConfig::default();
-    let mut batched = BatchedLifGwCircuit::new(&gw.factors, &[seed], &gw_cfg);
-    let mut sequential = LifGwCircuit::new(&gw.factors, seed, &gw_cfg);
-    for _ in 0..SAMPLES {
-        assert_eq!(batched.next_cuts()[0], sequential.next_cut(), "lif-gw");
-    }
-
+    assert_lanes_match(
+        &format!("lif-gw/{label}"),
+        |seeds| BatchedLifGwCircuit::new(&gw.factors, seeds, &gw_cfg),
+        BatchedLifGwCircuit::next_cuts,
+    );
     let tr_cfg = LifTrevisanConfig::default();
-    let mut batched = BatchedLifTrevisanCircuit::new(&g, &[seed], &tr_cfg);
-    let mut sequential = LifTrevisanCircuit::new(&g, seed, &tr_cfg);
-    for _ in 0..SAMPLES {
-        assert_eq!(batched.next_cuts()[0], sequential.next_cut(), "lif-trevisan");
-    }
-
+    assert_lanes_match(
+        &format!("lif-trevisan/{label}"),
+        |seeds| {
+            let weights = g.trevisan_weights(tr_cfg.network.weight_scale).unwrap();
+            BatchedLifTrevisanCircuit::from_weights(weights, seeds, &tr_cfg)
+        },
+        BatchedLifTrevisanCircuit::next_cuts,
+    );
     let ann_cfg = LifAnnealedConfig::default();
-    let horizon = SAMPLES as u64;
-    let mut batched = BatchedLifAnnealedCircuit::new(&gw.factors, &g, &[seed], &ann_cfg, horizon);
-    let mut sequential = LifAnnealedCircuit::new(&gw.factors, &g, seed, &ann_cfg, horizon);
-    for _ in 0..SAMPLES {
-        assert_eq!(batched.next_cuts()[0], sequential.next_cut(), "lif-annealed");
-    }
-
+    let horizon = LANE_SAMPLES as u64;
+    assert_lanes_match(
+        &format!("lif-annealed/{label}"),
+        |seeds| BatchedLifAnnealedCircuit::new(&gw.factors, g, seeds, &ann_cfg, horizon),
+        BatchedLifAnnealedCircuit::next_cuts,
+    );
     let hop_cfg = HopfieldConfig::default();
-    let mut batched = BatchedHopfieldCircuit::new(&g, &[seed], &hop_cfg);
-    let mut sequential = HopfieldCircuit::new(&g, seed, &hop_cfg);
-    for _ in 0..SAMPLES {
-        assert_eq!(batched.next_cuts()[0], sequential.next_cut(), "hopfield");
-    }
+    assert_lanes_match(
+        &format!("hopfield/{label}"),
+        |seeds| BatchedHopfieldCircuit::new(g, seeds, &hop_cfg),
+        BatchedHopfieldCircuit::next_cuts,
+    );
+}
+
+/// Replicas are independent seeded copies of one circuit, for every
+/// family, on an unweighted graph and on a non-negative weighted graph
+/// (the weighted LIF-Trevisan program included).
+#[test]
+fn batch_lanes_match_one_seed_batches() {
+    let g = gnp(14, 0.4, 11).unwrap();
+    assert_every_family_has_independent_lanes("unweighted", &g);
+    let weighted = randomize_weights(&g, WeightDistribution::Uniform { lo: 0.5, hi: 2.0 }, 11)
+        .unwrap();
+    assert_every_family_has_independent_lanes("weighted", &weighted);
 }
 
 /// `CircuitFamily::all()` is the complete dispatch surface: four

@@ -5,7 +5,6 @@ use snc::snc_experiments::config::{ExperimentScale, SuiteConfig};
 use snc::snc_experiments::{run_suite, JobRunner};
 use snc::snc_graph::generators::erdos_renyi::gnp;
 use snc::snc_graph::EmpiricalDataset;
-use snc::snc_maxcut::{log2_checkpoints, parallel_best_traces, RandomCutSampler};
 
 #[test]
 fn suite_identical_across_runs() {
@@ -21,18 +20,6 @@ fn suite_identical_across_runs() {
     // Different master seed changes at least the stochastic traces.
     let c = run_suite(&graph, &cfg, 78).unwrap();
     assert_ne!(a.random, c.random);
-}
-
-#[test]
-fn parallel_sampling_invariant_to_threads() {
-    let graph = gnp(20, 0.3, 9).unwrap();
-    let cp = log2_checkpoints(64);
-    let factory = |i: usize| RandomCutSampler::new(graph.n(), 1000 + i as u64);
-    let t1 = parallel_best_traces(factory, &graph, &cp, 6, 1);
-    let t3 = parallel_best_traces(factory, &graph, &cp, 6, 3);
-    let t8 = parallel_best_traces(factory, &graph, &cp, 6, 8);
-    assert_eq!(t1, t3);
-    assert_eq!(t3, t8);
 }
 
 #[test]

@@ -11,9 +11,7 @@ use snc::snc_experiments::{ExperimentScale, SuiteConfig};
 use snc::snc_graph::generators::erdos_renyi::gnp;
 use snc::snc_graph::CutAssignment;
 use snc::snc_linalg::DMatrix;
-use snc::snc_maxcut::{
-    gw, log2_checkpoints, sample_best_trace, CutSampler, GwConfig, LifGwCircuit, LifGwConfig,
-};
+use snc::snc_maxcut::{gw, log2_checkpoints, BatchedLifGwCircuit, GwConfig, LifGwConfig};
 use snc::snc_neuro::LifParams;
 
 /// Every member crate resolves through the umbrella's re-exports.
@@ -40,15 +38,15 @@ fn reexports_resolve() {
 fn tiny_end_to_end_lif_gw() {
     let graph = gnp(12, 0.5, 41).expect("valid G(n,p)");
     let sol = gw::solve_gw(&graph, &GwConfig::default()).expect("SDP converges");
-    let mut circuit = LifGwCircuit::new(&sol.factors, 5, &LifGwConfig::default());
+    let mut circuit = BatchedLifGwCircuit::new(&sol.factors, &[5], &LifGwConfig::default());
 
     // A single sample is a well-formed assignment over all vertices.
-    let cut: CutAssignment = circuit.next_cut();
+    let cut: CutAssignment = circuit.next_cuts().remove(0);
     assert_eq!(cut.len(), graph.n());
     assert!(cut.cut_value(&graph) <= graph.m() as u64);
 
     // The best-of-64 trace is monotone and beats the empty cut.
-    let trace = sample_best_trace(&mut circuit, &graph, &log2_checkpoints(64));
+    let trace = circuit.best_traces(&graph, &log2_checkpoints(64)).remove(0);
     assert!(trace.final_best() > 0);
     assert!(trace.final_best() <= graph.m() as u64);
 }
