@@ -18,10 +18,11 @@
 //!
 //! A width sweep (`width_sweep_*` groups) then times both per-replica
 //! families, LIF-Trevisan and Hopfield, as one R-wide batch vs R one-seed
-//! batches at R ∈ {1, 2, 8} on G(200, 0.05) and G(350, 0.1) — the sparse
-//! and dense slices of the `cold-sampling` workload — after asserting
-//! that every lane's cuts (and LIF-Trevisan readout weights) are
-//! bit-identical to the one-seed batch's.
+//! batches at R ∈ {2, 8}, with one circuit (R = 1) as the baseline, on
+//! G(200, 0.05) and G(350, 0.1) — the sparse and dense slices of the
+//! `cold-sampling` workload — after asserting that every lane's cuts
+//! (and LIF-Trevisan readout weights) are bit-identical to the one-seed
+//! batch's.
 //!
 //! Record results per `docs/BENCHMARKS.md` (methodology, shim caveats,
 //! and the `results/BENCH_*.json` ledger); set `CRITERION_SHIM_JSON` to
@@ -253,12 +254,16 @@ fn width_sweep(c: &mut Criterion) {
         let mut group = c.benchmark_group(&format!("width_sweep_lif_tr_{name}"));
         for r in SWEEP_WIDTHS {
             let seeds = replica_seeds(r);
-            group.bench_function(format!("one_seed_R{r}"), |b| {
-                b.iter(|| {
-                    let mut one_tr = ones(&seeds, tr);
-                    one_seed_cuts(&mut one_tr, BatchedLifTrevisanCircuit::next_cuts)
-                })
-            });
+            // At R = 1 both arms would run one one-seed batch; `batched_R1`
+            // is the single-circuit baseline.
+            if r > 1 {
+                group.bench_function(format!("one_seed_R{r}"), |b| {
+                    b.iter(|| {
+                        let mut one_tr = ones(&seeds, tr);
+                        one_seed_cuts(&mut one_tr, BatchedLifTrevisanCircuit::next_cuts)
+                    })
+                });
+            }
             group.bench_function(format!("batched_R{r}"), |b| {
                 b.iter(|| {
                     let mut batch = tr(&seeds);
@@ -271,12 +276,16 @@ fn width_sweep(c: &mut Criterion) {
         let mut group = c.benchmark_group(&format!("width_sweep_hopfield_{name}"));
         for r in SWEEP_WIDTHS {
             let seeds = replica_seeds(r);
-            group.bench_function(format!("one_seed_R{r}"), |b| {
-                b.iter(|| {
-                    let mut one_hf = ones(&seeds, hf);
-                    one_seed_cuts(&mut one_hf, BatchedHopfieldCircuit::next_cuts)
-                })
-            });
+            // At R = 1 both arms would run one one-seed batch; `batched_R1`
+            // is the single-circuit baseline.
+            if r > 1 {
+                group.bench_function(format!("one_seed_R{r}"), |b| {
+                    b.iter(|| {
+                        let mut one_hf = ones(&seeds, hf);
+                        one_seed_cuts(&mut one_hf, BatchedHopfieldCircuit::next_cuts)
+                    })
+                });
+            }
             group.bench_function(format!("batched_R{r}"), |b| {
                 b.iter(|| {
                     let mut batch = hf(&seeds);
