@@ -154,21 +154,25 @@ pub fn parse_args(args: &[String]) -> Result<RouterConfig, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--addr" => cfg.addr = it.next().ok_or("--addr needs a HOST:PORT value")?.clone(),
-            "--backend" => cfg
-                .backends
-                .push(parse_backend(it.next().ok_or("--backend needs a HOST:PORT[@WEIGHT] value")?)?),
+            "--backend" => cfg.backends.push(parse_backend(
+                it.next()
+                    .ok_or("--backend needs a HOST:PORT[@WEIGHT] value")?,
+            )?),
             "--vnodes" => cfg.vnodes = positive(it.next(), "--vnodes")?,
             "--probe-interval-ms" => {
-                cfg.probe_interval = Duration::from_millis(positive(it.next(), "--probe-interval-ms")?);
+                cfg.probe_interval =
+                    Duration::from_millis(positive(it.next(), "--probe-interval-ms")?);
             }
             "--probe-timeout-ms" => {
-                cfg.probe_timeout = Duration::from_millis(positive(it.next(), "--probe-timeout-ms")?);
+                cfg.probe_timeout =
+                    Duration::from_millis(positive(it.next(), "--probe-timeout-ms")?);
             }
             "--down-after" => cfg.down_after = positive(it.next(), "--down-after")?,
             "--up-after" => cfg.up_after = positive(it.next(), "--up-after")?,
             "--retries" => cfg.retries = non_negative(it.next(), "--retries")?,
             "--connect-timeout-ms" => {
-                cfg.connect_timeout = Duration::from_millis(positive(it.next(), "--connect-timeout-ms")?);
+                cfg.connect_timeout =
+                    Duration::from_millis(positive(it.next(), "--connect-timeout-ms")?);
             }
             "--backend-read-timeout-ms" => {
                 cfg.backend_read_timeout =
@@ -238,18 +242,30 @@ mod tests {
         assert_eq!(cfg.up_after, 2);
         assert_eq!(cfg.retries, 2);
         let cfg = parse_args(&strs(&[
-            "--addr", "127.0.0.1:0",
-            "--backend", "127.0.0.1:1@2",
-            "--backend", "127.0.0.1:2",
-            "--vnodes", "16",
-            "--probe-interval-ms", "50",
-            "--probe-timeout-ms", "100",
-            "--down-after", "1",
-            "--up-after", "4",
-            "--retries", "0",
-            "--connect-timeout-ms", "200",
-            "--backend-read-timeout-ms", "5000",
-            "--replicas", "2",
+            "--addr",
+            "127.0.0.1:0",
+            "--backend",
+            "127.0.0.1:1@2",
+            "--backend",
+            "127.0.0.1:2",
+            "--vnodes",
+            "16",
+            "--probe-interval-ms",
+            "50",
+            "--probe-timeout-ms",
+            "100",
+            "--down-after",
+            "1",
+            "--up-after",
+            "4",
+            "--retries",
+            "0",
+            "--connect-timeout-ms",
+            "200",
+            "--backend-read-timeout-ms",
+            "5000",
+            "--replicas",
+            "2",
         ]))
         .unwrap();
         assert_eq!(cfg.weights(), vec![2, 1]);
@@ -266,12 +282,19 @@ mod tests {
     #[test]
     fn rejects_bad_configurations() {
         assert!(parse_args(&[]).is_err(), "no backends");
-        assert!(parse_args(&strs(&["--backend", "127.0.0.1:1@0"])).is_err(), "all weight-0");
+        assert!(
+            parse_args(&strs(&["--backend", "127.0.0.1:1@0"])).is_err(),
+            "all weight-0"
+        );
         assert!(parse_args(&strs(&["--bogus"])).is_err());
         assert!(parse_args(&strs(&["--backend"])).is_err());
-        for flag in ["--vnodes", "--down-after", "--up-after", "--probe-interval-ms"] {
-            let err =
-                parse_args(&strs(&["--backend", "127.0.0.1:1", flag, "0"])).unwrap_err();
+        for flag in [
+            "--vnodes",
+            "--down-after",
+            "--up-after",
+            "--probe-interval-ms",
+        ] {
+            let err = parse_args(&strs(&["--backend", "127.0.0.1:1", flag, "0"])).unwrap_err();
             assert!(err.contains("≥ 1"), "{flag}: {err}");
         }
         // --retries 0 is legal (failover disabled).
@@ -288,7 +311,10 @@ mod tests {
         let base = strs(&["--backend", "127.0.0.1:1"]);
         assert_eq!(parse_args(&base).unwrap().access_log, None);
         let cfg = parse_args(&strs(&[
-            "--backend", "127.0.0.1:1", "--access-log", "/tmp/router.log",
+            "--backend",
+            "127.0.0.1:1",
+            "--access-log",
+            "/tmp/router.log",
         ]))
         .unwrap();
         assert_eq!(cfg.access_log.as_deref(), Some("/tmp/router.log"));
@@ -302,20 +328,34 @@ mod tests {
         assert_eq!(cfg.pool_idle_timeout, Duration::from_secs(10));
         assert_eq!(cfg.access_log_max_bytes, 0, "rotation defaults off");
         let cfg = parse_args(&strs(&[
-            "--backend", "127.0.0.1:1",
-            "--pool-idle-per-backend", "0",
-            "--pool-idle-timeout-ms", "2500",
-            "--access-log-max-bytes", "65536",
+            "--backend",
+            "127.0.0.1:1",
+            "--pool-idle-per-backend",
+            "0",
+            "--pool-idle-timeout-ms",
+            "2500",
+            "--access-log-max-bytes",
+            "65536",
         ]))
         .unwrap();
         assert_eq!(cfg.pool_idle_per_backend, 0, "0 = pooling disabled");
         assert_eq!(cfg.pool_idle_timeout, Duration::from_millis(2500));
         assert_eq!(cfg.access_log_max_bytes, 65536);
         assert!(
-            parse_args(&strs(&["--backend", "127.0.0.1:1", "--pool-idle-timeout-ms", "0"]))
-                .is_err(),
+            parse_args(&strs(&[
+                "--backend",
+                "127.0.0.1:1",
+                "--pool-idle-timeout-ms",
+                "0"
+            ]))
+            .is_err(),
             "a zero idle timeout would retire every connection at checkout"
         );
-        assert!(parse_args(&strs(&["--backend", "127.0.0.1:1", "--pool-idle-per-backend"])).is_err());
+        assert!(parse_args(&strs(&[
+            "--backend",
+            "127.0.0.1:1",
+            "--pool-idle-per-backend"
+        ]))
+        .is_err());
     }
 }

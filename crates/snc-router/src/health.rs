@@ -79,7 +79,10 @@ impl HealthTable {
     /// Panics when a hysteresis threshold is 0 (a transition that needs
     /// zero observations would fire spuriously).
     pub fn new(n: usize, down_after: u32, up_after: u32) -> Self {
-        assert!(down_after > 0 && up_after > 0, "hysteresis thresholds must be ≥ 1");
+        assert!(
+            down_after > 0 && up_after > 0,
+            "hysteresis thresholds must be ≥ 1"
+        );
         Self {
             up: (0..n).map(|_| AtomicBool::new(true)).collect(),
             machines: (0..n).map(|_| Mutex::new(Machine::default())).collect(),
@@ -139,7 +142,9 @@ impl HealthTable {
     /// cue to drain any resources (pooled connections) tied to it.
     pub fn observe_failure(&self, i: usize, probe: bool) -> bool {
         if probe {
-            self.counters[i].probes_failed.fetch_add(1, Ordering::Relaxed);
+            self.counters[i]
+                .probes_failed
+                .fetch_add(1, Ordering::Relaxed);
         } else {
             self.counters[i].errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -287,10 +292,16 @@ mod tests {
     fn observations_report_the_transition_edge_exactly_once() {
         let t = HealthTable::new(1, 2, 2);
         assert!(!t.observe_failure(0, false), "first failure is not an edge");
-        assert!(t.observe_failure(0, false), "second consecutive failure demotes");
+        assert!(
+            t.observe_failure(0, false),
+            "second consecutive failure demotes"
+        );
         assert!(!t.observe_failure(0, false), "already down: no edge");
         assert!(!t.observe_success(0, false), "first success is not an edge");
-        assert!(t.observe_success(0, false), "second consecutive success re-admits");
+        assert!(
+            t.observe_success(0, false),
+            "second consecutive success re-admits"
+        );
         assert!(!t.observe_success(0, false), "already up: no edge");
     }
 

@@ -79,7 +79,14 @@ impl RouterMetrics {
 
     /// Mirrors the connection pool's accounting onto the registry
     /// (scrape time, same snapshot `/healthz` reports).
-    pub fn sync_pool(&self, idle: u64, created: u64, reused: u64, retired: u64, stale_retries: u64) {
+    pub fn sync_pool(
+        &self,
+        idle: u64,
+        created: u64,
+        reused: u64,
+        retired: u64,
+        stale_retries: u64,
+    ) {
         self.registry
             .gauge(
                 "snc_router_pool_idle",

@@ -277,9 +277,7 @@ mod tests {
             let mut held = Vec::new();
             // Accept until the test drops its side and the listener errs
             // out of scope; bounded so the thread always exits.
-            listener
-                .set_nonblocking(false)
-                .expect("blocking listener");
+            listener.set_nonblocking(false).expect("blocking listener");
             for _ in 0..64 {
                 match listener.accept() {
                     Ok((stream, _)) => held.push(stream),
@@ -371,6 +369,10 @@ mod tests {
         let pool = pool_for(1, 2, 60_000);
         let addr = snc_server::process::reserve_port();
         assert!(pool.checkout(0, addr).is_err());
-        assert_eq!(pool.snapshot().created, 0, "failed connects are not created");
+        assert_eq!(
+            pool.snapshot().created,
+            0,
+            "failed connects are not created"
+        );
     }
 }

@@ -92,7 +92,9 @@ pub struct RouterHandle {
 
 impl std::fmt::Debug for RouterHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RouterHandle").field("addr", &self.addr).finish()
+        f.debug_struct("RouterHandle")
+            .field("addr", &self.addr)
+            .finish()
     }
 }
 
@@ -530,7 +532,13 @@ fn metrics_body(shared: &Arc<Shared>) -> String {
         m.sync_backend(&spec.addr.to_string(), snap.up, snap.routed, snap.errors);
     }
     let pool = shared.pool.snapshot();
-    m.sync_pool(pool.idle, pool.created, pool.reused, pool.retired, pool.stale_retries);
+    m.sync_pool(
+        pool.idle,
+        pool.created,
+        pool.reused,
+        pool.retired,
+        pool.stale_retries,
+    );
     m.registry.render()
 }
 
@@ -576,9 +584,9 @@ fn read_backend_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<B
         ));
     }
     let line = status_line.trim_end_matches(['\r', '\n']);
-    let rest = line.strip_prefix("HTTP/1.1 ").ok_or_else(|| {
-        invalid_data(format!("backend status line is not HTTP/1.1: {line:?}"))
-    })?;
+    let rest = line
+        .strip_prefix("HTTP/1.1 ")
+        .ok_or_else(|| invalid_data(format!("backend status line is not HTTP/1.1: {line:?}")))?;
     let code = rest.as_bytes().get(..3).filter(|digits| {
         digits.iter().all(u8::is_ascii_digit) && rest.as_bytes().get(3).is_none_or(|&b| b == b' ')
     });
@@ -619,9 +627,9 @@ fn read_backend_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<B
         };
         let value = value.trim();
         if name.trim().eq_ignore_ascii_case("content-length") {
-            let length: usize = value.parse().map_err(|_| {
-                invalid_data(format!("bad backend content-length {value:?}"))
-            })?;
+            let length: usize = value
+                .parse()
+                .map_err(|_| invalid_data(format!("bad backend content-length {value:?}")))?;
             if let Some(previous) = content_length.replace(length) {
                 return Err(invalid_data(format!(
                     "duplicate backend content-length headers ({previous} then {length})"
@@ -831,8 +839,8 @@ fn submit_job(
     if status != 202 {
         return Ok((status, reply, meta));
     }
-    let doc = json::parse(&reply)
-        .map_err(|_| HttpError::new(500, "backend job ack was not JSON"))?;
+    let doc =
+        json::parse(&reply).map_err(|_| HttpError::new(500, "backend job ack was not JSON"))?;
     let inner = doc
         .get("id")
         .and_then(json::Json::as_u64)
@@ -931,7 +939,9 @@ mod tests {
             s.write_all(&raw).unwrap();
         });
         let stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         let mut reader = BufReader::new(stream);
         let result = read_backend_response(&mut reader);
         server.join().unwrap();
@@ -994,17 +1004,20 @@ mod tests {
     fn missing_content_length_requires_explicit_connection_close() {
         // With `Connection: close` the body is close-delimited: legal.
         let ok = parse_raw(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nhello").unwrap();
-        assert_eq!((ok.status, ok.body.as_str(), ok.reusable), (200, "hello", false));
-        // Without it there is no sound framing — reject, never guess.
-        expect_invalid(
-            b"HTTP/1.1 200 OK\r\n\r\nhello",
-            "no content-length",
+        assert_eq!(
+            (ok.status, ok.body.as_str(), ok.reusable),
+            (200, "hello", false)
         );
+        // Without it there is no sound framing — reject, never guess.
+        expect_invalid(b"HTTP/1.1 200 OK\r\n\r\nhello", "no content-length");
     }
 
     #[test]
     fn status_line_must_be_http11_with_a_code_in_range() {
-        expect_invalid(b"HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n", "not HTTP/1.1");
+        expect_invalid(
+            b"HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n",
+            "not HTTP/1.1",
+        );
         expect_invalid(
             b"HTTP/1.1 abc ok\r\nContent-Length: 0\r\n\r\n",
             "\"HTTP/1.1 abc ok\"",
@@ -1086,7 +1099,8 @@ mod tests {
             // answer with a malformed head. No second accept: a retry
             // would hang the test instead of passing it.
             read_head(&mut s);
-            s.write_all(b"HTTP/1.1 banana\r\nContent-Length: 0\r\n\r\n").unwrap();
+            s.write_all(b"HTTP/1.1 banana\r\nContent-Length: 0\r\n\r\n")
+                .unwrap();
         });
         let pool = test_pool(4);
         forward_once(&pool, 0, addr, "GET", "/x", b"", "rid-1").unwrap();
@@ -1094,7 +1108,11 @@ mod tests {
             .expect_err("malformed response must propagate");
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
         server.join().unwrap();
-        assert_eq!(pool.snapshot().stale_retries, 0, "InvalidData is not staleness");
+        assert_eq!(
+            pool.snapshot().stale_retries,
+            0,
+            "InvalidData is not staleness"
+        );
     }
 
     #[test]
@@ -1110,7 +1128,8 @@ mod tests {
                     "disabled pool must keep the PR 7 wire shape: {head:?}"
                 );
                 // Close-delimited response: the PR 7 backend shape.
-                s.write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nok").unwrap();
+                s.write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nok")
+                    .unwrap();
             }
         });
         let pool = test_pool(0);

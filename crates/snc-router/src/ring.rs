@@ -97,9 +97,7 @@ impl HashRing {
     pub fn candidates(&self, key: u64) -> Vec<usize> {
         let mut order = Vec::with_capacity(self.backends);
         let mut seen = vec![false; self.backends];
-        let start = self
-            .points
-            .partition_point(|&(point, _)| point < mix(key));
+        let start = self.points.partition_point(|&(point, _)| point < mix(key));
         for i in 0..self.points.len() {
             let (_, backend) = self.points[(start + i) % self.points.len()];
             if !seen[backend as usize] {
@@ -114,9 +112,7 @@ impl HashRing {
     /// (`None` when every live backend is excluded).
     pub fn route(&self, key: u64, alive: impl Fn(usize) -> bool) -> Option<usize> {
         let mut seen = vec![false; self.backends];
-        let start = self
-            .points
-            .partition_point(|&(point, _)| point < mix(key));
+        let start = self.points.partition_point(|&(point, _)| point < mix(key));
         for i in 0..self.points.len() {
             let (_, backend) = self.points[(start + i) % self.points.len()];
             let backend = backend as usize;

@@ -22,11 +22,12 @@ use std::time::{Duration, Instant};
 static TIMING: Mutex<()> = Mutex::new(());
 
 fn timing_guard() -> std::sync::MutexGuard<'static, ()> {
-    TIMING.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    TIMING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-const SOLVE_BODY: &str =
-    r#"{"graph": {"gnp": {"n": 24, "p": 0.3, "seed": 1}}, "circuit": "lif-gw", "budget": 24, "seed": 11}"#;
+const SOLVE_BODY: &str = r#"{"graph": {"gnp": {"n": 24, "p": 0.3, "seed": 1}}, "circuit": "lif-gw", "budget": 24, "seed": 11}"#;
 
 /// An address nothing listens on: connects (and health probes) are
 /// refused at once.

@@ -393,9 +393,18 @@ mod tests {
         cache.insert(plain.clone(), "plain".to_string());
         cache.insert(geometric.clone(), "geo".to_string());
         cache.insert(linear.clone(), "lin".to_string());
-        assert_eq!(cache.get(&plain).as_deref().map(String::as_str), Some("plain"));
-        assert_eq!(cache.get(&geometric).as_deref().map(String::as_str), Some("geo"));
-        assert_eq!(cache.get(&linear).as_deref().map(String::as_str), Some("lin"));
+        assert_eq!(
+            cache.get(&plain).as_deref().map(String::as_str),
+            Some("plain")
+        );
+        assert_eq!(
+            cache.get(&geometric).as_deref().map(String::as_str),
+            Some("geo")
+        );
+        assert_eq!(
+            cache.get(&linear).as_deref().map(String::as_str),
+            Some("lin")
+        );
         // Extras are charged against the byte budget.
         assert!(geometric.cost(0) > plain.cost(0));
     }
@@ -417,7 +426,10 @@ mod tests {
         cache.insert(k3.clone(), body.clone());
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
-        assert!(stats.bytes <= stats.capacity_bytes, "budget is a hard bound");
+        assert!(
+            stats.bytes <= stats.capacity_bytes,
+            "budget is a hard bound"
+        );
         assert!(cache.get(&k2).is_none(), "k2 was the LRU victim");
         assert!(cache.get(&k1).is_some());
         assert!(cache.get(&k3).is_some());
@@ -433,7 +445,13 @@ mod tests {
         assert!(cache.get(&k).is_none(), "still nothing after the insert");
         let stats = cache.stats();
         assert_eq!(
-            (stats.hits, stats.misses, stats.entries, stats.bytes, stats.capacity_bytes),
+            (
+                stats.hits,
+                stats.misses,
+                stats.entries,
+                stats.bytes,
+                stats.capacity_bytes
+            ),
             (0, 2, 0, 0, 0)
         );
     }

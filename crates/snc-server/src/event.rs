@@ -758,8 +758,13 @@ fn queue_response(
         ("x-snc-elapsed-us", elapsed.to_string()),
         ("x-snc-request-id", request_id.to_string()),
     ];
-    let bytes =
-        http::render_response_typed(status, meta.content_type, &extra, body.as_bytes(), keep_alive);
+    let bytes = http::render_response_typed(
+        status,
+        meta.content_type,
+        &extra,
+        body.as_bytes(),
+        keep_alive,
+    );
     conn.out.extend_from_slice(&bytes);
     conn.deadline = Instant::now() + idle;
     let metrics = &shared.metrics;

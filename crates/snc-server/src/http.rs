@@ -111,7 +111,10 @@ fn parse_request_line(line: &str) -> Result<Head, HttpError> {
         .next()
         .ok_or_else(|| HttpError::new(400, "missing HTTP version"))?;
     if !matches!(version, "HTTP/1.1" | "HTTP/1.0") {
-        return Err(HttpError::new(400, format!("unsupported version {version}")));
+        return Err(HttpError::new(
+            400,
+            format!("unsupported version {version}"),
+        ));
     }
     Ok(Head {
         method,
@@ -149,7 +152,10 @@ fn apply_header_line(line: &str, head: &mut Head) -> Result<(), HttpError> {
             head.request_id = Some(value.to_string());
         }
         "transfer-encoding" => {
-            return Err(HttpError::new(501, "chunked transfer encoding not supported"));
+            return Err(HttpError::new(
+                501,
+                "chunked transfer encoding not supported",
+            ));
         }
         _ => {}
     }
@@ -264,8 +270,8 @@ pub fn read_request(
         if line.is_empty() {
             break;
         }
-        let line = String::from_utf8(line)
-            .map_err(|_| HttpError::new(400, "header is not UTF-8"))?;
+        let line =
+            String::from_utf8(line).map_err(|_| HttpError::new(400, "header is not UTF-8"))?;
         apply_header_line(&line, &mut head)?;
     }
     if head.content_length > max_body {
@@ -442,8 +448,8 @@ fn parse_head_block(block: &[u8]) -> Result<Head, HttpError> {
         if line.is_empty() {
             break;
         }
-        let line = std::str::from_utf8(line)
-            .map_err(|_| HttpError::new(400, "header is not UTF-8"))?;
+        let line =
+            std::str::from_utf8(line).map_err(|_| HttpError::new(400, "header is not UTF-8"))?;
         apply_header_line(line, &mut head)?;
     }
     Ok(head)
@@ -535,11 +541,9 @@ mod tests {
 
     #[test]
     fn parses_a_post_with_body() {
-        let req = parse_one(
-            b"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
-        )
-        .unwrap()
-        .unwrap();
+        let req = parse_one(b"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
+            .unwrap()
+            .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/solve");
         assert_eq!(req.body, b"abcd");
@@ -574,10 +578,7 @@ mod tests {
     #[test]
     fn rejects_malformed_and_oversized() {
         assert_eq!(parse_one(b"BOGUS\r\n\r\n").unwrap_err().status, 400);
-        assert_eq!(
-            parse_one(b"GET / HTTP/2\r\n\r\n").unwrap_err().status,
-            400
-        );
+        assert_eq!(parse_one(b"GET / HTTP/2\r\n\r\n").unwrap_err().status, 400);
         assert_eq!(
             parse_one(b"POST / HTTP/1.1\r\nContent-Length: 9999\r\n\r\n")
                 .unwrap_err()
@@ -688,7 +689,10 @@ mod tests {
         let mut parser = RequestParser::new(64);
         for (i, byte) in raw.iter().enumerate() {
             assert!(
-                parser.next_request().expect("no error mid-trickle").is_none(),
+                parser
+                    .next_request()
+                    .expect("no error mid-trickle")
+                    .is_none(),
                 "complete request before byte {i}"
             );
             parser.push(&[*byte]);
@@ -708,7 +712,10 @@ mod tests {
         let a = parser.next_request().unwrap().unwrap();
         let b = parser.next_request().unwrap().unwrap();
         let c = parser.next_request().unwrap().unwrap();
-        assert_eq!((a.path.as_str(), b.path.as_str(), c.path.as_str()), ("/a", "/b", "/c"));
+        assert_eq!(
+            (a.path.as_str(), b.path.as_str(), c.path.as_str()),
+            ("/a", "/b", "/c")
+        );
         assert_eq!(b.body, b"hi");
         assert!(parser.next_request().unwrap().is_none());
         assert!(parser.is_between_requests());
@@ -725,7 +732,10 @@ mod tests {
     fn incremental_parser_flags_expect_continue() {
         let mut parser = RequestParser::new(64);
         parser.push(b"POST /solve HTTP/1.1\r\nContent-Length: 2\r\nExpect: 100-continue\r\n\r\n");
-        assert!(parser.next_request().unwrap().is_none(), "body still pending");
+        assert!(
+            parser.next_request().unwrap().is_none(),
+            "body still pending"
+        );
         assert!(parser.take_continue_pending(), "continue obligation raised");
         assert!(!parser.take_continue_pending(), "taken exactly once");
         parser.push(b"hi");

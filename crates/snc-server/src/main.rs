@@ -124,10 +124,24 @@ mod tests {
         assert_eq!(cfg.max_connections, 1024);
         assert_eq!(cfg.idle_timeout_ms, 30_000);
         let cfg = parse_args(&strs(&[
-            "--addr", "0.0.0.0:9000", "--threads", "2", "--replicas", "8",
-            "--queue-depth", "16", "--store-capacity", "32",
-            "--sdp-cache-entries", "7", "--response-cache-bytes", "65536",
-            "--max-connections", "9", "--idle-timeout-ms", "2500",
+            "--addr",
+            "0.0.0.0:9000",
+            "--threads",
+            "2",
+            "--replicas",
+            "8",
+            "--queue-depth",
+            "16",
+            "--store-capacity",
+            "32",
+            "--sdp-cache-entries",
+            "7",
+            "--response-cache-bytes",
+            "65536",
+            "--max-connections",
+            "9",
+            "--idle-timeout-ms",
+            "2500",
         ]))
         .unwrap();
         assert_eq!(cfg.addr, "0.0.0.0:9000");
@@ -167,7 +181,10 @@ mod tests {
         assert_eq!(cfg.access_log.as_deref(), Some("/tmp/snc-access.log"));
         assert!(parse_args(&strs(&["--access-log"])).is_err());
         let cfg = parse_args(&strs(&[
-            "--access-log", "/tmp/snc-access.log", "--access-log-max-bytes", "65536",
+            "--access-log",
+            "/tmp/snc-access.log",
+            "--access-log-max-bytes",
+            "65536",
         ]))
         .unwrap();
         assert_eq!(cfg.access_log_max_bytes, 65536);
@@ -178,7 +195,10 @@ mod tests {
     #[test]
     fn cache_flags_accept_zero_as_disabled() {
         let cfg = parse_args(&strs(&[
-            "--sdp-cache-entries", "0", "--response-cache-bytes", "0",
+            "--sdp-cache-entries",
+            "0",
+            "--response-cache-bytes",
+            "0",
         ]))
         .unwrap();
         assert_eq!(cfg.sdp_cache_entries, 0);

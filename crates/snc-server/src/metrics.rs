@@ -68,11 +68,7 @@ impl ServerMetrics {
             "Time the reactor spent processing events per tick",
             &[],
         );
-        let ticks = registry.counter(
-            "snc_reactor_ticks_total",
-            "Reactor loop iterations",
-            &[],
-        );
+        let ticks = registry.counter("snc_reactor_ticks_total", "Reactor loop iterations", &[]);
         let connections_active = registry.gauge(
             "snc_reactor_connections_active",
             "Connections currently owned by the reactor",
@@ -160,7 +156,14 @@ impl ServerMetrics {
 
     /// Mirrors one cache's lifetime stats onto the registry (called at
     /// scrape time with values read from the owning cache).
-    pub fn sync_cache(&self, cache: &'static str, hits: u64, misses: u64, evictions: u64, entries: u64) {
+    pub fn sync_cache(
+        &self,
+        cache: &'static str,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+        entries: u64,
+    ) {
         let labels = [("cache", cache)];
         self.registry
             .counter("snc_cache_hits_total", "Cache hits", &labels)
@@ -172,7 +175,11 @@ impl ServerMetrics {
             .counter("snc_cache_evictions_total", "Cache evictions", &labels)
             .set_total(evictions);
         self.registry
-            .gauge("snc_cache_entries", "Entries resident in the cache", &labels)
+            .gauge(
+                "snc_cache_entries",
+                "Entries resident in the cache",
+                &labels,
+            )
             .set(entries as i64);
     }
 }
@@ -203,8 +210,11 @@ mod tests {
         };
         m.record_solve_stages("lif-gw", &hit, 55);
         let text = m.registry.render();
-        assert!(text.contains("snc_solver_stage_duration_us_count{stage=\"total\",family=\"lif-gw\"} 1"));
-        assert!(text.contains("snc_solver_stage_duration_us_count{stage=\"sampling\",family=\"lif-gw\"} 1"));
+        assert!(text
+            .contains("snc_solver_stage_duration_us_count{stage=\"total\",family=\"lif-gw\"} 1"));
+        assert!(text.contains(
+            "snc_solver_stage_duration_us_count{stage=\"sampling\",family=\"lif-gw\"} 1"
+        ));
         assert!(!text.contains("stage=\"sdp\""));
         let miss = StageTimings {
             sdp_us: Some(1000),
@@ -213,7 +223,9 @@ mod tests {
         };
         m.record_solve_stages("lif-gw", &miss, 1100);
         let text = m.registry.render();
-        assert!(text.contains("snc_solver_stage_duration_us_count{stage=\"sdp\",family=\"lif-gw\"} 1"));
+        assert!(
+            text.contains("snc_solver_stage_duration_us_count{stage=\"sdp\",family=\"lif-gw\"} 1")
+        );
     }
 
     #[test]
@@ -242,13 +254,23 @@ mod tests {
         assert!(forced.capped && forced.iterations == 3);
         assert!(m.registry.render().contains(&format!("{capped} 1")));
         let converged = record(snc_linalg::SdpConfig::default().max_iters);
-        assert!(!converged.capped, "C6 converges in {} iterations", converged.iterations);
+        assert!(
+            !converged.capped,
+            "C6 converges in {} iterations",
+            converged.iterations
+        );
         let text = m.registry.render();
-        assert!(text.contains(&format!("{capped} 1")), "a converged solve must not count");
+        assert!(
+            text.contains(&format!("{capped} 1")),
+            "a converged solve must not count"
+        );
         assert!(text.contains("snc_solver_sdp_iterations_count{family=\"lif-gw\"} 2"));
         // Cache hits and non-SDP families record no convergence at all.
         m.record_solve_stages("hopfield", &StageTimings::default(), 5);
-        assert!(!m.registry.render().contains("sdp_iterations_count{family=\"hopfield\"}"));
+        assert!(!m
+            .registry
+            .render()
+            .contains("sdp_iterations_count{family=\"hopfield\"}"));
     }
 
     #[test]

@@ -607,10 +607,7 @@ fn healthz(shared: &Arc<Shared>) -> String {
                     "shed".into(),
                     Json::UInt(shared.conn_shed.load(Ordering::Relaxed)),
                 ),
-                (
-                    "max".into(),
-                    Json::UInt(shared.cfg.max_connections as u64),
-                ),
+                ("max".into(), Json::UInt(shared.cfg.max_connections as u64)),
                 (
                     "idle_timeout_ms".into(),
                     Json::UInt(shared.cfg.idle_timeout_ms),
@@ -685,7 +682,12 @@ fn run_workload(
                 // the SDP's slot 1 — mirroring the circuit seed ladder.
                 SplitMix64::derive(job.seed, 2),
             )
-            .map(|solution| (wire::max2sat_response(job, &solution), StageTimings::default()))
+            .map(|solution| {
+                (
+                    wire::max2sat_response(job, &solution),
+                    StageTimings::default(),
+                )
+            })
             .map_err(|e| e.to_string())
         }),
         Workload::MaxDicut(job) => guarded(|| {
@@ -695,7 +697,12 @@ fn run_workload(
                 job.samples as usize,
                 SplitMix64::derive(job.seed, 2),
             )
-            .map(|solution| (wire::maxdicut_response(job, &solution), StageTimings::default()))
+            .map(|solution| {
+                (
+                    wire::maxdicut_response(job, &solution),
+                    StageTimings::default(),
+                )
+            })
             .map_err(|e| e.to_string())
         }),
     }
@@ -751,8 +758,8 @@ fn solve(body: &[u8], shared: &Arc<Shared>, reply_to: ReplyTo) -> Result<Routed,
             .unwrap_or_else(|_| Err((500, "internal error: solver panicked".to_string())));
             let (status, body) = match outcome {
                 Ok((rendered, stages)) => {
-                    let total_us = u64::try_from(solve_started.elapsed().as_micros())
-                        .unwrap_or(u64::MAX);
+                    let total_us =
+                        u64::try_from(solve_started.elapsed().as_micros()).unwrap_or(u64::MAX);
                     metrics.record_solve_stages(family, &stages, total_us);
                     (200, rendered)
                 }
@@ -822,8 +829,7 @@ fn submit_job(body: &[u8], shared: &Arc<Shared>) -> Result<Routed, HttpError> {
         let result = run_workload(&workload, &defaults, sdp_cache.as_deref())
             .map_err(|(_, message)| message);
         let result = result.map(|(tree, stages)| {
-            let total_us =
-                u64::try_from(solve_started.elapsed().as_micros()).unwrap_or(u64::MAX);
+            let total_us = u64::try_from(solve_started.elapsed().as_micros()).unwrap_or(u64::MAX);
             metrics.record_solve_stages(family, &stages, total_us);
             tree
         });

@@ -82,7 +82,11 @@ impl Poll {
                 "fd already registered",
             ));
         }
-        self.entries.push(Entry { fd, token, interest });
+        self.entries.push(Entry {
+            fd,
+            token,
+            interest,
+        });
         Ok(())
     }
 
@@ -98,10 +102,7 @@ impl Poll {
                 entry.interest = interest;
                 Ok(())
             }
-            None => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                "fd not registered",
-            )),
+            None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
         }
     }
 

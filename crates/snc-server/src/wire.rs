@@ -317,10 +317,7 @@ pub fn parse_request(body: &[u8], defaults: &RequestDefaults) -> Result<Workload
 ///
 /// Everything [`parse_request`] rejects, plus any non-unweighted
 /// workload.
-pub fn parse_solve_request(
-    body: &[u8],
-    defaults: &RequestDefaults,
-) -> Result<SolveJob, WireError> {
+pub fn parse_solve_request(body: &[u8], defaults: &RequestDefaults) -> Result<SolveJob, WireError> {
     match parse_request(body, defaults)? {
         Workload::MaxCut(job) => Ok(job),
         _ => Err(err("expected an unweighted MAXCUT `graph` request")),
@@ -328,10 +325,7 @@ pub fn parse_solve_request(
 }
 
 /// The graph workload: unweighted or weighted MAXCUT.
-fn parse_maxcut_request(
-    doc: &Json,
-    defaults: &RequestDefaults,
-) -> Result<Workload, WireError> {
+fn parse_maxcut_request(doc: &Json, defaults: &RequestDefaults) -> Result<Workload, WireError> {
     let members = doc.as_object().expect("checked by parse_request");
     for (key, _) in members {
         if !matches!(
@@ -347,7 +341,9 @@ fn parse_maxcut_request(
     let family = match doc.get("circuit") {
         None => CircuitFamily::LifGw,
         Some(v) => {
-            let name = v.as_str().ok_or_else(|| err("`circuit` must be a string"))?;
+            let name = v
+                .as_str()
+                .ok_or_else(|| err("`circuit` must be a string"))?;
             CircuitFamily::from_name(name).ok_or_else(|| {
                 err(format!(
                     "unknown circuit `{name}` (expected lif-gw, lif-trevisan, lif-annealed, or hopfield)"
@@ -435,7 +431,11 @@ fn parse_maxcut_request(
             if graph.m() == 0 {
                 return Err(err("graph has no edges; MAXCUT needs at least one"));
             }
-            Ok(Workload::MaxCut(SolveJob { graph, spec, graph_label }))
+            Ok(Workload::MaxCut(SolveJob {
+                graph,
+                spec,
+                graph_label,
+            }))
         }
         ParsedGraph::Weighted(graph, graph_label) => {
             if graph.m() == 0 {
@@ -444,7 +444,11 @@ fn parse_maxcut_request(
             if family == CircuitFamily::LifTrevisan && !graph.is_nonnegative() {
                 return Err(err("lif-trevisan requires non-negative edge weights"));
             }
-            Ok(Workload::WeightedMaxCut(WeightedSolveJob { graph, spec, graph_label }))
+            Ok(Workload::WeightedMaxCut(WeightedSolveJob {
+                graph,
+                spec,
+                graph_label,
+            }))
         }
     }
 }
@@ -522,10 +526,7 @@ fn json_as_i64(v: &Json) -> Option<i64> {
 }
 
 /// The `max2sat` workload.
-fn parse_max2sat_request(
-    doc: &Json,
-    defaults: &RequestDefaults,
-) -> Result<Max2SatJob, WireError> {
+fn parse_max2sat_request(doc: &Json, defaults: &RequestDefaults) -> Result<Max2SatJob, WireError> {
     let members = doc.as_object().expect("checked by parse_request");
     for (key, _) in members {
         if !matches!(key.as_str(), "max2sat" | "budget" | "seed") {
@@ -632,7 +633,10 @@ fn parse_max2sat_request(
         });
     }
     Ok(Max2SatJob {
-        instance: Max2Sat { n_vars: vars, clauses },
+        instance: Max2Sat {
+            n_vars: vars,
+            clauses,
+        },
         samples: parse_budget(doc, defaults)?,
         seed: parse_seed(doc)?,
     })
@@ -708,7 +712,9 @@ fn parse_maxdicut_request(
     }
     let graph = DiGraph::new(n, &arcs);
     if graph.arcs.is_empty() {
-        return Err(err("maxdicut instance has no arcs after dropping self-loops"));
+        return Err(err(
+            "maxdicut instance has no arcs after dropping self-loops",
+        ));
     }
     Ok(MaxDicutJob {
         graph,
@@ -868,10 +874,11 @@ fn parse_graph(value: &Json, defaults: &RequestDefaults) -> Result<ParsedGraph, 
 fn parse_declared_n(value: &Json) -> Result<Option<usize>, WireError> {
     match value.get("n") {
         None => Ok(None),
-        Some(v) => Ok(Some(
-            v.as_usize()
-                .ok_or_else(|| err("`n` must be a non-negative integer"))?,
-        )),
+        Some(v) => {
+            Ok(Some(v.as_usize().ok_or_else(|| {
+                err("`n` must be a non-negative integer")
+            })?))
+        }
     }
 }
 
@@ -1034,7 +1041,10 @@ pub fn max2sat_response(job: &Max2SatJob, solution: &Max2SatSolution) -> Json {
     Json::Obj(vec![
         ("workload".into(), Json::str("max2sat")),
         ("vars".into(), Json::UInt(job.instance.n_vars as u64)),
-        ("clauses".into(), Json::UInt(job.instance.clauses.len() as u64)),
+        (
+            "clauses".into(),
+            Json::UInt(job.instance.clauses.len() as u64),
+        ),
         ("budget".into(), Json::UInt(job.samples)),
         ("seed".into(), Json::UInt(job.seed)),
         ("value".into(), Json::Num(solution.value)),
@@ -1106,7 +1116,8 @@ mod tests {
         let job = parse_solve_request(body, &defaults()).unwrap();
         assert_eq!((job.graph.n(), job.graph.m()), (4, 1));
 
-        let body = br#"{"graph": {"edgelist": "0 1\n1 2\n"}, "budget": 8, "circuit": "lif-trevisan"}"#;
+        let body =
+            br#"{"graph": {"edgelist": "0 1\n1 2\n"}, "budget": 8, "circuit": "lif-trevisan"}"#;
         let job = parse_solve_request(body, &defaults()).unwrap();
         assert_eq!((job.graph.n(), job.graph.m()), (3, 2));
         assert_eq!(job.spec.family, CircuitFamily::LifTrevisan);
@@ -1128,7 +1139,8 @@ mod tests {
         assert_eq!(job.spec.schedule.end(), 0.5);
 
         // Without a schedule the solve-spec default applies.
-        let body = br#"{"graph": {"gnp": {"n": 10, "p": 0.5}}, "circuit": "lif-annealed", "budget": 8}"#;
+        let body =
+            br#"{"graph": {"gnp": {"n": 10, "p": 0.5}}, "circuit": "lif-annealed", "budget": 8}"#;
         let job = parse_solve_request(body, &defaults()).unwrap();
         assert_eq!(job.spec.schedule, CoolingSchedule::default());
     }
@@ -1141,9 +1153,13 @@ mod tests {
         assert_eq!(job.spec.family, CircuitFamily::Hopfield);
         assert_eq!(job.spec.hopfield_steps, 16);
 
-        let body = br#"{"graph": {"gnp": {"n": 10, "p": 0.5}}, "circuit": "hopfield", "budget": 8}"#;
+        let body =
+            br#"{"graph": {"gnp": {"n": 10, "p": 0.5}}, "circuit": "hopfield", "budget": 8}"#;
         let job = parse_solve_request(body, &defaults()).unwrap();
-        assert_eq!(job.spec.hopfield_steps, SolveSpec::new(CircuitFamily::Hopfield, 8, 0).hopfield_steps);
+        assert_eq!(
+            job.spec.hopfield_steps,
+            SolveSpec::new(CircuitFamily::Hopfield, 8, 0).hopfield_steps
+        );
     }
 
     #[test]
@@ -1440,14 +1456,18 @@ mod tests {
 
     #[test]
     fn response_rendering_is_deterministic_and_consistent() {
-        let body = br#"{"graph": {"gnp": {"n": 12, "p": 0.5, "seed": 1}}, "budget": 16, "seed": 5}"#;
+        let body =
+            br#"{"graph": {"gnp": {"n": 12, "p": 0.5, "seed": 1}}, "budget": 16, "seed": 5}"#;
         let job = parse_solve_request(body, &defaults()).unwrap();
         let outcome = snc_maxcut::solve(&job.graph, &job.spec).unwrap();
         let a = solve_response(&job, &outcome).render();
         let b = solve_response(&job, &snc_maxcut::solve(&job.graph, &job.spec).unwrap()).render();
         assert_eq!(a, b, "identical request ⇒ identical body");
         let parsed = snc_experiments::json::parse(&a).unwrap();
-        assert_eq!(parsed.get("best_cut").unwrap().as_u64(), Some(outcome.best_value));
+        assert_eq!(
+            parsed.get("best_cut").unwrap().as_u64(),
+            Some(outcome.best_value)
+        );
         let partition = parsed.get("partition").unwrap().as_array().unwrap();
         assert_eq!(partition.len(), 12);
         assert!(partition.iter().all(|s| matches!(s.as_u64(), Some(0 | 1))));
@@ -1501,7 +1521,11 @@ mod tests {
             Workload::Max2Sat(job) => job,
             other => panic!("expected max2sat, got {other:?}"),
         };
-        let cfg = SdpConfig { rank: 4, seed: 1, ..SdpConfig::default() };
+        let cfg = SdpConfig {
+            rank: 4,
+            seed: 1,
+            ..SdpConfig::default()
+        };
         let sol = snc_maxcut::extensions::max2sat::solve_gw_max2sat(
             &job.instance,
             &cfg,
@@ -1519,7 +1543,10 @@ mod tests {
         .unwrap();
         assert_eq!(a, max2sat_response(&job, &sol2).render());
         let parsed = snc_experiments::json::parse(&a).unwrap();
-        assert_eq!(parsed.get("workload").and_then(Json::as_str), Some("max2sat"));
+        assert_eq!(
+            parsed.get("workload").and_then(Json::as_str),
+            Some("max2sat")
+        );
         assert_eq!(
             parsed.get("assignment").unwrap().as_array().unwrap().len(),
             3
@@ -1554,7 +1581,11 @@ mod tests {
         annealed.schedule = CoolingSchedule::linear(1.0, 0.05).unwrap();
         assert_ne!(spec_extras(&annealed), default_extras, "kind is keyed");
         annealed.schedule = CoolingSchedule::geometric(1.0, 0.06).unwrap();
-        assert_ne!(spec_extras(&annealed), default_extras, "endpoints are keyed");
+        assert_ne!(
+            spec_extras(&annealed),
+            default_extras,
+            "endpoints are keyed"
+        );
 
         let mut hopfield = SolveSpec::new(CircuitFamily::Hopfield, 8, 0);
         assert_eq!(spec_extras(&hopfield), "steps=8");
