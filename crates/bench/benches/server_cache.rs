@@ -21,8 +21,7 @@
 //! acceptance claim for PR 5 is warm ≥ 2× cold requests/sec.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use snc_maxcut::CircuitFamily;
-use snc_server::{serve, ResponseKey, ServerConfig, ServerHandle};
+use snc_server::{serve, wire, ResponseKey, ServerConfig, ServerHandle};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -45,15 +44,12 @@ fn gnp_request(graph_seed: u64) -> String {
     )
 }
 
+/// The key the server builds for [`gnp_request`], derived through the
+/// wire layer.
 fn gnp_key(graph_seed: u64) -> ResponseKey {
-    ResponseKey::new(
-        CircuitFamily::LifGw,
-        64,
-        4,
-        42,
-        format!("gnp(n=30,p=0.3,seed={graph_seed})"),
-        snc_graph::generators::erdos_renyi::gnp(30, 0.3, graph_seed).unwrap(),
-    )
+    let defaults = ServerConfig::default().request_defaults();
+    let workload = wire::parse_request(gnp_request(graph_seed).as_bytes(), &defaults).unwrap();
+    wire::response_key(&workload)
 }
 
 fn start_server(sdp_cache_entries: usize, response_cache_bytes: usize) -> ServerHandle {

@@ -10,6 +10,22 @@ use crate::error::GraphError;
 use snc_devices::{Rng64, Xoshiro256pp};
 use std::collections::HashSet;
 
+/// Checks the edge probability [`gnp`] accepts, without generating
+/// anything.
+///
+/// # Errors
+///
+/// Returns [`GraphError::InvalidParameter`] unless `p ∈ [0, 1]`.
+pub fn check_gnp_p(p: f64) -> Result<(), GraphError> {
+    if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
+        return Err(GraphError::InvalidParameter {
+            name: "p",
+            constraint: format!("must be in [0, 1], got {p}"),
+        });
+    }
+    Ok(())
+}
+
 /// Samples `G(n, p)`: every unordered pair is an edge independently with
 /// probability `p`.
 ///
@@ -17,12 +33,7 @@ use std::collections::HashSet;
 ///
 /// Returns [`GraphError::InvalidParameter`] unless `p ∈ [0, 1]`.
 pub fn gnp(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
-    if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
-        return Err(GraphError::InvalidParameter {
-            name: "p",
-            constraint: format!("must be in [0, 1], got {p}"),
-        });
-    }
+    check_gnp_p(p)?;
     if n == 0 || p == 0.0 {
         return Graph::from_edges(n, &[]);
     }

@@ -22,7 +22,10 @@
 use snc_devices::{DeviceModel, DevicePool, PoolSpec, Rng64, SplitMix64};
 use snc_graph::generators::erdos_renyi::gnp;
 use snc_graph::Graph;
-use snc_neuro::{BatchedTwoStageNetwork, HopfieldNetwork, HopfieldParams, TwoStageConfig};
+use snc_neuro::{
+    BatchedTwoStageNetwork, HopfieldNetwork, HopfieldParams, Integrator, LearningRate, LifParams,
+    PlasticitySignal, Reset, TwoStageConfig,
+};
 
 /// FNV-1a over little-endian 64-bit words.
 #[derive(Clone, Copy)]
@@ -302,6 +305,27 @@ fn hopfield_past_the_fixed_point() {
 /// Plasticity updates run before the readout weights are digested.
 const UPDATES: u64 = 25;
 
+/// Explicit two-stage configuration (today's defaults), so a later
+/// change to the LIF-Trevisan defaults regenerates only the wire rows,
+/// not this fixture.
+const TWO_STAGE: TwoStageConfig = TwoStageConfig {
+    lif: LifParams {
+        r: 1.0,
+        c: 1.0,
+        dt: 0.1,
+        integrator: Integrator::ExponentialEuler,
+    },
+    reset: Reset::None,
+    learning_rate: LearningRate::Decay {
+        eta0: 0.05,
+        t0: 20_000.0,
+    },
+    plasticity_interval: 10,
+    signal_gain: None,
+    weight_scale: 1.0,
+    plasticity_signal: PlasticitySignal::CenteredPotential,
+};
+
 fn replica_seeds(replicas: usize) -> Vec<u64> {
     (0..replicas as u64)
         .map(|r| SplitMix64::derive(0x7e5, r))
@@ -312,7 +336,7 @@ fn replica_seeds(replicas: usize) -> Vec<u64> {
 fn two_stage_readout_weights() {
     let graph = gnp(150, 0.05, 0x150).unwrap();
     assert!(graph.n() > 64 && !graph.n().is_multiple_of(64));
-    let cfg = TwoStageConfig::default();
+    let cfg = TWO_STAGE;
     for (replicas, want) in [
         (1usize, 0xd81d_ea8b_877b_7fe2u64),
         (2, 0x407d_0ca3_999a_5a51),

@@ -2,13 +2,20 @@
 //!
 //! A thin, dependency-free HTTP/1.1 edge that shards `POST /solve` and
 //! `POST /jobs` traffic across N backend `snc-server` processes by the
-//! request's canonical fingerprint
-//! ([`snc_server::ResponseKey::payload_fold`]). Because the shard key
-//! depends only on the problem *instance* (never on seed, budget,
-//! replicas, or labels), every request about one graph lands on one
-//! backend, whose `SdpCache` and `ResponseCache` therefore see a
-//! stable slice of the keyspace — the fleet's aggregate warm-cache hit
-//! rate matches a single server's instead of being diluted N ways.
+//! instance fold ([`snc_server::ResponseKey::payload_fold`]) of the key
+//! the backends cache under. For a dataset or gnp request that key
+//! comes from the parsed spec (`wire::RequestSpec::key`): the label
+//! `dataset:…` or `gnp(n=…,p=…,seed=…)` fixes the graph, so the edge
+//! never generates or loads it. Other graphs shard on their canonical
+//! fingerprint. Because the shard key depends only on the problem
+//! *instance* (never on seed, budget, replicas, or family knobs), every
+//! request about one graph, spelled one way, lands on one backend,
+//! whose `SdpCache` and `ResponseCache` therefore see a stable slice of
+//! the keyspace — the fleet's aggregate warm-cache hit rate matches a
+//! single server's instead of being diluted N ways. One graph sent in
+//! two spellings (a gnp and its edge list) may land on two backends: an
+//! accepted trade-off, since their labels differ and they never shared
+//! a response entry; only the SDP factor is solved twice.
 //!
 //! The tier is sound because the backends are deterministic: identical
 //! canonical requests produce byte-identical response bodies on any

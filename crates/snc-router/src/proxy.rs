@@ -5,7 +5,9 @@
 //!
 //! ```text
 //! client ──▶ TcpListener ──ready───▶ connection thread (keep-alive loop)
-//!                 │                        │ parse (snc_server::http + wire)
+//!                 │                        │ parse (snc_server::http +
+//!                 │                        │ wire::parse_spec; no graph
+//!                 │                        │ built for dataset/gnp)
 //!                 │                        ▼
 //!                 │            ResponseKey::payload_fold (the shard key)
 //!                 │                        ▼
@@ -57,7 +59,7 @@ use snc_experiments::json::{self, Json};
 use snc_metrics::{AccessLog, RequestIds};
 use snc_server::http::{self, HttpError, Request};
 use snc_server::sys::{self, Interest, Poller};
-use snc_server::wire::{self, Workload};
+use snc_server::wire;
 use snc_server::ServerConfig;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -361,17 +363,6 @@ fn error_meta(path: &str) -> RouteMeta {
     RouteMeta {
         outcome: "error",
         ..RouteMeta::new(route_label(path))
-    }
-}
-
-/// The circuit-family label for a parsed solve workload (mirrors the
-/// backend's labelling so the two tiers' series join cleanly).
-fn workload_family(workload: &Workload) -> &'static str {
-    match workload {
-        Workload::MaxCut(job) => job.spec.family.name(),
-        Workload::WeightedMaxCut(job) => job.spec.family.name(),
-        Workload::Max2Sat(_) => "max2sat",
-        Workload::MaxDicut(_) => "maxdicut",
     }
 }
 
@@ -738,8 +729,8 @@ fn forward_once(
     Ok((response.status, response.body))
 }
 
-/// Parses a solve-bearing body, shards it by canonical fingerprint, and
-/// forwards it with bounded failover. Returns `(status, body, backend)`
+/// Validates a solve-bearing body, shards it by its response key's
+/// instance fold, and forwards it with bounded failover. Returns `(status, body, backend)`
 /// where `backend` is the index that produced the relayed response.
 ///
 /// Failure taxonomy:
@@ -760,10 +751,13 @@ fn proxy_keyed(
     request_id: &str,
     shared: &Arc<Shared>,
 ) -> Result<(u16, String, usize, &'static str), HttpError> {
-    let workload =
-        wire::parse_request(body, &shared.defaults).map_err(|e| HttpError::new(400, e.0))?;
-    let family = workload_family(&workload);
-    let key = wire::response_key(&workload).payload_fold();
+    let bad_request = |e: wire::WireError| HttpError::new(400, e.0);
+    let request = wire::parse_spec(body, &shared.defaults).map_err(bad_request)?;
+    let family = request.family_name();
+    // A dataset or gnp request shards on its spec key: no graph is built
+    // here. An edgeless gnp is therefore refused by its backend, with
+    // the same 400 body the edge would have sent.
+    let key = request.key().map_err(bad_request)?.payload_fold();
     let candidates: Vec<usize> = shared
         .ring
         .candidates(key)

@@ -1,5 +1,10 @@
 //! The consistent-hash ring: maps a 64-bit routing key (a canonical
 //! request's [`snc_server::ResponseKey::payload_fold`]) to a backend.
+//! For a dataset or gnp request the key is the spec key, the hash of
+//! the label that names the graph; for other graphs it is the
+//! fingerprint fold. So one graph sent in two spellings (a gnp and its
+//! edge list) may map to two backends — an accepted trade-off, as the
+//! two never share a response entry.
 //!
 //! Classic Karger-style consistent hashing with virtual nodes. Each
 //! backend `b` with weight `w` owns `vnodes · w` points on a `u64`

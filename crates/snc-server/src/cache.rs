@@ -9,11 +9,16 @@
 //!
 //! [`ResponseCache`] is a [`ShardedLru`] keyed by the **full canonical
 //! request** ([`ResponseKey`]): circuit family, budget, replica width,
-//! seed, the graph label (it is echoed in the body), and the graph
-//! itself. The key's digest (its [`ResponseKey::payload_fold`] mixed
-//! with the scalars) routes it to a shard and pre-filters lookups; a hit
-//! additionally requires full-key equality — a digest collision
-//! degrades to a miss, never to a wrong body.
+//! seed, the graph label (it is echoed in the body), and the instance.
+//! A request that names a Figure-4 dataset or a seeded gnp carries its
+//! instance in the label alone (`dataset:…`, `gnp(n=…,p=…,seed=…)` fix
+//! the graph exactly), so its key is built from the parsed spec and a
+//! warm hit never generates or loads the graph. Other graphs key on the
+//! built graph, other workloads on a canonical string. The key's digest
+//! (its [`ResponseKey::payload_fold`] mixed with the scalars) routes it
+//! to a shard and pre-filters lookups; a hit additionally requires
+//! full-key equality — a digest collision degrades to a miss, never to
+//! a wrong body.
 //!
 //! The bound is in **bytes** (body + an estimate of the key's heap
 //! footprint, [`ResponseKey::cost`]), because response size varies with
@@ -31,15 +36,17 @@ const MIN_BYTES_PER_SHARD: usize = 64 * 1024;
 /// Fixed per-entry bookkeeping charge (list node, counters, `Arc`).
 const ENTRY_OVERHEAD: usize = 128;
 
-/// The instance a cached response was computed for: either a plain
-/// graph (pre-filtered by its [`GraphFingerprint`]) or a canonical
-/// string rendering of a non-`Graph` workload — weighted graphs,
-/// MAX2SAT instances, and MAXDICUT digraphs have no CSR fingerprint, so
-/// their full instance is folded into the key as a deterministic string
-/// (floats rendered via `f64::to_bits`, so byte-equality ⇔
-/// bit-equality).
+/// The instance a cached response was computed for: a graph named by
+/// the key's label, a plain graph (pre-filtered by its
+/// [`GraphFingerprint`]), or a canonical string rendering of a
+/// non-`Graph` workload — weighted graphs, MAX2SAT instances, and
+/// MAXDICUT digraphs have no CSR fingerprint, so their full instance is
+/// folded into the key as a deterministic string (floats rendered via
+/// `f64::to_bits`, so byte-equality ⇔ bit-equality).
 #[derive(Clone, Debug, PartialEq)]
 enum Payload {
+    /// A graph the label fixes exactly (a dataset or a seeded gnp).
+    Named,
     /// An unweighted MAXCUT graph.
     Graph {
         graph: Graph,
@@ -100,6 +107,28 @@ impl ResponseKey {
         }
     }
 
+    /// Builds the key of a request whose graph label fixes the graph
+    /// exactly (a dataset or a seeded gnp): the label is the instance,
+    /// so no graph is needed. A named key never equals a graph or
+    /// canonical key, even for the same graph.
+    pub fn new_named(
+        family: CircuitFamily,
+        budget: u64,
+        replicas: usize,
+        seed: u64,
+        graph_label: String,
+    ) -> Self {
+        Self {
+            family,
+            budget,
+            replicas,
+            seed,
+            graph_label,
+            payload: Payload::Named,
+            extras: String::new(),
+        }
+    }
+
     /// Builds a key whose instance is a canonical string (weighted
     /// graphs, MAX2SAT, MAXDICUT). A canonical key can never collide
     /// with a graph key — the payload variants are distinct — and two
@@ -132,17 +161,20 @@ impl ResponseKey {
         self
     }
 
-    /// The 64-bit fold of the request's *instance* payload: the graph's
-    /// [`GraphFingerprint`] fold, or the canonical-string hash for
-    /// non-graph workloads.
+    /// The 64-bit fold of the request's *instance* payload: the label
+    /// hash for a named graph, the graph's [`GraphFingerprint`] fold, or
+    /// the canonical-string hash for non-graph workloads.
     ///
     /// This is the scale-out routing key: it depends only on the
-    /// instance (never on seed, budget, replica width, or label), so an
-    /// edge process sharding by it sends every request about the same
-    /// graph to the same backend — maximizing that backend's
-    /// [`snc_maxcut::SdpCache`] and [`ResponseCache`] locality.
+    /// instance (never on seed, budget, replica width, or family, and
+    /// on the label only where the label names the graph), so an edge
+    /// process sharding by it sends every request about the same graph,
+    /// spelled the same way, to the same backend — maximizing that
+    /// backend's [`snc_maxcut::SdpCache`] and [`ResponseCache`]
+    /// locality.
     pub fn payload_fold(&self) -> u64 {
         match &self.payload {
+            Payload::Named => hash_bytes(self.graph_label.as_bytes()),
             Payload::Graph { fingerprint, .. } => fingerprint.fold(),
             Payload::Canonical(s) => hash_bytes(s.as_bytes()),
         }
@@ -168,12 +200,13 @@ impl ResponseKey {
     }
 
     /// The bytes an entry with this key and a `body_len`-byte body is
-    /// charged against the cache budget: body + instance footprint (CSR
-    /// estimate or canonical-string length) + label + extras + fixed
-    /// overhead. Exposed so tests and benches can size budgets that
+    /// charged against the cache budget: body + instance footprint (none
+    /// for a named graph, else a CSR estimate or the canonical-string
+    /// length) + label + extras + fixed overhead. Exposed so tests and benches can size budgets that
     /// provably force (or provably avoid) eviction.
     pub fn cost(&self, body_len: usize) -> usize {
         let instance_bytes = match &self.payload {
+            Payload::Named => 0,
             Payload::Graph { graph, .. } => 8 * (graph.n() + 1) + 4 * 2 * graph.m(),
             Payload::Canonical(s) => s.len(),
         };

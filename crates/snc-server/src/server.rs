@@ -51,7 +51,7 @@
 //! writes, and exits; the worker queue then drains on the caller's
 //! thread.
 
-use crate::cache::ResponseCache;
+use crate::cache::{ResponseCache, ResponseKey};
 use crate::event::{self, Completion, Mailbox, ReplyTo};
 use crate::http::{HttpError, Request};
 use crate::jobs::{JobStatus, JobStore};
@@ -469,14 +469,44 @@ fn index_body() -> String {
     .render()
 }
 
-/// The circuit-family metric label for a parsed workload.
-fn workload_family(workload: &Workload) -> &'static str {
-    match workload {
-        Workload::MaxCut(job) => job.spec.family.name(),
-        Workload::WeightedMaxCut(job) => job.spec.family.name(),
-        Workload::Max2Sat(_) => "max2sat",
-        Workload::MaxDicut(_) => "maxdicut",
+/// Where a `/solve` or `/jobs` body stands after the response cache.
+enum Lookup {
+    /// The stored body.
+    Hit(Arc<String>),
+    /// The workload to run, and the key to store its body under when
+    /// the cache is on.
+    Miss(Box<Workload>, Option<(Arc<ResponseCache>, ResponseKey)>),
+}
+
+/// Parses a body and consults the response cache once. A dataset or
+/// gnp request is looked up by its spec key before its graph is built,
+/// so a hit never generates or loads the graph; any other request is
+/// built first and keyed on its instance. Returns the family label for
+/// metrics with the outcome.
+fn look_up(body: &[u8], shared: &Shared) -> Result<(&'static str, Lookup), HttpError> {
+    let bad_request = |e: wire::WireError| HttpError::new(400, e.0);
+    let request = wire::parse_spec(body, &shared.defaults).map_err(bad_request)?;
+    let family = request.family_name();
+    let cache = shared.response_cache.as_ref();
+    let spec_key = cache.and_then(|_| request.spec_key());
+    if let (Some(cache), Some(key)) = (cache, &spec_key) {
+        if let Some(hit) = cache.get(key) {
+            return Ok((family, Lookup::Hit(hit)));
+        }
     }
+    let workload = request.build().map_err(bad_request)?;
+    let key = match (cache, spec_key) {
+        (None, _) => None,
+        (Some(cache), Some(key)) => Some((Arc::clone(cache), key)),
+        (Some(cache), None) => {
+            let key = wire::response_key(&workload);
+            if let Some(hit) = cache.get(&key) {
+                return Ok((family, Lookup::Hit(hit)));
+            }
+            Some((Arc::clone(cache), key))
+        }
+    };
+    Ok((family, Lookup::Miss(Box::new(workload), key)))
 }
 
 /// Renders `GET /metrics`: mirrors the externally-owned tallies (cache
@@ -715,23 +745,16 @@ fn run_workload(
 /// error-renders) the reply, inserts it into the cache, and delivers it
 /// as a [`Completion`] through the [`Mailbox`].
 fn solve(body: &[u8], shared: &Arc<Shared>, reply_to: ReplyTo) -> Result<Routed, HttpError> {
-    let workload =
-        wire::parse_request(body, &shared.defaults).map_err(|e| HttpError::new(400, e.0))?;
-    let family = workload_family(&workload);
+    let (family, lookup) = look_up(body, shared)?;
     let meta = |outcome: &'static str| ResponseMeta {
         family,
         outcome,
         ..ResponseMeta::new("solve")
     };
-    let key = shared.response_cache.as_ref().map(|cache| {
-        let key = wire::response_key(&workload);
-        (Arc::clone(cache), key)
-    });
-    if let Some((cache, key)) = &key {
-        if let Some(cached) = cache.get(key) {
-            return Ok(Routed::Ready(200, String::clone(&cached), meta("hit")));
-        }
-    }
+    let (workload, key) = match lookup {
+        Lookup::Hit(cached) => return Ok(Routed::Ready(200, String::clone(&cached), meta("hit"))),
+        Lookup::Miss(workload, key) => (workload, key),
+    };
     // The closure captures the mailbox, caches, metrics, and defaults
     // only — never `Arc<Shared>`, which owns the pool it runs on (see
     // the `Shared` docs).
@@ -779,24 +802,18 @@ fn solve(body: &[u8], shared: &Arc<Shared>, reply_to: ReplyTo) -> Result<Routed,
 /// `POST /jobs`: parse, record, schedule; the worker finishes the
 /// record. Answers 202 with the job id.
 fn submit_job(body: &[u8], shared: &Arc<Shared>) -> Result<Routed, HttpError> {
-    let workload =
-        wire::parse_request(body, &shared.defaults).map_err(|e| HttpError::new(400, e.0))?;
-    let family = workload_family(&workload);
+    let (family, lookup) = look_up(body, shared)?;
     let meta = |outcome: &'static str| ResponseMeta {
         family,
         outcome,
         ..ResponseMeta::new("jobs")
     };
-    let key = shared.response_cache.as_ref().map(|cache| {
-        let key = wire::response_key(&workload);
-        (Arc::clone(cache), key)
-    });
-    // Response-cache hit: the job is born finished — the stored body is
-    // the byte-exact render of the result tree, so parsing it back
-    // recovers exactly what the worker would have stored. No pool
-    // round-trip, and the poller sees `done` immediately.
-    if let Some((cache, key)) = &key {
-        if let Some(cached) = cache.get(key) {
+    let (workload, key) = match lookup {
+        // Response-cache hit: the job is born finished — the stored body
+        // is the byte-exact render of the result tree, so parsing it back
+        // recovers exactly what the worker would have stored. No pool
+        // round-trip, and the poller sees `done` immediately.
+        Lookup::Hit(cached) => {
             let id = shared.store.insert();
             let result = snc_experiments::json::parse(&cached)
                 .map_err(|e| format!("internal error: cached body unparsable: {e}"));
@@ -812,7 +829,8 @@ fn submit_job(body: &[u8], shared: &Arc<Shared>) -> Result<Routed, HttpError> {
                 meta("hit"),
             ));
         }
-    }
+        Lookup::Miss(workload, key) => (workload, key),
+    };
     let id = shared.store.insert();
     // The closure captures the store, caches, and metrics only — never
     // `Arc<Shared>`, which owns the pool the closure runs on (see the

@@ -59,7 +59,7 @@
 
 use crate::cache::ResponseKey;
 use snc_experiments::json::{self, Json};
-use snc_graph::generators::erdos_renyi::gnp;
+use snc_graph::generators::erdos_renyi::{check_gnp_p, gnp};
 use snc_graph::io::edgelist;
 use snc_graph::{EmpiricalDataset, Graph, WeightedGraph};
 use snc_maxcut::extensions::max2sat::{Clause, Literal, Max2Sat, Max2SatSolution};
@@ -111,6 +111,9 @@ pub struct SolveJob<G = Graph> {
     pub spec: SolveSpec,
     /// A deterministic label of the graph source, echoed in responses.
     pub graph_label: String,
+    /// The spec that fixed the graph, when the request named a dataset
+    /// or a gnp; such a job keys on its label, not on the built graph.
+    pub named: Option<NamedGraph>,
 }
 
 /// A parsed weighted solve request.
@@ -228,29 +231,46 @@ pub fn spec_extras(spec: &SolveSpec) -> String {
     }
 }
 
+/// The key of a MAXCUT request whose graph is fixed by its label.
+fn named_key(spec: &SolveSpec, graph_label: String) -> ResponseKey {
+    ResponseKey::new_named(
+        spec.family,
+        spec.budget,
+        spec.replicas,
+        spec.seed,
+        graph_label,
+    )
+    .with_extras(spec_extras(spec))
+}
+
 /// The canonical cache key for a parsed workload (the full request:
 /// family, budget, replicas, seed, instance, family-specific knobs).
-/// Non-graph instances key on their canonical string; the extension
-/// workloads have no circuit family or replica width, so they pin the
-/// placeholder `(LifGw, 1)` — distinct labels and canonical prefixes
-/// keep them from ever colliding with a real graph request.
+/// A dataset or gnp graph is named by its label, which the key already
+/// holds; other graphs key on the built instance. Non-graph instances
+/// key on their canonical string; the extension workloads have no
+/// circuit family or replica width, so they pin the placeholder
+/// `(LifGw, 1)` — distinct labels and canonical prefixes keep them from
+/// ever colliding with a real graph request.
 ///
 /// Shared by the server (response-cache lookups) and the scale-out
-/// router (whose shard key is [`ResponseKey::payload_fold`]): both
-/// derive the key from the same parse, so the slice of the keyspace a
-/// backend sees from the router is exactly the slice its own caches
-/// key on.
+/// router (whose shard key is [`ResponseKey::payload_fold`]). It equals
+/// [`RequestSpec::key`] for every body both accept, so the slice of the
+/// keyspace a backend sees from the router is exactly the slice its own
+/// caches key on.
 pub fn response_key(workload: &Workload) -> ResponseKey {
     match workload {
-        Workload::MaxCut(job) => ResponseKey::new(
-            job.spec.family,
-            job.spec.budget,
-            job.spec.replicas,
-            job.spec.seed,
-            job.graph_label.clone(),
-            job.graph.clone(),
-        )
-        .with_extras(spec_extras(&job.spec)),
+        Workload::MaxCut(job) => match job.named {
+            Some(_) => named_key(&job.spec, job.graph_label.clone()),
+            None => ResponseKey::new(
+                job.spec.family,
+                job.spec.budget,
+                job.spec.replicas,
+                job.spec.seed,
+                job.graph_label.clone(),
+                job.graph.clone(),
+            )
+            .with_extras(spec_extras(&job.spec)),
+        },
         Workload::WeightedMaxCut(job) => ResponseKey::new_canonical(
             job.spec.family,
             job.spec.budget,
@@ -279,6 +299,103 @@ pub fn response_key(workload: &Workload) -> ResponseKey {
     }
 }
 
+/// A parsed, validated request whose graph is not built yet.
+///
+/// [`parse_spec`] runs every check [`parse_request`] makes except the
+/// ones that need the built graph: a MAXCUT graph must have an edge,
+/// lif-trevisan needs non-negative weights, and the graph builders' own
+/// errors. [`RequestSpec::build`] runs those.
+#[derive(Clone, Debug)]
+pub struct RequestSpec(Spec);
+
+#[derive(Clone, Debug)]
+enum Spec {
+    MaxCut { spec: SolveSpec, graph: GraphSpec },
+    Max2Sat(Max2SatJob),
+    MaxDicut(MaxDicutJob),
+}
+
+impl RequestSpec {
+    /// The workload's family label for metrics and access logs: the
+    /// circuit family, or `max2sat` / `maxdicut`.
+    pub fn family_name(&self) -> &'static str {
+        match &self.0 {
+            Spec::MaxCut { spec, .. } => spec.family.name(),
+            Spec::Max2Sat(_) => "max2sat",
+            Spec::MaxDicut(_) => "maxdicut",
+        }
+    }
+
+    /// The response key, when the request names a dataset or a gnp: no
+    /// graph is built. `None` for every other instance.
+    pub fn spec_key(&self) -> Option<ResponseKey> {
+        match &self.0 {
+            Spec::MaxCut {
+                spec,
+                graph: GraphSpec::Named(named),
+            } => Some(named_key(spec, named.label())),
+            _ => None,
+        }
+    }
+
+    /// The response key, building the instance only when the spec does
+    /// not fix it. Equal to `response_key(&self.build()?)` whenever the
+    /// build succeeds.
+    ///
+    /// # Errors
+    ///
+    /// What [`RequestSpec::build`] rejects, for instances without a spec
+    /// key. A dataset or gnp request always gets its key; one whose
+    /// graph has no edges is refused when it is built.
+    pub fn key(self) -> Result<ResponseKey, WireError> {
+        match self.spec_key() {
+            Some(key) => Ok(key),
+            None => Ok(response_key(&self.build()?)),
+        }
+    }
+
+    /// Builds the instance.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] for an edgeless graph, negative weights on
+    /// lif-trevisan, or a graph the builder refuses.
+    pub fn build(self) -> Result<Workload, WireError> {
+        let (spec, graph) = match self.0 {
+            Spec::MaxCut { spec, graph } => (spec, graph),
+            Spec::Max2Sat(job) => return Ok(Workload::Max2Sat(job)),
+            Spec::MaxDicut(job) => return Ok(Workload::MaxDicut(job)),
+        };
+        match graph.build()? {
+            ParsedGraph::Unweighted(graph, graph_label, named) => {
+                if graph.m() == 0 {
+                    return Err(err("graph has no edges; MAXCUT needs at least one"));
+                }
+                Ok(Workload::MaxCut(SolveJob {
+                    graph,
+                    spec,
+                    graph_label,
+                    named,
+                }))
+            }
+            ParsedGraph::Weighted(graph, graph_label) => {
+                if graph.m() == 0 {
+                    return Err(err("graph has no edges; MAXCUT needs at least one"));
+                }
+                if spec.family == CircuitFamily::LifTrevisan && !graph.is_nonnegative() {
+                    return Err(err("lif-trevisan requires non-negative edge weights"));
+                }
+                Ok(Workload::WeightedMaxCut(WeightedSolveJob {
+                    graph,
+                    spec,
+                    graph_label,
+                    named: None,
+                }))
+            }
+        }
+    }
+}
+
 /// Parses and validates any request body into its workload.
 ///
 /// # Errors
@@ -286,6 +403,17 @@ pub fn response_key(workload: &Workload) -> ResponseKey {
 /// Returns [`WireError`] (→ HTTP 400) for malformed JSON, unknown keys,
 /// missing/invalid fields, empty instances, or limit violations.
 pub fn parse_request(body: &[u8], defaults: &RequestDefaults) -> Result<Workload, WireError> {
+    parse_spec(body, defaults)?.build()
+}
+
+/// Parses and validates a request body without building its graph (see
+/// [`RequestSpec`]).
+///
+/// # Errors
+///
+/// Returns [`WireError`] (→ HTTP 400) for malformed JSON, unknown keys,
+/// missing/invalid fields, or limit violations.
+pub fn parse_spec(body: &[u8], defaults: &RequestDefaults) -> Result<RequestSpec, WireError> {
     let text = std::str::from_utf8(body).map_err(|_| err("body is not UTF-8"))?;
     let doc = json::parse(text).map_err(|e| err(e.to_string()))?;
     if doc.as_object().is_none() {
@@ -295,17 +423,22 @@ pub fn parse_request(body: &[u8], defaults: &RequestDefaults) -> Result<Workload
         .into_iter()
         .filter(|k| doc.get(k).is_some())
         .collect();
-    match named.as_slice() {
-        ["graph"] => parse_maxcut_request(&doc, defaults),
-        ["max2sat"] => parse_max2sat_request(&doc, defaults).map(Workload::Max2Sat),
-        ["maxdicut"] => parse_maxdicut_request(&doc, defaults).map(Workload::MaxDicut),
-        [] => Err(err(
-            "request must name a workload: one of `graph`, `max2sat`, `maxdicut`",
-        )),
-        _ => Err(err(
-            "request must contain exactly one of `graph`, `max2sat`, `maxdicut`",
-        )),
-    }
+    let spec = match named.as_slice() {
+        ["graph"] => parse_maxcut_request(&doc, defaults)?,
+        ["max2sat"] => Spec::Max2Sat(parse_max2sat_request(&doc, defaults)?),
+        ["maxdicut"] => Spec::MaxDicut(parse_maxdicut_request(&doc, defaults)?),
+        [] => {
+            return Err(err(
+                "request must name a workload: one of `graph`, `max2sat`, `maxdicut`",
+            ))
+        }
+        _ => {
+            return Err(err(
+                "request must contain exactly one of `graph`, `max2sat`, `maxdicut`",
+            ))
+        }
+    };
+    Ok(RequestSpec(spec))
 }
 
 /// Parses and validates an unweighted MAXCUT solve-request body.
@@ -325,7 +458,7 @@ pub fn parse_solve_request(body: &[u8], defaults: &RequestDefaults) -> Result<So
 }
 
 /// The graph workload: unweighted or weighted MAXCUT.
-fn parse_maxcut_request(doc: &Json, defaults: &RequestDefaults) -> Result<Workload, WireError> {
+fn parse_maxcut_request(doc: &Json, defaults: &RequestDefaults) -> Result<Spec, WireError> {
     let members = doc.as_object().expect("checked by parse_request");
     for (key, _) in members {
         if !matches!(
@@ -423,34 +556,11 @@ fn parse_maxcut_request(doc: &Json, defaults: &RequestDefaults) -> Result<Worklo
         spec.hopfield_steps = steps;
     }
 
-    match parse_graph(
+    let graph = parse_graph(
         doc.get("graph").ok_or_else(|| err("missing `graph`"))?,
         defaults,
-    )? {
-        ParsedGraph::Unweighted(graph, graph_label) => {
-            if graph.m() == 0 {
-                return Err(err("graph has no edges; MAXCUT needs at least one"));
-            }
-            Ok(Workload::MaxCut(SolveJob {
-                graph,
-                spec,
-                graph_label,
-            }))
-        }
-        ParsedGraph::Weighted(graph, graph_label) => {
-            if graph.m() == 0 {
-                return Err(err("graph has no edges; MAXCUT needs at least one"));
-            }
-            if family == CircuitFamily::LifTrevisan && !graph.is_nonnegative() {
-                return Err(err("lif-trevisan requires non-negative edge weights"));
-            }
-            Ok(Workload::WeightedMaxCut(WeightedSolveJob {
-                graph,
-                spec,
-                graph_label,
-            }))
-        }
-    }
+    )?;
+    Ok(Spec::MaxCut { spec, graph })
 }
 
 /// `{"kind": …, "start": …, "end": …}` → a validated cooling schedule.
@@ -723,25 +833,80 @@ fn parse_maxdicut_request(
     })
 }
 
-/// A parsed `"graph"` value: the seed's unweighted sources plus inline
-/// weighted triples.
+/// A graph value that fixes its graph exactly: a Figure-4 dataset or a
+/// seeded G(n, p). Its [`label`](NamedGraph::label) names the graph, so
+/// a request carrying one keys on the label and never needs the built
+/// graph to find its cached response or its backend.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum NamedGraph {
+    /// One of the Figure-4 datasets (deterministic stand-ins included).
+    Dataset(EmpiricalDataset),
+    /// A seeded Erdős–Rényi G(n, p), `p` already checked.
+    Gnp {
+        /// Vertex count.
+        n: usize,
+        /// Edge probability in `[0, 1]`.
+        p: f64,
+        /// Generator seed.
+        seed: u64,
+    },
+}
+
+impl NamedGraph {
+    /// The label echoed in responses. Equal labels name equal graphs.
+    pub fn label(&self) -> String {
+        match self {
+            NamedGraph::Dataset(dataset) => format!("dataset:{}", dataset.name()),
+            // `p` formats deterministically (shortest round-trip).
+            NamedGraph::Gnp { n, p, seed } => format!("gnp(n={n},p={p},seed={seed})"),
+        }
+    }
+
+    fn build(&self) -> Result<Graph, WireError> {
+        match *self {
+            NamedGraph::Dataset(dataset) => dataset
+                .load()
+                .map_err(|e| err(format!("failed to build dataset `{}`: {e}", dataset.name()))),
+            NamedGraph::Gnp { n, p, seed } => {
+                gnp(n, p, seed).map_err(|e| err(format!("invalid gnp parameters: {e}")))
+            }
+        }
+    }
+}
+
+/// A validated `"graph"` value, not built yet.
+#[derive(Clone, Debug)]
+enum GraphSpec {
+    Named(NamedGraph),
+    Edges {
+        pairs: Vec<(u64, u64)>,
+        declared_n: Option<usize>,
+    },
+    Weighted {
+        edges: Vec<(u32, u32, f64)>,
+        n: usize,
+    },
+    EdgeList(edgelist::RawEdgeList),
+}
+
+/// A built `"graph"` value.
 enum ParsedGraph {
-    Unweighted(Graph, String),
+    Unweighted(Graph, String, Option<NamedGraph>),
     Weighted(WeightedGraph, String),
 }
 
-/// Builds the graph named by the request's `"graph"` value.
-fn parse_graph(value: &Json, defaults: &RequestDefaults) -> Result<ParsedGraph, WireError> {
-    let parsed = match value {
+/// Validates the request's `"graph"` value: every check that needs no
+/// built graph, vertex bounds included, so nothing large is allocated
+/// for a body that will be refused.
+fn parse_graph(value: &Json, defaults: &RequestDefaults) -> Result<GraphSpec, WireError> {
+    match value {
         Json::Str(name) => {
             let dataset = EmpiricalDataset::all()
                 .into_iter()
                 .find(|d| d.name() == name)
                 .ok_or_else(|| err(format!("unknown dataset `{name}`")))?;
-            let graph = dataset
-                .load()
-                .map_err(|e| err(format!("failed to build dataset `{name}`: {e}")))?;
-            ParsedGraph::Unweighted(graph, format!("dataset:{name}"))
+            check_vertices(dataset.size().0, defaults)?;
+            Ok(GraphSpec::Named(NamedGraph::Dataset(dataset)))
         }
         Json::Obj(members) => {
             // Strict like the top level: an unknown (or misplaced) key is
@@ -778,25 +943,21 @@ fn parse_graph(value: &Json, defaults: &RequestDefaults) -> Result<ParsedGraph, 
                     let implied_n = declared_n
                         .unwrap_or_else(|| max_id.saturating_add(1).min(usize::MAX as u64) as usize);
                     check_vertices(implied_n, defaults)?;
-                    let graph = edgelist::from_pairs(&pairs, declared_n)
-                        .map_err(|e| err(format!("invalid edges: {e}")))?;
-                    ParsedGraph::Unweighted(graph, "edges".to_string())
+                    Ok(GraphSpec::Edges { pairs, declared_n })
                 }
                 ["weighted_edges"] => {
                     let triples =
                         parse_weighted_triples(value.get("weighted_edges").expect("key present"))?;
                     let declared_n = parse_declared_n(value)?;
                     let max_id = triples.iter().map(|&(u, v, _)| u.max(v)).max().unwrap_or(0);
-                    let implied_n = declared_n
+                    let n = declared_n
                         .unwrap_or_else(|| max_id.saturating_add(1).min(usize::MAX as u64) as usize);
-                    check_vertices(implied_n, defaults)?;
-                    let edges: Vec<(u32, u32, f64)> = triples
+                    check_vertices(n, defaults)?;
+                    let edges = triples
                         .into_iter()
                         .map(|(u, v, w)| (u as u32, v as u32, w))
                         .collect();
-                    let graph = WeightedGraph::from_weighted_edges(implied_n, &edges)
-                        .map_err(|e| err(format!("invalid weighted edges: {e}")))?;
-                    ParsedGraph::Weighted(graph, "weighted-edges".to_string())
+                    Ok(GraphSpec::Weighted { edges, n })
                 }
                 ["edgelist"] => {
                     let text = value
@@ -804,14 +965,11 @@ fn parse_graph(value: &Json, defaults: &RequestDefaults) -> Result<ParsedGraph, 
                         .and_then(Json::as_str)
                         .ok_or_else(|| err("`edgelist` must be a string"))?;
                     // Scan first (no allocation), bound-check the implied
-                    // vertex count, then build.
+                    // vertex count; the build allocates.
                     let raw = edgelist::scan(text)
                         .map_err(|e| err(format!("invalid edge list: {e}")))?;
                     check_vertices(raw.n(), defaults)?;
-                    let graph = raw
-                        .into_graph()
-                        .map_err(|e| err(format!("invalid edge list: {e}")))?;
-                    ParsedGraph::Unweighted(graph, "edgelist".to_string())
+                    Ok(GraphSpec::EdgeList(raw))
                 }
                 ["gnp"] => {
                     let spec = value.get("gnp").expect("key present");
@@ -839,35 +997,50 @@ fn parse_graph(value: &Json, defaults: &RequestDefaults) -> Result<ParsedGraph, 
                     // Bound *before* generating: a huge `n` must not
                     // allocate anything.
                     check_vertices(n, defaults)?;
-                    let graph = gnp(n, p, seed)
-                        .map_err(|e| err(format!("invalid gnp parameters: {e}")))?;
-                    // `p` formats deterministically (shortest round-trip).
-                    ParsedGraph::Unweighted(graph, format!("gnp(n={n},p={p},seed={seed})"))
+                    check_gnp_p(p).map_err(|e| err(format!("invalid gnp parameters: {e}")))?;
+                    Ok(GraphSpec::Named(NamedGraph::Gnp { n, p, seed }))
                 }
-                [] => {
-                    return Err(err(
-                        "`graph` object must contain one of `edges`, `weighted_edges`, `edgelist`, `gnp`",
-                    ))
-                }
-                _ => {
-                    return Err(err(
-                        "`graph` object must contain exactly one of `edges`, `weighted_edges`, `edgelist`, `gnp`",
-                    ))
-                }
+                [] => Err(err(
+                    "`graph` object must contain one of `edges`, `weighted_edges`, `edgelist`, `gnp`",
+                )),
+                _ => Err(err(
+                    "`graph` object must contain exactly one of `edges`, `weighted_edges`, `edgelist`, `gnp`",
+                )),
             }
         }
-        _ => {
-            return Err(err(
-                "`graph` must be a dataset name or an object with `edges`, `weighted_edges`, `edgelist`, or `gnp`",
-            ))
-        }
-    };
-    // Backstop; every arm above already bound-checked pre-allocation.
-    match &parsed {
-        ParsedGraph::Unweighted(g, _) => check_vertices(g.n(), defaults)?,
-        ParsedGraph::Weighted(g, _) => check_vertices(g.n(), defaults)?,
+        _ => Err(err(
+            "`graph` must be a dataset name or an object with `edges`, `weighted_edges`, `edgelist`, or `gnp`",
+        )),
     }
-    Ok(parsed)
+}
+
+impl GraphSpec {
+    /// Builds the graph. Its vertex count is the one [`parse_graph`]
+    /// bounded: a declared `n` is used as is, an implied one is the
+    /// largest id plus one.
+    fn build(self) -> Result<ParsedGraph, WireError> {
+        Ok(match self {
+            GraphSpec::Named(named) => {
+                ParsedGraph::Unweighted(named.build()?, named.label(), Some(named))
+            }
+            GraphSpec::Edges { pairs, declared_n } => {
+                let graph = edgelist::from_pairs(&pairs, declared_n)
+                    .map_err(|e| err(format!("invalid edges: {e}")))?;
+                ParsedGraph::Unweighted(graph, "edges".to_string(), None)
+            }
+            GraphSpec::Weighted { edges, n } => {
+                let graph = WeightedGraph::from_weighted_edges(n, &edges)
+                    .map_err(|e| err(format!("invalid weighted edges: {e}")))?;
+                ParsedGraph::Weighted(graph, "weighted-edges".to_string())
+            }
+            GraphSpec::EdgeList(raw) => {
+                let graph = raw
+                    .into_graph()
+                    .map_err(|e| err(format!("invalid edge list: {e}")))?;
+                ParsedGraph::Unweighted(graph, "edgelist".to_string(), None)
+            }
+        })
+    }
 }
 
 /// The optional `"n"` alongside inline edges.

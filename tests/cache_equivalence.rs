@@ -20,7 +20,7 @@
 
 use proptest::prelude::*;
 use snc_maxcut::{solve, solve_with_cache, CircuitFamily, SdpCache, SolveSpec};
-use snc_server::wire::{solve_response, SolveJob};
+use snc_server::wire::{solve_response, NamedGraph, SolveJob};
 use snc_server::ServerHandle;
 
 mod common;
@@ -53,10 +53,12 @@ proptest! {
         }
         let family = if lif_gw { CircuitFamily::LifGw } else { CircuitFamily::LifTrevisan };
         let spec = SolveSpec { budget, replicas, ..SolveSpec::new(family, budget, solve_seed) };
+        let named = NamedGraph::Gnp { n, p: p_mil as f64 / 1000.0, seed: graph_seed };
         let job = SolveJob {
             graph: graph.clone(),
             spec: spec.clone(),
-            graph_label: format!("gnp(n={n},p={},seed={graph_seed})", p_mil as f64 / 1000.0),
+            graph_label: named.label(),
+            named: Some(named),
         };
 
         let cache = SdpCache::new(4);

@@ -13,6 +13,8 @@
 // uses a subset of it (the re-exports included).
 #![allow(dead_code, unused_imports)]
 
+pub mod corpus;
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;

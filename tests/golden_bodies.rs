@@ -18,6 +18,7 @@
 //! moved row in table syntax.
 
 mod common;
+use common::corpus::{family_cases, signed_cases};
 use common::{roundtrip, start_server};
 
 /// FNV-1a over the body bytes.
@@ -29,26 +30,6 @@ fn digest(body: &str) -> u64 {
     }
     h
 }
-
-/// The graph forms, small enough for a debug-mode test run.
-const GRAPHS: [(&str, &str); 4] = [
-    ("dataset", r#""road-chesapeake""#),
-    (
-        "edges",
-        r#"{"edges": [[0,1],[1,2],[2,3],[3,4],[4,5],[5,0],[0,3],[1,4],[2,5],[6,0],[6,2],[6,4],[7,1],[7,3],[7,5],[7,6]]}"#,
-    ),
-    ("gnp", r#"{"gnp": {"n": 24, "p": 0.3, "seed": 7}}"#),
-    (
-        "weighted",
-        r#"{"weighted_edges": [[0,1,1.5],[1,2,0.25],[2,3,2.0],[3,4,1.0],[4,5,3.5],[5,0,0.75],[0,3,1.25],[1,4,2.5],[2,5,0.5],[6,0,1.0],[6,3,2.25],[7,1,0.125],[7,6,1.75]]}"#,
-    ),
-];
-
-/// Signed weights: accepted by every family but LIF-Trevisan.
-const SIGNED: &str = r#"{"weighted_edges": [[0,1,1.5],[1,2,-0.5],[2,3,2.0],[3,4,-1.25],[4,5,3.0],[5,0,0.75],[0,3,-2.0],[1,4,2.5],[2,5,1.0],[6,0,-0.25],[6,3,1.5]]}"#;
-
-const BUDGET: u64 = 64;
-const SEED: u64 = 42;
 
 /// `(case, status, body length, FNV-1a digest)`.
 type Golden = (&'static str, u16, usize, u64);
@@ -95,12 +76,6 @@ const GOLDEN: &[Golden] = &[
     ("lif-trevisan/signed/r1", 400, 59, 0xbb1ab2a0d8900c8e),
 ];
 
-fn request(family: &str, graph: &str, replicas: usize) -> String {
-    format!(
-        r#"{{"graph": {graph}, "circuit": "{family}", "budget": {BUDGET}, "replicas": {replicas}, "seed": {SEED}}}"#
-    )
-}
-
 /// Sends every `(case, body)` request to one fresh server and compares
 /// each response with its golden row.
 fn check(cases: &[(String, String)]) {
@@ -130,20 +105,6 @@ fn check(cases: &[(String, String)]) {
     );
 }
 
-/// All four graph forms at R ∈ {1, 8} for one family.
-fn family_cases(family: &str) -> Vec<(String, String)> {
-    let mut cases = Vec::new();
-    for (form, graph) in GRAPHS {
-        for replicas in [1, 8] {
-            cases.push((
-                format!("{family}/{form}/r{replicas}"),
-                request(family, graph, replicas),
-            ));
-        }
-    }
-    cases
-}
-
 #[test]
 fn lif_gw_bodies() {
     check(&family_cases("lif-gw"));
@@ -166,20 +127,5 @@ fn hopfield_bodies() {
 
 #[test]
 fn signed_weight_bodies() {
-    let mut cases: Vec<(String, String)> = ["lif-gw", "lif-annealed", "hopfield"]
-        .into_iter()
-        .flat_map(|family| {
-            [1, 8].map(|replicas| {
-                (
-                    format!("{family}/signed/r{replicas}"),
-                    request(family, SIGNED, replicas),
-                )
-            })
-        })
-        .collect();
-    cases.push((
-        "lif-trevisan/signed/r1".to_string(),
-        request("lif-trevisan", SIGNED, 1),
-    ));
-    check(&cases);
+    check(&signed_cases());
 }

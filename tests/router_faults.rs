@@ -525,6 +525,27 @@ fn edge_validates_and_mirrors_backend_status_codes() {
     assert!(try_roundtrip(dead, "GET", "/healthz", "").is_err());
 }
 
+/// A gnp whose graph comes out edgeless is valid as a spec: the edge
+/// shards it on its spec key without generating the graph, so only its
+/// backend can refuse it. The client sees exactly the direct answer.
+#[test]
+fn edgeless_gnp_is_relayed_and_refused_by_its_backend() {
+    let backend = spawn_server(&["--threads", "2"]);
+    let router = spawn_router_args(&[backend.addr()], &["--probe-interval-ms", "100"]);
+    let solves = || {
+        let (_, body) = roundtrip(backend.addr(), "GET", "/healthz", "");
+        let doc = json::parse(&body).unwrap();
+        doc.get("solve_requests").and_then(Json::as_u64).unwrap()
+    };
+    let edgeless = r#"{"graph": {"gnp": {"n": 1, "p": 0.5, "seed": 3}}, "budget": 16, "seed": 1}"#;
+    let direct = roundtrip(backend.addr(), "POST", "/solve", edgeless);
+    assert_eq!(direct.0, 400, "{}", direct.1);
+    let before = solves();
+    let routed = roundtrip(router.addr(), "POST", "/solve", edgeless);
+    assert_eq!(routed, direct, "the routed refusal must be the backend's own");
+    assert_eq!(solves(), before + 1, "the request crossed the edge");
+}
+
 /// The stale-connection rule end-to-end against a *real* backend idle
 /// reaper: the backend closes a parked pooled connection, and the next
 /// request rides the one-fresh-retry path — invisibly. No client error,

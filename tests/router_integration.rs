@@ -24,19 +24,8 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 mod common;
+use common::corpus::ROUTER_CORPUS as CORPUS;
 use common::{roundtrip, spawn_listening, spawn_server, SpawnedProcess};
-
-/// Mixed-family corpus: every wire workload kind, sized to solve in
-/// milliseconds. Bodies are canonical-identical across sends, so each
-/// line is one fingerprint — one backend owns it.
-const CORPUS: &[&str] = &[
-    r#"{"graph": {"gnp": {"n": 24, "p": 0.3, "seed": 1}}, "circuit": "lif-gw", "budget": 24, "replicas": 2, "seed": 11}"#,
-    r#"{"graph": {"gnp": {"n": 20, "p": 0.4, "seed": 2}}, "circuit": "lif-trevisan", "budget": 24, "seed": 12}"#,
-    r#"{"graph": {"gnp": {"n": 22, "p": 0.3, "seed": 3}}, "circuit": "lif-annealed", "schedule": {"kind": "geometric", "start": 1.0, "end": 0.05}, "budget": 24, "seed": 13}"#,
-    r#"{"graph": {"weighted_edges": [[0, 1, 2.5], [1, 2, -0.5], [2, 3, 1.0], [0, 3, 0.75]]}, "circuit": "hopfield", "steps": 8, "budget": 16, "seed": 14}"#,
-    r#"{"max2sat": {"vars": 4, "clauses": [[1, -2], [2, 3], [-1, 4], [3]]}, "budget": 16, "seed": 15}"#,
-    r#"{"maxdicut": {"n": 5, "arcs": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}, "budget": 16, "seed": 16}"#,
-];
 
 /// Starts a router process over `backends`, fast probes for test speed.
 fn spawn_router(backends: &[&SpawnedProcess], extra: &[&str]) -> SpawnedProcess {

@@ -15,8 +15,7 @@
 //! * eviction must actually have happened (the budget guarantees the
 //!   three entries never fit together).
 
-use snc_maxcut::CircuitFamily;
-use snc_server::{ResponseKey, ServerHandle};
+use snc_server::{wire, ResponseKey, ServerConfig, ServerHandle};
 
 mod common;
 use common::roundtrip;
@@ -36,17 +35,13 @@ fn request_body(graph_seed: u64) -> String {
     )
 }
 
-/// The exact cache key the server builds for [`request_body`], used to
-/// size a budget that provably forces eviction.
+/// The exact cache key the server builds for [`request_body`], derived
+/// through the wire layer, used to size a budget that provably forces
+/// eviction.
 fn response_key(graph_seed: u64) -> ResponseKey {
-    ResponseKey::new(
-        CircuitFamily::LifGw,
-        BUDGET,
-        REPLICAS,
-        SOLVE_SEED,
-        format!("gnp(n={GNP_N},p={GNP_P},seed={graph_seed})"),
-        snc_graph::generators::erdos_renyi::gnp(GNP_N, GNP_P, graph_seed).unwrap(),
-    )
+    let defaults = ServerConfig::default().request_defaults();
+    let workload = wire::parse_request(request_body(graph_seed).as_bytes(), &defaults).unwrap();
+    wire::response_key(&workload)
 }
 
 fn start(response_cache_bytes: usize, sdp_cache_entries: usize) -> ServerHandle {
