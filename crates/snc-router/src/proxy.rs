@@ -730,8 +730,9 @@ fn forward_once(
 }
 
 /// Validates a solve-bearing body, shards it by its response key's
-/// instance fold, and forwards it with bounded failover. Returns `(status, body, backend)`
-/// where `backend` is the index that produced the relayed response.
+/// instance fold, and forwards it with bounded failover. Returns
+/// `(status, body, backend)` where `backend` is the index that produced
+/// the relayed response.
 ///
 /// Failure taxonomy:
 ///
@@ -755,8 +756,8 @@ fn proxy_keyed(
     let request = wire::parse_spec(body, &shared.defaults).map_err(bad_request)?;
     let family = request.family_name();
     // A dataset or gnp request shards on its spec key: no graph is built
-    // here. An edgeless gnp is therefore refused by its backend, with
-    // the same 400 body the edge would have sent.
+    // here, so a gnp that comes out edgeless passes and its backend
+    // refuses it.
     let key = request.key().map_err(bad_request)?.payload_fold();
     let candidates: Vec<usize> = shared
         .ring

@@ -111,7 +111,7 @@ impl ResponseKey {
     /// exactly (a dataset or a seeded gnp): the label is the instance,
     /// so no graph is needed. A named key never equals a graph or
     /// canonical key, even for the same graph.
-    pub fn new_named(
+    pub(crate) fn new_named(
         family: CircuitFamily,
         budget: u64,
         replicas: usize,

@@ -305,10 +305,10 @@ pub fn response_key(workload: &Workload) -> ResponseKey {
 /// ones that need the built graph: a MAXCUT graph must have an edge,
 /// lif-trevisan needs non-negative weights, and the graph builders' own
 /// errors. [`RequestSpec::build`] runs those.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RequestSpec(Spec);
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Spec {
     MaxCut { spec: SolveSpec, graph: GraphSpec },
     Max2Sat(Max2SatJob),
@@ -459,7 +459,7 @@ pub fn parse_solve_request(body: &[u8], defaults: &RequestDefaults) -> Result<So
 
 /// The graph workload: unweighted or weighted MAXCUT.
 fn parse_maxcut_request(doc: &Json, defaults: &RequestDefaults) -> Result<Spec, WireError> {
-    let members = doc.as_object().expect("checked by parse_request");
+    let members = doc.as_object().expect("checked by parse_spec");
     for (key, _) in members {
         if !matches!(
             key.as_str(),
@@ -637,7 +637,7 @@ fn json_as_i64(v: &Json) -> Option<i64> {
 
 /// The `max2sat` workload.
 fn parse_max2sat_request(doc: &Json, defaults: &RequestDefaults) -> Result<Max2SatJob, WireError> {
-    let members = doc.as_object().expect("checked by parse_request");
+    let members = doc.as_object().expect("checked by parse_spec");
     for (key, _) in members {
         if !matches!(key.as_str(), "max2sat" | "budget" | "seed") {
             return Err(err(format!(
@@ -645,7 +645,7 @@ fn parse_max2sat_request(doc: &Json, defaults: &RequestDefaults) -> Result<Max2S
             )));
         }
     }
-    let inst = doc.get("max2sat").expect("checked by parse_request");
+    let inst = doc.get("max2sat").expect("checked by parse_spec");
     let inst_members = inst
         .as_object()
         .ok_or_else(|| err("`max2sat` must be an object with vars, clauses"))?;
@@ -757,7 +757,7 @@ fn parse_maxdicut_request(
     doc: &Json,
     defaults: &RequestDefaults,
 ) -> Result<MaxDicutJob, WireError> {
-    let members = doc.as_object().expect("checked by parse_request");
+    let members = doc.as_object().expect("checked by parse_spec");
     for (key, _) in members {
         if !matches!(key.as_str(), "maxdicut" | "budget" | "seed") {
             return Err(err(format!(
@@ -765,7 +765,7 @@ fn parse_maxdicut_request(
             )));
         }
     }
-    let inst = doc.get("maxdicut").expect("checked by parse_request");
+    let inst = doc.get("maxdicut").expect("checked by parse_spec");
     let inst_members = inst
         .as_object()
         .ok_or_else(|| err("`maxdicut` must be an object with n, arcs"))?;
@@ -837,7 +837,7 @@ fn parse_maxdicut_request(
 /// seeded G(n, p). Its [`label`](NamedGraph::label) names the graph, so
 /// a request carrying one keys on the label and never needs the built
 /// graph to find its cached response or its backend.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub enum NamedGraph {
     /// One of the Figure-4 datasets (deterministic stand-ins included).
     Dataset(EmpiricalDataset),
@@ -875,7 +875,7 @@ impl NamedGraph {
 }
 
 /// A validated `"graph"` value, not built yet.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum GraphSpec {
     Named(NamedGraph),
     Edges {
