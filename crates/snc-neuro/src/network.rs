@@ -301,8 +301,8 @@ impl BatchedTwoStageNetwork {
         let n = self.n();
         match self.signal {
             PlasticitySignal::CenteredPotential => {
-                // Layout-neutral bulk readout; each element is the exact
-                // `LifPopulation::centered_into` expression.
+                // Layout-neutral bulk readout; each element is one
+                // subtraction, `V − mean`.
                 self.stage1.centered_into(&mut self.centered);
             }
             PlasticitySignal::SpikeSign => {

@@ -207,8 +207,7 @@ impl<W: BatchWeights> ReplicaBatch<W> {
     /// Writes every replica's mean-centered membrane potentials into
     /// `out`, **replica-major** (`out[r * neurons() + i] = V_{i,r} −
     /// means[i]`) regardless of the internal layout — the layout-neutral
-    /// bulk readout (each element is the exact
-    /// `LifPopulation::centered_into` expression).
+    /// bulk readout (each element is one subtraction, `V − mean`).
     ///
     /// # Panics
     ///
@@ -237,11 +236,9 @@ impl<W: BatchWeights> ReplicaBatch<W> {
     ///
     /// With [`Reset::None`] spikes are a pure readout (`V > threshold`)
     /// of the membranes, so they are computed on demand here instead of
-    /// on every step, with the same readout at every step as
-    /// `LifPopulation::step`. With [`Reset::ToValue`] the pre-reset
-    /// membrane is gone after the step, so the flags recorded during the
-    /// step are returned — again exactly the `LifPopulation::step`
-    /// readout.
+    /// on every step, equal to what a per-step readout would record.
+    /// With [`Reset::ToValue`] the pre-reset membrane is gone after the
+    /// step, so the flags recorded during the step are returned.
     ///
     /// # Panics
     ///
@@ -388,7 +385,7 @@ impl<W: BatchWeights> ReplicaBatch<W> {
                     {
                         let mut vv = decay * *v + gain * i_in;
                         // Record the pre-reset threshold crossing: this is
-                        // the spike flag `LifPopulation::step` reports.
+                        // the step's spike flag.
                         *spk = vv > thr;
                         if *spk {
                             vv = rv;

@@ -2,25 +2,23 @@
 
 use crate::lif::{LifParams, Reset};
 
-/// A population of LIF neurons with shared membrane parameters,
-/// per-neuron thresholds, and a spike readout.
+/// A population of LIF neurons with shared membrane parameters and a
+/// spike readout at threshold 0.
 #[derive(Clone, Debug)]
 pub struct LifPopulation {
     params: LifParams,
     v: Vec<f64>,
-    thresholds: Vec<f64>,
     reset: Reset,
     spiked: Vec<bool>,
     steps: u64,
 }
 
 impl LifPopulation {
-    /// Creates `n` neurons at rest (V = 0) with thresholds at 0.
+    /// Creates `n` neurons at rest (V = 0).
     pub fn new(n: usize, params: LifParams, reset: Reset) -> Self {
         Self {
             params,
             v: vec![0.0; n],
-            thresholds: vec![0.0; n],
             reset,
             spiked: vec![false; n],
             steps: 0,
@@ -47,27 +45,13 @@ impl LifPopulation {
         &self.params
     }
 
-    /// Sets per-neuron spike thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the population size.
-    pub fn set_thresholds(&mut self, thresholds: &[f64]) {
-        assert_eq!(thresholds.len(), self.v.len());
-        self.thresholds.copy_from_slice(thresholds);
-    }
-
-    /// Current thresholds.
-    pub fn thresholds(&self) -> &[f64] {
-        &self.thresholds
-    }
-
     /// Sets all membrane potentials (e.g. to start at the stationary mean).
     ///
     /// # Panics
     ///
     /// Panics if the length differs from the population size.
-    pub fn set_potentials(&mut self, v: &[f64]) {
+    #[cfg(test)]
+    pub(crate) fn set_potentials(&mut self, v: &[f64]) {
         assert_eq!(v.len(), self.v.len());
         self.v.copy_from_slice(v);
     }
@@ -77,13 +61,9 @@ impl LifPopulation {
         &self.v
     }
 
-    /// Spike flags from the most recent step.
-    pub fn spiked(&self) -> &[bool] {
-        &self.spiked
-    }
-
     /// Advances every membrane one step with the given input currents and
-    /// applies the threshold/reset readout. Returns the spike flags.
+    /// applies the threshold/reset readout (a spike is V > 0). Returns
+    /// the spike flags.
     ///
     /// # Panics
     ///
@@ -92,14 +72,9 @@ impl LifPopulation {
         assert_eq!(currents.len(), self.v.len(), "current vector length");
         let decay = self.params.decay();
         let gain = self.params.input_gain();
-        for ((v, &i_in), (spk, &thr)) in self
-            .v
-            .iter_mut()
-            .zip(currents)
-            .zip(self.spiked.iter_mut().zip(self.thresholds.iter()))
-        {
+        for ((v, &i_in), spk) in self.v.iter_mut().zip(currents).zip(&mut self.spiked) {
             *v = decay * *v + gain * i_in;
-            *spk = *v > thr;
+            *spk = *v > 0.0;
             if *spk {
                 if let Reset::ToValue(rv) = self.reset {
                     *v = rv;
@@ -108,21 +83,6 @@ impl LifPopulation {
         }
         self.steps += 1;
         &self.spiked
-    }
-
-    /// Writes mean-centered potentials into `out`: `out[i] = V_i − means[i]`.
-    ///
-    /// This is the zero-mean plasticity signal of the LIF-TR circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatches.
-    pub fn centered_into(&self, means: &[f64], out: &mut [f64]) {
-        assert_eq!(means.len(), self.v.len());
-        assert_eq!(out.len(), self.v.len());
-        for ((o, &v), &m) in out.iter_mut().zip(&self.v).zip(means) {
-            *o = v - m;
-        }
     }
 }
 
@@ -133,44 +93,33 @@ mod tests {
     #[test]
     fn constant_drive_reaches_mean_and_spikes() {
         let mut pop = LifPopulation::new(2, LifParams::default(), Reset::None);
-        pop.set_thresholds(&[0.5, 2.0]);
         let mut spikes0 = 0;
         let mut spikes1 = 0;
         for _ in 0..500 {
-            let s = pop.step(&[1.0, 1.0]); // stationary V = R·I = 1.0
+            // Stationary V = R·I: +1.0 above the threshold, −1.0 below.
+            let s = pop.step(&[1.0, -1.0]);
             spikes0 += s[0] as u32;
             spikes1 += s[1] as u32;
         }
-        assert!(spikes0 > 400, "neuron below-mean threshold should spike");
-        assert_eq!(spikes1, 0, "neuron above-mean threshold must stay silent");
+        assert!(spikes0 > 400, "neuron driven above threshold should spike");
+        assert_eq!(spikes1, 0, "neuron driven below threshold must stay silent");
         assert!((pop.potentials()[0] - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn reset_to_value() {
-        let mut pop = LifPopulation::new(1, LifParams::default(), Reset::ToValue(0.0));
-        pop.set_thresholds(&[0.9]);
+        let mut pop = LifPopulation::new(1, LifParams::default(), Reset::ToValue(-0.5));
         for _ in 0..200 {
+            // With reset, V never stays above threshold after a step.
             pop.step(&[1.0]);
+            assert!(pop.potentials()[0] <= 0.0);
         }
-        // With reset, V never stays above threshold after a spike step.
-        let v = pop.potentials()[0];
-        assert!(v <= 0.9 + 1e-12 || pop.spiked()[0]);
         // And spiking recurs (the membrane re-charges).
         let mut any_spike = false;
         for _ in 0..100 {
             any_spike |= pop.step(&[1.0])[0];
         }
         assert!(any_spike);
-    }
-
-    #[test]
-    fn centered_subtracts_means() {
-        let mut pop = LifPopulation::new(3, LifParams::default(), Reset::None);
-        pop.set_potentials(&[1.0, 2.0, 3.0]);
-        let mut out = vec![0.0; 3];
-        pop.centered_into(&[0.5, 2.0, 4.0], &mut out);
-        assert_eq!(out, vec![0.5, 0.0, -1.0]);
     }
 
     #[test]
