@@ -1,6 +1,6 @@
 //! Experiment configurations with paper-exact and quick presets.
 
-use snc_neuro::{Integrator, LifParams};
+use snc_neuro::LifParams;
 
 /// Scale presets for the experiment binaries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,12 +74,8 @@ pub struct SuiteConfig {
     pub replicas: usize,
     /// SDP rank (4 in the paper, §IV.A).
     pub sdp_rank: usize,
-    /// LIF parameters used by both circuits in the experiments.
-    ///
-    /// `Δt = τ/2` keeps the decorrelation interval at 10 steps, trading a
-    /// little sample independence for a 5× faster circuit (the paper's
-    /// hardware argument makes per-sample cost irrelevant there; in
-    /// simulation we pay it).
+    /// LIF parameters used by both circuits in the experiments
+    /// ([`snc_maxcut::SERVED_LIF`] at every scale).
     pub lif: LifParams,
 }
 
@@ -91,13 +87,8 @@ impl SuiteConfig {
             seed: 0x5AC5,
             threads: snc_neuro::parallel::default_threads(),
             replicas: 1,
-            sdp_rank: 4,
-            lif: LifParams {
-                r: 1.0,
-                c: 1.0,
-                dt: 0.5,
-                integrator: Integrator::ExponentialEuler,
-            },
+            sdp_rank: snc_maxcut::SDP_RANK,
+            lif: snc_maxcut::SERVED_LIF,
         }
     }
 }
@@ -193,8 +184,9 @@ impl CliArgs {
 ///
 /// Zero workers or zero replicas has no meaningful semantics — silently
 /// clamping to 1 (the old behavior) made `--replicas 0` look like a
-/// request that was honored. Every binary taking these flags (fig3,
-/// fig4, table1, robustness, snc-server) now rejects 0 with this error.
+/// request that was honored. The experiment binaries (fig3, fig4,
+/// table1, robustness) reject 0 with this error; the serving binaries
+/// have their own parser in `snc_server::cli`.
 ///
 /// # Errors
 ///

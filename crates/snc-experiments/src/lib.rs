@@ -13,12 +13,11 @@
 //!
 //! Shared machinery: [`suite`] (runs all four solvers on one graph,
 //! scheduling the neuromorphic circuits as batched `ReplicaBatch` units —
-//! threads × batch width), [`runner`] (the `WorkerPool` submit/await
-//! scheduling core, also the substrate the `snc-server` serving layer
-//! runs on, plus the index-ordered `JobRunner` façade), [`report`]
-//! (CSV/Markdown/JSON emission), [`json`] (the dependency-free JSON
-//! writer/parser shared with the server wire format), [`config`]
-//! (paper-exact and quick presets).
+//! threads × batch width), [`runner`] (the index-ordered `JobRunner`
+//! on `std::thread::scope`), [`report`] (CSV/Markdown/JSON emission),
+//! [`config`] (paper-exact and quick presets). [`json`] re-exports the
+//! leaf `snc-json` crate, which the reports share with the server's wire
+//! format.
 //!
 //! Binaries: `fig3`, `fig4`, `table1`, `robustness` — each accepts
 //! `--quick`, `--paper`, `--samples N`, `--threads N`, `--seed N`,
@@ -32,7 +31,6 @@
 pub mod config;
 pub mod fig3;
 pub mod fig4;
-pub mod json;
 pub mod report;
 pub mod robustness;
 pub mod runner;
@@ -41,4 +39,6 @@ pub mod table1;
 
 pub use config::{ExperimentScale, SuiteConfig};
 pub use runner::JobRunner;
+/// The `snc-json` crate, kept at its old path for existing importers.
+pub use snc_json as json;
 pub use suite::{run_suite, SuiteTraces};

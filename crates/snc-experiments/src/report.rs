@@ -2,11 +2,11 @@
 //!
 //! Deliberately dependency-free (no serde): experiment outputs are simple
 //! rectangular tables and per-panel curve files. JSON rendering goes
-//! through the shared [`crate::json`] module — the same escaper the
+//! through the shared [`snc_json`] crate — the same escaper the
 //! `snc-server` wire format uses, so report artifacts and service
 //! responses cannot drift apart on string escaping.
 
-use crate::json::Json;
+use snc_json::Json;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
@@ -178,7 +178,7 @@ mod tests {
              {\"name\":\"with\\\"quote\\\\and\\nnewline\",\"value\":\"héllo\"}]"
         );
         // The output must parse back with the shared parser.
-        let parsed = crate::json::parse(&json).unwrap();
+        let parsed = snc_json::parse(&json).unwrap();
         assert_eq!(parsed.as_array().unwrap().len(), 2);
         assert_eq!(
             parsed.as_array().unwrap()[1].get("name").unwrap().as_str(),

@@ -2,7 +2,7 @@
 //! strict parser.
 //!
 //! One escaper serves every JSON producer in the workspace: the
-//! experiment reports ([`crate::report::Table::to_json`]) and the
+//! experiment reports (`snc_experiments::report::Table::to_json`) and the
 //! `snc-server` wire format both render through [`Json::render`], so the
 //! two formats cannot drift apart on string escaping. The parser exists
 //! for the server's request bodies; it is strict (no trailing garbage,

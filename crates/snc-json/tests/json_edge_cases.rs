@@ -1,4 +1,4 @@
-//! Edge-case pinning for `snc_experiments::json` — the parser behind
+//! Edge-case pinning for `snc_json` — the parser behind
 //! both the experiment reports and the `snc-server` wire format.
 //!
 //! With PR 5 the server can *replay* wire bodies from the response
@@ -10,7 +10,7 @@
 //! change to it is a deliberate, visible decision rather than silent
 //! cache-key drift.
 
-use snc_experiments::json::{parse, Json};
+use snc_json::{parse, Json};
 
 #[test]
 fn duplicate_keys_are_preserved_in_order_and_get_returns_the_first() {

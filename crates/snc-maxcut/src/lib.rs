@@ -71,5 +71,6 @@ pub use random::RandomCutSampler;
 pub use sampling::{log2_checkpoints, merge_traces, sample_best_trace, BestTrace, CutSampler};
 pub use solve::{
     solve, solve_with_cache, CircuitFamily, SolveError, SolveOutcome, SolveSpec, StageTimings,
+    SDP_RANK, SERVED_LIF,
 };
 pub use trevisan::{solve_trevisan, SpectralRounding, TrevisanConfig, TrevisanSolution};

@@ -33,9 +33,27 @@ use snc_devices::SplitMix64;
 use snc_graph::bitslice::LANES;
 use snc_graph::{CutAssignment, Graph};
 use snc_linalg::{LinalgError, SdpConfig};
-use snc_neuro::{LifParams, TwoStageConfig};
+use snc_neuro::{Integrator, LifParams, TwoStageConfig};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// SDP rank of the offline factor computation (4 in the paper, §IV.A).
+pub const SDP_RANK: usize = 4;
+
+/// The membrane parameters `snc-server` solves with and the experiment
+/// harness's presets run, so that a request carrying a figure's
+/// per-graph seed reproduces that figure's trace bit for bit.
+///
+/// `Δt = τ/2` keeps the decorrelation interval at 10 steps, trading a
+/// little sample independence for a 5× faster circuit than
+/// [`LifParams::default`] (the paper's hardware argument makes
+/// per-sample cost irrelevant there; in simulation we pay it).
+pub const SERVED_LIF: LifParams = LifParams {
+    r: 1.0,
+    c: 1.0,
+    dt: 0.5,
+    integrator: Integrator::ExponentialEuler,
+};
 
 /// The circuit families a request can name: the paper's two circuits
 /// (§IV) plus the annealed-noise and Hopfield companions.
@@ -116,7 +134,7 @@ pub struct SolveSpec {
 }
 
 impl SolveSpec {
-    /// A spec with the workspace defaults: one replica, SDP rank 4,
+    /// A spec with the workspace defaults: one replica, [`SDP_RANK`],
     /// default LIF parameters, the default geometric cooling schedule,
     /// and 8 Euler steps per Hopfield sample.
     pub fn new(family: CircuitFamily, budget: u64, seed: u64) -> Self {
@@ -125,7 +143,7 @@ impl SolveSpec {
             budget,
             replicas: 1,
             seed,
-            sdp_rank: 4,
+            sdp_rank: SDP_RANK,
             lif: LifParams::default(),
             schedule: CoolingSchedule::default(),
             hopfield_steps: 8,

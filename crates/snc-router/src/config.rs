@@ -1,5 +1,6 @@
 //! Router configuration and flag parsing.
 
+use snc_server::cli::{non_negative, positive};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
 
@@ -129,26 +130,6 @@ pub fn parse_backend(raw: &str) -> Result<BackendSpec, String> {
 /// unresolvable backends, zero-able knobs set to zero, or an empty
 /// backend list.
 pub fn parse_args(args: &[String]) -> Result<RouterConfig, String> {
-    fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
-        value: Option<&String>,
-        flag: &str,
-    ) -> Result<T, String> {
-        let parsed: T = value
-            .ok_or(format!("{flag} needs a value"))?
-            .parse()
-            .map_err(|_| format!("{flag} must be a positive integer"))?;
-        if parsed < T::from(1u8) {
-            return Err(format!("{flag} must be ≥ 1"));
-        }
-        Ok(parsed)
-    }
-    fn non_negative(value: Option<&String>, flag: &str) -> Result<usize, String> {
-        value
-            .ok_or(format!("{flag} needs a value"))?
-            .parse()
-            .map_err(|_| format!("{flag} must be a non-negative integer"))
-    }
-
     let mut cfg = RouterConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -183,8 +164,7 @@ pub fn parse_args(args: &[String]) -> Result<RouterConfig, String> {
                 cfg.access_log = Some(it.next().ok_or("--access-log needs a PATH value")?.clone());
             }
             "--access-log-max-bytes" => {
-                cfg.access_log_max_bytes =
-                    non_negative(it.next(), "--access-log-max-bytes")? as u64;
+                cfg.access_log_max_bytes = non_negative(it.next(), "--access-log-max-bytes")?;
             }
             "--pool-idle-per-backend" => {
                 cfg.pool_idle_per_backend = non_negative(it.next(), "--pool-idle-per-backend")?;

@@ -55,7 +55,7 @@ use crate::health::{probe_loop, HealthTable};
 use crate::metrics::RouterMetrics;
 use crate::pool::{BackendConn, ConnectionPool};
 use crate::ring::HashRing;
-use snc_experiments::json::{self, Json};
+use snc_json::Json;
 use snc_metrics::{AccessLog, RequestIds};
 use snc_server::http::{self, HttpError, Request};
 use snc_server::sys::{self, Interest, Poller};
@@ -835,10 +835,10 @@ fn submit_job(
         return Ok((status, reply, meta));
     }
     let doc =
-        json::parse(&reply).map_err(|_| HttpError::new(500, "backend job ack was not JSON"))?;
+        snc_json::parse(&reply).map_err(|_| HttpError::new(500, "backend job ack was not JSON"))?;
     let inner = doc
         .get("id")
-        .and_then(json::Json::as_u64)
+        .and_then(Json::as_u64)
         .ok_or_else(|| HttpError::new(500, "backend job ack carried no id"))?;
     let routed_id = encode_job_id(inner, backend, shared.cfg.backends.len())
         .ok_or_else(|| HttpError::new(500, "job id overflow"))?;
@@ -883,7 +883,7 @@ fn poll_job(
     let path = format!("/jobs/{inner}");
     match forward_once(&shared.pool, backend, addr, "GET", &path, b"", request_id) {
         Ok((200, reply)) => {
-            let doc = json::parse(&reply)
+            let doc = snc_json::parse(&reply)
                 .map_err(|_| HttpError::new(500, "backend job record was not JSON"))?;
             let Json::Obj(members) = doc else {
                 return Err(HttpError::new(500, "backend job record was not an object"));

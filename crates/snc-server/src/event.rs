@@ -44,7 +44,7 @@
 //! byte-identical to the same requests issued sequentially.
 //!
 //! [`RequestParser`]: crate::http::RequestParser
-//! [`WorkerPool`]: snc_experiments::runner::WorkerPool
+//! [`WorkerPool`]: crate::pool::WorkerPool
 
 use crate::http::{self, RequestParser};
 use crate::server::{self, ResponseMeta, Routed, Shared};

@@ -8,7 +8,7 @@
 //! accumulate results without bound. A worker finishing an evicted job
 //! is a harmless no-op.
 
-use snc_experiments::json::Json;
+use snc_json::Json;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -6,7 +6,7 @@
 //! portable `poll` elsewhere — see [`sys`] and [`event`]) that accepts
 //! solve requests — graph, circuit family (LIF-GW / LIF-Trevisan),
 //! sample budget, replica width, seed — schedules cache misses onto a
-//! bounded [`snc_experiments::runner::WorkerPool`] whose workers step
+//! bounded [`pool::WorkerPool`] whose workers step
 //! the batched `ReplicaBatch` circuits through [`snc_maxcut::solve()`]
 //! (cache hits and `/healthz` answer inline on the reactor, zero thread
 //! handoff), and answers with deterministic JSON: best cut, partition,
@@ -48,7 +48,9 @@
 //!
 //! The request/response schema lives in [`wire`]; the HTTP subset in
 //! [`http`]; the async job records in [`jobs`]; the deterministic
-//! full-response cache in [`cache`]; acceptor/routing in [`server`].
+//! full-response cache in [`cache`]; the solver threads in [`pool`];
+//! acceptor/routing in [`server`]; the flag parsers both binaries share
+//! in [`cli`].
 //!
 //! ## Caching
 //!
@@ -74,10 +76,12 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod cli;
 pub mod event;
 pub mod http;
 pub mod jobs;
 pub mod metrics;
+pub mod pool;
 pub mod process;
 pub mod server;
 pub mod sys;

@@ -24,18 +24,8 @@
 //! reopen) whenever it would grow past N bytes; 0 (the default)
 //! disables rotation.
 
-use snc_experiments::config::parse_positive;
+use snc_server::cli::{non_negative, positive};
 use snc_server::{serve, ServerConfig};
-
-/// Parses a non-negative flag value (0 is legal — it means "disabled"
-/// for the cache flags, unlike the ≥ 1 knobs handled by
-/// [`parse_positive`]).
-fn parse_size(value: Option<&String>, flag: &str) -> Result<usize, String> {
-    value
-        .ok_or(format!("{flag} needs a value"))?
-        .parse()
-        .map_err(|_| format!("{flag} must be a non-negative integer"))
-}
 
 fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
     let mut cfg = ServerConfig::default();
@@ -45,29 +35,29 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
             "--addr" => {
                 cfg.addr = it.next().ok_or("--addr needs a HOST:PORT value")?.clone();
             }
-            "--threads" => cfg.threads = parse_positive(it.next(), "--threads")?,
-            "--replicas" => cfg.replicas = parse_positive(it.next(), "--replicas")?,
-            "--queue-depth" => cfg.queue_depth = parse_positive(it.next(), "--queue-depth")?,
+            "--threads" => cfg.threads = positive(it.next(), "--threads")?,
+            "--replicas" => cfg.replicas = positive(it.next(), "--replicas")?,
+            "--queue-depth" => cfg.queue_depth = positive(it.next(), "--queue-depth")?,
             "--store-capacity" => {
-                cfg.store_capacity = parse_positive(it.next(), "--store-capacity")?;
+                cfg.store_capacity = positive(it.next(), "--store-capacity")?;
             }
             "--sdp-cache-entries" => {
-                cfg.sdp_cache_entries = parse_size(it.next(), "--sdp-cache-entries")?;
+                cfg.sdp_cache_entries = non_negative(it.next(), "--sdp-cache-entries")?;
             }
             "--response-cache-bytes" => {
-                cfg.response_cache_bytes = parse_size(it.next(), "--response-cache-bytes")?;
+                cfg.response_cache_bytes = non_negative(it.next(), "--response-cache-bytes")?;
             }
             "--max-connections" => {
-                cfg.max_connections = parse_positive(it.next(), "--max-connections")?;
+                cfg.max_connections = positive(it.next(), "--max-connections")?;
             }
             "--idle-timeout-ms" => {
-                cfg.idle_timeout_ms = parse_positive(it.next(), "--idle-timeout-ms")? as u64;
+                cfg.idle_timeout_ms = positive(it.next(), "--idle-timeout-ms")?;
             }
             "--access-log" => {
                 cfg.access_log = Some(it.next().ok_or("--access-log needs a PATH value")?.clone());
             }
             "--access-log-max-bytes" => {
-                cfg.access_log_max_bytes = parse_size(it.next(), "--access-log-max-bytes")? as u64;
+                cfg.access_log_max_bytes = non_negative(it.next(), "--access-log-max-bytes")?;
             }
             other => {
                 return Err(format!(

@@ -15,7 +15,7 @@
 //!      │                on the loop — zero thread handoff ───────────┐
 //!      │                        │ solve miss                         │
 //!      │                        ▼                                    │
-//!      │                bounded WorkerPool queue  ──503 when full    │
+//!      │                pool::WorkerPool queue    ──503 when full    │
 //!      │                        │                                    │
 //!      │                        ▼                                    │
 //!      │                worker, by workload:                         │
@@ -56,11 +56,11 @@ use crate::event::{self, Completion, Mailbox, ReplyTo};
 use crate::http::{HttpError, Request};
 use crate::jobs::{JobStatus, JobStore};
 use crate::metrics::ServerMetrics;
+use crate::pool::WorkerPool;
 use crate::sys;
 use crate::wire::{self, RequestDefaults, Workload};
 use snc_devices::SplitMix64;
-use snc_experiments::json::Json;
-use snc_experiments::runner::WorkerPool;
+use snc_json::Json;
 use snc_linalg::SdpConfig;
 use snc_maxcut::{SdpCache, StageTimings};
 use snc_metrics::{AccessLog, RequestIds};
@@ -158,14 +158,10 @@ impl ServerConfig {
     pub fn request_defaults(&self) -> RequestDefaults {
         RequestDefaults {
             replicas: self.replicas,
-            // Match the experiment harness exactly (rank 4, fast-Δt LIF
-            // params), so a request carrying a figure's per-graph seed
-            // reproduces that figure's circuit trace bit for bit.
-            sdp_rank: 4,
-            lif: snc_experiments::SuiteConfig::for_scale(
-                snc_experiments::ExperimentScale::Standard,
-            )
-            .lif,
+            // The experiment harness's parameters, so a request carrying
+            // a figure's per-graph seed reproduces its trace bit for bit.
+            sdp_rank: snc_maxcut::SDP_RANK,
+            lif: snc_maxcut::SERVED_LIF,
             max_budget: self.max_budget,
             max_vertices: self.max_vertices,
             max_replicas: self.max_replicas,
@@ -188,7 +184,7 @@ impl ServerConfig {
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) defaults: RequestDefaults,
-    pub(crate) pool: WorkerPool<'static>,
+    pub(crate) pool: WorkerPool,
     pub(crate) store: Arc<JobStore>,
     /// Per-graph SDP factor/bound memo, consulted inside worker solves
     /// (`None` when `sdp_cache_entries == 0`). Its own `Arc` for the
@@ -815,7 +811,7 @@ fn submit_job(body: &[u8], shared: &Arc<Shared>) -> Result<Routed, HttpError> {
         // round-trip, and the poller sees `done` immediately.
         Lookup::Hit(cached) => {
             let id = shared.store.insert();
-            let result = snc_experiments::json::parse(&cached)
+            let result = snc_json::parse(&cached)
                 .map_err(|e| format!("internal error: cached body unparsable: {e}"));
             shared.store.finish(id, result);
             let status = shared.store.get(id).map_or("done", |s| s.name());

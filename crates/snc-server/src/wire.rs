@@ -50,7 +50,7 @@
 //! {"maxdicut": {"n": 4, "arcs": [[0, 1], [1, 2], [2, 3]]}, "budget": 32, "seed": 7}
 //! ```
 //!
-//! Everything renders through [`snc_experiments::json`] — the same
+//! Everything renders through [`snc_json`] — the same
 //! escaper the experiment reports use — and response rendering is a
 //! pure function of the solve outcome, so identical requests produce
 //! byte-identical bodies no matter which worker or connection served
@@ -58,10 +58,10 @@
 //! `x-snc-elapsed-us` response header).
 
 use crate::cache::ResponseKey;
-use snc_experiments::json::{self, Json};
 use snc_graph::generators::erdos_renyi::{check_gnp_p, gnp};
 use snc_graph::io::edgelist;
 use snc_graph::{EmpiricalDataset, Graph, WeightedGraph};
+use snc_json::Json;
 use snc_maxcut::extensions::max2sat::{Clause, Literal, Max2Sat, Max2SatSolution};
 use snc_maxcut::extensions::maxdicut::{DiGraph, MaxDicutSolution};
 use snc_maxcut::{
@@ -415,7 +415,7 @@ pub fn parse_request(body: &[u8], defaults: &RequestDefaults) -> Result<Workload
 /// missing/invalid fields, or limit violations.
 pub fn parse_spec(body: &[u8], defaults: &RequestDefaults) -> Result<RequestSpec, WireError> {
     let text = std::str::from_utf8(body).map_err(|_| err("body is not UTF-8"))?;
-    let doc = json::parse(text).map_err(|e| err(e.to_string()))?;
+    let doc = snc_json::parse(text).map_err(|e| err(e.to_string()))?;
     if doc.as_object().is_none() {
         return Err(err("request body must be a JSON object"));
     }
@@ -953,6 +953,14 @@ fn parse_graph(value: &Json, defaults: &RequestDefaults) -> Result<GraphSpec, Wi
                     let n = declared_n
                         .unwrap_or_else(|| max_id.saturating_add(1).min(usize::MAX as u64) as usize);
                     check_vertices(n, defaults)?;
+                    // A declared `n` bounds nothing above: refuse an id
+                    // the cast would wrap, as `edges` does. Ids ≥ n the
+                    // build refuses.
+                    if max_id > u64::from(u32::MAX) {
+                        return Err(err(format!(
+                            "invalid weighted edges: vertex id {max_id} exceeds the supported range (u32)"
+                        )));
+                    }
                     let edges = triples
                         .into_iter()
                         .map(|(u, v, w)| (u as u32, v as u32, w))
@@ -1438,6 +1446,12 @@ mod tests {
                 br#"{"graph": {"edgelist": "0 4294967294\n"}, "budget": 8}"#,
                 "exceeding the server limit",
             ),
+            // A declared `n` must not let an id wrap through the u32
+            // cast onto a small vertex.
+            (
+                br#"{"graph": {"weighted_edges": [[0, 4294967297, 1.0], [1, 2, 1.0]], "n": 5}, "budget": 8}"#,
+                "vertex id 4294967297 exceeds the supported range (u32)",
+            ),
             (
                 br#"{"graph": "road-chesapeake", "budget": 1048576, "replicas": 1048576}"#,
                 "`replicas` 1048576 exceeds",
@@ -1636,7 +1650,7 @@ mod tests {
         let a = solve_response(&job, &outcome).render();
         let b = solve_response(&job, &snc_maxcut::solve(&job.graph, &job.spec).unwrap()).render();
         assert_eq!(a, b, "identical request ⇒ identical body");
-        let parsed = snc_experiments::json::parse(&a).unwrap();
+        let parsed = snc_json::parse(&a).unwrap();
         assert_eq!(
             parsed.get("best_cut").unwrap().as_u64(),
             Some(outcome.best_value)
@@ -1665,7 +1679,7 @@ mod tests {
         let a = solve_response(&job, &outcome).render();
         let b = solve_response(&job, &snc_maxcut::solve(&job.graph, &job.spec).unwrap()).render();
         assert_eq!(a, b, "identical request ⇒ identical body");
-        let parsed = snc_experiments::json::parse(&a).unwrap();
+        let parsed = snc_json::parse(&a).unwrap();
         assert_eq!(parsed.get("weighted").and_then(Json::as_bool), Some(true));
         assert_eq!(
             parsed.get("best_cut").unwrap().as_f64(),
@@ -1715,7 +1729,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a, max2sat_response(&job, &sol2).render());
-        let parsed = snc_experiments::json::parse(&a).unwrap();
+        let parsed = snc_json::parse(&a).unwrap();
         assert_eq!(
             parsed.get("workload").and_then(Json::as_str),
             Some("max2sat")
@@ -1738,7 +1752,7 @@ mod tests {
         )
         .unwrap();
         let rendered = maxdicut_response(&job, &sol).render();
-        let parsed = snc_experiments::json::parse(&rendered).unwrap();
+        let parsed = snc_json::parse(&rendered).unwrap();
         assert_eq!(parsed.get("value").unwrap().as_u64(), Some(sol.value));
         assert_eq!(parsed.get("in_s").unwrap().as_array().unwrap().len(), 4);
     }

@@ -186,6 +186,7 @@ fn invalid_bodies_get_the_same_error_on_both_paths() {
         (r#"{"graph": {"edges": []}, "budget": 8}"#.into(), "no edges"),
         (r#"{"graph": {"edgelist": "0 4294967294\n"}, "budget": 8}"#.into(), "exceeding the server limit"),
         (r#"{"graph": {"weighted_edges": [[0, 1, 1e13]]}, "budget": 8}"#.into(), "exceeds the magnitude limit"),
+        (r#"{"graph": {"weighted_edges": [[0, 4294967297, 1.0], [1, 2, 1.0]], "n": 5}, "budget": 8}"#.into(), "vertex id 4294967297 exceeds the supported range (u32)"),
         (r#"{"graph": {"weighted_edges": [[0, 1, -1.0]]}, "budget": 8, "circuit": "lif-trevisan"}"#.into(), "lif-trevisan requires non-negative edge weights"),
         (r#"{"max2sat": {"vars": 2, "clauses": [[3]]}, "budget": 8}"#.into(), "out of range"),
         (r#"{"maxdicut": {"n": 3, "arcs": [[1, 1]]}, "budget": 8}"#.into(), "no arcs after dropping self-loops"),

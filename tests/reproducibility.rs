@@ -22,6 +22,25 @@ fn suite_identical_across_runs() {
     assert_ne!(a.random, c.random);
 }
 
+/// A request carrying a figure's per-graph seed reproduces that
+/// figure's trace only if the server solves with the harness's circuit
+/// parameters: both read one constant in `snc-maxcut`.
+#[test]
+fn served_parameters_equal_every_harness_preset() {
+    let served = snc::snc_server::ServerConfig::default().request_defaults();
+    for scale in [
+        ExperimentScale::Quick,
+        ExperimentScale::Standard,
+        ExperimentScale::Paper,
+    ] {
+        let preset = SuiteConfig::for_scale(scale);
+        assert_eq!(served.lif, preset.lif, "{scale:?}");
+        assert_eq!(served.sdp_rank, preset.sdp_rank, "{scale:?}");
+    }
+    assert_eq!(served.lif, snc::snc_maxcut::SERVED_LIF);
+    assert_eq!(served.sdp_rank, snc::snc_maxcut::SDP_RANK);
+}
+
 #[test]
 fn job_runner_invariant_to_threads() {
     let compute = |i: usize| {
