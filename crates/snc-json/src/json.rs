@@ -366,9 +366,10 @@ impl<'a> Parser<'a> {
             if self.pos > start {
                 // The input is valid UTF-8 (it is a &str) and we only
                 // stopped on ASCII boundaries, so this slice is valid.
-                out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).map_err(
-                    |_| self.err("invalid UTF-8 inside string"),
-                )?);
+                out.push_str(
+                    std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8 inside string"))?,
+                );
             }
             match self.peek() {
                 Some(b'"') => {
@@ -419,9 +420,7 @@ impl<'a> Parser<'a> {
                 } else {
                     hi
                 };
-                out.push(
-                    char::from_u32(code).ok_or_else(|| self.err("invalid code point"))?,
-                );
+                out.push(char::from_u32(code).ok_or_else(|| self.err("invalid code point"))?);
             }
             _ => return Err(self.err("unknown escape")),
         }
@@ -431,7 +430,9 @@ impl<'a> Parser<'a> {
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let b = self.peek().ok_or_else(|| self.err("truncated \\u escape"))?;
+            let b = self
+                .peek()
+                .ok_or_else(|| self.err("truncated \\u escape"))?;
             let digit = match b {
                 b'0'..=b'9' => u32::from(b - b'0'),
                 b'a'..=b'f' => u32::from(b - b'a') + 10,
@@ -566,8 +567,18 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in [
-            "", "{", "[1,", "{\"a\":}", "{\"a\" 1}", "tru", "1 2", "{'a':1}",
-            "\"unterminated", "\"\u{0001}\"", "[1]]", "nulla",
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "{'a':1}",
+            "\"unterminated",
+            "\"\u{0001}\"",
+            "[1]]",
+            "nulla",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }

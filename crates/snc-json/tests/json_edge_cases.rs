@@ -121,19 +121,16 @@ fn exponent_forms_normalize_through_shortest_roundtrip_rendering() {
 #[test]
 fn integer_overflow_falls_back_to_f64_and_infinite_exponents_are_errors() {
     // u64::MAX parses exactly…
-    assert_eq!(
-        parse("18446744073709551615").unwrap(),
-        Json::UInt(u64::MAX)
-    );
+    assert_eq!(parse("18446744073709551615").unwrap(), Json::UInt(u64::MAX));
     // …one more digit overflows into (lossy) f64 — locked, not lossless.
     let big = parse("184467440737095516150").unwrap();
     assert_eq!(big, Json::Num(u64::MAX as f64 * 10.0));
     // i64::MIN parses exactly; one less overflows to f64.
-    assert_eq!(
-        parse("-9223372036854775808").unwrap(),
-        Json::Int(i64::MIN)
-    );
-    assert!(matches!(parse("-9223372036854775809").unwrap(), Json::Num(_)));
+    assert_eq!(parse("-9223372036854775808").unwrap(), Json::Int(i64::MIN));
+    assert!(matches!(
+        parse("-9223372036854775809").unwrap(),
+        Json::Num(_)
+    ));
     // Values that overflow f64 itself are rejected (JSON has no Inf).
     for bad in ["1e999", "-1e999", "1e400"] {
         let err = parse(bad).unwrap_err();
