@@ -13,7 +13,8 @@
 //!   edge never hangs a client on a dead fleet.
 //! * **Edge validation** — malformed bodies are rejected `400` at the
 //!   edge without consuming a backend; wrong methods/paths mirror the
-//!   backend's `405`/`404` behavior.
+//!   backend's `405`/`404` behavior; raw framing faults get the
+//!   backend's exact answer bytes.
 
 use snc_experiments::json::{self, Json};
 use std::net::SocketAddr;
@@ -523,6 +524,119 @@ fn edge_validates_and_mirrors_backend_status_codes() {
     // against a never-listening port so the helper itself is covered.
     let dead = reserve_port();
     assert!(try_roundtrip(dead, "GET", "/healthz", "").is_err());
+
+    // Raw framing corpus: both tiers answer every byte sequence alike,
+    // down to the reason phrase, error message and connection header.
+    for (name, raw) in raw_framing_cases() {
+        let direct = strip_per_request_headers(&raw_exchange(backend.addr(), &raw));
+        let routed = strip_per_request_headers(&raw_exchange(router.addr(), &raw));
+        assert_eq!(routed, direct, "tiers diverge on {name}");
+    }
+}
+
+/// Wire-level inputs the edge and the backend must answer identically:
+/// request-line and header faults, limits, framing variants, and EOF
+/// at a request boundary.
+fn raw_framing_cases() -> Vec<(&'static str, Vec<u8>)> {
+    let solve = &corpus()[0];
+    let flood = vec![b'A'; snc_server::http::MAX_HEAD_BYTES + 1024];
+    let mut big_header = b"GET /nope HTTP/1.1\r\nX-Big: ".to_vec();
+    big_header.extend(std::iter::repeat_n(b'x', snc_server::http::MAX_HEAD_BYTES));
+    big_header.extend_from_slice(b"\r\n\r\n");
+    vec![
+        ("malformed request line", b"BOGUS\r\n\r\n".to_vec()),
+        ("HTTP/2", b"GET /nope HTTP/2\r\n\r\n".to_vec()),
+        (
+            "oversized content-length",
+            b"POST /solve HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n".to_vec(),
+        ),
+        (
+            "chunked",
+            b"POST /solve HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(),
+        ),
+        (
+            "bare-newline framing",
+            format!(
+                "POST /solve HTTP/1.1\nHost: bare\nContent-Length: {}\n\n{solve}",
+                solve.len()
+            )
+            .into_bytes(),
+        ),
+        ("query and HTTP/1.0", b"GET /nope?verbose=1 HTTP/1.0\r\n\r\n".to_vec()),
+        (
+            "HTTP/1.0 keep-alive",
+            b"GET /nope HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".to_vec(),
+        ),
+        ("newline-free flood", flood),
+        ("oversized header line", big_header),
+        (
+            "header without a colon",
+            b"GET /nope HTTP/1.1\r\nno colon here\r\n\r\n".to_vec(),
+        ),
+        (
+            "bad content-length",
+            b"POST /solve HTTP/1.1\r\nContent-Length: twelve\r\n\r\n".to_vec(),
+        ),
+        (
+            "expect 100-continue",
+            format!(
+                "POST /solve HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: {}\r\n\r\n{solve}",
+                solve.len()
+            )
+            .into_bytes(),
+        ),
+        (
+            "pipelined pair",
+            format!(
+                "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n{solve}GET /nope HTTP/1.1\r\n\r\n",
+                solve.len()
+            )
+            .into_bytes(),
+        ),
+        ("blank request line", b"\r\n\r\n".to_vec()),
+        (
+            "EOF at a line boundary",
+            b"GET /nope HTTP/1.1\r\nHost: x\r\n".to_vec(),
+        ),
+    ]
+}
+
+/// Sends `raw`, half-closes the write side, and returns every byte the
+/// peer sent back before closing (a reset after a complete answer keeps
+/// what arrived).
+fn raw_exchange(addr: SocketAddr, raw: &[u8]) -> Vec<u8> {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(raw).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut answer = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => answer.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                panic!("no EOF within the read timeout: {answer:?}")
+            }
+            Err(_) => break,
+        }
+    }
+    answer
+}
+
+/// The answer bytes without the two headers that differ per request
+/// (`x-snc-elapsed-us`, `x-snc-request-id`). Bodies are single-line
+/// JSON, so dropping whole header lines cannot touch them.
+fn strip_per_request_headers(answer: &[u8]) -> String {
+    String::from_utf8_lossy(answer)
+        .split_inclusive("\r\n")
+        .filter(|line| {
+            !line.starts_with("x-snc-elapsed-us:") && !line.starts_with("x-snc-request-id:")
+        })
+        .collect()
 }
 
 /// A gnp whose graph comes out edgeless is valid as a spec: the edge
