@@ -80,13 +80,15 @@ impl AccessLog {
         buf.extend_from_slice(line.as_bytes());
         buf.push(b'\n');
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.max_bytes > 0
-            && inner.bytes > 0
-            && inner.bytes + buf.len() as u64 > self.max_bytes
+        if self.max_bytes > 0 && inner.bytes > 0 && inner.bytes + buf.len() as u64 > self.max_bytes
         {
             let _ = inner.file.flush();
             if std::fs::rename(&self.path, &self.rotated_path).is_ok() {
-                if let Ok(file) = OpenOptions::new().create(true).append(true).open(&self.path) {
+                if let Ok(file) = OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&self.path)
+                {
                     inner.file = file;
                     inner.bytes = 0;
                 }
@@ -111,7 +113,10 @@ pub struct RequestIds {
 impl RequestIds {
     /// Creates a generator whose stream is determined by `seed`.
     pub fn new(seed: u64) -> RequestIds {
-        RequestIds { seed, next: AtomicU64::new(0) }
+        RequestIds {
+            seed,
+            next: AtomicU64::new(0),
+        }
     }
 
     /// Creates a generator seeded from the process id and wall clock,
@@ -129,7 +134,10 @@ impl RequestIds {
     /// characters. One relaxed `fetch_add`, no locks.
     pub fn mint(&self) -> String {
         let n = self.next.fetch_add(1, Ordering::Relaxed);
-        format!("{:016x}", mix64(self.seed ^ n.wrapping_mul(0x2545_F491_4F6C_DD1D)))
+        format!(
+            "{:016x}",
+            mix64(self.seed ^ n.wrapping_mul(0x2545_F491_4F6C_DD1D))
+        )
     }
 }
 
@@ -193,7 +201,9 @@ mod tests {
         // lines triggers exactly one rotation, so nothing ages out of
         // the two retained generations and loss would be visible.
         let log = AccessLog::open_rotating(&path, 100).unwrap();
-        let lines: Vec<String> = (0..9).map(|i| format!("line-{i:03}-{}", "x".repeat(10))).collect();
+        let lines: Vec<String> = (0..9)
+            .map(|i| format!("line-{i:03}-{}", "x".repeat(10)))
+            .collect();
         for line in &lines {
             log.write(line);
         }
@@ -205,7 +215,11 @@ mod tests {
             lines.iter().map(String::as_str).collect::<Vec<_>>(),
             "rotation lost, split, or reordered a line"
         );
-        assert_eq!(old.len() as u64, 100, "rotation fired at the budget boundary");
+        assert_eq!(
+            old.len() as u64,
+            100,
+            "rotation fired at the budget boundary"
+        );
         assert!(new.len() as u64 <= 100, "current file exceeds the budget");
         // An oversized single line still lands whole (in a fresh file).
         let huge = "h".repeat(300);
@@ -219,7 +233,8 @@ mod tests {
 
     #[test]
     fn concurrent_rotation_keeps_lines_whole() {
-        let dir = std::env::temp_dir().join(format!("snc-metrics-rotate-mt-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("snc-metrics-rotate-mt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mt.log");
         let rotated = dir.join("mt.log.1");
@@ -242,10 +257,16 @@ mod tests {
         let old = std::fs::read_to_string(&rotated).unwrap_or_default();
         let new = std::fs::read_to_string(&path).unwrap();
         for text in [&old, &new] {
-            assert!(text.is_empty() || text.ends_with('\n'), "file ends mid-line");
+            assert!(
+                text.is_empty() || text.ends_with('\n'),
+                "file ends mid-line"
+            );
             for line in text.lines() {
                 assert_eq!(line.len(), 20, "torn line {line:?}");
-                assert!(line.starts_with('t') && line.contains("-i"), "garbled line {line:?}");
+                assert!(
+                    line.starts_with('t') && line.contains("-i"),
+                    "garbled line {line:?}"
+                );
             }
         }
         assert!(new.len() as u64 <= 400, "current file exceeds the budget");

@@ -240,7 +240,8 @@ impl Registry {
         let family = match families.iter_mut().find(|f| f.name == name) {
             Some(family) => {
                 assert_eq!(
-                    family.kind, kind,
+                    family.kind,
+                    kind,
                     "metric {name} registered as {} and {}",
                     family.kind.type_name(),
                     kind.type_name()
@@ -257,11 +258,13 @@ impl Registry {
                 families.last_mut().expect("just pushed")
             }
         };
-        if let Some(series) = family
-            .series
-            .iter()
-            .find(|s| s.labels.len() == labels.len() && s.labels.iter().zip(labels).all(|((k, v), (lk, lv))| k == lk && v == lv))
-        {
+        if let Some(series) = family.series.iter().find(|s| {
+            s.labels.len() == labels.len()
+                && s.labels
+                    .iter()
+                    .zip(labels)
+                    .all(|((k, v), (lk, lv))| k == lk && v == lv)
+        }) {
             return clone_source(&series.source);
         }
         let source = make();

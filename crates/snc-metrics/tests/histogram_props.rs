@@ -13,13 +13,13 @@ use snc_metrics::{Histogram, HistogramSnapshot};
 /// shift folds `any::<u64>()` down by a value-dependent amount, so the
 /// stream mixes all magnitudes up to `u64::MAX`).
 fn sample_value() -> impl Strategy<Value = u64> {
-    (0u8..3, 0u64..16, 16u64..100_000, any::<u64>()).prop_map(|(pick, small, mid, raw)| {
-        match pick {
+    (0u8..3, 0u64..16, 16u64..100_000, any::<u64>()).prop_map(
+        |(pick, small, mid, raw)| match pick {
             0 => small,
             1 => mid,
             _ => raw >> (raw % 40),
-        }
-    })
+        },
+    )
 }
 
 fn record_all(values: &[u64]) -> Histogram {
