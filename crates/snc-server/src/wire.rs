@@ -441,22 +441,6 @@ pub fn parse_spec(body: &[u8], defaults: &RequestDefaults) -> Result<RequestSpec
     Ok(RequestSpec(spec))
 }
 
-/// Parses and validates an unweighted MAXCUT solve-request body.
-///
-/// Thin wrapper over [`parse_request`] for callers that only speak the
-/// original graph workload (the batch CLI, older tests).
-///
-/// # Errors
-///
-/// Everything [`parse_request`] rejects, plus any non-unweighted
-/// workload.
-pub fn parse_solve_request(body: &[u8], defaults: &RequestDefaults) -> Result<SolveJob, WireError> {
-    match parse_request(body, defaults)? {
-        Workload::MaxCut(job) => Ok(job),
-        _ => Err(err("expected an unweighted MAXCUT `graph` request")),
-    }
-}
-
 /// The graph workload: unweighted or weighted MAXCUT.
 fn parse_maxcut_request(doc: &Json, defaults: &RequestDefaults) -> Result<Spec, WireError> {
     let members = doc.as_object().expect("checked by parse_spec");
@@ -1274,10 +1258,18 @@ mod tests {
         }
     }
 
+    /// Parses a body that must be an unweighted MAXCUT request.
+    fn maxcut_job(body: &[u8]) -> SolveJob {
+        match parse_request(body, &defaults()).unwrap() {
+            Workload::MaxCut(job) => job,
+            _ => panic!("expected an unweighted MAXCUT workload"),
+        }
+    }
+
     #[test]
     fn parses_a_dataset_request() {
         let body = br#"{"graph": "road-chesapeake", "circuit": "lif-gw", "budget": 64, "seed": 9}"#;
-        let job = parse_solve_request(body, &defaults()).unwrap();
+        let job = maxcut_job(body);
         assert_eq!(job.graph.n(), 39);
         assert_eq!(job.spec.family, CircuitFamily::LifGw);
         assert_eq!(job.spec.budget, 64);
@@ -1289,22 +1281,22 @@ mod tests {
     #[test]
     fn parses_inline_edges_and_edgelist_and_gnp() {
         let body = br#"{"graph": {"edges": [[0,1],[1,2],[2,0]]}, "budget": 8}"#;
-        let job = parse_solve_request(body, &defaults()).unwrap();
+        let job = maxcut_job(body);
         assert_eq!((job.graph.n(), job.graph.m()), (3, 3));
         assert_eq!(job.spec.family, CircuitFamily::LifGw, "default circuit");
 
         let body = br#"{"graph": {"edges": [[0,1]], "n": 4}, "budget": 8}"#;
-        let job = parse_solve_request(body, &defaults()).unwrap();
+        let job = maxcut_job(body);
         assert_eq!((job.graph.n(), job.graph.m()), (4, 1));
 
         let body =
             br#"{"graph": {"edgelist": "0 1\n1 2\n"}, "budget": 8, "circuit": "lif-trevisan"}"#;
-        let job = parse_solve_request(body, &defaults()).unwrap();
+        let job = maxcut_job(body);
         assert_eq!((job.graph.n(), job.graph.m()), (3, 2));
         assert_eq!(job.spec.family, CircuitFamily::LifTrevisan);
 
         let body = br#"{"graph": {"gnp": {"n": 20, "p": 0.5, "seed": 3}}, "budget": 8}"#;
-        let job = parse_solve_request(body, &defaults()).unwrap();
+        let job = maxcut_job(body);
         assert_eq!(job.graph.n(), 20);
         assert_eq!(job.graph_label, "gnp(n=20,p=0.5,seed=3)");
     }
@@ -1313,7 +1305,7 @@ mod tests {
     fn parses_the_annealed_family_with_a_schedule() {
         let body = br#"{"graph": {"gnp": {"n": 10, "p": 0.5}}, "circuit": "lif-annealed",
                         "schedule": {"kind": "linear", "start": 2.0, "end": 0.5}, "budget": 8}"#;
-        let job = parse_solve_request(body, &defaults()).unwrap();
+        let job = maxcut_job(body);
         assert_eq!(job.spec.family, CircuitFamily::LifAnnealed);
         assert_eq!(job.spec.schedule.kind(), ScheduleKind::Linear);
         assert_eq!(job.spec.schedule.start(), 2.0);
@@ -1322,7 +1314,7 @@ mod tests {
         // Without a schedule the solve-spec default applies.
         let body =
             br#"{"graph": {"gnp": {"n": 10, "p": 0.5}}, "circuit": "lif-annealed", "budget": 8}"#;
-        let job = parse_solve_request(body, &defaults()).unwrap();
+        let job = maxcut_job(body);
         assert_eq!(job.spec.schedule, CoolingSchedule::default());
     }
 
@@ -1330,13 +1322,13 @@ mod tests {
     fn parses_the_hopfield_family_with_steps() {
         let body = br#"{"graph": {"gnp": {"n": 10, "p": 0.5}}, "circuit": "hopfield",
                         "steps": 16, "budget": 8}"#;
-        let job = parse_solve_request(body, &defaults()).unwrap();
+        let job = maxcut_job(body);
         assert_eq!(job.spec.family, CircuitFamily::Hopfield);
         assert_eq!(job.spec.hopfield_steps, 16);
 
         let body =
             br#"{"graph": {"gnp": {"n": 10, "p": 0.5}}, "circuit": "hopfield", "budget": 8}"#;
-        let job = parse_solve_request(body, &defaults()).unwrap();
+        let job = maxcut_job(body);
         assert_eq!(
             job.spec.hopfield_steps,
             SolveSpec::new(CircuitFamily::Hopfield, 8, 0).hopfield_steps
@@ -1636,7 +1628,7 @@ mod tests {
         // (correct) body.
         let body =
             br#"{"graph": "road-chesapeake", "budget": 8, "budget": 16, "seed": 1, "seed": 2}"#;
-        let job = parse_solve_request(body, &defaults()).unwrap();
+        let job = maxcut_job(body);
         assert_eq!(job.spec.budget, 8, "first `budget` wins");
         assert_eq!(job.spec.seed, 1, "first `seed` wins");
     }
@@ -1645,7 +1637,7 @@ mod tests {
     fn response_rendering_is_deterministic_and_consistent() {
         let body =
             br#"{"graph": {"gnp": {"n": 12, "p": 0.5, "seed": 1}}, "budget": 16, "seed": 5}"#;
-        let job = parse_solve_request(body, &defaults()).unwrap();
+        let job = maxcut_job(body);
         let outcome = snc_maxcut::solve(&job.graph, &job.spec).unwrap();
         let a = solve_response(&job, &outcome).render();
         let b = solve_response(&job, &snc_maxcut::solve(&job.graph, &job.spec).unwrap()).render();
