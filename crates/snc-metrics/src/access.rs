@@ -139,6 +139,16 @@ impl RequestIds {
             mix64(self.seed ^ n.wrapping_mul(0x2545_F491_4F6C_DD1D))
         )
     }
+
+    /// The id a request travels under: the client's own
+    /// `x-snc-request-id` when it passes [`valid_request_id`], a freshly
+    /// minted one otherwise (an invalid id is replaced, never refused).
+    pub fn resolve(&self, client: Option<&str>) -> String {
+        match client {
+            Some(id) if valid_request_id(id) => id.to_string(),
+            _ => self.mint(),
+        }
+    }
 }
 
 /// Whether `s` is acceptable as a client-supplied `x-snc-request-id`:
@@ -186,6 +196,16 @@ mod tests {
         assert!(!valid_request_id("has space"));
         assert!(!valid_request_id("newline\n"));
         assert!(!valid_request_id("quote\"d"));
+    }
+
+    #[test]
+    fn resolve_keeps_a_valid_client_id_and_mints_otherwise() {
+        let ids = RequestIds::new(7);
+        assert_eq!(ids.resolve(Some("client-42")), "client-42");
+        let expected = RequestIds::new(7);
+        for junk in [None, Some(""), Some("has space")] {
+            assert_eq!(ids.resolve(junk), expected.mint(), "{junk:?}");
+        }
     }
 
     #[test]

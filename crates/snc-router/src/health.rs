@@ -21,7 +21,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Hysteresis counters for one backend (behind the table's mutex).
 #[derive(Clone, Copy, Debug, Default)]
@@ -204,9 +204,11 @@ pub fn probe_backend(addr: SocketAddr, timeout: Duration) -> bool {
 
 /// The background probe loop: sweeps every backend each `interval`
 /// until `shutdown` flips, feeding outcomes into the health table.
-/// Sleeps in short slices so shutdown is prompt even with long
-/// intervals. `on_demote(i)` fires on the sweep that marks backend `i`
-/// down — the router uses it to drain the victim's pooled connections.
+/// Between sweeps it parks until the next one is due; whoever raises
+/// `shutdown` unparks this thread, so shutdown is prompt even with long
+/// intervals and no timer polls the flag. `on_demote(i)` fires on the
+/// sweep that marks backend `i` down — the router uses it to drain the
+/// victim's pooled connections.
 pub fn probe_loop(
     backends: Vec<SocketAddr>,
     table: Arc<HealthTable>,
@@ -215,7 +217,6 @@ pub fn probe_loop(
     shutdown: Arc<AtomicBool>,
     on_demote: impl Fn(usize),
 ) {
-    const SLICE: Duration = Duration::from_millis(20);
     while !shutdown.load(Ordering::SeqCst) {
         for (i, &addr) in backends.iter().enumerate() {
             if shutdown.load(Ordering::SeqCst) {
@@ -227,11 +228,15 @@ pub fn probe_loop(
                 on_demote(i);
             }
         }
-        let mut slept = Duration::ZERO;
-        while slept < interval && !shutdown.load(Ordering::SeqCst) {
-            let nap = SLICE.min(interval - slept);
-            std::thread::sleep(nap);
-            slept += nap;
+        let due = Instant::now() + interval;
+        // `park_timeout` may return early (an unpark, or spuriously):
+        // re-check the flag and the clock each time.
+        while !shutdown.load(Ordering::SeqCst) {
+            let left = due.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            std::thread::park_timeout(left);
         }
     }
 }

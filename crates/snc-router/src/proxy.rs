@@ -5,8 +5,9 @@
 //!
 //! ```text
 //! client ──▶ TcpListener ──ready───▶ connection thread (keep-alive loop)
-//!                 │                        │ parse (snc_server::http +
-//!                 │                        │ wire::parse_spec; no graph
+//!                 │                        │ read ──▶ http::RequestParser
+//!                 │                        │ (the backend's parser) ──▶
+//!                 │                        │ wire::parse_spec (no graph
 //!                 │                        │ built for dataset/gnp)
 //!                 │                        ▼
 //!                 │            ResponseKey::payload_fold (the shard key)
@@ -28,6 +29,12 @@
 //! or `shutdown()` rings a [`Wakeup`](sys::Wakeup). At shutdown it
 //! half-closes each connection (`SHUT_RD`): a parked keep-alive read
 //! sees EOF, while an in-flight request still writes its response.
+//!
+//! Each connection thread reads into the backend's incremental
+//! [`RequestParser`] and answers with the backend's vocabulary
+//! ([`ResponseMeta`], [`server::error_meta`], the request-id rule and
+//! the access-log line), so for any request bytes the edge's framing,
+//! error answers and labels are the backend's own.
 //!
 //! Backend responses are framed **strictly**: the status line must be
 //! `HTTP/1.1 <100–599>`, duplicate or conflicting `Content-Length`
@@ -57,7 +64,8 @@ use crate::pool::{BackendConn, ConnectionPool};
 use crate::ring::HashRing;
 use snc_json::Json;
 use snc_metrics::{AccessLog, RequestIds};
-use snc_server::http::{self, HttpError, Request};
+use snc_server::http::{self, HttpError, Request, RequestParser};
+use snc_server::server::{self, ResponseMeta};
 use snc_server::sys::{self, Interest, Poller};
 use snc_server::wire;
 use snc_server::ServerConfig;
@@ -199,6 +207,10 @@ impl RouterHandle {
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.wakeup.notify();
+        // The prober parks between sweeps; wake it to see the flag.
+        if let Some(prober) = &self.prober {
+            prober.thread().unpark();
+        }
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -246,124 +258,76 @@ fn accept_loop(listener: &TcpListener, mut poller: Poller, shared: &Arc<Shared>)
     }
 }
 
-/// The per-connection HTTP/1.1 keep-alive loop (same shape as the
-/// backend's; the work inside `route` is proxying instead of solving).
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
+/// The per-connection HTTP/1.1 keep-alive loop, on blocking reads: each
+/// read is pushed into the parser, and every complete request it holds
+/// is answered in order before the next read (the work inside `route`
+/// is proxying instead of solving). An EOF ends the connection; a
+/// request it cuts short gets no answer, as on the backend.
+fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        match http::read_request(&mut reader, &mut writer, shared.cfg.max_body_bytes) {
-            Ok(Some(request)) => {
-                let started = Instant::now();
-                // The edge is where ids are minted: honor a well-formed
-                // client-supplied id, otherwise coin one. The same id
-                // travels on every backend attempt (including retries),
-                // which is what makes cross-tier correlation work.
-                let request_id = match request.request_id.as_deref() {
-                    Some(id) if snc_metrics::valid_request_id(id) => id.to_string(),
-                    _ => shared.request_ids.mint(),
-                };
-                let (status, body, meta) = match route(&request, &request_id, shared) {
-                    Ok(reply) => reply,
-                    Err(e) => (
-                        e.status,
-                        wire::error_body(&e.message),
-                        error_meta(&request.path),
-                    ),
-                };
-                // Read after routing: a response finished during shutdown
-                // tells the client the connection closes.
-                let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
-                let elapsed = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                shared
-                    .metrics
-                    .request_duration(meta.route, meta.family, meta.outcome)
-                    .record(elapsed);
-                if let Some(log) = &shared.access_log {
-                    log.write(&format!(
-                        "id={request_id} route={} family={} outcome={} status={status} us={elapsed}",
-                        meta.route, meta.family, meta.outcome
-                    ));
-                }
-                let extra = [
-                    ("x-snc-elapsed-us", elapsed.to_string()),
-                    ("x-snc-request-id", request_id),
-                ];
-                let bytes = http::render_response_typed(
-                    status,
-                    meta.content_type,
-                    &extra,
-                    body.as_bytes(),
-                    keep_alive,
-                );
-                if writer
-                    .write_all(&bytes)
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                    || !keep_alive
-                {
-                    break;
-                }
+    let mut parser = RequestParser::new(shared.cfg.max_body_bytes);
+    let mut chunk = [0u8; http::READ_CHUNK];
+    'connection: loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => parser.push(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+        loop {
+            let next = parser.next_request();
+            if parser.take_continue_pending() && stream.write_all(http::CONTINUE_INTERIM).is_err() {
+                break 'connection;
             }
-            Ok(None) => break,
-            Err(e) => {
-                let body = wire::error_body(&e.message);
-                let _ = http::write_response(&mut writer, e.status, &[], body.as_bytes(), false);
-                break;
+            match next {
+                Ok(None) => break,
+                Ok(Some(request)) => {
+                    if !answer(&mut stream, &request, shared) {
+                        break 'connection;
+                    }
+                }
+                Err(e) => {
+                    let body = wire::error_body(&e.message);
+                    let bytes = http::render_response(e.status, &[], body.as_bytes(), false);
+                    let _ = stream.write_all(&bytes);
+                    break 'connection;
+                }
             }
         }
     }
     // The acceptor holds a clone of this socket until it reaps the
     // thread; shut it down now so the client sees EOF at once.
-    let _ = writer.shutdown(Shutdown::Both);
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Observability labels for one routed request, decided at route time
-/// (mirrors the backend's `ResponseMeta`). `route`/`family`/`outcome`
-/// feed the latency histogram and the access log; `content_type` only
-/// varies for `/metrics`.
-#[derive(Clone, Copy, Debug)]
-struct RouteMeta {
-    route: &'static str,
-    family: &'static str,
-    outcome: &'static str,
-    content_type: &'static str,
-}
-
-impl RouteMeta {
-    fn new(route: &'static str) -> RouteMeta {
-        RouteMeta {
-            route,
-            family: "none",
-            outcome: "none",
-            content_type: "application/json",
-        }
+/// Routes one request and writes its response. Returns whether the
+/// connection stays open for the next one.
+fn answer(stream: &mut TcpStream, request: &Request, shared: &Arc<Shared>) -> bool {
+    let started = Instant::now();
+    // The edge is where ids are minted. The same id travels on every
+    // backend attempt (including retries), which is what makes
+    // cross-tier correlation work.
+    let request_id = shared.request_ids.resolve(request.request_id.as_deref());
+    let (status, body, meta) = route(request, &request_id, shared).unwrap_or_else(|e| {
+        (
+            e.status,
+            wire::error_body(&e.message),
+            server::error_meta(&request.path),
+        )
+    });
+    // Read after routing: a response finished during shutdown tells the
+    // client the connection closes.
+    let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
+    let elapsed = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    shared
+        .metrics
+        .request_duration(meta.route, meta.family, meta.outcome)
+        .record(elapsed);
+    if let Some(log) = &shared.access_log {
+        log.write(&meta.access_line(&request_id, status, elapsed));
     }
-}
-
-/// The stable route label for a request path (bounded cardinality:
-/// unknown paths collapse into `other`).
-fn route_label(path: &str) -> &'static str {
-    match path {
-        "/healthz" => "healthz",
-        "/solve" => "solve",
-        "/jobs" => "jobs",
-        "/metrics" => "metrics",
-        "/" => "index",
-        p if p.starts_with("/jobs/") => "jobs_poll",
-        _ => "other",
-    }
-}
-
-/// Labels for a request that failed routing (4xx/5xx minted edge-side).
-fn error_meta(path: &str) -> RouteMeta {
-    RouteMeta {
-        outcome: "error",
-        ..RouteMeta::new(route_label(path))
-    }
+    let bytes = meta.render(status, &body, keep_alive, &request_id, elapsed);
+    stream.write_all(&bytes).is_ok() && keep_alive
 }
 
 /// Routes one parsed client request.
@@ -371,15 +335,15 @@ fn route(
     request: &Request,
     request_id: &str,
     shared: &Arc<Shared>,
-) -> Result<(u16, String, RouteMeta), HttpError> {
+) -> Result<(u16, String, ResponseMeta), HttpError> {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Ok((200, healthz(shared), RouteMeta::new("healthz"))),
+        ("GET", "/healthz") => Ok((200, healthz(shared), ResponseMeta::new("healthz"))),
         ("GET", "/metrics") => Ok((
             200,
             metrics_body(shared),
-            RouteMeta {
+            ResponseMeta {
                 content_type: "text/plain; version=0.0.4",
-                ..RouteMeta::new("metrics")
+                ..ResponseMeta::new("metrics")
             },
         )),
         ("POST", "/solve") => {
@@ -387,10 +351,10 @@ fn route(
                 (
                     s,
                     b,
-                    RouteMeta {
+                    ResponseMeta {
                         family,
                         outcome: "relayed",
-                        ..RouteMeta::new("solve")
+                        ..ResponseMeta::new("solve")
                     },
                 )
             })
@@ -401,42 +365,24 @@ fn route(
                 (
                     s,
                     b,
-                    RouteMeta {
+                    ResponseMeta {
                         outcome: "relayed",
-                        ..RouteMeta::new("jobs_poll")
+                        ..ResponseMeta::new("jobs_poll")
                     },
                 )
             })
         }
-        ("GET", "/") => Ok((200, index_body(), RouteMeta::new("index"))),
+        ("GET", "/") => Ok((
+            200,
+            server::index_body("snc-router"),
+            ResponseMeta::new("index"),
+        )),
         (_, "/healthz" | "/solve" | "/jobs" | "/" | "/metrics") => {
             Err(HttpError::new(405, "method not allowed"))
         }
         (_, path) if path.starts_with("/jobs/") => Err(HttpError::new(405, "method not allowed")),
         _ => Err(HttpError::new(404, "no such endpoint")),
     }
-}
-
-fn index_body() -> String {
-    Json::Obj(vec![
-        ("service".into(), Json::str("snc-router")),
-        (
-            "endpoints".into(),
-            Json::Arr(
-                [
-                    "GET /healthz",
-                    "GET /metrics",
-                    "POST /solve",
-                    "POST /jobs",
-                    "GET /jobs/{id}",
-                ]
-                .into_iter()
-                .map(Json::str)
-                .collect(),
-            ),
-        ),
-    ])
-    .render()
 }
 
 /// The aggregated router health body: fleet status, per-backend state
@@ -824,12 +770,12 @@ fn submit_job(
     body: &[u8],
     request_id: &str,
     shared: &Arc<Shared>,
-) -> Result<(u16, String, RouteMeta), HttpError> {
+) -> Result<(u16, String, ResponseMeta), HttpError> {
     let (status, reply, backend, family) = proxy_keyed(body, "/jobs", request_id, shared)?;
-    let meta = RouteMeta {
+    let meta = ResponseMeta {
         family,
         outcome: "relayed",
-        ..RouteMeta::new("jobs")
+        ..ResponseMeta::new("jobs")
     };
     if status != 202 {
         return Ok((status, reply, meta));

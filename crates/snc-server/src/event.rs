@@ -63,8 +63,6 @@ use std::time::{Duration, Instant};
 const LISTENER_TOKEN: u64 = u64::MAX;
 /// Poller token for the wakeup pipe's read end.
 const WAKEUP_TOKEN: u64 = u64::MAX - 1;
-/// Read chunk size for draining a readable socket.
-const READ_CHUNK: usize = 16 * 1024;
 
 /// Addressing for a parked connection: which slot, and which occupancy
 /// of that slot. A completion whose generation no longer matches the
@@ -470,7 +468,7 @@ impl Reactor {
     /// requests. Stops at `WouldBlock`, at EOF, or when the connection
     /// parks on a dispatched solve.
     fn read_input(&mut self, token: usize) {
-        let mut scratch = [0u8; READ_CHUNK];
+        let mut scratch = [0u8; http::READ_CHUNK];
         loop {
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
                 return;
@@ -532,10 +530,7 @@ impl Reactor {
                     // Honor a well-formed client-supplied id (the router
                     // relies on this to correlate retries across
                     // backends); mint a fresh one otherwise.
-                    let request_id = match request.request_id.as_deref() {
-                        Some(id) if snc_metrics::valid_request_id(id) => id.to_string(),
-                        _ => shared.request_ids.mint(),
-                    };
+                    let request_id = shared.request_ids.resolve(request.request_id.as_deref());
                     let reply_to = ReplyTo {
                         token,
                         generation: conn.generation,
@@ -570,8 +565,7 @@ impl Reactor {
                         Err(e) => {
                             // Routing errors (400/404/405/503) keep the
                             // connection alive if the client asked for
-                            // keep-alive — exactly like the blocking
-                            // front half did.
+                            // keep-alive, as the router's do.
                             let body = wire::error_body(&e.message);
                             let meta = server::error_meta(&request.path);
                             queue_response(
@@ -594,8 +588,8 @@ impl Reactor {
                 }
                 Err(e) => {
                     // Transport-level parse error: answer without the
-                    // elapsed header and close, matching the blocking
-                    // front half's error path byte for byte.
+                    // per-request headers and close, the same bytes the
+                    // router sends for the same input.
                     let body = wire::error_body(&e.message);
                     let bytes = http::render_response(e.status, &[], body.as_bytes(), false);
                     conn.out.extend_from_slice(&bytes);
@@ -754,17 +748,7 @@ fn queue_response(
     request_id: &str,
 ) {
     let elapsed = micros(started.elapsed());
-    let extra = [
-        ("x-snc-elapsed-us", elapsed.to_string()),
-        ("x-snc-request-id", request_id.to_string()),
-    ];
-    let bytes = http::render_response_typed(
-        status,
-        meta.content_type,
-        &extra,
-        body.as_bytes(),
-        keep_alive,
-    );
+    let bytes = meta.render(status, body, keep_alive, request_id, elapsed);
     conn.out.extend_from_slice(&bytes);
     conn.deadline = Instant::now() + idle;
     let metrics = &shared.metrics;
@@ -773,9 +757,6 @@ fn queue_response(
         .or_insert_with(|| metrics.request_duration(meta.route, meta.family, meta.outcome))
         .record(elapsed);
     if let Some(log) = &shared.access_log {
-        log.write(&format!(
-            "id={request_id} route={} family={} outcome={} status={status} us={elapsed}",
-            meta.route, meta.family, meta.outcome
-        ));
+        log.write(&meta.access_line(request_id, status, elapsed));
     }
 }

@@ -1,4 +1,4 @@
-//! A minimal HTTP/1.1 layer — request parsing and response writing,
+//! A minimal HTTP/1.1 layer — request parsing and response rendering,
 //! nothing more.
 //!
 //! Scope is deliberately small: the server speaks exactly the subset of
@@ -6,28 +6,23 @@
 //! bodies, keep-alive by default, `Expect: 100-continue` honored (curl
 //! sends it for larger POST bodies), chunked transfer encoding refused.
 //!
-//! Two front halves share one grammar:
-//!
-//! * [`RequestParser`] — the **incremental** per-connection state
-//!   machine the evented core feeds from non-blocking reads: bytes go
-//!   in via [`RequestParser::push`] in whatever fragments the socket
-//!   delivers (a slowloris byte at a time, or five pipelined requests
-//!   in one segment), complete requests come out of
-//!   [`RequestParser::next_request`] in order.
-//! * [`read_request`] — the original blocking form over
-//!   `BufReader<TcpStream>`, still used by the router's
-//!   thread-per-connection edge (reads block; the router ends a parked
-//!   read at shutdown by half-closing the socket).
-//!
-//! Both produce identical [`Request`] values and identical
-//! [`HttpError`]s for malformed input — pinned by tests that drive the
-//! same wire bytes through each.
-
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+//! Both tiers read requests with one front half, the incremental
+//! [`RequestParser`]: bytes go in via [`RequestParser::push`] in
+//! whatever fragments the socket delivers (a slowloris byte at a time,
+//! or five pipelined requests in one segment), and complete requests
+//! come out of [`RequestParser::next_request`] in order. The backend's
+//! reactor feeds it from non-blocking reads; the router's
+//! thread-per-connection edge feeds it from blocking ones. Either way
+//! the same wire bytes give the same [`Request`] values, the same
+//! [`HttpError`]s and, through [`render_response`], the same answer
+//! bytes.
 
 /// Cap on the request head (request line + headers) in bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// Bytes each tier reads from a socket at a time before pushing them
+/// into its [`RequestParser`].
+pub const READ_CHUNK: usize = 16 * 1024;
 
 /// An HTTP-level error: the status to answer with and a message for the
 /// JSON error body.
@@ -83,8 +78,7 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Parsed request-line + header fields, shared by the blocking and
-/// incremental parsers so both speak exactly one grammar.
+/// Parsed request-line + header fields.
 #[derive(Clone, Debug, Default)]
 struct Head {
     method: String,
@@ -162,9 +156,8 @@ fn apply_header_line(line: &str, head: &mut Head) -> Result<(), HttpError> {
     Ok(())
 }
 
-/// Finishes a parsed head + body into the [`Request`] both parsers
-/// return (query string stripped; endpoints don't take parameters
-/// there).
+/// Finishes a parsed head + body into a [`Request`] (query string
+/// stripped; endpoints don't take parameters there).
 fn assemble(head: Head, body: Vec<u8>) -> Request {
     let path = head
         .target
@@ -181,125 +174,11 @@ fn assemble(head: Head, body: Vec<u8>) -> Request {
     }
 }
 
-/// Reads one `\n`-terminated line. `Ok(None)` means the peer closed
-/// before any byte of the line, or the read failed.
-fn read_line(
-    reader: &mut BufReader<TcpStream>,
-    budget: &mut usize,
-) -> Result<Option<Vec<u8>>, HttpError> {
-    let mut line = Vec::new();
-    loop {
-        // Never buffer past the head budget, even mid-line: read through
-        // a `Take` of `budget + 1` bytes so a peer streaming
-        // newline-free data is cut off at the cap instead of growing the
-        // buffer unboundedly (`read_until` alone would keep appending
-        // until a newline or EOF).
-        if line.len() > *budget {
-            return Err(HttpError::new(413, "request head too large"));
-        }
-        let remaining = (*budget + 1 - line.len()) as u64;
-        match reader.by_ref().take(remaining).read_until(b'\n', &mut line) {
-            // `remaining ≥ 1` here, so Ok(0) is a genuine EOF.
-            Ok(0) => {
-                return if line.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(HttpError::new(400, "truncated request"))
-                };
-            }
-            Ok(_) if line.ends_with(b"\n") => {
-                *budget = budget
-                    .checked_sub(line.len())
-                    .ok_or_else(|| HttpError::new(413, "request head too large"))?;
-                while line.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
-                    line.pop();
-                }
-                return Ok(Some(line));
-            }
-            // No newline: either the Take limit was hit (next iteration
-            // rejects with 413) or EOF landed mid-line (next iteration
-            // reads Ok(0) and rejects as truncated).
-            Ok(_) => {}
-            Err(_) => return Ok(None),
-        }
-    }
-}
-
-/// Reads exactly `len` body bytes.
-fn read_body(reader: &mut BufReader<TcpStream>, len: usize) -> Result<Vec<u8>, HttpError> {
-    let mut buf = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => return Err(HttpError::new(400, "unexpected end of body")),
-            Ok(n) => filled += n,
-            Err(_) => return Err(HttpError::new(400, "connection error during body read")),
-        }
-    }
-    Ok(buf)
-}
-
-/// Reads and parses one request off the connection.
-///
-/// Returns `Ok(None)` for a cleanly closed or shut-down connection
-/// (nothing to answer). `writer` is used only to send the interim
-/// `100 Continue` when the client asked for it.
-///
-/// # Errors
-///
-/// Returns [`HttpError`] for malformed, oversized, or unsupported
-/// requests; the caller answers with the embedded status and closes.
-pub fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    max_body: usize,
-) -> Result<Option<Request>, HttpError> {
-    let mut head_budget = MAX_HEAD_BYTES;
-    let request_line = match read_line(reader, &mut head_budget)? {
-        Some(line) => line,
-        None => return Ok(None),
-    };
-    let request_line = String::from_utf8(request_line)
-        .map_err(|_| HttpError::new(400, "request line is not UTF-8"))?;
-    let mut head = parse_request_line(&request_line)?;
-    loop {
-        let line = match read_line(reader, &mut head_budget)? {
-            Some(line) => line,
-            None => return Ok(None),
-        };
-        if line.is_empty() {
-            break;
-        }
-        let line =
-            String::from_utf8(line).map_err(|_| HttpError::new(400, "header is not UTF-8"))?;
-        apply_header_line(&line, &mut head)?;
-    }
-    if head.content_length > max_body {
-        return Err(HttpError::new(
-            413,
-            format!(
-                "body of {} bytes exceeds the {max_body}-byte limit",
-                head.content_length
-            ),
-        ));
-    }
-    let body = if head.content_length > 0 {
-        if head.expect_continue {
-            let _ = writer.write_all(CONTINUE_INTERIM);
-            let _ = writer.flush();
-        }
-        read_body(reader, head.content_length)?
-    } else {
-        Vec::new()
-    };
-    Ok(Some(assemble(head, body)))
-}
-
 /// The interim response sent when a client asked `Expect: 100-continue`.
 pub const CONTINUE_INTERIM: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
 
 /// Incremental HTTP/1.1 request parser — the per-connection state
-/// machine of the evented core.
+/// machine of both tiers.
 ///
 /// Feed raw socket bytes with [`RequestParser::push`] in whatever
 /// fragments arrive; pull complete requests with
@@ -308,9 +187,8 @@ pub const CONTINUE_INTERIM: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
 /// calls, so the reactor can park the connection mid-request and resume
 /// exactly where the wire left off.
 ///
-/// The grammar and error surface are identical to [`read_request`]
-/// (shared helpers), with the same limits: [`MAX_HEAD_BYTES`] on the
-/// request head, the constructor's `max_body` on declared bodies.
+/// Limits: [`MAX_HEAD_BYTES`] on the request head, the constructor's
+/// `max_body` on declared bodies.
 #[derive(Debug)]
 pub struct RequestParser {
     buf: Vec<u8>,
@@ -364,10 +242,10 @@ impl RequestParser {
     ///
     /// # Errors
     ///
-    /// Returns the same [`HttpError`]s as [`read_request`] for
-    /// malformed, oversized, or unsupported input; the connection
-    /// answers with the embedded status and closes, so the parser makes
-    /// no attempt to resynchronize afterwards.
+    /// Returns an [`HttpError`] for malformed, oversized, or
+    /// unsupported input; the connection answers with the embedded
+    /// status and closes, so the parser makes no attempt to
+    /// resynchronize afterwards.
     pub fn next_request(&mut self) -> Result<Option<Request>, HttpError> {
         if let ParseState::Head = self.state {
             let Some(head_end) = find_head_end(&self.buf) else {
@@ -411,8 +289,7 @@ impl RequestParser {
 }
 
 /// Finds the end of the request head: the byte index one past the blank
-/// line. Accepts both `\r\n\r\n` and bare `\n\n` framing (the blocking
-/// parser tolerates both, one line at a time).
+/// line. Accepts both `\r\n\r\n` and bare `\n\n` framing.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     // A head that *starts* with a blank line is the degenerate "empty
     // request line" case; report it as a complete (tiny) head so the
@@ -455,32 +332,15 @@ fn parse_head_block(block: &[u8]) -> Result<Head, HttpError> {
     Ok(head)
 }
 
-/// Writes a response with a JSON body.
+/// Renders a full response with a JSON body (head + body) to bytes
+/// without touching a socket — the form the evented core queues into a
+/// connection's write buffer, where partial writes are resumed as the
+/// peer drains.
 ///
 /// Emitted headers are fixed and deterministic (`content-type`,
 /// `content-length`, `connection`) plus the caller's `extra` pairs —
 /// timing lives in an `x-snc-elapsed-us` extra so response *bodies* stay
 /// byte-identical for identical requests.
-///
-/// # Errors
-///
-/// Propagates socket write errors (the caller drops the connection).
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    extra: &[(&str, String)],
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(status, extra, body, keep_alive))?;
-    stream.flush()
-}
-
-/// Renders a full response (head + body) to bytes without touching a
-/// socket — the form the evented core queues into a connection's write
-/// buffer, where partial writes are resumed as the peer drains. Framing
-/// is identical to [`write_response`] (which delegates here), so the
-/// evented and blocking cores are byte-identical on the wire.
 pub fn render_response(
     status: u16,
     extra: &[(&str, String)],
@@ -519,24 +379,12 @@ pub fn render_response_typed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
 
-    /// Loopback socket pair for driving the parser with real streams.
-    fn pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        (client, server)
-    }
-
+    /// Drives raw wire bytes through a fresh parser in one push.
     fn parse_one(raw: &[u8]) -> Result<Option<Request>, HttpError> {
-        let (mut client, server) = pair();
-        client.write_all(raw).unwrap();
-        client.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut writer = server.try_clone().unwrap();
-        let mut reader = BufReader::new(server);
-        read_request(&mut reader, &mut writer, 1024)
+        let mut parser = RequestParser::new(1024);
+        parser.push(raw);
+        parser.next_request()
     }
 
     #[test]
@@ -558,6 +406,11 @@ mod tests {
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz");
         assert!(req.body.is_empty());
+        // Bare `\n` framing parses to the same request as `\r\n`.
+        let bare = parse_one(b"GET /healthz HTTP/1.1\nHost: bare-newlines\n\n")
+            .unwrap()
+            .unwrap();
+        assert_eq!(bare, req);
     }
 
     #[test]
@@ -568,16 +421,33 @@ mod tests {
         assert!(!req.keep_alive);
         let req = parse_one(b"GET / HTTP/1.0\r\n\r\n").unwrap().unwrap();
         assert!(!req.keep_alive);
+        let req = parse_one(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+            .unwrap()
+            .unwrap();
+        assert!(req.keep_alive, "HTTP/1.0 may opt in to keep-alive");
     }
 
     #[test]
     fn clean_close_yields_none() {
-        assert_eq!(parse_one(b"").unwrap(), None);
+        // An EOF is clean only between requests: before any byte, or
+        // right after a complete request.
+        let mut parser = RequestParser::new(1024);
+        assert!(parser.is_between_requests());
+        assert_eq!(parser.next_request().unwrap(), None);
+        assert!(parser.is_between_requests());
+        parser.push(b"GET / HTTP/1.1\r\n\r\n");
+        assert!(parser.next_request().unwrap().is_some());
+        assert!(parser.is_between_requests());
+        // Mid-head or mid-line, an EOF truncates a request.
+        parser.push(b"GET / HTTP/1.1\r\nHo");
+        assert_eq!(parser.next_request().unwrap(), None);
+        assert!(!parser.is_between_requests());
     }
 
     #[test]
     fn rejects_malformed_and_oversized() {
         assert_eq!(parse_one(b"BOGUS\r\n\r\n").unwrap_err().status, 400);
+        assert_eq!(parse_one(b"\r\n\r\n").unwrap_err().status, 400);
         assert_eq!(parse_one(b"GET / HTTP/2\r\n\r\n").unwrap_err().status, 400);
         assert_eq!(
             parse_one(b"POST / HTTP/1.1\r\nContent-Length: 9999\r\n\r\n")
@@ -591,31 +461,39 @@ mod tests {
                 .status,
             501
         );
+        // A body shorter than its content-length is not a request yet:
+        // the parser waits, and an EOF here closes without an answer.
+        let mut parser = RequestParser::new(1024);
+        parser.push(b"POST / HTTP/1.1\r\nContent-Length: 8\r\n\r\nabc");
         assert_eq!(
-            parse_one(b"POST / HTTP/1.1\r\nContent-Length: 8\r\n\r\nabc")
-                .unwrap_err()
-                .status,
-            400,
+            parser.next_request().unwrap(),
+            None,
             "body shorter than content-length"
         );
+        assert!(!parser.is_between_requests());
     }
 
     #[test]
     fn oversized_head_is_cut_off_even_without_newlines() {
-        // A newline-free flood must be rejected at MAX_HEAD_BYTES, not
-        // buffered until the peer closes.
-        let (mut client, server) = pair();
-        let flood = vec![b'A'; MAX_HEAD_BYTES + 1024];
-        std::thread::spawn(move || {
-            let _ = client.write_all(&flood);
-            // Keep the connection open: the server must reject without
-            // waiting for EOF or a newline.
-            std::thread::sleep(std::time::Duration::from_secs(5));
-        });
-        let mut writer = server.try_clone().unwrap();
-        let mut reader = BufReader::new(server);
-        let err = read_request(&mut reader, &mut writer, 1024).unwrap_err();
+        // A newline-free flood must be rejected as soon as it passes
+        // MAX_HEAD_BYTES, not buffered until the peer closes.
+        let mut parser = RequestParser::new(1024);
+        let mut pushed = 0;
+        let err = loop {
+            parser.push(&[b'A'; 1024]);
+            pushed += 1024;
+            match parser.next_request() {
+                Ok(None) => assert!(pushed <= MAX_HEAD_BYTES, "flood buffered past the cap"),
+                Ok(Some(req)) => panic!("flood parsed as {req:?}"),
+                Err(e) => break e,
+            }
+        };
         assert_eq!(err.status, 413);
+        assert_eq!(
+            pushed,
+            MAX_HEAD_BYTES + 1024,
+            "cut off at the first push past the cap"
+        );
         // An oversized header *line* (with newlines elsewhere) is also
         // capped.
         let mut big = b"GET / HTTP/1.1\r\nX-Big: ".to_vec();
@@ -626,58 +504,14 @@ mod tests {
 
     #[test]
     fn expect_continue_gets_the_interim_response() {
-        let (mut client, server) = pair();
-        client
-            .write_all(
-                b"POST /solve HTTP/1.1\r\nContent-Length: 2\r\nExpect: 100-continue\r\n\r\nhi",
-            )
-            .unwrap();
-        client.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut writer = server.try_clone().unwrap();
-        let mut reader = BufReader::new(server);
-        let req = read_request(&mut reader, &mut writer, 1024)
-            .unwrap()
-            .unwrap();
+        // Head and body in one segment: the request completes at once
+        // and the interim response is still owed, ahead of the answer.
+        let mut parser = RequestParser::new(1024);
+        parser.push(b"POST /solve HTTP/1.1\r\nContent-Length: 2\r\nExpect: 100-continue\r\n\r\nhi");
+        let req = parser.next_request().unwrap().unwrap();
         assert_eq!(req.body, b"hi");
-        let mut interim = String::new();
-        std::io::BufReader::new(client)
-            .read_line(&mut interim)
-            .unwrap();
-        assert!(interim.starts_with("HTTP/1.1 100"), "got {interim:?}");
-    }
-
-    /// Drives raw wire bytes through the incremental parser in one push.
-    fn parse_incremental(raw: &[u8], max_body: usize) -> Result<Option<Request>, HttpError> {
-        let mut parser = RequestParser::new(max_body);
-        parser.push(raw);
-        parser.next_request()
-    }
-
-    #[test]
-    fn incremental_parser_matches_blocking_parser_byte_for_byte() {
-        // The conformance axiom: identical wire bytes → identical
-        // Request values and identical errors across the two front
-        // halves.
-        let cases: &[&[u8]] = &[
-            b"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
-            b"GET /healthz?verbose=1 HTTP/1.1\r\n\r\n",
-            b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n",
-            b"GET / HTTP/1.0\r\n\r\n",
-            b"BOGUS\r\n\r\n",
-            b"GET / HTTP/2\r\n\r\n",
-            b"POST / HTTP/1.1\r\nContent-Length: 9999\r\n\r\n",
-            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-            b"GET / HTTP/1.1\nHost: bare-newlines\n\n",
-        ];
-        for raw in cases {
-            let blocking = parse_one(raw);
-            let incremental = parse_incremental(raw, 1024);
-            match (&blocking, &incremental) {
-                (Ok(Some(a)), Ok(Some(b))) => assert_eq!(a, b, "{raw:?}"),
-                (Err(a), Err(b)) => assert_eq!(a.status, b.status, "{raw:?}"),
-                other => panic!("parsers diverged on {raw:?}: {other:?}"),
-            }
-        }
+        assert!(parser.take_continue_pending());
+        assert!(CONTINUE_INTERIM.starts_with(b"HTTP/1.1 100"));
     }
 
     #[test]
@@ -744,38 +578,22 @@ mod tests {
     }
 
     #[test]
-    fn render_response_matches_write_response_framing() {
-        let rendered = render_response(
-            200,
-            &[("x-snc-elapsed-us", "12".to_string())],
-            b"{\"ok\":true}",
-            true,
-        );
-        let text = String::from_utf8(rendered).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("connection: keep-alive\r\n"));
-        assert!(text.contains("x-snc-elapsed-us: 12\r\n"));
-        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
-    }
-
-    #[test]
-    fn response_writing_roundtrip() {
-        let (client, mut server) = pair();
-        write_response(
-            &mut server,
-            200,
-            &[("x-snc-elapsed-us", "12".to_string())],
-            b"{\"ok\":true}",
-            false,
-        )
-        .unwrap();
-        drop(server);
-        let mut text = String::new();
-        BufReader::new(client).read_to_string(&mut text).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("content-length: 11\r\n"));
-        assert!(text.contains("connection: close\r\n"));
-        assert!(text.contains("x-snc-elapsed-us: 12\r\n"));
-        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+    fn render_response_frames_head_and_body() {
+        for keep_alive in [true, false] {
+            let rendered = render_response(
+                200,
+                &[("x-snc-elapsed-us", "12".to_string())],
+                b"{\"ok\":true}",
+                keep_alive,
+            );
+            let text = String::from_utf8(rendered).unwrap();
+            assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
+            assert!(text.contains("content-type: application/json\r\n"));
+            assert!(text.contains("content-length: 11\r\n"));
+            let connection = if keep_alive { "keep-alive" } else { "close" };
+            assert!(text.contains(&format!("connection: {connection}\r\n")));
+            assert!(text.contains("x-snc-elapsed-us: 12\r\n"));
+            assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+        }
     }
 }

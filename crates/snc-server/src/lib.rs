@@ -49,8 +49,9 @@
 //! The request/response schema lives in [`wire`]; the HTTP subset in
 //! [`http`]; the async job records in [`jobs`]; the deterministic
 //! full-response cache in [`cache`]; the solver threads in [`pool`];
-//! acceptor/routing in [`server`]; the flag parsers both binaries share
-//! in [`cli`].
+//! acceptor/routing in [`server`], with the per-request labels, index
+//! body and access-log line the router shares; the flag parsers both
+//! binaries share in [`cli`].
 //!
 //! ## Caching
 //!

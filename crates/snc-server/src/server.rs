@@ -53,7 +53,7 @@
 
 use crate::cache::{ResponseCache, ResponseKey};
 use crate::event::{self, Completion, Mailbox, ReplyTo};
-use crate::http::{HttpError, Request};
+use crate::http::{self, HttpError, Request};
 use crate::jobs::{JobStatus, JobStore};
 use crate::metrics::ServerMetrics;
 use crate::pool::WorkerPool;
@@ -336,26 +336,28 @@ impl Drop for ServerHandle {
 }
 
 /// The metric labels (and content type) one response carries: static
-/// strings decided at route time, recorded by the reactor when the
-/// response is queued. Purely observational — never rendered into a
-/// body.
+/// strings decided at route time, recorded when the response is
+/// written. Purely observational — never rendered into a body. The
+/// router labels its own requests with the same type, so both tiers
+/// share one route/family/outcome vocabulary and one access-log format.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ResponseMeta {
+pub struct ResponseMeta {
     /// Route label (`solve`, `jobs`, `jobs_poll`, `healthz`, `metrics`,
     /// `index`, `other`).
-    pub(crate) route: &'static str,
+    pub route: &'static str,
     /// Circuit family label (`lif-gw` … / `max2sat` / `maxdicut`), or
     /// `none` for non-solve routes.
-    pub(crate) family: &'static str,
-    /// Response-cache outcome (`hit` / `miss`), or `none` where no
-    /// cache sits on the path, or `error`.
-    pub(crate) outcome: &'static str,
+    pub family: &'static str,
+    /// Response-cache outcome (`hit` / `miss`), `relayed` for a response
+    /// the router forwarded, `none` where neither applies, or `error`.
+    pub outcome: &'static str,
     /// The `content-type` header value for the response.
-    pub(crate) content_type: &'static str,
+    pub content_type: &'static str,
 }
 
 impl ResponseMeta {
-    pub(crate) fn new(route: &'static str) -> ResponseMeta {
+    /// Labels for `route` with no family and no outcome, answering JSON.
+    pub fn new(route: &'static str) -> ResponseMeta {
         ResponseMeta {
             route,
             family: "none",
@@ -377,12 +379,44 @@ impl ResponseMeta {
             _ => "other",
         }
     }
+
+    /// Renders a routed request's response: this meta's content type
+    /// plus the two per-request headers both tiers send,
+    /// `x-snc-elapsed-us` and `x-snc-request-id`.
+    pub fn render(
+        &self,
+        status: u16,
+        body: &str,
+        keep_alive: bool,
+        request_id: &str,
+        elapsed_us: u64,
+    ) -> Vec<u8> {
+        let extra = [
+            ("x-snc-elapsed-us", elapsed_us.to_string()),
+            ("x-snc-request-id", request_id.to_string()),
+        ];
+        http::render_response_typed(
+            status,
+            self.content_type,
+            &extra,
+            body.as_bytes(),
+            keep_alive,
+        )
+    }
+
+    /// The access-log line for one answered request.
+    pub fn access_line(&self, request_id: &str, status: u16, elapsed_us: u64) -> String {
+        format!(
+            "id={request_id} route={} family={} outcome={} status={status} us={elapsed_us}",
+            self.route, self.family, self.outcome
+        )
+    }
 }
 
-/// The meta for a request [`route`] rejected with an [`HttpError`]
-/// (404/405/400): same route cell as the success path, outcome
-/// `error`.
-pub(crate) fn error_meta(path: &str) -> ResponseMeta {
+/// The meta for a request that routing rejected with an [`HttpError`]
+/// (404/405/400, or the edge's 503): same route cell as the success
+/// path, outcome `error`.
+pub fn error_meta(path: &str) -> ResponseMeta {
     ResponseMeta {
         outcome: "error",
         ..ResponseMeta::new(ResponseMeta::route_label(path))
@@ -434,7 +468,11 @@ pub(crate) fn route(
         }
         ("GET", path) if path.starts_with("/jobs/") => poll_job(path, shared)
             .map(|(status, body)| Routed::Ready(status, body, ResponseMeta::new("jobs_poll"))),
-        ("GET", "/") => Ok(Routed::Ready(200, index_body(), ResponseMeta::new("index"))),
+        ("GET", "/") => Ok(Routed::Ready(
+            200,
+            index_body("snc-server"),
+            ResponseMeta::new("index"),
+        )),
         (_, "/healthz" | "/solve" | "/jobs" | "/" | "/metrics") => {
             Err(HttpError::new(405, "method not allowed"))
         }
@@ -443,9 +481,11 @@ pub(crate) fn route(
     }
 }
 
-fn index_body() -> String {
+/// The `GET /` body both tiers answer: the service name and the
+/// endpoint list they share.
+pub fn index_body(service: &str) -> String {
     Json::Obj(vec![
-        ("service".into(), Json::str("snc-server")),
+        ("service".into(), Json::str(service)),
         (
             "endpoints".into(),
             Json::Arr(

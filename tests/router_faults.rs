@@ -532,6 +532,19 @@ fn edge_validates_and_mirrors_backend_status_codes() {
         let routed = strip_per_request_headers(&raw_exchange(router.addr(), &raw));
         assert_eq!(routed, direct, "tiers diverge on {name}");
     }
+    // An EOF partway through a request closes the connection on both
+    // tiers without an answer.
+    for (name, raw) in [
+        (
+            "body shorter than its content-length",
+            &b"POST /solve HTTP/1.1\r\nContent-Length: 8\r\n\r\nabc"[..],
+        ),
+        ("head cut mid-line", b"GET /nope HTTP/1.1\r\nHos"),
+        ("stray carriage return", b"\r\r\n"),
+    ] {
+        assert_eq!(raw_exchange(backend.addr(), raw), b"", "backend on {name}");
+        assert_eq!(raw_exchange(router.addr(), raw), b"", "router on {name}");
+    }
 }
 
 /// Wire-level inputs the edge and the backend must answer identically:
