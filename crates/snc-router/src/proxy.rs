@@ -266,7 +266,10 @@ fn accept_loop(listener: &TcpListener, mut poller: Poller, shared: &Arc<Shared>)
 fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let mut parser = RequestParser::new(shared.cfg.max_body_bytes);
-    let mut chunk = [0u8; http::READ_CHUNK];
+    // On the heap, not the stack: every connection runs on a fresh
+    // thread whose stack pages fault on first touch, and a 16 KiB stack
+    // buffer raised `churn-routed` p50 by 8-13%.
+    let mut chunk = vec![0u8; http::READ_CHUNK];
     'connection: loop {
         match stream.read(&mut chunk) {
             Ok(0) => break,
