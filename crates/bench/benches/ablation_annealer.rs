@@ -22,7 +22,10 @@ fn annealer_vs_circuits(c: &mut Criterion) {
     let (_, pt) = parallel_tempering(&graph, &TemperingConfig::default());
     let mut software = GwSampler::new(factors.clone(), 1);
     let gw_best = sample_best_trace(&mut software, &graph, &checkpoints).final_best();
-    let lif_gw_cfg = LifGwConfig { lif: cfg.lif, ..LifGwConfig::default() };
+    let lif_gw_cfg = LifGwConfig {
+        lif: cfg.lif,
+        ..LifGwConfig::default()
+    };
     let mut circuit = BatchedLifGwCircuit::new(&factors, &[2], &lif_gw_cfg);
     let circuit_best = circuit.best_traces(&graph, &checkpoints)[0].final_best();
     println!(
@@ -31,18 +34,26 @@ fn annealer_vs_circuits(c: &mut Criterion) {
     );
 
     let mut group = c.benchmark_group("annealer_ablation");
-    group.bench_with_input(BenchmarkId::from_parameter("simulated_annealing"), &graph, |b, g| {
-        b.iter(|| simulated_annealing(g, &AnnealConfig::default()).1)
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("parallel_tempering"), &graph, |b, g| {
-        b.iter(|| parallel_tempering(g, &TemperingConfig::default()).1)
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("gw_sampling"), &graph, |b, g| {
-        b.iter(|| {
-            let mut s = GwSampler::new(factors.clone(), 1);
-            sample_best_trace(&mut s, g, &checkpoints).final_best()
-        })
-    });
+    group.bench_with_input(
+        BenchmarkId::from_parameter("simulated_annealing"),
+        &graph,
+        |b, g| b.iter(|| simulated_annealing(g, &AnnealConfig::default()).1),
+    );
+    group.bench_with_input(
+        BenchmarkId::from_parameter("parallel_tempering"),
+        &graph,
+        |b, g| b.iter(|| parallel_tempering(g, &TemperingConfig::default()).1),
+    );
+    group.bench_with_input(
+        BenchmarkId::from_parameter("gw_sampling"),
+        &graph,
+        |b, g| {
+            b.iter(|| {
+                let mut s = GwSampler::new(factors.clone(), 1);
+                sample_best_trace(&mut s, g, &checkpoints).final_best()
+            })
+        },
+    );
     group.finish();
 }
 

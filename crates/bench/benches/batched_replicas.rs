@@ -59,9 +59,8 @@ fn sequential_vs_batched(c: &mut Criterion) {
     let factors = sdp_factors(&graph);
     let cfg = LifGwConfig::default();
     let cp = log2_checkpoints(SAMPLES);
-    let traces = |seeds: &[u64]| {
-        BatchedLifGwCircuit::new(&factors, seeds, &cfg).best_traces(&graph, &cp)
-    };
+    let traces =
+        |seeds: &[u64]| BatchedLifGwCircuit::new(&factors, seeds, &cfg).best_traces(&graph, &cp);
 
     // Loud correctness gate: every lane == its one-seed batch, bit for bit.
     for r in [8usize, 16] {
@@ -129,7 +128,8 @@ fn csc_accumulate_paper_scale(c: &mut Criterion) {
     const R: usize = 8;
     let states: Vec<ActivityWords> = (0..R)
         .map(|r| {
-            let mut pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), n), 0xC5C + r as u64);
+            let mut pool =
+                DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), n), 0xC5C + r as u64);
             pool.step().clone()
         })
         .collect();

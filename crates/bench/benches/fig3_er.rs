@@ -27,7 +27,14 @@ fn fig3_suite(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("G({n},{p})")),
             &graph,
-            |b, g| b.iter(|| run_suite(g, &cfg, 7).expect("suite runs").solver.final_best()),
+            |b, g| {
+                b.iter(|| {
+                    run_suite(g, &cfg, 7)
+                        .expect("suite runs")
+                        .solver
+                        .final_best()
+                })
+            },
         );
     }
     group.finish();

@@ -31,7 +31,14 @@ fn fig4_suite(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(dataset.name()),
             &graph,
-            |b, g| b.iter(|| run_suite(g, &cfg, 11).expect("suite runs").solver.final_best()),
+            |b, g| {
+                b.iter(|| {
+                    run_suite(g, &cfg, 11)
+                        .expect("suite runs")
+                        .solver
+                        .final_best()
+                })
+            },
         );
     }
     group.finish();
@@ -56,7 +63,12 @@ fn fig4_worker_replicas(c: &mut Criterion) {
             cfg.sample_budget = budget;
             cfg.replicas = replicas;
             group.bench_function(format!("samples{budget}_replicas{replicas}"), |b| {
-                b.iter(|| run_suite(&graph, &cfg, 11).expect("suite runs").solver.final_best())
+                b.iter(|| {
+                    run_suite(&graph, &cfg, 11)
+                        .expect("suite runs")
+                        .solver
+                        .final_best()
+                })
             });
         }
     }

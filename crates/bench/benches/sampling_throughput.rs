@@ -22,7 +22,11 @@ fn offline_costs(c: &mut Criterion) {
     let graph = er_graph(200, 0.25);
     let mut group = c.benchmark_group("offline");
     group.bench_function("sdp_solve_n200", |b| {
-        b.iter(|| gw::solve_gw(&graph, &GwConfig::default()).expect("SDP converges").sdp_bound)
+        b.iter(|| {
+            gw::solve_gw(&graph, &GwConfig::default())
+                .expect("SDP converges")
+                .sdp_bound
+        })
     });
     group.bench_function("spectral_solve_n200", |b| {
         b.iter(|| {
@@ -62,7 +66,9 @@ fn per_sample_costs(c: &mut Criterion) {
 
     // Cut evaluation itself (shared by all samplers in best-trace runs).
     let cut = random.next_cut();
-    group.bench_function("cut_value_eval", |b| b.iter(|| black_box(cut.cut_value(&graph))));
+    group.bench_function("cut_value_eval", |b| {
+        b.iter(|| black_box(cut.cut_value(&graph)))
+    });
     group.finish();
 }
 

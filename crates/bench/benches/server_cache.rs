@@ -94,7 +94,12 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> String {
 
 /// One connection's work: `count` keep-alive requests drawn round-robin
 /// from `bodies` starting at `offset`; returns the response bodies.
-fn drive_connection(addr: SocketAddr, bodies: &[Vec<u8>], offset: usize, count: usize) -> Vec<String> {
+fn drive_connection(
+    addr: SocketAddr,
+    bodies: &[Vec<u8>],
+    offset: usize,
+    count: usize,
+) -> Vec<String> {
     let stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -156,7 +161,10 @@ fn server_cache(c: &mut Criterion) {
     // cold server's bodies for the same rotation.
     assert_eq!(evict_bodies.len(), set_reference.len());
     for (got, want) in evict_bodies.iter().zip(&set_reference) {
-        assert_eq!(got, want, "evicting-server body diverged from computed body");
+        assert_eq!(
+            got, want,
+            "evicting-server body diverged from computed body"
+        );
     }
 
     // ── Timing ─────────────────────────────────────────────────────

@@ -152,7 +152,10 @@ fn server_throughput(c: &mut Criterion) {
     let bodies = round(addr, 8);
     assert_eq!(bodies.len(), 8 * REQUESTS_PER_CONN);
     for body in &bodies {
-        assert_eq!(body, &bodies[0], "response bodies diverged across connections");
+        assert_eq!(
+            body, &bodies[0],
+            "response bodies diverged across connections"
+        );
     }
 
     let mut group = c.benchmark_group("server_throughput_road_chesapeake");
@@ -176,7 +179,10 @@ fn server_throughput(c: &mut Criterion) {
     // with the fleet parked).
     let bodies = round(addr, 8);
     for body in &bodies {
-        assert_eq!(body, &bodies[0], "warm bodies diverged under the idle fleet");
+        assert_eq!(
+            body, &bodies[0],
+            "warm bodies diverged under the idle fleet"
+        );
     }
     let mut group = c.benchmark_group("server_warm_hit_idle200");
     for connections in [1usize, 8] {

@@ -11,7 +11,10 @@ use std::time::Duration;
 fn table1_rows(c: &mut Criterion) {
     let cfg = bench_suite_config();
     let mut group = c.benchmark_group("table1_row");
-    for dataset in [EmpiricalDataset::SocDolphins, EmpiricalDataset::RoadChesapeake] {
+    for dataset in [
+        EmpiricalDataset::SocDolphins,
+        EmpiricalDataset::RoadChesapeake,
+    ] {
         // Print the measured row next to the paper's reference once.
         let result = run_table1(&[dataset], &cfg, false);
         let row = &result.rows[0];

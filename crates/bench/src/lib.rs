@@ -31,9 +31,14 @@ pub fn er_graph(n: usize, p: f64) -> Graph {
 /// Solves the GW SDP at the paper's rank for a graph (bench setup cost —
 /// excluded from sampler timings by doing it outside the timed closure).
 pub fn sdp_factors(graph: &Graph) -> DMatrix {
-    gw::solve_gw(graph, &GwConfig { sdp: SdpConfig::default() })
-        .expect("SDP converges")
-        .factors
+    gw::solve_gw(
+        graph,
+        &GwConfig {
+            sdp: SdpConfig::default(),
+        },
+    )
+    .expect("SDP converges")
+    .factors
 }
 
 /// The smallest Figure-4 empirical graph (road-chesapeake, 39 vertices /

@@ -41,12 +41,18 @@ fn main() {
 
         let (_, anneal_best) = multistart_annealing(
             &graph,
-            &AnnealConfig { seed: 30 + seed, ..AnnealConfig::default() },
+            &AnnealConfig {
+                seed: 30 + seed,
+                ..AnnealConfig::default()
+            },
             4,
         );
         let (_, tempering_best) = parallel_tempering(
             &graph,
-            &TemperingConfig { seed: 40 + seed, ..TemperingConfig::default() },
+            &TemperingConfig {
+                seed: 40 + seed,
+                ..TemperingConfig::default()
+            },
         );
 
         let mut random = RandomCutSampler::new(graph.n(), 50 + seed);

@@ -24,8 +24,14 @@ fn main() {
     let candidates: Vec<(&str, DeviceModel)> = vec![
         ("fair coin (ideal)", DeviceModel::fair()),
         ("biased p=0.6", DeviceModel::biased(0.6).unwrap()),
-        ("telegraph 0.05/0.05", DeviceModel::telegraph(0.05, 0.05).unwrap()),
-        ("drifting σ=0.02", DeviceModel::drifting(0.5, 0.02, 0.2, 0.8).unwrap()),
+        (
+            "telegraph 0.05/0.05",
+            DeviceModel::telegraph(0.05, 0.05).unwrap(),
+        ),
+        (
+            "drifting σ=0.02",
+            DeviceModel::drifting(0.5, 0.02, 0.2, 0.8).unwrap(),
+        ),
     ];
     for (name, model) in candidates {
         let mut pool = DevicePool::new(PoolSpec::uniform(model, 1), 99);
@@ -38,7 +44,11 @@ fn main() {
             report.lag1,
             report.monobit_z,
             report.runs_z,
-            if report.passes_fair_screen(4.0) { "PASS" } else { "FAIL" }
+            if report.passes_fair_screen(4.0) {
+                "PASS"
+            } else {
+                "FAIL"
+            }
         );
     }
 

@@ -27,7 +27,10 @@ fn main() {
 
     for panel in &result.panels {
         println!("panel G({}, {}):", panel.n, panel.p);
-        println!("  {:>10} {:>9} {:>9} {:>9} {:>9}", "samples", "LIF-GW", "LIF-TR", "solver", "random");
+        println!(
+            "  {:>10} {:>9} {:>9} {:>9} {:>9}",
+            "samples", "LIF-GW", "LIF-TR", "solver", "random"
+        );
         let grid = &panel.curves[0].1.checkpoints;
         for (k, &cp) in grid.iter().enumerate() {
             let get = |key: &str| {

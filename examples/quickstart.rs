@@ -30,7 +30,10 @@ fn main() {
 
     // Software Goemans–Williamson: SDP (rank 4) + Gaussian rounding.
     let gw_solution = gw::solve_gw(&graph, &GwConfig::default()).expect("SDP converges");
-    println!("GW SDP upper bound:             {:.2}", gw_solution.sdp_bound);
+    println!(
+        "GW SDP upper bound:             {:.2}",
+        gw_solution.sdp_bound
+    );
     let mut software = GwSampler::new(gw_solution.factors.clone(), 1);
     let software_best = sample_best_trace(&mut software, &graph, &checkpoints).final_best();
     println!("software GW (best of {budget}):    {software_best}");

@@ -119,8 +119,14 @@ fn tcp_replays_and_disabled_caches_are_byte_identical() {
         let (s1, cold) = roundtrip(cached.addr(), "POST", "/solve", request);
         let (s2, warm) = roundtrip(cached.addr(), "POST", "/solve", request);
         assert_eq!((s0, s1, s2), (200, 200, 200), "{request}");
-        assert_eq!(cold, reference, "cached-server cold body diverged from uncached server");
-        assert_eq!(warm, reference, "cache-hit body diverged from computed body");
+        assert_eq!(
+            cold, reference,
+            "cached-server cold body diverged from uncached server"
+        );
+        assert_eq!(
+            warm, reference,
+            "cache-hit body diverged from computed body"
+        );
     }
 
     // Counter accounting: every /solve consulted the response cache
@@ -214,19 +220,37 @@ fn sdp_families_share_one_sdp_cache_entry_and_companions_never_touch_it() {
     };
 
     replay(&sdp_pair);
-    assert_eq!(sdp_counters(addr), (1, 1, 1), "LIF-annealed hits LIF-GW's entry");
+    assert_eq!(
+        sdp_counters(addr),
+        (1, 1, 1),
+        "LIF-annealed hits LIF-GW's entry"
+    );
     let sdp_stage = "stage=\"sdp\"";
-    assert_eq!(metric_sum(addr, "snc_solver_stage_duration_us_count", sdp_stage), 1);
+    assert_eq!(
+        metric_sum(addr, "snc_solver_stage_duration_us_count", sdp_stage),
+        1
+    );
     assert_eq!(metric_sum(addr, "snc_solver_sdp_iterations_count", ""), 1);
     // With the SDP cache disabled both requests solve.
     assert_eq!(
-        metric_sum(no_sdp_cache.addr(), "snc_solver_stage_duration_us_count", sdp_stage),
+        metric_sum(
+            no_sdp_cache.addr(),
+            "snc_solver_stage_duration_us_count",
+            sdp_stage
+        ),
         2
     );
 
     replay(&companions);
-    assert_eq!(sdp_counters(addr), (1, 1, 1), "companions never consult the SDP cache");
-    assert_eq!(metric_sum(addr, "snc_solver_stage_duration_us_count", sdp_stage), 1);
+    assert_eq!(
+        sdp_counters(addr),
+        (1, 1, 1),
+        "companions never consult the SDP cache"
+    );
+    assert_eq!(
+        metric_sum(addr, "snc_solver_stage_duration_us_count", sdp_stage),
+        1
+    );
 
     let (_, health) = roundtrip(addr, "GET", "/healthz", "");
     let doc = snc_experiments::json::parse(&health).expect("healthz is JSON");

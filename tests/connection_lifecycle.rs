@@ -42,7 +42,9 @@ use std::time::{Duration, Instant};
 static TIMING: Mutex<()> = Mutex::new(());
 
 fn timing_guard() -> std::sync::MutexGuard<'static, ()> {
-    TIMING.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    TIMING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 const SOLVE_SEED_42: &str = r#"{"graph": "road-chesapeake", "circuit": "lif-gw", "budget": 128, "replicas": 4, "seed": 42}"#;
@@ -116,7 +118,10 @@ impl KeepAlive {
     fn fill(&mut self) {
         let mut chunk = [0u8; 4096];
         match self.stream.read(&mut chunk) {
-            Ok(0) => panic!("connection closed mid-response (buffered: {:?})", self.buf.len()),
+            Ok(0) => panic!(
+                "connection closed mid-response (buffered: {:?})",
+                self.buf.len()
+            ),
             Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
             Err(e) => panic!("read failed: {e}"),
         }
@@ -210,7 +215,10 @@ fn pipelined_matches_sequential_on(backend: Backend) {
             normalize_head(ref_head),
             "response {i} framing diverged"
         );
-        assert_eq!(&body, ref_body, "response {i} body diverged from sequential");
+        assert_eq!(
+            &body, ref_body,
+            "response {i} body diverged from sequential"
+        );
     }
     handle.shutdown();
 }
@@ -235,7 +243,8 @@ fn slowloris_reaped_on(backend: Backend) {
     let addr = handle.addr();
 
     let mut slow = TcpStream::connect(addr).expect("connect");
-    slow.set_read_timeout(Some(Duration::from_millis(25))).unwrap();
+    slow.set_read_timeout(Some(Duration::from_millis(25)))
+        .unwrap();
     slow.set_nodelay(true).unwrap();
     let drip = b"POST /solve HTTP/1.1\r\nX-Drip: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n";
     let started = Instant::now();
@@ -346,7 +355,8 @@ fn connection_budget_sheds_overflow_and_reports_exact_gauges() {
     for i in 0..OVERFLOW {
         let started = Instant::now();
         let mut over = TcpStream::connect(addr).expect("overflow connect");
-        over.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        over.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         let mut raw = Vec::new();
         over.read_to_end(&mut raw).expect("read 503 to EOF");
         let text = String::from_utf8_lossy(&raw);
@@ -367,7 +377,10 @@ fn connection_budget_sheds_overflow_and_reports_exact_gauges() {
 
     // The parked solve on the admitted connection completes.
     let (status, _, body) = admitted[1].read_response();
-    assert_eq!(status, 200, "in-flight solve on an admitted connection must finish");
+    assert_eq!(
+        status, 200,
+        "in-flight solve on an admitted connection must finish"
+    );
     assert!(body.contains("best_cut"));
 
     // Gauges, read over an already-admitted connection (a fresh probe
@@ -393,7 +406,10 @@ fn connection_budget_sheds_overflow_and_reports_exact_gauges() {
         if status == 200 {
             break;
         }
-        assert!(Instant::now() < deadline, "freed budget slot never reopened");
+        assert!(
+            Instant::now() < deadline,
+            "freed budget slot never reopened"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
     handle.shutdown();
@@ -424,7 +440,8 @@ fn partial_writes_deliver_a_byte_identical_large_trace_body() {
     );
 
     let mut slow = TcpStream::connect(throttled.addr()).expect("connect");
-    slow.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    slow.set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
     snc_server::sys::set_recv_buffer(
         std::os::fd::AsRawFd::as_raw_fd(&slow),
         1, // clamped to the floor: a tiny advertised window
@@ -452,7 +469,11 @@ fn partial_writes_deliver_a_byte_identical_large_trace_body() {
         }
     }
     let text = String::from_utf8(raw).expect("utf-8 response");
-    assert!(text.starts_with("HTTP/1.1 200 "), "status: {:?}", text.lines().next());
+    assert!(
+        text.starts_with("HTTP/1.1 200 "),
+        "status: {:?}",
+        text.lines().next()
+    );
     let body = text.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("");
     assert_eq!(
         body, reference,
@@ -503,7 +524,9 @@ fn mid_request_disconnects_free_their_slots() {
 
     // Vanish mid-header.
     let mut mid_header = TcpStream::connect(addr).expect("connect");
-    mid_header.write_all(b"POST /solve HTTP/1.1\r\nContent-Le").unwrap();
+    mid_header
+        .write_all(b"POST /solve HTTP/1.1\r\nContent-Le")
+        .unwrap();
     mid_header.shutdown(Shutdown::Both).unwrap();
     drop(mid_header);
 
@@ -552,7 +575,11 @@ fn raw_syscall_code_is_confined_to_the_sys_module() {
     );
     let mut offenders = Vec::new();
     for path in sources {
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().to_string();
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .to_string();
         if rel.contains("snc-server/src/sys/") {
             continue; // the one audited exception
         }

@@ -120,7 +120,11 @@ fn markdown_cross_references_resolve() {
         checked > 0,
         "no relative links found — the extractor is probably broken"
     );
-    assert!(broken.is_empty(), "broken doc links:\n{}", broken.join("\n"));
+    assert!(
+        broken.is_empty(),
+        "broken doc links:\n{}",
+        broken.join("\n")
+    );
 }
 
 /// The docs name key files by path in prose (backticked); pin the ones

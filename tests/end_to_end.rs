@@ -39,7 +39,10 @@ fn lif_gw_matches_software_solver() {
         let s = software_best as f64 / opt as f64;
         assert!(c >= 0.9, "graph {idx}: circuit ratio {c}");
         assert!(s >= 0.9, "graph {idx}: software ratio {s}");
-        assert!((c - s).abs() <= 0.08, "graph {idx}: circuit {c} vs software {s}");
+        assert!(
+            (c - s).abs() <= 0.08,
+            "graph {idx}: circuit {c} vs software {s}"
+        );
     }
 }
 

@@ -23,7 +23,10 @@ fn max2sat_meets_guarantee_across_instances() {
         let ratio = sol.value / opt;
         worst = worst.min(ratio);
         assert!(sol.value <= opt + 1e-9, "seed {seed}: beat the optimum?!");
-        assert!(sol.sdp_bound + 1e-6 >= opt, "seed {seed}: bound below optimum");
+        assert!(
+            sol.sdp_bound + 1e-6 >= opt,
+            "seed {seed}: bound below optimum"
+        );
     }
     assert!(worst >= 0.878, "worst ratio {worst} under the GW guarantee");
 }
@@ -43,7 +46,10 @@ fn maxdicut_meets_guarantee_across_instances() {
         assert!(sol.value <= opt);
         assert!(sol.sdp_bound + 1e-6 >= opt as f64);
     }
-    assert!(worst >= 0.796, "worst ratio {worst} under the GW-dicut guarantee");
+    assert!(
+        worst >= 0.796,
+        "worst ratio {worst} under the GW-dicut guarantee"
+    );
 }
 
 #[test]
@@ -57,8 +63,16 @@ fn maxcut_is_a_special_case_of_max2sat() {
         .iter()
         .flat_map(|&(u, v)| {
             [
-                Clause { a: Literal::pos(u), b: Some(Literal::pos(v)), weight: 1.0 },
-                Clause { a: Literal::neg(u), b: Some(Literal::neg(v)), weight: 1.0 },
+                Clause {
+                    a: Literal::pos(u),
+                    b: Some(Literal::pos(v)),
+                    weight: 1.0,
+                },
+                Clause {
+                    a: Literal::neg(u),
+                    b: Some(Literal::neg(v)),
+                    weight: 1.0,
+                },
             ]
         })
         .collect();

@@ -20,11 +20,16 @@ use snc::snc_maxcut::{
 /// Strategy: a connected-ish random graph on 4–12 vertices with at
 /// least one edge (a ring plus random chords).
 fn small_graph() -> impl Strategy<Value = Graph> {
-    (4usize..12, proptest::collection::vec((0u32..12, 0u32..12), 0..16)).prop_map(|(n, raw)| {
-        let mut edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
-        edges.extend(raw.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)));
-        Graph::from_edges(n, &edges).expect("in-range edges")
-    })
+    (
+        4usize..12,
+        proptest::collection::vec((0u32..12, 0u32..12), 0..16),
+    )
+        .prop_map(|(n, raw)| {
+            let mut edges: Vec<(u32, u32)> =
+                (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
+            edges.extend(raw.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)));
+            Graph::from_edges(n, &edges).expect("in-range edges")
+        })
 }
 
 /// A small spec for `family` (tiny budget keeps the per-case SDP cheap).
@@ -109,7 +114,11 @@ fn assert_lanes_match<C>(
         let cuts = next_cuts(&mut wide);
         assert_eq!(cuts.len(), seeds.len(), "{label}");
         for (r, one) in ones.iter_mut().enumerate() {
-            assert_eq!(cuts[r], next_cuts(one)[0], "{label}: sample {sample} lane {r}");
+            assert_eq!(
+                cuts[r],
+                next_cuts(one)[0],
+                "{label}: sample {sample} lane {r}"
+            );
         }
     }
 }
@@ -154,8 +163,8 @@ fn assert_every_family_has_independent_lanes(label: &str, g: &impl MaxCutGraph) 
 fn batch_lanes_match_one_seed_batches() {
     let g = gnp(14, 0.4, 11).unwrap();
     assert_every_family_has_independent_lanes("unweighted", &g);
-    let weighted = randomize_weights(&g, WeightDistribution::Uniform { lo: 0.5, hi: 2.0 }, 11)
-        .unwrap();
+    let weighted =
+        randomize_weights(&g, WeightDistribution::Uniform { lo: 0.5, hi: 2.0 }, 11).unwrap();
     assert_every_family_has_independent_lanes("weighted", &weighted);
 }
 
@@ -166,7 +175,10 @@ fn family_enumeration_is_complete_and_round_trips() {
     let all = CircuitFamily::all();
     assert_eq!(all.len(), 4);
     let names: Vec<&str> = all.iter().map(|f| f.name()).collect();
-    assert_eq!(names, vec!["lif-gw", "lif-trevisan", "lif-annealed", "hopfield"]);
+    assert_eq!(
+        names,
+        vec!["lif-gw", "lif-trevisan", "lif-annealed", "hopfield"]
+    );
     for family in all {
         assert_eq!(CircuitFamily::from_name(family.name()), Some(family));
     }
@@ -180,7 +192,10 @@ fn family_enumeration_is_complete_and_round_trips() {
 fn width_one_solves_match_across_families() {
     let g = gnp(12, 0.5, 21).unwrap();
     for family in CircuitFamily::all() {
-        let wide = SolveSpec { replicas: 1, ..SolveSpec::new(family, 10, 5) };
+        let wide = SolveSpec {
+            replicas: 1,
+            ..SolveSpec::new(family, 10, 5)
+        };
         let a = solve(&g, &wide).unwrap();
         let b = solve(&g, &wide).unwrap();
         assert_eq!(a.best_value, b.best_value, "{family:?}");

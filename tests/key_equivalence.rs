@@ -63,8 +63,15 @@ fn assert_same_key(body: &str) {
 fn assert_same_error(body: &str, needle: &str) {
     let (light, full) = both_keys(body);
     let full = full.expect_err(body);
-    assert!(full.contains(needle), "expected {needle:?} for {body}, got {full:?}");
-    assert_eq!(light, Err(full), "the spec path must refuse {body} the same way");
+    assert!(
+        full.contains(needle),
+        "expected {needle:?} for {body}, got {full:?}"
+    );
+    assert_eq!(
+        light,
+        Err(full),
+        "the spec path must refuse {body} the same way"
+    );
 }
 
 fn gnp(n: usize, p: &str, seed: Option<u64>) -> String {
@@ -79,7 +86,11 @@ fn golden_and_router_corpora_key_the_same_on_both_paths() {
         .flat_map(|family| family_cases(family))
         .chain(signed_cases())
         .collect();
-    cases.extend(ROUTER_CORPUS.iter().map(|b| ("router".to_string(), (*b).to_string())));
+    cases.extend(
+        ROUTER_CORPUS
+            .iter()
+            .map(|b| ("router".to_string(), (*b).to_string())),
+    );
     let mut named = 0;
     for (case, body) in &cases {
         if case == "lif-trevisan/signed/r1" {
@@ -113,7 +124,10 @@ fn every_spelling_keys_the_same_on_both_paths() {
     // backend.
     assert_eq!(both_keys(&named[0]).0, both_keys(&named[1]).0);
     // An omitted gnp seed is seed 0.
-    assert_eq!(both_keys(&named[2]).0, both_keys(&gnp(30, "0.2", Some(0))).0);
+    assert_eq!(
+        both_keys(&named[2]).0,
+        both_keys(&gnp(30, "0.2", Some(0))).0
+    );
 
     let built = [
         r#"{"graph": {"edges": [[0,1],[1,2],[2,0]]}, "budget": 8}"#,
@@ -198,9 +212,16 @@ fn invalid_bodies_get_the_same_error_on_both_paths() {
 
 #[test]
 fn an_edgeless_gnp_gets_a_spec_key_and_is_refused_when_built() {
-    for body in [gnp(1, "0.5", Some(1)), gnp(10, "0", Some(1)), gnp(0, "0.5", None)] {
+    for body in [
+        gnp(1, "0.5", Some(1)),
+        gnp(10, "0", Some(1)),
+        gnp(0, "0.5", None),
+    ] {
         let (light, full) = both_keys(&body);
-        assert!(light.is_ok(), "{body}: the spec path keys it without building");
+        assert!(
+            light.is_ok(),
+            "{body}: the spec path keys it without building"
+        );
         assert_eq!(
             full,
             Err("graph has no edges; MAXCUT needs at least one".to_string()),

@@ -44,21 +44,33 @@ struct Scrape {
 
 fn valid_metric_name(name: &str) -> bool {
     !name.is_empty()
-        && name.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
-        && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+        && name
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+        && name
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
 fn valid_label_name(name: &str) -> bool {
     !name.is_empty()
-        && name.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        && name
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
         && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
 /// Splits `name{labels} value` / `name value`; panics on malformed
 /// lines (this is a conformance test — malformed is a failure).
 fn parse_sample(line: &str) -> Sample {
-    let (series, value) = line.rsplit_once(' ').unwrap_or_else(|| panic!("no value in {line:?}"));
-    let value: f64 = value.parse().unwrap_or_else(|_| panic!("bad value in {line:?}"));
+    let (series, value) = line
+        .rsplit_once(' ')
+        .unwrap_or_else(|| panic!("no value in {line:?}"));
+    let value: f64 = value
+        .parse()
+        .unwrap_or_else(|_| panic!("bad value in {line:?}"));
     let (name, labels) = match series.split_once('{') {
         Some((name, rest)) => {
             let labels = rest
@@ -69,7 +81,11 @@ fn parse_sample(line: &str) -> Sample {
         None => (series.to_string(), String::new()),
     };
     assert!(valid_metric_name(&name), "bad metric name in {line:?}");
-    Sample { name, labels, value }
+    Sample {
+        name,
+        labels,
+        value,
+    }
 }
 
 /// Parses one label block, undoing value escaping. Panics on syntax the
@@ -78,7 +94,9 @@ fn parse_labels(block: &str) -> Vec<(String, String)> {
     let mut out = Vec::new();
     let mut rest = block;
     while !rest.is_empty() {
-        let eq = rest.find('=').unwrap_or_else(|| panic!("no '=' in label block {block:?}"));
+        let eq = rest
+            .find('=')
+            .unwrap_or_else(|| panic!("no '=' in label block {block:?}"));
         let key = &rest[..eq];
         assert!(valid_label_name(key), "bad label name {key:?} in {block:?}");
         rest = rest[eq + 1..]
@@ -87,7 +105,9 @@ fn parse_labels(block: &str) -> Vec<(String, String)> {
         let mut value = String::new();
         let mut chars = rest.char_indices();
         let after_quote = loop {
-            let (i, c) = chars.next().unwrap_or_else(|| panic!("unterminated label value in {block:?}"));
+            let (i, c) = chars
+                .next()
+                .unwrap_or_else(|| panic!("unterminated label value in {block:?}"));
             match c {
                 '"' => break i + 1,
                 '\\' => {
@@ -122,7 +142,10 @@ fn parse_scrape(text: &str) -> Scrape {
         if let Some(rest) = line.strip_prefix("# TYPE ") {
             let mut parts = rest.splitn(2, ' ');
             let name = parts.next().unwrap().to_string();
-            let kind = parts.next().unwrap_or_else(|| panic!("TYPE without kind: {line:?}")).to_string();
+            let kind = parts
+                .next()
+                .unwrap_or_else(|| panic!("TYPE without kind: {line:?}"))
+                .to_string();
             assert!(
                 ["counter", "gauge", "histogram"].contains(&kind.as_str()),
                 "unknown type {kind:?}"
@@ -204,7 +227,13 @@ fn check_scrape(text: &str) -> Scrape {
             let le = labels
                 .iter()
                 .find(|(k, _)| k == "le")
-                .map(|(_, v)| if v == "+Inf" { f64::INFINITY } else { v.parse().unwrap() })
+                .map(|(_, v)| {
+                    if v == "+Inf" {
+                        f64::INFINITY
+                    } else {
+                        v.parse().unwrap()
+                    }
+                })
                 .unwrap_or_else(|| panic!("bucket without le: {s:?}"));
             let key: String = labels
                 .iter()
@@ -216,7 +245,10 @@ fn check_scrape(text: &str) -> Scrape {
         for (key, buckets) in series {
             let mut last = 0.0;
             for window in buckets.windows(2) {
-                assert!(window[0].0 < window[1].0, "{name} le out of order for {key}");
+                assert!(
+                    window[0].0 < window[1].0,
+                    "{name} le out of order for {key}"
+                );
             }
             for &(_, count) in &buckets {
                 assert!(count >= last, "{name} buckets not cumulative for {key}");
@@ -284,7 +316,10 @@ fn server_exposition_is_structurally_conformant() {
             s.name == "snc_solver_stage_duration_us_count" && s.labels.contains("stage=\"sdp\"")
         })
         .expect("sdp stage series");
-    assert_eq!(sdp_count.value, 1.0, "cache hits must not count as SDP solves");
+    assert_eq!(
+        sdp_count.value, 1.0,
+        "cache hits must not count as SDP solves"
+    );
     handle.shutdown();
 }
 
@@ -330,7 +365,10 @@ fn counters_are_monotone_across_scrapes_under_concurrent_traffic() {
             .iter()
             .find(|b| b.name == a.name && b.labels == a.labels)
         else {
-            panic!("counter series {} {{{}}} vanished between scrapes", a.name, a.labels);
+            panic!(
+                "counter series {} {{{}}} vanished between scrapes",
+                a.name, a.labels
+            );
         };
         assert!(
             b.value >= a.value,
@@ -342,7 +380,10 @@ fn counters_are_monotone_across_scrapes_under_concurrent_traffic() {
         );
         compared += 1;
     }
-    assert!(compared >= 5, "too few counter series to mean anything: {compared}");
+    assert!(
+        compared >= 5,
+        "too few counter series to mean anything: {compared}"
+    );
     // And the request histogram must have registered the traffic.
     let requests = |s: &Scrape| -> f64 {
         s.samples
@@ -351,7 +392,10 @@ fn counters_are_monotone_across_scrapes_under_concurrent_traffic() {
             .map(|x| x.value)
             .sum()
     };
-    assert!(requests(&second) > requests(&first), "request histogram stood still under load");
+    assert!(
+        requests(&second) > requests(&first),
+        "request histogram stood still under load"
+    );
     handle.shutdown();
 }
 
@@ -399,9 +443,12 @@ fn router_exposition_is_conformant_and_covers_the_fleet() {
     let router = common::spawn_listening(
         "snc-router",
         &[
-            "--addr", "127.0.0.1:0",
-            "--backend", &backend.addr().to_string(),
-            "--probe-interval-ms", "100",
+            "--addr",
+            "127.0.0.1:0",
+            "--backend",
+            &backend.addr().to_string(),
+            "--probe-interval-ms",
+            "100",
         ],
     );
     let (status, _) = roundtrip(router.addr(), "POST", "/solve", SOLVE);

@@ -11,13 +11,17 @@ use snc::snc_neuro::{BatchedTwoStageNetwork, LearningRate, Reset, TwoStageConfig
 
 /// Strategy: a random edge list on up to 12 vertices.
 fn small_graph() -> impl Strategy<Value = Graph> {
-    (2usize..12, proptest::collection::vec((0u32..12, 0u32..12), 0..40)).prop_map(|(n, raw)| {
-        let edges: Vec<(u32, u32)> = raw
-            .into_iter()
-            .map(|(u, v)| (u % n as u32, v % n as u32))
-            .collect();
-        Graph::from_edges(n, &edges).expect("in-range edges")
-    })
+    (
+        2usize..12,
+        proptest::collection::vec((0u32..12, 0u32..12), 0..40),
+    )
+        .prop_map(|(n, raw)| {
+            let edges: Vec<(u32, u32)> = raw
+                .into_iter()
+                .map(|(u, v)| (u % n as u32, v % n as u32))
+                .collect();
+            Graph::from_edges(n, &edges).expect("in-range edges")
+        })
 }
 
 proptest! {

@@ -115,7 +115,11 @@ fn router_health(router: SocketAddr) -> RouterHealth {
             .collect(),
         pool_idle: entries
             .iter()
-            .map(|e| e.get("pool_idle").and_then(Json::as_u64).expect("pool_idle"))
+            .map(|e| {
+                e.get("pool_idle")
+                    .and_then(Json::as_u64)
+                    .expect("pool_idle")
+            })
             .collect(),
         retried: doc.get("retried").and_then(Json::as_u64).expect("retried"),
         failed: doc.get("failed").and_then(Json::as_u64).expect("failed"),
@@ -163,11 +167,16 @@ fn killing_one_backend_loses_no_client_requests() {
     let router = spawn_router_args(
         &addrs,
         &[
-            "--probe-interval-ms", "200",
-            "--probe-timeout-ms", "500",
-            "--down-after", "2",
-            "--up-after", "2",
-            "--retries", "2",
+            "--probe-interval-ms",
+            "200",
+            "--probe-timeout-ms",
+            "500",
+            "--down-after",
+            "2",
+            "--up-after",
+            "2",
+            "--retries",
+            "2",
         ],
     );
     let corpus = corpus();
@@ -197,7 +206,10 @@ fn killing_one_backend_loses_no_client_requests() {
     // bytes. Zero client-visible errors.
     for (request, want) in corpus.iter().zip(&expected) {
         let (status, body) = roundtrip(router.addr(), "POST", "/solve", request);
-        assert_eq!(status, 200, "client saw a failure after a backend died: {body}");
+        assert_eq!(
+            status, 200,
+            "client saw a failure after a backend died: {body}"
+        );
         assert_eq!(&body, want, "failover changed bytes for {request}");
     }
     let after = router_health(router.addr());
@@ -246,11 +258,16 @@ fn late_backend_is_demoted_then_readmitted_by_probe_hysteresis() {
     let router = spawn_router_args(
         &addrs,
         &[
-            "--probe-interval-ms", "100",
-            "--probe-timeout-ms", "300",
-            "--down-after", "1",
-            "--up-after", "2",
-            "--retries", "2",
+            "--probe-interval-ms",
+            "100",
+            "--probe-timeout-ms",
+            "300",
+            "--down-after",
+            "1",
+            "--up-after",
+            "2",
+            "--retries",
+            "2",
         ],
     );
     // Backends start optimistically up; the first failed probe demotes
@@ -310,11 +327,16 @@ fn whole_fleet_down_answers_clean_fast_503() {
     let router = spawn_router_args(
         &[backend.addr()],
         &[
-            "--probe-interval-ms", "100",
-            "--probe-timeout-ms", "300",
-            "--down-after", "1",
-            "--up-after", "2",
-            "--connect-timeout-ms", "500",
+            "--probe-interval-ms",
+            "100",
+            "--probe-timeout-ms",
+            "300",
+            "--down-after",
+            "1",
+            "--up-after",
+            "2",
+            "--connect-timeout-ms",
+            "500",
         ],
     );
     let request = &corpus()[0];
@@ -334,19 +356,19 @@ fn whole_fleet_down_answers_clean_fast_503() {
     );
 
     // Window 2 — after demotion: immediate 503 without touching TCP.
-    let down = wait_for_health(
-        router.addr(),
-        "fleet down",
-        Duration::from_secs(10),
-        |h| !h.up[0],
-    );
+    let down = wait_for_health(router.addr(), "fleet down", Duration::from_secs(10), |h| {
+        !h.up[0]
+    });
     assert_eq!(down.status, "down");
     let started = Instant::now();
     let (status, body) = roundtrip(router.addr(), "POST", "/solve", request);
     assert_eq!(status, 503, "post-demotion: {body}");
     assert!(started.elapsed() < Duration::from_secs(2));
     let doc = json::parse(&body).expect("503 body is JSON");
-    assert!(doc.get("error").is_some(), "503 carries an error object: {body}");
+    assert!(
+        doc.get("error").is_some(),
+        "503 carries an error object: {body}"
+    );
     assert!(router_health(router.addr()).failed >= 2);
 
     // Async polling a job on a dead fleet is equally clean.
@@ -382,12 +404,18 @@ fn request_ids_correlate_across_tiers_and_survive_failover() {
     let router = spawn_router_args(
         &addrs,
         &[
-            "--probe-interval-ms", "200",
-            "--probe-timeout-ms", "500",
-            "--down-after", "2",
-            "--up-after", "2",
-            "--retries", "2",
-            "--access-log", &router_log,
+            "--probe-interval-ms",
+            "200",
+            "--probe-timeout-ms",
+            "500",
+            "--down-after",
+            "2",
+            "--up-after",
+            "2",
+            "--retries",
+            "2",
+            "--access-log",
+            &router_log,
         ],
     );
     let corpus = corpus();
@@ -435,7 +463,11 @@ fn request_ids_correlate_across_tiers_and_survive_failover() {
     let victim_requests: Vec<usize> = (0..corpus.len())
         .filter(|&i| warm_texts[victim].contains(&token(&warm_ids[i])))
         .collect();
-    assert!(!victim_requests.is_empty(), "victim served nothing: {:?}", warm.routed);
+    assert!(
+        !victim_requests.is_empty(),
+        "victim served nothing: {:?}",
+        warm.routed
+    );
     backends[victim].kill();
 
     // Replay with fresh ids. For requests the victim owned, attempt 1
@@ -462,8 +494,9 @@ fn request_ids_correlate_across_tiers_and_survive_failover() {
     let after_texts: Vec<String> = backend_logs.iter().map(|p| read(p)).collect();
     for &i in &victim_requests {
         let id = &retry_ids[i];
-        let holders: Vec<usize> =
-            (0..3).filter(|&b| after_texts[b].contains(&token(id))).collect();
+        let holders: Vec<usize> = (0..3)
+            .filter(|&b| after_texts[b].contains(&token(id)))
+            .collect();
         assert!(
             !holders.contains(&victim),
             "id {id} in the dead victim's log — the kill did not take"
@@ -669,7 +702,10 @@ fn edgeless_gnp_is_relayed_and_refused_by_its_backend() {
     assert_eq!(direct.0, 400, "{}", direct.1);
     let before = solves();
     let routed = roundtrip(router.addr(), "POST", "/solve", edgeless);
-    assert_eq!(routed, direct, "the routed refusal must be the backend's own");
+    assert_eq!(
+        routed, direct,
+        "the routed refusal must be the backend's own"
+    );
     assert_eq!(solves(), before + 1, "the request crossed the edge");
 }
 
@@ -686,11 +722,16 @@ fn pool_survives_backend_idle_reap_via_stale_retry() {
     let router = spawn_router_args(
         &[backend.addr()],
         &[
-            "--probe-interval-ms", "200",
-            "--probe-timeout-ms", "500",
-            "--down-after", "2",
-            "--up-after", "2",
-            "--pool-idle-timeout-ms", "60000",
+            "--probe-interval-ms",
+            "200",
+            "--probe-timeout-ms",
+            "500",
+            "--down-after",
+            "2",
+            "--up-after",
+            "2",
+            "--pool-idle-timeout-ms",
+            "60000",
         ],
     );
     let request = &corpus()[0];
@@ -704,7 +745,10 @@ fn pool_survives_backend_idle_reap_via_stale_retry() {
         assert_eq!(body, want);
     }
     let warm = router_health(router.addr());
-    assert_eq!(warm.pool.created, 1, "one backend connection serves all three");
+    assert_eq!(
+        warm.pool.created, 1,
+        "one backend connection serves all three"
+    );
     assert_eq!(warm.pool.reused, 2);
     assert_eq!(warm.pool.idle, 1);
     assert_eq!(warm.pool_idle, vec![1]);
@@ -724,8 +768,15 @@ fn pool_survives_backend_idle_reap_via_stale_retry() {
     let after = router_health(router.addr());
     assert_eq!(after.pool.stale_retries, 1, "exactly one stale retry fired");
     assert_eq!(after.failed, 0);
-    assert_eq!(after.retried, warm.retried, "stale retry is not a failover retry");
-    assert_eq!(after.errors, vec![0], "stale retry must not feed the health machine");
+    assert_eq!(
+        after.retried, warm.retried,
+        "stale retry is not a failover retry"
+    );
+    assert_eq!(
+        after.errors,
+        vec![0],
+        "stale retry must not feed the health machine"
+    );
     assert!(after.up[0], "backend must stay up");
     assert_eq!(after.pool.created, 2, "original + the fresh replacement");
     assert_eq!(after.pool.reused, 3, "the doomed checkout still counts");
@@ -746,11 +797,16 @@ fn pool_keeps_zero_client_failures_across_sigkill() {
     let router = spawn_router_args(
         &addrs,
         &[
-            "--probe-interval-ms", "200",
-            "--probe-timeout-ms", "500",
-            "--down-after", "2",
-            "--up-after", "2",
-            "--retries", "2",
+            "--probe-interval-ms",
+            "200",
+            "--probe-timeout-ms",
+            "500",
+            "--down-after",
+            "2",
+            "--up-after",
+            "2",
+            "--retries",
+            "2",
         ],
     );
     let corpus = corpus();
@@ -761,11 +817,17 @@ fn pool_keeps_zero_client_failures_across_sigkill() {
         expected.push(body);
     }
     let warm = router_health(router.addr());
-    assert!(warm.pool.reused > 0, "warm pass must reuse pooled connections");
+    assert!(
+        warm.pool.reused > 0,
+        "warm pass must reuse pooled connections"
+    );
     assert_eq!(warm.pool.stale_retries, 0);
     warm.pool.assert_conserved();
     let victim = (0..3).max_by_key(|&i| warm.routed[i]).unwrap();
-    assert!(warm.pool_idle[victim] > 0, "victim must have parked connections");
+    assert!(
+        warm.pool_idle[victim] > 0,
+        "victim must have parked connections"
+    );
 
     backends[victim].kill();
 
@@ -778,12 +840,18 @@ fn pool_keeps_zero_client_failures_across_sigkill() {
         assert_eq!(&body, want, "failover changed bytes for {request}");
     }
     let after = router_health(router.addr());
-    assert_eq!(after.failed, 0, "pooling must not surface backend death to clients");
+    assert_eq!(
+        after.failed, 0,
+        "pooling must not surface backend death to clients"
+    );
     assert!(
         after.pool.stale_retries >= 1,
         "the victim's parked connection must have triggered a stale retry"
     );
-    assert!(after.retried > warm.retried, "victim-owned keys must have failed over");
+    assert!(
+        after.retried > warm.retried,
+        "victim-owned keys must have failed over"
+    );
 
     // Demotion (traffic- or probe-driven) drains the victim's stack.
     wait_for_health(

@@ -86,8 +86,7 @@ fn backend_stats(addr: SocketAddr) -> (u64, u64) {
 fn routed_fleet_matches_direct_solves_and_pins_affinity() {
     // An unrelated reference server computes ground-truth bodies.
     let reference = spawn_server(&["--threads", "2"]);
-    let backends: Vec<SpawnedProcess> =
-        (0..3).map(|_| spawn_server(&["--threads", "2"])).collect();
+    let backends: Vec<SpawnedProcess> = (0..3).map(|_| spawn_server(&["--threads", "2"])).collect();
     let fleet: Vec<&SpawnedProcess> = backends.iter().collect();
     let router = spawn_router(&fleet, &[]);
 
@@ -95,7 +94,10 @@ fn routed_fleet_matches_direct_solves_and_pins_affinity() {
     let mut expected: Vec<String> = Vec::new();
     for request in CORPUS {
         let (direct_status, direct_body) = roundtrip(reference.addr(), "POST", "/solve", request);
-        assert_eq!(direct_status, 200, "reference rejected {request}: {direct_body}");
+        assert_eq!(
+            direct_status, 200,
+            "reference rejected {request}: {direct_body}"
+        );
         let (routed_status, routed_body) = roundtrip(router.addr(), "POST", "/solve", request);
         assert_eq!(routed_status, 200, "router failed {request}: {routed_body}");
         assert_eq!(
@@ -107,8 +109,7 @@ fn routed_fleet_matches_direct_solves_and_pins_affinity() {
 
     // ---- affinity: identical requests always hit one backend ------------
     let routed_before = router_backends(router.addr());
-    let solves_before: Vec<(u64, u64)> =
-        backends.iter().map(|b| backend_stats(b.addr())).collect();
+    let solves_before: Vec<(u64, u64)> = backends.iter().map(|b| backend_stats(b.addr())).collect();
     const REPEATS: u64 = 5;
     for _ in 0..REPEATS {
         let (status, body) = roundtrip(router.addr(), "POST", "/solve", CORPUS[0]);
@@ -136,7 +137,11 @@ fn routed_fleet_matches_direct_solves_and_pins_affinity() {
     // accounting and identity.
     assert_eq!(routed_after[home].0, backends[home].addr().to_string());
     let (pid, solves) = backend_stats(backends[home].addr());
-    assert_eq!(pid, u64::from(backends[home].pid()), "healthz pid matches the OS pid");
+    assert_eq!(
+        pid,
+        u64::from(backends[home].pid()),
+        "healthz pid matches the OS pid"
+    );
     assert_eq!(
         solves - solves_before[home].1,
         REPEATS,

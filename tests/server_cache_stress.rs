@@ -153,12 +153,18 @@ fn interleaved_eviction_storm_stays_byte_exact_and_counted() {
         total_requests,
         "every request consulted the cache exactly once (hits {hits}, misses {misses})"
     );
-    assert!(hits >= 1, "repeats within the working set must hit sometimes");
+    assert!(
+        hits >= 1,
+        "repeats within the working set must hit sometimes"
+    );
     assert!(
         evictions >= 1,
         "the budget admits at most two of three entries, so rotation must evict"
     );
-    assert!(entries <= 2, "budget bounds residency below the working set");
+    assert!(
+        entries <= 2,
+        "budget bounds residency below the working set"
+    );
     assert!(bytes <= rc.get("capacity_bytes").unwrap().as_u64().unwrap());
 
     // All traffic is LIF-GW: the SDP cache was consulted exactly once
@@ -172,7 +178,10 @@ fn interleaved_eviction_storm_stays_byte_exact_and_counted() {
         "one SDP lookup per response-cache miss"
     );
     assert_eq!(sdp.get("entries").unwrap().as_u64(), Some(3));
-    assert!(sdp_misses >= 3, "three distinct graphs each missed at least once");
+    assert!(
+        sdp_misses >= 3,
+        "three distinct graphs each missed at least once"
+    );
 
     stress.shutdown();
 }

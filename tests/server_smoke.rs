@@ -71,12 +71,36 @@ fn concurrent_identical_requests_get_byte_identical_valid_responses() {
         .collect();
     assert_eq!(sides.len(), graph.n());
     let cut = snc_graph::CutAssignment::from_sides(sides);
-    assert_eq!(cut.cut_value(&graph), best_cut, "partition must achieve best_cut");
+    assert_eq!(
+        cut.cut_value(&graph),
+        best_cut,
+        "partition must achieve best_cut"
+    );
     // … and best_cut is the final trace value on a grid ending at the
     // full budget (128 divisible by 4 replicas).
     let trace = doc.get("trace").unwrap();
-    assert_eq!(trace.get("best").unwrap().as_array().unwrap().last().unwrap().as_u64(), Some(best_cut));
-    assert_eq!(trace.get("checkpoints").unwrap().as_array().unwrap().last().unwrap().as_u64(), Some(128));
+    assert_eq!(
+        trace
+            .get("best")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .last()
+            .unwrap()
+            .as_u64(),
+        Some(best_cut)
+    );
+    assert_eq!(
+        trace
+            .get("checkpoints")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .last()
+            .unwrap()
+            .as_u64(),
+        Some(128)
+    );
     assert_eq!(doc.get("samples").unwrap().as_u64(), Some(128));
     assert_eq!(doc.get("seed").unwrap().as_u64(), Some(42));
 
@@ -186,7 +210,11 @@ fn new_families_answer_byte_identically_under_concurrency() {
             .map(|s| if s.as_u64() == Some(1) { 1 } else { -1 })
             .collect();
         let cut = snc_graph::CutAssignment::from_sides(sides);
-        assert_eq!(cut.cut_value(&graph), best_cut, "partition must achieve best_cut");
+        assert_eq!(
+            cut.cut_value(&graph),
+            best_cut,
+            "partition must achieve best_cut"
+        );
     }
     handle.shutdown();
 }
