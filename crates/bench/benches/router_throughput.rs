@@ -15,11 +15,10 @@
 //! be byte-identical to the single-backend fleet's (routing must never
 //! change bytes).
 //!
-//! Each topology is measured twice: `pooled` (the default keep-alive
-//! connection pool between router and backends) and `fresh`
-//! (`--pool-idle-per-backend 0`, the PR 7 connection-per-forward
-//! behavior). The byte-identity gate covers both variants — pooling
-//! must never change bytes, only latency.
+//! The router reaches its backends only through its keep-alive
+//! connection pool, so each topology runs once, with the default pool.
+//! The bench ids keep their `_pooled` suffix so that ledger rows from
+//! before the connection-per-forward mode was removed still compare.
 //!
 //! The timed groups drive **persistent** client connections admitted
 //! before timing starts (see [`Client`]), so they time the steady-state
@@ -51,7 +50,7 @@ fn corpus() -> Vec<String> {
         .collect()
 }
 
-fn spawn_fleet(backends: usize, extra: &[&str]) -> (Vec<SpawnedProcess>, SpawnedProcess) {
+fn spawn_fleet(backends: usize) -> (Vec<SpawnedProcess>, SpawnedProcess) {
     let servers: Vec<SpawnedProcess> = (0..backends)
         .map(|_| spawn_server(&["--threads", "2"]))
         .collect();
@@ -60,7 +59,6 @@ fn spawn_fleet(backends: usize, extra: &[&str]) -> (Vec<SpawnedProcess>, Spawned
         args.push("--backend".into());
         args.push(server.addr().to_string());
     }
-    args.extend(extra.iter().map(|s| (*s).to_string()));
     let arg_refs: Vec<&str> = args.iter().map(String::as_str).collect();
     let router = spawn_listening("snc-router", &arg_refs);
     (servers, router)
@@ -147,59 +145,51 @@ fn router_throughput(c: &mut Criterion) {
     let mut reference: Option<Vec<String>> = None;
     let mut group = c.benchmark_group("router_throughput_warm");
     for backends in [1usize, 2, 3] {
-        // `pooled` is the default keep-alive pool; `fresh` is the
-        // pool-disabled escape hatch (one connection per forward).
-        for (variant, extra) in [
-            ("pooled", &[][..]),
-            ("fresh", &["--pool-idle-per-backend", "0"][..]),
-        ] {
-            let (servers, router) = spawn_fleet(backends, extra);
-            let addr = router.addr();
+        let (servers, router) = spawn_fleet(backends);
+        let addr = router.addr();
 
-            // Warm pass (fills every backend's response cache) doubles
-            // as the determinism gate: all connections, topologies, and
-            // pool variants must see byte-identical bodies per corpus
-            // entry.
-            let warm = round(addr, 4, &corpus);
-            for per_conn in &warm {
-                assert_eq!(per_conn, &warm[0], "bodies diverged across connections");
-            }
-            match &reference {
-                None => reference = Some(warm[0].clone()),
-                Some(expected) => assert_eq!(
-                    &warm[0], expected,
-                    "bodies diverged across topologies/variants ({backends} backends, {variant})"
-                ),
-            }
-
-            // Persistent clients (see `Client`): admitted once outside
-            // timing, then 8 connections × 4 corpus sweeps × 6 entries
-            // = 192 warm requests per iteration.
-            let mut clients: Vec<Client> = (0..8).map(|_| open_client(addr)).collect();
-            for client in &mut clients {
-                let got = sweep(client, &corpus);
-                assert_eq!(&got, &warm[0], "persistent client diverged");
-            }
-            group.bench_function(
-                format!("solve_warm_backends{backends}_conns8_{variant}"),
-                |b| {
-                    b.iter(|| {
-                        std::thread::scope(|scope| {
-                            for client in &mut clients {
-                                let corpus = &corpus;
-                                scope.spawn(move || {
-                                    for _ in 0..4 {
-                                        sweep(client, corpus);
-                                    }
-                                });
-                            }
-                        });
-                    });
-                },
-            );
-            drop(router);
-            drop(servers);
+        // Warm pass (fills every backend's response cache) doubles as
+        // the determinism gate: all connections and topologies must see
+        // byte-identical bodies per corpus entry.
+        let warm = round(addr, 4, &corpus);
+        for per_conn in &warm {
+            assert_eq!(per_conn, &warm[0], "bodies diverged across connections");
         }
+        match &reference {
+            None => reference = Some(warm[0].clone()),
+            Some(expected) => assert_eq!(
+                &warm[0], expected,
+                "bodies diverged across topologies ({backends} backends)"
+            ),
+        }
+
+        // Persistent clients (see `Client`): admitted once outside
+        // timing, then 8 connections × 4 corpus sweeps × 6 entries = 192
+        // warm requests per iteration.
+        let mut clients: Vec<Client> = (0..8).map(|_| open_client(addr)).collect();
+        for client in &mut clients {
+            let got = sweep(client, &corpus);
+            assert_eq!(&got, &warm[0], "persistent client diverged");
+        }
+        group.bench_function(
+            format!("solve_warm_backends{backends}_conns8_pooled"),
+            |b| {
+                b.iter(|| {
+                    std::thread::scope(|scope| {
+                        for client in &mut clients {
+                            let corpus = &corpus;
+                            scope.spawn(move || {
+                                for _ in 0..4 {
+                                    sweep(client, corpus);
+                                }
+                            });
+                        }
+                    });
+                });
+            },
+        );
+        drop(router);
+        drop(servers);
     }
     group.finish();
 }

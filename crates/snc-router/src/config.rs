@@ -44,13 +44,6 @@ pub struct RouterConfig {
     /// Read timeout while awaiting a backend's response (solves can be
     /// slow; this guards against a wedged backend, not a busy one).
     pub backend_read_timeout: Duration,
-    /// Largest accepted request body in bytes (mirrors the backend
-    /// limit so the edge rejects what the backend would).
-    pub max_body_bytes: usize,
-    /// Default replica width assumed when parsing requests that omit
-    /// `"replicas"` (affects edge validation only; the backend applies
-    /// its own default when solving).
-    pub replicas: usize,
     /// Append one structured line per routed request (request id,
     /// route, family, outcome, status, elapsed µs) to this path.
     /// `None` disables access logging.
@@ -58,13 +51,11 @@ pub struct RouterConfig {
     /// Rotate the access log (rename to `<path>.1`, reopen) whenever it
     /// would grow past this many bytes. 0 disables rotation.
     pub access_log_max_bytes: u64,
-    /// Keep-alive connections parked per backend. 0 disables pooling
-    /// entirely — every forward opens a fresh connection and asks the
-    /// backend to close it, reproducing the pre-pool wire behavior
-    /// bit-for-bit.
+    /// Keep-alive connections parked per backend (at least 1): every
+    /// forward runs on a pooled connection.
     pub pool_idle_per_backend: usize,
     /// How long a parked connection stays eligible for reuse; older
-    /// idles are retired at checkout. Irrelevant when pooling is off.
+    /// idles are retired at checkout.
     pub pool_idle_timeout: Duration,
 }
 
@@ -81,8 +72,6 @@ impl Default for RouterConfig {
             retries: 2,
             connect_timeout: Duration::from_millis(1000),
             backend_read_timeout: Duration::from_secs(120),
-            max_body_bytes: 1 << 20,
-            replicas: 1,
             access_log: None,
             access_log_max_bytes: 0,
             pool_idle_per_backend: 8,
@@ -159,7 +148,6 @@ pub fn parse_args(args: &[String]) -> Result<RouterConfig, String> {
                 cfg.backend_read_timeout =
                     Duration::from_millis(positive(it.next(), "--backend-read-timeout-ms")?);
             }
-            "--replicas" => cfg.replicas = positive(it.next(), "--replicas")?,
             "--access-log" => {
                 cfg.access_log = Some(it.next().ok_or("--access-log needs a PATH value")?.clone());
             }
@@ -167,7 +155,7 @@ pub fn parse_args(args: &[String]) -> Result<RouterConfig, String> {
                 cfg.access_log_max_bytes = non_negative(it.next(), "--access-log-max-bytes")?;
             }
             "--pool-idle-per-backend" => {
-                cfg.pool_idle_per_backend = non_negative(it.next(), "--pool-idle-per-backend")?;
+                cfg.pool_idle_per_backend = positive(it.next(), "--pool-idle-per-backend")?;
             }
             "--pool-idle-timeout-ms" => {
                 cfg.pool_idle_timeout =
@@ -178,7 +166,7 @@ pub fn parse_args(args: &[String]) -> Result<RouterConfig, String> {
                     "unknown flag `{other}`\nusage: snc-router --backend HOST:PORT[@WEIGHT] \
                      [--backend …] [--addr HOST:PORT] [--vnodes N] [--probe-interval-ms N] \
                      [--probe-timeout-ms N] [--down-after N] [--up-after N] [--retries N] \
-                     [--connect-timeout-ms N] [--backend-read-timeout-ms N] [--replicas N] \
+                     [--connect-timeout-ms N] [--backend-read-timeout-ms N] \
                      [--access-log PATH] [--access-log-max-bytes N] \
                      [--pool-idle-per-backend N] [--pool-idle-timeout-ms N]"
                 ));
@@ -244,8 +232,6 @@ mod tests {
             "200",
             "--backend-read-timeout-ms",
             "5000",
-            "--replicas",
-            "2",
         ]))
         .unwrap();
         assert_eq!(cfg.weights(), vec![2, 1]);
@@ -256,7 +242,6 @@ mod tests {
         assert_eq!(cfg.retries, 0);
         assert_eq!(cfg.connect_timeout, Duration::from_millis(200));
         assert_eq!(cfg.backend_read_timeout, Duration::from_millis(5000));
-        assert_eq!(cfg.replicas, 2);
     }
 
     #[test]
@@ -267,6 +252,10 @@ mod tests {
             "all weight-0"
         );
         assert!(parse_args(&strs(&["--bogus"])).is_err());
+        // The edge parses with a default backend's limits; it has no
+        // replica width of its own.
+        let err = parse_args(&strs(&["--backend", "127.0.0.1:1", "--replicas", "2"])).unwrap_err();
+        assert!(err.contains("unknown flag `--replicas`"), "{err}");
         assert!(parse_args(&strs(&["--backend"])).is_err());
         for flag in [
             "--vnodes",
@@ -311,14 +300,14 @@ mod tests {
             "--backend",
             "127.0.0.1:1",
             "--pool-idle-per-backend",
-            "0",
+            "3",
             "--pool-idle-timeout-ms",
             "2500",
             "--access-log-max-bytes",
             "65536",
         ]))
         .unwrap();
-        assert_eq!(cfg.pool_idle_per_backend, 0, "0 = pooling disabled");
+        assert_eq!(cfg.pool_idle_per_backend, 3);
         assert_eq!(cfg.pool_idle_timeout, Duration::from_millis(2500));
         assert_eq!(cfg.access_log_max_bytes, 65536);
         assert!(
@@ -331,6 +320,15 @@ mod tests {
             .is_err(),
             "a zero idle timeout would retire every connection at checkout"
         );
+        // Every forward runs on the pool, so it needs at least one slot.
+        let err = parse_args(&strs(&[
+            "--backend",
+            "127.0.0.1:1",
+            "--pool-idle-per-backend",
+            "0",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("must be ≥ 1 (got 0)"), "{err}");
         assert!(parse_args(&strs(&[
             "--backend",
             "127.0.0.1:1",

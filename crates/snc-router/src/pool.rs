@@ -1,13 +1,13 @@
 //! Keep-alive connection pooling to the backends.
 //!
-//! PR 7's proxy opened a fresh TCP connection per forwarded request
-//! (`Connection: close`), which costs ~3.5 ms/request on loopback —
-//! over an order of magnitude more than a backend's warm cache hit.
-//! [`ConnectionPool`] keeps a bounded stack of idle keep-alive
-//! connections **per backend index**: the forward path checks a
-//! connection out, runs one strictly-framed request/response exchange
-//! on it, and checks it back in if (and only if) the response left the
-//! stream positioned at a clean request boundary.
+//! The pool is the only way the edge reaches a backend. A fresh TCP
+//! connection per forwarded request costs ~3.5 ms/request on loopback,
+//! over an order of magnitude more than a backend's warm cache hit, so
+//! [`ConnectionPool`] keeps a bounded stack (at least one slot) of idle
+//! keep-alive connections **per backend index**: the forward path
+//! checks a connection out, runs one strictly-framed request/response
+//! exchange on it, and checks it back in if (and only if) the response
+//! left the stream positioned at a clean request boundary.
 //!
 //! ## The stale-connection rule
 //!
@@ -31,10 +31,6 @@
 //! `retired` (enforced by `Drop`, so no code path can leak one
 //! uncounted). At rest, `created == retired + idle` exactly; the suites
 //! assert it.
-//!
-//! Capacity 0 disables pooling: every checkout opens a fresh connection
-//! configured exactly as PR 7 did (NODELAY + read timeout), the forward
-//! path sends `Connection: close`, and nothing is ever parked.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
@@ -61,8 +57,8 @@ pub struct PoolSnapshot {
     pub created: u64,
     /// Checkouts satisfied by a parked connection.
     pub reused: u64,
-    /// Connections permanently closed (errored, displaced, expired,
-    /// drained, or used in `Connection: close` mode).
+    /// Connections permanently closed (errored, non-reusable,
+    /// displaced, expired, or drained).
     pub retired: u64,
     /// Times the stale-connection rule replaced a dead reused
     /// connection with a fresh one mid-request.
@@ -110,7 +106,7 @@ pub struct ConnectionPool {
 
 impl ConnectionPool {
     /// A pool over `backends` indices holding at most `capacity` idle
-    /// connections per backend (0 disables pooling). `idle_timeout`
+    /// connections per backend (at least 1). `idle_timeout`
     /// retires parked connections at checkout; `connect_timeout` /
     /// `read_timeout` are applied once, at connection creation.
     pub fn new(
@@ -128,11 +124,6 @@ impl ConnectionPool {
             read_timeout,
             counters: Arc::new(PoolCounters::default()),
         }
-    }
-
-    /// Whether pooling is on (`--pool-idle-per-backend` > 0).
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
     }
 
     fn stack(&self, backend: usize) -> MutexGuard<'_, Vec<Idle>> {
@@ -168,35 +159,31 @@ impl ConnectionPool {
         backend: usize,
         addr: SocketAddr,
     ) -> std::io::Result<BackendConn> {
-        if self.enabled() {
-            let mut stack = self.stack(backend);
-            let now = Instant::now();
-            stack.retain_mut(|idle| {
-                let keep = now.duration_since(idle.parked_at) <= self.idle_timeout;
-                if !keep {
-                    idle.conn.parked = false; // drop below counts it retired
-                }
-                keep
-            });
-            if let Some(mut idle) = stack.pop() {
-                drop(stack);
-                self.counters.reused.fetch_add(1, Ordering::Relaxed);
-                idle.conn.parked = false;
-                idle.conn.reused = true;
-                return Ok(idle.conn);
+        let mut stack = self.stack(backend);
+        let now = Instant::now();
+        stack.retain_mut(|idle| {
+            let keep = now.duration_since(idle.parked_at) <= self.idle_timeout;
+            if !keep {
+                idle.conn.parked = false; // drop below counts it retired
             }
-        }
-        self.connect_fresh(addr)
+            keep
+        });
+        let parked = stack.pop();
+        drop(stack);
+        let Some(mut idle) = parked else {
+            return self.connect_fresh(addr);
+        };
+        self.counters.reused.fetch_add(1, Ordering::Relaxed);
+        idle.conn.parked = false;
+        idle.conn.reused = true;
+        Ok(idle.conn)
     }
 
     /// Parks a connection for reuse. The caller vouches that the stream
     /// sits at a clean response boundary (strictly framed body fully
-    /// read, no buffered bytes). A full stack or a disabled pool simply
-    /// drops the connection (counted retired by `Drop`).
+    /// read, no buffered bytes). A full stack simply drops the
+    /// connection (counted retired by `Drop`).
     pub(crate) fn checkin(&self, backend: usize, mut conn: BackendConn) {
-        if !self.enabled() {
-            return;
-        }
         let mut stack = self.stack(backend);
         if stack.len() >= self.capacity {
             return;
@@ -240,16 +227,6 @@ impl ConnectionPool {
             retired: self.counters.retired.load(Ordering::Relaxed),
             stale_retries: self.counters.stale_retries.load(Ordering::Relaxed),
         }
-    }
-
-    /// The configured idle capacity per backend (0 = disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The configured idle timeout.
-    pub fn idle_timeout(&self) -> Duration {
-        self.idle_timeout
     }
 }
 
@@ -347,21 +324,6 @@ mod tests {
         assert_eq!(pool.idle_count(1), 1);
         let s = pool.snapshot();
         assert_eq!((s.retired, s.idle), (1, 1));
-    }
-
-    #[test]
-    fn disabled_pool_never_parks_and_counts_conservatively() {
-        let (addr, _accepts) = sink_listener();
-        let pool = pool_for(1, 0, 60_000);
-        assert!(!pool.enabled());
-        let a = pool.checkout(0, addr).unwrap();
-        assert!(!a.reused);
-        pool.checkin(0, a); // no-op park: dropped, counted retired
-        let b = pool.checkout(0, addr).unwrap();
-        assert!(!b.reused, "disabled pool must always connect fresh");
-        drop(b);
-        let s = pool.snapshot();
-        assert_eq!((s.created, s.reused, s.idle, s.retired), (2, 0, 0, 2));
     }
 
     #[test]

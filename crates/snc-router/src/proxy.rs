@@ -36,13 +36,13 @@
 //! the access-log line), so for any request bytes the edge's framing,
 //! error answers and labels are the backend's own.
 //!
-//! Backend responses are framed **strictly**: the status line must be
-//! `HTTP/1.1 <100–599>`, duplicate or conflicting `Content-Length`
-//! headers are `InvalidData`, and a missing `Content-Length` is only
-//! legal when the backend explicitly said `Connection: close` (the one
-//! case where read-to-EOF framing is unambiguous). Anything looser
-//! would corrupt the stream the moment a connection carries a second
-//! request.
+//! Every forward runs on a pooled keep-alive connection, and backend
+//! responses are framed **strictly**: the status line must be
+//! `HTTP/1.1 <100–599>`, and the body needs exactly one
+//! `Content-Length` (missing, duplicate or conflicting lengths are
+//! `InvalidData`). Anything looser would corrupt the stream the moment
+//! a connection carries a second request. `snc-server` sends a length
+//! on every answer.
 //!
 //! The router never re-renders a solve response: the backend's body is
 //! relayed untouched, so the byte-identical wire contract survives the
@@ -81,6 +81,7 @@ use std::time::Instant;
 struct Shared {
     cfg: RouterConfig,
     defaults: snc_server::wire::RequestDefaults,
+    max_body_bytes: usize,
     ring: HashRing,
     health: Arc<HealthTable>,
     pool: Arc<ConnectionPool>,
@@ -158,11 +159,8 @@ pub fn serve_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
     let shared = Arc::new(Shared {
         // Parse with the same limits a default backend enforces, so the
         // edge rejects exactly what the fleet would.
-        defaults: ServerConfig {
-            replicas: cfg.replicas,
-            ..ServerConfig::default()
-        }
-        .request_defaults(),
+        defaults: ServerConfig::default().request_defaults(),
+        max_body_bytes: ServerConfig::default().max_body_bytes,
         ring: HashRing::new(&cfg.weights(), cfg.vnodes),
         health,
         pool,
@@ -265,7 +263,7 @@ fn accept_loop(listener: &TcpListener, mut poller: Poller, shared: &Arc<Shared>)
 /// request it cuts short gets no answer, as on the backend.
 fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
-    let mut parser = RequestParser::new(shared.cfg.max_body_bytes);
+    let mut parser = RequestParser::new(shared.max_body_bytes);
     // On the heap, not the stack: every connection runs on a fresh
     // thread whose stack pages fault on first touch, and a 16 KiB stack
     // buffer raised `churn-routed` p50 by 8-13%.
@@ -491,8 +489,8 @@ fn invalid_data(message: String) -> std::io::Error {
 }
 
 /// One parsed backend response: status, body, and whether the stream is
-/// positioned at a clean boundary (explicit length, no `Connection:
-/// close`, nothing buffered past the body) and may be pooled.
+/// positioned at a clean boundary (no `Connection: close`, nothing
+/// buffered past the body) and may be pooled.
 #[derive(Debug)]
 struct BackendResponse {
     status: u16,
@@ -510,11 +508,8 @@ struct BackendResponse {
 /// * `Content-Length` may appear at most once — duplicate headers are
 ///   rejected even when they agree, because a response carrying two
 ///   lengths is already evidence of desync or smuggling;
-/// * a body without `Content-Length` is close-delimited **only** when
-///   the backend explicitly sent `Connection: close`; otherwise there
-///   is no sound way to find the next response's start, so the exchange
-///   is rejected rather than read-to-end (PR 7 read to EOF here, which
-///   was only ever safe because every connection was close-mode).
+/// * a body without `Content-Length` is rejected, even after
+///   `Connection: close`: read-to-EOF framing is never guessed.
 fn read_backend_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<BackendResponse> {
     let mut status_line = String::new();
     if reader.read_line(&mut status_line)? == 0 {
@@ -583,28 +578,14 @@ fn read_backend_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<B
             connection_close = true;
         }
     }
-    let body = match content_length {
-        Some(length) => {
-            let mut buf = vec![0u8; length];
-            reader.read_exact(&mut buf)?;
-            buf
-        }
-        None if connection_close => {
-            let mut buf = Vec::new();
-            reader.read_to_end(&mut buf)?;
-            buf
-        }
-        None => {
-            return Err(invalid_data(
-                "backend response has no content-length and did not say connection: close"
-                    .to_string(),
-            ));
-        }
-    };
+    let length = content_length
+        .ok_or_else(|| invalid_data("backend response has no content-length".to_string()))?;
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body)?;
     let body = String::from_utf8(body).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidData, "backend body is not UTF-8")
     })?;
-    let reusable = content_length.is_some() && !connection_close && reader.buffer().is_empty();
+    let reusable = !connection_close && reader.buffer().is_empty();
     Ok(BackendResponse {
         status,
         body,
@@ -613,21 +594,18 @@ fn read_backend_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<B
 }
 
 /// Writes one proxied request and reads its strictly-framed response on
-/// `conn`. `close` mode adds `Connection: close` (the PR 7 wire shape,
-/// used when pooling is disabled); otherwise HTTP/1.1 keep-alive is
-/// implied and the connection can go back to the pool.
+/// `conn`. HTTP/1.1 keep-alive is implied, so the connection can go
+/// back to the pool.
 fn exchange(
     conn: &mut BackendConn,
     method: &str,
     path: &str,
     body: &[u8],
     request_id: &str,
-    close: bool,
 ) -> std::io::Result<BackendResponse> {
-    let connection_header = if close { "Connection: close\r\n" } else { "" };
     conn.writer.write_all(
         format!(
-            "{method} {path} HTTP/1.1\r\nHost: snc-router\r\nx-snc-request-id: {request_id}\r\nContent-Length: {}\r\n{connection_header}\r\n",
+            "{method} {path} HTTP/1.1\r\nHost: snc-router\r\nx-snc-request-id: {request_id}\r\nContent-Length: {}\r\n\r\n",
             body.len()
         )
         .as_bytes(),
@@ -659,20 +637,19 @@ fn forward_once(
     body: &[u8],
     request_id: &str,
 ) -> std::io::Result<(u16, String)> {
-    let close = !pool.enabled();
     let mut conn = pool.checkout(backend, addr)?;
     let first_was_reused = conn.reused;
-    let response = match exchange(&mut conn, method, path, body, request_id, close) {
+    let response = match exchange(&mut conn, method, path, body, request_id) {
         Ok(response) => response,
         Err(e) if first_was_reused && e.kind() != std::io::ErrorKind::InvalidData => {
             drop(conn); // retire the stale socket before dialing anew
             pool.note_stale_retry();
             conn = pool.connect_fresh(addr)?;
-            exchange(&mut conn, method, path, body, request_id, close)?
+            exchange(&mut conn, method, path, body, request_id)?
         }
         Err(e) => return Err(e),
     };
-    if response.reusable && !close {
+    if response.reusable {
         pool.checkin(backend, conn);
     }
     Ok((response.status, response.body))
@@ -791,20 +768,24 @@ fn submit_job(
         .ok_or_else(|| HttpError::new(500, "backend job ack carried no id"))?;
     let routed_id = encode_job_id(inner, backend, shared.cfg.backends.len())
         .ok_or_else(|| HttpError::new(500, "job id overflow"))?;
-    let Json::Obj(members) = doc else {
-        return Err(HttpError::new(500, "backend job ack was not an object"));
+    Ok((202, with_routed_id(doc, routed_id, "ack")?, meta))
+}
+
+/// Renders a backend job document (`what` names it in the error) with
+/// its `"id"` replaced by the router-keyed `routed_id`.
+fn with_routed_id(doc: Json, routed_id: u64, what: &str) -> Result<String, HttpError> {
+    let Json::Obj(mut members) = doc else {
+        return Err(HttpError::new(
+            500,
+            format!("backend job {what} was not an object"),
+        ));
     };
-    let rewritten: Vec<(String, Json)> = members
-        .into_iter()
-        .map(|(k, v)| {
-            if k == "id" {
-                (k, Json::UInt(routed_id))
-            } else {
-                (k, v)
-            }
-        })
-        .collect();
-    Ok((202, Json::Obj(rewritten).render(), meta))
+    for (key, value) in &mut members {
+        if key == "id" {
+            *value = Json::UInt(routed_id);
+        }
+    }
+    Ok(Json::Obj(members).render())
 }
 
 /// `GET /jobs/{id}`: decode the owning backend from the router-keyed
@@ -834,21 +815,9 @@ fn poll_job(
         Ok((200, reply)) => {
             let doc = snc_json::parse(&reply)
                 .map_err(|_| HttpError::new(500, "backend job record was not JSON"))?;
-            let Json::Obj(members) = doc else {
-                return Err(HttpError::new(500, "backend job record was not an object"));
-            };
-            let rewritten: Vec<(String, Json)> = members
-                .into_iter()
-                .map(|(k, v)| {
-                    if k == "id" {
-                        (k, Json::UInt(routed_id))
-                    } else {
-                        (k, v)
-                    }
-                })
-                .collect();
+            let reply = with_routed_id(doc, routed_id, "record")?;
             shared.health.observe_success(backend, false);
-            Ok((200, Json::Obj(rewritten).render()))
+            Ok((200, reply))
         }
         Ok((404, _)) => Err(HttpError::new(
             404,
@@ -916,10 +885,10 @@ mod tests {
         String::from_utf8(buf).unwrap()
     }
 
-    fn test_pool(capacity: usize) -> ConnectionPool {
+    fn test_pool() -> ConnectionPool {
         ConnectionPool::new(
             1,
-            capacity,
+            4,
             Duration::from_secs(60),
             Duration::from_secs(2),
             Duration::from_secs(2),
@@ -945,15 +914,13 @@ mod tests {
     }
 
     #[test]
-    fn missing_content_length_requires_explicit_connection_close() {
-        // With `Connection: close` the body is close-delimited: legal.
-        let ok = parse_raw(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nhello").unwrap();
-        assert_eq!(
-            (ok.status, ok.body.as_str(), ok.reusable),
-            (200, "hello", false)
-        );
-        // Without it there is no sound framing — reject, never guess.
+    fn missing_content_length_is_rejected_with_or_without_connection_close() {
+        // No length means no sound framing: reject, never read to EOF.
         expect_invalid(b"HTTP/1.1 200 OK\r\n\r\nhello", "no content-length");
+        expect_invalid(
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nhello",
+            "no content-length",
+        );
     }
 
     #[test]
@@ -1017,7 +984,7 @@ mod tests {
             read_head(&mut s);
             s.write_all(KEEPALIVE_OK).unwrap();
         });
-        let pool = test_pool(4);
+        let pool = test_pool();
         let (status, body) = forward_once(&pool, 0, addr, "GET", "/x", b"", "rid-1").unwrap();
         assert_eq!((status, body.as_str()), (200, "ok"));
         // Give the backend's FIN time to land so the reuse is stale.
@@ -1046,7 +1013,7 @@ mod tests {
             s.write_all(b"HTTP/1.1 banana\r\nContent-Length: 0\r\n\r\n")
                 .unwrap();
         });
-        let pool = test_pool(4);
+        let pool = test_pool();
         forward_once(&pool, 0, addr, "GET", "/x", b"", "rid-1").unwrap();
         let e = forward_once(&pool, 0, addr, "GET", "/x", b"", "rid-2")
             .expect_err("malformed response must propagate");
@@ -1057,35 +1024,6 @@ mod tests {
             0,
             "InvalidData is not staleness"
         );
-    }
-
-    #[test]
-    fn disabled_pool_sends_connection_close_and_never_parks() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            for _ in 0..2 {
-                let (mut s, _) = listener.accept().unwrap();
-                let head = read_head(&mut s);
-                assert!(
-                    head.contains("Connection: close\r\n"),
-                    "disabled pool must keep the PR 7 wire shape: {head:?}"
-                );
-                // Close-delimited response: the PR 7 backend shape.
-                s.write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nok")
-                    .unwrap();
-            }
-        });
-        let pool = test_pool(0);
-        for rid in ["rid-1", "rid-2"] {
-            let (status, body) = forward_once(&pool, 0, addr, "GET", "/x", b"", rid).unwrap();
-            assert_eq!((status, body.as_str()), (200, "ok"));
-        }
-        server.join().unwrap();
-        let snap = pool.snapshot();
-        assert_eq!(snap.idle, 0, "disabled pool never parks");
-        assert_eq!(snap.reused, 0);
-        assert_eq!((snap.created, snap.retired), (2, 2));
     }
 
     #[test]

@@ -879,40 +879,3 @@ fn pool_keeps_zero_client_failures_across_sigkill() {
     assert_eq!(steady.failed, 0);
     steady.pool.assert_conserved();
 }
-
-/// `--pool-idle-per-backend 0` is the PR 7 escape hatch: every forward
-/// opens a fresh `Connection: close` connection, nothing is ever parked
-/// or reused, and the wire behavior (bytes, counters) is unchanged.
-#[test]
-fn disabling_the_pool_restores_fresh_connection_behavior() {
-    let backend = spawn_server(&["--threads", "2"]);
-    let router = spawn_router_args(
-        &[backend.addr()],
-        &["--probe-interval-ms", "200", "--pool-idle-per-backend", "0"],
-    );
-    let corpus = corpus();
-    let mut expected = Vec::new();
-    for request in &corpus {
-        let (status, body) = roundtrip(router.addr(), "POST", "/solve", request);
-        assert_eq!(status, 200, "{body}");
-        expected.push(body);
-    }
-    // Replay is byte-identical (response-cache warm path).
-    for (request, want) in corpus.iter().zip(&expected) {
-        let (status, body) = roundtrip(router.addr(), "POST", "/solve", request);
-        assert_eq!(status, 200, "{body}");
-        assert_eq!(&body, want);
-    }
-    let health = router_health(router.addr());
-    assert_eq!(health.failed, 0);
-    assert_eq!(health.pool.reused, 0, "disabled pool must never reuse");
-    assert_eq!(health.pool.idle, 0, "disabled pool must never park");
-    assert_eq!(health.pool_idle, vec![0]);
-    assert_eq!(health.pool.stale_retries, 0);
-    assert_eq!(
-        health.pool.created,
-        2 * corpus.len() as u64,
-        "exactly one fresh connection per forwarded request"
-    );
-    health.pool.assert_conserved();
-}
