@@ -9,10 +9,10 @@
 //! implementation:
 //!
 //! * **Binary discovery** ([`binary_path`]): workspace binaries land
-//!   next to the test executable's `deps/` directory; when a suite runs
-//!   before the binary target was linked (e.g. `cargo test --test …` on
-//!   a cold target dir), the helper builds it via the `cargo` that
-//!   invoked us rather than flaking.
+//!   next to the test executable's `deps/` directory. A test or bench
+//!   harness brings the binary up to date once per process through the
+//!   `cargo` that invoked it, so `cargo test --test …` alone never runs
+//!   a stale (or missing) build.
 //! * **Port allocation**: processes bind `127.0.0.1:0` and *report*
 //!   their actual address on stdout ([`spawn_listening`] parses it), so
 //!   concurrent suites can never collide on a port. For the one case
@@ -28,6 +28,7 @@ use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::{Mutex, PoisonError};
 
 /// A child process spawned by [`spawn_listening`], killed on drop.
 #[derive(Debug)]
@@ -66,14 +67,19 @@ impl Drop for SpawnedProcess {
     }
 }
 
-/// Locates (building if necessary) a workspace binary by crate/bin name.
+/// Names [`binary_path`] has already built in this process.
+static BUILT: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+/// Locates a workspace binary by crate/bin name, building it first when
+/// the caller is a test or bench harness.
 ///
-/// Test executables run from `target/<profile>/deps/`, so the sibling
-/// `target/<profile>/<name>` is the binary built alongside this suite.
-/// If it does not exist yet, fall back to invoking `cargo build` for
-/// exactly that binary in the matching profile — slower, but it turns a
-/// would-be flake (suite scheduled before the binary target) into a
-/// deterministic wait.
+/// Harness executables run from `target/<profile>/deps/`, so the sibling
+/// `target/<profile>/<name>` is the binary built alongside the suite.
+/// `cargo test --test …` does not rebuild it, so the first call for each
+/// name runs `cargo build -p <name> --bin <name>` in the matching
+/// profile (a no-op when it is up to date) through the `cargo` that
+/// invoked the harness. Any other caller (a binary run from the profile
+/// directory itself) gets the sibling path as it is, with no cargo call.
 ///
 /// # Panics
 ///
@@ -82,36 +88,29 @@ impl Drop for SpawnedProcess {
 /// loudly on.
 pub fn binary_path(name: &str) -> PathBuf {
     let exe = std::env::current_exe().expect("current_exe");
+    let dir = exe.parent().expect("executable has a parent directory");
+    let harness = dir.file_name().is_some_and(|f| f == "deps");
     // target/<profile>/deps/<suite>-<hash> → target/<profile>/<name>
-    let profile_dir = exe
-        .parent()
-        .and_then(|deps| {
-            if deps.file_name().is_some_and(|f| f == "deps") {
-                deps.parent()
-            } else {
-                // Binaries under `cargo run` live in the profile dir
-                // directly.
-                Some(deps)
-            }
-        })
-        .expect("test executable has a profile directory");
+    let profile_dir = if harness {
+        dir.parent().expect("deps/ has a profile directory")
+    } else {
+        dir
+    };
     let candidate = profile_dir.join(name);
-    if candidate.exists() {
-        return candidate;
+    let mut built = BUILT.lock().unwrap_or_else(PoisonError::into_inner);
+    if (harness || !candidate.exists()) && !built.iter().any(|b| b == name) {
+        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+        let mut build = Command::new(cargo);
+        build.args(["build", "-q", "-p", name, "--bin", name]);
+        if profile_dir.file_name().is_some_and(|f| f == "release") {
+            build.arg("--release");
+        }
+        let status = build.status().expect("spawn cargo build");
+        assert!(status.success(), "cargo build -p {name} failed");
+        built.push(name.to_string());
     }
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let mut build = Command::new(cargo);
-    build.args(["build", "-p", name, "--bin", name]);
-    if profile_dir.file_name().is_some_and(|f| f == "release") {
-        build.arg("--release");
-    }
-    let status = build.status().expect("spawn cargo build");
-    assert!(status.success(), "cargo build -p {name} failed");
-    assert!(
-        candidate.exists(),
-        "built {name} but {} still does not exist",
-        candidate.display()
-    );
+    drop(built);
+    assert!(candidate.exists(), "{} does not exist", candidate.display());
     candidate
 }
 
