@@ -96,11 +96,6 @@ pub fn component_count(g: &Graph) -> usize {
     connected_components(g).iter().copied().max().map_or(0, |m| m + 1)
 }
 
-/// Whether the graph is connected (the empty graph counts as connected).
-pub fn is_connected(g: &Graph) -> bool {
-    component_count(g) <= 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,8 +133,7 @@ mod tests {
         assert_ne!(labels[0], labels[3]);
         assert_ne!(labels[5], labels[0]);
         assert_eq!(component_count(&g), 3);
-        assert!(!is_connected(&g));
-        assert!(is_connected(&path(5)));
-        assert!(is_connected(&Graph::empty(0)));
+        assert_eq!(component_count(&path(5)), 1);
+        assert_eq!(component_count(&Graph::empty(0)), 0);
     }
 }

@@ -37,15 +37,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `y = alpha * x + beta * y`.
-#[inline]
-pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = alpha * xi + beta * *yi;
-    }
-}
-
 /// Scales a slice in place.
 #[inline]
 pub fn scale(a: &mut [f64], s: f64) {
@@ -65,16 +56,6 @@ pub fn normalize(a: &mut [f64]) -> f64 {
         n
     } else {
         0.0
-    }
-}
-
-/// Elementwise subtraction `out = a - b`.
-#[inline]
-pub fn sub_into(a: &[f64], b: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), out.len());
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x - y;
     }
 }
 
@@ -151,8 +132,6 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[3.0, 4.0], &mut y);
         assert_eq!(y, vec![7.0, 9.0]);
-        axpby(1.0, &[1.0, 1.0], 0.5, &mut y);
-        assert_eq!(y, vec![4.5, 5.5]);
     }
 
     #[test]
@@ -190,12 +169,5 @@ mod tests {
         assert!((cosine(&[1.0, 1.0], &[2.0, 2.0]) - 1.0).abs() < 1e-15);
         assert!((alignment(&[1.0, 1.0], &[-1.0, -1.0]) - 1.0).abs() < 1e-15);
         assert_eq!(cosine(&[0.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn sub_into_works() {
-        let mut out = vec![0.0; 2];
-        sub_into(&[5.0, 7.0], &[2.0, 3.0], &mut out);
-        assert_eq!(out, vec![3.0, 4.0]);
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::graph::MaxCutGraph;
 use crate::sampling::CutSampler;
-use snc_graph::{CutAssignment, Graph};
+use snc_graph::CutAssignment;
 use snc_linalg::{sdp, DMatrix, GaussianSampler, LinalgError, SdpConfig};
 
 /// Configuration for the software GW solver.
@@ -101,16 +101,6 @@ impl CutSampler for GwSampler {
     }
 }
 
-/// Convenience: solve the SDP and return a ready sampler.
-///
-/// # Errors
-///
-/// Propagates SDP solver errors.
-pub fn gw_sampler(graph: &Graph, cfg: &GwConfig, seed: u64) -> Result<GwSampler, LinalgError> {
-    let sol = solve_gw(graph, cfg)?;
-    Ok(GwSampler::new(sol.factors, seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +127,8 @@ mod tests {
         // On bipartite graphs the SDP solution is integral (antipodal
         // vectors), so every sample is the optimal cut.
         let g = complete_bipartite(4, 4);
-        let mut s = gw_sampler(&g, &GwConfig::default(), 1).unwrap();
+        let sol = solve_gw(&g, &GwConfig::default()).unwrap();
+        let mut s = GwSampler::new(sol.factors, 1);
         let cut = s.next_cut();
         assert_eq!(cut.cut_value(&g), 16);
     }
@@ -152,7 +143,8 @@ mod tests {
             if opt == 0 {
                 continue;
             }
-            let mut s = gw_sampler(&g, &GwConfig::default(), seed).unwrap();
+            let sol = solve_gw(&g, &GwConfig::default()).unwrap();
+            let mut s = GwSampler::new(sol.factors, seed);
             let trace = sample_best_trace(&mut s, &g, &log2_checkpoints(64));
             let ratio = trace.final_best() as f64 / opt as f64;
             assert!(ratio >= 0.878, "seed={seed} ratio={ratio}");

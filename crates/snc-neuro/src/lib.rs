@@ -50,6 +50,6 @@ pub use hopfield::{HopfieldNetwork, HopfieldParams};
 pub use lif::{Integrator, LifParams, Reset};
 pub use network::{BatchedTwoStageNetwork, PlasticitySignal, TwoStageConfig};
 pub use parallel::ReplicaBatch;
-pub use plasticity::{LearningRate, OjaMinor, PlasticityRule};
+pub use plasticity::{LearningRate, OjaMinor};
 pub use population::LifPopulation;
 pub use synapse::{BatchWeights, CscWeights, DenseWeights, InputWeights};

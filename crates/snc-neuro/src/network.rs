@@ -14,7 +14,7 @@
 
 use crate::lif::{LifParams, Reset};
 use crate::parallel::ReplicaBatch;
-use crate::plasticity::{LearningRate, OjaMinor, PlasticityRule};
+use crate::plasticity::{LearningRate, OjaMinor};
 use crate::population::LifPopulation;
 use crate::synapse::{CscWeights, InputWeights};
 use crate::theory;
@@ -142,7 +142,7 @@ fn saturation_guard(w: &mut [f64]) {
 /// step for all replicas. Stage 2 keeps the plastic readout vectors
 /// replica-major (`w[r·n ..][..n]`) and applies the Oja anti-Hebbian update
 /// to every replica in one SoA pass
-/// ([`PlasticityRule::update_replicas`]); the `R` output neurons are one
+/// ([`OjaMinor::update_replicas`]); the `R` output neurons are one
 /// shared [`LifPopulation`].
 ///
 /// Replicas are independent: replica `r`'s trajectory — membranes,
@@ -172,7 +172,6 @@ pub struct BatchedTwoStageNetwork {
     stage1: ReplicaBatch<CscWeights>,
     /// Plastic readout vectors, replica-major: `w[r * n + i]`.
     readout_weights: Vec<f64>,
-    rule: OjaMinor,
     learning_rate: LearningRate,
     plasticity_interval: u64,
     /// The `R` stage-2 output neurons as one population (their spikes are
@@ -238,7 +237,6 @@ impl BatchedTwoStageNetwork {
         Self {
             stage1,
             readout_weights,
-            rule: OjaMinor,
             learning_rate: config.learning_rate,
             plasticity_interval: config.plasticity_interval.max(1),
             stage2: LifPopulation::new(replicas, config.lif, Reset::None),
@@ -319,8 +317,7 @@ impl BatchedTwoStageNetwork {
         }
         // Lock-stepped replicas share the update index, hence the rate.
         let eta = self.learning_rate.at(self.updates);
-        self.rule
-            .update_replicas(&mut self.readout_weights, &self.centered, eta, &mut self.ys);
+        OjaMinor.update_replicas(&mut self.readout_weights, &self.centered, eta, &mut self.ys);
         self.updates += 1;
         for lane in self.readout_weights.chunks_exact_mut(n) {
             saturation_guard(lane);

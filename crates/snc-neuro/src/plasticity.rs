@@ -40,12 +40,25 @@ impl LearningRate {
     }
 }
 
-/// A plasticity rule updating a weight vector from a presynaptic activity
-/// vector. The postsynaptic activity `y = wᵀx` is computed internally and
-/// returned.
-pub trait PlasticityRule {
-    /// Applies one update `w ← w + η·Δw(x, y)` and returns `y`.
-    fn update(&self, w: &mut [f64], x: &[f64], eta: f64) -> f64;
+/// Oja's anti-Hebbian minor-component rule
+/// `Δw = −y·x + (y² + 1 − wᵀw)·w` (Oja 1992): converges to the minimum
+/// eigenvector of `Cov(x)` with `‖w‖ → 1`. This is the learning rule of the
+/// LIF-Trevisan circuit.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct OjaMinor;
+
+impl OjaMinor {
+    /// Applies one update `w ← w + η·Δw(x, y)` and returns the
+    /// postsynaptic activity `y = wᵀx` it computed.
+    pub fn update(&self, w: &mut [f64], x: &[f64], eta: f64) -> f64 {
+        let y = vector::dot(w, x);
+        let norm2 = vector::norm_sq(w);
+        let stabilizer = y * y + 1.0 - norm2;
+        for (wi, &xi) in w.iter_mut().zip(x) {
+            *wi += eta * (-y * xi + stabilizer * *wi);
+        }
+        y
+    }
 
     /// Applies one update to `R` independent replicas stored
     /// structure-of-arrays: `w[r·neurons ..][..neurons]` is replica `r`'s
@@ -53,17 +66,16 @@ pub trait PlasticityRule {
     /// All replicas share one learning rate `eta` (lock-stepped replicas
     /// are at the same update index). Writes `y_r = w_rᵀx_r` into `ys`.
     ///
-    /// Each lane is updated with exactly the scalar [`PlasticityRule::update`]
-    /// expression — in the same accumulation order — so a batched update is
-    /// bit-for-bit identical to updating every replica alone. Implementors
-    /// overriding this for speed must preserve that contract (the
-    /// batched-network equivalence tests pin it).
+    /// Each lane is updated with exactly the scalar [`OjaMinor::update`]
+    /// expression, so a batched update is bit-for-bit identical to
+    /// updating every replica alone (the batched-network equivalence tests
+    /// pin it).
     ///
     /// # Panics
     ///
     /// Panics if `w.len() != x.len()`, `w.len()` is not a multiple of
     /// `ys.len()`, or `ys` is empty while `w` is not.
-    fn update_replicas(&self, w: &mut [f64], x: &[f64], eta: f64, ys: &mut [f64]) {
+    pub fn update_replicas(&self, w: &mut [f64], x: &[f64], eta: f64, ys: &mut [f64]) {
         assert_eq!(w.len(), x.len(), "weight/activity layout mismatch");
         let replicas = ys.len();
         assert!(
@@ -88,39 +100,15 @@ pub trait PlasticityRule {
     }
 }
 
-/// Oja's anti-Hebbian minor-component rule
-/// `Δw = −y·x + (y² + 1 − wᵀw)·w` (Oja 1992): converges to the minimum
-/// eigenvector of `Cov(x)` with `‖w‖ → 1`. This is the learning rule of the
-/// LIF-Trevisan circuit.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OjaMinor;
-
-impl PlasticityRule for OjaMinor {
-    fn update(&self, w: &mut [f64], x: &[f64], eta: f64) -> f64 {
-        let y = vector::dot(w, x);
-        let norm2 = vector::norm_sq(w);
-        let stabilizer = y * y + 1.0 - norm2;
-        for (wi, &xi) in w.iter_mut().zip(x) {
-            *wi += eta * (-y * xi + stabilizer * *wi);
-        }
-        y
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use snc_linalg::eigen::jacobi::symmetric_eigen;
     use snc_linalg::{Cholesky, DMatrix, GaussianSampler};
 
-    /// Draws zero-mean Gaussian samples with covariance C and trains a rule.
-    fn train(
-        rule: &impl PlasticityRule,
-        c: &DMatrix,
-        updates: u64,
-        lr: LearningRate,
-        seed: u64,
-    ) -> Vec<f64> {
+    /// Draws zero-mean Gaussian samples with covariance C and trains the
+    /// rule.
+    fn train(c: &DMatrix, updates: u64, lr: LearningRate, seed: u64) -> Vec<f64> {
         let n = c.rows();
         let ch = Cholesky::with_jitter(c, 1e-12).unwrap();
         let mut gauss = GaussianSampler::new(seed);
@@ -132,7 +120,7 @@ mod tests {
         for t in 0..updates {
             gauss.fill(&mut g);
             ch.correlate_into(&g, &mut x);
-            rule.update(&mut w, &x, lr.at(t));
+            OjaMinor.update(&mut w, &x, lr.at(t));
         }
         w
     }
@@ -161,7 +149,6 @@ mod tests {
         let bottom: Vec<f64> = (0..3).map(|i| vecs[(i, 0)]).collect();
         assert!((vals[0] - 0.2).abs() < 1e-9);
         let w = train(
-            &OjaMinor,
             &c,
             60_000,
             LearningRate::Decay {
@@ -201,32 +188,29 @@ mod tests {
     /// across several chained updates.
     #[test]
     fn batched_update_is_bit_exact() {
-        fn check(rule: &impl PlasticityRule) {
-            let n = 5;
-            let replicas = 4;
-            // Deterministic, replica-distinct starting weights and inputs.
-            let mut w_batch: Vec<f64> = (0..n * replicas)
-                .map(|k| ((k * 37 % 11) as f64 - 5.0) * 0.13)
+        let n = 5;
+        let replicas = 4;
+        // Deterministic, replica-distinct starting weights and inputs.
+        let mut w_batch: Vec<f64> = (0..n * replicas)
+            .map(|k| ((k * 37 % 11) as f64 - 5.0) * 0.13)
+            .collect();
+        let mut w_seq = w_batch.clone();
+        let mut ys = vec![0.0; replicas];
+        for t in 0..20u64 {
+            let x: Vec<f64> = (0..n * replicas)
+                .map(|k| ((k as u64 * 101 + t * 7) % 13) as f64 * 0.21 - 1.2)
                 .collect();
-            let mut w_seq = w_batch.clone();
-            let mut ys = vec![0.0; replicas];
-            for t in 0..20u64 {
-                let x: Vec<f64> = (0..n * replicas)
-                    .map(|k| ((k as u64 * 101 + t * 7) % 13) as f64 * 0.21 - 1.2)
-                    .collect();
-                let eta = 0.05 / (1.0 + t as f64);
-                rule.update_replicas(&mut w_batch, &x, eta, &mut ys);
-                for r in 0..replicas {
-                    let y =
-                        rule.update(&mut w_seq[r * n..(r + 1) * n], &x[r * n..(r + 1) * n], eta);
-                    assert_eq!(y.to_bits(), ys[r].to_bits(), "y at t={t} r={r}");
-                }
-                for (k, (a, b)) in w_batch.iter().zip(&w_seq).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "w at t={t} k={k}");
-                }
+            let eta = 0.05 / (1.0 + t as f64);
+            OjaMinor.update_replicas(&mut w_batch, &x, eta, &mut ys);
+            for r in 0..replicas {
+                let y =
+                    OjaMinor.update(&mut w_seq[r * n..(r + 1) * n], &x[r * n..(r + 1) * n], eta);
+                assert_eq!(y.to_bits(), ys[r].to_bits(), "y at t={t} r={r}");
+            }
+            for (k, (a, b)) in w_batch.iter().zip(&w_seq).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "w at t={t} k={k}");
             }
         }
-        check(&OjaMinor);
     }
 
     #[test]

@@ -45,12 +45,6 @@ pub fn kappa(params: &LifParams, p: f64) -> f64 {
     variance_factor(params) * p * (1.0 - p)
 }
 
-/// Stationary membrane means `⟨V_i⟩ = mean_factor · p · Σ_α W_iα`.
-pub fn stationary_means(params: &LifParams, weights: &impl InputWeights, p: f64) -> Vec<f64> {
-    let f = mean_factor(params) * p;
-    weights.row_sums().into_iter().map(|s| s * f).collect()
-}
-
 /// Full stationary covariance matrix `kappa · W Wᵀ`.
 ///
 /// Densifies the Gram matrix; intended for analysis and tests, not hot
@@ -114,7 +108,12 @@ mod tests {
         });
         let mut pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), 2), 42);
         let mut pop = LifPopulation::new(3, params, Reset::None);
-        let means = stationary_means(&params, &w, 0.5);
+        // Stationary means ⟨V_i⟩ = mean_factor · p · Σ_α W_iα.
+        let means: Vec<f64> = w
+            .row_sums()
+            .into_iter()
+            .map(|s| s * mean_factor(&params) * 0.5)
+            .collect();
         pop.set_potentials(&means); // start at stationarity
 
         let mut current = vec![0.0; 3];
