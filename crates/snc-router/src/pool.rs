@@ -133,8 +133,7 @@ impl ConnectionPool {
     }
 
     /// Opens a fresh connection to `addr`: connect timeout, NODELAY,
-    /// and the backend read timeout set once — exactly the socket
-    /// configuration PR 7 applied per request.
+    /// and the backend read timeout, set once for the connection's life.
     pub(crate) fn connect_fresh(&self, addr: SocketAddr) -> std::io::Result<BackendConn> {
         let stream = TcpStream::connect_timeout(&addr, self.connect_timeout)?;
         stream.set_read_timeout(Some(self.read_timeout))?;

@@ -156,11 +156,12 @@ pub fn serve_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
             });
         })
     };
+    // Parse with the same limits a default backend enforces, so the edge
+    // rejects exactly what the fleet would.
+    let backend = ServerConfig::default();
     let shared = Arc::new(Shared {
-        // Parse with the same limits a default backend enforces, so the
-        // edge rejects exactly what the fleet would.
-        defaults: ServerConfig::default().request_defaults(),
-        max_body_bytes: ServerConfig::default().max_body_bytes,
+        defaults: backend.request_defaults(),
+        max_body_bytes: backend.max_body_bytes,
         ring: HashRing::new(&cfg.weights(), cfg.vnodes),
         health,
         pool,
