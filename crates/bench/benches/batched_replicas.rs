@@ -18,7 +18,7 @@
 //!
 //! A width sweep (`width_sweep_*` groups) then times both per-replica
 //! families, LIF-Trevisan and Hopfield, as one R-wide batch vs R one-seed
-//! batches at R ∈ {2, 8}, with one circuit (R = 1) as the baseline, on
+//! batches at R ∈ {2, 3, 8}, with one circuit (R = 1) as the baseline, on
 //! G(200, 0.05) and G(350, 0.1) — the sparse and dense slices of the
 //! `cold-sampling` workload — after asserting that every lane's cuts
 //! (and LIF-Trevisan readout weights) are bit-identical to the one-seed
@@ -172,8 +172,9 @@ fn csc_accumulate_paper_scale(c: &mut Criterion) {
 const SWEEP_SAMPLES: usize = 16;
 
 /// Replica widths of the sweep: the server default, the narrowest
-/// batched width, and the `cold-sampling` batched width.
-const SWEEP_WIDTHS: [usize; 3] = [1, 2, 8];
+/// batched width, a width that leaves phantom lanes in Hopfield's lane
+/// chunks, and the `cold-sampling` batched width.
+const SWEEP_WIDTHS: [usize; 4] = [1, 2, 3, 8];
 
 /// The sweep's graphs: `cold-sampling`'s sparse and dense slices.
 fn sweep_graphs() -> [(&'static str, Graph); 2] {

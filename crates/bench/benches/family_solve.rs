@@ -26,10 +26,13 @@
 //! A third group, `solve_hopfield_sparse`, times Hopfield on G(250, 0.05)
 //! at budget 512 and R ∈ {1, 8}, the sparse slice of `cold-sampling`. At
 //! R = 1 one relaxation runs 4,096 Euler steps, most of them past the
-//! bitwise fixed point where `HopfieldNetwork::step` stops integrating;
-//! at R = 8 each replica runs 512 steps and has not settled yet. Its gate
-//! asserts that two solves agree and that each outcome hits a pinned
-//! digest, so a faster kernel cannot change a bit of the answer.
+//! bitwise fixed point after which `HopfieldNetwork::step` only swaps
+//! phases and counts; at R = 8 each replica runs 512 steps and has not
+//! settled yet. A fourth, `solve_hopfield_dense`, times G(350, 0.1) at
+//! budget 128 and R ∈ {1, 8}, the dense slice, where relaxations tend to
+//! lock into a period-2 oscillation instead. Their gates assert that two
+//! solves agree and that each outcome hits a pinned digest, so a faster
+//! kernel cannot change a bit of the answer.
 //!
 //! Record results per `docs/BENCHMARKS.md`; set `CRITERION_SHIM_JSON` to
 //! capture raw numbers.
@@ -110,11 +113,11 @@ fn solve_served_shape(c: &mut Criterion) {
     group.finish();
 }
 
-/// Hopfield at `cold-sampling`'s sparse budget, `replicas` wide.
-fn hopfield_spec(replicas: usize) -> SolveSpec {
+/// Hopfield at `budget`, `replicas` wide.
+fn hopfield_spec(budget: u64, replicas: usize) -> SolveSpec {
     SolveSpec {
         replicas,
-        ..SolveSpec::new(CircuitFamily::Hopfield, 512, 0x40F1)
+        ..SolveSpec::new(CircuitFamily::Hopfield, budget, 0x40F1)
     }
 }
 
@@ -134,32 +137,63 @@ fn outcome_digest(out: &SolveOutcome) -> u64 {
     h
 }
 
-fn solve_hopfield_sparse(c: &mut Criterion) {
-    let graph = er_graph(250, 0.05);
-    let widths = [
-        (1usize, 0xe6f6_fa1a_d5d7_1510u64),
-        (8, 0x4605_0f35_e4e6_8301),
-    ];
-
+/// Times Hopfield solves of `graph` at `budget` for each `(replicas,
+/// digest)` width in group `name`, after gating every width on its pinned
+/// digest.
+fn hopfield_group(
+    c: &mut Criterion,
+    name: &str,
+    graph: &snc_graph::Graph,
+    budget: u64,
+    widths: [(usize, u64); 2],
+) {
     // Loud correctness gate: solves are deterministic and bit-identical to
     // the pinned outcomes.
     for (replicas, want) in widths {
-        let spec = hopfield_spec(replicas);
-        let a = solve(&graph, &spec).expect("solve");
-        let b = solve(&graph, &spec).expect("solve");
+        let spec = hopfield_spec(budget, replicas);
+        let a = solve(graph, &spec).expect("solve");
+        let b = solve(graph, &spec).expect("solve");
         let got = outcome_digest(&a);
         assert_eq!(got, outcome_digest(&b), "R={replicas} nondeterministic");
         assert_eq!(got, want, "R={replicas} outcome moved: digest {got:#018x}");
     }
 
-    let mut group = c.benchmark_group("solve_hopfield_sparse_n250");
+    let mut group = c.benchmark_group(name);
     for (replicas, _) in widths {
-        let spec = hopfield_spec(replicas);
+        let spec = hopfield_spec(budget, replicas);
         group.bench_function(format!("R{replicas}"), |b| {
-            b.iter(|| solve(black_box(&graph), black_box(&spec)).expect("solve"))
+            b.iter(|| solve(black_box(graph), black_box(&spec)).expect("solve"))
         });
     }
     group.finish();
+}
+
+fn solve_hopfield_sparse(c: &mut Criterion) {
+    let widths = [
+        (1usize, 0xe6f6_fa1a_d5d7_1510u64),
+        (8, 0x4605_0f35_e4e6_8301),
+    ];
+    hopfield_group(
+        c,
+        "solve_hopfield_sparse_n250",
+        &er_graph(250, 0.05),
+        512,
+        widths,
+    );
+}
+
+fn solve_hopfield_dense(c: &mut Criterion) {
+    let widths = [
+        (1usize, 0xb392_8654_de16_a393u64),
+        (8, 0x8ec5_9307_3d38_f54d),
+    ];
+    hopfield_group(
+        c,
+        "solve_hopfield_dense_n350",
+        &er_graph(350, 0.1),
+        128,
+        widths,
+    );
 }
 
 criterion_group! {
@@ -168,6 +202,6 @@ criterion_group! {
         .sample_size(12)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(3));
-    targets = solve_per_family, solve_served_shape, solve_hopfield_sparse
+    targets = solve_per_family, solve_served_shape, solve_hopfield_sparse, solve_hopfield_dense
 }
 criterion_main!(benches);

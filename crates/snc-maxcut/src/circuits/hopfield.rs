@@ -17,15 +17,7 @@
 use crate::graph::MaxCutGraph;
 use crate::sampling::{cuts_from_lane, set_lane_from_signs};
 use snc_graph::CutAssignment;
-use snc_neuro::hopfield::{HopfieldCouplings, HopfieldNetwork, HopfieldParams};
-use std::sync::Arc;
-
-/// The graph's couplings (unit couplings on an unweighted graph) in the
-/// Hopfield slice layout.
-fn layout(graph: &impl MaxCutGraph) -> HopfieldCouplings {
-    let couplings: Vec<(u32, u32, f64)> = graph.couplings().collect();
-    HopfieldCouplings::new(graph.n(), &couplings)
-}
+use snc_neuro::hopfield::{HopfieldNetwork, HopfieldParams};
 
 /// Configuration of the Hopfield circuit family.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -46,46 +38,44 @@ impl Default for HopfieldConfig {
 }
 
 /// `R` Hopfield relaxations advanced in lock-step — independent seeded
-/// restarts of the same deterministic descent. The replicas share one
-/// coupling layout (built once per graph) and own only their state, so
-/// replica `r`'s sample stream is the one-seed batch's with seed
-/// `seeds[r]`; the lane test below pins that, so the family keeps the
-/// same replica-independence contract as the stochastic circuits.
+/// restarts of the same deterministic descent. The replicas are the
+/// lanes of one [`HopfieldNetwork`], so every pass over the graph's
+/// couplings feeds all of them, and replica `r`'s sample stream is the
+/// one-seed batch's with seed `seeds[r]`; the lane test below pins that,
+/// so the family keeps the same replica-independence contract as the
+/// stochastic circuits.
 #[derive(Clone, Debug)]
 pub struct BatchedHopfieldCircuit {
-    nets: Vec<HopfieldNetwork>,
+    net: HopfieldNetwork,
     steps_per_sample: u64,
 }
 
 impl BatchedHopfieldCircuit {
-    /// Builds one relaxation per seed over a shared layout of the graph's
-    /// couplings (unit couplings on an unweighted graph). Negative edge
-    /// weights become ferromagnetic couplings (the endpoints prefer the
-    /// same side), matching the weighted cut objective.
+    /// Builds one relaxation per seed over the graph's couplings (unit
+    /// couplings on an unweighted graph). Negative edge weights become
+    /// ferromagnetic couplings (the endpoints prefer the same side),
+    /// matching the weighted cut objective.
     ///
     /// # Panics
     ///
     /// Panics if `seeds` is empty.
     pub fn new(graph: &impl MaxCutGraph, seeds: &[u64], cfg: &HopfieldConfig) -> Self {
         assert!(!seeds.is_empty(), "at least one replica seed");
-        let couplings = Arc::new(layout(graph));
+        let couplings: Vec<(u32, u32, f64)> = graph.couplings().collect();
         Self {
-            nets: seeds
-                .iter()
-                .map(|&s| HopfieldNetwork::with_couplings(Arc::clone(&couplings), cfg.params, s))
-                .collect(),
+            net: HopfieldNetwork::new(graph.n(), &couplings, cfg.params, seeds),
             steps_per_sample: cfg.steps_per_sample.max(1),
         }
     }
 
     /// Number of replicas.
     pub fn replicas(&self) -> usize {
-        self.nets.len()
+        self.net.lanes()
     }
 
     /// Number of vertices / units per replica.
     pub fn n(&self) -> usize {
-        self.nets[0].n()
+        self.net.n()
     }
 
     /// Advances all replicas to the next sample and returns one cut per
@@ -106,9 +96,10 @@ impl BatchedHopfieldCircuit {
     pub fn next_lane(&mut self, lane: usize, words: &mut [u64]) {
         let n = self.n();
         assert_eq!(words.len(), n * self.replicas(), "block length");
-        for (r, net) in self.nets.iter_mut().enumerate() {
-            net.step_many(self.steps_per_sample);
-            set_lane_from_signs(&mut words[r * n..(r + 1) * n], lane, net.activations());
+        self.net.step_many(self.steps_per_sample);
+        for r in 0..self.replicas() {
+            let replica = &mut words[r * n..(r + 1) * n];
+            set_lane_from_signs(replica, lane, self.net.activations(r));
         }
     }
 }
@@ -129,6 +120,17 @@ mod tests {
         let mut stream = || circuit.next_cuts().remove(0);
         let trace = sample_best_trace(&mut stream, &g, &log2_checkpoints(64));
         assert_eq!(trace.final_best(), 16, "K(4,4) relaxes to the exact cut");
+    }
+
+    #[test]
+    fn empty_graph_gives_empty_cuts() {
+        let g = snc_graph::Graph::empty(0);
+        for seeds in [&[1u64][..], &[1, 2, 3]] {
+            let mut batch = BatchedHopfieldCircuit::new(&g, seeds, &HopfieldConfig::default());
+            let cuts = batch.next_cuts();
+            assert_eq!(cuts.len(), seeds.len());
+            assert!(cuts.iter().all(|c| c.sides().is_empty()));
+        }
     }
 
     #[test]
@@ -163,17 +165,15 @@ mod tests {
                 );
             }
         }
-        for (r, net) in batch.nets.iter().enumerate() {
-            let one = &ones[r].nets[0];
-            assert_eq!(
-                net.potentials(),
-                one.potentials(),
+        for (r, one) in ones.iter().enumerate() {
+            assert!(
+                batch.net.potentials(r).eq(one.net.potentials(0)),
                 "n={} replica {r}",
                 g.n()
             );
             assert_eq!(
-                net.energy().to_bits(),
-                one.energy().to_bits(),
+                batch.net.energy(r).to_bits(),
+                one.net.energy(0).to_bits(),
                 "n={} replica {r}",
                 g.n()
             );

@@ -166,7 +166,7 @@ impl BatchedLifTrevisanCircuit {
         self.net.run_updates(self.updates_per_sample);
         for r in 0..self.replicas() {
             let replica = &mut words[r * n..(r + 1) * n];
-            set_lane_from_signs(replica, lane, self.net.readout_weights(r));
+            set_lane_from_signs(replica, lane, self.net.readout_weights(r).iter().copied());
         }
     }
 

@@ -92,8 +92,12 @@ pub(crate) fn tracked_value<'g, G: MaxCutGraph>(
 /// Sets bit `lane` of `words[i]` where `values[i] > 0`: the sign readout
 /// of [`CutAssignment::from_signs`], written into a bit-sliced block
 /// whose lane is clear.
-pub(crate) fn set_lane_from_signs(words: &mut [u64], lane: usize, values: &[f64]) {
-    for (w, &v) in words.iter_mut().zip(values) {
+pub(crate) fn set_lane_from_signs(
+    words: &mut [u64],
+    lane: usize,
+    values: impl IntoIterator<Item = f64>,
+) {
+    for (w, v) in words.iter_mut().zip(values) {
         *w |= u64::from(v > 0.0) << lane;
     }
 }

@@ -17,9 +17,13 @@
 //! Tank 1985; Cai et al. 2020 run the same descent on memristor
 //! crossbars). No randomness enters after the seeded initial state, so
 //! a trajectory is a pure function of `(couplings, params, seed)`.
+//!
+//! One [`HopfieldNetwork`] relaxes `R` seeded copies of the circuit as
+//! lanes over one coupling layout, the way a crossbar reads every unit
+//! out of one fabric per step: each pass over the couplings feeds every
+//! lane. Lane `r` is bit for bit the one-lane network with `seeds[r]`.
 
 use snc_devices::{Rng64, Xoshiro256pp};
-use std::sync::Arc;
 
 /// Parameters of the continuous Hopfield–Tank dynamics.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -48,42 +52,55 @@ impl Default for HopfieldParams {
 /// Rows per slice of the [`HopfieldCouplings`] layout.
 const SLICE: usize = 4;
 
+/// Lanes per chunk of a network with more than four lanes.
+const LANES: usize = 8;
+
 /// A symmetric coupling list laid out for the Hopfield gather.
 ///
 /// Rows are grouped in slices of four. A slice stores its rows' neighbor
-/// lists side by side, entry `k` of lane `l` at `4k + l` from the slice
+/// lists side by side, entry `k` of row `l` at `4k + l` from the slice
 /// start, padded to the slice's longest row with zero couplings that point
-/// at the padded row's own unit (phantom rows past `n` point at unit 0).
-/// The gather then runs the four rows as independent accumulation chains
-/// over one contiguous run of weights and targets.
+/// at the sentinel unit `n`, whose activation is always `+0.0`. The gather
+/// then runs the four rows as independent accumulation chains over one
+/// contiguous run of weights and targets.
 ///
 /// Each row still sums its real couplings in the order they were listed,
-/// and the padding only appends `0 · x = ±0.0` after them. That cannot
+/// and the padding only appends `0 · (+0.0) = +0.0` after them. That cannot
 /// change the sum: it starts at +0.0, so it never holds −0.0, and adding
 /// ±0.0 to any other value leaves it unchanged. The drives are therefore
 /// bit-identical to a plain row-by-row (CSR) walk.
 ///
-/// The layout depends only on the couplings, so replicas that differ only
-/// in their seeds share one behind an [`Arc`].
+/// When every coupling is exactly `1.0` the layout keeps no weights and
+/// the gather adds `x_t` itself (the unit stream): `1.0 · x == x`, and a
+/// padding entry adds the sentinel's `+0.0`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct HopfieldCouplings {
+struct HopfieldCouplings {
     n: usize,
     /// Slice `s` occupies `offsets[s]..offsets[s + 1]` of `targets` and
-    /// `weights`: `SLICE` lanes times the slice's padded width.
+    /// `weights`: `SLICE` rows times the slice's padded width.
     offsets: Vec<usize>,
     targets: Vec<u32>,
+    /// Empty for the unit stream.
     weights: Vec<f64>,
 }
 
 impl HopfieldCouplings {
     /// Lays out an undirected coupling list over `n` units; each pair is
-    /// applied in both directions.
+    /// applied in both directions. The unit stream is chosen when every
+    /// coupling is exactly `1.0`.
     ///
     /// # Panics
     ///
     /// Panics if a coupling endpoint is out of range. Self-couplings are
     /// dropped (a unit does not drive itself).
-    pub fn new(n: usize, couplings: &[(u32, u32, f64)]) -> Self {
+    fn new(n: usize, couplings: &[(u32, u32, f64)]) -> Self {
+        let unit = couplings.iter().all(|&(i, j, w)| i == j || w == 1.0);
+        Self::with_stream(n, couplings, unit)
+    }
+
+    /// [`new`](Self::new) with the stream chosen by the caller; `unit`
+    /// requires every coupling to be exactly `1.0`.
+    fn with_stream(n: usize, couplings: &[(u32, u32, f64)], unit: bool) -> Self {
         let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
         for &(i, j, w) in couplings {
             assert!(
@@ -91,6 +108,7 @@ impl HopfieldCouplings {
                 "coupling ({i},{j}) out of range for n={n}"
             );
             if i != j {
+                debug_assert!(!unit || w == 1.0, "unit stream with weight {w}");
                 rows[i as usize].push((j, w));
                 rows[j as usize].push((i, w));
             }
@@ -101,18 +119,19 @@ impl HopfieldCouplings {
         let mut targets = Vec::new();
         let mut weights = Vec::new();
         for s in 0..slices {
-            let lanes = s * SLICE..((s + 1) * SLICE).min(n);
-            let width = rows[lanes].iter().map(Vec::len).max().unwrap_or(0);
+            let slice_rows = s * SLICE..((s + 1) * SLICE).min(n);
+            let width = rows[slice_rows].iter().map(Vec::len).max().unwrap_or(0);
             for k in 0..width {
                 for l in 0..SLICE {
-                    let i = s * SLICE + l;
-                    let (t, w) = match rows.get(i).and_then(|row| row.get(k)) {
-                        Some(&entry) => entry,
-                        None if i < n => (i as u32, 0.0),
-                        None => (0, 0.0),
-                    };
+                    let (t, w) = rows
+                        .get(s * SLICE + l)
+                        .and_then(|row| row.get(k))
+                        .copied()
+                        .unwrap_or((n as u32, 0.0));
                     targets.push(t);
-                    weights.push(w);
+                    if !unit {
+                        weights.push(w);
+                    }
                 }
             }
             offsets.push(targets.len());
@@ -125,28 +144,208 @@ impl HopfieldCouplings {
         }
     }
 
-    /// The drive `Σ_j w_ij x_j` of the (up to) four rows of slice `s`.
+    /// The weight of layout entry `k`.
+    fn weight(&self, k: usize) -> f64 {
+        if self.weights.is_empty() {
+            1.0
+        } else {
+            self.weights[k]
+        }
+    }
+
+    /// The drive `Σ_j w_ij x_j` of the (up to) four rows of slice `s`, in
+    /// each of `W` lanes; `x` holds `n + 1` units, the last the sentinel.
     #[inline]
-    fn slice_drive(&self, s: usize, x: &[f64]) -> [f64; SLICE] {
+    fn slice_drive<const W: usize>(&self, s: usize, x: &[[f64; W]]) -> [[f64; W]; SLICE] {
         let range = self.offsets[s]..self.offsets[s + 1];
-        let mut acc = [0.0f64; SLICE];
-        for (t, w) in self.targets[range.clone()]
-            .chunks_exact(SLICE)
-            .zip(self.weights[range].chunks_exact(SLICE))
-        {
-            for l in 0..SLICE {
-                acc[l] += w[l] * x[t[l] as usize];
+        let targets = self.targets[range.clone()].chunks_exact(SLICE);
+        let mut acc = [[0.0f64; W]; SLICE];
+        if self.weights.is_empty() {
+            for t in targets {
+                for l in 0..SLICE {
+                    let xt = &x[t[l] as usize];
+                    for j in 0..W {
+                        acc[l][j] += xt[j];
+                    }
+                }
+            }
+        } else {
+            for (t, w) in targets.zip(self.weights[range].chunks_exact(SLICE)) {
+                for l in 0..SLICE {
+                    let xt = &x[t[l] as usize];
+                    for j in 0..W {
+                        acc[l][j] += w[l] * xt[j];
+                    }
+                }
             }
         }
         acc
     }
 }
 
-/// A continuous Hopfield network over a symmetric coupling list.
+/// The state of `W` lanes, neuron-major: `u[i][l]` is unit `i` of lane
+/// `l`. Lanes past the network's last seed are phantom: their state is
+/// `+0.0`, which the Euler map sends to `+0.0`, so they never move.
 ///
-/// The couplings live in a shared [`HopfieldCouplings`] slice layout; the
-/// network owns only its state (potentials and activations) and a buffer
-/// for the next step's potentials.
+/// Three potential buffers hold `u_{t−1}`, `u_t` and the step in
+/// progress. Once `u_{t+1} == u_{t−1}` bit for bit the chunk is in a
+/// cycle of period at most two (see [`HopfieldNetwork::step`]), and
+/// `prev`/`x_prev` hold the other phase.
+#[derive(Clone, Debug)]
+struct Chunk<const W: usize> {
+    prev: Vec<[f64; W]>,
+    u: Vec<[f64; W]>,
+    next: Vec<[f64; W]>,
+    /// `tanh(gain · u)`, plus the sentinel unit `n` that stays `+0.0`.
+    x: Vec<[f64; W]>,
+    /// In a cycle, the activations of `prev`; empty before.
+    x_prev: Vec<[f64; W]>,
+    cycling: bool,
+}
+
+impl<const W: usize> Chunk<W> {
+    /// Seeds lane `l < seeds.len()` with `seeds[l]`; the rest are phantom.
+    fn new(n: usize, p: &HopfieldParams, seeds: &[u64]) -> Self {
+        let mut u = vec![[0.0; W]; n];
+        let mut x = vec![[0.0; W]; n + 1];
+        for (l, &seed) in seeds.iter().enumerate() {
+            let mut rng = Xoshiro256pp::new(seed);
+            for (ui, xi) in u.iter_mut().zip(&mut x) {
+                ui[l] = (2.0 * rng.next_f64() - 1.0) * p.init_scale;
+                xi[l] = (p.gain * ui[l]).tanh();
+            }
+        }
+        Self {
+            prev: u.clone(),
+            next: vec![[0.0; W]; n],
+            u,
+            x,
+            x_prev: Vec::new(),
+            cycling: false,
+        }
+    }
+
+    /// Computes the next potentials of slice `s`'s rows.
+    #[inline]
+    fn integrate_slice(&mut self, c: &HopfieldCouplings, s: usize, p: &HopfieldParams) {
+        let drive = c.slice_drive(s, &self.x);
+        let rows = s * SLICE..((s + 1) * SLICE).min(c.n);
+        for ((next, u), d) in self.next[rows.clone()]
+            .iter_mut()
+            .zip(&self.u[rows])
+            .zip(&drive)
+        {
+            for l in 0..W {
+                next[l] = u[l] + p.dt * (-p.leak * u[l] - d[l]);
+            }
+        }
+    }
+
+    /// Installs the potentials [`integrate_slice`](Self::integrate_slice)
+    /// computed, recomputing `tanh` only where a potential's bits moved,
+    /// and enters the cycle if the step closed one.
+    fn finish(&mut self, gain: f64) {
+        let n = self.u.len();
+        // Slices cut to `n` let the indexed loop run without bounds checks.
+        let (x, next, u, prev) = (
+            &mut self.x[..n],
+            &self.next[..n],
+            &self.u[..n],
+            &self.prev[..n],
+        );
+        let (mut moved, mut period_two) = (false, true);
+        for i in 0..n {
+            for l in 0..W {
+                let bits = next[i][l].to_bits();
+                if bits != u[i][l].to_bits() {
+                    x[i][l] = (gain * next[i][l]).tanh();
+                    moved = true;
+                }
+                period_two &= bits == prev[i][l].to_bits();
+            }
+        }
+        // `prev` ← u_t, `u` ← u_{t+1}; u_{t−1}'s buffer is the next scratch.
+        std::mem::swap(&mut self.prev, &mut self.u);
+        std::mem::swap(&mut self.u, &mut self.next);
+        if !moved || period_two {
+            // The other phase is `prev`; its activations differ from `x`
+            // only where its potentials do.
+            self.x_prev.clone_from(&self.x);
+            for ((xp, p), u) in self.x_prev.iter_mut().zip(&self.prev).zip(&self.u) {
+                for l in 0..W {
+                    if p[l].to_bits() != u[l].to_bits() {
+                        xp[l] = (gain * p[l]).tanh();
+                    }
+                }
+            }
+            self.cycling = true;
+        }
+    }
+
+    /// One step of a chunk in its cycle: the other phase.
+    fn swap_phase(&mut self) {
+        std::mem::swap(&mut self.u, &mut self.prev);
+        std::mem::swap(&mut self.x, &mut self.x_prev);
+    }
+}
+
+/// One synchronous Euler step of every chunk: one pass over the slices
+/// feeds every chunk still moving; a chunk in its cycle only swaps phase.
+fn step_chunks<const W: usize>(chunks: &mut [Chunk<W>], c: &HopfieldCouplings, p: &HopfieldParams) {
+    if chunks.iter().any(|chunk| !chunk.cycling) {
+        for s in 0..c.n.div_ceil(SLICE) {
+            for chunk in chunks.iter_mut().filter(|chunk| !chunk.cycling) {
+                chunk.integrate_slice(c, s, p);
+            }
+        }
+    }
+    for chunk in chunks {
+        if chunk.cycling {
+            chunk.swap_phase();
+        } else {
+            chunk.finish(p.gain);
+        }
+    }
+}
+
+/// The lanes of a network, in chunks of the narrowest width that holds
+/// them, up to [`LANES`]: one lane runs the scalar kernel, two a pair,
+/// three or four a quad, and more run in chunks of eight, the last one
+/// padded with phantom lanes.
+#[derive(Clone, Debug)]
+enum Chunks {
+    One(Vec<Chunk<1>>),
+    Two(Vec<Chunk<2>>),
+    Four(Vec<Chunk<4>>),
+    Eight(Vec<Chunk<LANES>>),
+}
+
+/// Evaluates `$body` with `$chunks` bound to the network's chunk slice,
+/// whatever its width.
+macro_rules! with_chunks {
+    ($net:expr, $chunks:ident => $body:expr) => {
+        match $net {
+            Chunks::One($chunks) => $body,
+            Chunks::Two($chunks) => $body,
+            Chunks::Four($chunks) => $body,
+            Chunks::Eight($chunks) => $body,
+        }
+    };
+}
+
+/// Lane `lane`'s potentials and activations in chunks of width `W`: flat
+/// slices whose entries `l, l + W, l + 2W, …` are the lane's, and `l`.
+fn lane_of<const W: usize>(chunks: &[Chunk<W>], lane: usize) -> (&[f64], &[f64], usize, usize) {
+    let chunk = &chunks[lane / W];
+    (chunk.u.as_flattened(), chunk.x.as_flattened(), lane % W, W)
+}
+
+/// `R` continuous Hopfield networks (lanes) over one symmetric coupling
+/// list, each from its own seeded initial state.
+///
+/// The couplings live in one slice layout (see the module docs), and
+/// every pass over it feeds all lanes of a chunk. Lane `r` is bit for bit
+/// the one-lane network seeded with `seeds[r]`.
 ///
 /// # Examples
 ///
@@ -154,65 +353,71 @@ impl HopfieldCouplings {
 /// use snc_neuro::hopfield::{HopfieldNetwork, HopfieldParams};
 ///
 /// // One anti-ferromagnetic pair: the two units relax to opposite signs.
-/// let mut net = HopfieldNetwork::new(2, &[(0, 1, 1.0)], HopfieldParams::default(), 7);
+/// let mut net = HopfieldNetwork::new(2, &[(0, 1, 1.0)], HopfieldParams::default(), &[7]);
 /// net.step_many(200);
-/// let x = net.activations();
+/// let x: Vec<f64> = net.activations(0).collect();
 /// assert!(x[0] * x[1] < 0.0, "units must split: {x:?}");
 /// ```
 #[derive(Clone, Debug)]
 pub struct HopfieldNetwork {
-    couplings: Arc<HopfieldCouplings>,
+    couplings: HopfieldCouplings,
     params: HopfieldParams,
-    u: Vec<f64>,
-    x: Vec<f64>,
+    lanes: usize,
     steps: u64,
-    /// The potentials the step in progress computes, kept apart from `u`
-    /// so the output pass can see which of them moved.
-    next: Vec<f64>,
-    /// Set by the first step that moved no potential; every later step is
-    /// then the identity (see [`step`](Self::step)).
-    settled: bool,
+    chunks: Chunks,
 }
 
 impl HopfieldNetwork {
-    /// Builds the network from an undirected coupling list (see
-    /// [`HopfieldCouplings::new`]) and seeds the initial potentials
-    /// uniformly in `[−init_scale, init_scale]`.
+    /// Builds one lane per seed over an undirected coupling list (each
+    /// pair applied in both directions) and seeds lane `r`'s initial
+    /// potentials uniformly in `[−init_scale, init_scale]` from
+    /// `seeds[r]`.
     ///
     /// # Panics
     ///
-    /// Panics if a coupling endpoint is out of range. Self-couplings are
-    /// dropped (a unit does not drive itself).
-    pub fn new(n: usize, couplings: &[(u32, u32, f64)], params: HopfieldParams, seed: u64) -> Self {
-        Self::with_couplings(Arc::new(HopfieldCouplings::new(n, couplings)), params, seed)
+    /// Panics if `seeds` is empty or a coupling endpoint is out of range.
+    /// Self-couplings are dropped (a unit does not drive itself).
+    pub fn new(
+        n: usize,
+        couplings: &[(u32, u32, f64)],
+        params: HopfieldParams,
+        seeds: &[u64],
+    ) -> Self {
+        Self::with_layout(HopfieldCouplings::new(n, couplings), params, seeds)
     }
 
-    /// Builds the network on a shared coupling layout and seeds the
-    /// initial potentials uniformly in `[−init_scale, init_scale]`.
-    pub fn with_couplings(
-        couplings: Arc<HopfieldCouplings>,
-        params: HopfieldParams,
-        seed: u64,
-    ) -> Self {
-        let mut rng = Xoshiro256pp::new(seed);
-        let u: Vec<f64> = (0..couplings.n)
-            .map(|_| (2.0 * rng.next_f64() - 1.0) * params.init_scale)
-            .collect();
-        let x: Vec<f64> = u.iter().map(|&ui| (params.gain * ui).tanh()).collect();
+    fn with_layout(couplings: HopfieldCouplings, params: HopfieldParams, seeds: &[u64]) -> Self {
+        fn split<const W: usize>(n: usize, p: &HopfieldParams, seeds: &[u64]) -> Vec<Chunk<W>> {
+            seeds
+                .chunks(W)
+                .map(|lanes| Chunk::new(n, p, lanes))
+                .collect()
+        }
+        assert!(!seeds.is_empty(), "at least one lane seed");
+        let n = couplings.n;
+        let chunks = match seeds.len() {
+            1 => Chunks::One(split(n, &params, seeds)),
+            2 => Chunks::Two(split(n, &params, seeds)),
+            3 | 4 => Chunks::Four(split(n, &params, seeds)),
+            _ => Chunks::Eight(split(n, &params, seeds)),
+        };
         Self {
             couplings,
             params,
-            next: vec![0.0; u.len()],
-            u,
-            x,
+            lanes: seeds.len(),
             steps: 0,
-            settled: false,
+            chunks,
         }
     }
 
-    /// Number of units.
+    /// Number of units per lane.
     pub fn n(&self) -> usize {
-        self.u.len()
+        self.couplings.n
+    }
+
+    /// Number of lanes (seeds).
+    pub fn lanes(&self) -> usize {
+        self.lanes
     }
 
     /// Euler steps taken so far.
@@ -220,84 +425,95 @@ impl HopfieldNetwork {
         self.steps
     }
 
-    /// The unit outputs `x = tanh(gain · u)`.
-    pub fn activations(&self) -> &[f64] {
-        &self.x
+    /// Lane `lane`'s potentials and activations as [`lane_of`] gives them.
+    fn lane(&self, lane: usize) -> (&[f64], &[f64], usize, usize) {
+        assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
+        with_chunks!(&self.chunks, chunks => lane_of(chunks, lane))
     }
 
-    /// The internal potentials `u`.
-    pub fn potentials(&self) -> &[f64] {
-        &self.u
+    /// Lane `lane`'s unit outputs `x = tanh(gain · u)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= lanes()`.
+    pub fn activations(&self, lane: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let (_, x, l, stride) = self.lane(lane);
+        x.iter().skip(l).step_by(stride).take(self.n()).copied()
     }
 
-    /// One synchronous forward-Euler step: every drive is computed from
-    /// the *current* outputs before any output moves. Each slice's next
-    /// potentials are computed as soon as its drives are known; the
-    /// outputs follow in a second pass, which also installs them.
+    /// Lane `lane`'s internal potentials `u`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= lanes()`.
+    pub fn potentials(&self, lane: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let (u, _, l, stride) = self.lane(lane);
+        u.iter().skip(l).step_by(stride).take(self.n()).copied()
+    }
+
+    /// Whether every lane is in a cycle of period at most two.
+    fn cycling(&self) -> bool {
+        with_chunks!(&self.chunks, chunks => chunks.iter().all(|chunk| chunk.cycling))
+    }
+
+    /// One synchronous forward-Euler step of every lane: every drive is
+    /// computed from the *current* outputs before any output moves. Each
+    /// slice's next potentials are computed as soon as its drives are
+    /// known; the outputs follow in a second pass, which also installs
+    /// them.
     ///
     /// The step skips work that cannot change any bit. `x_i` is a pure
     /// function of `u_i`, so the second pass recomputes `tanh` only for
     /// the potentials whose bits this step moved. The Euler map is a pure
-    /// function of `u`, so once a step moves no potential at all,
-    /// `u_{t+1} == u_t` bit for bit and every later step is the identity:
-    /// from then on a step only advances the step counter. A network that
-    /// keeps moving, such as one caught in a period-2 oscillation, is
-    /// integrated in full at every step.
+    /// function of `u`, so once a chunk's step gives `u_{t+1} == u_{t−1}`
+    /// bit for bit, its trajectory alternates between `u_t` and `u_{t+1}`
+    /// forever (`u_{t+2} = F(u_{t+1}) = F(u_{t−1}) = u_t`); a fixed point,
+    /// `u_{t+1} == u_t`, is the case where both phases are equal. From
+    /// then on a step swaps the chunk's two phases and counts.
     pub fn step(&mut self) {
         self.steps += 1;
-        if self.settled {
-            return;
-        }
-        let p = self.params;
-        let n = self.u.len();
-        for s in 0..n.div_ceil(SLICE) {
-            let drive = self.couplings.slice_drive(s, &self.x);
-            let rows = s * SLICE..((s + 1) * SLICE).min(n);
-            for ((next, &u), &d) in self.next[rows.clone()]
-                .iter_mut()
-                .zip(&self.u[rows])
-                .zip(&drive)
-            {
-                *next = u + p.dt * (-p.leak * u - d);
-            }
-        }
-        // Indexing slices cut to `n` measured faster here than zipping
-        // three iterators.
-        let (x, next, u) = (&mut self.x[..n], &self.next[..n], &self.u[..n]);
-        let mut moved = false;
-        for i in 0..n {
-            if next[i].to_bits() != u[i].to_bits() {
-                x[i] = (p.gain * next[i]).tanh();
-                moved = true;
-            }
-        }
-        std::mem::swap(&mut self.u, &mut self.next);
-        self.settled = !moved;
+        let (c, p) = (&self.couplings, &self.params);
+        with_chunks!(&mut self.chunks, chunks => step_chunks(chunks, c, p))
     }
 
-    /// Advances `k` steps.
+    /// Advances `k` steps. Once every lane is in its cycle, the remaining
+    /// steps cost one phase swap if their count is odd and none if even.
     pub fn step_many(&mut self, k: u64) {
-        for _ in 0..k {
+        for done in 0..k {
+            if self.cycling() {
+                let rest = k - done;
+                if rest % 2 == 1 {
+                    self.step();
+                }
+                self.steps += rest - rest % 2;
+                return;
+            }
             self.step();
         }
     }
 
-    /// The Hopfield energy
+    /// Lane `lane`'s Hopfield energy
     /// `½ Σ_ij w_ij x_i x_j + (leak/gain) Σ_i ∫₀^{x_i} atanh(s) ds`,
     /// the Lyapunov function the continuous dynamics descend (for
     /// sufficiently small `dt`). The coupling sum walks the slice layout
     /// row by row, so it too equals the plain row-order sum bit for bit.
-    pub fn energy(&self) -> f64 {
-        let c = &*self.couplings;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= lanes()`.
+    pub fn energy(&self, lane: usize) -> f64 {
+        let c = &self.couplings;
+        let mut x: Vec<f64> = self.activations(lane).collect();
+        x.push(0.0); // the sentinel unit
         let mut coupling = 0.0;
-        for (i, &xi) in self.x.iter().enumerate() {
+        for (i, &xi) in x[..c.n].iter().enumerate() {
             let (s, l) = (i / SLICE, i % SLICE);
             for k in (c.offsets[s] + l..c.offsets[s + 1]).step_by(SLICE) {
-                coupling += c.weights[k] * xi * self.x[c.targets[k] as usize];
+                coupling += c.weight(k) * xi * x[c.targets[k] as usize];
             }
         }
         let mut barrier = 0.0;
-        for &xi in &self.x {
+        for &xi in &x[..c.n] {
             // ∫₀^x atanh(s) ds = x·atanh(x) + ½·ln(1 − x²).
             let c = xi.clamp(-1.0 + 1e-15, 1.0 - 1e-15);
             barrier += c * c.atanh() + 0.5 * (1.0 - c * c).ln();
@@ -314,17 +530,33 @@ mod tests {
         vec![(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]
     }
 
+    fn bits(xs: impl Iterator<Item = f64>) -> Vec<u64> {
+        xs.map(f64::to_bits).collect()
+    }
+
+    /// Lane `r`'s potentials, activations and energy, as bits.
+    fn lane_bits(net: &HopfieldNetwork, r: usize) -> (Vec<u64>, Vec<u64>, u64) {
+        (
+            bits(net.potentials(r)),
+            bits(net.activations(r)),
+            net.energy(r).to_bits(),
+        )
+    }
+
     #[test]
     fn deterministic_given_seed() {
-        let mut a = HopfieldNetwork::new(3, &triangle(), HopfieldParams::default(), 11);
-        let mut b = HopfieldNetwork::new(3, &triangle(), HopfieldParams::default(), 11);
+        let mut a = HopfieldNetwork::new(3, &triangle(), HopfieldParams::default(), &[11]);
+        let mut b = HopfieldNetwork::new(3, &triangle(), HopfieldParams::default(), &[11]);
         a.step_many(50);
         b.step_many(50);
-        assert_eq!(a.potentials(), b.potentials());
-        assert_eq!(a.activations(), b.activations());
-        let mut c = HopfieldNetwork::new(3, &triangle(), HopfieldParams::default(), 12);
+        assert_eq!(lane_bits(&a, 0), lane_bits(&b, 0));
+        let mut c = HopfieldNetwork::new(3, &triangle(), HopfieldParams::default(), &[12]);
         c.step_many(50);
-        assert_ne!(a.potentials(), c.potentials(), "seed must matter");
+        assert_ne!(
+            bits(a.potentials(0)),
+            bits(c.potentials(0)),
+            "seed must matter"
+        );
     }
 
     #[test]
@@ -333,17 +565,17 @@ mod tests {
             init_scale: 0.25,
             ..HopfieldParams::default()
         };
-        let net = HopfieldNetwork::new(64, &[], params, 3);
-        assert!(net.potentials().iter().all(|u| u.abs() <= 0.25));
-        assert!(net.potentials().iter().any(|u| u.abs() > 0.0));
+        let net = HopfieldNetwork::new(64, &[], params, &[3]);
+        assert!(net.potentials(0).all(|u| u.abs() <= 0.25));
+        assert!(net.potentials(0).any(|u| u.abs() > 0.0));
         assert_eq!(net.steps(), 0);
     }
 
     #[test]
     fn antiferromagnetic_pair_relaxes_to_opposite_signs() {
-        let mut net = HopfieldNetwork::new(2, &[(0, 1, 1.0)], HopfieldParams::default(), 5);
+        let mut net = HopfieldNetwork::new(2, &[(0, 1, 1.0)], HopfieldParams::default(), &[5]);
         net.step_many(300);
-        let x = net.activations();
+        let x: Vec<f64> = net.activations(0).collect();
         assert!(x[0] * x[1] < -0.5, "strongly split: {x:?}");
     }
 
@@ -356,16 +588,17 @@ mod tests {
             leak: 1.0,
             init_scale: 0.1,
         };
-        let mut net = HopfieldNetwork::new(2, &[(0, 1, 1.0)], params, 9);
-        let u0 = net.potentials().to_vec();
-        let x0 = net.activations().to_vec();
+        let mut net = HopfieldNetwork::new(2, &[(0, 1, 1.0)], params, &[9]);
+        let u0: Vec<f64> = net.potentials(0).collect();
+        let x0: Vec<f64> = net.activations(0).collect();
         net.step();
+        let u1: Vec<f64> = net.potentials(0).collect();
         for i in 0..2 {
             let expected = u0[i] + 0.5 * (-u0[i] - x0[1 - i]);
             assert!(
-                (net.potentials()[i] - expected).abs() < 1e-15,
+                (u1[i] - expected).abs() < 1e-15,
                 "unit {i}: {} vs {expected}",
-                net.potentials()[i]
+                u1[i]
             );
         }
     }
@@ -376,151 +609,343 @@ mod tests {
             dt: 0.01,
             ..HopfieldParams::default()
         };
-        let mut net = HopfieldNetwork::new(3, &triangle(), params, 21);
-        let mut prev = net.energy();
+        let mut net = HopfieldNetwork::new(3, &triangle(), params, &[21]);
+        let mut prev = net.energy(0);
         for step in 0..500 {
             net.step();
-            let e = net.energy();
+            let e = net.energy(0);
             assert!(e <= prev + 1e-9, "step {step}: energy rose {prev} → {e}");
             prev = e;
         }
     }
 
-    /// The step before it skipped anything: the full gather, then `tanh`
-    /// for every unit.
-    fn reference_step(net: &mut HopfieldNetwork) {
-        let p = net.params;
-        let n = net.u.len();
-        for s in 0..n.div_ceil(SLICE) {
-            let drive = net.couplings.slice_drive(s, &net.x);
-            let rows = s * SLICE..((s + 1) * SLICE).min(n);
-            for (u, &d) in net.u[rows].iter_mut().zip(&drive) {
+    /// One lane stepped the plain way, independently of the slice layout:
+    /// a row-by-row (CSR) gather in coupling-list order, then `tanh` for
+    /// every unit.
+    struct Reference {
+        rows: Vec<Vec<(usize, f64)>>,
+        params: HopfieldParams,
+        u: Vec<f64>,
+        x: Vec<f64>,
+    }
+
+    impl Reference {
+        fn new(n: usize, couplings: &[(u32, u32, f64)], params: HopfieldParams, seed: u64) -> Self {
+            let mut rows = vec![Vec::new(); n];
+            for &(i, j, w) in couplings {
+                if i != j {
+                    rows[i as usize].push((j as usize, w));
+                    rows[j as usize].push((i as usize, w));
+                }
+            }
+            let mut rng = Xoshiro256pp::new(seed);
+            let u: Vec<f64> = (0..n)
+                .map(|_| (2.0 * rng.next_f64() - 1.0) * params.init_scale)
+                .collect();
+            let x = u.iter().map(|&ui| (params.gain * ui).tanh()).collect();
+            Self { rows, params, u, x }
+        }
+
+        fn step(&mut self) {
+            let p = self.params;
+            let drive: Vec<f64> = self
+                .rows
+                .iter()
+                .map(|row| row.iter().fold(0.0, |acc, &(j, w)| acc + w * self.x[j]))
+                .collect();
+            for ((u, x), d) in self.u.iter_mut().zip(&mut self.x).zip(drive) {
                 *u += p.dt * (-p.leak * *u - d);
+                *x = (p.gain * *u).tanh();
             }
         }
-        for (x, &u) in net.x.iter_mut().zip(&net.u) {
-            *x = (p.gain * u).tanh();
+
+        fn energy(&self) -> f64 {
+            let mut coupling = 0.0;
+            for (row, &xi) in self.rows.iter().zip(&self.x) {
+                for &(j, w) in row {
+                    coupling += w * xi * self.x[j];
+                }
+            }
+            let mut barrier = 0.0;
+            for &xi in &self.x {
+                let c = xi.clamp(-1.0 + 1e-15, 1.0 - 1e-15);
+                barrier += c * c.atanh() + 0.5 * (1.0 - c * c).ln();
+            }
+            0.5 * coupling + (self.params.leak / self.params.gain) * barrier
         }
-        net.steps += 1;
     }
 
-    fn bits(xs: &[f64]) -> Vec<u64> {
-        xs.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// What a lock-step run of the kernel against [`reference_step`] saw.
+    /// What a lock-step run of the kernel against one [`Reference`] per
+    /// lane saw.
     struct Lockstep {
         /// The kernel after the run.
         net: HopfieldNetwork,
-        /// The reference's potentials at the last three steps, oldest first.
+        /// Lane 0's reference potentials at the last three steps, oldest
+        /// first.
         tail: [Vec<u64>; 3],
-        /// The first step that left the reference's potentials unchanged.
+        /// The first step that left lane 0's reference potentials unchanged.
         fixed_at: Option<u64>,
-        /// The step after which the kernel first reported itself settled.
-        settled_at: Option<u64>,
-        /// Steps that moved some potentials but not all of them.
+        /// The first step `t` with `u_t == u_{t−2}` or `u_t == u_{t−1}` in
+        /// every lane's reference.
+        period_at: Option<u64>,
+        /// The step after which the kernel first had every lane in a cycle.
+        cycle_at: Option<u64>,
+        /// Steps that moved some of lane 0's potentials but not all of them.
         partial: u64,
     }
 
-    /// Runs `net` for `steps` steps beside a clone stepped by
-    /// [`reference_step`], comparing `u`, `x` and energy bit for bit after
-    /// every step.
-    fn lockstep(mut net: HopfieldNetwork, steps: u64) -> Lockstep {
-        let mut reference = net.clone();
-        let n = net.n();
-        let mut tail = [Vec::new(), Vec::new(), bits(reference.potentials())];
-        let (mut fixed_at, mut settled_at, mut partial) = (None, None, 0);
+    /// Runs `net` for `steps` steps beside one [`Reference`] per lane,
+    /// comparing every lane's `u`, `x` and energy bit for bit after every
+    /// step.
+    fn lockstep(
+        mut net: HopfieldNetwork,
+        couplings: &[(u32, u32, f64)],
+        seeds: &[u64],
+        steps: u64,
+    ) -> Lockstep {
+        let (n, p) = (net.n(), net.params);
+        let mut refs: Vec<Reference> = seeds
+            .iter()
+            .map(|&s| Reference::new(n, couplings, p, s))
+            .collect();
+        let mut tails: Vec<[Vec<u64>; 3]> = refs
+            .iter()
+            .map(|r| [Vec::new(), Vec::new(), bits(r.u.iter().copied())])
+            .collect();
+        let (mut fixed_at, mut period_at, mut cycle_at, mut partial) = (None, None, None, 0);
         for t in 1..=steps {
             net.step();
-            reference_step(&mut reference);
-            assert_eq!(net.steps(), reference.steps());
-            assert_eq!(
-                bits(net.potentials()),
-                bits(reference.potentials()),
-                "u at {t}"
-            );
-            assert_eq!(
-                bits(net.activations()),
-                bits(reference.activations()),
-                "x at {t}"
-            );
-            assert_eq!(
-                net.energy().to_bits(),
-                reference.energy().to_bits(),
-                "energy at {t}"
-            );
-            let (before, after) = (&tail[2], bits(reference.potentials()));
-            if fixed_at.is_none() && after == *before {
-                fixed_at = Some(t);
+            assert_eq!(net.steps(), t);
+            let mut closed = true;
+            for (r, (reference, tail)) in refs.iter_mut().zip(&mut tails).enumerate() {
+                reference.step();
+                let after = bits(reference.u.iter().copied());
+                assert_eq!(bits(net.potentials(r)), after, "lane {r}: u at {t}");
+                assert_eq!(
+                    bits(net.activations(r)),
+                    bits(reference.x.iter().copied()),
+                    "lane {r}: x at {t}"
+                );
+                assert_eq!(
+                    net.energy(r).to_bits(),
+                    reference.energy().to_bits(),
+                    "lane {r}: energy at {t}"
+                );
+                closed &= after == tail[2] || after == tail[1];
+                if r == 0 {
+                    if fixed_at.is_none() && after == tail[2] {
+                        fixed_at = Some(t);
+                    }
+                    let moved = tail[2].iter().zip(&after).filter(|(a, b)| a != b).count();
+                    if 0 < moved && moved < n {
+                        partial += 1;
+                    }
+                }
+                tail.rotate_left(1);
+                tail[2] = after;
             }
-            if settled_at.is_none() && net.settled {
-                settled_at = Some(t);
+            if period_at.is_none() && closed {
+                period_at = Some(t);
             }
-            let moved = before.iter().zip(&after).filter(|(a, b)| a != b).count();
-            if 0 < moved && moved < n {
-                partial += 1;
+            if cycle_at.is_none() && net.cycling() {
+                cycle_at = Some(t);
             }
-            tail.rotate_left(1);
-            tail[2] = after;
         }
         Lockstep {
             net,
-            tail,
+            tail: tails.swap_remove(0),
             fixed_at,
-            settled_at,
+            period_at,
+            cycle_at,
             partial,
         }
+    }
+
+    fn unit_couplings(graph: &snc_graph::Graph) -> Vec<(u32, u32, f64)> {
+        graph.edges().map(|(i, j)| (i, j, 1.0)).collect()
+    }
+
+    /// The complete graph K16 with unit couplings.
+    fn k16() -> Vec<(u32, u32, f64)> {
+        (0..16u32)
+            .flat_map(|i| (i + 1..16).map(move |j| (i, j, 1.0)))
+            .collect()
     }
 
     #[test]
     fn settles_bit_for_bit_and_keeps_counting() {
         let graph = snc_graph::generators::erdos_renyi::gnp(40, 0.1, 3).unwrap();
-        let couplings: Vec<_> = graph.edges().map(|(i, j)| (i, j, 1.0)).collect();
-        let net = HopfieldNetwork::new(40, &couplings, HopfieldParams::default(), 3);
-        let run = lockstep(net, 600);
+        let couplings = unit_couplings(&graph);
+        let net = HopfieldNetwork::new(40, &couplings, HopfieldParams::default(), &[3]);
+        let run = lockstep(net, &couplings, &[3], 2000);
         assert!(
             run.partial > 0,
             "units stop one by one before the network does"
         );
         let fixed_at = run.fixed_at.expect("the trajectory reaches a fixed point");
         assert!(fixed_at < 500, "fixed point at step {fixed_at}");
-        assert_eq!(run.settled_at, Some(fixed_at), "settles at its fixed point");
+        assert_eq!(run.cycle_at, Some(fixed_at), "settles at its fixed point");
+        assert_eq!(run.period_at, Some(fixed_at));
 
         let mut net = run.net;
-        let (u, x) = (bits(net.potentials()), bits(net.activations()));
+        let (u, x, e) = lane_bits(&net, 0);
         net.step_many(1000);
         net.step();
-        assert_eq!(net.steps(), 1601);
-        assert_eq!(bits(net.potentials()), u);
-        assert_eq!(bits(net.activations()), x);
+        assert_eq!(net.steps(), 3001);
+        assert_eq!(lane_bits(&net, 0), (u, x, e));
     }
 
     #[test]
-    fn period_two_oscillation_is_integrated_in_full() {
+    fn period_two_oscillation_is_skipped_bit_for_bit() {
         // On K16 (λ_max = 15) the step is unstable along the all-ones mode:
         // every unit flips sign at every step.
-        let couplings: Vec<_> = (0..16u32)
-            .flat_map(|i| (i + 1..16).map(move |j| (i, j, 1.0)))
-            .collect();
-        let net = HopfieldNetwork::new(16, &couplings, HopfieldParams::default(), 3);
-        let run = lockstep(net, 600);
+        let couplings = k16();
+        let net = HopfieldNetwork::new(16, &couplings, HopfieldParams::default(), &[3]);
+        let run = lockstep(net, &couplings, &[3], 2000);
         assert_eq!(run.fixed_at, None);
-        assert_eq!(run.settled_at, None);
+        let period_at = run.period_at.expect("the trajectory closes a 2-cycle");
+        assert_eq!(run.cycle_at, Some(period_at), "skips from the cycle on");
+        assert!(period_at < 1000, "2-cycle at step {period_at}");
         let [two_back, one_back, last] = &run.tail;
         assert_eq!(two_back, last, "period 2");
         assert_ne!(one_back, last, "not a fixed point");
-        assert_eq!(run.net.steps(), 600);
+        assert_eq!(run.net.steps(), 2000);
+
+        // An odd jump lands on the other phase, an even one on this phase.
+        let mut net = run.net;
+        let here = lane_bits(&net, 0);
+        net.step();
+        let there = lane_bits(&net, 0);
+        assert_ne!(here, there);
+        net.step_many(1001);
+        assert_eq!(lane_bits(&net, 0), here);
+        net.step_many(1000);
+        assert_eq!(lane_bits(&net, 0), here);
+        assert_eq!(net.steps(), 4002);
+    }
+
+    #[test]
+    fn wide_chunks_lockstep_with_the_reference() {
+        // Nine lanes: one full chunk that closes its cycle and a second
+        // chunk with one real lane and seven phantoms.
+        let couplings = k16();
+        let seeds: Vec<u64> = (1..=9).collect();
+        let net = HopfieldNetwork::new(16, &couplings, HopfieldParams::default(), &seeds);
+        let run = lockstep(net, &couplings, &seeds, 2000);
+        assert!(run.cycle_at.is_some(), "every chunk closes its cycle");
+        assert_eq!(run.cycle_at, run.period_at);
+    }
+
+    /// A graph on which some seeds settle at a fixed point and others lock
+    /// into a period-2 oscillation, found by search: G(28, 0.7), seed 0.
+    fn mixed_graph() -> Vec<(u32, u32, f64)> {
+        unit_couplings(&snc_graph::generators::erdos_renyi::gnp(28, 0.7, 0).unwrap())
+    }
+
+    /// Whether the one-lane network of `seed` reaches a fixed point
+    /// (`Some(true)`), a proper 2-cycle (`Some(false)`) or neither
+    /// within `steps`.
+    fn fate(couplings: &[(u32, u32, f64)], n: usize, seed: u64, steps: u64) -> Option<bool> {
+        let mut net = HopfieldNetwork::new(n, couplings, HopfieldParams::default(), &[seed]);
+        net.step_many(steps);
+        if !net.cycling() {
+            return None;
+        }
+        let here = bits(net.potentials(0));
+        net.step();
+        Some(here == bits(net.potentials(0)))
+    }
+
+    /// The potential and activation bits of every phantom lane.
+    fn phantom_bits<const W: usize>(chunks: &[Chunk<W>], lanes: usize) -> Vec<u64> {
+        let last = chunks.last().unwrap();
+        (lanes - (chunks.len() - 1) * W..W)
+            .flat_map(|l| last.u.iter().zip(&last.x).map(move |(u, x)| (u[l], x[l])))
+            .flat_map(|(u, x)| [u.to_bits(), x.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn lanes_match_one_seed_networks() {
+        let couplings = mixed_graph();
+        let n = 28;
+        let seeds: Vec<u64> = (0..17u64).map(|r| 100 + r).collect();
+        let fates: Vec<_> = seeds
+            .iter()
+            .map(|&s| fate(&couplings, n, s, 4000))
+            .collect();
+        assert!(fates.contains(&Some(true)), "a lane settles: {fates:?}");
+        assert!(fates.contains(&Some(false)), "a lane oscillates: {fates:?}");
+        let params = HopfieldParams::default();
+        for lanes in [1, 2, 3, 8, 9, 17] {
+            let seeds = &seeds[..lanes];
+            let mut wide = HopfieldNetwork::new(n, &couplings, params, seeds);
+            assert_eq!((wide.lanes(), wide.n()), (lanes, n));
+            let mut ones: Vec<HopfieldNetwork> = seeds
+                .iter()
+                .map(|&s| HopfieldNetwork::new(n, &couplings, params, &[s]))
+                .collect();
+            // Single steps, short jumps and long ones past every cycle.
+            for k in [1u64, 1, 7, 64, 3, 500, 1, 2000, 999] {
+                wide.step_many(k);
+                for (r, one) in ones.iter_mut().enumerate() {
+                    one.step_many(k);
+                    assert_eq!(
+                        lane_bits(&wide, r),
+                        lane_bits(one, 0),
+                        "R={lanes} lane {r} at {}",
+                        wide.steps()
+                    );
+                }
+            }
+            assert_eq!(wide.steps(), 3576);
+            // Phantom lanes hold +0.0 and never move.
+            let phantoms = with_chunks!(&wide.chunks, chunks => phantom_bits(chunks, lanes));
+            assert!(phantoms.iter().all(|&b| b == 0), "R={lanes}");
+            let width = [1, 2, 4, 4, 8, 8, 8, 8].get(lanes - 1).unwrap_or(&8);
+            assert_eq!(
+                phantoms.len(),
+                2 * n * (lanes.div_ceil(*width) * width - lanes)
+            );
+        }
+    }
+
+    #[test]
+    fn unit_stream_matches_weighted_gather() {
+        let graph = snc_graph::generators::erdos_renyi::gnp(37, 0.3, 9).unwrap();
+        let couplings = unit_couplings(&graph);
+        let unit = HopfieldCouplings::new(37, &couplings);
+        let weighted = HopfieldCouplings::with_stream(37, &couplings, false);
+        assert!(unit.weights.is_empty() && !weighted.weights.is_empty());
+        assert_eq!(unit.targets, weighted.targets);
+        let params = HopfieldParams::default();
+        for seeds in [&[4u64][..], &[4, 5, 6, 7, 8, 9, 10, 11, 12, 13]] {
+            let mut a = HopfieldNetwork::with_layout(unit.clone(), params, seeds);
+            let mut b = HopfieldNetwork::with_layout(weighted.clone(), params, seeds);
+            for t in 0..600 {
+                a.step();
+                b.step();
+                for r in 0..seeds.len() {
+                    assert_eq!(lane_bits(&a, r), lane_bits(&b, r), "lane {r} at {t}");
+                }
+            }
+        }
     }
 
     #[test]
     fn self_couplings_are_dropped_and_bad_endpoints_panic() {
-        let net =
-            HopfieldNetwork::new(2, &[(0, 0, 5.0), (0, 1, 1.0)], HopfieldParams::default(), 1);
+        let net = HopfieldNetwork::new(
+            2,
+            &[(0, 0, 5.0), (0, 1, 1.0)],
+            HopfieldParams::default(),
+            &[1],
+        );
         assert_eq!(net.n(), 2);
-        // Only the (0,1) pair survives.
-        assert_eq!(*net.couplings, HopfieldCouplings::new(2, &[(0, 1, 1.0)]));
+        // Only the (0,1) pair survives, on the unit stream.
+        assert_eq!(net.couplings, HopfieldCouplings::new(2, &[(0, 1, 1.0)]));
+        assert!(net.couplings.weights.is_empty());
         let bad = std::panic::catch_unwind(|| {
-            HopfieldNetwork::new(2, &[(0, 7, 1.0)], HopfieldParams::default(), 1)
+            HopfieldNetwork::new(2, &[(0, 7, 1.0)], HopfieldParams::default(), &[1])
         });
         assert!(bad.is_err(), "out-of-range coupling must panic");
     }

@@ -56,8 +56,6 @@ pub trait InputWeights {
     ///
     /// Panics if `x.len() != devices()` or `out.len() != neurons()`.
     fn apply(&self, x: &[f64], out: &mut [f64]);
-    /// Row sums `Σ_α W_iα` (needed for the analytic membrane means).
-    fn row_sums(&self) -> Vec<f64>;
     /// The Gram matrix `W Wᵀ` (the covariance shape of the membranes).
     fn gram(&self) -> DMatrix;
 }
@@ -202,16 +200,6 @@ impl InputWeights for DenseWeights {
                 }
             }
         }
-    }
-
-    fn row_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.rows];
-        for alpha in 0..self.cols {
-            for (s, &w) in sums.iter_mut().zip(self.column(alpha)) {
-                *s += w;
-            }
-        }
-        sums
     }
 
     fn gram(&self) -> DMatrix {
@@ -524,14 +512,6 @@ impl InputWeights for CscWeights {
         }
     }
 
-    fn row_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.rows];
-        for k in 0..self.values.len() {
-            sums[self.row_idx[k] as usize] += self.values[k];
-        }
-        sums
-    }
-
     fn gram(&self) -> DMatrix {
         self.to_dense().gram_rows()
     }
@@ -676,7 +656,6 @@ mod tests {
         let w = DenseWeights::from_matrix_scaled(&m, 2.5);
         assert_eq!(w.get(0, 0), 2.5);
         assert_eq!(w.get(0, 1), -2.5);
-        assert_eq!(w.row_sums(), vec![0.0]);
     }
 
     #[test]
@@ -751,7 +730,6 @@ mod tests {
         assert_eq!(d[(0, 0)], 1.0);
         assert_eq!(d[(1, 0)], -2.0);
         assert_eq!(d[(1, 2)], 5.0);
-        assert_eq!(w.row_sums(), vec![1.0, 3.0]);
     }
 
     #[test]
@@ -843,19 +821,6 @@ mod tests {
                     batch_matches_sequential(&w, &replica_states(g.n(), replicas, salt));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn row_sums_agree_between_layouts() {
-        let g = cycle(8);
-        let csc = CscWeights::trevisan(&g, 1.0);
-        let dense_m = g.trevisan_dense();
-        let dense = DenseWeights::from_matrix_scaled(&dense_m, 1.0);
-        let a = csc.row_sums();
-        let b = dense.row_sums();
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-12);
         }
     }
 }

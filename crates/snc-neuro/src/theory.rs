@@ -109,8 +109,9 @@ mod tests {
         let mut pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), 2), 42);
         let mut pop = LifPopulation::new(3, params, Reset::None);
         // Stationary means ⟨V_i⟩ = mean_factor · p · Σ_α W_iα.
-        let means: Vec<f64> = w
-            .row_sums()
+        let mut row_sums = vec![0.0; 3];
+        w.apply(&[1.0; 2], &mut row_sums);
+        let means: Vec<f64> = row_sums
             .into_iter()
             .map(|s| s * mean_factor(&params) * 0.5)
             .collect();

@@ -92,14 +92,14 @@ fn couplings(graph: &Graph, kind: Couplings) -> Vec<(u32, u32, f64)> {
 /// Digests of (u, x, energy) after 1, 8 and 64 steps.
 fn hopfield_digests(n: usize, p: f64, kind: Couplings) -> [u64; 3] {
     let graph = gnp(n, p, 0x40f + n as u64).unwrap();
-    let mut net = HopfieldNetwork::new(n, &couplings(&graph, kind), PARAMS, 0x5eed + n as u64);
+    let mut net = HopfieldNetwork::new(n, &couplings(&graph, kind), PARAMS, &[0x5eed + n as u64]);
     let mut out = [0u64; 3];
     for (slot, target) in [1u64, 8, 64].into_iter().enumerate() {
         net.step_many(target - net.steps());
         let mut h = Fnv::new();
-        h.feed_f64s(net.potentials());
-        h.feed_f64s(net.activations());
-        h.feed(net.energy().to_bits());
+        h.feed_f64s(&net.potentials(0).collect::<Vec<_>>());
+        h.feed_f64s(&net.activations(0).collect::<Vec<_>>());
+        h.feed(net.energy(0).to_bits());
         out[slot] = h.0;
     }
     out
@@ -185,9 +185,9 @@ const LONG_RUN: [u64; 4] = [512, 2048, 4095, 4096];
 /// and must hold the same state.
 fn long_run_digests(n: usize, p: f64, kind: Couplings) -> ([u64; 4], Option<u64>) {
     let graph = gnp(n, p, 0x40f + n as u64).unwrap();
-    let mut net = HopfieldNetwork::new(n, &couplings(&graph, kind), PARAMS, 0x5eed + n as u64);
+    let mut net = HopfieldNetwork::new(n, &couplings(&graph, kind), PARAMS, &[0x5eed + n as u64]);
     let mut jump = net.clone();
-    let mut prev = net.potentials().to_vec();
+    let mut prev: Vec<f64> = net.potentials(0).collect();
     let mut fixed_at = None;
     let mut out = [0u64; 4];
     for (slot, target) in LONG_RUN.into_iter().enumerate() {
@@ -195,25 +195,27 @@ fn long_run_digests(n: usize, p: f64, kind: Couplings) -> ([u64; 4], Option<u64>
             net.step();
             let moved = prev
                 .iter()
-                .zip(net.potentials())
+                .zip(net.potentials(0))
                 .any(|(a, b)| a.to_bits() != b.to_bits());
             if !moved && fixed_at.is_none() {
                 fixed_at = Some(net.steps());
             }
-            prev.copy_from_slice(net.potentials());
+            prev = net.potentials(0).collect();
         }
         jump.step_many(target - jump.steps());
         assert_eq!(jump.steps(), target);
-        assert_eq!(jump.potentials(), net.potentials(), "step_many to {target}");
-        assert_eq!(
-            jump.activations(),
-            net.activations(),
+        assert!(
+            jump.potentials(0).eq(net.potentials(0)),
+            "step_many to {target}"
+        );
+        assert!(
+            jump.activations(0).eq(net.activations(0)),
             "step_many to {target}"
         );
         let mut h = Fnv::new();
-        h.feed_f64s(net.potentials());
-        h.feed_f64s(net.activations());
-        h.feed(net.energy().to_bits());
+        h.feed_f64s(&net.potentials(0).collect::<Vec<_>>());
+        h.feed_f64s(&net.activations(0).collect::<Vec<_>>());
+        h.feed(net.energy(0).to_bits());
         out[slot] = h.0;
     }
     (out, fixed_at)
