@@ -67,7 +67,11 @@ impl Graph {
         for i in 0..n {
             targets[offsets[i]..offsets[i + 1]].sort_unstable();
         }
-        Ok(Self { n, offsets, targets })
+        Ok(Self {
+            n,
+            offsets,
+            targets,
+        })
     }
 
     /// The empty graph on `n` vertices.
@@ -192,7 +196,10 @@ impl<'g> NormalizedAdjacency<'g> {
                 }
             })
             .collect();
-        Self { graph, inv_sqrt_deg }
+        Self {
+            graph,
+            inv_sqrt_deg,
+        }
     }
 
     /// The per-vertex scaling `1/√deg` (0 for isolated vertices).

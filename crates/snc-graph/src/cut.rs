@@ -40,7 +40,10 @@ impl CutAssignment {
     /// (zeros) land on the `−1` side, matching the paper's `u_i ≤ 0` rule.
     pub fn from_signs(values: &[f64]) -> Self {
         Self {
-            sides: values.iter().map(|&v| if v > 0.0 { 1 } else { -1 }).collect(),
+            sides: values
+                .iter()
+                .map(|&v| if v > 0.0 { 1 } else { -1 })
+                .collect(),
         }
     }
 
@@ -73,7 +76,9 @@ impl CutAssignment {
     /// A uniformly random assignment — the paper's "Random" baseline.
     pub fn random(n: usize, rng: &mut impl Rng64) -> Self {
         Self {
-            sides: (0..n).map(|_| if rng.next_bool(0.5) { 1 } else { -1 }).collect(),
+            sides: (0..n)
+                .map(|_| if rng.next_bool(0.5) { 1 } else { -1 })
+                .collect(),
         }
     }
 
@@ -122,7 +127,11 @@ impl CutAssignment {
     ///
     /// Panics if the assignment length differs from `graph.n()`.
     pub fn cut_value(&self, graph: &Graph) -> u64 {
-        assert_eq!(self.sides.len(), graph.n(), "assignment/graph size mismatch");
+        assert_eq!(
+            self.sides.len(),
+            graph.n(),
+            "assignment/graph size mismatch"
+        );
         let mut cut = 0u64;
         for (u, v) in graph.edges() {
             if self.sides[u as usize] != self.sides[v as usize] {

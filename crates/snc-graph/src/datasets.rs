@@ -151,10 +151,18 @@ impl EmpiricalDataset {
             Hamming62 | Johnson1624 => Provenance::Exact,
             SocDolphins | IaInfectDublin | CaNetscience | IaInfectHyper | EmailEnronOnly
             | Erdos991 | InfUsair97 => Provenance::StandIn { family: "chung-lu" },
-            RoadChesapeake => Provenance::StandIn { family: "watts-strogatz" },
-            PHat7001 | EcoStmarks => Provenance::StandIn { family: "erdos-renyi" },
-            Dwt209 | Dwt503 => Provenance::StandIn { family: "banded-mesh" },
-            DD687 | Enzymes8 => Provenance::StandIn { family: "knn-geometric" },
+            RoadChesapeake => Provenance::StandIn {
+                family: "watts-strogatz",
+            },
+            PHat7001 | EcoStmarks => Provenance::StandIn {
+                family: "erdos-renyi",
+            },
+            Dwt209 | Dwt503 => Provenance::StandIn {
+                family: "banded-mesh",
+            },
+            DD687 | Enzymes8 => Provenance::StandIn {
+                family: "knn-geometric",
+            },
         }
     }
 
@@ -266,14 +274,15 @@ impl EmpiricalDataset {
         match self {
             EmpiricalDataset::InfUsair97 => randomize_weights(
                 &base,
-                WeightDistribution::Uniform { lo: 0.0005, hi: 0.2 },
+                WeightDistribution::Uniform {
+                    lo: 0.0005,
+                    hi: 0.2,
+                },
                 seed,
             ),
-            EmpiricalDataset::EcoStmarks => randomize_weights(
-                &base,
-                WeightDistribution::Exponential { mean: 8.0 },
-                seed,
-            ),
+            EmpiricalDataset::EcoStmarks => {
+                randomize_weights(&base, WeightDistribution::Exponential { mean: 8.0 }, seed)
+            }
             _ => Ok(WeightedGraph::from_graph(&base)),
         }
     }

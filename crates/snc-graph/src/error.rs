@@ -41,7 +41,10 @@ impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GraphError::VertexOutOfRange { vertex, n } => {
-                write!(f, "vertex {vertex} out of range for graph with {n} vertices")
+                write!(
+                    f,
+                    "vertex {vertex} out of range for graph with {n} vertices"
+                )
             }
             GraphError::InvalidParameter { name, constraint } => {
                 write!(f, "invalid parameter `{name}`: {constraint}")
@@ -49,7 +52,9 @@ impl fmt::Display for GraphError {
             GraphError::InfeasibleEdgeCount { requested, max } => {
                 write!(f, "cannot place {requested} edges (maximum is {max})")
             }
-            GraphError::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
+            GraphError::Parse { line, message } => {
+                write!(f, "parse error at line {line}: {message}")
+            }
             GraphError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -78,9 +83,15 @@ mod tests {
     fn display_variants() {
         let e = GraphError::VertexOutOfRange { vertex: 9, n: 5 };
         assert!(e.to_string().contains("vertex 9"));
-        let e = GraphError::Parse { line: 3, message: "bad token".into() };
+        let e = GraphError::Parse {
+            line: 3,
+            message: "bad token".into(),
+        };
         assert!(e.to_string().contains("line 3"));
-        let e = GraphError::InfeasibleEdgeCount { requested: 100, max: 10 };
+        let e = GraphError::InfeasibleEdgeCount {
+            requested: 100,
+            max: 10,
+        };
         assert!(e.to_string().contains("100"));
     }
 }

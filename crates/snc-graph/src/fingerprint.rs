@@ -215,12 +215,10 @@ mod tests {
 
     #[test]
     fn permuted_weighted_input_fingerprints_identically() {
-        let a =
-            WeightedGraph::from_weighted_edges(4, &[(0, 1, 0.5), (2, 3, 1.5), (1, 2, 2.5)])
-                .unwrap();
-        let b =
-            WeightedGraph::from_weighted_edges(4, &[(2, 1, 2.5), (1, 0, 0.5), (3, 2, 1.5)])
-                .unwrap();
+        let a = WeightedGraph::from_weighted_edges(4, &[(0, 1, 0.5), (2, 3, 1.5), (1, 2, 2.5)])
+            .unwrap();
+        let b = WeightedGraph::from_weighted_edges(4, &[(2, 1, 2.5), (1, 0, 0.5), (3, 2, 1.5)])
+            .unwrap();
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 

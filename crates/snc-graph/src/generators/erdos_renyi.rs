@@ -41,7 +41,8 @@ pub fn gnp(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
         return Ok(super::structured::complete(n));
     }
     let mut rng = Xoshiro256pp::new(seed);
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity((p * (n * (n - 1) / 2) as f64) as usize + 16);
+    let mut edges: Vec<(u32, u32)> =
+        Vec::with_capacity((p * (n * (n - 1) / 2) as f64) as usize + 16);
     // Batagelj–Brandes: walk the implicit list of pairs (v, w), w < v, with
     // geometrically distributed skips.
     let lp = (1.0 - p).ln();

@@ -77,7 +77,10 @@ mod tests {
         degs.sort_unstable();
         let max = *degs.last().unwrap();
         let median = degs[degs.len() / 2];
-        assert!(max as f64 > 5.0 * median as f64, "max={max} median={median}");
+        assert!(
+            max as f64 > 5.0 * median as f64,
+            "max={max} median={median}"
+        );
     }
 
     #[test]

@@ -133,7 +133,11 @@ impl<'g> CutTracker<'g> {
     ///
     /// Panics if `target.len() != graph.n()`.
     pub fn set_to(&mut self, target: &CutAssignment) -> u64 {
-        assert_eq!(target.len(), self.graph.n(), "assignment/graph size mismatch");
+        assert_eq!(
+            target.len(),
+            self.graph.n(),
+            "assignment/graph size mismatch"
+        );
         self.advance(|i| target.side(i))
     }
 
@@ -255,16 +259,24 @@ impl<'g> WeightedCutTracker<'g> {
     ///
     /// Panics if `target.len() != graph.n()`.
     pub fn set_to(&mut self, target: &CutAssignment) -> f64 {
-        assert_eq!(target.len(), self.graph.n(), "assignment/graph size mismatch");
+        assert_eq!(
+            target.len(),
+            self.graph.n(),
+            "assignment/graph size mismatch"
+        );
         let WeightedCutTracker {
             graph,
             assignment,
             value,
             flips_since_resync,
         } = self;
-        flip_smaller_side(assignment, |i| target.side(i), |a, i| {
-            Self::apply_flip(graph, a, value, flips_since_resync, i);
-        });
+        flip_smaller_side(
+            assignment,
+            |i| target.side(i),
+            |a, i| {
+                Self::apply_flip(graph, a, value, flips_since_resync, i);
+            },
+        );
         self.value
     }
 }

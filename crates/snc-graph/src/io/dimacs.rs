@@ -27,7 +27,9 @@ pub fn parse(content: &str) -> Result<Graph, GraphError> {
         }
         if let Some(rest) = line.strip_prefix('p') {
             let mut it = rest.split_whitespace();
-            let kind = it.next().ok_or_else(|| err(lineno, "missing problem kind"))?;
+            let kind = it
+                .next()
+                .ok_or_else(|| err(lineno, "missing problem kind"))?;
             if kind != "edge" && kind != "col" {
                 return Err(err(lineno, &format!("unsupported problem kind `{kind}`")));
             }

@@ -263,7 +263,10 @@ mod tests {
         // 1-based inference matches what into_graph/parse build.
         let raw = scan("1 2\n2 3\n").unwrap();
         assert_eq!(raw.n(), 3);
-        assert_eq!(raw.clone().into_graph().unwrap(), parse("1 2\n2 3\n").unwrap());
+        assert_eq!(
+            raw.clone().into_graph().unwrap(),
+            parse("1 2\n2 3\n").unwrap()
+        );
         // Empty content.
         assert_eq!(scan("# c\n").unwrap().n(), 0);
     }

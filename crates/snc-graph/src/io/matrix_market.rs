@@ -19,9 +19,7 @@ pub fn parse(content: &str) -> Result<Graph, GraphError> {
     let mut lines = content.lines().enumerate();
 
     // Header line.
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| err(0, "empty file"))?;
+    let (_, header) = lines.next().ok_or_else(|| err(0, "empty file"))?;
     let header_l = header.to_ascii_lowercase();
     if !header_l.starts_with("%%matrixmarket") {
         return Err(err(0, "missing %%MatrixMarket header"));
@@ -48,7 +46,10 @@ pub fn parse(content: &str) -> Result<Graph, GraphError> {
                 let c: usize = next_int(&mut it, lineno, "cols")?;
                 let nnz: usize = next_int(&mut it, lineno, "nnz")?;
                 if r != c {
-                    return Err(err(lineno, &format!("adjacency matrix must be square, got {r}x{c}")));
+                    return Err(err(
+                        lineno,
+                        &format!("adjacency matrix must be square, got {r}x{c}"),
+                    ));
                 }
                 edges.reserve(nnz);
                 size = Some((r, c, nnz));
@@ -57,7 +58,10 @@ pub fn parse(content: &str) -> Result<Graph, GraphError> {
                 let i: usize = next_int(&mut it, lineno, "row index")?;
                 let j: usize = next_int(&mut it, lineno, "col index")?;
                 if i == 0 || j == 0 || i > r || j > r {
-                    return Err(err(lineno, "entry index out of range (MatrixMarket is 1-based)"));
+                    return Err(err(
+                        lineno,
+                        "entry index out of range (MatrixMarket is 1-based)",
+                    ));
                 }
                 if i != j {
                     edges.push(((i - 1) as u32, (j - 1) as u32));

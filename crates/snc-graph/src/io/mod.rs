@@ -82,7 +82,10 @@ mod tests {
 
     #[test]
     fn format_detection() {
-        assert_eq!(Format::from_extension(Path::new("a.mtx")), Format::MatrixMarket);
+        assert_eq!(
+            Format::from_extension(Path::new("a.mtx")),
+            Format::MatrixMarket
+        );
         assert_eq!(Format::from_extension(Path::new("a.col")), Format::Dimacs);
         assert_eq!(Format::from_extension(Path::new("a.txt")), Format::EdgeList);
         assert_eq!(Format::from_extension(Path::new("noext")), Format::EdgeList);

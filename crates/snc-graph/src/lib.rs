@@ -45,7 +45,7 @@ pub mod weighted;
 pub use csr::{Graph, NormalizedAdjacency, TrevisanOperator};
 pub use cut::CutAssignment;
 pub use datasets::EmpiricalDataset;
+pub use error::GraphError;
 pub use fingerprint::GraphFingerprint;
 pub use incremental::{CutTracker, WeightedCutTracker};
-pub use error::GraphError;
 pub use weighted::{WeightedGraph, WeightedTrevisanOperator};

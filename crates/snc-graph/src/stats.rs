@@ -18,7 +18,12 @@ pub struct DegreeStats {
 /// Computes degree statistics (zeros for the empty graph).
 pub fn degree_stats(g: &Graph) -> DegreeStats {
     if g.n() == 0 {
-        return DegreeStats { min: 0, max: 0, mean: 0.0, median: 0 };
+        return DegreeStats {
+            min: 0,
+            max: 0,
+            mean: 0.0,
+            median: 0,
+        };
     }
     let mut degs = g.degrees();
     degs.sort_unstable();
@@ -93,7 +98,11 @@ pub fn connected_components(g: &Graph) -> Vec<usize> {
 
 /// Number of connected components.
 pub fn component_count(g: &Graph) -> usize {
-    connected_components(g).iter().copied().max().map_or(0, |m| m + 1)
+    connected_components(g)
+        .iter()
+        .copied()
+        .max()
+        .map_or(0, |m| m + 1)
 }
 
 #[cfg(test)]

@@ -35,10 +35,7 @@ impl WeightedGraph {
     ///
     /// Returns [`GraphError::VertexOutOfRange`] for bad endpoints and
     /// [`GraphError::InvalidParameter`] for non-finite weights.
-    pub fn from_weighted_edges(
-        n: usize,
-        edges: &[(u32, u32, f64)],
-    ) -> Result<Self, GraphError> {
+    pub fn from_weighted_edges(n: usize, edges: &[(u32, u32, f64)]) -> Result<Self, GraphError> {
         let mut pairs: Vec<(u32, u32, f64)> = Vec::with_capacity(edges.len());
         for &(u, v, w) in edges {
             if u as usize >= n {
@@ -145,7 +142,9 @@ impl WeightedGraph {
 
     /// Weighted degree `Σ_j w_ij`.
     pub fn weighted_degree(&self, i: usize) -> f64 {
-        self.weights[self.offsets[i]..self.offsets[i + 1]].iter().sum()
+        self.weights[self.offsets[i]..self.offsets[i + 1]]
+            .iter()
+            .sum()
     }
 
     /// Sorted neighbor list of a vertex.
@@ -246,7 +245,10 @@ impl<'g> WeightedNormalizedAdjacency<'g> {
                 }
             })
             .collect();
-        Ok(Self { graph, inv_sqrt_deg })
+        Ok(Self {
+            graph,
+            inv_sqrt_deg,
+        })
     }
 
     /// The per-vertex scaling `1/√(weighted degree)`.
@@ -337,7 +339,9 @@ pub fn randomize_weights(
     seed: u64,
 ) -> Result<WeightedGraph, GraphError> {
     match dist {
-        WeightDistribution::Uniform { lo, hi } if !(lo.is_finite() && hi.is_finite() && lo < hi) => {
+        WeightDistribution::Uniform { lo, hi }
+            if !(lo.is_finite() && hi.is_finite() && lo < hi) =>
+        {
             return Err(GraphError::InvalidParameter {
                 name: "uniform bounds",
                 constraint: format!("need finite lo < hi, got [{lo}, {hi})"),
@@ -357,9 +361,7 @@ pub fn randomize_weights(
         .map(|(u, v)| {
             let w = match dist {
                 WeightDistribution::Uniform { lo, hi } => lo + (hi - lo) * rng.next_f64(),
-                WeightDistribution::Exponential { mean } => {
-                    -mean * (1.0 - rng.next_f64()).ln()
-                }
+                WeightDistribution::Exponential { mean } => -mean * (1.0 - rng.next_f64()).ln(),
             };
             (u, v, w)
         })
@@ -464,8 +466,8 @@ mod tests {
     #[test]
     fn randomize_weights_distributions() {
         let base = complete_bipartite(5, 5);
-        let uni = randomize_weights(&base, WeightDistribution::Uniform { lo: 1.0, hi: 2.0 }, 3)
-            .unwrap();
+        let uni =
+            randomize_weights(&base, WeightDistribution::Uniform { lo: 1.0, hi: 2.0 }, 3).unwrap();
         assert_eq!(uni.m(), 25);
         for (_, _, w) in uni.edges() {
             assert!((1.0..2.0).contains(&w));
@@ -479,7 +481,11 @@ mod tests {
             randomize_weights(&base, WeightDistribution::Exponential { mean: 4.0 }, 3).unwrap();
         assert_eq!(exp, exp2);
         // Bad parameters.
-        assert!(randomize_weights(&base, WeightDistribution::Uniform { lo: 2.0, hi: 1.0 }, 3).is_err());
-        assert!(randomize_weights(&base, WeightDistribution::Exponential { mean: -1.0 }, 3).is_err());
+        assert!(
+            randomize_weights(&base, WeightDistribution::Uniform { lo: 2.0, hi: 1.0 }, 3).is_err()
+        );
+        assert!(
+            randomize_weights(&base, WeightDistribution::Exponential { mean: -1.0 }, 3).is_err()
+        );
     }
 }

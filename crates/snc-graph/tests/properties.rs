@@ -7,13 +7,17 @@ use snc_graph::{stats, CutAssignment, CutTracker, Graph, WeightedCutTracker, Wei
 use snc_linalg::LinOp;
 
 fn arbitrary_graph() -> impl Strategy<Value = Graph> {
-    (3usize..20, proptest::collection::vec((0u32..20, 0u32..20), 0..60)).prop_map(|(n, raw)| {
-        let edges: Vec<(u32, u32)> = raw
-            .into_iter()
-            .map(|(u, v)| (u % n as u32, v % n as u32))
-            .collect();
-        Graph::from_edges(n, &edges).expect("in-range")
-    })
+    (
+        3usize..20,
+        proptest::collection::vec((0u32..20, 0u32..20), 0..60),
+    )
+        .prop_map(|(n, raw)| {
+            let edges: Vec<(u32, u32)> = raw
+                .into_iter()
+                .map(|(u, v)| (u % n as u32, v % n as u32))
+                .collect();
+            Graph::from_edges(n, &edges).expect("in-range")
+        })
 }
 
 proptest! {
