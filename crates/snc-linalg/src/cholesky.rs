@@ -35,7 +35,9 @@ impl Cholesky {
     /// Same as [`Cholesky::new`].
     pub fn with_jitter(a: &DMatrix, jitter: f64) -> Result<Self, LinalgError> {
         if !a.is_square() {
-            return Err(LinalgError::InvalidArgument("cholesky requires a square matrix"));
+            return Err(LinalgError::InvalidArgument(
+                "cholesky requires a square matrix",
+            ));
         }
         let n = a.rows();
         let mut l = DMatrix::zeros(n, n);

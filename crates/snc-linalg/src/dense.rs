@@ -58,7 +58,11 @@ impl DMatrix {
             assert_eq!(row.len(), c, "inconsistent row lengths");
             data.extend_from_slice(row);
         }
-        Self { rows: r, cols: c, data }
+        Self {
+            rows: r,
+            cols: c,
+            data,
+        }
     }
 
     /// Takes ownership of a row-major buffer.

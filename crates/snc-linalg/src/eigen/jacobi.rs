@@ -21,10 +21,14 @@ use crate::error::LinalgError;
 ///   (practically unreachable for finite inputs).
 pub fn symmetric_eigen(a: &DMatrix) -> Result<(Vec<f64>, DMatrix), LinalgError> {
     if !a.is_square() {
-        return Err(LinalgError::InvalidArgument("jacobi requires a square matrix"));
+        return Err(LinalgError::InvalidArgument(
+            "jacobi requires a square matrix",
+        ));
     }
     if !a.is_symmetric(1e-9 * (1.0 + a.frobenius())) {
-        return Err(LinalgError::InvalidArgument("jacobi requires a symmetric matrix"));
+        return Err(LinalgError::InvalidArgument(
+            "jacobi requires a symmetric matrix",
+        ));
     }
     let n = a.rows();
     let mut m = a.clone();
@@ -101,7 +105,11 @@ fn sorted_pairs(m: DMatrix, v: DMatrix) -> (Vec<f64>, DMatrix) {
     let n = m.rows();
     let mut order: Vec<usize> = (0..n).collect();
     let values: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
-    order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("finite eigenvalues"));
+    order.sort_by(|&a, &b| {
+        values[a]
+            .partial_cmp(&values[b])
+            .expect("finite eigenvalues")
+    });
     let sorted_values: Vec<f64> = order.iter().map(|&i| values[i]).collect();
     let sorted_vectors = DMatrix::from_fn(n, n, |i, j| v[(i, order[j])]);
     (sorted_values, sorted_vectors)
@@ -157,11 +165,7 @@ mod tests {
 
     #[test]
     fn eigenvector_residuals() {
-        let a = DMatrix::from_rows(&[
-            &[4.0, 1.0, -0.5],
-            &[1.0, 3.0, 0.25],
-            &[-0.5, 0.25, 2.0],
-        ]);
+        let a = DMatrix::from_rows(&[&[4.0, 1.0, -0.5], &[1.0, 3.0, 0.25], &[-0.5, 0.25, 2.0]]);
         let (vals, vecs) = symmetric_eigen(&a).unwrap();
         for (k, &lambda) in vals.iter().enumerate() {
             let v: Vec<f64> = (0..3).map(|i| vecs[(i, k)]).collect();

@@ -169,7 +169,10 @@ mod tests {
             let a = random_symmetric(30, seed);
             let (vals, _) = symmetric_eigen(&a).unwrap();
             let expect = vals[vals.len() - 1];
-            let cfg = EigenConfig { seed, ..EigenConfig::default() };
+            let cfg = EigenConfig {
+                seed,
+                ..EigenConfig::default()
+            };
             let p = lanczos_largest(&a, &cfg).unwrap();
             assert!(
                 (p.value - expect).abs() < 1e-6,

@@ -207,11 +207,7 @@ mod tests {
 
     #[test]
     fn residuals_are_small() {
-        let a = DMatrix::from_rows(&[
-            &[4.0, 1.0, 0.0],
-            &[1.0, 3.0, 1.0],
-            &[0.0, 1.0, 2.0],
-        ]);
+        let a = DMatrix::from_rows(&[&[4.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 2.0]]);
         let p = extreme_eigenpair(&a, Which::Largest, &EigenConfig::default()).unwrap();
         assert!(p.residual < 1e-7, "residual={}", p.residual);
     }

@@ -44,7 +44,7 @@ pub fn dominant_eigenpair(
     for it in 0..max_iters {
         op.apply(&v, &mut av);
         lambda = vector::dot(&v, &av); // Rayleigh quotient (‖v‖ = 1)
-        // residual = ‖Av − λv‖
+                                       // residual = ‖Av − λv‖
         let mut res = 0.0f64;
         for (a, b) in av.iter().zip(&v) {
             let d = a - lambda * b;

@@ -35,13 +35,24 @@ pub enum LinalgError {
 impl fmt::Display for LinalgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LinalgError::DimensionMismatch { op, expected, actual } => {
-                write!(f, "{op}: dimension mismatch (expected {expected}, got {actual})")
+            LinalgError::DimensionMismatch {
+                op,
+                expected,
+                actual,
+            } => {
+                write!(
+                    f,
+                    "{op}: dimension mismatch (expected {expected}, got {actual})"
+                )
             }
             LinalgError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix is not positive definite (pivot {pivot})")
             }
-            LinalgError::NotConverged { method, iterations, residual } => {
+            LinalgError::NotConverged {
+                method,
+                iterations,
+                residual,
+            } => {
                 write!(f, "{method} did not converge after {iterations} iterations (residual {residual:.3e})")
             }
             LinalgError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
@@ -57,9 +68,15 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = LinalgError::NotConverged { method: "lanczos", iterations: 10, residual: 1e-3 };
+        let e = LinalgError::NotConverged {
+            method: "lanczos",
+            iterations: 10,
+            residual: 1e-3,
+        };
         let s = e.to_string();
         assert!(s.contains("lanczos") && s.contains("10"));
-        assert!(LinalgError::NotPositiveDefinite { pivot: 2 }.to_string().contains("pivot 2"));
+        assert!(LinalgError::NotPositiveDefinite { pivot: 2 }
+            .to_string()
+            .contains("pivot 2"));
     }
 }

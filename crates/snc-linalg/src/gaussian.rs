@@ -75,12 +75,7 @@ impl GaussianSampler {
     /// # Panics
     ///
     /// Panics if buffer lengths are inconsistent with `w`.
-    pub fn correlated_from_factor_into(
-        &mut self,
-        w: &DMatrix,
-        g_buf: &mut [f64],
-        out: &mut [f64],
-    ) {
+    pub fn correlated_from_factor_into(&mut self, w: &DMatrix, g_buf: &mut [f64], out: &mut [f64]) {
         assert_eq!(g_buf.len(), w.cols());
         assert_eq!(out.len(), w.rows());
         self.fill(g_buf);

@@ -155,7 +155,9 @@ pub fn solve_weighted_sdp(
     };
     for c in couplings {
         if c.i as usize >= n || c.j as usize >= n {
-            return Err(LinalgError::InvalidArgument("sdp: coupling vertex out of range"));
+            return Err(LinalgError::InvalidArgument(
+                "sdp: coupling vertex out of range",
+            ));
         }
     }
 
@@ -458,7 +460,11 @@ mod tests {
     fn negative_coupling_aligns() {
         let sol = solve_weighted_sdp(
             2,
-            &[Coupling { i: 0, j: 1, w: -2.0 }],
+            &[Coupling {
+                i: 0,
+                j: 1,
+                w: -2.0,
+            }],
             &cfg(3),
         )
         .unwrap();
@@ -516,7 +522,11 @@ mod tests {
     fn capped_flags_only_solves_that_ran_out_of_iterations() {
         let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)];
         let converged = solve_maxcut_sdp(5, &edges, &cfg(4)).unwrap();
-        assert!(!converged.capped, "converged in {} iterations", converged.iterations);
+        assert!(
+            !converged.capped,
+            "converged in {} iterations",
+            converged.iterations
+        );
         let mut short = cfg(4);
         short.max_iters = 2;
         short.restarts = 1;

@@ -143,7 +143,10 @@ fn stops_at_the_iteration_cap() {
         },
     )
     .unwrap();
-    assert_eq!(sol.iterations, 40, "a 40-iteration cap is far below convergence");
+    assert_eq!(
+        sol.iterations, 40,
+        "a 40-iteration cap is far below convergence"
+    );
     check("G(200, 0.05) r=4 max_iters=40", sol, 0xb503_4230_d8c7_cea5);
 }
 
