@@ -32,11 +32,7 @@ pub struct Fig4Result {
 /// # Panics
 ///
 /// Panics if a dataset fails to load or a solver fails.
-pub fn run_fig4(
-    datasets: &[EmpiricalDataset],
-    cfg: &SuiteConfig,
-    verbose: bool,
-) -> Fig4Result {
+pub fn run_fig4(datasets: &[EmpiricalDataset], cfg: &SuiteConfig, verbose: bool) -> Fig4Result {
     let mut runner = JobRunner::new(cfg.threads);
     if verbose {
         runner = runner.verbose();
@@ -83,7 +79,10 @@ mod tests {
         let mut cfg = SuiteConfig::for_scale(ExperimentScale::Quick);
         cfg.sample_budget = 64;
         cfg.threads = 1;
-        let datasets = [EmpiricalDataset::SocDolphins, EmpiricalDataset::RoadChesapeake];
+        let datasets = [
+            EmpiricalDataset::SocDolphins,
+            EmpiricalDataset::RoadChesapeake,
+        ];
         let result = run_fig4(&datasets, &cfg, false);
         assert_eq!(result.panels.len(), 2);
         for panel in &result.panels {

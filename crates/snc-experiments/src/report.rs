@@ -74,7 +74,11 @@ impl Table {
         let _ = writeln!(
             out,
             "|{}|",
-            self.headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+            self.headers
+                .iter()
+                .map(|_| "---")
+                .collect::<Vec<_>>()
+                .join("|")
         );
         for row in &self.rows {
             let _ = writeln!(out, "| {} |", row.join(" | "));

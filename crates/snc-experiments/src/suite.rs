@@ -80,7 +80,11 @@ impl SuiteTraces {
 /// # Errors
 ///
 /// Propagates SDP solver failures.
-pub fn run_suite(graph: &Graph, cfg: &SuiteConfig, graph_seed: u64) -> Result<SuiteTraces, LinalgError> {
+pub fn run_suite(
+    graph: &Graph,
+    cfg: &SuiteConfig,
+    graph_seed: u64,
+) -> Result<SuiteTraces, LinalgError> {
     let checkpoints = log2_checkpoints(cfg.sample_budget);
     let replicas = effective_replicas(cfg.sample_budget, cfg.replicas);
     let replica_cp = replica_checkpoints(cfg.sample_budget, cfg.replicas);
@@ -117,8 +121,7 @@ pub fn run_suite(graph: &Graph, cfg: &SuiteConfig, graph_seed: u64) -> Result<Su
     let lif_tr = merge_traces(&lif_tr_batch.best_traces(graph, &replica_cp));
 
     // Random baseline.
-    let mut random_sampler =
-        RandomCutSampler::new(graph.n(), SplitMix64::derive(graph_seed, 5));
+    let mut random_sampler = RandomCutSampler::new(graph.n(), SplitMix64::derive(graph_seed, 5));
     let random = sample_best_trace(&mut random_sampler, graph, &checkpoints);
 
     Ok(SuiteTraces {
@@ -146,14 +149,20 @@ mod tests {
         for (name, t) in traces.named() {
             assert!(!t.best.is_empty(), "{name} trace empty");
             assert!(t.final_best() <= m, "{name} exceeds m");
-            assert!(t.best.windows(2).all(|w| w[0] <= w[1]), "{name} not monotone");
+            assert!(
+                t.best.windows(2).all(|w| w[0] <= w[1]),
+                "{name} not monotone"
+            );
         }
         // The paper's qualitative ordering at the end of sampling:
         // solver ≈ lif_gw ≥ random; everything ≤ SDP bound.
         assert!(traces.sdp_bound >= traces.solver.final_best() as f64 - 1e-6);
         let s = traces.solver.final_best() as f64;
         let c = traces.lif_gw.final_best() as f64;
-        assert!((c - s).abs() / s.max(1.0) < 0.15, "solver {s} vs circuit {c}");
+        assert!(
+            (c - s).abs() / s.max(1.0) < 0.15,
+            "solver {s} vs circuit {c}"
+        );
         assert!(traces.solver.final_best() >= traces.random.final_best());
     }
 
@@ -188,11 +197,17 @@ mod tests {
             ..SdpConfig::default()
         };
         let gw = snc_maxcut::gw::solve_gw(&g, &GwConfig { sdp: sdp_cfg }).unwrap();
-        let lif_gw_cfg = LifGwConfig { lif: cfg.lif, ..LifGwConfig::default() };
+        let lif_gw_cfg = LifGwConfig {
+            lif: cfg.lif,
+            ..LifGwConfig::default()
+        };
         let gw_seed = [SplitMix64::derive(33, 3)];
         let mut one_gw = BatchedLifGwCircuit::new(&gw.factors, &gw_seed, &lif_gw_cfg);
         let mut stream = || one_gw.next_cuts().remove(0);
-        assert_eq!(traces.lif_gw, sample_best_trace(&mut stream, &g, &checkpoints));
+        assert_eq!(
+            traces.lif_gw,
+            sample_best_trace(&mut stream, &g, &checkpoints)
+        );
 
         let lif_tr_cfg = LifTrevisanConfig {
             network: snc_neuro::TwoStageConfig {
@@ -204,7 +219,10 @@ mod tests {
         let tr_seed = [SplitMix64::derive(33, 4)];
         let mut one_tr = BatchedLifTrevisanCircuit::new(&g, &tr_seed, &lif_tr_cfg);
         let mut stream = || one_tr.next_cuts().remove(0);
-        assert_eq!(traces.lif_tr, sample_best_trace(&mut stream, &g, &checkpoints));
+        assert_eq!(
+            traces.lif_tr,
+            sample_best_trace(&mut stream, &g, &checkpoints)
+        );
     }
 
     #[test]
@@ -218,10 +236,19 @@ mod tests {
         // budget; software grids are untouched.
         assert_eq!(traces.lif_gw.checkpoints.last(), Some(&256));
         assert_eq!(traces.lif_tr.checkpoints.last(), Some(&256));
-        assert_eq!(traces.lif_gw.checkpoints, log2_checkpoints(32).iter().map(|c| c * 8).collect::<Vec<_>>());
+        assert_eq!(
+            traces.lif_gw.checkpoints,
+            log2_checkpoints(32)
+                .iter()
+                .map(|c| c * 8)
+                .collect::<Vec<_>>()
+        );
         assert_eq!(traces.solver.checkpoints, log2_checkpoints(256));
         for (name, t) in traces.named() {
-            assert!(t.best.windows(2).all(|w| w[0] <= w[1]), "{name} not monotone");
+            assert!(
+                t.best.windows(2).all(|w| w[0] <= w[1]),
+                "{name} not monotone"
+            );
             assert!(t.final_best() <= g.m() as u64, "{name} exceeds m");
         }
         // Determinism holds for the batched path too.
@@ -264,11 +291,11 @@ mod tests {
         // Indivisible budget: merged trace ends at ⌊B/R⌋·R ≤ B.
         assert_eq!(replica_checkpoints(1000, 16).last(), Some(&62));
         assert_eq!(effective_replicas(1000, 16), 16); // 62·16 = 992 ≤ 1000
-        // More replicas than samples: width capped at the budget.
+                                                      // More replicas than samples: width capped at the budget.
         assert_eq!(effective_replicas(4, 8), 4);
         assert_eq!(replica_checkpoints(4, 8).last(), Some(&1)); // 1·4 = 4
-        // Degenerate inputs stay sane: zero budget draws zero circuit
-        // samples, exactly like the software baselines.
+                                                                // Degenerate inputs stay sane: zero budget draws zero circuit
+                                                                // samples, exactly like the software baselines.
         assert_eq!(effective_replicas(0, 8), 1);
         assert_eq!(effective_replicas(64, 0), 1);
         assert!(replica_checkpoints(0, 8).is_empty());

@@ -44,11 +44,7 @@ pub struct Table1Result {
 }
 
 /// Runs the Table-I experiment (shares all computation with Figure 4).
-pub fn run_table1(
-    datasets: &[EmpiricalDataset],
-    cfg: &SuiteConfig,
-    verbose: bool,
-) -> Table1Result {
+pub fn run_table1(datasets: &[EmpiricalDataset], cfg: &SuiteConfig, verbose: bool) -> Table1Result {
     let fig4 = run_fig4(datasets, cfg, verbose);
     Table1Result::from_fig4(&fig4, cfg)
 }
@@ -75,7 +71,9 @@ impl Table1Result {
                         lif: cfg.lif,
                         ..SolveSpec::new(family, cfg.sample_budget, graph_seed)
                     };
-                    solve(&graph, &spec).expect("companion family solve").best_value
+                    solve(&graph, &spec)
+                        .expect("companion family solve")
+                        .best_value
                 };
                 Table1Row {
                     dataset: panel.dataset,
@@ -160,7 +158,10 @@ impl Table1Result {
             }
             // Every companion-family value is a real cut, so the SDP
             // bound caps it like everything else.
-            for (label, value) in [("lif-annealed", row.lif_annealed), ("hopfield", row.hopfield)] {
+            for (label, value) in [
+                ("lif-annealed", row.lif_annealed),
+                ("hopfield", row.hopfield),
+            ] {
                 if (value as f64) > row.sdp_bound + 1e-6 {
                     violations.push(format!(
                         "{name}: {label} {value} exceeds SDP bound {}",
