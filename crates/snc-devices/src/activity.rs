@@ -127,7 +127,11 @@ impl ActivityWords {
     pub fn set_word(&mut self, w: usize, value: u64) {
         let bits_before = w * 64;
         let valid = self.len.saturating_sub(bits_before).min(64);
-        let mask = if valid == 64 { u64::MAX } else { (1u64 << valid) - 1 };
+        let mask = if valid == 64 {
+            u64::MAX
+        } else {
+            (1u64 << valid) - 1
+        };
         self.words[w] = value & mask;
     }
 
@@ -242,8 +246,12 @@ mod tests {
     fn iter_active_matches_bools() {
         let bits: Vec<bool> = (0..200).map(|i| (i * 7) % 11 < 4).collect();
         let packed = ActivityWords::from_bools(&bits);
-        let expected: Vec<usize> =
-            bits.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i).collect();
+        let expected: Vec<usize> = bits
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b)
+            .map(|(i, _)| i)
+            .collect();
         assert_eq!(packed.iter_active().collect::<Vec<_>>(), expected);
     }
 

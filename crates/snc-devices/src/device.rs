@@ -180,8 +180,7 @@ impl DeviceState {
             DeviceModel::Drifting { sigma, lo, hi, .. } => {
                 // Cheap approximate Gaussian step: sum of 4 uniforms,
                 // variance 4/12 = 1/3, rescaled to unit variance.
-                let z = ((rng.next_f64() + rng.next_f64() + rng.next_f64() + rng.next_f64())
-                    - 2.0)
+                let z = ((rng.next_f64() + rng.next_f64() + rng.next_f64() + rng.next_f64()) - 2.0)
                     * (3.0f64).sqrt();
                 self.p = (self.p + sigma * z).clamp(lo, hi);
                 self.bit = rng.next_bool(self.p);

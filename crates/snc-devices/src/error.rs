@@ -27,7 +27,10 @@ impl fmt::Display for DeviceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DeviceError::InvalidProbability { name, value } => {
-                write!(f, "probability parameter `{name}` = {value} is not in [0, 1]")
+                write!(
+                    f,
+                    "probability parameter `{name}` = {value} is not in [0, 1]"
+                )
             }
             DeviceError::EmptyPool => write!(f, "a device pool must contain at least one device"),
             DeviceError::InvalidParameter { name, constraint } => {
@@ -64,7 +67,10 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = DeviceError::InvalidProbability { name: "p", value: 2.0 };
+        let e = DeviceError::InvalidProbability {
+            name: "p",
+            value: 2.0,
+        };
         assert!(e.to_string().contains("`p`"));
         assert!(DeviceError::EmptyPool.to_string().contains("at least one"));
     }

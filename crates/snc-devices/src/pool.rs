@@ -91,8 +91,7 @@ impl PoolSpec {
             .map(|_| {
                 // Sum of 4 uniforms ≈ Gaussian (matches the drift model's
                 // cheap normal approximation).
-                let z = ((rng.next_f64() + rng.next_f64() + rng.next_f64() + rng.next_f64())
-                    - 2.0)
+                let z = ((rng.next_f64() + rng.next_f64() + rng.next_f64() + rng.next_f64()) - 2.0)
                     * (3.0f64).sqrt();
                 let p = (nominal_p + sigma * z).clamp(0.01, 0.99);
                 DeviceModel::Biased { p }
@@ -266,7 +265,12 @@ impl DevicePool {
         let coupling = self.common_cause.map_or(0.0, |cc| cc.coupling);
         let mut word = 0u64;
         let mut word_idx = 0usize;
-        for (i, (dev, rng)) in self.devices.iter_mut().zip(self.rngs.iter_mut()).enumerate() {
+        for (i, (dev, rng)) in self
+            .devices
+            .iter_mut()
+            .zip(self.rngs.iter_mut())
+            .enumerate()
+        {
             let own = dev.step(rng);
             let bit = if coupling > 0.0 && rng.next_bool(coupling) {
                 latent
@@ -453,7 +457,10 @@ mod tests {
         // Zero sigma degenerates to identical devices.
         let exact = PoolSpec::mismatched(8, 0.3, 0.0, 1).unwrap();
         let pool2 = DevicePool::new(exact, 2);
-        assert!(pool2.stationary_ps().iter().all(|&p| (p - 0.3).abs() < 1e-12));
+        assert!(pool2
+            .stationary_ps()
+            .iter()
+            .all(|&p| (p - 0.3).abs() < 1e-12));
         // Validation.
         assert!(PoolSpec::mismatched(4, 1.5, 0.1, 1).is_err());
         assert!(PoolSpec::mismatched(4, 0.5, -0.1, 1).is_err());
@@ -461,10 +468,8 @@ mod tests {
 
     #[test]
     fn heterogeneous_pool_mixes_models() {
-        let spec = PoolSpec::heterogeneous(vec![
-            DeviceModel::fair(),
-            DeviceModel::biased(0.9).unwrap(),
-        ]);
+        let spec =
+            PoolSpec::heterogeneous(vec![DeviceModel::fair(), DeviceModel::biased(0.9).unwrap()]);
         let mut pool = DevicePool::new(spec, 11);
         let rec = pool.record(50_000);
         let f0 = rec.iter().filter(|r| r[0]).count() as f64 / rec.len() as f64;

@@ -179,10 +179,7 @@ impl Rng64 for Xoshiro256pp {
     #[inline]
     fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
-        let result = s[0]
-            .wrapping_add(s[3])
-            .rotate_left(23)
-            .wrapping_add(s[0]);
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
@@ -264,10 +261,7 @@ mod tests {
             let hits = (0..n).filter(|_| g.next_bool(p)).count() as f64;
             let freq = hits / n as f64;
             let se = (p * (1.0 - p) / n as f64).sqrt().max(1e-12);
-            assert!(
-                (freq - p).abs() <= 6.0 * se + 1e-12,
-                "p={p} freq={freq}"
-            );
+            assert!((freq - p).abs() <= 6.0 * se + 1e-12, "p={p} freq={freq}");
         }
     }
 
