@@ -386,7 +386,10 @@ mod tests {
     #[test]
     fn benchmark_ids_render() {
         assert_eq!(BenchmarkId::new("f", 3).to_string(), "f/3");
-        assert_eq!(BenchmarkId::from_parameter("G(50,0.25)").to_string(), "G(50,0.25)");
+        assert_eq!(
+            BenchmarkId::from_parameter("G(50,0.25)").to_string(),
+            "G(50,0.25)"
+        );
     }
 
     #[test]
@@ -413,7 +416,11 @@ mod tests {
         );
         // Control characters become RFC 8259 \uXXXX escapes, not Rust's
         // \u{X} debug form.
-        assert!(lines[1].contains("\"id\": \"group/tab\\u0009here\""), "{}", lines[1]);
+        assert!(
+            lines[1].contains("\"id\": \"group/tab\\u0009here\""),
+            "{}",
+            lines[1]
+        );
         std::fs::remove_file(&path).unwrap();
     }
 }
