@@ -5,7 +5,7 @@
 use bench::{er_graph, sdp_factors};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snc_devices::{ActivityWords, DeviceModel, DevicePool, PoolSpec};
-use snc_neuro::{CscWeights, DenseWeights, InputWeights, LifParams, ReplicaBatch, Reset};
+use snc_neuro::{CscWeights, DenseWeights, InputWeights, LifParams, ReplicaBatch};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -52,7 +52,7 @@ fn network_step(c: &mut Criterion) {
         let weights = DenseWeights::from_matrix_scaled(&factors, 1.0);
         // One circuit: a one-seed batch.
         let spec = PoolSpec::uniform(DeviceModel::fair(), 4);
-        let mut net = ReplicaBatch::new(spec, &[5], weights, LifParams::default(), Reset::None);
+        let mut net = ReplicaBatch::new(spec, &[5], weights, LifParams::default());
         group.bench_with_input(BenchmarkId::new("lif_gw", n), &n, |b, _| {
             b.iter(|| {
                 net.step();

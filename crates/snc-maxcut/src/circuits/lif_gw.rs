@@ -21,16 +21,14 @@ use crate::sampling::{batched_best_traces, cuts_from_lane, BestTrace};
 use snc_devices::{CommonCause, DeviceModel, PoolSpec};
 use snc_graph::{CutAssignment, Graph};
 use snc_linalg::DMatrix;
-use snc_neuro::{DenseWeights, LifParams, ReplicaBatch, Reset};
+use snc_neuro::{DenseWeights, LifParams, ReplicaBatch};
 
 /// Configuration of the LIF-GW circuit.
 #[derive(Clone, Debug)]
 pub struct LifGwConfig {
-    /// Membrane parameters of the LIF population.
+    /// Membrane parameters of the LIF population, read by a pure
+    /// statistical threshold with no reset (see `snc_neuro::lif`).
     pub lif: LifParams,
-    /// Reset policy of the readout (default: none — pure statistical
-    /// threshold readout; see `snc_neuro::lif::Reset`).
-    pub reset: Reset,
     /// Scale applied to the SDP factors when programming the synapses
     /// ("the precise magnitudes of these weights are not critical", §IV.A).
     pub weight_scale: f64,
@@ -49,7 +47,6 @@ impl Default for LifGwConfig {
     fn default() -> Self {
         Self {
             lif: LifParams::default(),
-            reset: Reset::None,
             weight_scale: 1.0,
             decorrelate_steps: None,
             device: DeviceModel::fair(),
@@ -106,7 +103,7 @@ impl BatchedLifGwCircuit {
         if let Some(cc) = cfg.common_cause {
             spec = spec.with_common_cause(cc);
         }
-        let mut batch = ReplicaBatch::new(spec, seeds, weights, cfg.lif, cfg.reset);
+        let mut batch = ReplicaBatch::new(spec, seeds, weights, cfg.lif);
         batch.step_many(cfg.warmup_steps);
         let decorrelate = cfg
             .decorrelate_steps

@@ -323,31 +323,20 @@ mod tests {
     fn batched_best_traces_match_parallel_best_traces() {
         // The blocked, bit-sliced traces equal each replica's stream
         // scored one sample at a time by the incremental tracker.
-        use snc_neuro::Reset;
         let g = gnp(14, 0.4, 8).unwrap();
-        // Both reset modes: with Reset::ToValue the spike flags feed back
-        // into the stage-1 dynamics, exercising the other batched path.
-        for reset in [Reset::None, Reset::ToValue(0.0)] {
-            let cfg = LifTrevisanConfig {
-                network: TwoStageConfig {
-                    reset,
-                    ..TwoStageConfig::default()
-                },
-                ..LifTrevisanConfig::default()
-            };
-            let seeds: Vec<u64> = (0..6u64).map(|i| 500 + i).collect();
-            let cp = log2_checkpoints(24);
-            let mut batch = BatchedLifTrevisanCircuit::new(&g, &seeds, &cfg);
-            let batched = batch.best_traces(&g, &cp);
-            let reference: Vec<BestTrace> = seeds
-                .iter()
-                .map(|&s| {
-                    let mut one = one_seed(&g, s, &cfg);
-                    sample_best_trace(&mut || one.next_cuts().remove(0), &g, &cp)
-                })
-                .collect();
-            assert_eq!(batched, reference, "reset={reset:?}");
-        }
+        let cfg = LifTrevisanConfig::default();
+        let seeds: Vec<u64> = (0..6u64).map(|i| 500 + i).collect();
+        let cp = log2_checkpoints(24);
+        let mut batch = BatchedLifTrevisanCircuit::new(&g, &seeds, &cfg);
+        let batched = batch.best_traces(&g, &cp);
+        let reference: Vec<BestTrace> = seeds
+            .iter()
+            .map(|&s| {
+                let mut one = one_seed(&g, s, &cfg);
+                sample_best_trace(&mut || one.next_cuts().remove(0), &g, &cp)
+            })
+            .collect();
+        assert_eq!(batched, reference);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use snc_devices::SplitMix64;
 use snc_graph::bitslice::LANES;
 use snc_graph::{CutAssignment, Graph};
 use snc_linalg::{LinalgError, SdpConfig};
-use snc_neuro::{Integrator, LifParams, TwoStageConfig};
+use snc_neuro::{LifParams, TwoStageConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,7 +52,6 @@ pub const SERVED_LIF: LifParams = LifParams {
     r: 1.0,
     c: 1.0,
     dt: 0.5,
-    integrator: Integrator::ExponentialEuler,
 };
 
 /// The circuit families a request can name: the paper's two circuits

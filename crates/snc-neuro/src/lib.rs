@@ -4,9 +4,8 @@
 //! This crate implements §III of the paper ("Neuromorphic Concepts"):
 //!
 //! * [`lif`] — the LIF neuron `C dV/dt = −V/R + I_tot`, discretized with
-//!   either the exact exponential-Euler update or forward Euler.
-//! * [`population`] — vectors of LIF neurons stepped in lock-step with
-//!   threshold ("spike") readout and optional reset.
+//!   the exact exponential-Euler update and read by a threshold with no
+//!   reset.
 //! * [`synapse`] — device→neuron weight matrices in dense column-major and
 //!   sparse CSC forms, with the `accumulate_active` kernel that turns a
 //!   binary device state vector into synaptic currents (the hot loop of
@@ -42,14 +41,12 @@ pub mod lif;
 pub mod network;
 pub mod parallel;
 pub mod plasticity;
-pub mod population;
 pub mod synapse;
 pub mod theory;
 
 pub use hopfield::{HopfieldNetwork, HopfieldParams};
-pub use lif::{Integrator, LifParams, Reset};
-pub use network::{BatchedTwoStageNetwork, PlasticitySignal, TwoStageConfig};
+pub use lif::LifParams;
+pub use network::{BatchedTwoStageNetwork, TwoStageConfig};
 pub use parallel::ReplicaBatch;
 pub use plasticity::{LearningRate, OjaMinor};
-pub use population::LifPopulation;
 pub use synapse::{BatchWeights, CscWeights, DenseWeights, InputWeights};

@@ -1,35 +1,13 @@
 //! The leaky integrate-and-fire neuron model.
 //!
-//! Between spikes the membrane obeys `C dV/dt = −V/R + I_tot` (§III.B).
-//! Discretization over a step `Δt`:
+//! The membrane obeys `C dV/dt = −V/R + I_tot` (§III.B). It is read with
+//! a plain threshold and never reset, so the update is linear. Over a
+//! step `Δt` it is discretized with exponential Euler (exact for
+//! piecewise-constant input): `V ← λV + (1−λ)·R·I` with
+//! `λ = exp(−Δt/τ)`, `τ = RC`.
 //!
-//! * **Exponential Euler** (exact for piecewise-constant input):
-//!   `V ← λV + (1−λ)·R·I` with `λ = exp(−Δt/τ)`, `τ = RC`.
-//! * **Forward Euler**: `V ← (1 − Δt/τ)·V + (Δt/C)·I`.
-//!
-//! Both preserve the paper's stationary mean `⟨V⟩ = R⟨I⟩`; their stationary
-//! covariances differ only in a scalar prefactor computed exactly in
-//! [`crate::theory`].
-
-/// Time-discretization scheme for the membrane ODE.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Integrator {
-    /// `V ← e^{−Δt/τ} V + (1 − e^{−Δt/τ}) R I` — exact decay.
-    ExponentialEuler,
-    /// `V ← (1 − Δt/τ) V + (Δt/C) I` — first-order explicit.
-    ForwardEuler,
-}
-
-/// What happens to the membrane after a spike.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Reset {
-    /// No reset: the threshold acts as a pure statistical readout. This is
-    /// the default for the LIF-GW sampling circuit, where thresholding the
-    /// stationary Gaussian membrane *is* the Bertsimas–Ye sign rounding.
-    None,
-    /// Classic LIF: the membrane jumps to the given value after a spike.
-    ToValue(f64),
-}
+//! The update preserves the paper's stationary mean `⟨V⟩ = R⟨I⟩`; its
+//! stationary covariance is computed exactly in [`crate::theory`].
 
 /// Membrane parameters shared by a population.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,8 +18,6 @@ pub struct LifParams {
     pub c: f64,
     /// Simulation time step `Δt` (s).
     pub dt: f64,
-    /// Discretization scheme.
-    pub integrator: Integrator,
 }
 
 impl Default for LifParams {
@@ -52,7 +28,6 @@ impl Default for LifParams {
             r: 1.0,
             c: 1.0,
             dt: 0.1,
-            integrator: Integrator::ExponentialEuler,
         }
     }
 }
@@ -63,37 +38,25 @@ impl LifParams {
         self.r * self.c
     }
 
-    /// The per-step decay multiplier on `V` (λ for exponential Euler,
-    /// `1 − Δt/τ` for forward Euler).
+    /// The per-step decay multiplier `λ = e^{−Δt/τ}` on `V`.
     pub fn decay(&self) -> f64 {
-        match self.integrator {
-            Integrator::ExponentialEuler => (-self.dt / self.tau()).exp(),
-            Integrator::ForwardEuler => 1.0 - self.dt / self.tau(),
-        }
+        (-self.dt / self.tau()).exp()
     }
 
-    /// The per-step multiplier on the input current `I`.
+    /// The per-step multiplier `(1 − λ)·R` on the input current `I`.
     pub fn input_gain(&self) -> f64 {
-        match self.integrator {
-            Integrator::ExponentialEuler => (1.0 - self.decay()) * self.r,
-            Integrator::ForwardEuler => self.dt / self.c,
-        }
+        (1.0 - self.decay()) * self.r
     }
 
     /// Number of steps after which membrane autocorrelation drops below
     /// `e^{-5}` — a safe spacing for approximately independent samples.
     pub fn decorrelation_steps(&self) -> u64 {
-        let d = self.decay().abs().max(1e-12);
+        let d = self.decay().max(1e-12);
         if d >= 1.0 {
             return 1;
         }
         // Small epsilon guards against ceil(50.0 + 1e-15) = 51 artifacts.
         (((-5.0 / d.ln()) - 1e-9).ceil() as u64).max(1)
-    }
-
-    /// Whether the discretization is stable (`|decay| < 1`).
-    pub fn is_stable(&self) -> bool {
-        self.decay().abs() < 1.0 && self.dt > 0.0 && self.r > 0.0 && self.c > 0.0
     }
 
     /// One membrane update for a single neuron.
@@ -110,7 +73,6 @@ mod tests {
     #[test]
     fn defaults_are_stable() {
         let p = LifParams::default();
-        assert!(p.is_stable());
         assert!((p.tau() - 1.0).abs() < 1e-15);
         assert!((p.decay() - (-0.1f64).exp()).abs() < 1e-15);
     }
@@ -127,31 +89,17 @@ mod tests {
 
     #[test]
     fn constant_input_converges_to_ri() {
-        // ⟨V⟩ = R·I for constant current, both integrators.
-        for integrator in [Integrator::ExponentialEuler, Integrator::ForwardEuler] {
-            let p = LifParams {
-                r: 2.0,
-                c: 0.5,
-                dt: 0.05,
-                integrator,
-            };
-            let mut v = 0.0;
-            for _ in 0..2000 {
-                v = p.step_v(v, 3.0);
-            }
-            assert!((v - 6.0).abs() < 1e-9, "{integrator:?}: v={v}");
-        }
-    }
-
-    #[test]
-    fn forward_euler_instability_detected() {
+        // ⟨V⟩ = R·I for constant current.
         let p = LifParams {
-            r: 1.0,
-            c: 1.0,
-            dt: 2.5, // Δt > 2τ: decay < −1
-            integrator: Integrator::ForwardEuler,
+            r: 2.0,
+            c: 0.5,
+            dt: 0.05,
         };
-        assert!(!p.is_stable());
+        let mut v = 0.0;
+        for _ in 0..2000 {
+            v = p.step_v(v, 3.0);
+        }
+        assert!((v - 6.0).abs() < 1e-9, "v={v}");
     }
 
     #[test]
@@ -160,7 +108,7 @@ mod tests {
             dt: 100.0,
             ..LifParams::default()
         };
-        assert!(p.is_stable());
+        assert!(0.0 < p.decay() && p.decay() < 1.0, "decay={}", p.decay());
     }
 
     #[test]
@@ -172,16 +120,5 @@ mod tests {
             ..LifParams::default()
         };
         assert_eq!(slow.decorrelation_steps(), 500);
-    }
-
-    #[test]
-    fn integrators_agree_to_first_order() {
-        let pe = LifParams::default();
-        let pf = LifParams {
-            integrator: Integrator::ForwardEuler,
-            ..LifParams::default()
-        };
-        // decay differs at O(dt²).
-        assert!((pe.decay() - pf.decay()).abs() < pe.dt * pe.dt);
     }
 }

@@ -5,77 +5,48 @@
 //! [`ReplicaBatch`] with thresholds at the analytic stationary means.
 //! [`BatchedTwoStageNetwork`] adds the second stage: one readout neuron
 //! per replica whose incoming weight vector is trained online with Oja's
-//! anti-Hebbian rule. "The output of this Stage-2 neuron is discarded;
-//! what matters is the weight vector w" (§IV.B) — the neuron is still
-//! simulated, faithfully, and its output is indeed ignored.
+//! anti-Hebbian rule. The neuron's input current `y = w·x` is what
+//! [`BatchedTwoStageNetwork::step`] returns. Its membrane is not
+//! integrated: "the output of this Stage-2 neuron is discarded; what
+//! matters is the weight vector w" (§IV.B).
 //!
 //! Replicas are independent seeded copies of one circuit; a one-seed
 //! batch is the single circuit.
 
-use crate::lif::{LifParams, Reset};
+use crate::lif::LifParams;
 use crate::parallel::ReplicaBatch;
 use crate::plasticity::{LearningRate, OjaMinor};
-use crate::population::LifPopulation;
 use crate::synapse::{CscWeights, InputWeights};
 use crate::theory;
 use snc_devices::{CommonCause, DeviceModel, PoolSpec};
 use snc_graph::Graph;
 use snc_linalg::vector;
 
-/// What stage-1 activity drives the plasticity rule.
-///
-/// The paper (Fig. 2 caption) says "the activity of the LIF neurons
-/// drives synaptic plasticity" — readable either as the analog membrane
-/// potentials or as the binary spike pattern. Both interpretations find
-/// the Trevisan cut; the spike reading is coarser (the covariance of sign
-/// variables is the arcsine-compressed Gaussian correlation, which
-/// preserves the bipartition structure but perturbs interior eigenvector
-/// values), and is exactly what a purely digital plasticity processor
-/// would see.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PlasticitySignal {
-    /// Mean-centered membrane potentials (analog dendrites; default).
-    #[default]
-    CenteredPotential,
-    /// Spike pattern as ±1 (digital readout; `spiked ⇒ +1`).
-    SpikeSign,
-}
-
 /// Configuration for the LIF-Trevisan two-stage network.
 #[derive(Clone, Copy, Debug)]
 pub struct TwoStageConfig {
     /// Stage-1 membrane parameters.
     pub lif: LifParams,
-    /// Stage-1 readout reset policy.
-    pub reset: Reset,
     /// Learning-rate schedule for the anti-Hebbian rule.
     pub learning_rate: LearningRate,
     /// Apply a plasticity update every this many time steps (≥ 1).
     /// Spacing updates by about a membrane time constant decorrelates the
     /// plasticity samples.
     pub plasticity_interval: u64,
-    /// Gain on the plasticity signal; `None` auto-normalizes so the signal
-    /// covariance has O(1) scale (an amplifier between the stages).
-    pub signal_gain: Option<f64>,
     /// Scale of the device→neuron weights (the paper: only ratios matter).
     pub weight_scale: f64,
-    /// Which stage-1 activity feeds the plasticity rule.
-    pub plasticity_signal: PlasticitySignal,
 }
 
 impl Default for TwoStageConfig {
     fn default() -> Self {
         Self {
             lif: LifParams::default(),
-            reset: Reset::None,
             learning_rate: LearningRate::Decay {
                 eta0: 0.05,
                 t0: 20_000.0,
             },
             plasticity_interval: 10,
-            signal_gain: None,
             weight_scale: 1.0,
-            plasticity_signal: PlasticitySignal::CenteredPotential,
         }
     }
 }
@@ -92,19 +63,8 @@ impl Default for TwoStageConfig {
 /// spectrum estimation, exactly the kind of fixed analog
 /// attenuation a hardware implementation would bake in.
 fn plasticity_gain(config: &TwoStageConfig) -> f64 {
-    config
-        .signal_gain
-        .unwrap_or_else(|| match config.plasticity_signal {
-            PlasticitySignal::CenteredPotential => {
-                let kappa = theory::kappa(&config.lif, 0.5).max(1e-300);
-                0.9f64.sqrt() / (2.0 * config.weight_scale.abs().max(1e-300) * kappa.sqrt())
-            }
-            // Sign variables have unit variance; their correlation matrix
-            // is the arcsine compression of the Gaussian one, whose
-            // spectral norm stays below ‖M‖²/min diag(M²) ≤ 4, so the same
-            // factor-2 attenuation keeps Oja's rule stable.
-            PlasticitySignal::SpikeSign => 0.9f64.sqrt() / 2.0,
-        })
+    let kappa = theory::kappa(&config.lif, 0.5).max(1e-300);
+    0.9f64.sqrt() / (2.0 * config.weight_scale.abs().max(1e-300) * kappa.sqrt())
 }
 
 /// Deterministic random unit start for one replica's plastic vector; a
@@ -142,17 +102,16 @@ fn saturation_guard(w: &mut [f64]) {
 /// step for all replicas. Stage 2 keeps the plastic readout vectors
 /// replica-major (`w[r·n ..][..n]`) and applies the Oja anti-Hebbian update
 /// to every replica in one SoA pass
-/// ([`OjaMinor::update_replicas`]); the `R` output neurons are one
-/// shared [`LifPopulation`].
+/// ([`OjaMinor::update_replicas`]).
 ///
 /// Replicas are independent: replica `r`'s trajectory — membranes,
-/// plasticity signal, readout weight vector, stage-2 activations — is bit
+/// plasticity signal, readout weight vector, stage-2 input currents — is bit
 /// for bit that of a one-seed batch built from the same spec with seed
 /// `seeds[r]`, so batching changes the schedule, never the numbers. A
 /// one-seed batch steps stage 1 through the scalar
 /// [`InputWeights::accumulate_words`] kernel, so it is an independent
 /// reference for the multi-replica kernels; the lane tests in this module
-/// pin the equivalence for both reset modes and both plasticity signals.
+/// pin the equivalence.
 ///
 /// # Examples
 ///
@@ -174,17 +133,11 @@ pub struct BatchedTwoStageNetwork {
     readout_weights: Vec<f64>,
     learning_rate: LearningRate,
     plasticity_interval: u64,
-    /// The `R` stage-2 output neurons as one population (their spikes are
-    /// simulated faithfully and ignored, §IV.B).
-    stage2: LifPopulation,
     /// Plasticity-signal scratch, same layout as `readout_weights`.
     centered: Vec<f64>,
-    /// Stage-2 activation scratch, one per replica.
+    /// Stage-2 input currents `y = w·x`, one per replica.
     ys: Vec<f64>,
-    /// Spike-readout scratch for the `SpikeSign` signal, one replica lane.
-    spikes: Vec<bool>,
     gain: f64,
-    signal: PlasticitySignal,
     steps: u64,
     updates: u64,
 }
@@ -228,7 +181,7 @@ impl BatchedTwoStageNetwork {
         if let Some(cc) = common_cause {
             spec = spec.with_common_cause(cc);
         }
-        let stage1 = ReplicaBatch::new(spec, seeds, weights, config.lif, config.reset);
+        let stage1 = ReplicaBatch::new(spec, seeds, weights, config.lif);
         let gain = plasticity_gain(&config);
         let mut readout_weights = Vec::with_capacity(n * replicas);
         for &seed in seeds {
@@ -239,12 +192,9 @@ impl BatchedTwoStageNetwork {
             readout_weights,
             learning_rate: config.learning_rate,
             plasticity_interval: config.plasticity_interval.max(1),
-            stage2: LifPopulation::new(replicas, config.lif, Reset::None),
             centered: vec![0.0; n * replicas],
             ys: vec![0.0; replicas],
-            spikes: vec![false; n],
             gain,
-            signal: config.plasticity_signal,
             steps: 0,
             updates: 0,
         }
@@ -282,14 +232,9 @@ impl BatchedTwoStageNetwork {
         &self.readout_weights[r * n..(r + 1) * n]
     }
 
-    /// The stage-1 replica batch (for inspection).
-    pub fn stage1(&self) -> &ReplicaBatch<CscWeights> {
-        &self.stage1
-    }
-
     /// Advances every replica one time step; applies plasticity on
-    /// schedule. Returns the stage-2 activations (one per replica) when an
-    /// update happened.
+    /// schedule. Returns the stage-2 input currents `y = w·x` (one per
+    /// replica) when an update happened.
     pub fn step(&mut self) -> Option<&[f64]> {
         self.stage1.step();
         self.steps += 1;
@@ -297,24 +242,10 @@ impl BatchedTwoStageNetwork {
             return None;
         }
         let n = self.n();
-        match self.signal {
-            PlasticitySignal::CenteredPotential => {
-                // Layout-neutral bulk readout; each element is one
-                // subtraction, `V − mean`.
-                self.stage1.centered_into(&mut self.centered);
-            }
-            PlasticitySignal::SpikeSign => {
-                for (r, lane) in self.centered.chunks_exact_mut(n).enumerate() {
-                    self.stage1.spiked_into(r, &mut self.spikes);
-                    for (c, &spiked) in lane.iter_mut().zip(&self.spikes) {
-                        *c = if spiked { 1.0 } else { -1.0 };
-                    }
-                }
-            }
-        }
-        if self.gain != 1.0 {
-            vector::scale(&mut self.centered, self.gain);
-        }
+        // Layout-neutral bulk readout; each element is one subtraction,
+        // `V − mean`.
+        self.stage1.centered_into(&mut self.centered);
+        vector::scale(&mut self.centered, self.gain);
         // Lock-stepped replicas share the update index, hence the rate.
         let eta = self.learning_rate.at(self.updates);
         OjaMinor.update_replicas(&mut self.readout_weights, &self.centered, eta, &mut self.ys);
@@ -322,9 +253,6 @@ impl BatchedTwoStageNetwork {
         for lane in self.readout_weights.chunks_exact_mut(n) {
             saturation_guard(lane);
         }
-        // Stage-2 neurons: receive the readout currents; their spikes are
-        // deliberately ignored (§IV.B).
-        self.stage2.step(&self.ys);
         Some(&self.ys)
     }
 
@@ -348,7 +276,7 @@ mod tests {
     /// One replica of the stage-1 motif on fair devices.
     fn motif(devices: usize, seed: u64, w: DenseWeights) -> ReplicaBatch<DenseWeights> {
         let spec = PoolSpec::uniform(DeviceModel::fair(), devices);
-        ReplicaBatch::new(spec, &[seed], w, LifParams::default(), Reset::None)
+        ReplicaBatch::new(spec, &[seed], w, LifParams::default())
     }
 
     #[test]
@@ -429,28 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn spike_sign_plasticity_learns_bipartite_cut() {
-        // The digital reading of "LIF activity drives plasticity": the
-        // Oja rule sees only ±1 spike patterns, whose arcsine-compressed
-        // covariance preserves the bipartition eigenstructure exactly on
-        // bipartite graphs.
-        let g = complete_bipartite(3, 3);
-        let cfg = TwoStageConfig {
-            plasticity_signal: PlasticitySignal::SpikeSign,
-            ..TwoStageConfig::default()
-        };
-        let mut net = BatchedTwoStageNetwork::new(&g, &[17], cfg);
-        net.run_updates(30_000);
-        let w = net.readout_weights(0);
-        let side0: Vec<bool> = w.iter().map(|&x| x > 0.0).collect();
-        assert_eq!(side0[0], side0[1]);
-        assert_eq!(side0[0], side0[2]);
-        assert_eq!(side0[3], side0[4]);
-        assert_eq!(side0[3], side0[5]);
-        assert_ne!(side0[0], side0[3], "w = {w:?}");
-    }
-
-    #[test]
     fn two_stage_deterministic() {
         let g = cycle(8);
         let mut a = BatchedTwoStageNetwork::new(&g, &[11], TwoStageConfig::default());
@@ -461,7 +367,7 @@ mod tests {
     }
 
     /// Lane independence: every replica's full trajectory in an R-wide
-    /// batch — stage-2 activations and readout weight vectors at every
+    /// batch — stage-2 input currents and readout weight vectors at every
     /// plasticity update — is bit for bit the one-seed batch's with the
     /// same seed. The one-seed batches step one after the other through
     /// the scalar kernel, the sequential reference.
@@ -508,28 +414,6 @@ mod tests {
     fn batched_two_stage_matches_sequential_no_reset() {
         let seeds: Vec<u64> = (0..5u64).map(|i| 0x2757 + 41 * i).collect();
         assert_batched_two_stage_equals_sequential(TwoStageConfig::default(), &seeds, 120);
-    }
-
-    #[test]
-    fn batched_two_stage_matches_sequential_with_reset() {
-        let cfg = TwoStageConfig {
-            reset: Reset::ToValue(0.0),
-            ..TwoStageConfig::default()
-        };
-        let seeds: Vec<u64> = (0..4u64).map(|i| 0xB0B + 7 * i).collect();
-        assert_batched_two_stage_equals_sequential(cfg, &seeds, 150);
-    }
-
-    #[test]
-    fn batched_two_stage_matches_sequential_spike_sign() {
-        for reset in [Reset::None, Reset::ToValue(0.0)] {
-            let cfg = TwoStageConfig {
-                plasticity_signal: PlasticitySignal::SpikeSign,
-                reset,
-                ..TwoStageConfig::default()
-            };
-            assert_batched_two_stage_equals_sequential(cfg, &[3, 17, 99], 100);
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! A thread pool of `ReplicaBatch`es is the full replicas = threads ×
 //! batch-width layout ([`default_threads`] sizes the pool).
 
-use crate::lif::{LifParams, Reset};
+use crate::lif::LifParams;
 use crate::synapse::BatchWeights;
 use crate::theory;
 use snc_devices::{ActivityWords, DevicePool, PoolSpec};
@@ -48,14 +48,14 @@ pub fn default_threads() -> usize {
 /// use snc_devices::{DeviceModel, PoolSpec};
 /// use snc_linalg::DMatrix;
 /// use snc_neuro::parallel::ReplicaBatch;
-/// use snc_neuro::{DenseWeights, LifParams, Reset};
+/// use snc_neuro::{DenseWeights, LifParams};
 ///
 /// // 3 neurons driven by 2 devices, 4 replicas with seeds 0..4.
 /// let m = DMatrix::from_rows(&[&[1.0, 0.2], &[-0.4, 0.9], &[0.3, 0.3]]);
 /// let weights = DenseWeights::from_matrix_scaled(&m, 1.0);
 /// let spec = PoolSpec::uniform(DeviceModel::fair(), 2);
 /// let mut batch = ReplicaBatch::new(spec, &[0, 1, 2, 3], weights,
-///                                   LifParams::default(), Reset::None);
+///                                   LifParams::default());
 /// batch.step_many(100);
 /// assert_eq!((batch.replicas(), batch.neurons()), (4, 3));
 /// // Read replica 2's spike pattern.
@@ -68,7 +68,6 @@ pub struct ReplicaBatch<W: BatchWeights> {
     weights: W,
     plan: W::Plan,
     params: LifParams,
-    reset: Reset,
     /// Per-neuron thresholds (= analytic stationary means), shared by all
     /// replicas.
     means: Vec<f64>,
@@ -78,9 +77,6 @@ pub struct ReplicaBatch<W: BatchWeights> {
     v: Vec<f64>,
     /// Synaptic currents, same layout as `v`.
     current: Vec<f64>,
-    /// Spike flags recorded during the step (reset modes only, where the
-    /// pre-reset membrane is not recoverable afterwards); same layout.
-    spiked: Vec<bool>,
     /// Per-replica packed device states for the current step.
     states: Vec<ActivityWords>,
     steps: u64,
@@ -96,7 +92,7 @@ impl<W: BatchWeights> ReplicaBatch<W> {
     ///
     /// Panics if `seeds` is empty or the spec size differs from the weight
     /// matrix's device count.
-    pub fn new(spec: PoolSpec, seeds: &[u64], weights: W, params: LifParams, reset: Reset) -> Self {
+    pub fn new(spec: PoolSpec, seeds: &[u64], weights: W, params: LifParams) -> Self {
         assert!(!seeds.is_empty(), "at least one replica seed required");
         assert_eq!(
             spec.len(),
@@ -135,11 +131,9 @@ impl<W: BatchWeights> ReplicaBatch<W> {
             weights,
             plan,
             params,
-            reset,
             means,
             v,
             current: vec![0.0; n * replicas],
-            spiked: vec![false; n * replicas],
             states,
             steps: 0,
         }
@@ -234,11 +228,9 @@ impl<W: BatchWeights> ReplicaBatch<W> {
     /// Writes replica `r`'s spike flags from the most recent step into
     /// `out`.
     ///
-    /// With [`Reset::None`] spikes are a pure readout (`V > threshold`)
-    /// of the membranes, so they are computed on demand here instead of
-    /// on every step, equal to what a per-step readout would record.
-    /// With [`Reset::ToValue`] the pre-reset membrane is gone after the
-    /// step, so the flags recorded during the step are returned.
+    /// Spikes are a pure readout (`V > threshold`) of the membranes, so
+    /// they are computed on demand here instead of on every step, equal
+    /// to what a per-step readout would record.
     ///
     /// # Panics
     ///
@@ -248,29 +240,18 @@ impl<W: BatchWeights> ReplicaBatch<W> {
         let replicas = self.replicas();
         assert!(r < replicas, "replica index out of range");
         assert_eq!(out.len(), n, "spike buffer length");
-        match self.reset {
-            Reset::None if W::INTERLEAVED => {
-                for ((o, group), &thr) in out
-                    .iter_mut()
-                    .zip(self.v.chunks_exact(replicas))
-                    .zip(&self.means)
-                {
-                    *o = group[r] > thr;
-                }
+        if W::INTERLEAVED {
+            for ((o, group), &thr) in out
+                .iter_mut()
+                .zip(self.v.chunks_exact(replicas))
+                .zip(&self.means)
+            {
+                *o = group[r] > thr;
             }
-            Reset::None => {
-                let lane = &self.v[r * n..(r + 1) * n];
-                for ((o, &v), &thr) in out.iter_mut().zip(lane).zip(&self.means) {
-                    *o = v > thr;
-                }
-            }
-            Reset::ToValue(_) if W::INTERLEAVED => {
-                for (o, group) in out.iter_mut().zip(self.spiked.chunks_exact(replicas)) {
-                    *o = group[r];
-                }
-            }
-            Reset::ToValue(_) => {
-                out.copy_from_slice(&self.spiked[r * n..(r + 1) * n]);
+        } else {
+            let lane = &self.v[r * n..(r + 1) * n];
+            for ((o, &v), &thr) in out.iter_mut().zip(lane).zip(&self.means) {
+                *o = v > thr;
             }
         }
     }
@@ -291,17 +272,8 @@ impl<W: BatchWeights> ReplicaBatch<W> {
         assert!(lane < 64, "lane out of range");
         for r in 0..replicas {
             let lane_words = &mut words[r * n..(r + 1) * n];
-            match self.reset {
-                Reset::None => {
-                    for (i, (w, &thr)) in lane_words.iter_mut().zip(&self.means).enumerate() {
-                        *w |= u64::from(self.v[self.index(i, r)] > thr) << lane;
-                    }
-                }
-                Reset::ToValue(_) => {
-                    for (i, w) in lane_words.iter_mut().enumerate() {
-                        *w |= u64::from(self.spiked[self.index(i, r)]) << lane;
-                    }
-                }
+            for (i, (w, &thr)) in lane_words.iter_mut().zip(&self.means).enumerate() {
+                *w |= u64::from(self.v[self.index(i, r)] > thr) << lane;
             }
         }
     }
@@ -318,10 +290,9 @@ impl<W: BatchWeights> ReplicaBatch<W> {
         // rows (dense weights at SDP rank), read the currents in place —
         // no intermediate buffer is written at all. Availability is
         // plan-wide (state-independent), so probing one replica decides
-        // for all. Only valid without reset feedback, and only in the
-        // replica-major layout memoized rows are stored in.
+        // for all. Only valid in the replica-major layout memoized rows
+        // are stored in.
         if !W::INTERLEAVED
-            && matches!(self.reset, Reset::None)
             && self
                 .weights
                 .memoized_row(&self.plan, &self.states[0])
@@ -343,57 +314,10 @@ impl<W: BatchWeights> ReplicaBatch<W> {
         }
         self.weights
             .accumulate_replicas(&mut self.plan, &self.states, &mut self.current);
-        match self.reset {
-            Reset::None => {
-                // Same update expression as `LifPopulation::step`; the
-                // threshold readout is deferred to `spiked_into` because
-                // without reset it cannot feed back into the dynamics.
-                for (v, &i_in) in self.v.iter_mut().zip(&self.current) {
-                    *v = decay * *v + gain * i_in;
-                }
-            }
-            Reset::ToValue(rv) if W::INTERLEAVED => {
-                // Interleaved: one R-lane group per neuron, all sharing
-                // that neuron's threshold.
-                let replicas = self.pools.len();
-                for ((group, cur), (spk_group, &thr)) in self
-                    .v
-                    .chunks_exact_mut(replicas)
-                    .zip(self.current.chunks_exact(replicas))
-                    .zip(self.spiked.chunks_exact_mut(replicas).zip(&self.means))
-                {
-                    for ((v, &i_in), spk) in group.iter_mut().zip(cur).zip(spk_group) {
-                        let mut vv = decay * *v + gain * i_in;
-                        *spk = vv > thr;
-                        if *spk {
-                            vv = rv;
-                        }
-                        *v = vv;
-                    }
-                }
-            }
-            Reset::ToValue(rv) => {
-                let n = self.means.len();
-                for ((lane, cur), spk_lane) in self
-                    .v
-                    .chunks_exact_mut(n)
-                    .zip(self.current.chunks_exact(n))
-                    .zip(self.spiked.chunks_exact_mut(n))
-                {
-                    for (((v, &i_in), &thr), spk) in
-                        lane.iter_mut().zip(cur).zip(&self.means).zip(spk_lane)
-                    {
-                        let mut vv = decay * *v + gain * i_in;
-                        // Record the pre-reset threshold crossing: this is
-                        // the step's spike flag.
-                        *spk = vv > thr;
-                        if *spk {
-                            vv = rv;
-                        }
-                        *v = vv;
-                    }
-                }
-            }
+        // The threshold readout is deferred to `spiked_into`: it never
+        // feeds back into the dynamics.
+        for (v, &i_in) in self.v.iter_mut().zip(&self.current) {
+            *v = decay * *v + gain * i_in;
         }
         self.steps += 1;
     }
@@ -412,6 +336,7 @@ mod tests {
     use crate::synapse::{CscWeights, DenseWeights, InputWeights};
     use snc_devices::DeviceModel;
     use snc_graph::generators::structured::cycle;
+    use snc_graph::Graph;
     use snc_linalg::DMatrix;
 
     /// Lane independence: every lane of a 7-wide batch — membranes and
@@ -419,16 +344,16 @@ mod tests {
     /// one-seed batch's with the same seed. The one-seed batches step one
     /// after the other through the scalar kernel, the sequential
     /// reference.
-    fn assert_batch_equals_sequential<W>(spec: PoolSpec, weights: W, reset: Reset, steps: u64)
+    fn assert_batch_equals_sequential<W>(spec: PoolSpec, weights: W, steps: u64)
     where
         W: BatchWeights + Clone,
     {
         let seeds: Vec<u64> = (0..7u64).map(|i| 0xA5A5 + i * 31).collect();
         let params = LifParams::default();
-        let mut batch = ReplicaBatch::new(spec.clone(), &seeds, weights.clone(), params, reset);
+        let mut batch = ReplicaBatch::new(spec.clone(), &seeds, weights.clone(), params);
         let mut ones: Vec<ReplicaBatch<W>> = seeds
             .iter()
-            .map(|&s| ReplicaBatch::new(spec.clone(), &[s], weights.clone(), params, reset))
+            .map(|&s| ReplicaBatch::new(spec.clone(), &[s], weights.clone(), params))
             .collect();
         let n = batch.neurons();
         let mut spikes = vec![false; n];
@@ -471,7 +396,7 @@ mod tests {
         let m = DMatrix::from_fn(9, 4, |i, a| (i as f64 + 1.0) * 0.1 - a as f64 * 0.07);
         let w = DenseWeights::from_matrix_scaled(&m, 1.0);
         let spec = PoolSpec::uniform(DeviceModel::fair(), 4);
-        assert_batch_equals_sequential(spec, w, Reset::None, 120);
+        assert_batch_equals_sequential(spec, w, 120);
     }
 
     #[test]
@@ -480,7 +405,7 @@ mod tests {
         let m = DMatrix::from_fn(5, 9, |i, a| ((i * 9 + a) as f64).sin());
         let w = DenseWeights::from_matrix_scaled(&m, 0.5);
         let spec = PoolSpec::uniform(DeviceModel::biased(0.3).unwrap(), 9);
-        assert_batch_equals_sequential(spec, w, Reset::None, 80);
+        assert_batch_equals_sequential(spec, w, 80);
     }
 
     #[test]
@@ -488,17 +413,49 @@ mod tests {
         let g = cycle(11);
         let w = CscWeights::trevisan(&g, 1.0);
         let spec = PoolSpec::uniform(DeviceModel::fair(), 11);
-        assert_batch_equals_sequential(spec, w, Reset::None, 100);
+        assert_batch_equals_sequential(spec, w, 100);
     }
 
+    /// Between threshold reads the membrane is linear in the device
+    /// words: after every 10 steps `v = d¹⁰·v_t + g·W·Σ_k d^{9−k}·s_{t+1+k}`,
+    /// with `s` replayed from an identically seeded pool.
     #[test]
-    fn reset_to_value_batch_matches_sequential_networks() {
-        // With reset, spikes feed back into the dynamics; the batched
-        // stepper must threshold every step, like the one-seed one.
-        let m = DMatrix::from_fn(6, 3, |i, a| 0.4 + (i + a) as f64 * 0.05);
-        let w = DenseWeights::from_matrix_scaled(&m, 1.0);
-        let spec = PoolSpec::uniform(DeviceModel::fair(), 3);
-        assert_batch_equals_sequential(spec, w, Reset::ToValue(0.0), 150);
+    fn stage_one_is_linear_between_reads() {
+        let mut edges: Vec<(u32, u32)> = (0..9u32).map(|i| (i, (i + 1) % 9)).collect();
+        edges.extend([(0, 4), (2, 7), (3, 8)]);
+        let irregular = Graph::from_edges(9, &edges).unwrap();
+        for (g, seed) in [(cycle(11), 0x11u64), (irregular, 0x9u64)] {
+            let n = g.n();
+            let weights = CscWeights::trevisan(&g, 1.0);
+            let spec = PoolSpec::uniform(DeviceModel::fair(), n);
+            let params = LifParams::default();
+            let (d, gain) = (params.decay(), params.input_gain());
+            let mut batch = ReplicaBatch::new(spec.clone(), &[seed], weights.clone(), params);
+            let mut pool = DevicePool::new(spec, seed);
+            let mut window = vec![0.0; n];
+            let mut wx = vec![0.0; n];
+            for read in 0..30 {
+                let v_t: Vec<f64> = (0..n).map(|i| batch.potential(i, 0)).collect();
+                // Σ_k d^{9−k}·s_{t+1+k} by Horner's rule over the window.
+                window.fill(0.0);
+                for _ in 0..10 {
+                    let s = pool.step();
+                    for (a, x) in window.iter_mut().enumerate() {
+                        *x = d * *x + f64::from(u8::from(s.get(a)));
+                    }
+                }
+                batch.step_many(10);
+                weights.apply(&window, &mut wx);
+                for (i, (&v, &x)) in v_t.iter().zip(&wx).enumerate() {
+                    let want = d.powi(10) * v + gain * x;
+                    let got = batch.potential(i, 0);
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                        "n={n} read={read} neuron={i}: {got} vs {want}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -506,7 +463,7 @@ mod tests {
         let m = DMatrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         let w = DenseWeights::from_matrix_scaled(&m, 1.0);
         let spec = PoolSpec::uniform(DeviceModel::fair(), 2);
-        let batch = ReplicaBatch::new(spec, &[1, 2, 3], w, LifParams::default(), Reset::None);
+        let batch = ReplicaBatch::new(spec, &[1, 2, 3], w, LifParams::default());
         assert_eq!(batch.replicas(), 3);
         assert_eq!(batch.neurons(), 2);
         assert_eq!(batch.devices(), 2);
@@ -522,7 +479,7 @@ mod tests {
         let m = DMatrix::from_rows(&[&[1.0]]);
         let w = DenseWeights::from_matrix_scaled(&m, 1.0);
         let spec = PoolSpec::uniform(DeviceModel::fair(), 1);
-        let _ = ReplicaBatch::new(spec, &[], w, LifParams::default(), Reset::None);
+        let _ = ReplicaBatch::new(spec, &[], w, LifParams::default());
     }
 
     #[test]

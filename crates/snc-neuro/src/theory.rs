@@ -4,8 +4,8 @@
 //! [`LifParams`]) and i.i.d. input currents `I_t`, the stationary membrane
 //! is the geometric sum `V = g · Σ_{k≥0} d^k I_{t−k}`, giving
 //!
-//! * mean: `⟨V⟩ = g/(1−d) · ⟨I⟩` — which equals the paper's `R⟨I⟩` for
-//!   both integrators (§III.B);
+//! * mean: `⟨V⟩ = g/(1−d) · ⟨I⟩` — which equals the paper's `R⟨I⟩`
+//!   (§III.B);
 //! * covariance: `Cov(V_i, V_j) = g²/(1−d²) · Cov(I_i, I_j)` — the
 //!   discrete-time version of the paper's `(R/C)·Var(I)` scaling (§III.B–C).
 //!
@@ -26,8 +26,7 @@ use crate::lif::LifParams;
 use crate::synapse::InputWeights;
 use snc_linalg::DMatrix;
 
-/// The geometric-sum mean factor `g/(1−d)`; equals `R` for both built-in
-/// integrators.
+/// The geometric-sum mean factor `g/(1−d)`; equals `R`.
 pub fn mean_factor(params: &LifParams) -> f64 {
     params.input_gain() / (1.0 - params.decay())
 }
@@ -58,26 +57,17 @@ pub fn stationary_covariance(params: &LifParams, weights: &impl InputWeights, p:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lif::{Integrator, Reset};
-    use crate::population::LifPopulation;
     use crate::synapse::DenseWeights;
     use snc_devices::{DeviceModel, DevicePool, PoolSpec};
 
     #[test]
     fn mean_factor_equals_r() {
-        for integrator in [Integrator::ExponentialEuler, Integrator::ForwardEuler] {
-            let p = LifParams {
-                r: 3.0,
-                c: 0.5,
-                dt: 0.05,
-                integrator,
-            };
-            assert!(
-                (mean_factor(&p) - 3.0).abs() < 1e-12,
-                "{integrator:?}: {}",
-                mean_factor(&p)
-            );
-        }
+        let p = LifParams {
+            r: 3.0,
+            c: 0.5,
+            dt: 0.05,
+        };
+        assert!((mean_factor(&p) - 3.0).abs() < 1e-12, "{}", mean_factor(&p));
     }
 
     #[test]
@@ -107,7 +97,6 @@ mod tests {
             _ => 0.0,
         });
         let mut pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), 2), 42);
-        let mut pop = LifPopulation::new(3, params, Reset::None);
         // Stationary means ⟨V_i⟩ = mean_factor · p · Σ_α W_iα.
         let mut row_sums = vec![0.0; 3];
         w.apply(&[1.0; 2], &mut row_sums);
@@ -115,7 +104,7 @@ mod tests {
             .into_iter()
             .map(|s| s * mean_factor(&params) * 0.5)
             .collect();
-        pop.set_potentials(&means); // start at stationarity
+        let mut v = means.clone(); // start at stationarity
 
         let mut current = vec![0.0; 3];
         let steps = 400_000usize;
@@ -125,13 +114,16 @@ mod tests {
         for _ in 0..1000 {
             let s = pool.step();
             w.accumulate_words(s, &mut current);
-            pop.step(&current);
+            for (vi, &ii) in v.iter_mut().zip(&current) {
+                *vi = params.step_v(*vi, ii);
+            }
         }
         for _ in 0..steps {
             let s = pool.step();
             w.accumulate_words(s, &mut current);
-            pop.step(&current);
-            let v = pop.potentials();
+            for (vi, &ii) in v.iter_mut().zip(&current) {
+                *vi = params.step_v(*vi, ii);
+            }
             for i in 0..3 {
                 v_mean[i] += v[i];
                 for j in 0..3 {

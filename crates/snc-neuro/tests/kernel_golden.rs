@@ -23,8 +23,8 @@ use snc_devices::{DeviceModel, DevicePool, PoolSpec, Rng64, SplitMix64};
 use snc_graph::generators::erdos_renyi::gnp;
 use snc_graph::Graph;
 use snc_neuro::{
-    BatchedTwoStageNetwork, HopfieldNetwork, HopfieldParams, Integrator, LearningRate, LifParams,
-    PlasticitySignal, Reset, TwoStageConfig,
+    BatchedTwoStageNetwork, HopfieldNetwork, HopfieldParams, LearningRate, LifParams,
+    TwoStageConfig,
 };
 
 /// FNV-1a over little-endian 64-bit words.
@@ -315,17 +315,13 @@ const TWO_STAGE: TwoStageConfig = TwoStageConfig {
         r: 1.0,
         c: 1.0,
         dt: 0.1,
-        integrator: Integrator::ExponentialEuler,
     },
-    reset: Reset::None,
     learning_rate: LearningRate::Decay {
         eta0: 0.05,
         t0: 20_000.0,
     },
     plasticity_interval: 10,
-    signal_gain: None,
     weight_scale: 1.0,
-    plasticity_signal: PlasticitySignal::CenteredPotential,
 };
 
 fn replica_seeds(replicas: usize) -> Vec<u64> {

@@ -7,7 +7,7 @@ use snc::snc_graph::generators::structured::{complete_bipartite, cycle};
 use snc::snc_linalg::DMatrix;
 use snc::snc_maxcut::{gw, GwConfig};
 use snc::snc_neuro::theory;
-use snc::snc_neuro::{BatchWeights, CscWeights, DenseWeights, LifParams, ReplicaBatch, Reset};
+use snc::snc_neuro::{BatchWeights, CscWeights, DenseWeights, LifParams, ReplicaBatch};
 
 /// One device-driven LIF population (a one-seed batch) on `devices`
 /// devices of `model`.
@@ -19,7 +19,7 @@ fn network<W: BatchWeights>(
     params: LifParams,
 ) -> ReplicaBatch<W> {
     let spec = PoolSpec::uniform(model, devices);
-    ReplicaBatch::new(spec, &[seed], weights, params, Reset::None)
+    ReplicaBatch::new(spec, &[seed], weights, params)
 }
 
 /// Measures the empirical covariance of a network's membranes.

@@ -7,7 +7,7 @@ use snc::snc_graph::{CutAssignment, Graph};
 use snc::snc_linalg::{Cholesky, DMatrix};
 use snc::snc_maxcut::trevisan::best_sweep_cut;
 use snc::snc_maxcut::{exact, greedy};
-use snc::snc_neuro::{BatchedTwoStageNetwork, LearningRate, Reset, TwoStageConfig};
+use snc::snc_neuro::{BatchedTwoStageNetwork, LearningRate, TwoStageConfig};
 
 /// Strategy: a random edge list on up to 12 vertices.
 fn small_graph() -> impl Strategy<Value = Graph> {
@@ -134,7 +134,7 @@ proptest! {
     /// Every lane of a batched LIF-Trevisan network is bit-for-bit the
     /// one-seed network of its seed (the sequential reference), across
     /// random ER graphs, learning rates (constant and decaying),
-    /// plasticity intervals, and both reset modes.
+    /// and plasticity intervals.
     #[test]
     fn batched_two_stage_equals_sequential(
         n in 4usize..16,
@@ -142,7 +142,6 @@ proptest! {
         graph_seed in 0u64..500,
         eta_millis in 1u64..200,
         decay in any::<bool>(),
-        reset in any::<bool>(),
         interval in 1u64..6,
         base_seed in 0u64..10_000,
     ) {
@@ -154,7 +153,6 @@ proptest! {
             } else {
                 LearningRate::Constant(eta0)
             },
-            reset: if reset { Reset::ToValue(0.0) } else { Reset::None },
             plasticity_interval: interval,
             ..TwoStageConfig::default()
         };
