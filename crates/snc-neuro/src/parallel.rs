@@ -314,8 +314,9 @@ impl<W: BatchWeights> ReplicaBatch<W> {
         }
         self.weights
             .accumulate_replicas(&mut self.plan, &self.states, &mut self.current);
-        // The threshold readout is deferred to `spiked_into`: it never
-        // feeds back into the dynamics.
+        // The threshold readout is deferred to the readers
+        // (`spiked_into`, `spike_lane_into`): it never feeds back into the
+        // dynamics.
         for (v, &i_in) in self.v.iter_mut().zip(&self.current) {
             *v = decay * *v + gain * i_in;
         }
