@@ -23,6 +23,7 @@
 //! out of one fabric per step: each pass over the couplings feeds every
 //! lane. Lane `r` is bit for bit the one-lane network with `seeds[r]`.
 
+use crate::gather::{chunked, with_chunks, Chunked, SliceRows, LANES};
 use snc_devices::{Rng64, Xoshiro256pp};
 
 /// Parameters of the continuous Hopfield–Tank dynamics.
@@ -49,138 +50,26 @@ impl Default for HopfieldParams {
     }
 }
 
-/// Rows per slice of the [`HopfieldCouplings`] layout.
-const SLICE: usize = 4;
-
-/// Lanes per chunk of a network with more than four lanes.
-const LANES: usize = 8;
-
-/// A symmetric coupling list laid out for the Hopfield gather.
+/// Row `i`'s couplings `(j, w_ij)` of an undirected coupling list over
+/// `n` units, each pair applied in both directions, in list order.
 ///
-/// Rows are grouped in slices of four. A slice stores its rows' neighbor
-/// lists side by side, entry `k` of row `l` at `4k + l` from the slice
-/// start, padded to the slice's longest row with zero couplings that point
-/// at the sentinel unit `n`, whose activation is always `+0.0`. The gather
-/// then runs the four rows as independent accumulation chains over one
-/// contiguous run of weights and targets.
+/// # Panics
 ///
-/// Each row still sums its real couplings in the order they were listed,
-/// and the padding only appends `0 · (+0.0) = +0.0` after them. That cannot
-/// change the sum: it starts at +0.0, so it never holds −0.0, and adding
-/// ±0.0 to any other value leaves it unchanged. The drives are therefore
-/// bit-identical to a plain row-by-row (CSR) walk.
-///
-/// When every coupling is exactly `1.0` the layout keeps no weights and
-/// the gather adds `x_t` itself (the unit stream): `1.0 · x == x`, and a
-/// padding entry adds the sentinel's `+0.0`.
-#[derive(Clone, Debug, PartialEq)]
-struct HopfieldCouplings {
-    n: usize,
-    /// Slice `s` occupies `offsets[s]..offsets[s + 1]` of `targets` and
-    /// `weights`: `SLICE` rows times the slice's padded width.
-    offsets: Vec<usize>,
-    targets: Vec<u32>,
-    /// Empty for the unit stream.
-    weights: Vec<f64>,
-}
-
-impl HopfieldCouplings {
-    /// Lays out an undirected coupling list over `n` units; each pair is
-    /// applied in both directions. The unit stream is chosen when every
-    /// coupling is exactly `1.0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a coupling endpoint is out of range. Self-couplings are
-    /// dropped (a unit does not drive itself).
-    fn new(n: usize, couplings: &[(u32, u32, f64)]) -> Self {
-        let unit = couplings.iter().all(|&(i, j, w)| i == j || w == 1.0);
-        Self::with_stream(n, couplings, unit)
-    }
-
-    /// [`new`](Self::new) with the stream chosen by the caller; `unit`
-    /// requires every coupling to be exactly `1.0`.
-    fn with_stream(n: usize, couplings: &[(u32, u32, f64)], unit: bool) -> Self {
-        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-        for &(i, j, w) in couplings {
-            assert!(
-                (i as usize) < n && (j as usize) < n,
-                "coupling ({i},{j}) out of range for n={n}"
-            );
-            if i != j {
-                debug_assert!(!unit || w == 1.0, "unit stream with weight {w}");
-                rows[i as usize].push((j, w));
-                rows[j as usize].push((i, w));
-            }
-        }
-        let slices = n.div_ceil(SLICE);
-        let mut offsets = Vec::with_capacity(slices + 1);
-        offsets.push(0);
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
-        for s in 0..slices {
-            let slice_rows = s * SLICE..((s + 1) * SLICE).min(n);
-            let width = rows[slice_rows].iter().map(Vec::len).max().unwrap_or(0);
-            for k in 0..width {
-                for l in 0..SLICE {
-                    let (t, w) = rows
-                        .get(s * SLICE + l)
-                        .and_then(|row| row.get(k))
-                        .copied()
-                        .unwrap_or((n as u32, 0.0));
-                    targets.push(t);
-                    if !unit {
-                        weights.push(w);
-                    }
-                }
-            }
-            offsets.push(targets.len());
-        }
-        Self {
-            n,
-            offsets,
-            targets,
-            weights,
+/// Panics if a coupling endpoint is out of range. Self-couplings are
+/// dropped (a unit does not drive itself).
+fn coupling_rows(n: usize, couplings: &[(u32, u32, f64)]) -> Vec<Vec<(u32, f64)>> {
+    let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+    for &(i, j, w) in couplings {
+        assert!(
+            (i as usize) < n && (j as usize) < n,
+            "coupling ({i},{j}) out of range for n={n}"
+        );
+        if i != j {
+            rows[i as usize].push((j, w));
+            rows[j as usize].push((i, w));
         }
     }
-
-    /// The weight of layout entry `k`.
-    fn weight(&self, k: usize) -> f64 {
-        if self.weights.is_empty() {
-            1.0
-        } else {
-            self.weights[k]
-        }
-    }
-
-    /// The drive `Σ_j w_ij x_j` of the (up to) four rows of slice `s`, in
-    /// each of `W` lanes; `x` holds `n + 1` units, the last the sentinel.
-    #[inline]
-    fn slice_drive<const W: usize>(&self, s: usize, x: &[[f64; W]]) -> [[f64; W]; SLICE] {
-        let range = self.offsets[s]..self.offsets[s + 1];
-        let targets = self.targets[range.clone()].chunks_exact(SLICE);
-        let mut acc = [[0.0f64; W]; SLICE];
-        if self.weights.is_empty() {
-            for t in targets {
-                for l in 0..SLICE {
-                    let xt = &x[t[l] as usize];
-                    for j in 0..W {
-                        acc[l][j] += xt[j];
-                    }
-                }
-            }
-        } else {
-            for (t, w) in targets.zip(self.weights[range].chunks_exact(SLICE)) {
-                for l in 0..SLICE {
-                    let xt = &x[t[l] as usize];
-                    for j in 0..W {
-                        acc[l][j] += w[l] * xt[j];
-                    }
-                }
-            }
-        }
-        acc
-    }
+    rows
 }
 
 /// The state of `W` lanes, neuron-major: `u[i][l]` is unit `i` of lane
@@ -227,9 +116,9 @@ impl<const W: usize> Chunk<W> {
 
     /// Computes the next potentials of slice `s`'s rows.
     #[inline]
-    fn integrate_slice(&mut self, c: &HopfieldCouplings, s: usize, p: &HopfieldParams) {
+    fn integrate_slice(&mut self, c: &SliceRows, s: usize, p: &HopfieldParams) {
         let drive = c.slice_drive(s, &self.x);
-        let rows = s * SLICE..((s + 1) * SLICE).min(c.n);
+        let rows = c.slice_rows(s);
         for ((next, u), d) in self.next[rows.clone()]
             .iter_mut()
             .zip(&self.u[rows])
@@ -291,9 +180,9 @@ impl<const W: usize> Chunk<W> {
 
 /// One synchronous Euler step of every chunk: one pass over the slices
 /// feeds every chunk still moving; a chunk in its cycle only swaps phase.
-fn step_chunks<const W: usize>(chunks: &mut [Chunk<W>], c: &HopfieldCouplings, p: &HopfieldParams) {
+fn step_chunks<const W: usize>(chunks: &mut [Chunk<W>], c: &SliceRows, p: &HopfieldParams) {
     if chunks.iter().any(|chunk| !chunk.cycling) {
-        for s in 0..c.n.div_ceil(SLICE) {
+        for s in 0..c.slices() {
             for chunk in chunks.iter_mut().filter(|chunk| !chunk.cycling) {
                 chunk.integrate_slice(c, s, p);
             }
@@ -308,30 +197,8 @@ fn step_chunks<const W: usize>(chunks: &mut [Chunk<W>], c: &HopfieldCouplings, p
     }
 }
 
-/// The lanes of a network, in chunks of the narrowest width that holds
-/// them, up to [`LANES`]: one lane runs the scalar kernel, two a pair,
-/// three or four a quad, and more run in chunks of eight, the last one
-/// padded with phantom lanes.
-#[derive(Clone, Debug)]
-enum Chunks {
-    One(Vec<Chunk<1>>),
-    Two(Vec<Chunk<2>>),
-    Four(Vec<Chunk<4>>),
-    Eight(Vec<Chunk<LANES>>),
-}
-
-/// Evaluates `$body` with `$chunks` bound to the network's chunk slice,
-/// whatever its width.
-macro_rules! with_chunks {
-    ($net:expr, $chunks:ident => $body:expr) => {
-        match $net {
-            Chunks::One($chunks) => $body,
-            Chunks::Two($chunks) => $body,
-            Chunks::Four($chunks) => $body,
-            Chunks::Eight($chunks) => $body,
-        }
-    };
-}
+/// The lanes of a network in chunks (see [`Chunked`]).
+type Chunks = Chunked<Chunk<1>, Chunk<2>, Chunk<4>, Chunk<LANES>>;
 
 /// Lane `lane`'s potentials and activations in chunks of width `W`: flat
 /// slices whose entries `l, l + W, l + 2W, …` are the lane's, and `l`.
@@ -343,8 +210,9 @@ fn lane_of<const W: usize>(chunks: &[Chunk<W>], lane: usize) -> (&[f64], &[f64],
 /// `R` continuous Hopfield networks (lanes) over one symmetric coupling
 /// list, each from its own seeded initial state.
 ///
-/// The couplings live in one slice layout (see the module docs), and
-/// every pass over it feeds all lanes of a chunk. Lane `r` is bit for bit
+/// The couplings live in the slice-gather layout LIF-Trevisan's stage 1
+/// shares: rows in slices of four, padded to a sentinel unit, and every
+/// pass over it feeds all lanes of a chunk. Lane `r` is bit for bit
 /// the one-lane network seeded with `seeds[r]`.
 ///
 /// # Examples
@@ -360,7 +228,7 @@ fn lane_of<const W: usize>(chunks: &[Chunk<W>], lane: usize) -> (&[f64], &[f64],
 /// ```
 #[derive(Clone, Debug)]
 pub struct HopfieldNetwork {
-    couplings: HopfieldCouplings,
+    couplings: SliceRows,
     params: HopfieldParams,
     lanes: usize,
     steps: u64,
@@ -383,10 +251,10 @@ impl HopfieldNetwork {
         params: HopfieldParams,
         seeds: &[u64],
     ) -> Self {
-        Self::with_layout(HopfieldCouplings::new(n, couplings), params, seeds)
+        Self::with_layout(SliceRows::new(&coupling_rows(n, couplings)), params, seeds)
     }
 
-    fn with_layout(couplings: HopfieldCouplings, params: HopfieldParams, seeds: &[u64]) -> Self {
+    fn with_layout(couplings: SliceRows, params: HopfieldParams, seeds: &[u64]) -> Self {
         fn split<const W: usize>(n: usize, p: &HopfieldParams, seeds: &[u64]) -> Vec<Chunk<W>> {
             seeds
                 .chunks(W)
@@ -395,12 +263,7 @@ impl HopfieldNetwork {
         }
         assert!(!seeds.is_empty(), "at least one lane seed");
         let n = couplings.n;
-        let chunks = match seeds.len() {
-            1 => Chunks::One(split(n, &params, seeds)),
-            2 => Chunks::Two(split(n, &params, seeds)),
-            3 | 4 => Chunks::Four(split(n, &params, seeds)),
-            _ => Chunks::Eight(split(n, &params, seeds)),
-        };
+        let chunks = chunked!(seeds.len(), split(n, &params, seeds));
         Self {
             couplings,
             params,
@@ -507,9 +370,8 @@ impl HopfieldNetwork {
         x.push(0.0); // the sentinel unit
         let mut coupling = 0.0;
         for (i, &xi) in x[..c.n].iter().enumerate() {
-            let (s, l) = (i / SLICE, i % SLICE);
-            for k in (c.offsets[s] + l..c.offsets[s + 1]).step_by(SLICE) {
-                coupling += c.weight(k) * xi * x[c.targets[k] as usize];
+            for (j, w) in c.row(i) {
+                coupling += w * xi * x[j];
             }
         }
         let mut barrier = 0.0;
@@ -914,10 +776,13 @@ mod tests {
     fn unit_stream_matches_weighted_gather() {
         let graph = snc_graph::generators::erdos_renyi::gnp(37, 0.3, 9).unwrap();
         let couplings = unit_couplings(&graph);
-        let unit = HopfieldCouplings::new(37, &couplings);
-        let weighted = HopfieldCouplings::with_stream(37, &couplings, false);
+        let rows = coupling_rows(37, &couplings);
+        let unit = SliceRows::new(&rows);
+        let weighted = SliceRows::with_stream(&rows, false);
         assert!(unit.weights.is_empty() && !weighted.weights.is_empty());
-        assert_eq!(unit.targets, weighted.targets);
+        for i in 0..37 {
+            assert!(unit.row(i).map(|e| e.0).eq(weighted.row(i).map(|e| e.0)));
+        }
         let params = HopfieldParams::default();
         for seeds in [&[4u64][..], &[4, 5, 6, 7, 8, 9, 10, 11, 12, 13]] {
             let mut a = HopfieldNetwork::with_layout(unit.clone(), params, seeds);
@@ -942,7 +807,10 @@ mod tests {
         );
         assert_eq!(net.n(), 2);
         // Only the (0,1) pair survives, on the unit stream.
-        assert_eq!(net.couplings, HopfieldCouplings::new(2, &[(0, 1, 1.0)]));
+        assert_eq!(
+            net.couplings,
+            SliceRows::new(&coupling_rows(2, &[(0, 1, 1.0)]))
+        );
         assert!(net.couplings.weights.is_empty());
         let bad = std::panic::catch_unwind(|| {
             HopfieldNetwork::new(2, &[(0, 7, 1.0)], HopfieldParams::default(), &[1])

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod gather;
 pub mod hopfield;
 pub mod lif;
 pub mod network;

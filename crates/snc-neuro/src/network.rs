@@ -13,12 +13,12 @@
 //! Replicas are independent seeded copies of one circuit; a one-seed
 //! batch is the single circuit.
 
+use crate::gather::{chunked, with_chunks, Chunked, SliceRows, LANES};
 use crate::lif::LifParams;
-use crate::parallel::ReplicaBatch;
 use crate::plasticity::{LearningRate, OjaMinor};
 use crate::synapse::{CscWeights, InputWeights};
 use crate::theory;
-use snc_devices::{CommonCause, DeviceModel, PoolSpec};
+use snc_devices::{CommonCause, DeviceModel, DevicePool, PoolSpec};
 use snc_graph::Graph;
 use snc_linalg::vector;
 
@@ -94,24 +94,116 @@ fn saturation_guard(w: &mut [f64]) {
     }
 }
 
+/// Stage 1 of `W` lanes, neuron-major: `v[i][l]` is neuron `i`'s
+/// membrane in lane `l`. Lanes past the batch's last seed are phantom: no
+/// pool drives them, and their windows and membranes hold `+0.0`, which
+/// the update sends to `+0.0`.
+#[derive(Clone, Debug)]
+struct Stage1<const W: usize> {
+    /// One device pool per real lane.
+    pools: Vec<DevicePool>,
+    v: Vec<[f64; W]>,
+    /// The devices' discounted windows, plus the sentinel column `n`,
+    /// which stays `+0.0`.
+    x: Vec<[f64; W]>,
+    /// Scratch: the lanes' packed device words over one advance,
+    /// step-major: `words[k * word_count + b][l]` is word `b` of lane
+    /// `l`'s state at step `k`.
+    words: Vec<[u64; W]>,
+}
+
+impl<const W: usize> Stage1<W> {
+    /// Lane `l < seeds.len()` gets a pool seeded with `seeds[l]` and
+    /// membranes at the stationary `means`; the rest are phantom.
+    fn new(spec: &PoolSpec, seeds: &[u64], means: &[f64]) -> Self {
+        let mut v = vec![[0.0; W]; means.len()];
+        for (vi, &m) in v.iter_mut().zip(means) {
+            vi[..seeds.len()].fill(m);
+        }
+        Self {
+            pools: seeds
+                .iter()
+                .map(|&seed| DevicePool::new(spec.clone(), seed))
+                .collect(),
+            v,
+            x: vec![[0.0; W]; means.len() + 1],
+            words: Vec::new(),
+        }
+    }
+
+    /// Advances every lane `steps` time steps in one product. Between
+    /// two reads the membrane is linear in the device bits `s`:
+    /// `v ← d^steps·v + g·W·x` with `x = Σ_k d^{steps−1−k}·s_k`. Each
+    /// device's window `x` is folded by Horner's rule, `x ← d·x + s`,
+    /// oldest bit first, and `d^steps` is `steps` repeated
+    /// multiplications, so every lane's arithmetic is fixed by `steps`
+    /// alone.
+    fn advance(&mut self, rows: &SliceRows, steps: usize, d: f64, g: f64) {
+        let n = rows.n;
+        let word_count = n.div_ceil(64);
+        self.words.resize(steps * word_count, [0; W]);
+        for (l, pool) in self.pools.iter_mut().enumerate() {
+            for step in self.words.chunks_exact_mut(word_count) {
+                for (w, &s) in step.iter_mut().zip(pool.step().words()) {
+                    w[l] = s;
+                }
+            }
+        }
+        for (a, x) in self.x[..n].iter_mut().enumerate() {
+            let (b, shift) = (a / 64, a % 64);
+            let mut window = [0.0; W];
+            for words in self.words[b..].iter().step_by(word_count) {
+                for l in 0..W {
+                    window[l] = d * window[l] + ((words[l] >> shift) & 1) as f64;
+                }
+            }
+            *x = window;
+        }
+        let mut d_steps = 1.0;
+        for _ in 0..steps {
+            d_steps *= d;
+        }
+        for s in 0..rows.slices() {
+            let drive = rows.slice_drive(s, &self.x);
+            for (v, drive) in self.v[rows.slice_rows(s)].iter_mut().zip(&drive) {
+                for l in 0..W {
+                    v[l] = d_steps * v[l] + g * drive[l];
+                }
+            }
+        }
+    }
+}
+
+/// Writes every real lane's mean-centered membranes into `out`,
+/// replica-major (`out[r * n + i] = V_{i,r} − means[i]`).
+fn centered_into<const W: usize>(chunks: &[Stage1<W>], means: &[f64], out: &mut [f64]) {
+    for (r, lane) in out.chunks_exact_mut(means.len()).enumerate() {
+        let (v, l) = (&chunks[r / W].v, r % W);
+        for ((o, v), &m) in lane.iter_mut().zip(v).zip(means) {
+            *o = v[l] - m;
+        }
+    }
+}
+
+/// Stage 1's lanes in chunks (see [`Chunked`]).
+type Stage1Chunks = Chunked<Stage1<1>, Stage1<2>, Stage1<4>, Stage1<LANES>>;
+
 /// `R` replicas of the LIF-Trevisan two-stage circuit advanced in
-/// lock-step, structure-of-arrays.
+/// lock-step.
 ///
-/// Stage 1 (devices → Trevisan weights → LIF membranes) runs on a
-/// [`ReplicaBatch`], so the sparse weight matrix is traversed once per time
-/// step for all replicas. Stage 2 keeps the plastic readout vectors
-/// replica-major (`w[r·n ..][..n]`) and applies the Oja anti-Hebbian update
-/// to every replica in one SoA pass
+/// Stage 1 (devices → Trevisan weights → LIF membranes) keeps its
+/// replicas as lanes of 1-, 2-, 4- or 8-wide chunks over one slice layout
+/// of the sparse weight matrix, the layout the Hopfield circuit gathers
+/// from: one pass over the rows feeds every lane of a chunk. Stage 2
+/// keeps the plastic readout vectors replica-major (`w[r·n ..][..n]`) and
+/// applies the Oja anti-Hebbian update to every replica in one SoA pass
 /// ([`OjaMinor::update_replicas`]).
 ///
 /// Replicas are independent: replica `r`'s trajectory — membranes,
 /// plasticity signal, readout weight vector, stage-2 input currents — is bit
 /// for bit that of a one-seed batch built from the same spec with seed
-/// `seeds[r]`, so batching changes the schedule, never the numbers. A
-/// one-seed batch steps stage 1 through the scalar
-/// [`InputWeights::accumulate_words`] kernel, so it is an independent
-/// reference for the multi-replica kernels; the lane tests in this module
-/// pin the equivalence.
+/// `seeds[r]`, so batching changes the schedule, never the numbers; the
+/// lane tests in this module pin the equivalence.
 ///
 /// # Examples
 ///
@@ -128,7 +220,12 @@ fn saturation_guard(w: &mut [f64]) {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BatchedTwoStageNetwork {
-    stage1: ReplicaBatch<CscWeights>,
+    /// The stage-1 weight matrix's rows in the slice layout.
+    rows: SliceRows,
+    /// Per-neuron stationary means, shared by all replicas.
+    means: Vec<f64>,
+    params: LifParams,
+    stage1: Stage1Chunks,
     /// Plastic readout vectors, replica-major: `w[r * n + i]`.
     readout_weights: Vec<f64>,
     learning_rate: LearningRate,
@@ -170,6 +267,13 @@ impl BatchedTwoStageNetwork {
         seeds: &[u64],
         config: TwoStageConfig,
     ) -> Self {
+        fn split<const W: usize>(spec: &PoolSpec, seeds: &[u64], means: &[f64]) -> Vec<Stage1<W>> {
+            seeds
+                .chunks(W)
+                .map(|lanes| Stage1::new(spec, lanes, means))
+                .collect()
+        }
+        assert!(!seeds.is_empty(), "at least one replica seed required");
         assert_eq!(
             weights.neurons(),
             weights.devices(),
@@ -181,20 +285,31 @@ impl BatchedTwoStageNetwork {
         if let Some(cc) = common_cause {
             spec = spec.with_common_cause(cc);
         }
-        let stage1 = ReplicaBatch::new(spec, seeds, weights, config.lif);
-        let gain = plasticity_gain(&config);
+        // Every pool shares one spec, so the stationary probabilities (and
+        // hence the analytic means) are the same for all replicas.
+        let ps = DevicePool::new(spec.clone(), seeds[0]).stationary_ps();
+        let mut means = vec![0.0; n];
+        weights.apply(&ps, &mut means);
+        let mf = theory::mean_factor(&config.lif);
+        for m in &mut means {
+            *m *= mf;
+        }
+        let stage1 = chunked!(replicas, split(&spec, seeds, &means));
         let mut readout_weights = Vec::with_capacity(n * replicas);
         for &seed in seeds {
             readout_weights.extend(initial_readout_weights(n, seed));
         }
         Self {
+            rows: SliceRows::new(&weights.rows()),
+            means,
+            params: config.lif,
             stage1,
             readout_weights,
             learning_rate: config.learning_rate,
             plasticity_interval: config.plasticity_interval.max(1),
             centered: vec![0.0; n * replicas],
             ys: vec![0.0; replicas],
-            gain,
+            gain: plasticity_gain(&config),
             steps: 0,
             updates: 0,
         }
@@ -207,7 +322,7 @@ impl BatchedTwoStageNetwork {
 
     /// Number of graph vertices / stage-1 neurons per replica.
     pub fn n(&self) -> usize {
-        self.stage1.neurons()
+        self.means.len()
     }
 
     /// Lock-steps simulated so far (shared by all replicas).
@@ -232,19 +347,23 @@ impl BatchedTwoStageNetwork {
         &self.readout_weights[r * n..(r + 1) * n]
     }
 
-    /// Advances every replica one time step; applies plasticity on
-    /// schedule. Returns the stage-2 input currents `y = w·x` (one per
-    /// replica) when an update happened.
-    pub fn step(&mut self) -> Option<&[f64]> {
-        self.stage1.step();
-        self.steps += 1;
-        if !self.steps.is_multiple_of(self.plasticity_interval) {
-            return None;
+    /// Advances every replica one plasticity interval and applies the
+    /// plasticity update. Returns the stage-2 input currents `y = w·x`,
+    /// one per replica.
+    pub fn update(&mut self) -> &[f64] {
+        let (d, g) = (self.params.decay(), self.params.input_gain());
+        let rows = &self.rows;
+        for _ in 0..self.plasticity_interval {
+            with_chunks!(&mut self.stage1, chunks => {
+                for chunk in chunks.iter_mut() {
+                    chunk.advance(rows, 1, d, g);
+                }
+            });
         }
+        self.steps += self.plasticity_interval;
         let n = self.n();
-        // Layout-neutral bulk readout; each element is one subtraction,
-        // `V − mean`.
-        self.stage1.centered_into(&mut self.centered);
+        // Each element is one subtraction, `V − mean`.
+        with_chunks!(&self.stage1, chunks => centered_into(chunks, &self.means, &mut self.centered));
         vector::scale(&mut self.centered, self.gain);
         // Lock-stepped replicas share the update index, hence the rate.
         let eta = self.learning_rate.at(self.updates);
@@ -253,15 +372,23 @@ impl BatchedTwoStageNetwork {
         for lane in self.readout_weights.chunks_exact_mut(n) {
             saturation_guard(lane);
         }
-        Some(&self.ys)
+        &self.ys
+    }
+
+    /// Replica `r`'s stage-1 membranes (the lane tests' readout).
+    #[cfg(test)]
+    fn membranes(&self, r: usize) -> Vec<f64> {
+        fn lane<const W: usize>(chunks: &[Stage1<W>], r: usize) -> Vec<f64> {
+            chunks[r / W].v.iter().map(|v| v[r % W]).collect()
+        }
+        with_chunks!(&self.stage1, chunks => lane(chunks, r))
     }
 
     /// Runs until `updates` plasticity updates have been applied to every
     /// replica.
     pub fn run_updates(&mut self, updates: u64) {
-        let target = self.updates + updates;
-        while self.updates < target {
-            self.step();
+        for _ in 0..updates {
+            self.update();
         }
     }
 }
@@ -269,6 +396,7 @@ impl BatchedTwoStageNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::ReplicaBatch;
     use crate::synapse::DenseWeights;
     use snc_graph::generators::structured::{complete_bipartite, cycle};
     use snc_linalg::DMatrix;
@@ -369,38 +497,36 @@ mod tests {
     /// Lane independence: every replica's full trajectory in an R-wide
     /// batch — stage-2 input currents and readout weight vectors at every
     /// plasticity update — is bit for bit the one-seed batch's with the
-    /// same seed. The one-seed batches step one after the other through
-    /// the scalar kernel, the sequential reference.
-    fn assert_batched_two_stage_equals_sequential(cfg: TwoStageConfig, seeds: &[u64], steps: u64) {
+    /// same seed. The one-seed batches update one after the other, the
+    /// sequential reference.
+    fn assert_batched_two_stage_equals_sequential(
+        cfg: TwoStageConfig,
+        seeds: &[u64],
+        updates: u64,
+    ) {
         let g = gnp_like_graph();
         let mut batch = BatchedTwoStageNetwork::new(&g, seeds, cfg);
         let mut nets: Vec<BatchedTwoStageNetwork> = seeds
             .iter()
             .map(|&s| BatchedTwoStageNetwork::new(&g, &[s], cfg))
             .collect();
-        for t in 0..steps {
-            let ys = batch.step().map(<[f64]>::to_vec);
+        for t in 0..updates {
+            let ys = batch.update().to_vec();
             for (r, net) in nets.iter_mut().enumerate() {
-                let y = net.step().map(|y| y[0]);
-                match (&ys, y) {
-                    (Some(ys), Some(y)) => {
-                        assert_eq!(y.to_bits(), ys[r].to_bits(), "y at t={t} r={r}")
-                    }
-                    (None, None) => {}
-                    _ => panic!("plasticity schedule diverged at t={t} r={r}"),
-                }
+                let y = net.update()[0];
+                assert_eq!(y.to_bits(), ys[r].to_bits(), "y at update {t} r={r}");
                 for (i, (a, b)) in batch
                     .readout_weights(r)
                     .iter()
                     .zip(net.readout_weights(0))
                     .enumerate()
                 {
-                    assert_eq!(a.to_bits(), b.to_bits(), "w at t={t} r={r} i={i}");
+                    assert_eq!(a.to_bits(), b.to_bits(), "w at update {t} r={r} i={i}");
                 }
             }
         }
-        assert_eq!(batch.steps(), steps);
-        assert_eq!(batch.updates(), nets[0].updates());
+        assert_eq!(batch.updates(), updates);
+        assert_eq!(batch.steps(), nets[0].steps());
     }
 
     /// A small irregular graph (cycle + chords) so degrees differ.
@@ -413,14 +539,145 @@ mod tests {
     #[test]
     fn batched_two_stage_matches_sequential_no_reset() {
         let seeds: Vec<u64> = (0..5u64).map(|i| 0x2757 + 41 * i).collect();
-        assert_batched_two_stage_equals_sequential(TwoStageConfig::default(), &seeds, 120);
+        assert_batched_two_stage_equals_sequential(TwoStageConfig::default(), &seeds, 12);
     }
 
     #[test]
     fn batched_two_stage_single_replica_degenerates() {
-        // R = 2 is the narrowest width on the masked multi-replica kernel;
-        // each of its lanes must be exactly the one-replica scalar path.
-        assert_batched_two_stage_equals_sequential(TwoStageConfig::default(), &[42, 43], 80);
+        // R = 2 is the narrowest multi-lane chunk; each of its lanes must
+        // be exactly the one-lane chunk.
+        assert_batched_two_stage_equals_sequential(TwoStageConfig::default(), &[42, 43], 8);
+    }
+
+    /// One replica stepped the plain way, independently of the slice
+    /// layout and of the interval form: a row-by-row (CSR) sum of the
+    /// active devices' weights at every step, and the plasticity update
+    /// every `plasticity_interval` steps.
+    struct Reference {
+        rows: Vec<Vec<(u32, f64)>>,
+        pool: DevicePool,
+        means: Vec<f64>,
+        v: Vec<f64>,
+        w: Vec<f64>,
+        config: TwoStageConfig,
+        updates: u64,
+    }
+
+    impl Reference {
+        fn new(weights: &CscWeights, seed: u64, config: TwoStageConfig) -> Self {
+            let n = weights.neurons();
+            let pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), n), seed);
+            let mut means = vec![0.0; n];
+            weights.apply(&pool.stationary_ps(), &mut means);
+            let mf = theory::mean_factor(&config.lif);
+            means.iter_mut().for_each(|m| *m *= mf);
+            Self {
+                rows: weights.rows(),
+                pool,
+                v: means.clone(),
+                means,
+                w: initial_readout_weights(n, seed),
+                config,
+                updates: 0,
+            }
+        }
+
+        fn update(&mut self) {
+            let (d, g) = (self.config.lif.decay(), self.config.lif.input_gain());
+            for _ in 0..self.config.plasticity_interval {
+                let s = self.pool.step();
+                for (v, row) in self.v.iter_mut().zip(&self.rows) {
+                    let current = row
+                        .iter()
+                        .filter(|&&(j, _)| s.get(j as usize))
+                        .fold(0.0, |acc, &(_, w)| acc + w);
+                    *v = d * *v + g * current;
+                }
+            }
+            let gain = plasticity_gain(&self.config);
+            let x: Vec<f64> = self
+                .v
+                .iter()
+                .zip(&self.means)
+                .map(|(v, m)| (v - m) * gain)
+                .collect();
+            let eta = self.config.learning_rate.at(self.updates);
+            OjaMinor.update(&mut self.w, &x, eta);
+            saturation_guard(&mut self.w);
+            self.updates += 1;
+        }
+    }
+
+    /// Between two reads the membrane is linear in the device bits, so
+    /// one product per plasticity interval follows the stepwise circuit:
+    /// at every one of 256 updates at the served membrane parameters
+    /// (Δt 0.5), every lane's membranes match a stepwise [`Reference`] to
+    /// 1e-12 relative and its readout weights to 1e-9 of their norm.
+    #[test]
+    fn stage_one_is_linear_between_reads() {
+        let config = TwoStageConfig {
+            lif: LifParams {
+                dt: 0.5,
+                ..LifParams::default()
+            },
+            ..TwoStageConfig::default()
+        };
+        let graphs = [
+            snc_graph::generators::erdos_renyi::gnp(150, 0.05, 0x150).unwrap(),
+            cycle(11),
+        ];
+        for g in &graphs {
+            let weights = CscWeights::trevisan(g, config.weight_scale);
+            for lanes in [1u64, 3, 8] {
+                let seeds: Vec<u64> = (0..lanes).map(|r| 0x51 + 7 * r).collect();
+                let mut batch = BatchedTwoStageNetwork::new(g, &seeds, config);
+                let mut refs: Vec<Reference> = seeds
+                    .iter()
+                    .map(|&s| Reference::new(&weights, s, config))
+                    .collect();
+                for t in 0..256 {
+                    batch.update();
+                    for (r, reference) in refs.iter_mut().enumerate() {
+                        reference.update();
+                        let at = format!("n={} R={lanes} r={r} update {t}", g.n());
+                        for (&got, &want) in batch.membranes(r).iter().zip(&reference.v) {
+                            let tol = 1e-12 * want.abs().max(1.0);
+                            assert!((got - want).abs() <= tol, "{at}: v {got} vs {want}");
+                        }
+                        let tol = 1e-9 * vector::norm(&reference.w);
+                        for (&got, &want) in batch.readout_weights(r).iter().zip(&reference.w) {
+                            assert!((got - want).abs() <= tol, "{at}: w {got} vs {want}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every phantom lane's window and membrane bits, for a batch of
+    /// `lanes` real lanes in chunks of `W`.
+    fn phantom_bits<const W: usize>(chunks: &[Stage1<W>], lanes: usize) -> Vec<u64> {
+        let last = chunks.last().unwrap();
+        (lanes - (chunks.len() - 1) * W..W)
+            .flat_map(|l| last.v.iter().chain(&last.x).map(move |v| v[l].to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn phantom_lanes_stay_zero() {
+        let g = gnp_like_graph();
+        let seeds: Vec<u64> = (0..9u64).map(|i| 0x9A + i).collect();
+        for (lanes, phantoms) in [(3usize, 1usize), (9, 7)] {
+            let mut batch =
+                BatchedTwoStageNetwork::new(&g, &seeds[..lanes], TwoStageConfig::default());
+            batch.run_updates(20);
+            let bits = with_chunks!(&batch.stage1, chunks => phantom_bits(chunks, lanes));
+            assert_eq!(bits.len(), phantoms * (2 * g.n() + 1), "R={lanes}");
+            assert!(
+                bits.iter().all(|&b| b == 0),
+                "R={lanes}: a phantom lane moved"
+            );
+        }
     }
 
     #[test]

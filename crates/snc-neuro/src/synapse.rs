@@ -466,6 +466,18 @@ impl CscWeights {
         self.values.len()
     }
 
+    /// Every row's stored entries `(column, value)` in ascending column
+    /// order: row `i` of the matrix is `rows()[i]`.
+    pub(crate) fn rows(&self) -> Vec<Vec<(u32, f64)>> {
+        let mut rows = vec![Vec::new(); self.rows];
+        for j in 0..self.cols {
+            for k in self.col_ptr[j]..self.col_ptr[j + 1] {
+                rows[self.row_idx[k] as usize].push((j as u32, self.values[k]));
+            }
+        }
+        rows
+    }
+
     /// Densifies (tests and small systems only).
     pub fn to_dense(&self) -> DMatrix {
         let mut m = DMatrix::zeros(self.rows, self.cols);

@@ -160,20 +160,22 @@ proptest! {
         let mut batch = BatchedTwoStageNetwork::new(&g, &seeds, cfg);
         let mut nets: Vec<BatchedTwoStageNetwork> =
             seeds.iter().map(|&s| BatchedTwoStageNetwork::new(&g, &[s], cfg)).collect();
-        batch.run_updates(12);
-        for net in nets.iter_mut() {
-            net.run_updates(12);
-        }
-        prop_assert_eq!(batch.steps(), nets[0].steps());
-        for (r, net) in nets.iter().enumerate() {
-            for (i, (a, b)) in batch
-                .readout_weights(r)
-                .iter()
-                .zip(net.readout_weights(0))
-                .enumerate()
-            {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "replica {} weight {}", r, i);
+        for t in 0..12 {
+            let ys = batch.update().to_vec();
+            for (r, net) in nets.iter_mut().enumerate() {
+                let y = net.update()[0];
+                prop_assert_eq!(y.to_bits(), ys[r].to_bits(), "update {} replica {} y", t, r);
+                for (i, (a, b)) in batch
+                    .readout_weights(r)
+                    .iter()
+                    .zip(net.readout_weights(0))
+                    .enumerate()
+                {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "update {} replica {} weight {}", t, r, i);
+                }
             }
         }
+        prop_assert_eq!(batch.steps(), nets[0].steps());
+        prop_assert_eq!(batch.steps(), 12 * interval);
     }
 }
