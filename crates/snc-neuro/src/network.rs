@@ -94,6 +94,9 @@ fn saturation_guard(w: &mut [f64]) {
     }
 }
 
+/// The bit pattern of `1.0`.
+const ONE_BITS: u64 = 0x3FF0_0000_0000_0000;
+
 /// Stage 1 of `W` lanes, neuron-major: `v[i][l]` is neuron `i`'s
 /// membrane in lane `l`. Lanes past the batch's last seed are phantom: no
 /// pool drives them, and their windows and membranes hold `+0.0`, which
@@ -154,7 +157,9 @@ impl<const W: usize> Stage1<W> {
             let mut window = [0.0; W];
             for words in self.words[b..].iter().step_by(word_count) {
                 for l in 0..W {
-                    window[l] = d * window[l] + ((words[l] >> shift) & 1) as f64;
+                    // The bit as 0.0 or 1.0, by masking 1.0's bit pattern.
+                    let bit = ((words[l] >> shift) & 1).wrapping_neg() & ONE_BITS;
+                    window[l] = d * window[l] + f64::from_bits(bit);
                 }
             }
             *x = window;
@@ -352,14 +357,12 @@ impl BatchedTwoStageNetwork {
     /// one per replica.
     pub fn update(&mut self) -> &[f64] {
         let (d, g) = (self.params.decay(), self.params.input_gain());
-        let rows = &self.rows;
-        for _ in 0..self.plasticity_interval {
-            with_chunks!(&mut self.stage1, chunks => {
-                for chunk in chunks.iter_mut() {
-                    chunk.advance(rows, 1, d, g);
-                }
-            });
-        }
+        let (rows, steps) = (&self.rows, self.plasticity_interval as usize);
+        with_chunks!(&mut self.stage1, chunks => {
+            for chunk in chunks.iter_mut() {
+                chunk.advance(rows, steps, d, g);
+            }
+        });
         self.steps += self.plasticity_interval;
         let n = self.n();
         // Each element is one subtraction, `V − mean`.

@@ -336,10 +336,10 @@ fn two_stage_readout_weights() {
     assert!(graph.n() > 64 && !graph.n().is_multiple_of(64));
     let cfg = TWO_STAGE;
     for (replicas, want) in [
-        (1usize, 0xd81d_ea8b_877b_7fe2u64),
-        (2, 0x407d_0ca3_999a_5a51),
-        (3, 0x97dc_8364_edc5_a181),
-        (8, 0xc6a7_9fa3_0fc8_e13a),
+        (1usize, 0x54cf_6e74_b552_a332u64),
+        (2, 0xc5cc_f8ba_b833_d96e),
+        (3, 0x8381_dec5_7472_2d5f),
+        (8, 0x37f6_a163_283d_f61b),
     ] {
         let seeds = replica_seeds(replicas);
         let mut batch = BatchedTwoStageNetwork::new(&graph, &seeds, cfg);
