@@ -8,10 +8,10 @@
 //! **both** paper circuits on the smallest Fig.-4 instance
 //! (road-chesapeake, n = 39): LIF-GW (`BatchedLifGwCircuit`) and
 //! LIF-Trevisan with its batched SoA Oja plasticity pass
-//! (`BatchedLifTrevisanCircuit`). It also times the packed synaptic
-//! kernels in isolation and the CSC shared-traversal
-//! `accumulate_replicas` kernel at paper scale (G(500, 0.1), the largest
-//! Fig.-3 corner). Before any timing it asserts that every lane's trace
+//! (`BatchedLifTrevisanCircuit`). It also times the packed dense synaptic
+//! kernel in isolation and LIF-Trevisan's interval update (one gather per
+//! plasticity interval for every lane) at paper scale (G(500, 0.1), the
+//! largest Fig.-3 corner). Before any timing it asserts that every lane's trace
 //! is bit-for-bit the one-seed batch's, so a correctness regression in
 //! the hot path fails the CI smoke run loudly rather than producing fast
 //! wrong numbers.
@@ -30,13 +30,13 @@
 
 use bench::{er_graph, fig4_smallest, paper_scale_er, sdp_factors};
 use criterion::{criterion_group, criterion_main, Criterion};
-use snc_devices::{ActivityWords, DeviceModel, DevicePool, PoolSpec};
+use snc_devices::{DeviceModel, DevicePool, PoolSpec};
 use snc_graph::{CutAssignment, Graph};
 use snc_maxcut::{
     log2_checkpoints, BatchedHopfieldCircuit, BatchedLifGwCircuit, BatchedLifTrevisanCircuit,
     BestTrace, HopfieldConfig, LifGwConfig, LifTrevisanConfig,
 };
-use snc_neuro::{BatchWeights, CscWeights, DenseWeights, InputWeights};
+use snc_neuro::{BatchedTwoStageNetwork, DenseWeights, TwoStageConfig};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -84,7 +84,7 @@ fn sequential_vs_batched(c: &mut Criterion) {
 }
 
 /// LIF-Trevisan: R one-seed batches vs one R-wide batched two-stage
-/// network (shared CSC traversal + SoA plasticity). Sample budget SAMPLES
+/// network (shared slice gather + SoA plasticity). Sample budget SAMPLES
 /// per replica; each LIF-TR sample is one plasticity update = 10 time
 /// steps at the default `plasticity_interval`.
 fn lif_tr_sequential_vs_batched(c: &mut Criterion) {
@@ -116,54 +116,46 @@ fn lif_tr_sequential_vs_batched(c: &mut Criterion) {
     group.finish();
 }
 
-/// The CSC shared-traversal kernel at paper scale: one
-/// `accumulate_replicas` pass over G(500, 0.1)'s Trevisan matrix for R
-/// replicas vs R independent `accumulate_words` traversals — the
-/// per-step stage-1 cost of an R-wide vs R one-seed LIF-TR batches on
-/// the largest Fig.-3 corner.
-fn csc_accumulate_paper_scale(c: &mut Criterion) {
+/// LIF-Trevisan's interval kernel at paper scale: one plasticity update
+/// (one plasticity interval of stage 1, one gather over G(500, 0.1)'s
+/// Trevisan matrix, then the Oja pass) of an R-wide batch vs R one-seed
+/// batches, on the largest Fig.-3 corner.
+fn interval_update_paper_scale(c: &mut Criterion) {
     let graph = paper_scale_er();
-    let n = graph.n();
-    let w = CscWeights::trevisan(&graph, 1.0);
+    let cfg = TwoStageConfig::default();
     const R: usize = 8;
-    let states: Vec<ActivityWords> = (0..R)
-        .map(|r| {
-            let mut pool =
-                DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), n), 0xC5C + r as u64);
-            pool.step().clone()
-        })
-        .collect();
+    let seeds = replica_seeds(R);
+    let batch = || BatchedTwoStageNetwork::new(&graph, &seeds, cfg);
+    let ones = || -> Vec<BatchedTwoStageNetwork> {
+        seeds
+            .iter()
+            .map(|&s| BatchedTwoStageNetwork::new(&graph, &[s], cfg))
+            .collect()
+    };
 
-    // Correctness gate: shared traversal == per-replica traversals
-    // (CSC batched output is neuron-major interleaved: out[i*R + r]).
-    let mut plan = w.batch_plan();
-    let mut batched = vec![0.0; n * R];
-    w.accumulate_replicas(&mut plan, &states, &mut batched);
-    let mut single = vec![0.0; n];
-    for (r, s) in states.iter().enumerate() {
-        w.accumulate_words(s, &mut single);
-        for i in 0..n {
-            assert_eq!(
-                single[i].to_bits(),
-                batched[i * R + r].to_bits(),
-                "shared CSC traversal diverged at replica {r} neuron {i}"
-            );
-        }
+    // Correctness gate: every lane == its one-seed network, bit for bit.
+    let (mut wide, mut one) = (batch(), ones());
+    wide.run_updates(4);
+    for (r, net) in one.iter_mut().enumerate() {
+        net.run_updates(4);
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(wide.readout_weights(r)),
+            bits(net.readout_weights(0)),
+            "interval update diverged at replica {r}"
+        );
     }
 
-    let mut group = c.benchmark_group("csc_accumulate_n500");
+    let mut group = c.benchmark_group("interval_update_n500");
     group.bench_function(format!("per_replica_R{R}"), |b| {
-        let mut out = vec![0.0; n];
         b.iter(|| {
-            for s in &states {
-                w.accumulate_words(black_box(s), &mut out);
+            for net in one.iter_mut() {
+                black_box(net.update());
             }
         })
     });
-    group.bench_function(format!("shared_traversal_R{R}"), |b| {
-        let mut plan = w.batch_plan();
-        let mut out = vec![0.0; n * R];
-        b.iter(|| w.accumulate_replicas(&mut plan, black_box(&states), &mut out))
+    group.bench_function(format!("shared_R{R}"), |b| {
+        b.iter(|| black_box(wide.update().len()))
     });
     group.finish();
 }
@@ -300,9 +292,7 @@ fn width_sweep(c: &mut Criterion) {
 
 /// The pre-packing dense kernel, verbatim: branch per device on a bool
 /// slice, accumulate active columns. Kept here as the honest baseline for
-/// the packed-kernel claim (`accumulate_active` on the trait is now a
-/// wrapper that packs and delegates to the packed kernel, so timing it
-/// would measure packing overhead, not the replaced implementation).
+/// the packed-kernel claim.
 fn dense_accumulate_legacy(w: &DenseWeights, active: &[bool], out: &mut [f64]) {
     out.fill(0.0);
     for (alpha, &on) in active.iter().enumerate() {
@@ -318,15 +308,12 @@ fn packed_kernels(c: &mut Criterion) {
     let graph = fig4_smallest();
     let factors = sdp_factors(&graph);
     let dense = DenseWeights::from_matrix_scaled(&factors, 1.0);
-    let csc = CscWeights::trevisan(&graph, 1.0);
     let n = graph.n();
 
     let mut pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), 4), 7);
     let active4 = pool.step().clone();
     let mut pool_n = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), n), 8);
-    let active_n = pool_n.step().clone();
     let bools4 = active4.to_bools();
-    let bools_n = active_n.to_bools();
     let mut out = vec![0.0; n];
 
     let mut group = c.benchmark_group("synaptic_kernel_n39");
@@ -335,15 +322,6 @@ fn packed_kernels(c: &mut Criterion) {
     });
     group.bench_function("dense_legacy_bools", |b| {
         b.iter(|| dense_accumulate_legacy(&dense, black_box(&bools4), &mut out))
-    });
-    group.bench_function("csc_packed", |b| {
-        b.iter(|| csc.accumulate_words(black_box(&active_n), &mut out))
-    });
-    // Wrapper cost, NOT a legacy baseline: `accumulate_active` packs the
-    // bools (allocating) and calls the packed kernel — this measures what
-    // a legacy bool-slice caller pays today.
-    group.bench_function("csc_bool_wrapper", |b| {
-        b.iter(|| csc.accumulate_active(black_box(&bools_n), &mut out))
     });
     // Pool stepping emits packed words directly; time the readout too.
     group.bench_function("pool_step_packed", |b| {
@@ -359,6 +337,6 @@ criterion_group! {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(3));
     targets = sequential_vs_batched, lif_tr_sequential_vs_batched,
-        csc_accumulate_paper_scale, packed_kernels, width_sweep
+        interval_update_paper_scale, packed_kernels, width_sweep
 }
 criterion_main!(benches);

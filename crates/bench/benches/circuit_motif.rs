@@ -1,11 +1,11 @@
 //! E4 (circuit motif): microbenchmarks of the primitive operations every
-//! circuit is built from — device pool stepping, the binary-input synaptic
-//! kernel (dense and CSC), and full network steps.
+//! circuit is built from — device pool stepping, the dense binary-input
+//! synaptic kernel, and full network steps.
 
 use bench::{er_graph, sdp_factors};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snc_devices::{ActivityWords, DeviceModel, DevicePool, PoolSpec};
-use snc_neuro::{CscWeights, DenseWeights, InputWeights, LifParams, ReplicaBatch};
+use snc_neuro::{DenseWeights, LifParams, ReplicaBatch};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -21,13 +21,9 @@ fn device_pool_step(c: &mut Criterion) {
 }
 
 fn synaptic_kernel(c: &mut Criterion) {
-    // Times the packed kernel the hot path actually runs; the `&[bool]`
-    // `accumulate_active` form is now an allocating compatibility wrapper
-    // and would measure packing overhead instead (see batched_replicas.rs
-    // for that measurement).
+    // Times the packed kernel the hot path actually runs.
     let mut group = c.benchmark_group("accumulate_words");
     // Dense LIF-GW shape: n × 4.
-    let graph = er_graph(500, 0.25);
     let factors = sdp_factors(&er_graph(500, 0.1));
     let dense = DenseWeights::from_matrix_scaled(&factors, 1.0);
     let active4 = ActivityWords::from_bools(&[true, false, true, true]);
@@ -35,13 +31,8 @@ fn synaptic_kernel(c: &mut Criterion) {
     group.bench_function("dense_500x4", |b| {
         b.iter(|| dense.accumulate_words(black_box(&active4), &mut out))
     });
-    // Sparse LIF-TR shape: n × n Trevisan matrix.
-    let csc = CscWeights::trevisan(&graph, 1.0);
-    let active_bools: Vec<bool> = (0..500).map(|i| i % 2 == 0).collect();
-    let active_n = ActivityWords::from_bools(&active_bools);
-    group.bench_function(format!("csc_500x500_nnz{}", csc.nnz()), |b| {
-        b.iter(|| csc.accumulate_words(black_box(&active_n), &mut out))
-    });
+    // LIF-TR's sparse stage 1 runs one gather per plasticity interval;
+    // batched_replicas.rs times it (`interval_update_n500`).
     group.finish();
 }
 
@@ -54,10 +45,7 @@ fn network_step(c: &mut Criterion) {
         let spec = PoolSpec::uniform(DeviceModel::fair(), 4);
         let mut net = ReplicaBatch::new(spec, &[5], weights, LifParams::default());
         group.bench_with_input(BenchmarkId::new("lif_gw", n), &n, |b, _| {
-            b.iter(|| {
-                net.step();
-                black_box(net.potential(0, 0))
-            })
+            b.iter(|| black_box(&mut net).step())
         });
     }
     group.finish();

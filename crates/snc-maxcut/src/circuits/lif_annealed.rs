@@ -40,7 +40,7 @@ use crate::graph::MaxCutGraph;
 use crate::sampling::cuts_from_lane;
 use snc_graph::CutAssignment;
 use snc_linalg::DMatrix;
-use snc_neuro::{DenseWeights, ReplicaBatch};
+use snc_neuro::ReplicaBatch;
 
 /// Configuration of the annealed LIF-GW circuit.
 #[derive(Clone, Debug)]
@@ -304,7 +304,7 @@ impl SigmaTape {
 /// schedule, bit-for-bit LIF-GW's.
 #[derive(Clone, Debug)]
 pub struct BatchedLifAnnealedCircuit {
-    batch: ReplicaBatch<DenseWeights>,
+    batch: ReplicaBatch,
     decorrelate: u64,
     readout: AnnealedReadout,
     prev: Vec<Previous>,

@@ -84,7 +84,7 @@ impl Default for LifGwConfig {
 #[derive(Clone, Debug)]
 pub struct BatchedLifGwCircuit {
     // LIF-annealed runs on this substrate, hence the sibling visibility.
-    pub(super) batch: ReplicaBatch<DenseWeights>,
+    pub(super) batch: ReplicaBatch,
     pub(super) decorrelate: u64,
 }
 

@@ -52,8 +52,8 @@ impl Default for LifTrevisanConfig {
 ///
 /// Each replica is an independent circuit (own device seed and plastic
 /// readout vector, same graph and configuration), but all replicas share
-/// one traversal of the sparse Trevisan weight matrix per time step and
-/// one SoA Oja plasticity pass per update, via [`BatchedTwoStageNetwork`].
+/// one traversal of the sparse Trevisan weight matrix per plasticity
+/// update and one SoA Oja plasticity pass, via [`BatchedTwoStageNetwork`].
 /// Replica `r`'s sample stream is bit-for-bit that of the one-seed batch
 /// `BatchedLifTrevisanCircuit::new(graph, &[seeds[r]], cfg)` — batching
 /// changes the schedule, never the samples — which the lane tests pin for
@@ -278,8 +278,8 @@ mod tests {
     /// one-seed batch's with the same seed — cuts and readout weights —
     /// for R ∈ {8, 16} on G(18, 0.3), and for R ∈ {2, 3, 8, 16} on
     /// G(150, 0.05), whose 150 devices span two full 64-device words and
-    /// a partial one. The one-seed batches run the scalar synapse kernel,
-    /// the sequential reference for the masked multi-replica kernel.
+    /// a partial one. The one-seed batches run the one-lane chunk of the
+    /// gather, the sequential reference for the 2-, 4- and 8-lane chunks.
     #[test]
     fn batched_replicas_match_sequential_circuits() {
         let cfg = LifTrevisanConfig {

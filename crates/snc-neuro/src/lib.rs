@@ -7,9 +7,8 @@
 //!   the exact exponential-Euler update and read by a threshold with no
 //!   reset.
 //! * [`synapse`] — device→neuron weight matrices in dense column-major and
-//!   sparse CSC forms, with the `accumulate_active` kernel that turns a
-//!   binary device state vector into synaptic currents (the hot loop of
-//!   every circuit).
+//!   sparse CSC forms; the dense `accumulate_words` kernel turns a
+//!   bit-packed device state vector into synaptic currents.
 //! * [`theory`] — closed-form stationary means and covariances of LIF
 //!   membranes driven by Bernoulli devices (§III.C: "the LIF membrane
 //!   covariances are a linear transformation of the covariances of the
@@ -21,13 +20,15 @@
 //!   vectors per traversal, bit-for-bit equal to the scalar updates.
 //! * [`network`] — [`BatchedTwoStageNetwork`], the LIF-TR topology (a
 //!   device-driven LIF population plus a plastic readout neuron) as R
-//!   lock-stepped replicas sharing each weight-matrix traversal.
+//!   lock-stepped replicas. Stage 1 advances one plasticity interval per
+//!   sparse product, on the slice gather Hopfield also runs.
 //! * [`hopfield`] — deterministic continuous Hopfield–Tank relaxation
 //!   (`du = −leak·u − W·tanh(gain·u)`), the classical analog-descent
 //!   counterpart the annealed/Hopfield circuit families build on.
 //! * [`parallel`] — the [`ReplicaBatch`] structure-of-arrays stepper
-//!   (pool → weights → LIF population, the shared circuit motif of
-//!   Figs. 1–2, as R lock-stepped replicas) every circuit builds on.
+//!   (pool → dense weights → LIF population, the circuit motif of Fig. 1,
+//!   as R lock-stepped replicas) the LIF-GW and LIF-annealed circuits
+//!   build on.
 //!
 //! Every circuit has one implementation, batched over replicas.
 //! Replicas are independent seeded copies: lane `r` of an `R`-wide batch
@@ -50,4 +51,4 @@ pub use lif::LifParams;
 pub use network::{BatchedTwoStageNetwork, TwoStageConfig};
 pub use parallel::ReplicaBatch;
 pub use plasticity::{LearningRate, OjaMinor};
-pub use synapse::{BatchWeights, CscWeights, DenseWeights, InputWeights};
+pub use synapse::{CscWeights, DenseWeights, InputWeights};

@@ -59,9 +59,9 @@ impl LifParams {
         (((-5.0 / d.ln()) - 1e-9).ceil() as u64).max(1)
     }
 
-    /// One membrane update for a single neuron.
-    #[inline]
-    pub fn step_v(&self, v: f64, current: f64) -> f64 {
+    /// One membrane update for a single neuron (the tests' reference).
+    #[cfg(test)]
+    pub(crate) fn step_v(&self, v: f64, current: f64) -> f64 {
         self.decay() * v + self.input_gain() * current
     }
 }

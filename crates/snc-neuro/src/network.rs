@@ -1,14 +1,23 @@
 //! The LIF-Trevisan two-stage network (Fig. 2).
 //!
-//! Stage 1 is the shared circuit motif — a pool of stochastic devices
-//! feeding a LIF population through the Trevisan weight matrix, run on a
-//! [`ReplicaBatch`] with thresholds at the analytic stationary means.
+//! Stage 1 is the device-driven circuit motif — a pool of stochastic
+//! devices feeding a LIF population through the Trevisan weight matrix,
+//! with thresholds at the analytic stationary means.
 //! [`BatchedTwoStageNetwork`] adds the second stage: one readout neuron
 //! per replica whose incoming weight vector is trained online with Oja's
 //! anti-Hebbian rule. The neuron's input current `y = w·x` is what
-//! [`BatchedTwoStageNetwork::step`] returns. Its membrane is not
+//! [`BatchedTwoStageNetwork::update`] returns. Its membrane is not
 //! integrated: "the output of this Stage-2 neuron is discarded; what
 //! matters is the weight vector w" (§IV.B).
+//!
+//! The membranes are read only at plasticity updates, every
+//! `plasticity_interval` = P steps, and they are never reset, so between
+//! two reads they are linear in the device bits:
+//! `v ← d^P·v + g·W·x` with each device's discounted window
+//! `x = Σ_k d^{P−1−k}·s_k`. Stage 1 therefore draws the interval's P
+//! device states, folds each device's bits into its window, and applies
+//! the sparse matrix once per update, on the slice gather the Hopfield
+//! circuit also runs — not once per time step.
 //!
 //! Replicas are independent seeded copies of one circuit; a one-seed
 //! batch is the single circuit.
@@ -405,7 +414,7 @@ mod tests {
     use snc_linalg::DMatrix;
 
     /// One replica of the stage-1 motif on fair devices.
-    fn motif(devices: usize, seed: u64, w: DenseWeights) -> ReplicaBatch<DenseWeights> {
+    fn motif(devices: usize, seed: u64, w: DenseWeights) -> ReplicaBatch {
         let spec = PoolSpec::uniform(DeviceModel::fair(), devices);
         ReplicaBatch::new(spec, &[seed], w, LifParams::default())
     }

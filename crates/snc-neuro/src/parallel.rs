@@ -1,19 +1,22 @@
-//! Batched replica execution.
+//! Batched replica execution of the dense circuit motif.
 //!
 //! Sampling from a stochastic circuit is embarrassingly parallel: replicas
 //! of the same network with different device seeds explore independent
 //! sample streams (the hardware analogy is simply more circuits).
-//! [`ReplicaBatch`] advances `R` replicas of the *same* circuit in
-//! lock-step on one core, structure-of-arrays, so each traversal of the
-//! weight matrix serves every replica at once. Replicas are independent:
-//! lane `r` of an `R`-wide batch is bit for bit the one-seed batch built
-//! with `seeds[r]` — batching changes the schedule, never the numbers.
+//! [`ReplicaBatch`] advances `R` replicas of the LIF-GW motif (devices →
+//! dense weights → LIF membranes) in lock-step on one core,
+//! structure-of-arrays, so each traversal of the weight matrix serves
+//! every replica at once. Replicas are independent: lane `r` of an
+//! `R`-wide batch is bit for bit the one-seed batch built with `seeds[r]`
+//! — batching changes the schedule, never the numbers. LIF-Trevisan's
+//! sparse stage 1 runs on the slice gather instead
+//! ([`BatchedTwoStageNetwork`](crate::BatchedTwoStageNetwork)).
 //!
 //! A thread pool of `ReplicaBatch`es is the full replicas = threads ×
 //! batch-width layout ([`default_threads`] sizes the pool).
 
 use crate::lif::LifParams;
-use crate::synapse::BatchWeights;
+use crate::synapse::{DensePlan, DenseWeights, InputWeights};
 use crate::theory;
 use snc_devices::{ActivityWords, DevicePool, PoolSpec};
 
@@ -22,25 +25,23 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// `R` replicas of one device-driven circuit advanced in lock-step,
-/// structure-of-arrays.
+/// `R` replicas of one device-driven circuit over dense weights, advanced
+/// in lock-step, structure-of-arrays.
 ///
 /// Every replica shares the same weight matrix, membrane parameters, and
-/// thresholds; only the device seeds differ. Membranes are stored in the
-/// weight type's batched layout ([`BatchWeights::INTERLEAVED`]):
-/// replica-major (`v[r * n + i]`, dense weights) or neuron-major
-/// interleaved (`v[i * R + r]`, CSC weights). Either way, one pass over
-/// the weight matrix per time step feeds all replicas
-/// ([`BatchWeights::accumulate_replicas`]) and the fused decay–accumulate
-/// membrane update runs over one contiguous buffer.
+/// thresholds; only the device seeds differ. Membranes are stored
+/// replica-major (`v[r * n + i]`). One pass over the weight matrix per
+/// time step feeds all replicas (at the paper's rank, one memoized
+/// current row per replica), and the decay–accumulate membrane update
+/// runs over one contiguous buffer.
 ///
 /// Replicas are independent: lane `r`'s trajectory is bit for bit that
 /// of a one-seed batch with seed `seeds[r]` — the per-replica RNG
 /// streams, the ascending-column accumulation order, and the membrane
 /// update expression are all preserved exactly. A one-seed batch steps
-/// through the scalar [`InputWeights::accumulate_words`](crate::InputWeights::accumulate_words)
-/// kernel (or a pattern row it computed), so it is an independent
-/// reference for the multi-replica kernels.
+/// through the scalar [`DenseWeights::accumulate_words`] kernel (or a
+/// pattern row it computed), so it is an independent reference for the
+/// multi-replica kernel.
 ///
 /// # Examples
 ///
@@ -58,22 +59,20 @@ pub fn default_threads() -> usize {
 ///                                   LifParams::default());
 /// batch.step_many(100);
 /// assert_eq!((batch.replicas(), batch.neurons()), (4, 3));
-/// // Read replica 2's spike pattern.
-/// let mut spikes = vec![false; 3];
-/// batch.spiked_into(2, &mut spikes);
+/// // Read replica 2's mean-centered membranes (replica-major).
+/// let mut centered = vec![0.0; 4 * 3];
+/// batch.centered_into(&mut centered);
 /// ```
 #[derive(Clone, Debug)]
-pub struct ReplicaBatch<W: BatchWeights> {
+pub struct ReplicaBatch {
     pools: Vec<DevicePool>,
-    weights: W,
-    plan: W::Plan,
+    weights: DenseWeights,
+    plan: DensePlan,
     params: LifParams,
     /// Per-neuron thresholds (= analytic stationary means), shared by all
     /// replicas.
     means: Vec<f64>,
-    /// Membranes, in the weight type's batched layout
-    /// ([`BatchWeights::INTERLEAVED`]): `v[r * neurons + i]`
-    /// (replica-major) or `v[i * replicas + r]` (interleaved).
+    /// Membranes, replica-major: `v[r * neurons + i]`.
     v: Vec<f64>,
     /// Synaptic currents, same layout as `v`.
     current: Vec<f64>,
@@ -82,7 +81,7 @@ pub struct ReplicaBatch<W: BatchWeights> {
     steps: u64,
 }
 
-impl<W: BatchWeights> ReplicaBatch<W> {
+impl ReplicaBatch {
     /// Builds `seeds.len()` replicas of the circuit motif: pools from the
     /// shared `spec` (one per seed), thresholds at the analytic stationary
     /// means, membranes starting at those means (the circuit begins at
@@ -92,7 +91,7 @@ impl<W: BatchWeights> ReplicaBatch<W> {
     ///
     /// Panics if `seeds` is empty or the spec size differs from the weight
     /// matrix's device count.
-    pub fn new(spec: PoolSpec, seeds: &[u64], weights: W, params: LifParams) -> Self {
+    pub fn new(spec: PoolSpec, seeds: &[u64], weights: DenseWeights, params: LifParams) -> Self {
         assert!(!seeds.is_empty(), "at least one replica seed required");
         assert_eq!(
             spec.len(),
@@ -114,16 +113,7 @@ impl<W: BatchWeights> ReplicaBatch<W> {
         for m in &mut means {
             *m *= mf;
         }
-        let mut v = vec![0.0; n * replicas];
-        if W::INTERLEAVED {
-            for (group, &m) in v.chunks_exact_mut(replicas).zip(&means) {
-                group.fill(m);
-            }
-        } else {
-            for lane in v.chunks_exact_mut(n) {
-                lane.copy_from_slice(&means);
-            }
-        }
+        let v = means.repeat(replicas);
         let states = vec![ActivityWords::zeros(spec.len()); replicas];
         let plan = weights.batch_plan();
         Self {
@@ -165,68 +155,47 @@ impl<W: BatchWeights> ReplicaBatch<W> {
         &self.means
     }
 
-    /// The shared weight matrix.
-    pub fn weights(&self) -> &W {
-        &self.weights
-    }
-
-    /// Raw membrane storage in the weight type's batched layout:
-    /// `potentials()[r * neurons() + i]` when
-    /// [`BatchWeights::INTERLEAVED`] is false, `potentials()[i *
-    /// replicas() + r]` when it is true. Prefer
-    /// [`ReplicaBatch::potential`] / [`ReplicaBatch::centered_into`],
-    /// which hide the layout.
-    pub fn potentials(&self) -> &[f64] {
-        &self.v
-    }
-
     /// The membrane potential of neuron `i` in replica `r`.
-    pub fn potential(&self, i: usize, r: usize) -> f64 {
-        assert!(r < self.replicas(), "replica index out of range");
-        assert!(i < self.neurons(), "neuron index out of range");
-        self.v[self.index(i, r)]
-    }
-
-    /// The storage index of neuron `i` in replica `r` for the active
-    /// layout.
-    #[inline]
-    fn index(&self, i: usize, r: usize) -> usize {
-        if W::INTERLEAVED {
-            i * self.replicas() + r
-        } else {
-            r * self.neurons() + i
-        }
+    #[cfg(test)]
+    fn potential(&self, i: usize, r: usize) -> f64 {
+        self.v[r * self.neurons() + i]
     }
 
     /// Writes every replica's mean-centered membrane potentials into
-    /// `out`, **replica-major** (`out[r * neurons() + i] = V_{i,r} −
-    /// means[i]`) regardless of the internal layout — the layout-neutral
-    /// bulk readout (each element is one subtraction, `V − mean`).
+    /// `out`, replica-major (`out[r * neurons() + i] = V_{i,r} −
+    /// means[i]`); each element is one subtraction, `V − mean`.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != neurons() * replicas()`.
     pub fn centered_into(&self, out: &mut [f64]) {
         let n = self.neurons();
-        let replicas = self.replicas();
-        assert_eq!(out.len(), n * replicas, "centered buffer length");
-        if W::INTERLEAVED {
-            for (i, (group, &m)) in self.v.chunks_exact(replicas).zip(&self.means).enumerate() {
-                for (r, &vv) in group.iter().enumerate() {
-                    out[r * n + i] = vv - m;
-                }
-            }
-        } else {
-            for (o_lane, v_lane) in out.chunks_exact_mut(n).zip(self.v.chunks_exact(n)) {
-                for ((o, &vv), &m) in o_lane.iter_mut().zip(v_lane).zip(&self.means) {
-                    *o = vv - m;
-                }
+        assert_eq!(out.len(), n * self.replicas(), "centered buffer length");
+        for (o_lane, v_lane) in out.chunks_exact_mut(n).zip(self.v.chunks_exact(n)) {
+            for ((o, &vv), &m) in o_lane.iter_mut().zip(v_lane).zip(&self.means) {
+                *o = vv - m;
             }
         }
     }
 
-    /// Writes replica `r`'s spike flags from the most recent step into
-    /// `out`.
+    /// Writes replica `r`'s spike flags (`V > threshold`) from the most
+    /// recent step into `out`: the lane tests' reference for
+    /// [`ReplicaBatch::spike_lane_into`].
+    #[cfg(test)]
+    pub(crate) fn spiked_into(&self, r: usize, out: &mut [bool]) {
+        let n = self.neurons();
+        assert!(r < self.replicas(), "replica index out of range");
+        assert_eq!(out.len(), n, "spike buffer length");
+        let lane = &self.v[r * n..(r + 1) * n];
+        for ((o, &v), &thr) in out.iter_mut().zip(lane).zip(&self.means) {
+            *o = v > thr;
+        }
+    }
+
+    /// Sets every replica's spike flags from the most recent step into
+    /// bit `lane` of `words`, **replica-major** (`words[r * neurons() +
+    /// i]`, bit set ⇒ spiked), a bit-sliced sample block whose lane is
+    /// clear.
     ///
     /// Spikes are a pure readout (`V > threshold`) of the membranes, so
     /// they are computed on demand here instead of on every step, equal
@@ -234,46 +203,14 @@ impl<W: BatchWeights> ReplicaBatch<W> {
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != neurons()` or `r` is out of range.
-    pub fn spiked_into(&self, r: usize, out: &mut [bool]) {
-        let n = self.neurons();
-        let replicas = self.replicas();
-        assert!(r < replicas, "replica index out of range");
-        assert_eq!(out.len(), n, "spike buffer length");
-        if W::INTERLEAVED {
-            for ((o, group), &thr) in out
-                .iter_mut()
-                .zip(self.v.chunks_exact(replicas))
-                .zip(&self.means)
-            {
-                *o = group[r] > thr;
-            }
-        } else {
-            let lane = &self.v[r * n..(r + 1) * n];
-            for ((o, &v), &thr) in out.iter_mut().zip(lane).zip(&self.means) {
-                *o = v > thr;
-            }
-        }
-    }
-
-    /// Sets every replica's spike flags from the most recent step into
-    /// bit `lane` of `words`, **replica-major** (`words[r * neurons() +
-    /// i]`, bit set ⇒ spiked): the same flags as
-    /// [`ReplicaBatch::spiked_into`], written into a bit-sliced sample
-    /// block whose lane is clear.
-    ///
-    /// # Panics
-    ///
     /// Panics if `words.len() != neurons() * replicas()` or `lane >= 64`.
     pub fn spike_lane_into(&self, lane: usize, words: &mut [u64]) {
         let n = self.neurons();
-        let replicas = self.replicas();
-        assert_eq!(words.len(), n * replicas, "spike word buffer length");
+        assert_eq!(words.len(), n * self.replicas(), "spike word buffer length");
         assert!(lane < 64, "lane out of range");
-        for r in 0..replicas {
-            let lane_words = &mut words[r * n..(r + 1) * n];
-            for (i, (w, &thr)) in lane_words.iter_mut().zip(&self.means).enumerate() {
-                *w |= u64::from(self.v[self.index(i, r)] > thr) << lane;
+        for (lane_words, v_lane) in words.chunks_exact_mut(n).zip(self.v.chunks_exact(n)) {
+            for ((w, &v), &thr) in lane_words.iter_mut().zip(v_lane).zip(&self.means) {
+                *w |= u64::from(v > thr) << lane;
             }
         }
     }
@@ -286,17 +223,14 @@ impl<W: BatchWeights> ReplicaBatch<W> {
         }
         let decay = self.params.decay();
         let gain = self.params.input_gain();
-        // Fused fast path: when the kernel memoizes per-pattern current
-        // rows (dense weights at SDP rank), read the currents in place —
-        // no intermediate buffer is written at all. Availability is
-        // plan-wide (state-independent), so probing one replica decides
-        // for all. Only valid in the replica-major layout memoized rows
-        // are stored in.
-        if !W::INTERLEAVED
-            && self
-                .weights
-                .memoized_row(&self.plan, &self.states[0])
-                .is_some()
+        // Fused fast path: when the plan memoizes per-pattern current rows
+        // (the paper's SDP rank), read the currents in place — no
+        // intermediate buffer is written at all. Availability is plan-wide
+        // (state-independent), so probing one replica decides for all.
+        if self
+            .weights
+            .memoized_row(&self.plan, &self.states[0])
+            .is_some()
         {
             let n = self.means.len();
             for (r, state) in self.states.iter().enumerate() {
@@ -315,8 +249,7 @@ impl<W: BatchWeights> ReplicaBatch<W> {
         self.weights
             .accumulate_replicas(&mut self.plan, &self.states, &mut self.current);
         // The threshold readout is deferred to the readers
-        // (`spiked_into`, `spike_lane_into`): it never feeds back into the
-        // dynamics.
+        // (`spike_lane_into`): it never feeds back into the dynamics.
         for (v, &i_in) in self.v.iter_mut().zip(&self.current) {
             *v = decay * *v + gain * i_in;
         }
@@ -334,10 +267,7 @@ impl<W: BatchWeights> ReplicaBatch<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synapse::{CscWeights, DenseWeights, InputWeights};
     use snc_devices::DeviceModel;
-    use snc_graph::generators::structured::cycle;
-    use snc_graph::Graph;
     use snc_linalg::DMatrix;
 
     /// Lane independence: every lane of a 7-wide batch — membranes and
@@ -345,14 +275,11 @@ mod tests {
     /// one-seed batch's with the same seed. The one-seed batches step one
     /// after the other through the scalar kernel, the sequential
     /// reference.
-    fn assert_batch_equals_sequential<W>(spec: PoolSpec, weights: W, steps: u64)
-    where
-        W: BatchWeights + Clone,
-    {
+    fn assert_batch_equals_sequential(spec: PoolSpec, weights: DenseWeights, steps: u64) {
         let seeds: Vec<u64> = (0..7u64).map(|i| 0xA5A5 + i * 31).collect();
         let params = LifParams::default();
         let mut batch = ReplicaBatch::new(spec.clone(), &seeds, weights.clone(), params);
-        let mut ones: Vec<ReplicaBatch<W>> = seeds
+        let mut ones: Vec<ReplicaBatch> = seeds
             .iter()
             .map(|&s| ReplicaBatch::new(spec.clone(), &[s], weights.clone(), params))
             .collect();
@@ -410,56 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn csc_batch_matches_sequential_networks() {
-        let g = cycle(11);
-        let w = CscWeights::trevisan(&g, 1.0);
-        let spec = PoolSpec::uniform(DeviceModel::fair(), 11);
-        assert_batch_equals_sequential(spec, w, 100);
-    }
-
-    /// Between threshold reads the membrane is linear in the device
-    /// words: after every 10 steps `v = d¹⁰·v_t + g·W·Σ_k d^{9−k}·s_{t+1+k}`,
-    /// with `s` replayed from an identically seeded pool.
-    #[test]
-    fn stage_one_is_linear_between_reads() {
-        let mut edges: Vec<(u32, u32)> = (0..9u32).map(|i| (i, (i + 1) % 9)).collect();
-        edges.extend([(0, 4), (2, 7), (3, 8)]);
-        let irregular = Graph::from_edges(9, &edges).unwrap();
-        for (g, seed) in [(cycle(11), 0x11u64), (irregular, 0x9u64)] {
-            let n = g.n();
-            let weights = CscWeights::trevisan(&g, 1.0);
-            let spec = PoolSpec::uniform(DeviceModel::fair(), n);
-            let params = LifParams::default();
-            let (d, gain) = (params.decay(), params.input_gain());
-            let mut batch = ReplicaBatch::new(spec.clone(), &[seed], weights.clone(), params);
-            let mut pool = DevicePool::new(spec, seed);
-            let mut window = vec![0.0; n];
-            let mut wx = vec![0.0; n];
-            for read in 0..30 {
-                let v_t: Vec<f64> = (0..n).map(|i| batch.potential(i, 0)).collect();
-                // Σ_k d^{9−k}·s_{t+1+k} by Horner's rule over the window.
-                window.fill(0.0);
-                for _ in 0..10 {
-                    let s = pool.step();
-                    for (a, x) in window.iter_mut().enumerate() {
-                        *x = d * *x + f64::from(u8::from(s.get(a)));
-                    }
-                }
-                batch.step_many(10);
-                weights.apply(&window, &mut wx);
-                for (i, (&v, &x)) in v_t.iter().zip(&wx).enumerate() {
-                    let want = d.powi(10) * v + gain * x;
-                    let got = batch.potential(i, 0);
-                    assert!(
-                        (got - want).abs() <= 1e-12 * want.abs().max(1.0),
-                        "n={n} read={read} neuron={i}: {got} vs {want}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn batch_accessors() {
         let m = DMatrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         let w = DenseWeights::from_matrix_scaled(&m, 1.0);
@@ -468,9 +345,7 @@ mod tests {
         assert_eq!(batch.replicas(), 3);
         assert_eq!(batch.neurons(), 2);
         assert_eq!(batch.devices(), 2);
-        assert_eq!(batch.potentials().len(), 6);
         assert_eq!(batch.means().len(), 2);
-        assert_eq!(batch.weights().neurons(), 2);
         assert_eq!(batch.steps(), 0);
     }
 

@@ -2,53 +2,31 @@
 //!
 //! The circuits' hot loop is: read the binary device state vector
 //! `s ∈ {0,1}^r`, form the synaptic current `I = W s`, step the membranes.
-//! Because `s` is binary, `W s` is a sum of the *active columns* of `W` —
-//! so weights are stored column-major (dense) or CSC (sparse), making the
-//! kernel a sequence of contiguous column accumulations. The state vector
-//! arrives bit-packed ([`ActivityWords`], one bit per device), so the
-//! column walk is a `trailing_zeros` word scan — no per-device branch.
 //!
 //! * [`DenseWeights`] — for the LIF-GW circuit, whose weight matrix is the
-//!   dense `n × r` SDP factor matrix (r = 4 in the paper).
+//!   dense `n × r` SDP factor matrix (r = 4 in the paper). Weights are
+//!   stored column-major: because `s` is binary, `W s` is a sum of the
+//!   *active columns*, and the state arrives bit-packed
+//!   ([`ActivityWords`]), so the column walk is a `trailing_zeros` word
+//!   scan. At the paper's rank the batched kernel memoizes `W s` for all
+//!   `2^r` patterns (`crate::parallel::ReplicaBatch` reads the rows in
+//!   place).
 //! * [`CscWeights`] — for the LIF-Trevisan circuit, whose weight matrix is
-//!   the sparse `n × n` Trevisan matrix `I + D^{-1/2} A D^{-1/2}`.
-//!
-//! Both kernels also come in a *multi-replica* structure-of-arrays form
-//! ([`BatchWeights`]): `R` replicas of the same circuit are advanced with
-//! a single traversal of the weight matrix, each weight load amortized
-//! across replicas (see `crate::parallel::ReplicaBatch`).
+//!   the sparse `n × n` Trevisan matrix `I + D^{-1/2} A D^{-1/2}`. Its rows
+//!   feed the slice gather that `crate::network::BatchedTwoStageNetwork`
+//!   applies once per plasticity interval to every replica's discounted
+//!   device windows.
 
 use snc_devices::ActivityWords;
 use snc_graph::Graph;
 use snc_linalg::DMatrix;
 
-/// A device→neuron weight matrix supporting the binary-input kernel.
+/// A device→neuron weight matrix.
 pub trait InputWeights {
     /// Number of neurons (rows).
     fn neurons(&self) -> usize;
     /// Number of devices (columns).
     fn devices(&self) -> usize;
-    /// Computes `out = W · s` for a bit-packed binary state vector `s`,
-    /// accumulating active columns in ascending column order (the order is
-    /// part of the contract: it makes packed, unpacked, and batched
-    /// kernels bit-for-bit identical in floating point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active.len() != devices()` or `out.len() != neurons()`.
-    fn accumulate_words(&self, active: &ActivityWords, out: &mut [f64]);
-    /// Computes `out = W · s` for a binary state vector given as bools.
-    ///
-    /// Convenience wrapper that packs and delegates to
-    /// [`InputWeights::accumulate_words`]; it allocates, so hot paths
-    /// should hold an [`ActivityWords`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active.len() != devices()` or `out.len() != neurons()`.
-    fn accumulate_active(&self, active: &[bool], out: &mut [f64]) {
-        self.accumulate_words(&ActivityWords::from_bools(active), out);
-    }
     /// Computes `out = W · x` for a real-valued vector `x` (used with the
     /// per-device stationary probabilities to place thresholds).
     ///
@@ -58,61 +36,6 @@ pub trait InputWeights {
     fn apply(&self, x: &[f64], out: &mut [f64]);
     /// The Gram matrix `W Wᵀ` (the covariance shape of the membranes).
     fn gram(&self) -> DMatrix;
-}
-
-/// Multi-replica (structure-of-arrays) extension of [`InputWeights`].
-///
-/// Computes the synaptic currents of `R` replicas of the same circuit in
-/// one traversal of the weight matrix, so the matrix structure — column
-/// masks, sparse indices, values — is read once per step (the CSC kernel:
-/// once per 8-replica chunk) instead of once per replica.
-///
-/// The output layout is chosen by the weight type via
-/// [`BatchWeights::INTERLEAVED`]:
-///
-/// * **Replica-major** (`INTERLEAVED == false`, the dense default):
-///   `out[r * neurons + i]` is neuron `i`'s current in replica `r`. Each
-///   replica's current vector is one contiguous slice — memcpy-able
-///   pattern rows, branch-free membrane fusion.
-/// * **Neuron-major / interleaved** (`INTERLEAVED == true`, the CSC
-///   choice): `out[i * replicas + r]`. Each scattered sparse update lands
-///   in one contiguous `R`-lane group (a cache line at R = 8), which is
-///   what makes the shared sparse traversal profitable — the replica-major
-///   scatter jumps `neurons`-strided lanes and loses its amortization win
-///   to cache traffic.
-///
-/// Per `(neuron, replica)` pair the additions happen in ascending column
-/// order — exactly the order [`InputWeights::accumulate_words`] uses — so
-/// batched currents are bit-for-bit equal to stepping each replica alone
-/// in either layout.
-pub trait BatchWeights: InputWeights {
-    /// Reusable precomputed state and scratch for the batched kernel.
-    type Plan: Clone + std::fmt::Debug;
-    /// Whether [`BatchWeights::accumulate_replicas`] writes neuron-major
-    /// interleaved output (`out[i * replicas + r]`) instead of
-    /// replica-major (`out[r * neurons + i]`). Steppers must keep their
-    /// per-replica state in the same layout.
-    const INTERLEAVED: bool = false;
-    /// Builds the kernel plan (pattern tables, scratch buffers).
-    fn batch_plan(&self) -> Self::Plan;
-    /// Computes the batched currents `(W · s_r)_i` for replica states
-    /// `s_r`, stored per [`BatchWeights::INTERLEAVED`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `states[r].len() != devices()` or
-    /// `out.len() != neurons() * states.len()`.
-    fn accumulate_replicas(&self, plan: &mut Self::Plan, states: &[ActivityWords], out: &mut [f64]);
-    /// The memoized current vector `W · s` for one packed state, if the
-    /// plan precomputes per-pattern rows — lets steppers read currents in
-    /// place instead of materializing them. Availability must not depend
-    /// on the state's *value* (only on the plan), so callers may probe
-    /// once and then rely on it for every replica. The default plan has no
-    /// memoization.
-    fn memoized_row<'p>(&self, plan: &'p Self::Plan, state: &ActivityWords) -> Option<&'p [f64]> {
-        let _ = (plan, state);
-        None
-    }
 }
 
 /// Dense column-major weights.
@@ -164,19 +87,17 @@ impl DenseWeights {
     pub fn column(&self, alpha: usize) -> &[f64] {
         &self.data[alpha * self.rows..(alpha + 1) * self.rows]
     }
-}
 
-impl InputWeights for DenseWeights {
-    fn neurons(&self) -> usize {
-        self.rows
-    }
-
-    fn devices(&self) -> usize {
-        self.cols
-    }
-
+    /// Computes `out = W · s` for a bit-packed binary state vector `s`,
+    /// accumulating active columns in ascending column order (the order is
+    /// part of the contract: it makes the single and batched kernels
+    /// bit-for-bit identical in floating point).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `active.len() != devices()` or `out.len() != neurons()`.
     #[inline]
-    fn accumulate_words(&self, active: &ActivityWords, out: &mut [f64]) {
+    pub fn accumulate_words(&self, active: &ActivityWords, out: &mut [f64]) {
         assert_eq!(active.len(), self.cols);
         assert_eq!(out.len(), self.rows);
         out.fill(0.0);
@@ -186,6 +107,16 @@ impl InputWeights for DenseWeights {
                 *o += w;
             }
         }
+    }
+}
+
+impl InputWeights for DenseWeights {
+    fn neurons(&self) -> usize {
+        self.rows
+    }
+
+    fn devices(&self) -> usize {
+        self.cols
     }
 
     fn apply(&self, x: &[f64], out: &mut [f64]) {
@@ -214,9 +145,10 @@ impl InputWeights for DenseWeights {
 /// in [`DensePlan`]: one current row per possible activity pattern
 /// (`2^cols × rows` doubles). The LIF-GW circuit runs at the paper's SDP
 /// rank 4, well under the cap.
-pub const DENSE_PATTERN_COLS: usize = 6;
+pub(crate) const DENSE_PATTERN_COLS: usize = 6;
 
-/// Plan/scratch state for the batched dense kernel.
+/// Plan/scratch state for the batched dense kernel
+/// ([`DenseWeights::accumulate_replicas`]).
 ///
 /// With at most [`DENSE_PATTERN_COLS`] devices there are at most 64
 /// possible activity patterns, so the plan memoizes `W · s` for every
@@ -224,9 +156,9 @@ pub const DENSE_PATTERN_COLS: usize = 6;
 /// addition order of the live kernel) and the per-step kernel degenerates
 /// to a table row copy per replica. Above the cap the kernel falls back to
 /// a column scan with the weight load amortized across replicas; one
-/// replica runs [`InputWeights::accumulate_words`] itself.
+/// replica runs [`DenseWeights::accumulate_words`] itself.
 #[derive(Clone, Debug)]
-pub struct DensePlan {
+pub(crate) struct DensePlan {
     /// `table[p * rows + i]` = current of neuron `i` under pattern `p`;
     /// empty when `cols > DENSE_PATTERN_COLS`.
     table: Vec<f64>,
@@ -235,10 +167,14 @@ pub struct DensePlan {
     active: Vec<u32>,
 }
 
-impl BatchWeights for DenseWeights {
-    type Plan = DensePlan;
-
-    fn batch_plan(&self) -> DensePlan {
+/// The multi-replica (structure-of-arrays) kernel: the currents of `R`
+/// replicas of one circuit in one traversal of the weight matrix, stored
+/// replica-major (`out[r * neurons + i]`), each replica's additions in
+/// ascending column order, so a batched current is bit-for-bit the
+/// replica's [`DenseWeights::accumulate_words`].
+impl DenseWeights {
+    /// Builds the kernel plan (pattern table, scratch).
+    pub(crate) fn batch_plan(&self) -> DensePlan {
         let table = if self.cols <= DENSE_PATTERN_COLS {
             let patterns = 1usize << self.cols;
             let mut table = vec![0.0; patterns * self.rows];
@@ -260,7 +196,19 @@ impl BatchWeights for DenseWeights {
         }
     }
 
-    fn accumulate_replicas(&self, plan: &mut DensePlan, states: &[ActivityWords], out: &mut [f64]) {
+    /// Computes the batched currents `(W · s_r)_i` for replica states
+    /// `s_r`, replica-major.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any `states[r].len() != devices()` or
+    /// `out.len() != neurons() * states.len()`.
+    pub(crate) fn accumulate_replicas(
+        &self,
+        plan: &mut DensePlan,
+        states: &[ActivityWords],
+        out: &mut [f64],
+    ) {
         let replicas = states.len();
         assert_eq!(out.len(), self.rows * replicas);
         for s in states {
@@ -303,7 +251,14 @@ impl BatchWeights for DenseWeights {
         }
     }
 
-    fn memoized_row<'p>(&self, plan: &'p DensePlan, state: &ActivityWords) -> Option<&'p [f64]> {
+    /// The memoized current vector `W · s` for one packed state, if the
+    /// plan keeps a pattern table; whether it does depends on the plan
+    /// alone, never on the state's value.
+    pub(crate) fn memoized_row<'p>(
+        &self,
+        plan: &'p DensePlan,
+        state: &ActivityWords,
+    ) -> Option<&'p [f64]> {
         if plan.table.is_empty() {
             return None;
         }
@@ -334,7 +289,7 @@ impl CscWeights {
     ///
     /// Panics if `scale` is non-finite (every stored value has magnitude
     /// ≤ `|scale|`, so a finite scale makes the whole matrix finite —
-    /// the `CscWeights` invariant the batched kernel relies on).
+    /// the `CscWeights` invariant the slice gather relies on).
     pub fn trevisan(graph: &Graph, scale: f64) -> Self {
         assert!(
             scale.is_finite(),
@@ -423,11 +378,11 @@ impl CscWeights {
     /// # Panics
     ///
     /// Panics if an index is out of range or a value is non-finite.
-    /// Finiteness is a `CscWeights` invariant: the batched masked-FMA
-    /// kernel relies on `v · 0.0` being a true no-op for silent
-    /// replicas, which `±inf`/`NaN` values would break (`inf · 0.0 =
-    /// NaN`) — and non-finite synaptic weights are meaningless for the
-    /// circuits anyway.
+    /// Finiteness is a `CscWeights` invariant: the slice gather multiplies
+    /// every weight by every lane's device window and relies on `v · 0.0`
+    /// adding nothing for a silent device, which `±inf`/`NaN` values would
+    /// break (`inf · 0.0 = NaN`) — and non-finite synaptic weights are
+    /// meaningless for the circuits anyway.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(u32, u32, f64)]) -> Self {
         let mut sorted: Vec<(u32, u32, f64)> = triplets
             .iter()
@@ -499,18 +454,6 @@ impl InputWeights for CscWeights {
         self.cols
     }
 
-    #[inline]
-    fn accumulate_words(&self, active: &ActivityWords, out: &mut [f64]) {
-        assert_eq!(active.len(), self.cols);
-        assert_eq!(out.len(), self.rows);
-        out.fill(0.0);
-        for alpha in active.iter_active() {
-            for k in self.col_ptr[alpha]..self.col_ptr[alpha + 1] {
-                out[self.row_idx[k] as usize] += self.values[k];
-            }
-        }
-    }
-
     fn apply(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols);
         assert_eq!(out.len(), self.rows);
@@ -529,121 +472,6 @@ impl InputWeights for CscWeights {
     }
 }
 
-/// Plan/scratch state for the batched CSC kernel.
-#[derive(Clone, Debug, Default)]
-pub struct CscPlan {
-    /// Scratch: per-replica column-activity selectors (1.0 = active,
-    /// 0.0 = silent) for the branch-free masked accumulate.
-    sel: Vec<f64>,
-    /// Scratch: the replicas' state words for the current 64-column block.
-    words: Vec<u64>,
-}
-
-impl BatchWeights for CscWeights {
-    type Plan = CscPlan;
-
-    /// Interleaved so each sparse row update touches one contiguous
-    /// `R`-lane group (see the trait docs).
-    const INTERLEAVED: bool = true;
-
-    fn batch_plan(&self) -> CscPlan {
-        CscPlan::default()
-    }
-
-    /// One replica delegates to [`InputWeights::accumulate_words`]. Two or
-    /// more stage each column's replica activity as 0/1 selectors, then
-    /// walk the column once per 8-replica chunk (selectors held in an
-    /// `[f64; 8]`) and once more for the remaining replicas.
-    fn accumulate_replicas(&self, plan: &mut CscPlan, states: &[ActivityWords], out: &mut [f64]) {
-        let replicas = states.len();
-        if let [state] = states {
-            // One replica: the interleaved and replica-major layouts
-            // coincide and the ascending-column walk is the batched
-            // order, so the single-replica kernel is the batched kernel
-            // without the block staging and the per-column lane loop.
-            return self.accumulate_words(state, out);
-        }
-        assert_eq!(out.len(), self.rows * replicas);
-        for s in states {
-            assert_eq!(s.len(), self.cols);
-        }
-        plan.sel.resize(replicas, 0.0);
-        plan.words.clear();
-        out.fill(0.0);
-        // Shared passes over the sparse structure: each (row index, value)
-        // pair is loaded once per 8-replica chunk per step and applied to
-        // the whole chunk, instead of being re-read once per replica. The
-        // output is neuron-major interleaved, so a chunk's per-row updates
-        // are one contiguous, vectorizable lane group; replica activity
-        // enters as a 0/1 multiplier rather than a branch or an index list.
-        //
-        // Bit-exactness of the masked add: `v * 1.0 == v` exactly, and
-        // `o += v * 0.0` adds ±0.0, which cannot change `o` — the
-        // accumulator never holds −0.0 (it starts at +0.0, and IEEE-754
-        // round-to-nearest addition only produces −0.0 from two negative
-        // zeros), and `x + ±0.0 == x` for every other x. So silent
-        // replicas' lanes are bit-identical to never being touched, which
-        // keeps the batched kernel bit-for-bit equal to per-replica
-        // `accumulate_words` in ascending column order. This needs every
-        // `v` finite (`inf · 0.0 = NaN` would poison silent lanes) —
-        // a `CscWeights` construction invariant, asserted there.
-        //
-        // Columns are visited in 64-wide word blocks: the replicas'
-        // current state words are staged once per block, then each
-        // column's activity is a shift-and-mask — no per-(column, replica)
-        // bounds-checked bit lookups.
-        for (block, base) in (0..self.cols).step_by(64).enumerate() {
-            plan.words.clear();
-            plan.words.extend(states.iter().map(|s| s.words()[block]));
-            let cols_in_block = 64.min(self.cols - base);
-            for bit in 0..cols_in_block {
-                let mut any = 0u64;
-                for (sel, &w) in plan.sel.iter_mut().zip(plan.words.iter()) {
-                    let on = (w >> bit) & 1;
-                    *sel = on as f64;
-                    any |= on;
-                }
-                if any == 0 {
-                    continue;
-                }
-                let alpha = base + bit;
-                let range = self.col_ptr[alpha]..self.col_ptr[alpha + 1];
-                let entries = || {
-                    self.row_idx[range.clone()]
-                        .iter()
-                        .zip(&self.values[range.clone()])
-                };
-                // Fixed-width lanes compile to straight-line vector
-                // updates. Every (row, replica) lane still adds its columns
-                // in ascending order.
-                let (sel8, sel_rest) = plan.sel.as_chunks::<8>();
-                for (chunk, &sel) in sel8.iter().enumerate() {
-                    let first = 8 * chunk;
-                    for (&row, &v) in entries() {
-                        let start = row as usize * replicas + first;
-                        let lane: &mut [f64; 8] = (&mut out[start..start + 8])
-                            .try_into()
-                            .expect("an 8-lane chunk");
-                        for (o, &s) in lane.iter_mut().zip(&sel) {
-                            *o += v * s;
-                        }
-                    }
-                }
-                if !sel_rest.is_empty() {
-                    let first = 8 * sel8.len();
-                    for (&row, &v) in entries() {
-                        let start = row as usize * replicas + first;
-                        let lane = &mut out[start..start + sel_rest.len()];
-                        for (o, &s) in lane.iter_mut().zip(sel_rest) {
-                            *o += v * s;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -656,9 +484,9 @@ mod tests {
         assert_eq!(w.neurons(), 2);
         assert_eq!(w.devices(), 3);
         let mut out = vec![0.0; 2];
-        w.accumulate_active(&[true, false, true], &mut out);
+        w.accumulate_words(&ActivityWords::from_bools(&[true, false, true]), &mut out);
         assert_eq!(out, vec![4.0, 10.0]);
-        w.accumulate_active(&[false, false, false], &mut out);
+        w.accumulate_words(&ActivityWords::zeros(3), &mut out);
         assert_eq!(out, vec![0.0, 0.0]);
     }
 
@@ -710,16 +538,21 @@ mod tests {
 
     #[test]
     fn csc_accumulate_matches_dense() {
+        // The rows the gather reads, summed over the active devices, and
+        // `apply` both give the dense product.
         let g = cycle(6);
         let w = CscWeights::trevisan(&g, 1.0);
         let dense = w.to_dense();
         let active = [true, false, true, true, false, true];
         let x: Vec<f64> = active.iter().map(|&b| b as u8 as f64).collect();
-        let mut out = vec![0.0; 6];
-        w.accumulate_active(&active, &mut out);
         let reference = dense.matvec(&x);
-        for (a, b) in out.iter().zip(&reference) {
+        let mut out = vec![0.0; 6];
+        w.apply(&x, &mut out);
+        for ((row, a), b) in w.rows().iter().zip(&out).zip(&reference) {
+            assert!(row.windows(2).all(|e| e[0].0 < e[1].0), "ascending columns");
+            let gathered: f64 = row.iter().map(|&(j, v)| v * x[j as usize]).sum();
             assert!((a - b).abs() < 1e-14);
+            assert!((gathered - b).abs() < 1e-14);
         }
     }
 
@@ -744,29 +577,7 @@ mod tests {
         assert_eq!(d[(1, 2)], 5.0);
     }
 
-    #[test]
-    fn packed_kernel_matches_bool_kernel() {
-        // Packed word-scan accumulation is bit-for-bit equal to the
-        // boolean path, dense and CSC, across activity patterns.
-        let g = cycle(9);
-        let csc = CscWeights::trevisan(&g, 0.7);
-        let m = DMatrix::from_fn(9, 5, |i, a| (i as f64 - 3.0) * 0.31 + a as f64 * 0.17);
-        let dense = DenseWeights::from_matrix_scaled(&m, 1.0);
-        let mut out_bool = vec![0.0; 9];
-        let mut out_packed = vec![0.0; 9];
-        for pattern in 0u32..32 {
-            let active9: Vec<bool> = (0..9).map(|i| (pattern >> (i % 5)) & 1 == 1).collect();
-            csc.accumulate_active(&active9, &mut out_bool);
-            csc.accumulate_words(&ActivityWords::from_bools(&active9), &mut out_packed);
-            assert_eq!(out_bool, out_packed, "csc pattern {pattern}");
-            let active5: Vec<bool> = (0..5).map(|a| (pattern >> a) & 1 == 1).collect();
-            dense.accumulate_active(&active5, &mut out_bool);
-            dense.accumulate_words(&ActivityWords::from_bools(&active5), &mut out_packed);
-            assert_eq!(out_bool, out_packed, "dense pattern {pattern}");
-        }
-    }
-
-    fn batch_matches_sequential<W: BatchWeights>(w: &W, states: &[ActivityWords]) {
+    fn batch_matches_sequential(w: &DenseWeights, states: &[ActivityWords]) {
         let n = w.neurons();
         let replicas = states.len();
         let mut plan = w.batch_plan();
@@ -776,14 +587,9 @@ mod tests {
         for (r, s) in states.iter().enumerate() {
             w.accumulate_words(s, &mut single);
             for i in 0..n {
-                let k = if W::INTERLEAVED {
-                    i * replicas + r
-                } else {
-                    r * n + i
-                };
                 assert_eq!(
                     single[i].to_bits(),
-                    batched[k].to_bits(),
+                    batched[r * n + i].to_bits(),
                     "replica {r} neuron {i}"
                 );
             }
@@ -819,20 +625,6 @@ mod tests {
         assert!(w.batch_plan().table.is_empty());
         for salt in 0..4 {
             batch_matches_sequential(&w, &replica_states(9, 5, salt));
-        }
-    }
-
-    #[test]
-    fn csc_batch_is_bit_exact() {
-        for g in [cycle(12), complete(6)] {
-            let w = CscWeights::trevisan(&g, 0.9);
-            // R = 1 takes the single-replica kernel; 3 is all remainder
-            // lanes, 8 one full chunk, 11 a chunk plus a remainder.
-            for replicas in [1, 3, 8, 11] {
-                for salt in 0..4 {
-                    batch_matches_sequential(&w, &replica_states(g.n(), replicas, salt));
-                }
-            }
         }
     }
 }

@@ -7,27 +7,29 @@ use snc::snc_graph::generators::structured::{complete_bipartite, cycle};
 use snc::snc_linalg::DMatrix;
 use snc::snc_maxcut::{gw, GwConfig};
 use snc::snc_neuro::theory;
-use snc::snc_neuro::{BatchWeights, CscWeights, DenseWeights, LifParams, ReplicaBatch};
+use snc::snc_neuro::{CscWeights, DenseWeights, LifParams, ReplicaBatch};
 
 /// One device-driven LIF population (a one-seed batch) on `devices`
 /// devices of `model`.
-fn network<W: BatchWeights>(
+fn network(
     model: DeviceModel,
     devices: usize,
     seed: u64,
-    weights: W,
+    weights: DenseWeights,
     params: LifParams,
-) -> ReplicaBatch<W> {
+) -> ReplicaBatch {
     let spec = PoolSpec::uniform(model, devices);
     ReplicaBatch::new(spec, &[seed], weights, params)
 }
 
+/// The stage-1 motif of LIF-Trevisan stepped one time step at a time: the
+/// Trevisan matrix as dense weights.
+fn trevisan_motif(weights: &CscWeights) -> DenseWeights {
+    DenseWeights::from_matrix_scaled(&weights.to_dense(), 1.0)
+}
+
 /// Measures the empirical covariance of a network's membranes.
-fn empirical_covariance<W: BatchWeights>(
-    net: &mut ReplicaBatch<W>,
-    steps: usize,
-    warmup: usize,
-) -> DMatrix {
+fn empirical_covariance(net: &mut ReplicaBatch, steps: usize, warmup: usize) -> DMatrix {
     let n = net.neurons();
     net.step_many(warmup as u64);
     let mut d = vec![0.0; n];
@@ -88,7 +90,7 @@ fn lif_trevisan_covariance_is_m_squared() {
     let theory_cov = theory::stationary_covariance(&params, &weights, 0.5);
     assert!(theory_cov.max_abs_diff(&m2) < 1e-10);
 
-    let mut net = network(DeviceModel::fair(), 6, 13, weights, params);
+    let mut net = network(DeviceModel::fair(), 6, 13, trevisan_motif(&weights), params);
     let emp = empirical_covariance(&mut net, 300_000, 2_000);
     let err = max_relative_error(&emp, &theory_cov);
     assert!(err < 0.08, "relative covariance error {err}");
@@ -102,14 +104,21 @@ fn biased_devices_shift_means_as_predicted() {
     let graph = cycle(5);
     let weights = CscWeights::trevisan(&graph, 1.0);
     let biased = DeviceModel::biased(0.8).unwrap();
-    let mut net = network(biased, 5, 21, weights, LifParams::default());
+    let mut net = network(
+        biased,
+        5,
+        21,
+        trevisan_motif(&weights),
+        LifParams::default(),
+    );
     net.step_many(2_000);
     let mut spike_counts = [0u32; 5];
-    let mut s = [false; 5];
+    let mut s = [0u64; 5];
     let samples = 20_000;
     for _ in 0..samples {
         net.step_many(10);
-        net.spiked_into(0, &mut s);
+        s.fill(0);
+        net.spike_lane_into(0, &mut s);
         for (c, &b) in spike_counts.iter_mut().zip(&s) {
             *c += b as u32;
         }
