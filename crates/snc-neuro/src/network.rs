@@ -155,9 +155,9 @@ impl<const W: usize> Stage1<W> {
         let word_count = n.div_ceil(64);
         self.words.resize(steps * word_count, [0; W]);
         for (l, pool) in self.pools.iter_mut().enumerate() {
-            for step in self.words.chunks_exact_mut(word_count) {
-                for (w, &s) in step.iter_mut().zip(pool.step().words()) {
-                    w[l] = s;
+            for k in 0..steps {
+                for (b, &s) in pool.step().words().iter().enumerate() {
+                    self.words[k * word_count + b][l] = s;
                 }
             }
         }
