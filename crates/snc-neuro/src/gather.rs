@@ -44,48 +44,57 @@ pub(crate) struct SliceRows {
 }
 
 impl SliceRows {
-    /// Lays out `rows[i]`, row `i`'s `(column, weight)` entries in the
-    /// order the row sums them. The unit stream is chosen when every
-    /// weight is exactly `1.0`.
+    /// Lays out the entries `(row, column, weight)` of an `n × n` matrix
+    /// that `entries()` yields, each row's entries in the order the row
+    /// sums them; rows may interleave. The unit stream is chosen when
+    /// every weight is exactly `1.0`.
     ///
     /// # Panics
     ///
-    /// Panics if a column is out of range.
-    pub(crate) fn new(rows: &[Vec<(u32, f64)>]) -> Self {
-        let unit = rows.iter().flatten().all(|&(_, w)| w == 1.0);
-        Self::with_stream(rows, unit)
+    /// Panics if a row or column is out of range.
+    pub(crate) fn new<I>(n: usize, entries: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (u32, u32, f64)>,
+    {
+        let unit = entries().all(|(_, _, w)| w == 1.0);
+        Self::with_stream(n, entries, unit)
     }
 
     /// [`new`](Self::new) with the stream chosen by the caller; `unit`
     /// requires every weight to be exactly `1.0`.
-    pub(crate) fn with_stream(rows: &[Vec<(u32, f64)>], unit: bool) -> Self {
-        let n = rows.len();
-        for &(t, w) in rows.iter().flatten() {
-            assert!((t as usize) < n, "column {t} out of range for n={n}");
+    pub(crate) fn with_stream<I>(n: usize, entries: impl Fn() -> I, unit: bool) -> Self
+    where
+        I: Iterator<Item = (u32, u32, f64)>,
+    {
+        let mut lens = vec![0usize; n];
+        for (i, t, w) in entries() {
+            assert!(
+                (i as usize) < n && (t as usize) < n,
+                "entry ({i},{t}) out of range for n={n}"
+            );
             debug_assert!(!unit || w == 1.0, "unit stream with weight {w}");
+            lens[i as usize] += 1;
         }
-        let slices = n.div_ceil(SLICE);
-        let mut offsets = Vec::with_capacity(slices + 1);
+        // Slice `s` is `SLICE` rows wide and as long as its longest row.
+        let mut offsets = Vec::with_capacity(n.div_ceil(SLICE) + 1);
         offsets.push(0);
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
-        for s in 0..slices {
-            let slice_rows = s * SLICE..((s + 1) * SLICE).min(n);
-            let width = rows[slice_rows].iter().map(Vec::len).max().unwrap_or(0);
-            for k in 0..width {
-                for l in 0..SLICE {
-                    let (t, w) = rows
-                        .get(s * SLICE + l)
-                        .and_then(|row| row.get(k))
-                        .copied()
-                        .unwrap_or((n as u32, 0.0));
-                    targets.push(t);
-                    if !unit {
-                        weights.push(w);
-                    }
-                }
+        for slice in lens.chunks(SLICE) {
+            let width = slice.iter().copied().max().unwrap_or(0);
+            offsets.push(offsets[offsets.len() - 1] + SLICE * width);
+        }
+        let len = offsets[offsets.len() - 1];
+        let mut targets = vec![n as u32; len];
+        let mut weights = vec![0.0; if unit { 0 } else { len }];
+        // Entry `k` of row `i` goes to `4k + i % 4` from its slice start.
+        let mut next = vec![0usize; n];
+        for (i, t, w) in entries() {
+            let i = i as usize;
+            let k = offsets[i / SLICE] + SLICE * next[i] + i % SLICE;
+            next[i] += 1;
+            targets[k] = t;
+            if !unit {
+                weights[k] = w;
             }
-            offsets.push(targets.len());
         }
         Self {
             n,

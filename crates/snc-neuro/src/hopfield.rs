@@ -50,26 +50,14 @@ impl Default for HopfieldParams {
     }
 }
 
-/// Row `i`'s couplings `(j, w_ij)` of an undirected coupling list over
-/// `n` units, each pair applied in both directions, in list order.
-///
-/// # Panics
-///
-/// Panics if a coupling endpoint is out of range. Self-couplings are
-/// dropped (a unit does not drive itself).
-fn coupling_rows(n: usize, couplings: &[(u32, u32, f64)]) -> Vec<Vec<(u32, f64)>> {
-    let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-    for &(i, j, w) in couplings {
-        assert!(
-            (i as usize) < n && (j as usize) < n,
-            "coupling ({i},{j}) out of range for n={n}"
-        );
-        if i != j {
-            rows[i as usize].push((j, w));
-            rows[j as usize].push((i, w));
-        }
-    }
-    rows
+/// The matrix entries `(i, j, w_ij)` of an undirected coupling list: each
+/// pair in both directions, in list order. Self-couplings are dropped (a
+/// unit does not drive itself).
+fn coupling_entries(couplings: &[(u32, u32, f64)]) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
+    couplings
+        .iter()
+        .filter(|&&(i, j, _)| i != j)
+        .flat_map(|&(i, j, w)| [(i, j, w), (j, i, w)])
 }
 
 /// The state of `W` lanes, neuron-major: `u[i][l]` is unit `i` of lane
@@ -251,7 +239,14 @@ impl HopfieldNetwork {
         params: HopfieldParams,
         seeds: &[u64],
     ) -> Self {
-        Self::with_layout(SliceRows::new(&coupling_rows(n, couplings)), params, seeds)
+        for &(i, j, _) in couplings {
+            assert!(
+                (i as usize) < n && (j as usize) < n,
+                "coupling ({i},{j}) out of range for n={n}"
+            );
+        }
+        let layout = SliceRows::new(n, || coupling_entries(couplings));
+        Self::with_layout(layout, params, seeds)
     }
 
     fn with_layout(couplings: SliceRows, params: HopfieldParams, seeds: &[u64]) -> Self {
@@ -776,9 +771,8 @@ mod tests {
     fn unit_stream_matches_weighted_gather() {
         let graph = snc_graph::generators::erdos_renyi::gnp(37, 0.3, 9).unwrap();
         let couplings = unit_couplings(&graph);
-        let rows = coupling_rows(37, &couplings);
-        let unit = SliceRows::new(&rows);
-        let weighted = SliceRows::with_stream(&rows, false);
+        let unit = SliceRows::new(37, || coupling_entries(&couplings));
+        let weighted = SliceRows::with_stream(37, || coupling_entries(&couplings), false);
         assert!(unit.weights.is_empty() && !weighted.weights.is_empty());
         for i in 0..37 {
             assert!(unit.row(i).map(|e| e.0).eq(weighted.row(i).map(|e| e.0)));
@@ -807,10 +801,8 @@ mod tests {
         );
         assert_eq!(net.n(), 2);
         // Only the (0,1) pair survives, on the unit stream.
-        assert_eq!(
-            net.couplings,
-            SliceRows::new(&coupling_rows(2, &[(0, 1, 1.0)]))
-        );
+        let pair = [(0, 1, 1.0)];
+        assert_eq!(net.couplings, SliceRows::new(2, || coupling_entries(&pair)));
         assert!(net.couplings.weights.is_empty());
         let bad = std::panic::catch_unwind(|| {
             HopfieldNetwork::new(2, &[(0, 7, 1.0)], HopfieldParams::default(), &[1])

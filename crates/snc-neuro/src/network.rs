@@ -314,7 +314,7 @@ impl BatchedTwoStageNetwork {
             readout_weights.extend(initial_readout_weights(n, seed));
         }
         Self {
-            rows: SliceRows::new(&weights.rows()),
+            rows: SliceRows::new(n, || weights.entries()),
             means,
             params: config.lif,
             stage1,
@@ -578,13 +578,17 @@ mod tests {
     impl Reference {
         fn new(weights: &CscWeights, seed: u64, config: TwoStageConfig) -> Self {
             let n = weights.neurons();
+            let mut rows = vec![Vec::new(); n];
+            for (i, j, v) in weights.entries() {
+                rows[i as usize].push((j, v));
+            }
             let pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), n), seed);
             let mut means = vec![0.0; n];
             weights.apply(&pool.stationary_ps(), &mut means);
             let mf = theory::mean_factor(&config.lif);
             means.iter_mut().for_each(|m| *m *= mf);
             Self {
-                rows: weights.rows(),
+                rows,
                 pool,
                 v: means.clone(),
                 means,

@@ -421,16 +421,16 @@ impl CscWeights {
         self.values.len()
     }
 
-    /// Every row's stored entries `(column, value)` in ascending column
-    /// order: row `i` of the matrix is `rows()[i]`.
-    pub(crate) fn rows(&self) -> Vec<Vec<(u32, f64)>> {
-        let mut rows = vec![Vec::new(); self.rows];
-        for j in 0..self.cols {
-            for k in self.col_ptr[j]..self.col_ptr[j + 1] {
-                rows[self.row_idx[k] as usize].push((j as u32, self.values[k]));
-            }
-        }
-        rows
+    /// The stored entries `(row, column, value)`, column by column, so
+    /// each row's entries come in ascending column order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
+        (0..self.cols).flat_map(move |j| {
+            let range = self.col_ptr[j]..self.col_ptr[j + 1];
+            self.row_idx[range.clone()]
+                .iter()
+                .zip(&self.values[range])
+                .map(move |(&i, &v)| (i, j as u32, v))
+        })
     }
 
     /// Densifies (tests and small systems only).
@@ -548,11 +548,17 @@ mod tests {
         let reference = dense.matvec(&x);
         let mut out = vec![0.0; 6];
         w.apply(&x, &mut out);
-        for ((row, a), b) in w.rows().iter().zip(&out).zip(&reference) {
-            assert!(row.windows(2).all(|e| e[0].0 < e[1].0), "ascending columns");
-            let gathered: f64 = row.iter().map(|&(j, v)| v * x[j as usize]).sum();
+        let mut gathered = [0.0; 6];
+        let mut last = [None; 6];
+        for (i, j, v) in w.entries() {
+            let i = i as usize;
+            assert!(last[i] < Some(j), "row {i}: columns ascend");
+            last[i] = Some(j);
+            gathered[i] += v * x[j as usize];
+        }
+        for ((a, g), b) in out.iter().zip(&gathered).zip(&reference) {
             assert!((a - b).abs() < 1e-14);
-            assert!((gathered - b).abs() < 1e-14);
+            assert!((g - b).abs() < 1e-14);
         }
     }
 
