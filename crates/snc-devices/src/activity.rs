@@ -28,7 +28,6 @@
 /// a.set(0, true);
 /// a.set(69, true);
 /// assert!(a.get(0) && a.get(69) && !a.get(35));
-/// assert_eq!(a.count_active(), 2);
 /// // Word scan: indices of the active bits, in ascending order.
 /// assert_eq!(a.iter_active().collect::<Vec<_>>(), vec![0, 69]);
 /// ```
@@ -111,11 +110,6 @@ impl ActivityWords {
         }
     }
 
-    /// Clears every bit.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Overwrites whole word `w` (used by producers that assemble a word in
     /// a register before storing it). High bits beyond `len()` are masked
     /// off so the zero-padding invariant holds.
@@ -148,11 +142,6 @@ impl ActivityWords {
         self.words.copy_from_slice(&other.words);
     }
 
-    /// Number of set bits.
-    pub fn count_active(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Iterates the indices of set bits in ascending order via
     /// `trailing_zeros` word scans — the packed kernel's column walk.
     pub fn iter_active(&self) -> ActiveBits<'_> {
@@ -166,18 +155,6 @@ impl ActivityWords {
     /// Unpacks to a boolean vector (diagnostics and tests; not a hot path).
     pub fn to_bools(&self) -> Vec<bool> {
         (0..self.len).map(|i| self.get(i)).collect()
-    }
-
-    /// Writes the bits into a caller-provided boolean slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != len()`.
-    pub fn fill_bools(&self, out: &mut [bool]) {
-        assert_eq!(out.len(), self.len, "output length mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = (self.words[i / 64] >> (i % 64)) & 1 == 1;
-        }
     }
 }
 
@@ -221,9 +198,6 @@ mod tests {
             let packed = ActivityWords::from_bools(&bits);
             assert_eq!(packed.len(), len);
             assert_eq!(packed.to_bools(), bits);
-            let mut out = vec![false; len];
-            packed.fill_bools(&mut out);
-            assert_eq!(out, bits);
         }
     }
 
@@ -235,11 +209,9 @@ mod tests {
         a.set(99, true);
         a.set(0, true);
         assert!(a.get(99) && a.get(0) && !a.get(50));
-        assert_eq!(a.count_active(), 2);
+        assert_eq!(a.iter_active().count(), 2);
         a.set(99, false);
-        assert_eq!(a.count_active(), 1);
-        a.clear();
-        assert_eq!(a.count_active(), 0);
+        assert_eq!(a.iter_active().count(), 1);
     }
 
     #[test]
@@ -261,9 +233,9 @@ mod tests {
         a.set_word(1, u64::MAX);
         // Only bits 64..70 are valid in word 1.
         assert_eq!(a.words()[1], (1u64 << 6) - 1);
-        assert_eq!(a.count_active(), 6);
+        assert_eq!(a.iter_active().count(), 6);
         a.set_word(0, u64::MAX);
-        assert_eq!(a.count_active(), 70);
+        assert_eq!(a.iter_active().count(), 70);
     }
 
     #[test]

@@ -85,57 +85,6 @@ pub fn runs_z(bits: &[bool]) -> f64 {
     (runs - expected) / var.sqrt()
 }
 
-/// Pairwise Pearson correlation matrix of device outputs.
-///
-/// `records` is a sequence of pool state vectors (each of equal length `r`);
-/// the result is an `r × r` matrix with unit diagonal. Devices with zero
-/// variance get zero off-diagonal correlation.
-pub fn pairwise_correlations(records: &[Vec<bool>]) -> Vec<Vec<f64>> {
-    let t = records.len();
-    if t == 0 {
-        return Vec::new();
-    }
-    let r = records[0].len();
-    let mut means = vec![0.0; r];
-    for rec in records {
-        for (m, &b) in means.iter_mut().zip(rec.iter()) {
-            *m += b as u8 as f64;
-        }
-    }
-    for m in &mut means {
-        *m /= t as f64;
-    }
-    let mut cov = vec![vec![0.0; r]; r];
-    let mut centered = vec![0.0; r];
-    for rec in records {
-        for ((c, &bit), &mean) in centered.iter_mut().zip(rec.iter()).zip(means.iter()) {
-            *c = bit as u8 as f64 - mean;
-        }
-        for (i, row) in cov.iter_mut().enumerate() {
-            let a = centered[i];
-            for (j, slot) in row.iter_mut().enumerate().skip(i) {
-                *slot += a * centered[j];
-            }
-        }
-    }
-    let mut corr = vec![vec![0.0; r]; r];
-    for row in cov.iter_mut() {
-        for slot in row.iter_mut() {
-            *slot /= t as f64;
-        }
-    }
-    for i in 0..r {
-        corr[i][i] = 1.0;
-        for j in i + 1..r {
-            let denom = (cov[i][i] * cov[j][j]).sqrt();
-            let c = if denom > 0.0 { cov[i][j] / denom } else { 0.0 };
-            corr[i][j] = c;
-            corr[j][i] = c;
-        }
-    }
-    corr
-}
-
 /// A one-stop summary of a single device's bit stream.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamReport {
@@ -235,27 +184,5 @@ mod tests {
         assert_eq!(monobit_z(&[]), 0.0);
         assert_eq!(runs_z(&[]), 0.0);
         assert!(runs_z(&[true; 100]) < 0.0);
-        assert!(pairwise_correlations(&[]).is_empty());
-    }
-
-    #[test]
-    fn correlation_matrix_is_symmetric_unit_diagonal() {
-        let mut pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), 3), 12);
-        let rec = pool.record(20_000);
-        let c = pairwise_correlations(&rec);
-        for i in 0..3 {
-            assert!((c[i][i] - 1.0).abs() < 1e-12);
-            for j in 0..3 {
-                assert!((c[i][j] - c[j][i]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn identical_devices_have_unit_correlation() {
-        let bits = fair_stream(5_000, 13);
-        let rec: Vec<Vec<bool>> = bits.iter().map(|&b| vec![b, b]).collect();
-        let c = pairwise_correlations(&rec);
-        assert!((c[0][1] - 1.0).abs() < 1e-9);
     }
 }

@@ -34,11 +34,6 @@ impl CommonCause {
         check_probability("coupling", coupling)?;
         Ok(Self { coupling })
     }
-
-    /// Expected pairwise correlation between two fair-coin devices.
-    pub fn pairwise_correlation(&self) -> f64 {
-        self.coupling * self.coupling
-    }
 }
 
 /// A specification for constructing a [`DevicePool`].
@@ -55,52 +50,6 @@ impl PoolSpec {
             models: vec![model; count],
             common_cause: None,
         }
-    }
-
-    /// A heterogeneous pool from an explicit list of models.
-    pub fn heterogeneous(models: Vec<DeviceModel>) -> Self {
-        Self {
-            models,
-            common_cause: None,
-        }
-    }
-
-    /// A pool of `count` biased coins whose biases are drawn once from a
-    /// clamped Gaussian `N(nominal_p, sigma²)` — *device mismatch*, the
-    /// fabrication-variability failure mode: every device is stationary
-    /// but no two are identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `nominal_p ∈ [0, 1]` and `sigma ≥ 0`.
-    pub fn mismatched(
-        count: usize,
-        nominal_p: f64,
-        sigma: f64,
-        seed: u64,
-    ) -> Result<Self, DeviceError> {
-        check_probability("nominal_p", nominal_p)?;
-        if !(sigma.is_finite() && sigma >= 0.0) {
-            return Err(DeviceError::InvalidParameter {
-                name: "sigma",
-                constraint: "must be finite and non-negative",
-            });
-        }
-        let mut rng = Xoshiro256pp::new(seed);
-        let models = (0..count)
-            .map(|_| {
-                // Sum of 4 uniforms ≈ Gaussian (matches the drift model's
-                // cheap normal approximation).
-                let z = ((rng.next_f64() + rng.next_f64() + rng.next_f64() + rng.next_f64()) - 2.0)
-                    * (3.0f64).sqrt();
-                let p = (nominal_p + sigma * z).clamp(0.01, 0.99);
-                DeviceModel::Biased { p }
-            })
-            .collect();
-        Ok(Self {
-            models,
-            common_cause: None,
-        })
     }
 
     /// Adds common-cause cross-correlation to the pool.
@@ -156,7 +105,6 @@ pub struct DevicePool {
     /// cause, so [`DevicePool::step`] can take the fair-coin path.
     all_fair: bool,
     states: ActivityWords,
-    steps: u64,
 }
 
 impl DevicePool {
@@ -195,28 +143,7 @@ impl DevicePool {
             common_cause: spec.common_cause,
             all_fair,
             states: ActivityWords::zeros(n),
-            steps: 0,
         })
-    }
-
-    /// Number of devices in the pool.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Whether the pool is empty (never true for a constructed pool).
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// Number of steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// The most recent packed state vector (all-zero before the first step).
-    pub fn states(&self) -> &ActivityWords {
-        &self.states
     }
 
     /// The stationary `P(1)` of each device (common-cause coupling does not
@@ -255,7 +182,6 @@ impl DevicePool {
                 }
                 self.states.set_word(word_idx, word);
             }
-            self.steps += 1;
             return &self.states;
         }
         let latent = match self.common_cause {
@@ -287,20 +213,12 @@ impl DevicePool {
         if !self.devices.len().is_multiple_of(64) {
             self.states.set_word(word_idx, word);
         }
-        self.steps += 1;
-        &self.states
-    }
-
-    /// Advances the pool `k` steps, returning the final packed state vector.
-    pub fn step_many(&mut self, k: u64) -> &ActivityWords {
-        for _ in 0..k {
-            self.step();
-        }
         &self.states
     }
 
     /// Collects `t` consecutive state vectors into a row-major matrix
     /// (`t` rows of `len()` booleans), useful for diagnostics.
+    #[cfg(test)]
     pub fn record(&mut self, t: usize) -> Vec<Vec<bool>> {
         (0..t).map(|_| self.step().to_bools()).collect()
     }
@@ -309,19 +227,17 @@ impl DevicePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diagnostics;
 
     #[test]
     fn pool_has_requested_size() {
-        let pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), 10), 1);
-        assert_eq!(pool.len(), 10);
-        assert!(!pool.is_empty());
+        let mut pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), 10), 1);
+        assert_eq!(pool.step().len(), 10);
     }
 
     #[test]
     fn empty_pool_rejected() {
         assert_eq!(
-            DevicePool::try_new(PoolSpec::heterogeneous(vec![]), 1).unwrap_err(),
+            DevicePool::try_new(PoolSpec::uniform(DeviceModel::fair(), 0), 1).unwrap_err(),
             DeviceError::EmptyPool
         );
     }
@@ -333,7 +249,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.step(), b.step());
         }
-        assert_eq!(a.steps(), 100);
     }
 
     #[test]
@@ -399,15 +314,24 @@ mod tests {
         }
     }
 
+    /// Pearson correlation of devices `i` and `j` over recorded states.
+    fn correlation(rec: &[Vec<bool>], i: usize, j: usize) -> f64 {
+        let t = rec.len() as f64;
+        let p = |k: usize| rec.iter().filter(|r| r[k]).count() as f64 / t;
+        let pij = rec.iter().filter(|r| r[i] && r[j]).count() as f64 / t;
+        let (pi, pj) = (p(i), p(j));
+        (pij - pi * pj) / (pi * (1.0 - pi) * pj * (1.0 - pj)).sqrt()
+    }
+
     #[test]
     fn independent_fair_devices_are_uncorrelated() {
         let mut pool = DevicePool::new(PoolSpec::uniform(DeviceModel::fair(), 4), 3);
         let rec = pool.record(50_000);
-        let corr = diagnostics::pairwise_correlations(&rec);
         for i in 0..4 {
             for j in 0..4 {
                 if i != j {
-                    assert!(corr[i][j].abs() < 0.03, "corr[{i}][{j}]={}", corr[i][j]);
+                    let c = correlation(&rec, i, j);
+                    assert!(c.abs() < 0.03, "corr[{i}][{j}]={c}");
                 }
             }
         }
@@ -419,15 +343,16 @@ mod tests {
         let spec = PoolSpec::uniform(DeviceModel::fair(), 4).with_common_cause(cc);
         let mut pool = DevicePool::new(spec, 5);
         let rec = pool.record(80_000);
-        let corr = diagnostics::pairwise_correlations(&rec);
-        let expected = cc.pairwise_correlation(); // 0.36
+        // Two fair devices that each copy the latent bit with probability c
+        // correlate at c².
+        let expected = cc.coupling * cc.coupling; // 0.36
         for i in 0..4 {
             for j in 0..4 {
                 if i != j {
+                    let c = correlation(&rec, i, j);
                     assert!(
-                        (corr[i][j] - expected).abs() < 0.04,
-                        "corr[{i}][{j}]={} expected {expected}",
-                        corr[i][j]
+                        (c - expected).abs() < 0.04,
+                        "corr[{i}][{j}]={c} expected {expected}"
                     );
                 }
             }
@@ -438,43 +363,5 @@ mod tests {
     fn common_cause_rejects_bad_coupling() {
         assert!(CommonCause::new(1.5).is_err());
         assert!(CommonCause::new(-0.1).is_err());
-    }
-
-    #[test]
-    fn mismatched_pool_spreads_biases() {
-        let spec = PoolSpec::mismatched(64, 0.5, 0.1, 7).unwrap();
-        assert_eq!(spec.len(), 64);
-        let mut pool = DevicePool::new(spec, 1);
-        let ps = pool.stationary_ps();
-        // Distinct per-device biases around the nominal.
-        let mean: f64 = ps.iter().sum::<f64>() / ps.len() as f64;
-        assert!((mean - 0.5).abs() < 0.06, "mean={mean}");
-        let spread = ps.iter().fold(0.0f64, |m, &p| m.max((p - 0.5).abs()));
-        assert!(spread > 0.05, "spread={spread}");
-        assert!(ps.iter().all(|&p| (0.01..=0.99).contains(&p)));
-        // Still functions as a pool.
-        let _ = pool.step();
-        // Zero sigma degenerates to identical devices.
-        let exact = PoolSpec::mismatched(8, 0.3, 0.0, 1).unwrap();
-        let pool2 = DevicePool::new(exact, 2);
-        assert!(pool2
-            .stationary_ps()
-            .iter()
-            .all(|&p| (p - 0.3).abs() < 1e-12));
-        // Validation.
-        assert!(PoolSpec::mismatched(4, 1.5, 0.1, 1).is_err());
-        assert!(PoolSpec::mismatched(4, 0.5, -0.1, 1).is_err());
-    }
-
-    #[test]
-    fn heterogeneous_pool_mixes_models() {
-        let spec =
-            PoolSpec::heterogeneous(vec![DeviceModel::fair(), DeviceModel::biased(0.9).unwrap()]);
-        let mut pool = DevicePool::new(spec, 11);
-        let rec = pool.record(50_000);
-        let f0 = rec.iter().filter(|r| r[0]).count() as f64 / rec.len() as f64;
-        let f1 = rec.iter().filter(|r| r[1]).count() as f64 / rec.len() as f64;
-        assert!((f0 - 0.5).abs() < 0.02);
-        assert!((f1 - 0.9).abs() < 0.02);
     }
 }

@@ -144,35 +144,6 @@ impl Xoshiro256pp {
         }
         Self { s }
     }
-
-    /// Creates the `k`-th deterministic child generator of `master`.
-    pub fn child(master: u64, k: u64) -> Self {
-        Self::new(SplitMix64::derive(master, k))
-    }
-
-    /// The jump function, equivalent to 2^128 calls to `next_u64`.
-    ///
-    /// Generates 2^128 non-overlapping subsequences for parallel use.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ];
-        let mut acc = [0u64; 4];
-        for j in JUMP {
-            for b in 0..64 {
-                if (j & (1u64 << b)) != 0 {
-                    for (a, s) in acc.iter_mut().zip(self.s.iter()) {
-                        *a ^= s;
-                    }
-                }
-                self.next_u64();
-            }
-        }
-        self.s = acc;
-    }
 }
 
 impl Rng64 for Xoshiro256pp {
@@ -297,16 +268,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn jump_produces_disjoint_prefix() {
-        let mut a = Xoshiro256pp::new(42);
-        let mut b = a.clone();
-        b.jump();
-        let va: Vec<u64> = (0..64).map(|_| a.next_u64()).collect();
-        let vb: Vec<u64> = (0..64).map(|_| b.next_u64()).collect();
-        assert_ne!(va, vb);
     }
 
     #[test]

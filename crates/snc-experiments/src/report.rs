@@ -6,7 +6,6 @@
 //! `snc-server` wire format uses, so report artifacts and service
 //! responses cannot drift apart on string escaping.
 
-use snc_json::Json;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
@@ -86,26 +85,6 @@ impl Table {
         out
     }
 
-    /// Renders as a JSON array of objects, one per row, keyed by the
-    /// column headers (shared escaper with the server wire format).
-    pub fn to_json(&self) -> String {
-        Json::Arr(
-            self.rows
-                .iter()
-                .map(|row| {
-                    Json::Obj(
-                        self.headers
-                            .iter()
-                            .zip(row)
-                            .map(|(h, v)| (h.clone(), Json::str(v.clone())))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        )
-        .render()
-    }
-
     /// Writes the CSV form to a file, creating parent directories.
     ///
     /// # Errors
@@ -168,26 +147,6 @@ mod tests {
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "k,v\nq,7\n");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn json_rendering_shares_the_wire_escaper() {
-        let mut t = Table::new(&["name", "value"]);
-        t.push_row(vec!["plain".into(), "1".into()]);
-        t.push_row(vec!["with\"quote\\and\nnewline".into(), "héllo".into()]);
-        let json = t.to_json();
-        assert_eq!(
-            json,
-            "[{\"name\":\"plain\",\"value\":\"1\"},\
-             {\"name\":\"with\\\"quote\\\\and\\nnewline\",\"value\":\"héllo\"}]"
-        );
-        // The output must parse back with the shared parser.
-        let parsed = snc_json::parse(&json).unwrap();
-        assert_eq!(parsed.as_array().unwrap().len(), 2);
-        assert_eq!(
-            parsed.as_array().unwrap()[1].get("name").unwrap().as_str(),
-            Some("with\"quote\\and\nnewline")
-        );
     }
 
     #[test]

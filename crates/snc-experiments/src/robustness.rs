@@ -177,11 +177,6 @@ impl RobustnessResult {
         }
         t
     }
-
-    /// The point measured for a given label, if present.
-    pub fn point(&self, label: &str) -> Option<&RobustnessPoint> {
-        self.points.iter().find(|p| p.label == label)
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +196,11 @@ mod tests {
         };
         let result = run_robustness(24, 0.3, &grid, &cfg, false);
         assert_eq!(result.points.len(), 4);
-        let ideal = result.point("bias=0.5").unwrap();
+        let ideal = result
+            .points
+            .iter()
+            .find(|p| p.label == "bias=0.5")
+            .unwrap();
         assert!(
             ideal.relative > 0.9,
             "ideal devices degraded: {}",

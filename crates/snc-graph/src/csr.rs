@@ -131,18 +131,9 @@ impl Graph {
     }
 
     /// Maximum degree (0 for the empty graph).
+    #[cfg(test)]
     pub fn max_degree(&self) -> usize {
         (0..self.n).map(|i| self.degree(i)).max().unwrap_or(0)
-    }
-
-    /// Dense adjacency matrix (0/1 entries).
-    pub fn adjacency_dense(&self) -> DMatrix {
-        let mut a = DMatrix::zeros(self.n, self.n);
-        for (u, v) in self.edges() {
-            a[(u as usize, v as usize)] = 1.0;
-            a[(v as usize, u as usize)] = 1.0;
-        }
-        a
     }
 
     /// Dense normalized adjacency `D^{-1/2} A D^{-1/2}` (rows/cols of
@@ -200,11 +191,6 @@ impl<'g> NormalizedAdjacency<'g> {
             graph,
             inv_sqrt_deg,
         }
-    }
-
-    /// The per-vertex scaling `1/√deg` (0 for isolated vertices).
-    pub fn inv_sqrt_deg(&self) -> &[f64] {
-        &self.inv_sqrt_deg
     }
 }
 
@@ -309,15 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_dense_is_symmetric_01() {
-        let g = triangle();
-        let a = g.adjacency_dense();
-        assert!(a.is_symmetric(0.0));
-        assert_eq!(a[(0, 1)], 1.0);
-        assert_eq!(a[(0, 0)], 0.0);
-    }
-
-    #[test]
     fn normalized_adjacency_regular_graph() {
         // On a d-regular graph the normalized adjacency is A/d.
         let g = triangle();
@@ -359,7 +336,6 @@ mod tests {
         let mut y = vec![9.0; 3];
         na.apply(&[1.0, 1.0, 1.0], &mut y);
         assert_eq!(y[2], 0.0);
-        assert_eq!(na.inv_sqrt_deg()[2], 0.0);
     }
 
     #[test]

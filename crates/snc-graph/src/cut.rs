@@ -47,16 +47,6 @@ impl CutAssignment {
         }
     }
 
-    /// Spiking readout: `true` (spiked) ⇒ `+1` side, silent ⇒ `−1` side.
-    ///
-    /// "Neurons that spike together on a given timestep map to vertices on
-    /// one side of the cut" (§IV.A).
-    pub fn from_spikes(spiked: &[bool]) -> Self {
-        Self {
-            sides: spiked.iter().map(|&b| if b { 1 } else { -1 }).collect(),
-        }
-    }
-
     /// Lane `lane` of a bit-sliced block (see [`crate::bitslice`]): bit
     /// `lane` of `words[i]` set ⇒ `+1` side, clear ⇒ `−1` side.
     ///
@@ -114,11 +104,6 @@ impl CutAssignment {
         Self {
             sides: self.sides.iter().map(|&s| -s).collect(),
         }
-    }
-
-    /// Number of vertices on the `+1` side.
-    pub fn count_positive(&self) -> usize {
-        self.sides.iter().filter(|&&s| s == 1).count()
     }
 
     /// The cut value: number of edges crossing the partition.
@@ -191,13 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn spike_readout() {
-        let c = CutAssignment::from_spikes(&[true, false, true]);
-        assert_eq!(c.sides(), &[1, -1, 1]);
-        assert_eq!(c.count_positive(), 2);
-    }
-
-    #[test]
     fn flip_and_delta_consistent() {
         let g = path4();
         let mut c = CutAssignment::from_sides(vec![1, 1, -1, -1]);
@@ -226,7 +204,7 @@ mod tests {
     fn random_cut_is_roughly_balanced() {
         let mut rng = Xoshiro256pp::new(6);
         let c = CutAssignment::random(10_000, &mut rng);
-        let pos = c.count_positive() as f64 / 10_000.0;
+        let pos = c.sides().iter().filter(|&&s| s == 1).count() as f64 / 10_000.0;
         assert!((pos - 0.5).abs() < 0.03);
     }
 

@@ -244,18 +244,6 @@ impl EmpiricalDataset {
         Ok(g)
     }
 
-    /// Whether the original Network Repository graph is weighted.
-    ///
-    /// The paper's Table-I values for these graphs are weighted cuts,
-    /// which is why they exceed the unweighted edge count (`eco-stmarks`:
-    /// cut 1765 on a 54-vertex web).
-    pub fn is_weighted(&self) -> bool {
-        matches!(
-            self,
-            EmpiricalDataset::InfUsair97 | EmpiricalDataset::EcoStmarks
-        )
-    }
-
     /// Builds the weighted form of the graph.
     ///
     /// For the two originally weighted networks this attaches synthetic
@@ -362,7 +350,6 @@ mod tests {
     fn weighted_loads_are_calibrated() {
         // USAir stand-in: small normalized weights.
         let usair = EmpiricalDataset::InfUsair97.load_weighted().unwrap();
-        assert!(EmpiricalDataset::InfUsair97.is_weighted());
         let mean_w = usair.total_weight() / usair.m() as f64;
         assert!(mean_w < 0.25, "mean weight {mean_w}");
         // eco-stmarks: heavy weights matching the paper's magnitudes.
@@ -370,7 +357,6 @@ mod tests {
         assert!(eco.total_weight() > 1765.0, "total {}", eco.total_weight());
         // Unweighted datasets lift to unit weights.
         let dolphins = EmpiricalDataset::SocDolphins.load_weighted().unwrap();
-        assert!(!EmpiricalDataset::SocDolphins.is_weighted());
         assert_eq!(dolphins.total_weight(), dolphins.m() as f64);
         // Deterministic.
         assert_eq!(

@@ -15,19 +15,11 @@
 //! and confirms a fingerprint match with a full comparison before
 //! serving a cached value, so a collision can cost a cache miss — never
 //! a wrong answer.
-//!
-//! Weighted graphs hash the weight's IEEE-754 bit pattern per edge under
-//! a distinct domain tag, so a weighted graph never fingerprints equal
-//! to its unweighted skeleton (and `-0.0` ≠ `+0.0`, `x` ≠ `y` whenever
-//! their bits differ).
 
 use crate::csr::Graph;
-use crate::weighted::WeightedGraph;
 
 /// Domain tag mixed into unweighted fingerprints.
 const TAG_UNWEIGHTED: u64 = 0x534e_435f_4752_4150; // "SNC_GRAP"
-/// Domain tag mixed into weighted fingerprints.
-const TAG_WEIGHTED: u64 = 0x534e_435f_5747_5250; // "SNC_WGRP"
 
 /// A 128-bit order-independent hash of a canonical graph.
 ///
@@ -44,11 +36,6 @@ pub struct GraphFingerprint {
 }
 
 impl GraphFingerprint {
-    /// The fingerprint as one `u128`.
-    pub fn as_u128(&self) -> u128 {
-        (u128::from(self.hi) << 64) | u128::from(self.lo)
-    }
-
     /// A well-mixed 64-bit digest (for shard/bucket selection).
     pub fn fold(&self) -> u64 {
         mix(self.hi ^ self.lo.rotate_left(32))
@@ -117,33 +104,11 @@ pub fn fingerprint_graph(graph: &Graph) -> GraphFingerprint {
     lanes.finish(words)
 }
 
-/// Fingerprints a weighted graph; each canonical edge contributes its
-/// endpoints and its weight's IEEE-754 bit pattern.
-pub fn fingerprint_weighted(graph: &WeightedGraph) -> GraphFingerprint {
-    let mut lanes = Lanes::new(TAG_WEIGHTED);
-    lanes.absorb(graph.n() as u64);
-    let mut words = 1u64;
-    for (u, v, w) in graph.edges() {
-        lanes.absorb((u64::from(u) << 32) | u64::from(v));
-        lanes.absorb(w.to_bits());
-        words += 2;
-    }
-    lanes.finish(words)
-}
-
 impl Graph {
     /// The canonical 128-bit fingerprint of this graph (see
     /// [`fingerprint_graph`]).
     pub fn fingerprint(&self) -> GraphFingerprint {
         fingerprint_graph(self)
-    }
-}
-
-impl WeightedGraph {
-    /// The canonical 128-bit fingerprint of this weighted graph (see
-    /// [`fingerprint_weighted`]).
-    pub fn fingerprint(&self) -> GraphFingerprint {
-        fingerprint_weighted(self)
     }
 }
 
@@ -193,40 +158,8 @@ mod tests {
     }
 
     #[test]
-    fn weighted_domain_is_separate_and_weight_bits_matter() {
-        let skeleton = graph(3, &[(0, 1), (1, 2)]);
-        let unit = WeightedGraph::from_weighted_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let heavier = WeightedGraph::from_weighted_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]).unwrap();
-        let negzero = WeightedGraph::from_weighted_edges(3, &[(0, 1, 1.0), (1, 2, -0.0)]).unwrap();
-        let poszero = WeightedGraph::from_weighted_edges(3, &[(0, 1, 1.0), (1, 2, 0.0)]).unwrap();
-        assert_ne!(
-            skeleton.fingerprint(),
-            unit.fingerprint(),
-            "weighted graphs live in their own hash domain"
-        );
-        assert_ne!(unit.fingerprint(), heavier.fingerprint());
-        assert_ne!(
-            negzero.fingerprint(),
-            poszero.fingerprint(),
-            "weights hash by bit pattern, so -0.0 and +0.0 differ"
-        );
-        assert_eq!(unit.fingerprint(), unit.fingerprint());
-    }
-
-    #[test]
-    fn permuted_weighted_input_fingerprints_identically() {
-        let a = WeightedGraph::from_weighted_edges(4, &[(0, 1, 0.5), (2, 3, 1.5), (1, 2, 2.5)])
-            .unwrap();
-        let b = WeightedGraph::from_weighted_edges(4, &[(2, 1, 2.5), (1, 0, 0.5), (3, 2, 1.5)])
-            .unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
     fn fold_and_u128_views_agree_with_the_halves() {
         let fp = graph(3, &[(0, 1)]).fingerprint();
-        assert_eq!(fp.as_u128() >> 64, u128::from(fp.hi));
-        assert_eq!(fp.as_u128() as u64, fp.lo);
         assert_eq!(fp.fold(), fp.fold());
         assert_eq!(format!("{fp}").len(), 32);
     }

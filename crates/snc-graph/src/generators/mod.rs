@@ -23,7 +23,7 @@ pub use erdos_renyi::{gnm, gnp};
 pub use geometric::knn_graph;
 pub use mesh::banded;
 pub use preferential::preferential_attachment;
-pub use structured::{complete, complete_bipartite, cycle, grid2d, path, petersen, star};
+pub use structured::{complete, complete_bipartite, cycle, path, petersen};
 pub use watts_strogatz::watts_strogatz;
 
 use crate::csr::Graph;

@@ -45,12 +45,14 @@ pub fn path(n: usize) -> Graph {
 }
 
 /// The star `S_n`: center vertex 0 connected to `n − 1` leaves.
+#[cfg(test)]
 pub fn star(n: usize) -> Graph {
     let edges: Vec<(u32, u32)> = (1..n as u32).map(|i| (0, i)).collect();
     Graph::from_edges(n, &edges).expect("star construction is infallible")
 }
 
 /// The `w × h` grid graph (vertices in row-major order).
+#[cfg(test)]
 pub fn grid2d(w: usize, h: usize) -> Graph {
     let mut edges = Vec::with_capacity(2 * w * h);
     let idx = |x: usize, y: usize| (y * w + x) as u32;

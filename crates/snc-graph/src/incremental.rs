@@ -160,8 +160,7 @@ impl<'g> CutTracker<'g> {
 /// value can drift from the scratch evaluation by floating-point rounding
 /// of order `ε · Σ|w| · flips`. The tracker resynchronizes from scratch
 /// every [`WeightedCutTracker::RESYNC_INTERVAL`] flips to keep the drift
-/// bounded; call [`WeightedCutTracker::recompute`] for an exact value on
-/// demand.
+/// bounded.
 ///
 /// # Examples
 ///
@@ -212,13 +211,6 @@ impl<'g> WeightedCutTracker<'g> {
     /// [`WeightedCutTracker::set_to`]).
     pub fn assignment(&self) -> &CutAssignment {
         &self.assignment
-    }
-
-    /// Recomputes the value from scratch (exact; resets drift).
-    pub fn recompute(&mut self) -> f64 {
-        self.value = self.graph.cut_value(&self.assignment);
-        self.flips_since_resync = 0;
-        self.value
     }
 
     /// Flips vertex `i`, updating the value in O(deg i). Returns the new
@@ -343,8 +335,6 @@ mod tests {
             let scratch = g.cut_value(tracker.assignment());
             assert!((v - scratch).abs() < 1e-9, "{v} vs {scratch}");
         }
-        let exact = tracker.recompute();
-        assert_eq!(exact, g.cut_value(tracker.assignment()));
     }
 
     #[test]

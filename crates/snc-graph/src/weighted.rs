@@ -135,11 +135,6 @@ impl WeightedGraph {
         self.weights.iter().all(|&w| w >= 0.0)
     }
 
-    /// Unweighted degree of a vertex.
-    pub fn degree(&self, i: usize) -> usize {
-        self.offsets[i + 1] - self.offsets[i]
-    }
-
     /// Weighted degree `Σ_j w_ij`.
     pub fn weighted_degree(&self, i: usize) -> f64 {
         self.weights[self.offsets[i]..self.offsets[i + 1]]
@@ -204,12 +199,6 @@ impl WeightedGraph {
         }
         delta
     }
-
-    /// Drops the weights (topology only).
-    pub fn to_unweighted(&self) -> Graph {
-        let edges: Vec<(u32, u32)> = self.edges().map(|(u, v, _)| (u, v)).collect();
-        Graph::from_edges(self.n, &edges).expect("valid by construction")
-    }
 }
 
 /// Matrix-free weighted normalized adjacency
@@ -249,11 +238,6 @@ impl<'g> WeightedNormalizedAdjacency<'g> {
             graph,
             inv_sqrt_deg,
         })
-    }
-
-    /// The per-vertex scaling `1/√(weighted degree)`.
-    pub fn inv_sqrt_deg(&self) -> &[f64] {
-        &self.inv_sqrt_deg
     }
 }
 
@@ -421,7 +405,6 @@ mod tests {
         let g = WeightedGraph::from_graph(&base);
         let cut = CutAssignment::from_sides(vec![1, -1, 1, -1, 1, -1, 1]);
         assert_eq!(g.cut_value(&cut), cut.cut_value(&base) as f64);
-        assert_eq!(g.to_unweighted(), base);
     }
 
     #[test]

@@ -102,28 +102,6 @@ impl DMatrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// The underlying row-major buffer.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Mutable access to the underlying row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Copies column `j` into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != rows`.
-    pub fn column_into(&self, j: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.rows);
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self[(i, j)];
-        }
-    }
-
     /// Matrix–vector product `y = A x`.
     ///
     /// # Panics
@@ -248,21 +226,6 @@ impl DMatrix {
         }
         m
     }
-
-    /// Quadratic form `xᵀ A x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions mismatch.
-    pub fn quadratic_form(&self, x: &[f64]) -> f64 {
-        assert!(self.is_square());
-        assert_eq!(x.len(), self.rows);
-        let mut acc = 0.0;
-        for (i, &xi) in x.iter().enumerate() {
-            acc += xi * vector::dot(self.row(i), x);
-        }
-        acc
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for DMatrix {
@@ -340,15 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn quadratic_form_matches_matvec() {
-        let a = DMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let x = [1.0, -2.0];
-        let ax = a.matvec(&x);
-        let expected = x[0] * ax[0] + x[1] * ax[1];
-        assert!((a.quadratic_form(&x) - expected).abs() < 1e-14);
-    }
-
-    #[test]
     fn symmetry_check() {
         let mut a = DMatrix::identity(3);
         assert!(a.is_symmetric(0.0));
@@ -364,14 +318,6 @@ mod tests {
         let a = DMatrix::zeros(2, 2).add_scaled_identity(3.0);
         assert_eq!(a[(0, 0)], 3.0);
         assert_eq!(a[(0, 1)], 0.0);
-    }
-
-    #[test]
-    fn column_extraction() {
-        let a = DMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let mut col = vec![0.0; 3];
-        a.column_into(1, &mut col);
-        assert_eq!(col, vec![2.0, 4.0, 6.0]);
     }
 
     #[test]

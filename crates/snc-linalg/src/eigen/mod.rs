@@ -6,7 +6,7 @@
 //!   moderate matrices used in tests and for diagonalizing Lanczos'
 //!   tridiagonal projections.
 //! * [`power`] — power iteration with Rayleigh-quotient estimates; used to
-//!   bound spectra for shifting and as a simple, easily verified baseline.
+//!   bound spectra for shifting.
 //! * [`lanczos`] — Lanczos with full reorthogonalization and thick restart
 //!   from the best Ritz vector; the production path for the Trevisan
 //!   minimum-eigenvector computation on graphs (matrix-free through

@@ -56,13 +56,6 @@ impl GaussianSampler {
         }
     }
 
-    /// Draws a vector of `n` independent standard normals.
-    pub fn standard_vec(&mut self, n: usize) -> Vec<f64> {
-        let mut v = vec![0.0; n];
-        self.fill(&mut v);
-        v
-    }
-
     /// Samples `x = W g` with `g ~ N(0, I_r)`, writing into `out`.
     ///
     /// The result is a zero-mean Gaussian vector with covariance `W Wᵀ` —

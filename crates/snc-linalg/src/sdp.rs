@@ -102,12 +102,6 @@ impl SdpSolution {
         0.5 * (total_weight - self.energy)
     }
 
-    /// The Gram matrix `V Vᵀ` of the factor rows (the covariance the LIF-GW
-    /// circuit must realize).
-    pub fn gram(&self) -> DMatrix {
-        self.factors.gram_rows()
-    }
-
     /// Consumes the solution and returns its factor matrix together with
     /// the implied MAXCUT upper bound (see [`SdpSolution::cut_upper_bound`]).
     ///
@@ -538,7 +532,7 @@ mod tests {
     #[test]
     fn gram_diagonal_is_one() {
         let sol = solve_maxcut_sdp(3, &[(0, 1), (1, 2)], &cfg(4)).unwrap();
-        let g = sol.gram();
+        let g = sol.factors.gram_rows();
         for i in 0..3 {
             assert!((g[(i, i)] - 1.0).abs() < 1e-9);
         }

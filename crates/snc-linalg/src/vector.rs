@@ -59,14 +59,6 @@ pub fn normalize(a: &mut [f64]) -> f64 {
     }
 }
 
-/// Fills a slice with a constant.
-#[inline]
-pub fn fill(a: &mut [f64], v: f64) {
-    for x in a {
-        *x = v;
-    }
-}
-
 /// Maximum absolute entry (0.0 for the empty slice).
 #[inline]
 pub fn max_abs(a: &[f64]) -> f64 {
@@ -84,6 +76,7 @@ pub fn mean(a: &[f64]) -> f64 {
 }
 
 /// Sample variance with Bessel's correction (0.0 for fewer than 2 samples).
+#[cfg(test)]
 pub fn variance(a: &[f64]) -> f64 {
     if a.len() < 2 {
         return 0.0;

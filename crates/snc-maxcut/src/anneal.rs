@@ -320,6 +320,7 @@ impl CoolingSchedule {
     ///
     /// Rejects non-finite or (for geometric semantics) non-positive
     /// levels.
+    #[cfg(test)]
     pub fn constant(level: f64) -> Result<Self, ScheduleError> {
         Self::new(ScheduleKind::Geometric, level, level)
     }

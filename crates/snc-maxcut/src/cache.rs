@@ -259,11 +259,6 @@ impl SdpCache {
         }
     }
 
-    /// Whether the cache can retain anything at all.
-    pub fn is_enabled(&self) -> bool {
-        self.lru.is_enabled()
-    }
-
     /// Total entries the cache may retain.
     pub fn capacity(&self) -> usize {
         self.lru.capacity()
@@ -420,7 +415,7 @@ mod tests {
     #[test]
     fn capacity_zero_disables_without_panicking() {
         let cache = SdpCache::new(0);
-        assert!(!cache.is_enabled());
+        assert!(!cache.lru.is_enabled());
         assert_eq!(cache.capacity(), 0);
         let g = gnp(8, 0.5, 4).unwrap();
         let a = cache.get_or_solve(&g, 1, 2).unwrap();

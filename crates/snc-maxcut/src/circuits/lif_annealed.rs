@@ -356,11 +356,6 @@ impl BatchedLifAnnealedCircuit {
         self.batch.neurons()
     }
 
-    /// Number of devices per replica (the SDP rank).
-    pub fn devices(&self) -> usize {
-        self.batch.devices()
-    }
-
     /// Advances all replicas to the next sample and returns one cut per
     /// replica (index `r` corresponds to `seeds[r]`).
     pub fn next_cuts(&mut self) -> Vec<CutAssignment> {
@@ -435,7 +430,10 @@ mod tests {
         let seeds = [100u64, 200, 300];
         let horizon = 12;
         let mut batch = BatchedLifAnnealedCircuit::new(&factors, &g, &seeds, &cfg, horizon);
-        assert_eq!((batch.replicas(), batch.n(), batch.devices()), (3, 14, 4));
+        assert_eq!(
+            (batch.replicas(), batch.n(), batch.batch.devices()),
+            (3, 14, 4)
+        );
         let mut ones: Vec<BatchedLifAnnealedCircuit> = seeds
             .iter()
             .map(|&s| BatchedLifAnnealedCircuit::new(&factors, &g, &[s], &cfg, horizon))

@@ -122,16 +122,6 @@ impl BatchedLifGwCircuit {
         self.batch.neurons()
     }
 
-    /// Number of devices per replica (the SDP rank).
-    pub fn devices(&self) -> usize {
-        self.batch.devices()
-    }
-
-    /// Steps simulated between samples.
-    pub fn decorrelate_steps(&self) -> u64 {
-        self.decorrelate
-    }
-
     /// Advances all replicas to the next sample and returns one cut per
     /// replica (index `r` corresponds to `seeds[r]`).
     pub fn next_cuts(&mut self) -> Vec<CutAssignment> {
@@ -205,8 +195,8 @@ mod tests {
         let sol = solve_gw(&g, &GwConfig::default()).unwrap();
         let circuit = BatchedLifGwCircuit::new(&sol.factors, &[1], &LifGwConfig::default());
         assert_eq!(circuit.n(), 6);
-        assert_eq!(circuit.devices(), 4); // fixed rank 4 per the paper
-        assert_eq!(circuit.decorrelate_steps(), 50); // 5τ at τ/Δt = 10
+        assert_eq!(circuit.batch.devices(), 4); // fixed rank 4 per the paper
+        assert_eq!(circuit.decorrelate, 50); // 5τ at τ/Δt = 10
     }
 
     #[test]
@@ -258,7 +248,7 @@ mod tests {
         let seeds: Vec<u64> = (0..6u64).map(|i| 0x6A11 + i * 97).collect();
         let mut batch = BatchedLifGwCircuit::new(&sol.factors, &seeds, &cfg);
         assert_eq!(batch.replicas(), 6);
-        assert_eq!(batch.devices(), 4);
+        assert_eq!(batch.batch.devices(), 4);
         let mut ones: Vec<BatchedLifGwCircuit> = seeds
             .iter()
             .map(|&s| BatchedLifGwCircuit::new(&sol.factors, &[s], &cfg))

@@ -122,11 +122,6 @@ impl BatchedLifTrevisanCircuit {
         self.net.n()
     }
 
-    /// Total plasticity updates applied to every replica.
-    pub fn updates(&self) -> u64 {
-        self.net.updates()
-    }
-
     /// Replica `r`'s current plastic weight vector.
     ///
     /// # Panics
@@ -134,15 +129,6 @@ impl BatchedLifTrevisanCircuit {
     /// Panics if `r` is out of range.
     pub fn readout_weights(&self, r: usize) -> &[f64] {
         self.net.readout_weights(r)
-    }
-
-    /// Replica `r`'s current cut hypothesis without advancing time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    pub fn current_cut(&self, r: usize) -> CutAssignment {
-        CutAssignment::from_signs(self.net.readout_weights(r))
     }
 
     /// Advances all replicas to the next sample and returns one cut per
@@ -258,7 +244,7 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(a.next_cuts(), b.next_cuts());
         }
-        assert_eq!(a.updates(), 50);
+        assert_eq!(a.net.updates(), 50);
     }
 
     #[test]
@@ -271,7 +257,7 @@ mod tests {
         let mut circuit = one_seed(&g, 1, &cfg);
         let _ = circuit.next_cuts();
         let _ = circuit.next_cuts();
-        assert_eq!(circuit.updates(), 10);
+        assert_eq!(circuit.net.updates(), 10);
     }
 
     /// Acceptance pin: every lane of an R-wide batch is bit-for-bit the
@@ -316,7 +302,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(batch.updates(), 30);
+        assert_eq!(batch.net.updates(), 30);
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl Max2Sat {
             .sum()
     }
 
-    /// Total clause weight (the trivial upper bound).
-    pub fn total_weight(&self) -> f64 {
-        self.clauses.iter().map(|c| c.weight).sum()
-    }
-
     /// Exact optimum by enumeration (for `n_vars ≤ 24`).
     ///
     /// # Panics
@@ -269,7 +264,6 @@ mod tests {
         };
         assert_eq!(inst.value(&[true, true]), 1.0); // clause 1 only
         assert_eq!(inst.value(&[false, false]), 3.0); // both
-        assert_eq!(inst.total_weight(), 3.0);
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl GwSampler {
             x_buf: vec![0.0; n],
         }
     }
-
-    /// The factor matrix.
-    pub fn factors(&self) -> &DMatrix {
-        &self.factors
-    }
 }
 
 impl CutSampler for GwSampler {

@@ -99,12 +99,6 @@ impl CircuitFamily {
     pub fn from_name(name: &str) -> Option<CircuitFamily> {
         CircuitFamily::all().into_iter().find(|f| f.name() == name)
     }
-
-    /// Whether the family runs an offline SDP stage (and therefore
-    /// reports an SDP upper bound).
-    pub fn uses_sdp(&self) -> bool {
-        matches!(self, CircuitFamily::LifGw | CircuitFamily::LifAnnealed)
-    }
 }
 
 /// A fully specified solve request (everything [`solve`] depends on).
@@ -572,8 +566,6 @@ mod tests {
             Some(CircuitFamily::Hopfield)
         );
         assert_eq!(CircuitFamily::from_name("gw"), None);
-        assert!(CircuitFamily::LifAnnealed.uses_sdp());
-        assert!(!CircuitFamily::Hopfield.uses_sdp());
     }
 
     #[test]
@@ -603,7 +595,7 @@ mod tests {
             assert_eq!(out.replicas, 4);
             assert_eq!(out.trace.checkpoints.last(), Some(&64));
             assert!(out.trace.best.windows(2).all(|w| w[0] <= w[1]));
-            if family.uses_sdp() {
+            if matches!(family, CircuitFamily::LifGw | CircuitFamily::LifAnnealed) {
                 let bound = out.sdp_bound.expect("SDP-backed families carry the bound");
                 assert!(bound >= out.best_value as f64 - 1e-6, "{family:?}");
             } else {
@@ -792,7 +784,7 @@ mod tests {
             assert_eq!(out.samples, 64);
             assert_eq!(out.replicas, 4);
             assert!(out.trace.best.windows(2).all(|w| w[0] <= w[1]));
-            if family.uses_sdp() {
+            if matches!(family, CircuitFamily::LifGw | CircuitFamily::LifAnnealed) {
                 let bound = out.sdp_bound.expect("SDP-backed families carry the bound");
                 assert!(bound >= out.best_value - 1e-6, "{family:?}");
             } else {

@@ -9,7 +9,9 @@
 //!
 //! * [`solve_trevisan_weighted`] — minimum eigenvector of the *weighted*
 //!   Trevisan matrix `I + D_w^{-1/2} A_w D_w^{-1/2}`.
-//! * [`brute_force_weighted`] — exact ground truth for small instances.
+//!
+//! `brute_force_weighted`, the exact ground truth for small instances, is
+//! compiled for this crate's tests only.
 //!
 //! The LIF-TR circuit on a weighted graph is
 //! [`BatchedLifTrevisanCircuit`](crate::BatchedLifTrevisanCircuit)
@@ -59,6 +61,7 @@ pub fn solve_trevisan_weighted(
 /// # Panics
 ///
 /// Panics for more than 26 vertices.
+#[cfg(test)]
 pub fn brute_force_weighted(graph: &WeightedGraph) -> (CutAssignment, f64) {
     let n = graph.n();
     assert!(n <= 26, "weighted brute force limited to n <= 26");

@@ -47,15 +47,9 @@ pub struct AccessLog {
 }
 
 impl AccessLog {
-    /// Opens (creating if needed) `path` for appending, without
-    /// rotation.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<AccessLog> {
-        AccessLog::open_rotating(path, 0)
-    }
-
     /// Opens (creating if needed) `path` for appending, rotating to
     /// `<path>.1` whenever the file would grow past `max_bytes`
-    /// (0 disables rotation — identical to [`AccessLog::open`]).
+    /// (0 disables rotation).
     pub fn open_rotating(path: impl AsRef<Path>, max_bytes: u64) -> std::io::Result<AccessLog> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -301,11 +295,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("access.log");
         let _ = std::fs::remove_file(&path);
-        let log = AccessLog::open(&path).unwrap();
+        let log = AccessLog::open_rotating(&path, 0).unwrap();
         log.write("first line");
         log.write("second line");
         // Reopen appends rather than truncating.
-        let log2 = AccessLog::open(&path).unwrap();
+        let log2 = AccessLog::open_rotating(&path, 0).unwrap();
         log2.write("third line");
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "first line\nsecond line\nthird line\n");

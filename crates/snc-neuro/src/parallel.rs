@@ -78,7 +78,6 @@ pub struct ReplicaBatch {
     current: Vec<f64>,
     /// Per-replica packed device states for the current step.
     states: Vec<ActivityWords>,
-    steps: u64,
 }
 
 impl ReplicaBatch {
@@ -125,7 +124,6 @@ impl ReplicaBatch {
             v,
             current: vec![0.0; n * replicas],
             states,
-            steps: 0,
         }
     }
 
@@ -144,13 +142,9 @@ impl ReplicaBatch {
         self.weights.devices()
     }
 
-    /// Lock-steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
     /// The analytic stationary means (= spike thresholds), shared by all
     /// replicas.
+    #[cfg(test)]
     pub fn means(&self) -> &[f64] {
         &self.means
     }
@@ -243,7 +237,6 @@ impl ReplicaBatch {
                     *v = decay * *v + gain * i_in;
                 }
             }
-            self.steps += 1;
             return;
         }
         self.weights
@@ -253,7 +246,6 @@ impl ReplicaBatch {
         for (v, &i_in) in self.v.iter_mut().zip(&self.current) {
             *v = decay * *v + gain * i_in;
         }
-        self.steps += 1;
     }
 
     /// Advances every replica `k` time steps.
@@ -315,7 +307,6 @@ mod tests {
                 assert_eq!(lane_spikes, spikes, "t={t} replica={r} lane {lane}");
             }
         }
-        assert_eq!(batch.steps(), steps);
     }
 
     #[test]
@@ -346,7 +337,6 @@ mod tests {
         assert_eq!(batch.neurons(), 2);
         assert_eq!(batch.devices(), 2);
         assert_eq!(batch.means().len(), 2);
-        assert_eq!(batch.steps(), 0);
     }
 
     #[test]

@@ -68,6 +68,7 @@ impl DenseWeights {
     }
 
     /// Builds from a closure over `(neuron, device)`.
+    #[cfg(test)]
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = vec![0.0; rows * cols];
         for alpha in 0..cols {
@@ -416,11 +417,6 @@ impl CscWeights {
         }
     }
 
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// The stored entries `(row, column, value)`, column by column, so
     /// each row's entries come in ascending column order.
     pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
@@ -514,7 +510,7 @@ mod tests {
                 w.to_dense().max_abs_diff(&dense) < 1e-14,
                 "trevisan CSC mismatch"
             );
-            assert_eq!(w.nnz(), 2 * g.m() + g.n());
+            assert_eq!(w.values.len(), 2 * g.m() + g.n());
         }
     }
 

@@ -95,16 +95,6 @@ impl HealthTable {
         }
     }
 
-    /// Number of backends tracked.
-    pub fn len(&self) -> usize {
-        self.up.len()
-    }
-
-    /// Whether the table tracks no backends.
-    pub fn is_empty(&self) -> bool {
-        self.up.is_empty()
-    }
-
     /// Whether backend `i` is currently routed to.
     pub fn is_up(&self, i: usize) -> bool {
         self.up[i].load(Ordering::Relaxed)

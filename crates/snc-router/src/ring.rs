@@ -83,11 +83,6 @@ impl HashRing {
         }
     }
 
-    /// Number of configured backends (including zero-weight ones).
-    pub fn backends(&self) -> usize {
-        self.backends
-    }
-
     /// Total points on the ring.
     pub fn points(&self) -> usize {
         self.points.len()
@@ -139,7 +134,7 @@ mod tests {
     #[test]
     fn routes_are_deterministic_and_in_range() {
         let ring = HashRing::new(&[1, 1, 1], 32);
-        assert_eq!(ring.backends(), 3);
+        assert_eq!(ring.backends, 3);
         assert_eq!(ring.points(), 96);
         for key in 0..512u64 {
             let a = ring.route(key, |_| true).unwrap();

@@ -248,11 +248,6 @@ impl ResponseCache {
         }
     }
 
-    /// Whether the cache can retain anything at all.
-    pub fn is_enabled(&self) -> bool {
-        self.lru.is_enabled()
-    }
-
     /// A traffic snapshot (each counter read atomically; the snapshot is
     /// exact once traffic quiesces).
     pub fn stats(&self) -> ResponseCacheStats {
@@ -471,7 +466,7 @@ mod tests {
     #[test]
     fn zero_budget_disables_without_panicking() {
         let cache = ResponseCache::new(0);
-        assert!(!cache.is_enabled());
+        assert!(!cache.lru.is_enabled());
         let k = key(1, 1);
         cache.insert(k.clone(), "body".to_string());
         assert!(cache.get(&k).is_none());
@@ -495,7 +490,7 @@ mod tests {
         // overhead), so inserts are dropped and lookups miss — the "0
         // must disable, 1 must not panic" corner of the satellite task.
         let cache = ResponseCache::new(1);
-        assert!(cache.is_enabled());
+        assert!(cache.lru.is_enabled());
         let k = key(1, 1);
         cache.insert(k.clone(), "body".to_string());
         assert!(cache.get(&k).is_none());

@@ -26,8 +26,8 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 pub struct QueueFull;
 
 /// A fixed-width pool of long-lived worker threads behind a bounded
-/// queue. Dropping the pool (or [`WorkerPool::shutdown`]) closes the
-/// queue, lets the workers drain every queued job, and joins them.
+/// queue. Dropping the pool closes the queue, lets the workers drain every
+/// queued job, and joins them.
 pub struct WorkerPool {
     tx: Option<SyncSender<Job>>,
     handles: Vec<JoinHandle<()>>,
@@ -102,11 +102,6 @@ impl WorkerPool {
             }
         }
     }
-
-    /// Closes the queue, lets the workers drain every queued job, and
-    /// joins them (graceful shutdown). Equivalent to dropping the pool,
-    /// but explicit at call sites that care about the drain.
-    pub fn shutdown(self) {}
 }
 
 impl Drop for WorkerPool {
@@ -162,7 +157,7 @@ mod tests {
         results.sort_unstable();
         assert_eq!(results, (0..32).map(|i| (i, i * i)).collect::<Vec<_>>());
         assert_eq!(settled_in_flight(&pool), 0);
-        pool.shutdown();
+        drop(pool);
     }
 
     #[test]
@@ -217,7 +212,7 @@ mod tests {
         let order: Vec<u8> = (0..3).map(|_| rx.recv_timeout(PATIENCE).unwrap()).collect();
         assert_eq!(order, vec![0, 1, 2]);
         assert_eq!(settled_in_flight(&pool), 0);
-        pool.shutdown();
+        drop(pool);
         assert!(rx.try_recv().is_err(), "the refused job never ran");
     }
 
@@ -233,7 +228,7 @@ mod tests {
             })
             .expect("the queue holds all 8");
         }
-        pool.shutdown();
+        drop(pool);
         // Every queued job ran before the workers exited.
         let results: Vec<usize> = rx.try_iter().collect();
         assert_eq!(results, (0..8).collect::<Vec<_>>());
