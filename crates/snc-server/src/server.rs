@@ -774,6 +774,29 @@ fn run_workload(
     }
 }
 
+/// The worker body of a response-cache miss, shared by `/solve` and
+/// `/jobs`: runs the workload, stores the rendered body under `key`, and
+/// records the stage timings (`total` spans solve, render and insert).
+/// Returns the response tree and its render.
+fn solve_miss(
+    workload: &Workload,
+    key: Option<(Arc<ResponseCache>, ResponseKey)>,
+    family: &'static str,
+    defaults: &RequestDefaults,
+    sdp_cache: Option<&SdpCache>,
+    metrics: &ServerMetrics,
+) -> Result<(Json, String), (u16, String)> {
+    let solve_started = Instant::now();
+    let (tree, stages) = run_workload(workload, defaults, sdp_cache)?;
+    let rendered = tree.render();
+    if let Some((cache, key)) = key {
+        cache.insert(key, rendered.clone());
+    }
+    let total_us = u64::try_from(solve_started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    metrics.record_solve_stages(family, &stages, total_us);
+    Ok((tree, rendered))
+}
+
 /// `POST /solve`: parse, consult the response cache, and either answer
 /// the hit inline or schedule the miss on the pool. A cache hit never
 /// touches the worker pool: the stored body is byte-exact by the wire
@@ -805,23 +828,19 @@ fn solve(body: &[u8], shared: &Arc<Shared>, reply_to: ReplyTo) -> Result<Routed,
             // extra catch covers rendering/cache-insert so a completion
             // is *always* delivered — a parked connection must never be
             // stranded by a worker that died between solve and deliver.
-            let solve_started = Instant::now();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let (tree, stages) = run_workload(&workload, &defaults, sdp_cache.as_deref())?;
-                let rendered = tree.render();
-                if let Some((cache, key)) = key {
-                    cache.insert(key, rendered.clone());
-                }
-                Ok((rendered, stages))
+                solve_miss(
+                    &workload,
+                    key,
+                    family,
+                    &defaults,
+                    sdp_cache.as_deref(),
+                    &metrics,
+                )
             }))
             .unwrap_or_else(|_| Err((500, "internal error: solver panicked".to_string())));
             let (status, body) = match outcome {
-                Ok((rendered, stages)) => {
-                    let total_us =
-                        u64::try_from(solve_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    metrics.record_solve_stages(family, &stages, total_us);
-                    (200, rendered)
-                }
+                Ok((_, rendered)) => (200, rendered),
                 Err((status, message)) => (status, wire::error_body(&message)),
             };
             mailbox.deliver(Completion {
@@ -879,17 +898,16 @@ fn submit_job(body: &[u8], shared: &Arc<Shared>) -> Result<Routed, HttpError> {
         store.set_running(id);
         // run_workload contains panics, so the record always reaches a
         // terminal state — a poller can never see `running` forever.
-        let solve_started = Instant::now();
-        let result = run_workload(&workload, &defaults, sdp_cache.as_deref())
-            .map_err(|(_, message)| message);
-        let result = result.map(|(tree, stages)| {
-            let total_us = u64::try_from(solve_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            metrics.record_solve_stages(family, &stages, total_us);
-            tree
-        });
-        if let (Some((cache, key)), Ok(tree)) = (key, &result) {
-            cache.insert(key, tree.render());
-        }
+        let result = solve_miss(
+            &workload,
+            key,
+            family,
+            &defaults,
+            sdp_cache.as_deref(),
+            &metrics,
+        )
+        .map(|(tree, _)| tree)
+        .map_err(|(_, message)| message);
         store.finish(id, result);
     });
     if submitted.is_err() {
