@@ -6,9 +6,7 @@
 use bench::{bench_suite_config, er_graph, sdp_factors, BENCH_SAMPLES};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snc_maxcut::anneal::{parallel_tempering, simulated_annealing, AnnealConfig, TemperingConfig};
-use snc_maxcut::{
-    log2_checkpoints, sample_best_trace, BatchedLifGwCircuit, GwSampler, LifGwConfig,
-};
+use snc_maxcut::{log2_checkpoints, sample_best_trace, GwSampler, LifGwCircuit, LifGwConfig};
 use std::time::Duration;
 
 fn annealer_vs_circuits(c: &mut Criterion) {
@@ -26,7 +24,7 @@ fn annealer_vs_circuits(c: &mut Criterion) {
         lif: cfg.lif,
         ..LifGwConfig::default()
     };
-    let mut circuit = BatchedLifGwCircuit::new(&factors, &[2], &lif_gw_cfg);
+    let mut circuit = LifGwCircuit::new(&factors, &[2], &lif_gw_cfg);
     let circuit_best = circuit.best_traces(&graph, &checkpoints)[0].final_best();
     println!(
         "G(100,0.25) m={}: annealing={sa} tempering={pt} gw_best_of_{BENCH_SAMPLES}={gw_best} lif_gw={circuit_best}",

@@ -6,9 +6,9 @@
 //! R-wide batch instead of as R one-seed batches, at R ≥ 8 on a
 //! paper-scale Figure-4 graph. This bench measures that claim for
 //! **both** paper circuits on the smallest Fig.-4 instance
-//! (road-chesapeake, n = 39): LIF-GW (`BatchedLifGwCircuit`) and
+//! (road-chesapeake, n = 39): LIF-GW (`LifGwCircuit`) and
 //! LIF-Trevisan with its batched SoA Oja plasticity pass
-//! (`BatchedLifTrevisanCircuit`). It also times the packed dense synaptic
+//! (`LifTrevisanCircuit`). It also times the packed dense synaptic
 //! kernel in isolation and LIF-Trevisan's interval update (one gather per
 //! plasticity interval for every lane) at paper scale (G(500, 0.1), the
 //! largest Fig.-3 corner). Before any timing it asserts that every lane's trace
@@ -33,10 +33,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use snc_devices::{DeviceModel, DevicePool, PoolSpec};
 use snc_graph::{CutAssignment, Graph};
 use snc_maxcut::{
-    log2_checkpoints, BatchedHopfieldCircuit, BatchedLifGwCircuit, BatchedLifTrevisanCircuit,
-    BestTrace, HopfieldConfig, LifGwConfig, LifTrevisanConfig,
+    log2_checkpoints, BestTrace, HopfieldCircuit, HopfieldConfig, LifGwCircuit, LifGwConfig,
+    LifTrevisanCircuit, LifTrevisanConfig,
 };
-use snc_neuro::{BatchedTwoStageNetwork, DenseWeights, TwoStageConfig};
+use snc_neuro::{DenseWeights, TwoStageConfig, TwoStageNetwork};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -59,8 +59,7 @@ fn sequential_vs_batched(c: &mut Criterion) {
     let factors = sdp_factors(&graph);
     let cfg = LifGwConfig::default();
     let cp = log2_checkpoints(SAMPLES);
-    let traces =
-        |seeds: &[u64]| BatchedLifGwCircuit::new(&factors, seeds, &cfg).best_traces(&graph, &cp);
+    let traces = |seeds: &[u64]| LifGwCircuit::new(&factors, seeds, &cfg).best_traces(&graph, &cp);
 
     // Loud correctness gate: every lane == its one-seed batch, bit for bit.
     for r in [8usize, 16] {
@@ -91,9 +90,8 @@ fn lif_tr_sequential_vs_batched(c: &mut Criterion) {
     let graph = fig4_smallest();
     let cfg = LifTrevisanConfig::default();
     let cp = log2_checkpoints(SAMPLES);
-    let traces = |seeds: &[u64]| {
-        BatchedLifTrevisanCircuit::new(&graph, seeds, &cfg).best_traces(&graph, &cp)
-    };
+    let traces =
+        |seeds: &[u64]| LifTrevisanCircuit::new(&graph, seeds, &cfg).best_traces(&graph, &cp);
 
     // Loud correctness gate: every lane == its one-seed batch, bit for bit.
     for r in [8usize, 16] {
@@ -125,11 +123,11 @@ fn interval_update_paper_scale(c: &mut Criterion) {
     let cfg = TwoStageConfig::default();
     const R: usize = 8;
     let seeds = replica_seeds(R);
-    let batch = || BatchedTwoStageNetwork::new(&graph, &seeds, cfg);
-    let ones = || -> Vec<BatchedTwoStageNetwork> {
+    let batch = || TwoStageNetwork::new(&graph, &seeds, cfg);
+    let ones = || -> Vec<TwoStageNetwork> {
         seeds
             .iter()
-            .map(|&s| BatchedTwoStageNetwork::new(&graph, &[s], cfg))
+            .map(|&s| TwoStageNetwork::new(&graph, &[s], cfg))
             .collect()
     };
 
@@ -213,17 +211,17 @@ fn width_sweep(c: &mut Criterion) {
     let hf_cfg = HopfieldConfig::default();
     for (name, graph) in sweep_graphs() {
         let graph = &graph;
-        let tr = |seeds: &[u64]| BatchedLifTrevisanCircuit::new(graph, seeds, &tr_cfg);
-        let hf = |seeds: &[u64]| BatchedHopfieldCircuit::new(graph, seeds, &hf_cfg);
+        let tr = |seeds: &[u64]| LifTrevisanCircuit::new(graph, seeds, &tr_cfg);
+        let hf = |seeds: &[u64]| HopfieldCircuit::new(graph, seeds, &hf_cfg);
         // Loud correctness gate before any timing: same cuts and, for
         // LIF-Trevisan, same final readout weights, bit for bit.
         for r in SWEEP_WIDTHS {
             let seeds = replica_seeds(r);
-            let mut one_tr: Vec<BatchedLifTrevisanCircuit> = ones(&seeds, tr);
+            let mut one_tr: Vec<LifTrevisanCircuit> = ones(&seeds, tr);
             let mut batch = tr(&seeds);
             assert_eq!(
                 batched_cuts(r, || batch.next_cuts()),
-                one_seed_cuts(&mut one_tr, BatchedLifTrevisanCircuit::next_cuts),
+                one_seed_cuts(&mut one_tr, LifTrevisanCircuit::next_cuts),
                 "LIF-TR {name} R={r}: cuts diverged"
             );
             for (i, one) in one_tr.iter().enumerate() {
@@ -235,11 +233,11 @@ fn width_sweep(c: &mut Criterion) {
                 );
             }
 
-            let mut one_hf: Vec<BatchedHopfieldCircuit> = ones(&seeds, hf);
+            let mut one_hf: Vec<HopfieldCircuit> = ones(&seeds, hf);
             let mut batch = hf(&seeds);
             assert_eq!(
                 batched_cuts(r, || batch.next_cuts()),
-                one_seed_cuts(&mut one_hf, BatchedHopfieldCircuit::next_cuts),
+                one_seed_cuts(&mut one_hf, HopfieldCircuit::next_cuts),
                 "Hopfield {name} R={r}: cuts diverged"
             );
         }
@@ -253,7 +251,7 @@ fn width_sweep(c: &mut Criterion) {
                 group.bench_function(format!("one_seed_R{r}"), |b| {
                     b.iter(|| {
                         let mut one_tr = ones(&seeds, tr);
-                        one_seed_cuts(&mut one_tr, BatchedLifTrevisanCircuit::next_cuts)
+                        one_seed_cuts(&mut one_tr, LifTrevisanCircuit::next_cuts)
                     })
                 });
             }
@@ -275,7 +273,7 @@ fn width_sweep(c: &mut Criterion) {
                 group.bench_function(format!("one_seed_R{r}"), |b| {
                     b.iter(|| {
                         let mut one_hf = ones(&seeds, hf);
-                        one_seed_cuts(&mut one_hf, BatchedHopfieldCircuit::next_cuts)
+                        one_seed_cuts(&mut one_hf, HopfieldCircuit::next_cuts)
                     })
                 });
             }

@@ -12,8 +12,8 @@
 use bench::{er_graph, sdp_factors};
 use criterion::{criterion_group, criterion_main, Criterion};
 use snc_maxcut::{
-    gw, trevisan, BatchedLifGwCircuit, BatchedLifTrevisanCircuit, CutSampler, GwConfig, GwSampler,
-    LifGwConfig, LifTrevisanConfig, RandomCutSampler, TrevisanConfig,
+    gw, trevisan, CutSampler, GwConfig, GwSampler, LifGwCircuit, LifGwConfig, LifTrevisanCircuit,
+    LifTrevisanConfig, RandomCutSampler, TrevisanConfig,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -49,12 +49,12 @@ fn per_sample_costs(c: &mut Criterion) {
     });
 
     // One simulated circuit: a one-seed batch.
-    let mut circuit = BatchedLifGwCircuit::new(&factors, &[2], &LifGwConfig::default());
+    let mut circuit = LifGwCircuit::new(&factors, &[2], &LifGwConfig::default());
     group.bench_function("lif_gw_circuit_sim", |b| {
         b.iter(|| black_box(circuit.next_cuts()[0].side(0)))
     });
 
-    let mut tr = BatchedLifTrevisanCircuit::new(&graph, &[3], &LifTrevisanConfig::default());
+    let mut tr = LifTrevisanCircuit::new(&graph, &[3], &LifTrevisanConfig::default());
     group.bench_function("lif_tr_circuit_sim", |b| {
         b.iter(|| black_box(tr.next_cuts()[0].side(0)))
     });

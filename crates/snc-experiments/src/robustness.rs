@@ -15,7 +15,7 @@ use crate::runner::JobRunner;
 use snc_devices::{CommonCause, DeviceModel, SplitMix64};
 use snc_graph::generators::erdos_renyi::gnp;
 use snc_linalg::SdpConfig;
-use snc_maxcut::{sampling::sample_stats, BatchedLifGwCircuit, GwConfig, GwSampler, LifGwConfig};
+use snc_maxcut::{sampling::sample_stats, GwConfig, GwSampler, LifGwCircuit, LifGwConfig};
 
 /// One measured configuration of the robustness sweep.
 #[derive(Clone, Debug)]
@@ -137,7 +137,7 @@ pub fn run_robustness(
             }
         }
         let seed = SplitMix64::derive(cfg.seed, 100 + idx as u64);
-        let mut circuit = BatchedLifGwCircuit::new(&gw.factors, &[seed], &circuit_cfg);
+        let mut circuit = LifGwCircuit::new(&gw.factors, &[seed], &circuit_cfg);
         let mut stream = || circuit.next_cuts().remove(0);
         let stats = sample_stats(&mut stream, &graph, cfg.sample_budget);
         RobustnessPoint {

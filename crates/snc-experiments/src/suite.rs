@@ -13,7 +13,7 @@
 //! ## Batched replicas
 //!
 //! Both neuromorphic circuits run batched over replicas
-//! ([`BatchedLifGwCircuit`], [`BatchedLifTrevisanCircuit`]): each
+//! ([`LifGwCircuit`], [`LifTrevisanCircuit`]): each
 //! `JobRunner` worker thread advances one `ReplicaBatch` unit of
 //! [`SuiteConfig::replicas`] lock-stepped circuit replicas, so the full
 //! experiment layout is *threads × batch width*. With `replicas == 1` the
@@ -32,9 +32,8 @@ use snc_graph::Graph;
 use snc_linalg::{LinalgError, SdpConfig};
 use snc_maxcut::solve::{effective_replicas, replica_checkpoints, replica_seeds};
 use snc_maxcut::{
-    log2_checkpoints, merge_traces, sample_best_trace, BatchedLifGwCircuit,
-    BatchedLifTrevisanCircuit, BestTrace, GwConfig, GwSampler, LifGwConfig, LifTrevisanConfig,
-    RandomCutSampler,
+    log2_checkpoints, merge_traces, sample_best_trace, BestTrace, GwConfig, GwSampler,
+    LifGwCircuit, LifGwConfig, LifTrevisanCircuit, LifTrevisanConfig, RandomCutSampler,
 };
 
 /// Best-so-far traces of all four solvers on one graph.
@@ -105,7 +104,7 @@ pub fn run_suite(
         ..LifGwConfig::default()
     };
     let gw_seeds = replica_seeds(SplitMix64::derive(graph_seed, 3), replicas);
-    let mut lif_gw_batch = BatchedLifGwCircuit::new(&gw.factors, &gw_seeds, &lif_gw_cfg);
+    let mut lif_gw_batch = LifGwCircuit::new(&gw.factors, &gw_seeds, &lif_gw_cfg);
     let lif_gw = merge_traces(&lif_gw_batch.best_traces(graph, &replica_cp));
 
     // LIF-Trevisan circuit (entirely online), on the batched stepper.
@@ -117,7 +116,7 @@ pub fn run_suite(
         ..LifTrevisanConfig::default()
     };
     let tr_seeds = replica_seeds(SplitMix64::derive(graph_seed, 4), replicas);
-    let mut lif_tr_batch = BatchedLifTrevisanCircuit::new(graph, &tr_seeds, &lif_tr_cfg);
+    let mut lif_tr_batch = LifTrevisanCircuit::new(graph, &tr_seeds, &lif_tr_cfg);
     let lif_tr = merge_traces(&lif_tr_batch.best_traces(graph, &replica_cp));
 
     // Random baseline.
@@ -202,7 +201,7 @@ mod tests {
             ..LifGwConfig::default()
         };
         let gw_seed = [SplitMix64::derive(33, 3)];
-        let mut one_gw = BatchedLifGwCircuit::new(&gw.factors, &gw_seed, &lif_gw_cfg);
+        let mut one_gw = LifGwCircuit::new(&gw.factors, &gw_seed, &lif_gw_cfg);
         let mut stream = || one_gw.next_cuts().remove(0);
         assert_eq!(
             traces.lif_gw,
@@ -217,7 +216,7 @@ mod tests {
             ..LifTrevisanConfig::default()
         };
         let tr_seed = [SplitMix64::derive(33, 4)];
-        let mut one_tr = BatchedLifTrevisanCircuit::new(&g, &tr_seed, &lif_tr_cfg);
+        let mut one_tr = LifTrevisanCircuit::new(&g, &tr_seed, &lif_tr_cfg);
         let mut stream = || one_tr.next_cuts().remove(0);
         assert_eq!(
             traces.lif_tr,

@@ -11,7 +11,7 @@
 //! replicas differ only in their seeded starting points (restarts, not
 //! noise).
 //!
-//! [`BatchedHopfieldCircuit`] is the one implementation: `R` independent
+//! [`HopfieldCircuit`] is the one implementation: `R` independent
 //! seeded relaxations, of which a one-seed batch is the single circuit.
 
 use crate::graph::MaxCutGraph;
@@ -45,12 +45,12 @@ impl Default for HopfieldConfig {
 /// so the family keeps the same replica-independence contract as the
 /// stochastic circuits.
 #[derive(Clone, Debug)]
-pub struct BatchedHopfieldCircuit {
+pub struct HopfieldCircuit {
     net: HopfieldNetwork,
     steps_per_sample: u64,
 }
 
-impl BatchedHopfieldCircuit {
+impl HopfieldCircuit {
     /// Builds one relaxation per seed over the graph's couplings (unit
     /// couplings on an unweighted graph). Negative edge weights become
     /// ferromagnetic couplings (the endpoints prefer the same side),
@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn finds_the_bipartite_cut() {
         let g = complete_bipartite(4, 4);
-        let mut circuit = BatchedHopfieldCircuit::new(&g, &[3], &HopfieldConfig::default());
+        let mut circuit = HopfieldCircuit::new(&g, &[3], &HopfieldConfig::default());
         let mut stream = || circuit.next_cuts().remove(0);
         let trace = sample_best_trace(&mut stream, &g, &log2_checkpoints(64));
         assert_eq!(trace.final_best(), 16, "K(4,4) relaxes to the exact cut");
@@ -126,7 +126,7 @@ mod tests {
     fn empty_graph_gives_empty_cuts() {
         let g = snc_graph::Graph::empty(0);
         for seeds in [&[1u64][..], &[1, 2, 3]] {
-            let mut batch = BatchedHopfieldCircuit::new(&g, seeds, &HopfieldConfig::default());
+            let mut batch = HopfieldCircuit::new(&g, seeds, &HopfieldConfig::default());
             let cuts = batch.next_cuts();
             assert_eq!(cuts.len(), seeds.len());
             assert!(cuts.iter().all(|c| c.sides().is_empty()));
@@ -136,8 +136,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let g = gnp(14, 0.4, 2).unwrap();
-        let mut a = BatchedHopfieldCircuit::new(&g, &[9], &HopfieldConfig::default());
-        let mut b = BatchedHopfieldCircuit::new(&g, &[9], &HopfieldConfig::default());
+        let mut a = HopfieldCircuit::new(&g, &[9], &HopfieldConfig::default());
+        let mut b = HopfieldCircuit::new(&g, &[9], &HopfieldConfig::default());
         for _ in 0..8 {
             assert_eq!(a.next_cuts(), b.next_cuts());
         }
@@ -148,11 +148,11 @@ mod tests {
     fn assert_batched_matches_sequential(g: &impl MaxCutGraph) {
         let cfg = HopfieldConfig::default();
         let seeds = [10u64, 20, 30];
-        let mut batch = BatchedHopfieldCircuit::new(g, &seeds, &cfg);
+        let mut batch = HopfieldCircuit::new(g, &seeds, &cfg);
         assert_eq!((batch.replicas(), batch.n()), (3, g.n()));
-        let mut ones: Vec<BatchedHopfieldCircuit> = seeds
+        let mut ones: Vec<HopfieldCircuit> = seeds
             .iter()
-            .map(|&s| BatchedHopfieldCircuit::new(g, &[s], &cfg))
+            .map(|&s| HopfieldCircuit::new(g, &[s], &cfg))
             .collect();
         for sample in 0..10 {
             let cuts = batch.next_cuts();
@@ -216,8 +216,7 @@ mod tests {
             if opt == 0 {
                 continue;
             }
-            let mut batch =
-                BatchedHopfieldCircuit::new(&g, &[1, 2, 3, 4], &HopfieldConfig::default());
+            let mut batch = HopfieldCircuit::new(&g, &[1, 2, 3, 4], &HopfieldConfig::default());
             let mut best = 0u64;
             for _ in 0..16 {
                 for cut in batch.next_cuts() {
@@ -234,7 +233,7 @@ mod tests {
         // A strongly negative edge glues its endpoints to one side.
         let g = WeightedGraph::from_weighted_edges(3, &[(0, 1, -4.0), (1, 2, 1.0), (0, 2, 1.0)])
             .unwrap();
-        let mut circuit = BatchedHopfieldCircuit::new(&g, &[1], &HopfieldConfig::default());
+        let mut circuit = HopfieldCircuit::new(&g, &[1], &HopfieldConfig::default());
         let mut last = None;
         for _ in 0..40 {
             last = circuit.next_cuts().pop();

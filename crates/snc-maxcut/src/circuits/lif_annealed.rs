@@ -30,12 +30,12 @@
 //!   readout — so the device/membrane trajectories are bit-identical to
 //!   LIF-GW's under any schedule.
 //!
-//! [`BatchedLifAnnealedCircuit`] is the one implementation: `R`
+//! [`LifAnnealedCircuit`] is the one implementation: `R`
 //! independent seeded replicas, of which a one-seed batch is the single
 //! circuit.
 
 use crate::anneal::CoolingSchedule;
-use crate::circuits::lif_gw::{BatchedLifGwCircuit, LifGwConfig};
+use crate::circuits::lif_gw::{LifGwCircuit, LifGwConfig};
 use crate::graph::MaxCutGraph;
 use crate::sampling::cuts_from_lane;
 use snc_graph::CutAssignment;
@@ -297,13 +297,13 @@ impl SigmaTape {
 
 /// `R` annealed replicas advanced in lock-step on one [`ReplicaBatch`].
 ///
-/// The membrane machinery is a [`BatchedLifGwCircuit`]'s, built by its
+/// The membrane machinery is a [`LifGwCircuit`]'s, built by its
 /// constructor (same warmup, same per-step RNG streams);
 /// only the readout differs. Replica `r`'s sample stream is bit-for-bit
 /// the one-seed batch's with seed `seeds[r]` — and, under a constant
 /// schedule, bit-for-bit LIF-GW's.
 #[derive(Clone, Debug)]
-pub struct BatchedLifAnnealedCircuit {
+pub struct LifAnnealedCircuit {
     batch: ReplicaBatch,
     decorrelate: u64,
     readout: AnnealedReadout,
@@ -314,7 +314,7 @@ pub struct BatchedLifAnnealedCircuit {
     h: Vec<f64>,
 }
 
-impl BatchedLifAnnealedCircuit {
+impl LifAnnealedCircuit {
     /// Builds one replica per seed from SDP factors and the graph the
     /// feedback field reads (weighted graphs take their factors from the
     /// weighted SDP), with `horizon` samples of schedule (the per-replica
@@ -330,8 +330,7 @@ impl BatchedLifAnnealedCircuit {
         cfg: &LifAnnealedConfig,
         horizon: u64,
     ) -> Self {
-        let BatchedLifGwCircuit { batch, decorrelate } =
-            BatchedLifGwCircuit::new(factors, seeds, &cfg.base);
+        let LifGwCircuit { batch, decorrelate } = LifGwCircuit::new(factors, seeds, &cfg.base);
         let n = graph.n();
         let replicas = seeds.len();
         Self {
@@ -413,8 +412,8 @@ mod tests {
             schedule: CoolingSchedule::constant(1.0).unwrap(),
             feedback_gain: 1.0,
         };
-        let mut gw = BatchedLifGwCircuit::new(&factors, &seeds, &base);
-        let mut annealed = BatchedLifAnnealedCircuit::new(&factors, &g, &seeds, &cfg, 16);
+        let mut gw = LifGwCircuit::new(&factors, &seeds, &base);
+        let mut annealed = LifAnnealedCircuit::new(&factors, &g, &seeds, &cfg, 16);
         for sample in 0..16 {
             assert_eq!(annealed.next_cuts(), gw.next_cuts(), "sample {sample}");
         }
@@ -429,14 +428,14 @@ mod tests {
         let cfg = LifAnnealedConfig::default();
         let seeds = [100u64, 200, 300];
         let horizon = 12;
-        let mut batch = BatchedLifAnnealedCircuit::new(&factors, &g, &seeds, &cfg, horizon);
+        let mut batch = LifAnnealedCircuit::new(&factors, &g, &seeds, &cfg, horizon);
         assert_eq!(
             (batch.replicas(), batch.n(), batch.batch.devices()),
             (3, 14, 4)
         );
-        let mut ones: Vec<BatchedLifAnnealedCircuit> = seeds
+        let mut ones: Vec<LifAnnealedCircuit> = seeds
             .iter()
-            .map(|&s| BatchedLifAnnealedCircuit::new(&factors, &g, &[s], &cfg, horizon))
+            .map(|&s| LifAnnealedCircuit::new(&factors, &g, &[s], &cfg, horizon))
             .collect();
         for sample in 0..12 {
             let cuts = batch.next_cuts();
@@ -451,8 +450,8 @@ mod tests {
         let g = gnp(12, 0.5, 1).unwrap();
         let factors = factors_for(&g);
         let cfg = LifAnnealedConfig::default();
-        let mut a = BatchedLifAnnealedCircuit::new(&factors, &g, &[42], &cfg, 10);
-        let mut b = BatchedLifAnnealedCircuit::new(&factors, &g, &[42], &cfg, 10);
+        let mut a = LifAnnealedCircuit::new(&factors, &g, &[42], &cfg, 10);
+        let mut b = LifAnnealedCircuit::new(&factors, &g, &[42], &cfg, 10);
         for _ in 0..10 {
             assert_eq!(a.next_cuts(), b.next_cuts());
         }
@@ -467,7 +466,7 @@ mod tests {
         let g = complete_bipartite(4, 4);
         let factors = factors_for(&g);
         let cfg = LifAnnealedConfig::default();
-        let mut circuit = BatchedLifAnnealedCircuit::new(&factors, &g, &[2], &cfg, 64);
+        let mut circuit = LifAnnealedCircuit::new(&factors, &g, &[2], &cfg, 64);
         let mut best = 0;
         let mut last = 0;
         for _ in 0..64 {
@@ -485,12 +484,12 @@ mod tests {
         let g = gnp(12, 0.5, 8).unwrap();
         let factors = factors_for(&g);
         let geo_cfg = LifAnnealedConfig::default();
-        let mut geo = BatchedLifAnnealedCircuit::new(&factors, &g, &[11], &geo_cfg, 32);
+        let mut geo = LifAnnealedCircuit::new(&factors, &g, &[11], &geo_cfg, 32);
         let linear_cfg = LifAnnealedConfig {
             schedule: CoolingSchedule::linear(1.0, 0.0).unwrap(),
             ..LifAnnealedConfig::default()
         };
-        let mut lin = BatchedLifAnnealedCircuit::new(&factors, &g, &[11], &linear_cfg, 32);
+        let mut lin = LifAnnealedCircuit::new(&factors, &g, &[11], &linear_cfg, 32);
         assert_eq!(geo.next_cuts(), lin.next_cuts(), "t=0 readouts agree");
     }
 

@@ -13,7 +13,7 @@
 //! approximately independent — the hardware analogue of drawing fresh
 //! Gaussians.
 //!
-//! [`BatchedLifGwCircuit`] is the one implementation: `R` independent
+//! [`LifGwCircuit`] is the one implementation: `R` independent
 //! seeded replicas of the circuit, of which a one-seed batch is the
 //! single circuit.
 
@@ -62,19 +62,19 @@ impl Default for LifGwConfig {
 /// factors and configuration), but all replicas share one traversal of
 /// the weight matrix per time step via [`ReplicaBatch`]. Replica `r`'s
 /// sample stream is bit-for-bit that of the one-seed batch
-/// `BatchedLifGwCircuit::new(factors, &[seeds[r]], cfg)` — batching
+/// `LifGwCircuit::new(factors, &[seeds[r]], cfg)` — batching
 /// changes the schedule, never the samples — which the lane tests pin.
 ///
 /// # Examples
 ///
 /// ```
 /// use snc_linalg::DMatrix;
-/// use snc_maxcut::{BatchedLifGwCircuit, LifGwConfig};
+/// use snc_maxcut::{LifGwCircuit, LifGwConfig};
 ///
 /// // Tiny 3-vertex factor matrix (rank 2) for illustration; real use
 /// // passes `solve_gw(..).factors`.
 /// let factors = DMatrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[0.6, -0.8]]);
-/// let mut batch = BatchedLifGwCircuit::new(
+/// let mut batch = LifGwCircuit::new(
 ///     &factors, &[1, 2, 3, 4], &LifGwConfig::default());
 /// assert_eq!((batch.replicas(), batch.n()), (4, 3));
 /// let cuts = batch.next_cuts();
@@ -82,13 +82,13 @@ impl Default for LifGwConfig {
 /// assert!(cuts.iter().all(|c| c.len() == 3));
 /// ```
 #[derive(Clone, Debug)]
-pub struct BatchedLifGwCircuit {
+pub struct LifGwCircuit {
     // LIF-annealed runs on this substrate, hence the sibling visibility.
     pub(super) batch: ReplicaBatch,
     pub(super) decorrelate: u64,
 }
 
-impl BatchedLifGwCircuit {
+impl LifGwCircuit {
     /// Builds one replica per seed from an SDP factor matrix (`n × r`, one
     /// row per vertex — the output of [`crate::gw::solve_gw`]), and
     /// free-runs every replica for the warmup.
@@ -154,11 +154,11 @@ impl BatchedLifGwCircuit {
     ///
     /// ```
     /// use snc_graph::generators::structured::complete_bipartite;
-    /// use snc_maxcut::{log2_checkpoints, solve_gw, BatchedLifGwCircuit, GwConfig, LifGwConfig};
+    /// use snc_maxcut::{log2_checkpoints, solve_gw, LifGwCircuit, GwConfig, LifGwConfig};
     ///
     /// let g = complete_bipartite(3, 3);
     /// let factors = solve_gw(&g, &GwConfig::default()).unwrap().factors;
-    /// let mut batch = BatchedLifGwCircuit::new(&factors, &[7, 8, 9], &LifGwConfig::default());
+    /// let mut batch = LifGwCircuit::new(&factors, &[7, 8, 9], &LifGwConfig::default());
     /// let traces = batch.best_traces(&g, &log2_checkpoints(8));
     /// // One best-so-far trace per replica on the shared sample grid.
     /// assert_eq!(traces.len(), 3);
@@ -193,7 +193,7 @@ mod tests {
     fn circuit_dimensions_follow_sdp_rank() {
         let g = complete_bipartite(3, 3);
         let sol = solve_gw(&g, &GwConfig::default()).unwrap();
-        let circuit = BatchedLifGwCircuit::new(&sol.factors, &[1], &LifGwConfig::default());
+        let circuit = LifGwCircuit::new(&sol.factors, &[1], &LifGwConfig::default());
         assert_eq!(circuit.n(), 6);
         assert_eq!(circuit.batch.devices(), 4); // fixed rank 4 per the paper
         assert_eq!(circuit.decorrelate, 50); // 5τ at τ/Δt = 10
@@ -205,7 +205,7 @@ mod tests {
         // parts, so nearly every sample is the exact cut.
         let g = complete_bipartite(4, 4);
         let sol = solve_gw(&g, &GwConfig::default()).unwrap();
-        let mut circuit = BatchedLifGwCircuit::new(&sol.factors, &[3], &LifGwConfig::default());
+        let mut circuit = LifGwCircuit::new(&sol.factors, &[3], &LifGwConfig::default());
         let trace = circuit.best_traces(&g, &log2_checkpoints(8)).remove(0);
         assert_eq!(trace.final_best(), 16);
     }
@@ -222,8 +222,7 @@ mod tests {
             }
             let sol = solve_gw(&g, &GwConfig::default()).unwrap();
             let cp = log2_checkpoints(128);
-            let mut circuit =
-                BatchedLifGwCircuit::new(&sol.factors, &[seed], &LifGwConfig::default());
+            let mut circuit = LifGwCircuit::new(&sol.factors, &[seed], &LifGwConfig::default());
             let circuit_trace = circuit.best_traces(&g, &cp).remove(0);
             let mut software = GwSampler::new(sol.factors.clone(), seed ^ 0xFF);
             let software_trace = sample_best_trace(&mut software, &g, &cp);
@@ -246,12 +245,12 @@ mod tests {
         let sol = solve_gw(&g, &GwConfig::default()).unwrap();
         let cfg = LifGwConfig::default();
         let seeds: Vec<u64> = (0..6u64).map(|i| 0x6A11 + i * 97).collect();
-        let mut batch = BatchedLifGwCircuit::new(&sol.factors, &seeds, &cfg);
+        let mut batch = LifGwCircuit::new(&sol.factors, &seeds, &cfg);
         assert_eq!(batch.replicas(), 6);
         assert_eq!(batch.batch.devices(), 4);
-        let mut ones: Vec<BatchedLifGwCircuit> = seeds
+        let mut ones: Vec<LifGwCircuit> = seeds
             .iter()
-            .map(|&s| BatchedLifGwCircuit::new(&sol.factors, &[s], &cfg))
+            .map(|&s| LifGwCircuit::new(&sol.factors, &[s], &cfg))
             .collect();
         for sample in 0..12 {
             let cuts = batch.next_cuts();
@@ -270,12 +269,12 @@ mod tests {
         let cfg = LifGwConfig::default();
         let seeds: Vec<u64> = (0..8u64).map(|i| 1000 + i).collect();
         let cp = log2_checkpoints(32);
-        let mut batch = BatchedLifGwCircuit::new(&sol.factors, &seeds, &cfg);
+        let mut batch = LifGwCircuit::new(&sol.factors, &seeds, &cfg);
         let batched = batch.best_traces(&g, &cp);
         let reference: Vec<BestTrace> = seeds
             .iter()
             .map(|&s| {
-                let mut one = BatchedLifGwCircuit::new(&sol.factors, &[s], &cfg);
+                let mut one = LifGwCircuit::new(&sol.factors, &[s], &cfg);
                 sample_best_trace(&mut || one.next_cuts().remove(0), &g, &cp)
             })
             .collect();
@@ -286,8 +285,8 @@ mod tests {
     fn deterministic_given_seed() {
         let g = gnp(10, 0.4, 5).unwrap();
         let sol = solve_gw(&g, &GwConfig::default()).unwrap();
-        let mut a = BatchedLifGwCircuit::new(&sol.factors, &[7], &LifGwConfig::default());
-        let mut b = BatchedLifGwCircuit::new(&sol.factors, &[7], &LifGwConfig::default());
+        let mut a = LifGwCircuit::new(&sol.factors, &[7], &LifGwConfig::default());
+        let mut b = LifGwCircuit::new(&sol.factors, &[7], &LifGwConfig::default());
         for _ in 0..5 {
             assert_eq!(a.next_cuts(), b.next_cuts());
         }
@@ -297,7 +296,7 @@ mod tests {
     fn spike_rate_balanced_at_mean_threshold() {
         let g = gnp(12, 0.5, 2).unwrap();
         let sol = solve_gw(&g, &GwConfig::default()).unwrap();
-        let mut circuit = BatchedLifGwCircuit::new(&sol.factors, &[11], &LifGwConfig::default());
+        let mut circuit = LifGwCircuit::new(&sol.factors, &[11], &LifGwConfig::default());
         let samples = 400;
         let mut per_neuron = [0u32; 12];
         for _ in 0..samples {

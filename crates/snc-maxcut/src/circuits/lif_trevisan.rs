@@ -14,15 +14,15 @@
 //! curves *improve over time as learning proceeds*, the characteristic
 //! shape of the orange curves in Figs. 3–4.
 //!
-//! [`BatchedLifTrevisanCircuit`] is the one implementation: `R`
+//! [`LifTrevisanCircuit`] is the one implementation: `R`
 //! independent seeded replicas of the circuit, of which a one-seed batch
 //! is the single circuit. On a weighted graph the synaptic program is the
-//! weighted Trevisan matrix ([`BatchedLifTrevisanCircuit::from_weights`]).
+//! weighted Trevisan matrix ([`LifTrevisanCircuit::from_weights`]).
 
 use crate::sampling::{batched_best_traces, cuts_from_lane, set_lane_from_signs, BestTrace};
 use snc_devices::{CommonCause, DeviceModel};
 use snc_graph::{CutAssignment, Graph};
-use snc_neuro::{BatchedTwoStageNetwork, CscWeights, TwoStageConfig};
+use snc_neuro::{CscWeights, TwoStageConfig, TwoStageNetwork};
 
 /// Configuration of the LIF-Trevisan circuit sampler.
 #[derive(Clone, Debug)]
@@ -53,9 +53,9 @@ impl Default for LifTrevisanConfig {
 /// Each replica is an independent circuit (own device seed and plastic
 /// readout vector, same graph and configuration), but all replicas share
 /// one traversal of the sparse Trevisan weight matrix per plasticity
-/// update and one SoA Oja plasticity pass, via [`BatchedTwoStageNetwork`].
+/// update and one SoA Oja plasticity pass, via [`TwoStageNetwork`].
 /// Replica `r`'s sample stream is bit-for-bit that of the one-seed batch
-/// `BatchedLifTrevisanCircuit::new(graph, &[seeds[r]], cfg)` — batching
+/// `LifTrevisanCircuit::new(graph, &[seeds[r]], cfg)` — batching
 /// changes the schedule, never the samples — which the lane tests pin for
 /// R ∈ {2, 3, 8, 16}.
 ///
@@ -63,10 +63,10 @@ impl Default for LifTrevisanConfig {
 ///
 /// ```
 /// use snc_graph::generators::structured::cycle;
-/// use snc_maxcut::{log2_checkpoints, BatchedLifTrevisanCircuit, LifTrevisanConfig};
+/// use snc_maxcut::{log2_checkpoints, LifTrevisanCircuit, LifTrevisanConfig};
 ///
 /// let g = cycle(10);
-/// let mut batch = BatchedLifTrevisanCircuit::new(&g, &[1, 2, 3, 4], &LifTrevisanConfig::default());
+/// let mut batch = LifTrevisanCircuit::new(&g, &[1, 2, 3, 4], &LifTrevisanConfig::default());
 /// assert_eq!((batch.replicas(), batch.n()), (4, 10));
 /// // One best-so-far learning curve per replica on a shared sample grid.
 /// let traces = batch.best_traces(&g, &log2_checkpoints(8));
@@ -74,12 +74,12 @@ impl Default for LifTrevisanConfig {
 /// assert!(traces.iter().all(|t| t.final_best() <= g.m() as u64));
 /// ```
 #[derive(Clone, Debug)]
-pub struct BatchedLifTrevisanCircuit {
-    net: BatchedTwoStageNetwork,
+pub struct LifTrevisanCircuit {
+    net: TwoStageNetwork,
     updates_per_sample: u64,
 }
 
-impl BatchedLifTrevisanCircuit {
+impl LifTrevisanCircuit {
     /// Builds one replica per seed for a graph.
     ///
     /// # Panics
@@ -99,7 +99,7 @@ impl BatchedLifTrevisanCircuit {
     ///
     /// Panics if the weight matrix is not square or `seeds` is empty.
     pub fn from_weights(weights: CscWeights, seeds: &[u64], cfg: &LifTrevisanConfig) -> Self {
-        let net = BatchedTwoStageNetwork::from_weights(
+        let net = TwoStageNetwork::from_weights(
             weights,
             cfg.device.clone(),
             cfg.common_cause,
@@ -187,8 +187,8 @@ mod tests {
     use snc_linalg::vector;
 
     /// One circuit: a one-seed batch.
-    fn one_seed(g: &Graph, seed: u64, cfg: &LifTrevisanConfig) -> BatchedLifTrevisanCircuit {
-        BatchedLifTrevisanCircuit::new(g, &[seed], cfg)
+    fn one_seed(g: &Graph, seed: u64, cfg: &LifTrevisanConfig) -> LifTrevisanCircuit {
+        LifTrevisanCircuit::new(g, &[seed], cfg)
     }
 
     #[test]
@@ -285,9 +285,9 @@ mod tests {
     fn assert_lanes_match_one_seed_batches(g: &Graph, r: usize, cfg: &LifTrevisanConfig) {
         let n = g.n();
         let seeds: Vec<u64> = (0..r as u64).map(|i| 0x7E71 + i * 131).collect();
-        let mut batch = BatchedLifTrevisanCircuit::new(g, &seeds, cfg);
+        let mut batch = LifTrevisanCircuit::new(g, &seeds, cfg);
         assert_eq!(batch.replicas(), r);
-        let mut ones: Vec<BatchedLifTrevisanCircuit> =
+        let mut ones: Vec<LifTrevisanCircuit> =
             seeds.iter().map(|&s| one_seed(g, s, cfg)).collect();
         for sample in 0..10 {
             let cuts = batch.next_cuts();
@@ -313,7 +313,7 @@ mod tests {
         let cfg = LifTrevisanConfig::default();
         let seeds: Vec<u64> = (0..6u64).map(|i| 500 + i).collect();
         let cp = log2_checkpoints(24);
-        let mut batch = BatchedLifTrevisanCircuit::new(&g, &seeds, &cfg);
+        let mut batch = LifTrevisanCircuit::new(&g, &seeds, &cfg);
         let batched = batch.best_traces(&g, &cp);
         let reference: Vec<BestTrace> = seeds
             .iter()
@@ -331,7 +331,7 @@ mod tests {
         // best-so-far curve improves as learning proceeds.
         let g = gnp(20, 0.3, 5).unwrap();
         let seeds = [11u64, 12, 13, 14];
-        let mut batch = BatchedLifTrevisanCircuit::new(&g, &seeds, &LifTrevisanConfig::default());
+        let mut batch = LifTrevisanCircuit::new(&g, &seeds, &LifTrevisanConfig::default());
         let traces = batch.best_traces(&g, &log2_checkpoints(4000));
         let merged = crate::sampling::merge_traces(&traces);
         assert!(merged.final_best() as f64 > g.m() as f64 / 2.0);

@@ -61,10 +61,10 @@ pub mod weighted;
 
 pub use anneal::{CoolingSchedule, ScheduleError, ScheduleKind};
 pub use cache::{CacheStats, SdpCache, ShardedLru};
-pub use circuits::hopfield::{BatchedHopfieldCircuit, HopfieldConfig};
-pub use circuits::lif_annealed::{BatchedLifAnnealedCircuit, LifAnnealedConfig};
-pub use circuits::lif_gw::{BatchedLifGwCircuit, LifGwConfig};
-pub use circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanConfig};
+pub use circuits::hopfield::{HopfieldCircuit, HopfieldConfig};
+pub use circuits::lif_annealed::{LifAnnealedCircuit, LifAnnealedConfig};
+pub use circuits::lif_gw::{LifGwCircuit, LifGwConfig};
+pub use circuits::lif_trevisan::{LifTrevisanCircuit, LifTrevisanConfig};
 pub use graph::MaxCutGraph;
 pub use gw::{solve_gw, GwConfig, GwSampler, GwSolution};
 pub use random::RandomCutSampler;

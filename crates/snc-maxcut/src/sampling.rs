@@ -22,10 +22,10 @@ pub trait CutSampler {
 ///
 /// ```
 /// use snc_graph::generators::structured::cycle;
-/// use snc_maxcut::{log2_checkpoints, sample_best_trace, BatchedHopfieldCircuit, HopfieldConfig};
+/// use snc_maxcut::{log2_checkpoints, sample_best_trace, HopfieldCircuit, HopfieldConfig};
 ///
 /// let g = cycle(10);
-/// let mut batch = BatchedHopfieldCircuit::new(&g, &[7], &HopfieldConfig::default());
+/// let mut batch = HopfieldCircuit::new(&g, &[7], &HopfieldConfig::default());
 /// let mut stream = || batch.next_cuts().remove(0);
 /// let trace = sample_best_trace(&mut stream, &g, &log2_checkpoints(16));
 /// assert_eq!(trace.final_best(), 10, "an even ring relaxes to its exact cut");
@@ -178,8 +178,8 @@ pub(crate) fn blocked_bests<G: MaxCutGraph>(
 
 /// One best-so-far trace per replica on an unweighted graph, from the
 /// blocked loop ([`blocked_bests`]): the shared engine of
-/// `BatchedLifGwCircuit::best_traces` and
-/// `BatchedLifTrevisanCircuit::best_traces`, so the circuits supply only
+/// `LifGwCircuit::best_traces` and
+/// `LifTrevisanCircuit::best_traces`, so the circuits supply only
 /// the advance-and-read step and the checkpoint semantics cannot drift
 /// between circuit families.
 ///

@@ -22,10 +22,10 @@
 
 use crate::anneal::CoolingSchedule;
 use crate::cache::SdpCache;
-use crate::circuits::hopfield::{BatchedHopfieldCircuit, HopfieldConfig};
-use crate::circuits::lif_annealed::{BatchedLifAnnealedCircuit, LifAnnealedConfig};
-use crate::circuits::lif_gw::{BatchedLifGwCircuit, LifGwConfig};
-use crate::circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanConfig};
+use crate::circuits::hopfield::{HopfieldCircuit, HopfieldConfig};
+use crate::circuits::lif_annealed::{LifAnnealedCircuit, LifAnnealedConfig};
+use crate::circuits::lif_gw::{LifGwCircuit, LifGwConfig};
+use crate::circuits::lif_trevisan::{LifTrevisanCircuit, LifTrevisanConfig};
 use crate::graph::{CutValue, MaxCutGraph};
 use crate::gw::{solve_gw, GwConfig, GwSolution};
 use crate::sampling::{blocked_bests, log2_checkpoints, BestTrace};
@@ -389,7 +389,7 @@ fn solve_from<G: MaxCutGraph>(
                 ..LifGwConfig::default()
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 3), replicas);
-            let mut batch = BatchedLifGwCircuit::new(&gw.factors, &seeds, &cfg);
+            let mut batch = LifGwCircuit::new(&gw.factors, &seeds, &cfg);
             let sdp = Some((&*gw, sdp_us));
             let next_lane = |lane, words: &mut [u64]| batch.next_lane(lane, words);
             Ok(drive(
@@ -412,7 +412,7 @@ fn solve_from<G: MaxCutGraph>(
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 4), replicas);
             let weights = graph.trevisan_weights(cfg.network.weight_scale)?;
-            let mut batch = BatchedLifTrevisanCircuit::from_weights(weights, &seeds, &cfg);
+            let mut batch = LifTrevisanCircuit::from_weights(weights, &seeds, &cfg);
             let next_lane = |lane, words: &mut [u64]| batch.next_lane(lane, words);
             Ok(drive(
                 graph,
@@ -438,8 +438,7 @@ fn solve_from<G: MaxCutGraph>(
             };
             let horizon = spec.budget / replicas as u64;
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 6), replicas);
-            let mut batch =
-                BatchedLifAnnealedCircuit::new(&gw.factors, graph, &seeds, &cfg, horizon);
+            let mut batch = LifAnnealedCircuit::new(&gw.factors, graph, &seeds, &cfg, horizon);
             let sdp = Some((&*gw, sdp_us));
             let next_lane = |lane, words: &mut [u64]| batch.next_lane(lane, words);
             Ok(drive(
@@ -458,7 +457,7 @@ fn solve_from<G: MaxCutGraph>(
                 ..HopfieldConfig::default()
             };
             let seeds = replica_seeds(SplitMix64::derive(spec.seed, 7), replicas);
-            let mut batch = BatchedHopfieldCircuit::new(graph, &seeds, &cfg);
+            let mut batch = HopfieldCircuit::new(graph, &seeds, &cfg);
             let next_lane = |lane, words: &mut [u64]| batch.next_lane(lane, words);
             Ok(drive(
                 graph,
@@ -677,7 +676,7 @@ mod tests {
             },
             ..LifTrevisanConfig::default()
         };
-        let mut batch = BatchedLifTrevisanCircuit::new(&g, &seeds, &cfg);
+        let mut batch = LifTrevisanCircuit::new(&g, &seeds, &cfg);
         let reference = merge_traces(&batch.best_traces(&g, &cp));
         assert_eq!(out.trace, reference);
     }
@@ -754,8 +753,8 @@ mod tests {
             schedule: CoolingSchedule::constant(1.0).unwrap(),
             ..LifAnnealedConfig::default()
         };
-        let mut cooled = BatchedLifAnnealedCircuit::new(&factors, &g, &[9], &cooled_cfg, 32);
-        let mut constant = BatchedLifAnnealedCircuit::new(&factors, &g, &[9], &constant_cfg, 32);
+        let mut cooled = LifAnnealedCircuit::new(&factors, &g, &[9], &cooled_cfg, 32);
+        let mut constant = LifAnnealedCircuit::new(&factors, &g, &[9], &constant_cfg, 32);
         let a: Vec<_> = (0..32).flat_map(|_| cooled.next_cuts()).collect();
         let b: Vec<_> = (0..32).flat_map(|_| constant.next_cuts()).collect();
         assert_ne!(a, b, "cooling must alter the sample stream");

@@ -14,7 +14,7 @@
 //! compiled for this crate's tests only.
 //!
 //! The LIF-TR circuit on a weighted graph is
-//! [`BatchedLifTrevisanCircuit`](crate::BatchedLifTrevisanCircuit)
+//! [`LifTrevisanCircuit`](crate::LifTrevisanCircuit)
 //! programmed with the weighted Trevisan matrix
 //! ([`MaxCutGraph::trevisan_weights`](crate::MaxCutGraph::trevisan_weights)).
 
@@ -176,13 +176,13 @@ mod tests {
     #[test]
     fn weighted_lif_tr_learns_bipartite() {
         use crate::graph::MaxCutGraph;
-        use crate::{BatchedLifTrevisanCircuit, LifTrevisanConfig};
+        use crate::{LifTrevisanCircuit, LifTrevisanConfig};
         let base = complete_bipartite(3, 3);
         let g =
             randomize_weights(&base, WeightDistribution::Uniform { lo: 0.5, hi: 1.5 }, 5).unwrap();
         let cfg = LifTrevisanConfig::default();
         let weights = g.trevisan_weights(cfg.network.weight_scale).unwrap();
-        let mut circuit = BatchedLifTrevisanCircuit::from_weights(weights, &[3], &cfg);
+        let mut circuit = LifTrevisanCircuit::from_weights(weights, &[3], &cfg);
         let mut stream = || circuit.next_cuts().remove(0);
         let trace = sample_best_trace(&mut stream, &g, &log2_checkpoints(20_000));
         assert!(

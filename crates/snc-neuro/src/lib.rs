@@ -18,7 +18,7 @@
 //!   drives the LIF-Trevisan circuit (§III.D), with a structure-of-arrays
 //!   multi-replica pass (`update_replicas`) that updates R plastic
 //!   vectors per traversal, bit-for-bit equal to the scalar updates.
-//! * [`network`] — [`BatchedTwoStageNetwork`], the LIF-TR topology (a
+//! * [`network`] — [`TwoStageNetwork`], the LIF-TR topology (a
 //!   device-driven LIF population plus a plastic readout neuron) as R
 //!   lock-stepped replicas. Stage 1 advances one plasticity interval per
 //!   sparse product, on the slice gather Hopfield also runs.
@@ -48,7 +48,7 @@ pub mod theory;
 
 pub use hopfield::{HopfieldNetwork, HopfieldParams};
 pub use lif::LifParams;
-pub use network::{BatchedTwoStageNetwork, TwoStageConfig};
+pub use network::{TwoStageConfig, TwoStageNetwork};
 pub use parallel::ReplicaBatch;
 pub use plasticity::{LearningRate, OjaMinor};
 pub use synapse::{CscWeights, DenseWeights, InputWeights};

@@ -3,10 +3,10 @@
 //! Stage 1 is the device-driven circuit motif — a pool of stochastic
 //! devices feeding a LIF population through the Trevisan weight matrix,
 //! with thresholds at the analytic stationary means.
-//! [`BatchedTwoStageNetwork`] adds the second stage: one readout neuron
+//! [`TwoStageNetwork`] adds the second stage: one readout neuron
 //! per replica whose incoming weight vector is trained online with Oja's
 //! anti-Hebbian rule. The neuron's input current `y = w·x` is what
-//! [`BatchedTwoStageNetwork::update`] returns. Its membrane is not
+//! [`TwoStageNetwork::update`] returns. Its membrane is not
 //! integrated: "the output of this Stage-2 neuron is discarded; what
 //! matters is the weight vector w" (§IV.B).
 //!
@@ -223,17 +223,17 @@ type Stage1Chunks = Chunked<Stage1<1>, Stage1<2>, Stage1<4>, Stage1<LANES>>;
 ///
 /// ```
 /// use snc_graph::generators::structured::cycle;
-/// use snc_neuro::{BatchedTwoStageNetwork, TwoStageConfig};
+/// use snc_neuro::{TwoStageNetwork, TwoStageConfig};
 ///
 /// let g = cycle(8);
-/// let mut batch = BatchedTwoStageNetwork::new(&g, &[1, 2, 3], TwoStageConfig::default());
+/// let mut batch = TwoStageNetwork::new(&g, &[1, 2, 3], TwoStageConfig::default());
 /// batch.run_updates(10);
 /// assert_eq!((batch.replicas(), batch.n(), batch.updates()), (3, 8, 10));
 /// // Replica 2's plastic readout vector; its signs are the cut hypothesis.
 /// assert_eq!(batch.readout_weights(2).len(), 8);
 /// ```
 #[derive(Clone, Debug)]
-pub struct BatchedTwoStageNetwork {
+pub struct TwoStageNetwork {
     /// The stage-1 weight matrix's rows in the slice layout.
     rows: SliceRows,
     /// Per-neuron stationary means, shared by all replicas.
@@ -253,7 +253,7 @@ pub struct BatchedTwoStageNetwork {
     updates: u64,
 }
 
-impl BatchedTwoStageNetwork {
+impl TwoStageNetwork {
     /// Builds one replica per seed for a graph with fair-coin devices.
     ///
     /// # Panics
@@ -468,7 +468,7 @@ mod tests {
         // On K_{3,3} the Trevisan minimum eigenvector separates the parts;
         // the learned weight vector's signs must match the bipartition.
         let g = complete_bipartite(3, 3);
-        let mut net = BatchedTwoStageNetwork::new(&g, &[7], TwoStageConfig::default());
+        let mut net = TwoStageNetwork::new(&g, &[7], TwoStageConfig::default());
         net.run_updates(30_000);
         let w = net.readout_weights(0);
         let side0: Vec<bool> = w.iter().map(|&x| x > 0.0).collect();
@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn two_stage_bookkeeping() {
         let g = cycle(6);
-        let mut net = BatchedTwoStageNetwork::new(&g, &[3], TwoStageConfig::default());
+        let mut net = TwoStageNetwork::new(&g, &[3], TwoStageConfig::default());
         assert_eq!(net.n(), 6);
         net.run_updates(5);
         assert_eq!(net.updates(), 5);
@@ -499,8 +499,8 @@ mod tests {
     #[test]
     fn two_stage_deterministic() {
         let g = cycle(8);
-        let mut a = BatchedTwoStageNetwork::new(&g, &[11], TwoStageConfig::default());
-        let mut b = BatchedTwoStageNetwork::new(&g, &[11], TwoStageConfig::default());
+        let mut a = TwoStageNetwork::new(&g, &[11], TwoStageConfig::default());
+        let mut b = TwoStageNetwork::new(&g, &[11], TwoStageConfig::default());
         a.run_updates(100);
         b.run_updates(100);
         assert_eq!(a.readout_weights(0), b.readout_weights(0));
@@ -517,10 +517,10 @@ mod tests {
         updates: u64,
     ) {
         let g = gnp_like_graph();
-        let mut batch = BatchedTwoStageNetwork::new(&g, seeds, cfg);
-        let mut nets: Vec<BatchedTwoStageNetwork> = seeds
+        let mut batch = TwoStageNetwork::new(&g, seeds, cfg);
+        let mut nets: Vec<TwoStageNetwork> = seeds
             .iter()
-            .map(|&s| BatchedTwoStageNetwork::new(&g, &[s], cfg))
+            .map(|&s| TwoStageNetwork::new(&g, &[s], cfg))
             .collect();
         for t in 0..updates {
             let ys = batch.update().to_vec();
@@ -646,7 +646,7 @@ mod tests {
             let weights = CscWeights::trevisan(g, config.weight_scale);
             for lanes in [1u64, 3, 8] {
                 let seeds: Vec<u64> = (0..lanes).map(|r| 0x51 + 7 * r).collect();
-                let mut batch = BatchedTwoStageNetwork::new(g, &seeds, config);
+                let mut batch = TwoStageNetwork::new(g, &seeds, config);
                 let mut refs: Vec<Reference> = seeds
                     .iter()
                     .map(|&s| Reference::new(&weights, s, config))
@@ -684,8 +684,7 @@ mod tests {
         let g = gnp_like_graph();
         let seeds: Vec<u64> = (0..9u64).map(|i| 0x9A + i).collect();
         for (lanes, phantoms) in [(3usize, 1usize), (9, 7)] {
-            let mut batch =
-                BatchedTwoStageNetwork::new(&g, &seeds[..lanes], TwoStageConfig::default());
+            let mut batch = TwoStageNetwork::new(&g, &seeds[..lanes], TwoStageConfig::default());
             batch.run_updates(20);
             let bits = with_chunks!(&batch.stage1, chunks => phantom_bits(chunks, lanes));
             assert_eq!(bits.len(), phantoms * (2 * g.n() + 1), "R={lanes}");
@@ -700,6 +699,6 @@ mod tests {
     #[should_panic(expected = "at least one replica")]
     fn batched_two_stage_empty_seeds_panics() {
         let g = cycle(4);
-        let _ = BatchedTwoStageNetwork::new(&g, &[], TwoStageConfig::default());
+        let _ = TwoStageNetwork::new(&g, &[], TwoStageConfig::default());
     }
 }

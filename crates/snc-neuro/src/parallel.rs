@@ -10,7 +10,7 @@
 //! `R`-wide batch is bit for bit the one-seed batch built with `seeds[r]`
 //! — batching changes the schedule, never the numbers. LIF-Trevisan's
 //! sparse stage 1 runs on the slice gather instead
-//! ([`BatchedTwoStageNetwork`](crate::BatchedTwoStageNetwork)).
+//! ([`TwoStageNetwork`](crate::TwoStageNetwork)).
 //!
 //! A thread pool of `ReplicaBatch`es is the full replicas = threads ×
 //! batch-width layout ([`default_threads`] sizes the pool).

@@ -13,7 +13,7 @@
 //!   place).
 //! * [`CscWeights`] — for the LIF-Trevisan circuit, whose weight matrix is
 //!   the sparse `n × n` Trevisan matrix `I + D^{-1/2} A D^{-1/2}`. Its rows
-//!   feed the slice gather that `crate::network::BatchedTwoStageNetwork`
+//!   feed the slice gather that `crate::network::TwoStageNetwork`
 //!   applies once per plasticity interval to every replica's discounted
 //!   device windows.
 

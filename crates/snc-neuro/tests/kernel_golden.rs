@@ -12,7 +12,7 @@
 //! * the same digests far past the point where a trajectory stops
 //!   moving: sparse unit and signed couplings that reach a bitwise fixed
 //!   point, and a dense graph locked in a period-2 oscillation;
-//! * `BatchedTwoStageNetwork` readout weights on G(150, 0.05) (more than
+//! * `TwoStageNetwork` readout weights on G(150, 0.05) (more than
 //!   one 64-device word, the last one partial) at R ∈ {1, 2, 3, 8};
 //! * `DevicePool` packed words for fair pools across word boundaries.
 //!
@@ -23,8 +23,7 @@ use snc_devices::{DeviceModel, DevicePool, PoolSpec, Rng64, SplitMix64};
 use snc_graph::generators::erdos_renyi::gnp;
 use snc_graph::Graph;
 use snc_neuro::{
-    BatchedTwoStageNetwork, HopfieldNetwork, HopfieldParams, LearningRate, LifParams,
-    TwoStageConfig,
+    HopfieldNetwork, HopfieldParams, LearningRate, LifParams, TwoStageConfig, TwoStageNetwork,
 };
 
 /// FNV-1a over little-endian 64-bit words.
@@ -342,7 +341,7 @@ fn two_stage_readout_weights() {
         (8, 0x37f6_a163_283d_f61b),
     ] {
         let seeds = replica_seeds(replicas);
-        let mut batch = BatchedTwoStageNetwork::new(&graph, &seeds, cfg);
+        let mut batch = TwoStageNetwork::new(&graph, &seeds, cfg);
         batch.run_updates(UPDATES);
         let mut batched = Fnv::new();
         for r in 0..replicas {
@@ -350,7 +349,7 @@ fn two_stage_readout_weights() {
         }
         assert_eq!(
             batched.0, want,
-            "BatchedTwoStageNetwork R={replicas}: digest {:#018x}",
+            "TwoStageNetwork R={replicas}: digest {:#018x}",
             batched.0
         );
     }

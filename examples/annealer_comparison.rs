@@ -17,7 +17,7 @@ use snc::snc_maxcut::anneal::{
     multistart_annealing, parallel_tempering, AnnealConfig, TemperingConfig,
 };
 use snc::snc_maxcut::{
-    gw, log2_checkpoints, sample_best_trace, BatchedLifGwCircuit, GwConfig, GwSampler, LifGwConfig,
+    gw, log2_checkpoints, sample_best_trace, GwConfig, GwSampler, LifGwCircuit, LifGwConfig,
     RandomCutSampler,
 };
 
@@ -35,8 +35,7 @@ fn main() {
         let mut software = GwSampler::new(sol.factors.clone(), 10 + seed);
         let gw_best = sample_best_trace(&mut software, &graph, &checkpoints).final_best();
 
-        let mut circuit =
-            BatchedLifGwCircuit::new(&sol.factors, &[20 + seed], &LifGwConfig::default());
+        let mut circuit = LifGwCircuit::new(&sol.factors, &[20 + seed], &LifGwConfig::default());
         let circuit_best = circuit.best_traces(&graph, &checkpoints)[0].final_best();
 
         let (_, anneal_best) = multistart_annealing(

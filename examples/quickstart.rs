@@ -7,9 +7,9 @@
 
 use snc::snc_graph::generators::erdos_renyi::gnp;
 use snc::snc_maxcut::{
-    exact, greedy, gw, log2_checkpoints, sample_best_trace, trevisan, BatchedLifGwCircuit,
-    BatchedLifTrevisanCircuit, GwConfig, GwSampler, LifGwConfig, LifTrevisanConfig,
-    RandomCutSampler, TrevisanConfig,
+    exact, greedy, gw, log2_checkpoints, sample_best_trace, trevisan, GwConfig, GwSampler,
+    LifGwCircuit, LifGwConfig, LifTrevisanCircuit, LifTrevisanConfig, RandomCutSampler,
+    TrevisanConfig,
 };
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
     // LIF-GW circuit: 4 stochastic devices drive 18 LIF neurons whose
     // spike patterns *are* GW-rounded cuts. One circuit is a one-seed
     // batch.
-    let mut lif_gw = BatchedLifGwCircuit::new(&gw_solution.factors, &[7], &LifGwConfig::default());
+    let mut lif_gw = LifGwCircuit::new(&gw_solution.factors, &[7], &LifGwConfig::default());
     let lif_gw_best = lif_gw.best_traces(&graph, &checkpoints)[0].final_best();
     println!("LIF-GW circuit (best of {budget}): {lif_gw_best}");
 
@@ -52,7 +52,7 @@ fn main() {
 
     // LIF-Trevisan circuit: no offline solve — 18 devices, Oja's
     // anti-Hebbian rule learns the spectral cut online.
-    let mut lif_tr = BatchedLifTrevisanCircuit::new(&graph, &[11], &LifTrevisanConfig::default());
+    let mut lif_tr = LifTrevisanCircuit::new(&graph, &[11], &LifTrevisanConfig::default());
     let lif_tr_best = lif_tr.best_traces(&graph, &checkpoints)[0].final_best();
     println!("LIF-TR circuit (best of {budget}): {lif_tr_best}");
 

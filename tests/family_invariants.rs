@@ -12,9 +12,9 @@ use snc::snc_graph::generators::erdos_renyi::gnp;
 use snc::snc_graph::weighted::{randomize_weights, WeightDistribution};
 use snc::snc_graph::{CutAssignment, Graph};
 use snc::snc_maxcut::{
-    solve, solve_gw, BatchedHopfieldCircuit, BatchedLifAnnealedCircuit, BatchedLifGwCircuit,
-    BatchedLifTrevisanCircuit, CircuitFamily, GwConfig, HopfieldConfig, LifAnnealedConfig,
-    LifGwConfig, LifTrevisanConfig, MaxCutGraph, SolveSpec,
+    solve, solve_gw, CircuitFamily, GwConfig, HopfieldCircuit, HopfieldConfig, LifAnnealedCircuit,
+    LifAnnealedConfig, LifGwCircuit, LifGwConfig, LifTrevisanCircuit, LifTrevisanConfig,
+    MaxCutGraph, SolveSpec,
 };
 
 /// Strategy: a connected-ish random graph on 4–12 vertices with at
@@ -129,30 +129,30 @@ fn assert_every_family_has_independent_lanes(label: &str, g: &impl MaxCutGraph) 
     let gw_cfg = LifGwConfig::default();
     assert_lanes_match(
         &format!("lif-gw/{label}"),
-        |seeds| BatchedLifGwCircuit::new(&gw.factors, seeds, &gw_cfg),
-        BatchedLifGwCircuit::next_cuts,
+        |seeds| LifGwCircuit::new(&gw.factors, seeds, &gw_cfg),
+        LifGwCircuit::next_cuts,
     );
     let tr_cfg = LifTrevisanConfig::default();
     assert_lanes_match(
         &format!("lif-trevisan/{label}"),
         |seeds| {
             let weights = g.trevisan_weights(tr_cfg.network.weight_scale).unwrap();
-            BatchedLifTrevisanCircuit::from_weights(weights, seeds, &tr_cfg)
+            LifTrevisanCircuit::from_weights(weights, seeds, &tr_cfg)
         },
-        BatchedLifTrevisanCircuit::next_cuts,
+        LifTrevisanCircuit::next_cuts,
     );
     let ann_cfg = LifAnnealedConfig::default();
     let horizon = LANE_SAMPLES as u64;
     assert_lanes_match(
         &format!("lif-annealed/{label}"),
-        |seeds| BatchedLifAnnealedCircuit::new(&gw.factors, g, seeds, &ann_cfg, horizon),
-        BatchedLifAnnealedCircuit::next_cuts,
+        |seeds| LifAnnealedCircuit::new(&gw.factors, g, seeds, &ann_cfg, horizon),
+        LifAnnealedCircuit::next_cuts,
     );
     let hop_cfg = HopfieldConfig::default();
     assert_lanes_match(
         &format!("hopfield/{label}"),
-        |seeds| BatchedHopfieldCircuit::new(g, seeds, &hop_cfg),
-        BatchedHopfieldCircuit::next_cuts,
+        |seeds| HopfieldCircuit::new(g, seeds, &hop_cfg),
+        HopfieldCircuit::next_cuts,
     );
 }
 

@@ -7,7 +7,7 @@ use snc::snc_graph::{CutAssignment, Graph};
 use snc::snc_linalg::{Cholesky, DMatrix};
 use snc::snc_maxcut::trevisan::best_sweep_cut;
 use snc::snc_maxcut::{exact, greedy};
-use snc::snc_neuro::{BatchedTwoStageNetwork, LearningRate, TwoStageConfig};
+use snc::snc_neuro::{LearningRate, TwoStageConfig, TwoStageNetwork};
 
 /// Strategy: a random edge list on up to 12 vertices.
 fn small_graph() -> impl Strategy<Value = Graph> {
@@ -157,9 +157,9 @@ proptest! {
             ..TwoStageConfig::default()
         };
         let seeds: Vec<u64> = (0..3u64).map(|i| base_seed.wrapping_add(i * 7919)).collect();
-        let mut batch = BatchedTwoStageNetwork::new(&g, &seeds, cfg);
-        let mut nets: Vec<BatchedTwoStageNetwork> =
-            seeds.iter().map(|&s| BatchedTwoStageNetwork::new(&g, &[s], cfg)).collect();
+        let mut batch = TwoStageNetwork::new(&g, &seeds, cfg);
+        let mut nets: Vec<TwoStageNetwork> =
+            seeds.iter().map(|&s| TwoStageNetwork::new(&g, &[s], cfg)).collect();
         for t in 0..12 {
             let ys = batch.update().to_vec();
             for (r, net) in nets.iter_mut().enumerate() {
