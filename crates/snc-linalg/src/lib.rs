@@ -9,8 +9,8 @@
 //!    the same manifold formulation. The rank is fixed (4 in the paper).
 //! 2. **Minimum eigenvector of the Trevisan matrix** (§II.B): extreme
 //!    eigenpairs via Lanczos with full reorthogonalization ([`eigen`]),
-//!    plus dense Jacobi and power-iteration fallbacks used for testing and
-//!    small systems.
+//!    a power-iteration spectral-norm bound for its shift, and dense
+//!    Jacobi for testing and small systems.
 //! 3. **Gaussian sampling with prescribed covariance** (§II.A, the
 //!    Bertsimas–Ye rounding): [`gaussian`] provides a polar Box–Muller
 //!    sampler and factor-based correlated sampling `x = W·g`.
