@@ -24,6 +24,7 @@
 
 pub mod cholesky;
 pub mod dense;
+pub mod detmath;
 pub mod eigen;
 pub mod error;
 pub mod gaussian;
