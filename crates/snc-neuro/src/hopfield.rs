@@ -25,6 +25,7 @@
 
 use crate::gather::{chunked, with_chunks, Chunked, SliceRows, LANES};
 use snc_devices::{Rng64, Xoshiro256pp};
+use snc_linalg::detmath::{tanh, tanh_lanes};
 
 /// Parameters of the continuous Hopfield–Tank dynamics.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -89,7 +90,7 @@ impl<const W: usize> Chunk<W> {
             let mut rng = Xoshiro256pp::new(seed);
             for (ui, xi) in u.iter_mut().zip(&mut x) {
                 ui[l] = (2.0 * rng.next_f64() - 1.0) * p.init_scale;
-                xi[l] = (p.gain * ui[l]).tanh();
+                xi[l] = tanh(p.gain * ui[l]);
             }
         }
         Self {
@@ -119,42 +120,34 @@ impl<const W: usize> Chunk<W> {
     }
 
     /// Installs the potentials [`integrate_slice`](Self::integrate_slice)
-    /// computed, recomputing `tanh` only where a potential's bits moved,
-    /// and enters the cycle if the step closed one.
+    /// computed and, if any moved, their activations, and enters the
+    /// cycle if the step closed one.
     fn finish(&mut self, gain: f64) {
         let n = self.u.len();
         // Slices cut to `n` let the indexed loop run without bounds checks.
-        let (x, next, u, prev) = (
-            &mut self.x[..n],
-            &self.next[..n],
-            &self.u[..n],
-            &self.prev[..n],
-        );
+        let (next, u, prev) = (&self.next[..n], &self.u[..n], &self.prev[..n]);
         let (mut moved, mut period_two) = (false, true);
         for i in 0..n {
             for l in 0..W {
                 let bits = next[i][l].to_bits();
-                if bits != u[i][l].to_bits() {
-                    x[i][l] = (gain * next[i][l]).tanh();
-                    moved = true;
-                }
+                moved |= bits != u[i][l].to_bits();
                 period_two &= bits == prev[i][l].to_bits();
             }
+        }
+        if moved {
+            activate(self.x[..n].as_flattened_mut(), next.as_flattened(), gain);
         }
         // `prev` ← u_t, `u` ← u_{t+1}; u_{t−1}'s buffer is the next scratch.
         std::mem::swap(&mut self.prev, &mut self.u);
         std::mem::swap(&mut self.u, &mut self.next);
         if !moved || period_two {
-            // The other phase is `prev`; its activations differ from `x`
-            // only where its potentials do.
+            // The other phase is `prev`; the copy brings the sentinel.
             self.x_prev.clone_from(&self.x);
-            for ((xp, p), u) in self.x_prev.iter_mut().zip(&self.prev).zip(&self.u) {
-                for l in 0..W {
-                    if p[l].to_bits() != u[l].to_bits() {
-                        xp[l] = (gain * p[l]).tanh();
-                    }
-                }
-            }
+            activate(
+                self.x_prev[..n].as_flattened_mut(),
+                self.prev.as_flattened(),
+                gain,
+            );
             self.cycling = true;
         }
     }
@@ -163,6 +156,18 @@ impl<const W: usize> Chunk<W> {
     fn swap_phase(&mut self) {
         std::mem::swap(&mut self.u, &mut self.prev);
         std::mem::swap(&mut self.x, &mut self.x_prev);
+    }
+}
+
+/// `x = tanh(gain · u)` over flat potentials, eight at a time.
+fn activate(x: &mut [f64], u: &[f64], gain: f64) {
+    let (x8, x_rest) = x.as_chunks_mut::<8>();
+    let (u8, u_rest) = u.as_chunks::<8>();
+    for (x, u) in x8.iter_mut().zip(u8) {
+        *x = tanh_lanes(u.map(|u| gain * u));
+    }
+    for (x, &u) in x_rest.iter_mut().zip(u_rest) {
+        *x = tanh(gain * u);
     }
 }
 
@@ -320,10 +325,14 @@ impl HopfieldNetwork {
     /// known; the outputs follow in a second pass, which also installs
     /// them.
     ///
-    /// The step skips work that cannot change any bit. `x_i` is a pure
-    /// function of `u_i`, so the second pass recomputes `tanh` only for
-    /// the potentials whose bits this step moved. The Euler map is a pure
-    /// function of `u`, so once a chunk's step gives `u_{t+1} == u_{t−1}`
+    /// The activation is [`snc_linalg::detmath::tanh`], whose bits do not
+    /// depend on the CPU or its libm. The second pass applies it to a
+    /// chunk's every potential, eight at a time, once any of them moved:
+    /// `x_i` is a pure function of `u_i`, so that equals recomputing only
+    /// the moved ones.
+    ///
+    /// The step skips work that cannot change any bit. The Euler map is a
+    /// pure function of `u`, so once a chunk's step gives `u_{t+1} == u_{t−1}`
     /// bit for bit, its trajectory alternates between `u_t` and `u_{t+1}`
     /// forever (`u_{t+2} = F(u_{t+1}) = F(u_{t−1}) = u_t`); a fixed point,
     /// `u_{t+1} == u_t`, is the case where both phases are equal. From
@@ -477,8 +486,8 @@ mod tests {
     }
 
     /// One lane stepped the plain way, independently of the slice layout:
-    /// a row-by-row (CSR) gather in coupling-list order, then `tanh` for
-    /// every unit.
+    /// a row-by-row (CSR) gather in coupling-list order, then the scalar
+    /// `tanh` for every unit.
     struct Reference {
         rows: Vec<Vec<(usize, f64)>>,
         params: HopfieldParams,
@@ -499,7 +508,7 @@ mod tests {
             let u: Vec<f64> = (0..n)
                 .map(|_| (2.0 * rng.next_f64() - 1.0) * params.init_scale)
                 .collect();
-            let x = u.iter().map(|&ui| (params.gain * ui).tanh()).collect();
+            let x = u.iter().map(|&ui| tanh(params.gain * ui)).collect();
             Self { rows, params, u, x }
         }
 
@@ -512,7 +521,7 @@ mod tests {
                 .collect();
             for ((u, x), d) in self.u.iter_mut().zip(&mut self.x).zip(drive) {
                 *u += p.dt * (-p.leak * *u - d);
-                *x = (p.gain * *u).tanh();
+                *x = tanh(p.gain * *u);
             }
         }
 

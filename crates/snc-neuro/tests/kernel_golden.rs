@@ -16,6 +16,10 @@
 //!   one 64-device word, the last one partial) at R ∈ {1, 2, 3, 8};
 //! * `DevicePool` packed words for fair pools across word boundaries.
 //!
+//! The Hopfield activation is `snc_linalg::detmath::tanh`, so its
+//! digests do not depend on the CPU's FMA unit or on the libm's `tanh`;
+//! the energy they also pin still calls the libm's `atanh` and `ln`.
+//!
 //! A change that is *meant* to alter kernel output must regenerate these
 //! digests in the same commit and say why.
 
@@ -123,14 +127,14 @@ fn hopfield_unit_couplings() {
         Couplings::Unit,
         [
             [
-                0x0bf7_0b47_d2b2_8466,
-                0x2b4f_a012_380a_a0d8,
-                0x04a9_8f79_9c13_24fc,
+                0x38b6_0607_27fb_75cf,
+                0xe717_e548_7e60_d1df,
+                0x9a00_3ede_222b_95ee,
             ],
             [
-                0x0d01_2137_218c_ea33,
-                0x1418_ef7e_edcd_0043,
-                0x443d_a3d5_1f7c_1718,
+                0xcf20_581b_da65_e339,
+                0x832b_8576_8e85_9c89,
+                0xd34e_9962_7291_b5ef,
             ],
         ],
     );
@@ -142,14 +146,14 @@ fn hopfield_signed_couplings() {
         Couplings::Signed,
         [
             [
-                0xeb93_fb17_223e_5c34,
-                0x0d5b_c064_42bd_39ae,
-                0xff05_cfee_116a_7d4b,
+                0x74a5_a40b_47b3_224e,
+                0x10f1_4a6a_14f2_8ec0,
+                0x70e9_aeec_9658_1267,
             ],
             [
-                0xcb1c_8035_46a7_9f39,
-                0x507b_37d5_101c_1f06,
-                0x31b8_d6c9_d04b_e5d5,
+                0xd473_9cb8_bfe1_ec9f,
+                0xdc33_d689_566c_4b8a,
+                0x7bfc_3a04_2623_7269,
             ],
         ],
     );
@@ -161,14 +165,14 @@ fn hopfield_zero_couplings() {
         Couplings::Zero,
         [
             [
-                0x871d_5691_eeb2_b1d1,
-                0xc618_1abc_7657_4b6f,
-                0x9868_9d7e_2d8b_3a69,
+                0xf929_39e9_47df_53f2,
+                0xe8a8_46de_8669_5183,
+                0x5c72_d2ec_2b93_156b,
             ],
             [
-                0x2254_2c59_1559_fa44,
-                0x9d04_dac2_12bc_a77f,
-                0x83ea_f01d_16ae_6467,
+                0xfdd5_1610_a801_82ea,
+                0x6432_8c06_9825_ba0d,
+                0xa935_a6af_8e51_97d0,
             ],
         ],
     );
@@ -236,22 +240,22 @@ fn hopfield_past_the_fixed_point() {
             0.05,
             Couplings::Unit,
             [
-                0x17d7_4579_4dd4_b9da,
-                0x739d_e166_8200_617d,
-                0x739d_e166_8200_617d,
-                0x739d_e166_8200_617d,
+                0x6c2f_fc70_a511_b619,
+                0xfee6_e9b8_80e2_f199,
+                0xfee6_e9b8_80e2_f199,
+                0xfee6_e9b8_80e2_f199,
             ],
-            Some(1088),
+            Some(1087),
         ),
         (
             300,
             0.05,
             Couplings::Unit,
             [
-                0xb618_37bd_d41e_67ef,
-                0x414a_5739_4466_5a6f,
-                0x414a_5739_4466_5a6f,
-                0x414a_5739_4466_5a6f,
+                0xf9f2_b5e6_0035_086e,
+                0xb141_ced0_abfe_259a,
+                0xb141_ced0_abfe_259a,
+                0xb141_ced0_abfe_259a,
             ],
             Some(1221),
         ),
@@ -260,10 +264,10 @@ fn hopfield_past_the_fixed_point() {
             0.05,
             Couplings::Signed,
             [
-                0x1a7f_ef87_a967_7a2a,
-                0x64dd_15a0_176c_6029,
-                0x64dd_15a0_176c_6029,
-                0x64dd_15a0_176c_6029,
+                0x31a4_fc41_f3a7_abf8,
+                0x0a7b_a9d5_96dd_bbcc,
+                0x0a7b_a9d5_96dd_bbcc,
+                0x0a7b_a9d5_96dd_bbcc,
             ],
             Some(752),
         ),
@@ -272,10 +276,10 @@ fn hopfield_past_the_fixed_point() {
             0.2,
             Couplings::Unit,
             [
-                0x66f4_d4fe_f1c3_cdd0,
-                0x66f4_d4fe_f1c3_cdd0,
-                0x3a01_e1b4_e220_bcc6,
-                0x66f4_d4fe_f1c3_cdd0,
+                0xf9ec_bfea_1923_d863,
+                0xf9ec_bfea_1923_d863,
+                0x9486_9bf9_d850_2d1a,
+                0xf9ec_bfea_1923_d863,
             ],
             None,
         ),
