@@ -1,10 +1,11 @@
 //! E4 (circuit motif): microbenchmarks of the primitive operations every
 //! circuit is built from — device pool stepping, the dense binary-input
-//! synaptic kernel, and full network steps.
+//! synaptic kernel, full network steps, and Hopfield's `tanh` activation.
 
 use bench::{er_graph, sdp_factors};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use snc_devices::{ActivityWords, DeviceModel, DevicePool, PoolSpec};
+use snc_devices::{ActivityWords, DeviceModel, DevicePool, PoolSpec, Rng64, SplitMix64};
+use snc_linalg::detmath;
 use snc_neuro::{DenseWeights, LifParams, ReplicaBatch};
 use std::hint::black_box;
 use std::time::Duration;
@@ -51,12 +52,55 @@ fn network_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// Hopfield's activation over 4,096 arguments `gain · u`: the libm's
+/// `tanh` one call at a time against `detmath::tanh_lanes` eight at a
+/// time. The arguments span the ±8 that served potentials reach at the
+/// default gain of 2.
+fn tanh_activation(c: &mut Criterion) {
+    let mut rng = SplitMix64::new(0x7a4);
+    let args: Vec<f64> = (0..4096)
+        .map(|_| 2.0 * (8.0 * rng.next_f64() - 4.0))
+        .collect();
+    // Gate: the lane form is the scalar form, bit for bit.
+    let mut lanes = vec![0.0; args.len()];
+    detmath_lanes(&args, &mut lanes);
+    for (&a, t) in args.iter().zip(&lanes) {
+        assert_eq!(t.to_bits(), detmath::tanh(a).to_bits(), "lane form at {a}");
+    }
+
+    let mut out = vec![0.0; args.len()];
+    let mut group = c.benchmark_group("tanh_4096");
+    group.bench_function("libm", |b| {
+        b.iter(|| {
+            for (x, &a) in out.iter_mut().zip(black_box(&args)) {
+                *x = a.tanh();
+            }
+            black_box(&out);
+        })
+    });
+    group.bench_function("detmath_lanes", |b| {
+        b.iter(|| {
+            detmath_lanes(black_box(&args), &mut out);
+            black_box(&out);
+        })
+    });
+    group.finish();
+}
+
+/// `out = tanh(args)` eight at a time, the way Hopfield's kernel runs it.
+fn detmath_lanes(args: &[f64], out: &mut [f64]) {
+    let (out8, _) = out.as_chunks_mut::<8>();
+    for (x, a) in out8.iter_mut().zip(args.as_chunks::<8>().0) {
+        *x = detmath::tanh_lanes(*a);
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(20)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    targets = device_pool_step, synaptic_kernel, network_step
+    targets = device_pool_step, synaptic_kernel, network_step, tanh_activation
 }
 criterion_main!(benches);
