@@ -15,6 +15,9 @@
 //!    Bertsimas–Ye rounding): [`gaussian`] provides a polar Box–Muller
 //!    sampler and factor-based correlated sampling `x = W·g`.
 //!
+//! [`detmath`] holds elementary functions whose bits do not depend on the
+//! platform libm or the CPU: the `tanh` Hopfield's activation runs on.
+//!
 //! All matrix storage is plain `Vec<f64>` row-major; operations follow the
 //! HPC guidance of the workspace (preallocate, write into caller buffers in
 //! hot paths, iterate rather than index).
