@@ -101,11 +101,7 @@ pub fn tanh(x: f64) -> f64 {
 /// [`tanh`] of every lane, bit for bit the scalar form.
 #[inline(always)]
 pub fn tanh_lanes<const W: usize>(x: [f64; W]) -> [f64; W] {
-    let mut out = [0.0; W];
-    for l in 0..W {
-        out[l] = tanh(x[l]);
-    }
-    out
+    x.map(tanh)
 }
 
 #[cfg(test)]
