@@ -14,6 +14,10 @@
 //!   point, and a dense graph locked in a period-2 oscillation;
 //! * `TwoStageNetwork` readout weights on G(150, 0.05) (more than
 //!   one 64-device word, the last one partial) at R ∈ {1, 2, 3, 8};
+//! * the entries of the LIF-Trevisan synaptic matrix `CscWeights`
+//!   (densified, and applied to a fixed vector) on the same graph and
+//!   on a randomly weighted copy of it, and the weighted Trevisan
+//!   operator's product on that copy;
 //! * `DevicePool` packed words for fair pools across word boundaries.
 //!
 //! The Hopfield activation is `snc_linalg::detmath::tanh`, so its
@@ -25,9 +29,12 @@
 
 use snc_devices::{DeviceModel, DevicePool, PoolSpec, Rng64, SplitMix64};
 use snc_graph::generators::erdos_renyi::gnp;
-use snc_graph::Graph;
+use snc_graph::weighted::{randomize_weights, WeightDistribution, WeightedGraph};
+use snc_graph::{Graph, WeightedTrevisanOperator};
+use snc_linalg::LinOp;
 use snc_neuro::{
-    HopfieldNetwork, HopfieldParams, LearningRate, LifParams, TwoStageConfig, TwoStageNetwork,
+    CscWeights, HopfieldNetwork, HopfieldParams, InputWeights, LearningRate, LifParams,
+    TwoStageConfig, TwoStageNetwork,
 };
 
 /// FNV-1a over little-endian 64-bit words.
@@ -379,4 +386,70 @@ fn fair_pool_words() {
         }
         assert_eq!(h.0, want, "fair pool n={n}: digest {:#018x}", h.0);
     }
+}
+
+/// G(150, 0.05) with uniform weights on [0.25, 2).
+fn weighted_gnp150() -> WeightedGraph {
+    let graph = gnp(150, 0.05, 0x150).unwrap();
+    let dist = WeightDistribution::Uniform { lo: 0.25, hi: 2.0 };
+    randomize_weights(&graph, dist, 0x151).unwrap()
+}
+
+/// A fixed vector with entries in [−1, 1), one exact zero.
+fn probe(n: usize) -> Vec<f64> {
+    let mut rng = SplitMix64::new(0x9e0 + n as u64);
+    let mut x: Vec<f64> = (0..n).map(|_| 2.0 * rng.next_f64() - 1.0).collect();
+    x[n / 2] = 0.0;
+    x
+}
+
+/// The dense rows of `w` and its product with [`probe`].
+fn csc_digest(w: &CscWeights) -> u64 {
+    let mut h = Fnv::new();
+    let dense = w.to_dense();
+    for i in 0..w.neurons() {
+        h.feed_f64s(dense.row(i));
+    }
+    let mut out = vec![f64::NAN; w.neurons()];
+    w.apply(&probe(w.devices()), &mut out);
+    h.feed_f64s(&out);
+    h.0
+}
+
+#[test]
+fn trevisan_synapse_entries() {
+    let graph = gnp(150, 0.05, 0x150).unwrap();
+    let weighted = weighted_gnp150();
+    for (scale, want_unit, want_weighted) in [
+        (1.0, 0x995b_65e1_b9fc_8cc6u64, 0xbb3f_1e03_ceec_0948u64),
+        (0.75, 0x2209_0794_74c0_cbfd, 0xad78_61d2_595b_6460),
+    ] {
+        let unit = csc_digest(&CscWeights::trevisan(&graph, scale));
+        assert_eq!(
+            unit, want_unit,
+            "CscWeights::trevisan scale {scale}: digest {unit:#018x}"
+        );
+        let w = csc_digest(&CscWeights::trevisan_weighted(&weighted, scale));
+        assert_eq!(
+            w, want_weighted,
+            "weighted CscWeights::trevisan scale {scale}: digest {w:#018x}"
+        );
+    }
+}
+
+#[test]
+fn weighted_trevisan_operator_apply() {
+    let graph = weighted_gnp150();
+    let x = probe(graph.n());
+    let mut y = vec![f64::NAN; graph.n()];
+    WeightedTrevisanOperator::new(&graph)
+        .unwrap()
+        .apply(&x, &mut y);
+    let mut h = Fnv::new();
+    h.feed_f64s(&y);
+    assert_eq!(
+        h.0, 0xcae9_d7b4_5d43_6ae8,
+        "weighted TrevisanOperator: digest {:#018x}",
+        h.0
+    );
 }
