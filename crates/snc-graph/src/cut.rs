@@ -3,9 +3,9 @@
 //! A cut partitions the vertex set into two classes, encoded as `±1` labels
 //! exactly as in the paper's integer program (§II.A). The cut value of an
 //! unweighted graph is the number of edges whose endpoints carry opposite
-//! labels.
+//! labels; on a weighted graph it is their total weight.
 
-use crate::csr::Graph;
+use crate::csr::{Csr, EdgeWeight};
 use snc_devices::Rng64;
 
 /// A two-coloring of the vertices; `+1` and `−1` are the two sides.
@@ -106,48 +106,33 @@ impl CutAssignment {
         }
     }
 
-    /// The cut value: number of edges crossing the partition.
+    /// The cut value on `graph`: the number of crossing edges on a
+    /// [`Graph`](crate::Graph), their total weight on a
+    /// [`WeightedGraph`](crate::WeightedGraph) ([`Csr::cut_value`]).
     ///
     /// # Panics
     ///
     /// Panics if the assignment length differs from `graph.n()`.
-    pub fn cut_value(&self, graph: &Graph) -> u64 {
-        assert_eq!(
-            self.sides.len(),
-            graph.n(),
-            "assignment/graph size mismatch"
-        );
-        let mut cut = 0u64;
-        for (u, v) in graph.edges() {
-            if self.sides[u as usize] != self.sides[v as usize] {
-                cut += 1;
-            }
-        }
-        cut
+    pub fn cut_value<W: EdgeWeight>(&self, graph: &Csr<W>) -> W::Cut {
+        graph.cut_value(self)
     }
 
-    /// Change in cut value if vertex `i` were flipped (positive = improves).
+    /// Change in cut value if vertex `i` were flipped (positive = improves):
+    /// `Δ = (same-side neighbor weight) − (cross-side neighbor weight)`
+    /// ([`Csr::flip_delta`]).
     ///
-    /// `Δ = (#same-side neighbors) − (#cross-side neighbors)` — the
-    /// ingredient of 1-opt local search.
-    pub fn flip_delta(&self, graph: &Graph, i: usize) -> i64 {
-        let mut same = 0i64;
-        let mut cross = 0i64;
-        let si = self.sides[i];
-        for &j in graph.neighbors(i) {
-            if self.sides[j as usize] == si {
-                same += 1;
-            } else {
-                cross += 1;
-            }
-        }
-        same - cross
+    /// # Panics
+    ///
+    /// Panics if the assignment length differs from `graph.n()`.
+    pub fn flip_delta<W: EdgeWeight>(&self, graph: &Csr<W>, i: usize) -> W::Delta {
+        graph.flip_delta(self, i)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Graph;
     use snc_devices::Xoshiro256pp;
 
     fn path4() -> Graph {

@@ -255,8 +255,9 @@ impl EmpiricalDataset {
     /// # Errors
     ///
     /// Propagates construction failures (none for built-in parameters).
-    pub fn load_weighted(&self) -> Result<crate::weighted::WeightedGraph, GraphError> {
-        use crate::weighted::{randomize_weights, WeightDistribution, WeightedGraph};
+    pub fn load_weighted(&self) -> Result<crate::WeightedGraph, GraphError> {
+        use crate::weighted::{randomize_weights, WeightDistribution};
+        use crate::WeightedGraph;
         let base = self.load()?;
         let seed = self.stand_in_seed() ^ 0x77E1;
         match self {

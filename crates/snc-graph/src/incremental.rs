@@ -5,56 +5,35 @@
 //! slowly-evolving weight vector, local search, annealing — pay far less by
 //! *maintaining* the value: flipping vertex `i` changes the cut by
 //! `flip_delta(i) = (same-side neighbor weight) − (cross-side neighbor
-//! weight)`, an O(deg i) update. [`CutTracker`] (unweighted, exact integer
-//! arithmetic) and [`WeightedCutTracker`] (weighted, `f64`) package that
-//! bookkeeping behind a "set the assignment to this target" API, diffing
-//! against the previous assignment and applying one flip per changed
-//! vertex.
+//! weight)`, an O(deg i) update. [`CutTracker`] packages that bookkeeping
+//! behind a "set the assignment to this target" API, diffing against the
+//! previous assignment and applying one flip per changed vertex, with
+//! exact integer arithmetic on an unweighted graph and `f64` on a weighted
+//! one.
 //!
-//! Because a cut and its complement have equal value, the trackers flip
+//! Because a cut and its complement have equal value, the tracker flips
 //! whichever side of the diff is smaller; the tracked assignment therefore
 //! equals the target *up to global complementation* (see
 //! [`CutTracker::assignment`]).
 
-use crate::csr::Graph;
+use crate::csr::{Csr, EdgeWeight, Unit};
 use crate::cut::CutAssignment;
-use crate::weighted::WeightedGraph;
 
-/// The complement-aware diff walk shared by both trackers: counts the
-/// vertices whose side differs from `target_side`, then flips whichever
-/// of the differing/agreeing sets is smaller through `apply_flip`,
-/// leaving `assignment` equal to the target or its complement (equal cut
-/// value either way). `target_side` must not depend on `assignment` —
-/// flipping vertex `j` never changes whether vertex `i ≠ j` differs, so
-/// the walk is order-independent.
-fn flip_smaller_side(
-    assignment: &mut CutAssignment,
-    target_side: impl Fn(usize) -> i8,
-    mut apply_flip: impl FnMut(&mut CutAssignment, usize),
-) {
-    let n = assignment.len();
-    let differing = (0..n)
-        .filter(|&i| assignment.side(i) != target_side(i))
-        .count();
-    let flip_agreeing = differing * 2 > n;
-    for i in 0..n {
-        if (assignment.side(i) != target_side(i)) != flip_agreeing {
-            apply_flip(assignment, i);
-        }
-    }
-}
-
-/// Maintains the cut value of an evolving assignment on an unweighted
-/// graph with exact integer updates.
+/// Maintains the cut value of an evolving assignment.
 ///
-/// Every update path — single flips or whole-assignment diffs — produces
-/// exactly the value [`CutAssignment::cut_value`] would compute from
-/// scratch; the arithmetic is integer, so there is no drift.
+/// On an unweighted graph every update path — single flips or
+/// whole-assignment diffs — produces exactly the value
+/// [`CutAssignment::cut_value`] would compute from scratch; the arithmetic
+/// is integer, so there is no drift. On a weighted graph updates
+/// accumulate in `f64`, so the maintained value can drift from the scratch
+/// evaluation by floating-point rounding of order `ε · Σ|w| · flips`; the
+/// tracker resynchronizes from scratch every
+/// [`CutTracker::RESYNC_INTERVAL`] flips to keep the drift bounded.
 ///
 /// # Examples
 ///
 /// ```
-/// use snc_graph::{CutAssignment, CutTracker, Graph};
+/// use snc_graph::{CutAssignment, CutTracker, Graph, WeightedGraph};
 ///
 /// let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
 /// let start = CutAssignment::from_sides(vec![1, 1, -1, -1]);
@@ -71,31 +50,49 @@ fn flip_smaller_side(
 /// let next = CutAssignment::from_sides(vec![1, -1, 1, 1]);
 /// assert_eq!(tracker.set_to(&next), 2);
 /// assert_eq!(tracker.value(), next.cut_value(&g));
+///
+/// // The same tracker on a weighted graph maintains the cut weight.
+/// let g = WeightedGraph::from_weighted_edges(
+///     3, &[(0, 1, 2.5), (1, 2, 4.0)]).unwrap();
+/// let mut tracker = CutTracker::new(
+///     &g, CutAssignment::from_sides(vec![1, -1, -1]));
+/// assert_eq!(tracker.value(), 2.5);
+/// tracker.flip(2); // sides [1, -1, 1]: both edges cross
+/// assert_eq!(tracker.value(), 6.5);
 /// ```
 #[derive(Clone, Debug)]
-pub struct CutTracker<'g> {
-    graph: &'g Graph,
+pub struct CutTracker<'g, W = Unit>
+where
+    W: EdgeWeight,
+{
+    graph: &'g Csr<W>,
     assignment: CutAssignment,
-    value: u64,
+    value: W::Cut,
+    flips_since_resync: u64,
 }
 
-impl<'g> CutTracker<'g> {
+impl<'g, W: EdgeWeight> CutTracker<'g, W> {
+    /// Flips between scratch resynchronizations of a maintained `f64`
+    /// value (exact values never resync).
+    pub const RESYNC_INTERVAL: u64 = 4096;
+
     /// Starts tracking `assignment`, computing its value once from scratch.
     ///
     /// # Panics
     ///
     /// Panics if the assignment length differs from `graph.n()`.
-    pub fn new(graph: &'g Graph, assignment: CutAssignment) -> Self {
-        let value = assignment.cut_value(graph);
+    pub fn new(graph: &'g Csr<W>, assignment: CutAssignment) -> Self {
+        let value = graph.cut_value(&assignment);
         Self {
             graph,
             assignment,
             value,
+            flips_since_resync: 0,
         }
     }
 
     /// The current cut value.
-    pub fn value(&self) -> u64 {
+    pub fn value(&self) -> W::Cut {
         self.value
     }
 
@@ -111,164 +108,44 @@ impl<'g> CutTracker<'g> {
     /// Flips vertex `i`, updating the value in O(deg i). Returns the new
     /// value.
     #[inline]
-    pub fn flip(&mut self, i: usize) -> u64 {
-        Self::apply_flip(self.graph, &mut self.assignment, &mut self.value, i);
+    pub fn flip(&mut self, i: usize) -> W::Cut {
+        let delta = self.graph.flip_delta(&self.assignment, i);
+        self.assignment.flip(i);
+        self.value = W::shift(self.value, delta);
+        if !W::EXACT {
+            self.flips_since_resync += 1;
+            if self.flips_since_resync >= Self::RESYNC_INTERVAL {
+                self.value = self.graph.cut_value(&self.assignment);
+                self.flips_since_resync = 0;
+            }
+        }
         self.value
-    }
-
-    fn apply_flip(graph: &Graph, assignment: &mut CutAssignment, value: &mut u64, i: usize) {
-        let delta = assignment.flip_delta(graph, i);
-        assignment.flip(i);
-        *value = (*value as i64 + delta) as u64;
     }
 
     /// Moves the tracked assignment to `target` (up to complementation)
     /// and returns `target`'s cut value.
     ///
-    /// Cost is `Σ deg(i)` over the vertices whose side differs (or over
-    /// their complement, whichever set is smaller) — at most one scratch
-    /// evaluation, and far less when consecutive targets are similar.
+    /// Counts the vertices whose side differs from `target`, then flips
+    /// whichever of the differing/agreeing sets is smaller. Flipping
+    /// vertex `j` never changes whether vertex `i ≠ j` differs, so the
+    /// walk is order-independent. Cost is `Σ deg(i)` over the flipped
+    /// vertices — at most one scratch evaluation, and far less when
+    /// consecutive targets are similar.
     ///
     /// # Panics
     ///
     /// Panics if `target.len() != graph.n()`.
-    pub fn set_to(&mut self, target: &CutAssignment) -> u64 {
-        assert_eq!(
-            target.len(),
-            self.graph.n(),
-            "assignment/graph size mismatch"
-        );
-        self.advance(|i| target.side(i))
-    }
-
-    fn advance(&mut self, target_side: impl Fn(usize) -> i8) -> u64 {
-        let CutTracker {
-            graph,
-            assignment,
-            value,
-        } = self;
-        flip_smaller_side(assignment, target_side, |a, i| {
-            Self::apply_flip(graph, a, value, i);
-        });
-        self.value
-    }
-}
-
-/// Maintains the weighted cut value of an evolving assignment.
-///
-/// Updates accumulate in `f64`, so unlike [`CutTracker`] the maintained
-/// value can drift from the scratch evaluation by floating-point rounding
-/// of order `ε · Σ|w| · flips`. The tracker resynchronizes from scratch
-/// every [`WeightedCutTracker::RESYNC_INTERVAL`] flips to keep the drift
-/// bounded.
-///
-/// # Examples
-///
-/// ```
-/// use snc_graph::{CutAssignment, WeightedCutTracker, WeightedGraph};
-///
-/// let g = WeightedGraph::from_weighted_edges(
-///     3, &[(0, 1, 2.5), (1, 2, 4.0)]).unwrap();
-/// let mut tracker = WeightedCutTracker::new(
-///     &g, CutAssignment::from_sides(vec![1, -1, -1]));
-/// assert_eq!(tracker.value(), 2.5);
-/// tracker.flip(2); // vertex 2 joins +1... sides [1,-1,1]: both edges cross
-/// assert_eq!(tracker.value(), 6.5);
-/// ```
-#[derive(Clone, Debug)]
-pub struct WeightedCutTracker<'g> {
-    graph: &'g WeightedGraph,
-    assignment: CutAssignment,
-    value: f64,
-    flips_since_resync: u64,
-}
-
-impl<'g> WeightedCutTracker<'g> {
-    /// Flips between scratch resynchronizations of the maintained value.
-    pub const RESYNC_INTERVAL: u64 = 4096;
-
-    /// Starts tracking `assignment`, computing its value once from scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the assignment length differs from `graph.n()`.
-    pub fn new(graph: &'g WeightedGraph, assignment: CutAssignment) -> Self {
-        let value = graph.cut_value(&assignment);
-        Self {
-            graph,
-            assignment,
-            value,
-            flips_since_resync: 0,
+    pub fn set_to(&mut self, target: &CutAssignment) -> W::Cut {
+        let n = self.graph.n();
+        assert_eq!(target.len(), n, "assignment/graph size mismatch");
+        let differs = |a: &CutAssignment, i: usize| a.side(i) != target.side(i);
+        let differing = (0..n).filter(|&i| differs(&self.assignment, i)).count();
+        let flip_agreeing = differing * 2 > n;
+        for i in 0..n {
+            if differs(&self.assignment, i) != flip_agreeing {
+                self.flip(i);
+            }
         }
-    }
-
-    /// The current (maintained) weighted cut value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// The tracked assignment (up to global complementation after
-    /// [`WeightedCutTracker::set_to`]).
-    pub fn assignment(&self) -> &CutAssignment {
-        &self.assignment
-    }
-
-    /// Flips vertex `i`, updating the value in O(deg i). Returns the new
-    /// value.
-    #[inline]
-    pub fn flip(&mut self, i: usize) -> f64 {
-        Self::apply_flip(
-            self.graph,
-            &mut self.assignment,
-            &mut self.value,
-            &mut self.flips_since_resync,
-            i,
-        );
-        self.value
-    }
-
-    fn apply_flip(
-        graph: &WeightedGraph,
-        assignment: &mut CutAssignment,
-        value: &mut f64,
-        flips_since_resync: &mut u64,
-        i: usize,
-    ) {
-        let delta = graph.flip_delta(assignment, i);
-        assignment.flip(i);
-        *value += delta;
-        *flips_since_resync += 1;
-        if *flips_since_resync >= Self::RESYNC_INTERVAL {
-            *value = graph.cut_value(assignment);
-            *flips_since_resync = 0;
-        }
-    }
-
-    /// Moves the tracked assignment to `target` (up to complementation)
-    /// and returns its weighted cut value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target.len() != graph.n()`.
-    pub fn set_to(&mut self, target: &CutAssignment) -> f64 {
-        assert_eq!(
-            target.len(),
-            self.graph.n(),
-            "assignment/graph size mismatch"
-        );
-        let WeightedCutTracker {
-            graph,
-            assignment,
-            value,
-            flips_since_resync,
-        } = self;
-        flip_smaller_side(
-            assignment,
-            |i| target.side(i),
-            |a, i| {
-                Self::apply_flip(graph, a, value, flips_since_resync, i);
-            },
-        );
         self.value
     }
 }
@@ -276,6 +153,7 @@ impl<'g> WeightedCutTracker<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::WeightedGraph;
     use crate::generators::structured::{complete, cycle};
     use snc_devices::{Rng64, Xoshiro256pp};
 
@@ -328,7 +206,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = Xoshiro256pp::new(5);
-        let mut tracker = WeightedCutTracker::new(&g, CutAssignment::random(5, &mut rng));
+        let mut tracker = CutTracker::new(&g, CutAssignment::random(5, &mut rng));
         for _ in 0..300 {
             let i = rng.next_index(5);
             let v = tracker.flip(i);
@@ -347,7 +225,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = Xoshiro256pp::new(23);
-        let mut tracker = WeightedCutTracker::new(&g, CutAssignment::random(8, &mut rng));
+        let mut tracker = CutTracker::new(&g, CutAssignment::random(8, &mut rng));
         for _ in 0..100 {
             let target = CutAssignment::random(8, &mut rng);
             let v = tracker.set_to(&target);

@@ -2,12 +2,16 @@
 //!
 //! Provides everything the paper's evaluation needs from graphs:
 //!
-//! * [`csr`] — a compact CSR representation of simple undirected graphs,
-//!   plus matrix-free symmetric operators (adjacency, normalized adjacency,
-//!   and the Trevisan matrix `I + D^{-1/2} A D^{-1/2}`) implementing
-//!   `snc_linalg::LinOp`.
+//! * [`csr`] — one compact CSR representation of simple undirected graphs,
+//!   generic over the edge weight: [`Graph`] (unit weights, exact `u64`
+//!   cuts) and [`WeightedGraph`] (`f64` weights, two of the Table-I
+//!   networks are weighted), plus matrix-free symmetric operators
+//!   (normalized adjacency and the Trevisan matrix
+//!   `I + D^{-1/2} A D^{-1/2}`) implementing `snc_linalg::LinOp`.
 //! * [`cut`] — cut assignments (`±1` vertex labels), cut values, and
 //!   incremental flip deltas.
+//! * [`incremental`] — [`CutTracker`], a cut value maintained across
+//!   flips and whole-assignment moves.
 //! * [`bitslice`] — exact cut values of 64 cuts at once, from one pass
 //!   over the edges.
 //! * [`fingerprint`] — canonical order-independent 128-bit graph hashes,
@@ -24,8 +28,7 @@
 //!   DESIGN.md, "Substitutions").
 //! * [`stats`] — degree statistics, connectivity, clustering, used to
 //!   sanity-check the stand-ins.
-//! * [`weighted`] — weighted graphs and weighted spectral operators (two
-//!   of the Table-I networks are weighted).
+//! * [`weighted`] — random edge weights for the weighted stand-ins.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,10 +45,9 @@ pub mod io;
 pub mod stats;
 pub mod weighted;
 
-pub use csr::{Graph, NormalizedAdjacency, TrevisanOperator};
+pub use csr::{Csr, EdgeWeight, Graph, NormalizedAdjacency, TrevisanOperator, Unit, WeightedGraph};
 pub use cut::CutAssignment;
 pub use datasets::EmpiricalDataset;
 pub use error::GraphError;
 pub use fingerprint::GraphFingerprint;
-pub use incremental::{CutTracker, WeightedCutTracker};
-pub use weighted::{WeightedGraph, WeightedTrevisanOperator};
+pub use incremental::CutTracker;

@@ -1,298 +1,15 @@
-//! Weighted undirected graphs.
+//! Random edge weights for weighted stand-ins.
 //!
 //! Two of the paper's Table-I networks (`inf-USAir97`, `eco-stmarks`) are
 //! *weighted* graphs — visible in the paper's own numbers (a "cut of 1765"
-//! on a 54-vertex food web is only possible with edge weights). The
-//! general MAXCUT formulation in §II.A (`max ½ Σ A_ij (1 − v_i v_j)`)
-//! already covers weights; this module provides the weighted CSR
-//! representation and the weighted spectral operators so the full solver
-//! stack (SDP, Trevisan, both circuits) runs on weighted instances.
+//! on a 54-vertex food web is only possible with edge weights). A
+//! [`WeightedGraph`] is the `f64` case of the one CSR graph
+//! ([`crate::csr`]); this module draws the weights that turn an unweighted
+//! stand-in into one.
 
-use crate::csr::Graph;
-use crate::cut::CutAssignment;
+use crate::csr::{Graph, WeightedGraph};
 use crate::error::GraphError;
 use snc_devices::{Rng64, Xoshiro256pp};
-use snc_linalg::LinOp;
-
-/// A simple undirected graph with finite `f64` edge weights, in CSR form.
-///
-/// Parallel edges are merged by summing weights; self-loops are dropped.
-/// Negative weights are permitted for MAXCUT (they simply prefer keeping
-/// endpoints together), but the spectral operators require non-negative
-/// weights and check at construction.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WeightedGraph {
-    n: usize,
-    offsets: Vec<usize>,
-    targets: Vec<u32>,
-    weights: Vec<f64>,
-}
-
-impl WeightedGraph {
-    /// Builds a weighted graph from `(u, v, w)` triples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::VertexOutOfRange`] for bad endpoints and
-    /// [`GraphError::InvalidParameter`] for non-finite weights.
-    pub fn from_weighted_edges(n: usize, edges: &[(u32, u32, f64)]) -> Result<Self, GraphError> {
-        let mut pairs: Vec<(u32, u32, f64)> = Vec::with_capacity(edges.len());
-        for &(u, v, w) in edges {
-            if u as usize >= n {
-                return Err(GraphError::VertexOutOfRange { vertex: u, n });
-            }
-            if v as usize >= n {
-                return Err(GraphError::VertexOutOfRange { vertex: v, n });
-            }
-            if !w.is_finite() {
-                return Err(GraphError::InvalidParameter {
-                    name: "weight",
-                    constraint: format!("must be finite, got {w}"),
-                });
-            }
-            if u == v {
-                continue;
-            }
-            pairs.push((u.min(v), u.max(v), w));
-        }
-        pairs.sort_by_key(|a| (a.0, a.1));
-        // Merge duplicates by summing weights.
-        let mut merged: Vec<(u32, u32, f64)> = Vec::with_capacity(pairs.len());
-        for (u, v, w) in pairs {
-            match merged.last_mut() {
-                Some(last) if last.0 == u && last.1 == v => last.2 += w,
-                _ => merged.push((u, v, w)),
-            }
-        }
-
-        let mut degree = vec![0usize; n];
-        for &(u, v, _) in &merged {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        for &d in &degree {
-            offsets.push(offsets.last().unwrap() + d);
-        }
-        let mut targets = vec![0u32; offsets[n]];
-        let mut weights = vec![0.0f64; offsets[n]];
-        let mut cursor = offsets.clone();
-        for &(u, v, w) in &merged {
-            targets[cursor[u as usize]] = v;
-            weights[cursor[u as usize]] = w;
-            cursor[u as usize] += 1;
-            targets[cursor[v as usize]] = u;
-            weights[cursor[v as usize]] = w;
-            cursor[v as usize] += 1;
-        }
-        // Sort each row by target, carrying weights along.
-        for i in 0..n {
-            let range = offsets[i]..offsets[i + 1];
-            let mut row: Vec<(u32, f64)> = targets[range.clone()]
-                .iter()
-                .copied()
-                .zip(weights[range.clone()].iter().copied())
-                .collect();
-            row.sort_by_key(|&(t, _)| t);
-            for (k, (t, w)) in row.into_iter().enumerate() {
-                targets[offsets[i] + k] = t;
-                weights[offsets[i] + k] = w;
-            }
-        }
-        Ok(Self {
-            n,
-            offsets,
-            targets,
-            weights,
-        })
-    }
-
-    /// Lifts an unweighted graph with unit weights.
-    pub fn from_graph(graph: &Graph) -> Self {
-        let edges: Vec<(u32, u32, f64)> = graph.edges().map(|(u, v)| (u, v, 1.0)).collect();
-        Self::from_weighted_edges(graph.n(), &edges).expect("valid by construction")
-    }
-
-    /// Number of vertices.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of (merged) undirected edges.
-    pub fn m(&self) -> usize {
-        self.targets.len() / 2
-    }
-
-    /// Sum of all edge weights.
-    pub fn total_weight(&self) -> f64 {
-        self.weights.iter().sum::<f64>() / 2.0
-    }
-
-    /// Whether all weights are non-negative (required by the spectral
-    /// operators).
-    pub fn is_nonnegative(&self) -> bool {
-        self.weights.iter().all(|&w| w >= 0.0)
-    }
-
-    /// Weighted degree `Σ_j w_ij`.
-    pub fn weighted_degree(&self, i: usize) -> f64 {
-        self.weights[self.offsets[i]..self.offsets[i + 1]]
-            .iter()
-            .sum()
-    }
-
-    /// Sorted neighbor list of a vertex.
-    pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.targets[self.offsets[i]..self.offsets[i + 1]]
-    }
-
-    /// Weights aligned with [`WeightedGraph::neighbors`].
-    pub fn neighbor_weights(&self, i: usize) -> &[f64] {
-        &self.weights[self.offsets[i]..self.offsets[i + 1]]
-    }
-
-    /// Iterates over each edge once as `(u, v, w)` with `u < v`.
-    pub fn edges(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
-        (0..self.n).flat_map(move |u| {
-            self.neighbors(u)
-                .iter()
-                .zip(self.neighbor_weights(u))
-                .filter(move |(&v, _)| (u as u32) < v)
-                .map(move |(&v, &w)| (u as u32, v, w))
-        })
-    }
-
-    /// The weighted cut value of an assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the assignment length differs from `n`.
-    pub fn cut_value(&self, cut: &CutAssignment) -> f64 {
-        assert_eq!(cut.len(), self.n, "assignment/graph size mismatch");
-        self.edges()
-            .filter(|&(u, v, _)| cut.side(u as usize) != cut.side(v as usize))
-            .map(|(_, _, w)| w)
-            .sum()
-    }
-
-    /// Change in weighted cut value if vertex `i` were flipped
-    /// (positive = improves): `Δ = Σ same-side w_ij − Σ cross-side w_ij`.
-    ///
-    /// The weighted analogue of [`Graph`]-based
-    /// [`CutAssignment::flip_delta`], and the update rule behind
-    /// [`crate::WeightedCutTracker`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the assignment length differs from `n`.
-    pub fn flip_delta(&self, cut: &CutAssignment, i: usize) -> f64 {
-        assert_eq!(cut.len(), self.n, "assignment/graph size mismatch");
-        let si = cut.side(i);
-        let mut delta = 0.0;
-        for (&j, &w) in self.neighbors(i).iter().zip(self.neighbor_weights(i)) {
-            if cut.side(j as usize) == si {
-                delta += w;
-            } else {
-                delta -= w;
-            }
-        }
-        delta
-    }
-}
-
-/// Matrix-free weighted normalized adjacency
-/// `x ↦ D_w^{-1/2} A_w D_w^{-1/2} x` (weighted degrees).
-///
-/// Spectrum lies in `[-1, 1]` for non-negative weights.
-#[derive(Clone, Debug)]
-pub struct WeightedNormalizedAdjacency<'g> {
-    graph: &'g WeightedGraph,
-    inv_sqrt_deg: Vec<f64>,
-}
-
-impl<'g> WeightedNormalizedAdjacency<'g> {
-    /// Builds the operator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidParameter`] if any weight is negative.
-    pub fn new(graph: &'g WeightedGraph) -> Result<Self, GraphError> {
-        if !graph.is_nonnegative() {
-            return Err(GraphError::InvalidParameter {
-                name: "weights",
-                constraint: "spectral operators require non-negative weights".to_string(),
-            });
-        }
-        let inv_sqrt_deg = (0..graph.n())
-            .map(|i| {
-                let d = graph.weighted_degree(i);
-                if d <= 0.0 {
-                    0.0
-                } else {
-                    1.0 / d.sqrt()
-                }
-            })
-            .collect();
-        Ok(Self {
-            graph,
-            inv_sqrt_deg,
-        })
-    }
-}
-
-impl LinOp for WeightedNormalizedAdjacency<'_> {
-    fn dim(&self) -> usize {
-        self.graph.n()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        for (i, yi) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (&j, &w) in self
-                .graph
-                .neighbors(i)
-                .iter()
-                .zip(self.graph.neighbor_weights(i))
-            {
-                acc += w * self.inv_sqrt_deg[j as usize] * x[j as usize];
-            }
-            *yi = acc * self.inv_sqrt_deg[i];
-        }
-    }
-}
-
-/// The weighted Trevisan operator `I + D_w^{-1/2} A_w D_w^{-1/2}`.
-#[derive(Clone, Debug)]
-pub struct WeightedTrevisanOperator<'g> {
-    inner: WeightedNormalizedAdjacency<'g>,
-}
-
-impl<'g> WeightedTrevisanOperator<'g> {
-    /// Builds the operator.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`WeightedNormalizedAdjacency::new`].
-    pub fn new(graph: &'g WeightedGraph) -> Result<Self, GraphError> {
-        Ok(Self {
-            inner: WeightedNormalizedAdjacency::new(graph)?,
-        })
-    }
-}
-
-impl LinOp for WeightedTrevisanOperator<'_> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.inner.apply(x, y);
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += xi;
-        }
-    }
-}
 
 /// Weight distributions for synthesizing weighted stand-ins.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -356,7 +73,10 @@ pub fn randomize_weights(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::NormalizedAdjacency;
+    use crate::cut::CutAssignment;
     use crate::generators::structured::{complete_bipartite, cycle};
+    use snc_linalg::LinOp;
 
     fn wg3() -> WeightedGraph {
         WeightedGraph::from_weighted_edges(3, &[(0, 1, 2.0), (1, 2, 3.0), (0, 2, 0.5)]).unwrap()
@@ -408,28 +128,11 @@ mod tests {
     }
 
     #[test]
-    fn weighted_operators_match_unit_case() {
-        // With unit weights the weighted operators equal the unweighted.
-        let base = cycle(6);
-        let wg = WeightedGraph::from_graph(&base);
-        let op_w = WeightedTrevisanOperator::new(&wg).unwrap();
-        let op_u = crate::csr::TrevisanOperator::new(&base);
-        let x: Vec<f64> = (0..6).map(|i| (i as f64).cos()).collect();
-        let mut yw = vec![0.0; 6];
-        let mut yu = vec![0.0; 6];
-        op_w.apply(&x, &mut yw);
-        op_u.apply(&x, &mut yu);
-        for (a, b) in yw.iter().zip(&yu) {
-            assert!((a - b).abs() < 1e-14);
-        }
-    }
-
-    #[test]
     fn weighted_normalized_rowsums_are_one_for_positive_weights() {
         // D^{-1/2} A D^{-1/2} applied to D^{1/2}·1 returns D^{1/2}·1 (the
         // Perron vector), i.e. eigenvalue 1.
         let g = wg3();
-        let op = WeightedNormalizedAdjacency::new(&g).unwrap();
+        let op = NormalizedAdjacency::new(&g);
         let sqrt_deg: Vec<f64> = (0..3).map(|i| g.weighted_degree(i).sqrt()).collect();
         let mut y = vec![0.0; 3];
         op.apply(&sqrt_deg, &mut y);
@@ -442,8 +145,8 @@ mod tests {
     fn negative_weights_rejected_by_spectral_ops() {
         let g = WeightedGraph::from_weighted_edges(2, &[(0, 1, -1.0)]).unwrap();
         assert!(!g.is_nonnegative());
-        assert!(WeightedNormalizedAdjacency::new(&g).is_err());
-        assert!(WeightedTrevisanOperator::new(&g).is_err());
+        assert!(std::panic::catch_unwind(|| NormalizedAdjacency::new(&g)).is_err());
+        assert!(std::panic::catch_unwind(|| crate::TrevisanOperator::new(&g)).is_err());
     }
 
     #[test]

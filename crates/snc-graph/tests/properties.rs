@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use snc_graph::generators::{self, adjust_to_edge_count};
 use snc_graph::io::{dimacs, edgelist, matrix_market};
-use snc_graph::{stats, CutAssignment, CutTracker, Graph, WeightedCutTracker, WeightedGraph};
+use snc_graph::{stats, CutAssignment, CutTracker, Graph, WeightedGraph};
 use snc_linalg::LinOp;
 
 fn arbitrary_graph() -> impl Strategy<Value = Graph> {
@@ -131,7 +131,7 @@ proptest! {
         let g = WeightedGraph::from_weighted_edges(n, &edges).expect("in-range");
         let scale: f64 = g.edges().map(|(_, _, w)| w.abs()).sum::<f64>() + 1.0;
         let mut rng = Xoshiro256pp::new(seed);
-        let mut tracker = WeightedCutTracker::new(&g, CutAssignment::random(n, &mut rng));
+        let mut tracker = CutTracker::new(&g, CutAssignment::random(n, &mut rng));
         for &raw in &flips {
             let v = tracker.flip(raw % n);
             let scratch = g.cut_value(tracker.assignment());

@@ -68,9 +68,10 @@ impl Default for LifAnnealedConfig {
 /// `norm_i = Σ_j |w_ij|` (degree on unweighted graphs; 1 for isolated
 /// vertices so the division is always defined).
 #[derive(Clone, Debug)]
-struct FeedbackField {
-    offsets: Vec<usize>,
-    targets: Vec<u32>,
+struct FeedbackField<'g> {
+    /// The graph's CSR rows, read in place.
+    offsets: &'g [usize],
+    targets: &'g [u32],
     /// The coupling weights, or `None` when every weight is 1: then the
     /// drive `Σ_j s_j` is an integer kept per vertex ([`Previous`]).
     weights: Option<Vec<f64>>,
@@ -95,38 +96,14 @@ impl Previous {
     }
 }
 
-impl FeedbackField {
-    fn new(graph: &impl MaxCutGraph) -> Self {
-        let n = graph.n();
-        let pairs: Vec<(u32, u32, f64)> = graph.couplings().collect();
-        let mut degree = vec![0usize; n];
-        for &(u, v, _) in &pairs {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
-        let mut targets = vec![0u32; acc];
-        let mut weights = vec![0.0; acc];
-        for &(u, v, w) in &pairs {
-            for (a, b) in [(u as usize, v), (v as usize, u)] {
-                targets[cursor[a]] = b;
-                weights[cursor[a]] = w;
-                cursor[a] += 1;
-            }
-        }
-        let inv_norm = (0..n)
-            .map(|i| {
-                let norm: f64 = weights[offsets[i]..offsets[i + 1]]
-                    .iter()
-                    .map(|w| w.abs())
-                    .sum();
+impl<'g> FeedbackField<'g> {
+    fn new(graph: &'g impl MaxCutGraph) -> Self {
+        let (offsets, targets, weights) = graph.rows();
+        let weights: Vec<f64> = weights.collect();
+        let inv_norm = offsets
+            .windows(2)
+            .map(|row| {
+                let norm: f64 = weights[row[0]..row[1]].iter().map(|w| w.abs()).sum();
                 if norm > 0.0 {
                     1.0 / norm
                 } else {
@@ -228,14 +205,14 @@ impl FeedbackField {
 /// The annealed readout every replica applies: the feedback field, the σ
 /// tape and the feedback gain.
 #[derive(Clone, Debug)]
-struct AnnealedReadout {
-    field: FeedbackField,
+struct AnnealedReadout<'g> {
+    field: FeedbackField<'g>,
     sigma: SigmaTape,
     gain: f64,
 }
 
-impl AnnealedReadout {
-    fn new(graph: &impl MaxCutGraph, cfg: &LifAnnealedConfig, horizon: u64) -> Self {
+impl<'g> AnnealedReadout<'g> {
+    fn new(graph: &'g impl MaxCutGraph, cfg: &LifAnnealedConfig, horizon: u64) -> Self {
         Self {
             field: FeedbackField::new(graph),
             sigma: SigmaTape::new(&cfg.schedule, horizon),
@@ -303,10 +280,10 @@ impl SigmaTape {
 /// the one-seed batch's with seed `seeds[r]` — and, under a constant
 /// schedule, bit-for-bit LIF-GW's.
 #[derive(Clone, Debug)]
-pub struct LifAnnealedCircuit {
+pub struct LifAnnealedCircuit<'g> {
     batch: ReplicaBatch,
     decorrelate: u64,
-    readout: AnnealedReadout,
+    readout: AnnealedReadout<'g>,
     prev: Vec<Previous>,
     next: Vec<bool>,
     t: u64,
@@ -314,18 +291,18 @@ pub struct LifAnnealedCircuit {
     h: Vec<f64>,
 }
 
-impl LifAnnealedCircuit {
-    /// Builds one replica per seed from SDP factors and the graph the
-    /// feedback field reads (weighted graphs take their factors from the
-    /// weighted SDP), with `horizon` samples of schedule (the per-replica
-    /// budget).
+impl<'g> LifAnnealedCircuit<'g> {
+    /// Builds one replica per seed from SDP factors and the graph whose
+    /// rows the feedback field reads (weighted graphs take their factors
+    /// from the weighted SDP), with `horizon` samples of schedule (the
+    /// per-replica budget).
     ///
     /// # Panics
     ///
     /// Panics if `seeds` is empty.
     pub fn new(
         factors: &DMatrix,
-        graph: &impl MaxCutGraph,
+        graph: &'g impl MaxCutGraph,
         seeds: &[u64],
         cfg: &LifAnnealedConfig,
         horizon: u64,

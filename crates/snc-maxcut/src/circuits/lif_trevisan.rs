@@ -92,7 +92,7 @@ impl LifTrevisanCircuit {
 
     /// Builds one replica per seed on an explicit square synaptic program
     /// — a graph's Trevisan matrix at scale `cfg.network.weight_scale`,
-    /// such as [`CscWeights::trevisan_weighted`] for a weighted graph with
+    /// such as [`CscWeights::trevisan`] of a weighted graph with
     /// non-negative weights (see [`crate::MaxCutGraph::trevisan_weights`]).
     ///
     /// # Panics

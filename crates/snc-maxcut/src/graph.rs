@@ -2,19 +2,19 @@
 //! graphs alike.
 //!
 //! The paper states MAXCUT for any adjacency matrix `A_ij` (§II.A), so
-//! an unweighted graph is the unit-weight case of one problem.
-//! [`MaxCutGraph`] is that problem as the solvers see it: a vertex
-//! count, a coupling list, a total weight, an incremental cut evaluator,
-//! a block scorer and the LIF-Trevisan synaptic program. The sampling
-//! driver, the best-so-far traces, the GW SDP and all four circuit
-//! families are written once against it and instantiated twice: exact
-//! `u64` cut counts on [`Graph`] and `f64` cut weights on
-//! [`WeightedGraph`].
+//! an unweighted graph is the unit-weight case of one problem and both
+//! are one type, [`Csr`]. [`MaxCutGraph`] is that problem as the solvers
+//! see it: a vertex count, a coupling list, the CSR rows, a total weight,
+//! an incremental cut evaluator, a block scorer and the LIF-Trevisan
+//! synaptic program. The sampling driver, the best-so-far traces, the GW
+//! SDP and all four circuit families are written once against it and
+//! instantiated twice: exact `u64` cut counts on [`Graph`] and `f64` cut
+//! weights on [`WeightedGraph`].
 
 use crate::sampling::tracked_value;
 use crate::solve::SolveError;
 use snc_graph::bitslice::{BlockCutScorer, LANES};
-use snc_graph::{CutAssignment, CutTracker, Graph, WeightedCutTracker, WeightedGraph};
+use snc_graph::{Csr, CutAssignment, CutTracker, EdgeWeight, Graph, Unit, WeightedGraph};
 use snc_neuro::CscWeights;
 
 /// A cut value: an exact edge count (`u64`) or a cut weight (`f64`).
@@ -53,8 +53,8 @@ impl CutValue for f64 {
     }
 }
 
-/// An incremental cut evaluator ([`CutTracker`], [`WeightedCutTracker`]):
-/// moving to a new cut costs O(changed · degree), not O(m).
+/// An incremental cut evaluator ([`CutTracker`]): moving to a new cut
+/// costs O(changed · degree), not O(m).
 pub trait IncrementalCut {
     /// The cut-value type it maintains.
     type Value;
@@ -64,23 +64,13 @@ pub trait IncrementalCut {
     fn set_to(&mut self, target: &CutAssignment) -> Self::Value;
 }
 
-impl IncrementalCut for CutTracker<'_> {
-    type Value = u64;
-    fn value(&self) -> u64 {
+impl<W: EdgeWeight> IncrementalCut for CutTracker<'_, W> {
+    type Value = W::Cut;
+    fn value(&self) -> W::Cut {
         CutTracker::value(self)
     }
-    fn set_to(&mut self, target: &CutAssignment) -> u64 {
+    fn set_to(&mut self, target: &CutAssignment) -> W::Cut {
         CutTracker::set_to(self, target)
-    }
-}
-
-impl IncrementalCut for WeightedCutTracker<'_> {
-    type Value = f64;
-    fn value(&self) -> f64 {
-        WeightedCutTracker::value(self)
-    }
-    fn set_to(&mut self, target: &CutAssignment) -> f64 {
-        WeightedCutTracker::set_to(self, target)
     }
 }
 
@@ -110,12 +100,12 @@ impl BlockScorer for BlockCutScorer {
 }
 
 /// The weighted block scorer: each replica's cuts in turn through its own
-/// lazily seeded [`WeightedCutTracker`], the same `f64` operations in the
-/// same order as scoring the stream one sample at a time.
+/// lazily seeded [`CutTracker`], the same `f64` operations in the same
+/// order as scoring the stream one sample at a time.
 #[derive(Clone, Debug)]
 pub struct TrackedScorer<'g> {
     graph: &'g WeightedGraph,
-    trackers: Vec<Option<WeightedCutTracker<'g>>>,
+    trackers: Vec<Option<CutTracker<'g, f64>>>,
 }
 
 impl BlockScorer for TrackedScorer<'_> {
@@ -131,7 +121,34 @@ impl BlockScorer for TrackedScorer<'_> {
     }
 }
 
-/// A MAXCUT instance: [`Graph`] (unit weights, exact `u64` cuts) or
+/// An edge weight the solve path runs on: it names the block scorer of
+/// its graphs (bit-sliced exact counts for [`Unit`], tracked `f64` values
+/// for `f64`).
+pub trait SolveWeight: EdgeWeight<Cut: CutValue> {
+    /// The block scorer the solve driver uses.
+    type Scorer<'g>: BlockScorer<Value = Self::Cut>;
+    /// A fresh block scorer for `replicas` sample streams on `graph`.
+    fn scorer(graph: &Csr<Self>, replicas: usize) -> Self::Scorer<'_>;
+}
+
+impl SolveWeight for Unit {
+    type Scorer<'g> = BlockCutScorer;
+    fn scorer(graph: &Graph, _replicas: usize) -> BlockCutScorer {
+        BlockCutScorer::new(graph)
+    }
+}
+
+impl SolveWeight for f64 {
+    type Scorer<'g> = TrackedScorer<'g>;
+    fn scorer(graph: &WeightedGraph, replicas: usize) -> TrackedScorer<'_> {
+        TrackedScorer {
+            graph,
+            trackers: (0..replicas).map(|_| None).collect(),
+        }
+    }
+}
+
+/// A MAXCUT instance: a [`Graph`] (unit weights, exact `u64` cuts) or a
 /// [`WeightedGraph`] (`f64` cuts).
 pub trait MaxCutGraph {
     /// The cut-value type.
@@ -152,6 +169,10 @@ pub trait MaxCutGraph {
     /// Every edge once as `(u, v, w)` with `u < v`; `w = 1` on an
     /// unweighted graph.
     fn couplings(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_;
+    /// The CSR rows: `targets[offsets[i]..offsets[i + 1]]` is vertex `i`'s
+    /// sorted neighbor list, and the iterator yields each target entry's
+    /// weight in the same order (`1.0` on an unweighted graph).
+    fn rows(&self) -> (&[usize], &[u32], impl Iterator<Item = f64> + '_);
     /// Sum of all edge weights (`m` on an unweighted graph).
     fn total_weight(&self) -> f64;
     /// A tracker seeded with `cut` (one scratch evaluation).
@@ -168,64 +189,37 @@ pub trait MaxCutGraph {
     fn trevisan_weights(&self, scale: f64) -> Result<CscWeights, SolveError>;
 }
 
-impl MaxCutGraph for Graph {
-    type Value = u64;
-    type Tracker<'g> = CutTracker<'g>;
-    type Scorer<'g> = BlockCutScorer;
+impl<W: SolveWeight> MaxCutGraph for Csr<W> {
+    type Value = W::Cut;
+    type Tracker<'g> = CutTracker<'g, W>;
+    type Scorer<'g> = W::Scorer<'g>;
 
     fn n(&self) -> usize {
-        Graph::n(self)
+        Csr::n(self)
     }
     fn m(&self) -> usize {
-        Graph::m(self)
+        Csr::m(self)
     }
     fn couplings(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
-        self.edges().map(|(u, v)| (u, v, 1.0))
+        Csr::couplings(self)
+    }
+    fn rows(&self) -> (&[usize], &[u32], impl Iterator<Item = f64> + '_) {
+        let (offsets, targets, weights) = Csr::rows(self);
+        (offsets, targets, weights.iter().map(|w| w.value()))
     }
     fn total_weight(&self) -> f64 {
-        Graph::m(self) as f64
+        Csr::total_weight(self)
     }
-    fn tracker(&self, cut: CutAssignment) -> CutTracker<'_> {
+    fn tracker(&self, cut: CutAssignment) -> CutTracker<'_, W> {
         CutTracker::new(self, cut)
     }
-    fn scorer(&self, _replicas: usize) -> BlockCutScorer {
-        BlockCutScorer::new(self)
-    }
-    fn trevisan_weights(&self, scale: f64) -> Result<CscWeights, SolveError> {
-        Ok(CscWeights::trevisan(self, scale))
-    }
-}
-
-impl MaxCutGraph for WeightedGraph {
-    type Value = f64;
-    type Tracker<'g> = WeightedCutTracker<'g>;
-    type Scorer<'g> = TrackedScorer<'g>;
-
-    fn n(&self) -> usize {
-        WeightedGraph::n(self)
-    }
-    fn m(&self) -> usize {
-        WeightedGraph::m(self)
-    }
-    fn couplings(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
-        self.edges()
-    }
-    fn total_weight(&self) -> f64 {
-        WeightedGraph::total_weight(self)
-    }
-    fn tracker(&self, cut: CutAssignment) -> WeightedCutTracker<'_> {
-        WeightedCutTracker::new(self, cut)
-    }
-    fn scorer(&self, replicas: usize) -> TrackedScorer<'_> {
-        TrackedScorer {
-            graph: self,
-            trackers: (0..replicas).map(|_| None).collect(),
-        }
+    fn scorer(&self, replicas: usize) -> W::Scorer<'_> {
+        W::scorer(self, replicas)
     }
     fn trevisan_weights(&self, scale: f64) -> Result<CscWeights, SolveError> {
         if !self.is_nonnegative() {
             return Err(SolveError::NegativeWeights);
         }
-        Ok(CscWeights::trevisan_weighted(self, scale))
+        Ok(CscWeights::trevisan(self, scale))
     }
 }

@@ -20,12 +20,10 @@
 //! * [`anneal`] — simulated annealing, the software version of the
 //!   hardware Ising-machine baseline class the paper positions against.
 //! * [`graph`] — [`MaxCutGraph`], what the solve path reads of a graph:
-//!   the sampling driver, traces, GW SDP, and all four circuit families
-//!   run on unweighted (`u64` cuts) and weighted (`f64` cuts) graphs
-//!   through one implementation.
-//! * [`weighted`] — the solvers specific to weighted graphs (two Table-I
-//!   networks are weighted): the weighted Trevisan spectral solver and
-//!   weighted brute force.
+//!   the sampling driver, traces, GW SDP, the Trevisan solver and all
+//!   four circuit families run on unweighted (`u64` cuts) and weighted
+//!   (`f64` cuts) graphs through one implementation (two Table-I networks
+//!   are weighted).
 //! * [`greedy`] — 1-opt local search, an additional classical baseline.
 //! * [`sampling`] — the [`CutSampler`] trait and best-so-far traces at
 //!   logarithmic checkpoints (the x-axis of Figs. 3–4).
@@ -57,7 +55,8 @@ pub mod sampling;
 pub mod solve;
 pub mod stats;
 pub mod trevisan;
-pub mod weighted;
+#[cfg(test)]
+mod weighted;
 
 pub use anneal::{CoolingSchedule, ScheduleError, ScheduleKind};
 pub use cache::{CacheStats, SdpCache, ShardedLru};

@@ -228,7 +228,7 @@ pub fn log2_checkpoints(budget: u64) -> Vec<u64> {
 /// arithmetic is exact, so the recorded trace is identical to evaluating
 /// every sample from scratch; a weighted tracker's `f64` can differ from
 /// a scratch evaluation by rounding of order `ε·Σ|w|` between its
-/// periodic resyncs (see [`snc_graph::WeightedCutTracker::RESYNC_INTERVAL`]).
+/// periodic resyncs (see [`snc_graph::CutTracker::RESYNC_INTERVAL`]).
 ///
 /// # Panics
 ///

@@ -10,8 +10,12 @@
 //! refinement evaluated by Mirka & Williamson \[21\]: try every threshold
 //! along the sorted eigenvector and keep the best cut. Strictly at least as
 //! good as the sign rounding with the same eigenvector.
+//!
+//! On a weighted graph (two Table-I networks are weighted) the matrix is
+//! the weighted `I + D_w^{-1/2} A_w D_w^{-1/2}`, which needs non-negative
+//! weights.
 
-use snc_graph::{CutAssignment, Graph, TrevisanOperator};
+use snc_graph::{Csr, CutAssignment, EdgeWeight, TrevisanOperator, Unit};
 use snc_linalg::eigen::{extreme_eigenpair, EigenConfig, Which};
 use snc_linalg::LinalgError;
 
@@ -44,7 +48,7 @@ impl Default for TrevisanConfig {
 
 /// Result of the spectral solver.
 #[derive(Clone, Debug)]
-pub struct TrevisanSolution {
+pub struct TrevisanSolution<W: EdgeWeight = Unit> {
     /// The minimum eigenvector of the Trevisan matrix.
     pub eigenvector: Vec<f64>,
     /// Its eigenvalue (in `[0, 2]`; 0 exactly iff a bipartite component).
@@ -52,24 +56,31 @@ pub struct TrevisanSolution {
     /// The rounded cut.
     pub cut: CutAssignment,
     /// The cut's value.
-    pub value: u64,
+    pub value: W::Cut,
 }
 
 /// Runs the simple spectral algorithm on a graph.
 ///
 /// # Errors
 ///
-/// Propagates eigensolver non-convergence.
-pub fn solve_trevisan(
-    graph: &Graph,
+/// Returns [`LinalgError::InvalidArgument`] for a graph with a negative
+/// weight and propagates eigensolver non-convergence.
+pub fn solve_trevisan<W: EdgeWeight>(
+    graph: &Csr<W>,
     cfg: &TrevisanConfig,
-) -> Result<TrevisanSolution, LinalgError> {
+) -> Result<TrevisanSolution<W>, LinalgError> {
+    if !graph.is_nonnegative() {
+        return Err(LinalgError::InvalidArgument(
+            "the Trevisan matrix requires non-negative weights",
+        ));
+    }
     if graph.n() == 0 {
+        let cut = CutAssignment::all_ones(0);
         return Ok(TrevisanSolution {
             eigenvector: Vec::new(),
             eigenvalue: 0.0,
-            cut: CutAssignment::all_ones(0),
-            value: 0,
+            value: graph.cut_value(&cut),
+            cut,
         });
     }
     let op = TrevisanOperator::new(graph);
@@ -92,18 +103,19 @@ pub fn solve_trevisan(
 /// Starts with every vertex on the `−1` side and moves vertices across in
 /// ascending score order, maintaining the cut value incrementally
 /// (`O(m + n log n)`).
-pub fn best_sweep_cut(graph: &Graph, scores: &[f64]) -> CutAssignment {
+pub fn best_sweep_cut<W: EdgeWeight>(graph: &Csr<W>, scores: &[f64]) -> CutAssignment {
     let n = graph.n();
     assert_eq!(scores.len(), n);
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("finite scores"));
 
     let mut cut = CutAssignment::from_sides(vec![-1; n]);
-    let mut value: i64 = 0;
-    let mut best_value: i64 = 0;
+    // The value relative to the all-`−1` cut (zero).
+    let mut value = W::Delta::default();
+    let mut best_value = W::Delta::default();
     let mut best_prefix = 0usize; // how many vertices (in order) sit on +1
     for (moved, &v) in order.iter().enumerate() {
-        value += cut.flip_delta(graph, v);
+        value = value + cut.flip_delta(graph, v);
         cut.flip(v);
         if value > best_value {
             best_value = value;
@@ -124,6 +136,7 @@ mod tests {
     use crate::exact::brute_force;
     use snc_graph::generators::erdos_renyi::gnp;
     use snc_graph::generators::structured::{complete_bipartite, cycle, petersen};
+    use snc_graph::Graph;
 
     #[test]
     fn bipartite_graphs_are_solved_exactly() {

@@ -1,102 +1,52 @@
-//! Weighted MAXCUT: the solvers that are specific to weighted graphs.
+//! Weighted MAXCUT checks.
 //!
 //! The paper's formulation (§II.A) is already weighted (`A_ij` is any
-//! adjacency matrix), and two of its Table-I networks are weighted. The
-//! shared solve path — [`solve`](crate::solve()), [`solve_gw`](crate::solve_gw),
-//! [`sample_best_trace`](crate::sample_best_trace), and the Hopfield and
-//! LIF-annealed circuits — takes any [`MaxCutGraph`](crate::graph::MaxCutGraph),
-//! weighted graphs included. This module holds the rest:
-//!
-//! * [`solve_trevisan_weighted`] — minimum eigenvector of the *weighted*
-//!   Trevisan matrix `I + D_w^{-1/2} A_w D_w^{-1/2}`.
-//!
-//! `brute_force_weighted`, the exact ground truth for small instances, is
-//! compiled for this crate's tests only.
-//!
-//! The LIF-TR circuit on a weighted graph is
-//! [`LifTrevisanCircuit`](crate::LifTrevisanCircuit)
-//! programmed with the weighted Trevisan matrix
-//! ([`MaxCutGraph::trevisan_weights`](crate::MaxCutGraph::trevisan_weights)).
-
-use snc_graph::weighted::WeightedTrevisanOperator;
-use snc_graph::{CutAssignment, WeightedGraph};
-use snc_linalg::eigen::{extreme_eigenpair, Which};
-
-/// Result of the weighted Trevisan spectral solver.
-#[derive(Clone, Debug)]
-pub struct WeightedTrevisanSolution {
-    /// The minimum eigenvector of the weighted Trevisan matrix.
-    pub eigenvector: Vec<f64>,
-    /// Its eigenvalue.
-    pub eigenvalue: f64,
-    /// The sign-rounded cut and its weighted value.
-    pub cut: CutAssignment,
-    /// The weighted cut value.
-    pub value: f64,
-}
-
-/// Runs the weighted Trevisan simple spectral algorithm.
-///
-/// # Errors
-///
-/// Returns an error for negative weights or eigensolver non-convergence.
-pub fn solve_trevisan_weighted(
-    graph: &WeightedGraph,
-    eigen: &snc_linalg::eigen::EigenConfig,
-) -> Result<WeightedTrevisanSolution, Box<dyn std::error::Error>> {
-    let op = WeightedTrevisanOperator::new(graph)?;
-    let pair = extreme_eigenpair(&op, Which::Smallest, eigen)?;
-    let cut = CutAssignment::from_signs(&pair.vector);
-    let value = graph.cut_value(&cut);
-    Ok(WeightedTrevisanSolution {
-        eigenvector: pair.vector,
-        eigenvalue: pair.value,
-        cut,
-        value,
-    })
-}
-
-/// Exact weighted maximum cut by enumeration (`n ≤ 26`).
-///
-/// # Panics
-///
-/// Panics for more than 26 vertices.
-#[cfg(test)]
-pub fn brute_force_weighted(graph: &WeightedGraph) -> (CutAssignment, f64) {
-    let n = graph.n();
-    assert!(n <= 26, "weighted brute force limited to n <= 26");
-    if n == 0 {
-        return (CutAssignment::all_ones(0), 0.0);
-    }
-    let mut best_value = f64::NEG_INFINITY;
-    let mut best_mask = 0u32;
-    for mask in 0u32..(1u32 << (n - 1)) {
-        let mut value = 0.0;
-        for (u, v, w) in graph.edges() {
-            let su = (mask >> u) & 1;
-            let sv = (mask >> v) & 1;
-            if su != sv {
-                value += w;
-            }
-        }
-        if value > best_value {
-            best_value = value;
-            best_mask = mask;
-        }
-    }
-    let sides: Vec<i8> = (0..n)
-        .map(|i| if (best_mask >> i) & 1 == 1 { 1 } else { -1 })
-        .collect();
-    (CutAssignment::from_sides(sides), best_value)
-}
+//! adjacency matrix), and two of its Table-I networks are weighted. Every
+//! solver takes a `WeightedGraph` through the one generic solve path;
+//! these tests check the solvers against the exact weighted ground truth
+//! of small instances.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::gw::{solve_gw, GwConfig, GwSampler};
     use crate::sampling::{log2_checkpoints, sample_best_trace};
-    use snc_graph::generators::structured::{complete_bipartite, cycle};
+    use crate::trevisan::{solve_trevisan, TrevisanConfig};
+    use snc_graph::generators::structured::complete_bipartite;
     use snc_graph::weighted::{randomize_weights, WeightDistribution};
+    use snc_graph::{CutAssignment, WeightedGraph};
+
+    /// Exact weighted maximum cut by enumeration (`n ≤ 26`).
+    ///
+    /// # Panics
+    ///
+    /// Panics for more than 26 vertices.
+    fn brute_force_weighted(graph: &WeightedGraph) -> (CutAssignment, f64) {
+        let n = graph.n();
+        assert!(n <= 26, "weighted brute force limited to n <= 26");
+        if n == 0 {
+            return (CutAssignment::all_ones(0), 0.0);
+        }
+        let mut best_value = f64::NEG_INFINITY;
+        let mut best_mask = 0u32;
+        for mask in 0u32..(1u32 << (n - 1)) {
+            let mut value = 0.0;
+            for (u, v, w) in graph.edges() {
+                let su = (mask >> u) & 1;
+                let sv = (mask >> v) & 1;
+                if su != sv {
+                    value += w;
+                }
+            }
+            if value > best_value {
+                best_value = value;
+                best_mask = mask;
+            }
+        }
+        let sides: Vec<i8> = (0..n)
+            .map(|i| if (best_mask >> i) & 1 == 1 { 1 } else { -1 })
+            .collect();
+        (CutAssignment::from_sides(sides), best_value)
+    }
 
     fn weighted_fixture(seed: u64) -> WeightedGraph {
         let base = snc_graph::generators::erdos_renyi::gnp(12, 0.5, seed).unwrap();
@@ -155,22 +105,9 @@ mod tests {
         let base = complete_bipartite(4, 4);
         let g =
             randomize_weights(&base, WeightDistribution::Uniform { lo: 1.0, hi: 2.0 }, 7).unwrap();
-        let sol = solve_trevisan_weighted(&g, &snc_linalg::eigen::EigenConfig::default()).unwrap();
+        let sol = solve_trevisan(&g, &TrevisanConfig::default()).unwrap();
         assert!(sol.eigenvalue.abs() < 1e-6);
         assert!((sol.value - g.total_weight()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weighted_matches_unweighted_on_unit_weights() {
-        let base = cycle(9);
-        let g = WeightedGraph::from_graph(&base);
-        let sol_w =
-            solve_trevisan_weighted(&g, &snc_linalg::eigen::EigenConfig::default()).unwrap();
-        let sol_u =
-            crate::trevisan::solve_trevisan(&base, &crate::trevisan::TrevisanConfig::default())
-                .unwrap();
-        assert!((sol_w.eigenvalue - sol_u.eigenvalue).abs() < 1e-6);
-        assert_eq!(sol_w.value as u64, sol_u.value);
     }
 
     #[test]

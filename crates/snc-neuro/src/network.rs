@@ -267,9 +267,9 @@ impl TwoStageNetwork {
     /// Builds the replicas from an explicit square synaptic weight matrix
     /// whose spectral norm is at most `2·weight_scale` — the contract the
     /// plasticity auto-gain relies on — with a custom device model and
-    /// optional common-cause correlation. Both Trevisan constructors
-    /// ([`CscWeights::trevisan`], [`CscWeights::trevisan_weighted`])
-    /// satisfy it by construction.
+    /// optional common-cause correlation. The Trevisan matrix
+    /// ([`CscWeights::trevisan`]) of an unweighted or weighted graph
+    /// satisfies it by construction.
     ///
     /// # Panics
     ///

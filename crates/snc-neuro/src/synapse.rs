@@ -18,7 +18,7 @@
 //!   device windows.
 
 use snc_devices::ActivityWords;
-use snc_graph::Graph;
+use snc_graph::{Csr, EdgeWeight};
 use snc_linalg::DMatrix;
 
 /// A device→neuron weight matrix.
@@ -280,33 +280,31 @@ pub struct CscWeights {
 
 impl CscWeights {
     /// Builds the LIF-Trevisan weight matrix for a graph: the `n × n`
-    /// Trevisan matrix `I + D^{-1/2} A D^{-1/2}`, scaled by `scale`
-    /// (§IV.B: "connection weights between the random devices and the LIF
-    /// population … set proportional to the Trevisan matrix").
+    /// Trevisan matrix `I + D^{-1/2} A D^{-1/2}` (weighted degrees on a
+    /// weighted graph), scaled by `scale` (§IV.B: "connection weights
+    /// between the random devices and the LIF population … set
+    /// proportional to the Trevisan matrix").
     ///
     /// Isolated vertices get only their diagonal entry.
     ///
     /// # Panics
     ///
-    /// Panics if `scale` is non-finite (every stored value has magnitude
-    /// ≤ `|scale|`, so a finite scale makes the whole matrix finite —
-    /// the `CscWeights` invariant the slice gather relies on).
-    pub fn trevisan(graph: &Graph, scale: f64) -> Self {
+    /// Panics if `scale` is non-finite or the graph has a negative weight
+    /// (the Trevisan matrix is only defined for non-negative weights).
+    /// Every stored value then has magnitude ≤ `|scale|`, so the whole
+    /// matrix is finite, the `CscWeights` invariant the slice gather
+    /// relies on.
+    pub fn trevisan<W: EdgeWeight>(graph: &Csr<W>, scale: f64) -> Self {
         assert!(
             scale.is_finite(),
             "weight scale must be finite, got {scale}"
         );
+        assert!(
+            graph.is_nonnegative(),
+            "the Trevisan matrix requires non-negative weights"
+        );
         let n = graph.n();
-        let inv_sqrt: Vec<f64> = (0..n)
-            .map(|i| {
-                let d = graph.degree(i);
-                if d == 0 {
-                    0.0
-                } else {
-                    1.0 / (d as f64).sqrt()
-                }
-            })
-            .collect();
+        let inv_sqrt = graph.inv_sqrt_degrees();
         let mut col_ptr = Vec::with_capacity(n + 1);
         let mut row_idx: Vec<u32> = Vec::with_capacity(2 * graph.m() + n);
         let mut values: Vec<f64> = Vec::with_capacity(2 * graph.m() + n);
@@ -316,7 +314,7 @@ impl CscWeights {
             // Entries must be in increasing row order; neighbors are sorted
             // so merge the diagonal in place.
             let mut placed_diag = false;
-            for &i in graph.neighbors(j) {
+            for (&i, &w) in graph.neighbors(j).iter().zip(graph.neighbor_weights(j)) {
                 let i = i as usize;
                 if !placed_diag && i > j {
                     row_idx.push(j as u32);
@@ -324,7 +322,7 @@ impl CscWeights {
                     placed_diag = true;
                 }
                 row_idx.push(i as u32);
-                values.push(scale * inv_sqrt[i] * inv_sqrt[j]);
+                values.push(scale * w.value() * inv_sqrt[i] * inv_sqrt[j]);
             }
             if !placed_diag {
                 row_idx.push(j as u32);
@@ -339,39 +337,6 @@ impl CscWeights {
             row_idx,
             values,
         }
-    }
-
-    /// Builds the weighted LIF-Trevisan weight matrix
-    /// `I + D_w^{-1/2} A_w D_w^{-1/2}` for a weighted graph, scaled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has negative weights (the weighted Trevisan
-    /// matrix is only defined for non-negative weights).
-    pub fn trevisan_weighted(graph: &snc_graph::WeightedGraph, scale: f64) -> Self {
-        assert!(
-            graph.is_nonnegative(),
-            "weighted Trevisan matrix requires non-negative weights"
-        );
-        let n = graph.n();
-        let inv_sqrt: Vec<f64> = (0..n)
-            .map(|i| {
-                let d = graph.weighted_degree(i);
-                if d <= 0.0 {
-                    0.0
-                } else {
-                    1.0 / d.sqrt()
-                }
-            })
-            .collect();
-        let mut triplets: Vec<(u32, u32, f64)> = Vec::with_capacity(2 * graph.m() + n);
-        for j in 0..n {
-            triplets.push((j as u32, j as u32, scale));
-            for (&i, &w) in graph.neighbors(j).iter().zip(graph.neighbor_weights(j)) {
-                triplets.push((i, j as u32, scale * w * inv_sqrt[i as usize] * inv_sqrt[j]));
-            }
-        }
-        Self::from_triplets(n, n, &triplets)
     }
 
     /// Builds from explicit triplets `(row, col, value)`.
@@ -472,6 +437,7 @@ impl InputWeights for CscWeights {
 mod tests {
     use super::*;
     use snc_graph::generators::structured::{complete, cycle};
+    use snc_graph::Graph;
 
     #[test]
     fn dense_accumulate_matches_matvec() {

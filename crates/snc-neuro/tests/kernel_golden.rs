@@ -29,8 +29,8 @@
 
 use snc_devices::{DeviceModel, DevicePool, PoolSpec, Rng64, SplitMix64};
 use snc_graph::generators::erdos_renyi::gnp;
-use snc_graph::weighted::{randomize_weights, WeightDistribution, WeightedGraph};
-use snc_graph::{Graph, WeightedTrevisanOperator};
+use snc_graph::weighted::{randomize_weights, WeightDistribution};
+use snc_graph::{Graph, TrevisanOperator, WeightedGraph};
 use snc_linalg::LinOp;
 use snc_neuro::{
     CscWeights, HopfieldNetwork, HopfieldParams, InputWeights, LearningRate, LifParams,
@@ -429,7 +429,7 @@ fn trevisan_synapse_entries() {
             unit, want_unit,
             "CscWeights::trevisan scale {scale}: digest {unit:#018x}"
         );
-        let w = csc_digest(&CscWeights::trevisan_weighted(&weighted, scale));
+        let w = csc_digest(&CscWeights::trevisan(&weighted, scale));
         assert_eq!(
             w, want_weighted,
             "weighted CscWeights::trevisan scale {scale}: digest {w:#018x}"
@@ -442,9 +442,7 @@ fn weighted_trevisan_operator_apply() {
     let graph = weighted_gnp150();
     let x = probe(graph.n());
     let mut y = vec![f64::NAN; graph.n()];
-    WeightedTrevisanOperator::new(&graph)
-        .unwrap()
-        .apply(&x, &mut y);
+    TrevisanOperator::new(&graph).apply(&x, &mut y);
     let mut h = Fnv::new();
     h.feed_f64s(&y);
     assert_eq!(

@@ -13,10 +13,10 @@
 //! ```
 
 use snc::snc_graph::EmpiricalDataset;
-use snc::snc_maxcut::weighted::solve_trevisan_weighted;
 use snc::snc_maxcut::{
-    log2_checkpoints, sample_best_trace, solve_gw, GwConfig, GwSampler, LifGwCircuit, LifGwConfig,
-    LifTrevisanCircuit, LifTrevisanConfig, MaxCutGraph, RandomCutSampler,
+    log2_checkpoints, sample_best_trace, solve_gw, solve_trevisan, GwConfig, GwSampler,
+    LifGwCircuit, LifGwConfig, LifTrevisanCircuit, LifTrevisanConfig, MaxCutGraph,
+    RandomCutSampler, TrevisanConfig,
 };
 
 fn main() {
@@ -67,8 +67,7 @@ fn main() {
 
     // The weighted spectral solver, shown on eco-stmarks.
     let eco = EmpiricalDataset::EcoStmarks.load_weighted().unwrap();
-    let spectral = solve_trevisan_weighted(&eco, &snc::snc_linalg::eigen::EigenConfig::default())
-        .expect("eigensolver converges");
+    let spectral = solve_trevisan(&eco, &TrevisanConfig::default()).expect("eigensolver converges");
     println!(
         "\neco-stmarks weighted Trevisan (software): cut {:.1} at eigenvalue {:.4}",
         spectral.value, spectral.eigenvalue
