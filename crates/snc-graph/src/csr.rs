@@ -24,16 +24,16 @@ use std::ops::{Add, Sub};
 
 /// The weight of an unweighted graph's edges: zero-sized, `1` in every
 /// product.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Unit;
 
 /// An edge weight of a [`Csr`] graph: [`Unit`] or `f64`.
 ///
-/// Every graph operation is written once against this trait; the unit
-/// weight keeps the unweighted arithmetic exact (integer cut counts, no
-/// multiplications), and `f64` sums weights in the order the rows store
-/// them.
-pub trait EdgeWeight: Copy + Default + PartialEq + Debug + Send + Sync + 'static {
+/// Every graph operation is written once against this trait. The unit
+/// weight keeps the unweighted arithmetic exact: cuts are integer counts,
+/// and a product with its value `1.0` is the other factor bit for bit.
+/// `f64` weights sum in the order the rows store them.
+pub trait EdgeWeight: Copy + Default + Debug + 'static {
     /// An edge as [`Csr::from_edges`] takes it and [`Csr::edges`] yields
     /// it: `(u, v)` for [`Unit`], `(u, v, w)` for `f64`.
     type Edge: Copy;
