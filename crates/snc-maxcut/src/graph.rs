@@ -53,27 +53,6 @@ impl CutValue for f64 {
     }
 }
 
-/// An incremental cut evaluator ([`CutTracker`]): moving to a new cut
-/// costs O(changed · degree), not O(m).
-pub trait IncrementalCut {
-    /// The cut-value type it maintains.
-    type Value;
-    /// The current cut's value.
-    fn value(&self) -> Self::Value;
-    /// Moves to `target` and returns its value.
-    fn set_to(&mut self, target: &CutAssignment) -> Self::Value;
-}
-
-impl<W: EdgeWeight> IncrementalCut for CutTracker<'_, W> {
-    type Value = W::Cut;
-    fn value(&self) -> W::Cut {
-        CutTracker::value(self)
-    }
-    fn set_to(&mut self, target: &CutAssignment) -> W::Cut {
-        CutTracker::set_to(self, target)
-    }
-}
-
 /// Scores one block per replica of up to 64 cuts each, held bit-sliced:
 /// bit `k` of `words[r * n + i]` is vertex `i`'s side in replica `r`'s
 /// cut `k` (`1` ⇒ `+1` side), the layout of [`snc_graph::bitslice`]. A
@@ -153,10 +132,8 @@ impl SolveWeight for f64 {
 pub trait MaxCutGraph {
     /// The cut-value type.
     type Value: CutValue;
-    /// The incremental evaluator of cuts on this graph.
-    type Tracker<'g>: IncrementalCut<Value = Self::Value>
-    where
-        Self: 'g;
+    /// The edge weight ([`Unit`] or `f64`).
+    type Weight: SolveWeight<Cut = Self::Value>;
     /// The block scorer the solve driver uses.
     type Scorer<'g>: BlockScorer<Value = Self::Value>
     where
@@ -175,8 +152,10 @@ pub trait MaxCutGraph {
     fn rows(&self) -> (&[usize], &[u32], impl Iterator<Item = f64> + '_);
     /// Sum of all edge weights (`m` on an unweighted graph).
     fn total_weight(&self) -> f64;
-    /// A tracker seeded with `cut` (one scratch evaluation).
-    fn tracker(&self, cut: CutAssignment) -> Self::Tracker<'_>;
+    /// An incremental cut evaluator seeded with `cut` (one scratch
+    /// evaluation): moving it to a new cut costs O(changed · degree), not
+    /// O(m).
+    fn tracker(&self, cut: CutAssignment) -> CutTracker<'_, Self::Weight>;
     /// A fresh block scorer for `replicas` sample streams.
     fn scorer(&self, replicas: usize) -> Self::Scorer<'_>;
     /// The LIF-Trevisan circuit's synaptic program on this graph: its
@@ -191,7 +170,7 @@ pub trait MaxCutGraph {
 
 impl<W: SolveWeight> MaxCutGraph for Csr<W> {
     type Value = W::Cut;
-    type Tracker<'g> = CutTracker<'g, W>;
+    type Weight = W;
     type Scorer<'g> = W::Scorer<'g>;
 
     fn n(&self) -> usize {

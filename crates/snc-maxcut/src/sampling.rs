@@ -6,7 +6,7 @@
 //! exactly that curve for any [`CutSampler`]; the batched circuits'
 //! `best_traces` produce one per replica from bit-sliced sample blocks.
 
-use crate::graph::{BlockScorer, CutValue, IncrementalCut, MaxCutGraph};
+use crate::graph::{BlockScorer, CutValue, MaxCutGraph};
 use snc_graph::bitslice::LANES;
 use snc_graph::{CutAssignment, CutTracker, Graph};
 
@@ -74,7 +74,7 @@ impl BestTrace {
 /// cut's value. The first call seeds the tracker (one scratch
 /// evaluation); later calls diff incrementally.
 pub(crate) fn tracked_value<'g, G: MaxCutGraph>(
-    tracker: &mut Option<G::Tracker<'g>>,
+    tracker: &mut Option<CutTracker<'g, G::Weight>>,
     graph: &'g G,
     cut: &CutAssignment,
 ) -> G::Value {
