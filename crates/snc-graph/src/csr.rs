@@ -196,16 +196,16 @@ impl<W: EdgeWeight> Csr<W> {
         }
         // Stable, so duplicates merge in input order.
         pairs.sort_by_key(|&(u, v, _)| (u, v));
-        let mut merged: Vec<(u32, u32, W)> = Vec::with_capacity(pairs.len());
-        for (u, v, w) in pairs {
-            match merged.last_mut() {
-                Some(last) if (last.0, last.1) == (u, v) => last.2.merge(w),
-                _ => merged.push((u, v, w)),
+        pairs.dedup_by(|next, kept| {
+            let duplicate = (next.0, next.1) == (kept.0, kept.1);
+            if duplicate {
+                kept.2.merge(next.2);
             }
-        }
+            duplicate
+        });
 
         let mut degree = vec![0usize; n];
-        for &(u, v, _) in &merged {
+        for &(u, v, _) in &pairs {
             degree[u as usize] += 1;
             degree[v as usize] += 1;
         }
@@ -217,11 +217,11 @@ impl<W: EdgeWeight> Csr<W> {
         let mut targets = vec![0u32; offsets[n]];
         let mut weights = vec![W::default(); offsets[n]];
         let mut cursor = offsets.clone();
-        // `merged` ascends by (u, v) with u < v, so row x first receives
+        // `pairs` ascends by (u, v) with u < v, so row x first receives
         // its neighbours below x (as the second endpoint, in ascending
         // order of the first) and then those above x (as the first
         // endpoint, ascending): every row comes out sorted.
-        for &(u, v, w) in &merged {
+        for &(u, v, w) in &pairs {
             for (a, b) in [(u, v), (v, u)] {
                 targets[cursor[a as usize]] = b;
                 weights[cursor[a as usize]] = w;
