@@ -132,12 +132,8 @@ impl SolveWeight for f64 {
 pub trait MaxCutGraph {
     /// The cut-value type.
     type Value: CutValue;
-    /// The edge weight ([`Unit`] or `f64`).
+    /// The edge weight ([`Unit`] or `f64`); it names the block scorer.
     type Weight: SolveWeight<Cut = Self::Value>;
-    /// The block scorer the solve driver uses.
-    type Scorer<'g>: BlockScorer<Value = Self::Value>
-    where
-        Self: 'g;
 
     /// Number of vertices.
     fn n(&self) -> usize;
@@ -157,7 +153,7 @@ pub trait MaxCutGraph {
     /// O(m).
     fn tracker(&self, cut: CutAssignment) -> CutTracker<'_, Self::Weight>;
     /// A fresh block scorer for `replicas` sample streams.
-    fn scorer(&self, replicas: usize) -> Self::Scorer<'_>;
+    fn scorer(&self, replicas: usize) -> <Self::Weight as SolveWeight>::Scorer<'_>;
     /// The LIF-Trevisan circuit's synaptic program on this graph: its
     /// Trevisan matrix `I + D^{-1/2} A D^{-1/2}` scaled by `scale`.
     ///
@@ -171,7 +167,6 @@ pub trait MaxCutGraph {
 impl<W: SolveWeight> MaxCutGraph for Csr<W> {
     type Value = W::Cut;
     type Weight = W;
-    type Scorer<'g> = W::Scorer<'g>;
 
     fn n(&self) -> usize {
         Csr::n(self)
