@@ -128,6 +128,23 @@ mod tests {
     }
 
     #[test]
+    fn weighted_operators_match_unit_case() {
+        // With unit weights the f64 operator equals the Unit one.
+        let base = cycle(6);
+        let wg = WeightedGraph::from_graph(&base);
+        let op_w = crate::TrevisanOperator::new(&wg);
+        let op_u = crate::TrevisanOperator::new(&base);
+        let x: Vec<f64> = (0..6).map(|i| (i as f64).cos()).collect();
+        let mut yw = vec![0.0; 6];
+        let mut yu = vec![0.0; 6];
+        op_w.apply(&x, &mut yw);
+        op_u.apply(&x, &mut yu);
+        for (a, b) in yw.iter().zip(&yu) {
+            assert!((a - b).abs() < 1e-14);
+        }
+    }
+
+    #[test]
     fn weighted_normalized_rowsums_are_one_for_positive_weights() {
         // D^{-1/2} A D^{-1/2} applied to D^{1/2}·1 returns D^{1/2}·1 (the
         // Perron vector), i.e. eigenvalue 1.
